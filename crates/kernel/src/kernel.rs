@@ -27,7 +27,7 @@ use crate::trace::{
 use crate::vfs::{Ino, InodeData, Mode, ProcHook, Vfs};
 use std::collections::{BTreeMap, VecDeque};
 use std::ops::{Deref, DerefMut};
-use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, RwLock, RwLockReadGuard, RwLockWriteGuard};
 
 /// A pipe buffer.
@@ -285,6 +285,12 @@ pub struct Kernel {
     media_roots: Mutex<BTreeMap<DevId, Ino>>,
     sinks: Mutex<Vec<Box<dyn AuditSink>>>,
     pub(crate) interceptors: Locked<InterceptorChain>,
+    /// How many interceptors the chain has enabled, recomputed under the
+    /// chain's write lock by every chain mutation and published with
+    /// `Release`. [`Kernel::dispatch`] reads it with `Acquire`: zero means
+    /// no hook can run, so the call skips the chain lock, the identity
+    /// snapshot and both hook passes.
+    pub(crate) armed: AtomicUsize,
     /// Per-binary syscall-allowlist state (profiles, mode, violations),
     /// shared with any [`crate::seccomp::SeccompInterceptor`] on the
     /// dispatch chain and surfaced under `/proc/seccomp/`.
@@ -404,6 +410,7 @@ impl Kernel {
             media_roots: Mutex::new(BTreeMap::new()),
             sinks: Mutex::new(Vec::new()),
             interceptors: Locked::new(InterceptorChain::default()),
+            armed: AtomicUsize::new(0),
             seccomp: crate::seccomp::Seccomp::new(),
         }
     }
@@ -428,6 +435,17 @@ impl Kernel {
         self.trace.store(on, Ordering::Relaxed);
     }
 
+    /// Runs `f` over the chain under its write lock, then republishes the
+    /// enabled count that [`Kernel::dispatch`] reads to decide whether the
+    /// chain is armed. The store happens before the lock drops, so a
+    /// dispatch that observes the new count also observes the new chain.
+    fn edit_chain<R>(&self, f: impl FnOnce(&mut InterceptorChain) -> R) -> R {
+        let mut chain = self.interceptors.write();
+        let r = f(&mut chain);
+        self.armed.store(chain.enabled_len(), Ordering::Release);
+        r
+    }
+
     /// Registers an interceptor on the dispatch chain and returns its
     /// [`InterceptorSlot`] handle. `before` hooks run in registration
     /// order, `after` hooks in reverse (see [`Kernel::dispatch`]); the
@@ -438,7 +456,7 @@ impl Kernel {
         &self,
         ic: Box<dyn crate::syscall::Interceptor>,
     ) -> InterceptorSlot {
-        self.interceptors.write().register(Arc::from(ic))
+        self.edit_chain(|c| c.register(Arc::from(ic)))
     }
 
     /// Registers an interceptor, discarding the slot handle — for chains
@@ -452,13 +470,7 @@ impl Kernel {
     /// (a disabled slot keeps its chain position). Returns `false` if the
     /// slot no longer exists.
     pub fn set_interceptor_enabled(&self, slot: InterceptorSlot, enabled: bool) -> bool {
-        match self.interceptors.write().entry_mut(slot) {
-            Some(e) => {
-                e.enabled = enabled;
-                true
-            }
-            None => false,
-        }
+        self.edit_chain(|c| c.entry_mut(slot).map(|e| e.enabled = enabled).is_some())
     }
 
     /// Replaces the interceptor in `slot`, keeping its chain position and
@@ -469,27 +481,28 @@ impl Kernel {
         slot: InterceptorSlot,
         ic: Box<dyn crate::syscall::Interceptor>,
     ) -> bool {
-        match self.interceptors.write().entry_mut(slot) {
-            Some(e) => {
-                e.ic = Arc::from(ic);
-                true
-            }
-            None => false,
-        }
+        self.edit_chain(|c| c.entry_mut(slot).map(|e| e.ic = Arc::from(ic)).is_some())
     }
 
     /// Unregisters the interceptor in `slot`. Returns `false` if the slot
     /// no longer exists.
     pub fn remove_interceptor(&self, slot: InterceptorSlot) -> bool {
-        let mut guard = self.interceptors.write();
-        let before = guard.entries.len();
-        guard.entries.retain(|e| e.id != slot.0);
-        guard.entries.len() != before
+        self.edit_chain(|c| {
+            let before = c.entries.len();
+            c.entries.retain(|e| e.id != slot.0);
+            c.entries.len() != before
+        })
     }
 
     /// Removes all registered interceptors (every slot handle dies).
     pub fn clear_interceptors(&self) {
-        self.interceptors.write().entries.clear();
+        self.edit_chain(|c| c.entries.clear());
+    }
+
+    /// Whether any interceptor is enabled on the dispatch chain — the
+    /// test [`Kernel::dispatch`] makes before paying for the chain.
+    pub fn interceptors_armed(&self) -> bool {
+        self.armed.load(Ordering::Acquire) != 0
     }
 
     /// Snapshots the identity of `pid`'s task — one task-shard read; see

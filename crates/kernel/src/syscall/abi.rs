@@ -924,8 +924,15 @@ impl Kernel {
     /// never reached and an `interceptor`-provenance audit event records
     /// the injection). `after` hooks run in reverse order and always see
     /// the final response, injected or real.
+    ///
+    /// With no interceptor enabled (see [`Kernel::interceptors_armed`])
+    /// the call goes straight to its entry point: no chain lock, no
+    /// [`TaskIdentity`](crate::task::TaskIdentity) snapshot, no hook pass.
     pub fn dispatch(&self, pid: Pid, call: Syscall) -> SysRet {
         let _dispatch_span = trace::span(trace::Pathway::Dispatch);
+        if !self.interceptors_armed() {
+            return self.dispatch_body(pid, &call);
+        }
         // Snapshot the chain's shared handles under a brief read lock, so
         // hooks run without holding any kernel lock (an interceptor may
         // itself consult kernel state) and concurrent dispatches do not
@@ -1013,13 +1020,7 @@ impl Kernel {
                 );
                 SysRet::Err(e)
             }
-            None => {
-                let _body_span = trace::span(trace::Pathway::for_class(call.class()));
-                // Bracket the entry point in an arena scope so any pooled
-                // path buffers borrowed below are trimmed back to bounds
-                // when the dispatch exits (§14 reset discipline).
-                crate::vfs::PathArena::scope(|_| self.dispatch_inner(pid, &call))
-            }
+            None => self.dispatch_body(pid, &call),
         };
         {
             let _after_span = trace::span(trace::Pathway::InterceptAfter);
@@ -1033,6 +1034,14 @@ impl Kernel {
             }
         }
         ret
+    }
+
+    /// Runs the entry point under its class span. The arena scope trims
+    /// any pooled path buffers borrowed below back to bounds when the
+    /// dispatch exits (§14 reset discipline).
+    fn dispatch_body(&self, pid: Pid, call: &Syscall) -> SysRet {
+        let _body_span = trace::span(trace::Pathway::for_class(call.class()));
+        crate::vfs::PathArena::scope(|_| self.dispatch_inner(pid, call))
     }
 
     /// The total request→entry-point mapping behind [`Kernel::dispatch`].

@@ -71,12 +71,33 @@ const fn slot_of(ino: Ino) -> usize {
 /// [`Vfs::namespace_generation`], and the next lookup in each shard
 /// flushes its map lazily. This mirrors how the real dcache leans on
 /// d_seq/mount generations rather than tracking per-entry dependencies.
+///
+/// The shard also holds the canonical-path memo behind
+/// [`Vfs::canonical_path`] (inode → interned absolute path), flushed by
+/// the same generation check. Memo entries have their own capacity bound
+/// and are not counted in `stats`, which describes resolutions only.
 #[derive(Debug, Default)]
 struct DcacheShard {
     map: HashMap<(Ino, bool), HashMap<Name, Resolved>>,
     entries: usize,
+    paths: HashMap<Ino, Name>,
     gen: u64,
     stats: CacheStats,
+}
+
+impl DcacheShard {
+    /// Lazily flushes everything stored under an older generation.
+    fn revalidate(&mut self, gen_now: u64) {
+        if self.gen != gen_now {
+            if self.entries > 0 {
+                self.stats.invalidations += 1;
+            }
+            self.map.clear();
+            self.entries = 0;
+            self.paths.clear();
+            self.gen = gen_now;
+        }
+    }
 }
 
 /// Inode id allocator: free-list of reclaimed slots plus the
@@ -611,14 +632,7 @@ impl Vfs {
         {
             let _probe_span = crate::trace::span(crate::trace::Pathway::DcacheProbe);
             let mut dc = sync::lock(&self.dcache[shard_idx]);
-            if dc.gen != gen_now {
-                if dc.entries > 0 {
-                    dc.stats.invalidations += 1;
-                }
-                dc.map.clear();
-                dc.entries = 0;
-                dc.gen = gen_now;
-            }
+            dc.revalidate(gen_now);
             // The probe interns nothing: a path that was never interned
             // cannot have been inserted, so `Name::lookup` returning
             // `None` is itself the miss verdict. A hit clones a
