@@ -16,10 +16,17 @@ cargo test -q
 echo "== full workspace tests =="
 cargo test --workspace --release -q
 
+echo "== e2e-bench: the end-to-end benchmark's own tests =="
+# e2e-bench is a standalone package (its own workspace and Cargo.lock)
+# built against the kernel and userland crates by path, so a kernel API
+# change can break it without touching the root workspace.
+cargo test --release --offline --manifest-path e2e-bench/Cargo.toml
+
 echo "== zero-alloc gate: steady-state fast path allocates nothing =="
 # Counting-allocator proof that a warm resolve/open/read/close/getuid
 # cycle under the full Protego LSM performs zero heap allocations
-# (interner + dcache + path arenas end to end).
+# (interner + dcache + path arenas end to end), and that a warm Protego
+# hook matching a policy rule allocates nothing either.
 cargo test -q -p protego-core --features alloc-count --test fastpath_alloc
 
 echo "== smoke bench: BENCH_table5.json regenerates and validates =="

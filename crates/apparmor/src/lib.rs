@@ -23,7 +23,7 @@ pub use profile::{parse_cap_name, parse_profiles, render_profiles, PathAccess, P
 use sim_kernel::caps::Cap;
 use sim_kernel::cred::Credentials;
 use sim_kernel::error::{Errno, KResult};
-use sim_kernel::lsm::{Decision, FileDecision, FileOpenCtx, SecurityModule};
+use sim_kernel::lsm::{Decision, FileDecision, FileOpenCtx, RuleId, SecurityModule};
 use sim_kernel::sync::lock;
 use sim_kernel::trace::CacheStats;
 use sim_kernel::vfs::Access;
@@ -39,9 +39,9 @@ const BINARY_CACHE_CAP: usize = 1024;
 #[derive(Debug)]
 pub struct AppArmorLsm {
     profiles: Vec<Profile>,
-    /// Name of the profile the most recent hook matched, drained by the
-    /// kernel to attach rule provenance to audit events.
-    matched: Mutex<Option<String>>,
+    /// `profile <binary>` audit label of each profile, interned when the
+    /// profiles load; parallel to `profiles`.
+    labels: Vec<RuleId>,
     /// Exec identity → index of the governing profile (None = unconfined).
     /// Invalidated whenever profiles reload.
     binary_cache: Mutex<HashMap<String, Option<usize>>>,
@@ -55,7 +55,7 @@ impl Default for AppArmorLsm {
     fn default() -> AppArmorLsm {
         AppArmorLsm {
             profiles: Vec::new(),
-            matched: Mutex::new(None),
+            labels: Vec::new(),
             binary_cache: Mutex::new(HashMap::new()),
             binary_cache_stats: Mutex::new(CacheStats::default()),
             caching: AtomicBool::new(true),
@@ -74,6 +74,11 @@ impl AppArmorLsm {
     /// the binary→profile cache (the old indices are meaningless).
     pub fn load_text(&mut self, text: &str) -> Result<(), String> {
         self.profiles = parse_profiles(text)?;
+        self.labels = self
+            .profiles
+            .iter()
+            .map(|p| RuleId::intern(&format!("profile {}", p.binary)))
+            .collect();
         let mut cache = lock(&self.binary_cache);
         if !cache.is_empty() {
             lock(&self.binary_cache_stats).invalidations += 1;
@@ -98,18 +103,21 @@ impl AppArmorLsm {
         self.caching.store(on, Ordering::Relaxed);
     }
 
-    fn profile_for(&self, binary: &str) -> Option<&Profile> {
+    /// The profile confining `binary`, with its audit label.
+    fn profile_for(&self, binary: &str) -> Option<(&Profile, RuleId)> {
+        let profile = |i: usize| (&self.profiles[i], self.labels[i]);
         if !self.caching.load(Ordering::Relaxed) {
             return self
                 .profiles
                 .iter()
-                .find(|p| p.matches_binary_interpreted(binary));
+                .position(|p| p.matches_binary_interpreted(binary))
+                .map(profile);
         }
         {
             let cache = lock(&self.binary_cache);
             if let Some(&idx) = cache.get(binary) {
                 lock(&self.binary_cache_stats).hits += 1;
-                return idx.map(|i| &self.profiles[i]);
+                return idx.map(profile);
             }
         }
         lock(&self.binary_cache_stats).misses += 1;
@@ -120,7 +128,7 @@ impl AppArmorLsm {
             lock(&self.binary_cache_stats).invalidations += 1;
         }
         cache.insert(binary.to_string(), idx);
-        idx.map(|i| &self.profiles[i])
+        idx.map(profile)
     }
 
     /// Number of loaded profiles.
@@ -170,37 +178,27 @@ impl SecurityModule for AppArmorLsm {
         "apparmor"
     }
 
-    fn capable(&self, _cred: &Credentials, binary: &str, cap: Cap) -> Decision {
+    fn capable(&self, _cred: &Credentials, binary: &str, cap: Cap) -> (Decision, Option<RuleId>) {
         match self.profile_for(binary) {
-            Some(p) if !p.check_cap(cap) => {
-                *lock(&self.matched) = Some(format!("profile {}", p.binary));
-                Decision::Deny(Errno::EPERM)
-            }
-            _ => Decision::UseDefault,
+            Some((p, id)) if !p.check_cap(cap) => (Decision::Deny(Errno::EPERM), Some(id)),
+            _ => (Decision::UseDefault, None),
         }
     }
 
-    fn file_open(&self, ctx: &FileOpenCtx) -> FileDecision {
-        match self.profile_for(ctx.binary) {
-            Some(p) => {
-                let allowed = if self.caching.load(Ordering::Relaxed) {
-                    p.check_path(ctx.path, ctx.access)
-                } else {
-                    p.check_path_interpreted(ctx.path, ctx.access)
-                };
-                if allowed {
-                    FileDecision::UseDefault
-                } else {
-                    *lock(&self.matched) = Some(format!("profile {}", p.binary));
-                    FileDecision::Deny(Errno::EACCES)
-                }
-            }
-            None => FileDecision::UseDefault,
+    fn file_open(&self, ctx: &FileOpenCtx) -> (FileDecision, Option<RuleId>) {
+        let Some((p, id)) = self.profile_for(ctx.binary) else {
+            return (FileDecision::UseDefault, None);
+        };
+        let allowed = if self.caching.load(Ordering::Relaxed) {
+            p.check_path(ctx.path, ctx.access)
+        } else {
+            p.check_path_interpreted(ctx.path, ctx.access)
+        };
+        if allowed {
+            (FileDecision::UseDefault, None)
+        } else {
+            (FileDecision::Deny(Errno::EACCES), Some(id))
         }
-    }
-
-    fn take_matched_rule(&self) -> Option<String> {
-        lock(&self.matched).take()
     }
 
     fn cache_stats(&self) -> Vec<(&'static str, CacheStats)> {
@@ -394,11 +392,9 @@ mod tests {
             now: 0,
         };
         for path in ["/etc/fstab", "/etc/shadow", "/dev/null"] {
-            let cached = matches!(a.file_open(&ctx(path)), FileDecision::UseDefault);
-            a.take_matched_rule();
+            let cached = a.file_open(&ctx(path));
             a.set_caching(false);
-            let interpreted = matches!(a.file_open(&ctx(path)), FileDecision::UseDefault);
-            a.take_matched_rule();
+            let interpreted = a.file_open(&ctx(path));
             a.set_caching(true);
             assert_eq!(cached, interpreted, "path {:?}", path);
         }

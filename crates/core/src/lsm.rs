@@ -26,7 +26,8 @@ use sim_kernel::dev::{ModemOpt, ModemState};
 use sim_kernel::error::{Errno, KResult};
 use sim_kernel::lsm::{
     AuthScope, BindRequest, Decision, EnvPolicy, ExecCtx, ExecDecision, FileDecision, FileOpenCtx,
-    KmsOp, MountRequest, PendingSetuid, SecurityModule, SetidCtx, SetuidDecision, UmountRequest,
+    KmsOp, MountRequest, PendingSetuid, RuleId, SecurityModule, SetidCtx, SetuidDecision,
+    UmountRequest,
 };
 use sim_kernel::net::{Domain, ProtoMatch, Route, RouteTable, Rule, SockType, Verdict};
 use sim_kernel::sync::lock;
@@ -43,21 +44,96 @@ pub const AUTH_WINDOW: u64 = 300;
 const KEYFILE_CACHE_CAP: usize = 1024;
 
 /// The Protego LSM.
-#[derive(Debug, Default)]
+#[derive(Debug)]
 pub struct ProtegoLsm {
     policy: PolicySet,
-    /// Identifier of the policy rule the most recent hook matched, drained
-    /// by the kernel (via [`SecurityModule::take_matched_rule`]) to attach
-    /// rule provenance to audit events. Hooks take `&self`, hence the
-    /// interior mutability.
-    matched: Mutex<Option<String>>,
+    /// Audit label of every policy rule, rebuilt with the policy.
+    labels: Labels,
     /// Interned path → index of the governing keyfile rule (None = no
     /// rule). Keyed on [`Name`] so the steady-state probe hashes a u32
-    /// and touches no heap; the cache stores the *index* rather than the
-    /// decision so the rule-provenance side effects still fire on every
-    /// hook. Dropped on any policy write.
+    /// and touches no heap. The cache stores the rule's *index*, not a
+    /// decision: the decision depends on the caller's binary and access,
+    /// and the index also yields the rule's label. Dropped on any policy
+    /// write.
     keyfile_cache: Mutex<HashMap<Name, Option<usize>>>,
     keyfile_cache_stats: Mutex<CacheStats>,
+}
+
+/// The audit labels of a [`PolicySet`], interned once when the policy is
+/// loaded so a hook returns a `Copy` [`RuleId`] and formats nothing.
+/// Each vector is parallel to the policy list it is named after.
+#[derive(Debug)]
+struct Labels {
+    mounts: Vec<RuleId>,
+    umounts: Vec<RuleId>,
+    binds: Vec<RuleId>,
+    sudo: Vec<RuleId>,
+    groups: Vec<RuleId>,
+    keyfiles: Vec<RuleId>,
+    creddb: Vec<RuleId>,
+    membership: RuleId,
+    ppp_routes: RuleId,
+    ppp_modem: RuleId,
+}
+
+impl Labels {
+    fn of(p: &PolicySet) -> Labels {
+        Labels {
+            mounts: intern_each(&p.mounts, mount_label),
+            umounts: intern_each(&p.mounts, umount_label),
+            binds: intern_each(&p.binds, bind_label),
+            sudo: intern_each(&p.sudo, sudo_label),
+            groups: intern_each(&p.groups, group_label),
+            keyfiles: intern_each(&p.keyfiles, keyfile_label),
+            creddb: intern_each(&p.creddb.shadow_prefixes, creddb_label),
+            membership: RuleId::intern("groups:membership"),
+            ppp_routes: RuleId::intern("ppp:user_routes"),
+            ppp_modem: RuleId::intern("ppp:safe_modem_opts"),
+        }
+    }
+}
+
+/// Interns one label per rule, parallel to `rules`.
+fn intern_each<T>(rules: &[T], label: fn(&T) -> String) -> Vec<RuleId> {
+    rules.iter().map(|r| RuleId::intern(&label(r))).collect()
+}
+
+fn mount_label(r: &MountRule) -> String {
+    format!("mounts:{}->{}", r.source, r.mountpoint)
+}
+
+fn umount_label(r: &MountRule) -> String {
+    format!("mounts:{}->{} scope={:?}", r.source, r.mountpoint, r.scope)
+}
+
+fn bind_label(r: &BindRule) -> String {
+    let proto = if r.tcp { "tcp" } else { "udp" };
+    format!("bind:{}/{} -> ({}, {})", r.port, proto, r.binary, r.uid)
+}
+
+fn sudo_label(r: &SudoRule) -> String {
+    format!(
+        "sudoers:{:?} -> {:?} cmd={:?} auth={:?}",
+        r.from, r.target, r.cmd, r.auth
+    )
+}
+
+fn group_label(g: &GroupRule) -> String {
+    format!("groups:{} password", g.gid)
+}
+
+fn keyfile_label(k: &KeyFileRule) -> String {
+    format!("keyfiles:{} -> {}", k.path, k.binary)
+}
+
+fn creddb_label(prefix: &String) -> String {
+    format!("creddb:{}", prefix)
+}
+
+impl Default for ProtegoLsm {
+    fn default() -> ProtegoLsm {
+        ProtegoLsm::with_policy(PolicySet::default())
+    }
 }
 
 impl ProtegoLsm {
@@ -70,14 +146,11 @@ impl ProtegoLsm {
     /// A module preconfigured with a policy set (used by image builders).
     pub fn with_policy(policy: PolicySet) -> ProtegoLsm {
         ProtegoLsm {
+            labels: Labels::of(&policy),
             policy,
-            ..ProtegoLsm::default()
+            keyfile_cache: Mutex::default(),
+            keyfile_cache_stats: Mutex::default(),
         }
-    }
-
-    /// Records the rule identifier the current hook matched.
-    fn note_rule(&self, rule: String) {
-        *lock(&self.matched) = Some(rule);
     }
 
     /// Read-only view of the active policy.
@@ -85,23 +158,28 @@ impl ProtegoLsm {
         &self.policy
     }
 
-    fn find_mount_rule(&self, req: &MountRequest) -> Option<&MountRule> {
-        self.policy.mounts.iter().find(|r| {
+    fn find_mount_rule(&self, req: &MountRequest) -> Option<usize> {
+        self.policy.mounts.iter().position(|r| {
             r.source == req.source
                 && r.mountpoint == req.target
                 && r.fstype.as_deref().map(|t| t == req.fstype).unwrap_or(true)
         })
     }
 
-    fn find_umount_rule(&self, target: &str) -> Option<&MountRule> {
-        self.policy.mounts.iter().find(|r| r.mountpoint == target)
+    fn find_umount_rule(&self, target: &str) -> Option<usize> {
+        self.policy
+            .mounts
+            .iter()
+            .position(|r| r.mountpoint == target)
     }
 
-    fn find_bind_rule(&self, port: u16, tcp: bool) -> Option<&BindRule> {
-        self.policy
+    fn find_bind_rule(&self, port: u16, tcp: bool) -> Option<(&BindRule, RuleId)> {
+        let i = self
+            .policy
             .binds
             .iter()
-            .find(|r| r.port == port && r.tcp == tcp)
+            .position(|r| r.port == port && r.tcp == tcp)?;
+        Some((&self.policy.binds[i], self.labels.binds[i]))
     }
 
     fn principal_matches(p: Principal, cred: &Credentials) -> bool {
@@ -112,21 +190,23 @@ impl ProtegoLsm {
         }
     }
 
-    fn find_sudo_rule(&self, cred: &Credentials, target: Uid) -> Option<&SudoRule> {
-        self.policy.sudo.iter().find(|r| {
+    fn find_sudo_rule(&self, cred: &Credentials, target: Uid) -> Option<(&SudoRule, RuleId)> {
+        let i = self.policy.sudo.iter().position(|r| {
             Self::principal_matches(r.from, cred)
                 && match r.target {
                     Target::Any => true,
                     Target::Uid(u) => target == Uid(u),
                 }
-        })
+        })?;
+        Some((&self.policy.sudo[i], self.labels.sudo[i]))
     }
 
-    fn group_rule(&self, gid: Gid) -> Option<&GroupRule> {
-        self.policy.groups.iter().find(|g| g.gid == gid.0)
+    fn group_rule(&self, gid: Gid) -> Option<(&GroupRule, RuleId)> {
+        let i = self.policy.groups.iter().position(|g| g.gid == gid.0)?;
+        Some((&self.policy.groups[i], self.labels.groups[i]))
     }
 
-    fn keyfile_rule(&self, path: &str) -> Option<&KeyFileRule> {
+    fn keyfile_rule(&self, path: &str) -> Option<(&KeyFileRule, RuleId)> {
         let _span = sim_kernel::trace::span(sim_kernel::trace::Pathway::PolicyCache);
         // Any path the kernel hands a hook has already been interned by
         // the VFS walk, so a `lookup` miss means the path was never seen
@@ -135,7 +215,7 @@ impl ProtegoLsm {
             let cache = lock(&self.keyfile_cache);
             if let Some(&idx) = cache.get(&key) {
                 lock(&self.keyfile_cache_stats).hits += 1;
-                return idx.map(|i| &self.policy.keyfiles[i]);
+                return idx.map(|i| self.keyfile(i));
             }
         }
         lock(&self.keyfile_cache_stats).misses += 1;
@@ -146,7 +226,11 @@ impl ProtegoLsm {
             lock(&self.keyfile_cache_stats).invalidations += 1;
         }
         cache.insert(Name::intern(path), idx);
-        idx.map(|i| &self.policy.keyfiles[i])
+        idx.map(|i| self.keyfile(i))
+    }
+
+    fn keyfile(&self, i: usize) -> (&KeyFileRule, RuleId) {
+        (&self.policy.keyfiles[i], self.labels.keyfiles[i])
     }
 
     /// Drops the keyfile lookup cache (policy reload).
@@ -163,12 +247,11 @@ impl ProtegoLsm {
         *lock(&self.keyfile_cache_stats)
     }
 
-    fn is_shadow_fragment(&self, path: &str) -> bool {
-        self.policy
-            .creddb
-            .shadow_prefixes
-            .iter()
-            .any(|p| path.starts_with(p.as_str()))
+    /// The label of the shadow-fragment prefix `path` falls under.
+    fn shadow_fragment(&self, path: &str) -> Option<RuleId> {
+        let prefixes = &self.policy.creddb.shadow_prefixes;
+        let i = prefixes.iter().position(|p| path.starts_with(p.as_str()))?;
+        Some(self.labels.creddb[i])
     }
 
     /// The default raw-socket whitelist of §4.1.1, mined from the studied
@@ -234,50 +317,37 @@ impl SecurityModule for ProtegoLsm {
     // mount / umount (§2, §4.2)
     // ------------------------------------------------------------------
 
-    fn sb_mount(&self, cred: &Credentials, req: &MountRequest) -> Decision {
+    fn sb_mount(&self, cred: &Credentials, req: &MountRequest) -> (Decision, Option<RuleId>) {
         if cred.euid.is_root() {
             // The administrator path is unchanged.
-            return Decision::UseDefault;
+            return (Decision::UseDefault, None);
         }
-        match self.find_mount_rule(req) {
-            Some(rule) => {
-                self.note_rule(format!("mounts:{}->{}", rule.source, rule.mountpoint));
-                if rule.read_only && !req.options.read_only {
-                    // The whitelist requires ro; a rw request is refused
-                    // outright rather than falling back to EPERM, so the
-                    // user sees why.
-                    Decision::Deny(Errno::EACCES)
-                } else {
-                    Decision::Allow
-                }
-            }
-            None => Decision::UseDefault,
-        }
+        let Some(i) = self.find_mount_rule(req) else {
+            return (Decision::UseDefault, None);
+        };
+        let decision = if self.policy.mounts[i].read_only && !req.options.read_only {
+            // The whitelist requires ro; a rw request is refused outright
+            // rather than falling back to EPERM, so the user sees why.
+            Decision::Deny(Errno::EACCES)
+        } else {
+            Decision::Allow
+        };
+        (decision, Some(self.labels.mounts[i]))
     }
 
-    fn sb_umount(&self, cred: &Credentials, req: &UmountRequest) -> Decision {
+    fn sb_umount(&self, cred: &Credentials, req: &UmountRequest) -> (Decision, Option<RuleId>) {
         if cred.euid.is_root() {
-            return Decision::UseDefault;
+            return (Decision::UseDefault, None);
         }
-        match self.find_umount_rule(&req.target) {
-            Some(rule) => {
-                self.note_rule(format!(
-                    "mounts:{}->{} scope={:?}",
-                    rule.source, rule.mountpoint, rule.scope
-                ));
-                match rule.scope {
-                    MountScope::Users => Decision::Allow,
-                    MountScope::User => {
-                        if req.mounted_by == cred.ruid {
-                            Decision::Allow
-                        } else {
-                            Decision::Deny(Errno::EPERM)
-                        }
-                    }
-                }
-            }
-            None => Decision::UseDefault,
-        }
+        let Some(i) = self.find_umount_rule(&req.target) else {
+            return (Decision::UseDefault, None);
+        };
+        let decision = match self.policy.mounts[i].scope {
+            MountScope::Users => Decision::Allow,
+            MountScope::User if req.mounted_by == cred.ruid => Decision::Allow,
+            MountScope::User => Decision::Deny(Errno::EPERM),
+        };
+        (decision, Some(self.labels.umounts[i]))
     }
 
     // ------------------------------------------------------------------
@@ -290,82 +360,64 @@ impl SecurityModule for ProtegoLsm {
         _domain: Domain,
         _stype: SockType,
         _protocol: u8,
-    ) -> Decision {
+    ) -> (Decision, Option<RuleId>) {
         // Anyone may create raw/packet sockets; outgoing packets are
         // subject to the netfilter whitelist installed at boot.
-        Decision::Allow
+        (Decision::Allow, None)
     }
 
-    fn socket_bind(&self, cred: &Credentials, req: &BindRequest) -> Decision {
-        match self.find_bind_rule(req.port, req.tcp) {
-            Some(rule) => {
-                self.note_rule(format!(
-                    "bind:{}/{} -> ({}, {})",
-                    rule.port,
-                    if rule.tcp { "tcp" } else { "udp" },
-                    rule.binary,
-                    rule.uid
-                ));
-                if rule.binary == req.binary && Uid(rule.uid) == cred.euid {
-                    Decision::Allow
-                } else {
-                    // The port is allocated to a different application
-                    // instance: nobody else gets it, root included.
-                    Decision::Deny(Errno::EACCES)
-                }
-            }
-            None => Decision::UseDefault,
-        }
+    fn socket_bind(&self, cred: &Credentials, req: &BindRequest) -> (Decision, Option<RuleId>) {
+        let Some((rule, id)) = self.find_bind_rule(req.port, req.tcp) else {
+            return (Decision::UseDefault, None);
+        };
+        let decision = if rule.binary == req.binary && Uid(rule.uid) == cred.euid {
+            Decision::Allow
+        } else {
+            // The port is allocated to a different application instance:
+            // nobody else gets it, root included.
+            Decision::Deny(Errno::EACCES)
+        };
+        (decision, Some(id))
     }
 
     // ------------------------------------------------------------------
     // setuid / setgid (§4.3)
     // ------------------------------------------------------------------
 
-    fn task_setuid(&self, ctx: &SetidCtx, target: Uid) -> SetuidDecision {
+    fn task_setuid(&self, ctx: &SetidCtx, target: Uid) -> (SetuidDecision, Option<RuleId>) {
         // Privileged daemons dropping privilege, and transitions among
         // already-held ids, keep stock semantics.
         if ctx.cred.has_cap(Cap::Setuid) || target == ctx.cred.ruid || target == ctx.cred.suid {
-            return SetuidDecision::UseDefault;
+            return (SetuidDecision::UseDefault, None);
         }
-        let rule = match self.find_sudo_rule(ctx.cred, target) {
-            Some(r) => r,
-            None => return SetuidDecision::UseDefault, // -> EPERM
+        let Some((rule, id)) = self.find_sudo_rule(ctx.cred, target) else {
+            return (SetuidDecision::UseDefault, None); // -> EPERM
         };
-        self.note_rule(format!(
-            "sudoers:{:?} -> {:?} cmd={:?} auth={:?}",
-            rule.from, rule.target, rule.cmd, rule.auth
-        ));
         // Authentication, enforced by the kernel, with recency (§4.3).
-        match rule.auth {
-            AuthReq::None => {}
-            AuthReq::Invoker => {
-                let scope = AuthScope::User(ctx.cred.ruid);
-                if !ctx.authed_for(scope, AUTH_WINDOW) {
-                    return SetuidDecision::NeedAuth(scope);
-                }
+        let auth = match rule.auth {
+            AuthReq::None => None,
+            AuthReq::Invoker => Some(AuthScope::User(ctx.cred.ruid)),
+            AuthReq::Target => Some(AuthScope::User(target)),
+        };
+        let decision = match (auth, &rule.cmd) {
+            (Some(scope), _) if !ctx.authed_for(scope, AUTH_WINDOW) => {
+                SetuidDecision::NeedAuth(scope)
             }
-            AuthReq::Target => {
-                let scope = AuthScope::User(target);
-                if !ctx.authed_for(scope, AUTH_WINDOW) {
-                    return SetuidDecision::NeedAuth(scope);
-                }
-            }
-        }
-        match &rule.cmd {
-            CmdSpec::Any => SetuidDecision::Allow,
-            CmdSpec::List(cmds) => SetuidDecision::Pending(PendingSetuid {
+            (_, CmdSpec::Any) => SetuidDecision::Allow,
+            (_, CmdSpec::List(cmds)) => SetuidDecision::Pending(PendingSetuid {
                 target,
                 allowed_binaries: cmds.clone(),
                 require_target_auth: false,
                 keep_env: rule.keep_env.clone(),
+                rule: Some(id),
             }),
-        }
+        };
+        (decision, Some(id))
     }
 
-    fn task_setgid(&self, ctx: &SetidCtx, target: Gid) -> SetuidDecision {
+    fn task_setgid(&self, ctx: &SetidCtx, target: Gid) -> (SetuidDecision, Option<RuleId>) {
         if ctx.cred.has_cap(Cap::Setgid) {
-            return SetuidDecision::UseDefault;
+            return (SetuidDecision::UseDefault, None);
         }
         // Transitions to already-held ids keep stock semantics (mirrors
         // task_setuid): stock grants these anyway, and answering
@@ -373,149 +425,143 @@ impl SecurityModule for ProtegoLsm {
         // invocation calls setgid(own gid)) off the audit/metrics
         // emission path.
         if target == ctx.cred.rgid || target == ctx.cred.sgid {
-            return SetuidDecision::UseDefault;
+            return (SetuidDecision::UseDefault, None);
         }
         // A member may switch to any of her groups (stock allows only
         // rgid/sgid; newgrp's job was exactly this widening).
         if ctx.cred.in_group(target) {
-            self.note_rule(format!("groups:membership gid={}", target.0));
-            return SetuidDecision::Allow;
+            return (SetuidDecision::Allow, Some(self.labels.membership));
         }
         match self.group_rule(target) {
-            Some(g) if g.password_protected => {
-                self.note_rule(format!("groups:{} password", g.gid));
+            Some((g, id)) if g.password_protected => {
                 let scope = AuthScope::Group(target);
-                if ctx.authed_for(scope, AUTH_WINDOW) {
+                let decision = if ctx.authed_for(scope, AUTH_WINDOW) {
                     SetuidDecision::Allow
                 } else {
                     SetuidDecision::NeedAuth(scope)
-                }
+                };
+                (decision, Some(id))
             }
-            _ => SetuidDecision::UseDefault, // -> EPERM
+            _ => (SetuidDecision::UseDefault, None), // -> EPERM
         }
     }
 
-    fn bprm_check(&self, ctx: &ExecCtx) -> ExecDecision {
-        if let Some(p) = &ctx.pending {
-            // Resolve a setuid-on-exec transition: the exec must name an
-            // allowed binary, else permission denied (§4.3's deliberate
-            // change in error behaviour).
-            self.note_rule(format!(
-                "sudoers:pending target={} cmds={:?}",
-                p.target, p.allowed_binaries
-            ));
-            if !p.allowed_binaries.iter().any(|b| b == &ctx.binary) {
-                return ExecDecision::Deny(Errno::EACCES);
-            }
-            if p.require_target_auth {
-                let scope = AuthScope::User(p.target);
-                if !ctx.authed_for(scope, AUTH_WINDOW) {
-                    return ExecDecision::NeedAuth(scope);
-                }
-            }
-            let mut cred = ctx.cred.clone();
-            cred.ruid = p.target;
-            cred.euid = p.target;
-            cred.suid = p.target;
-            cred.fsuid = p.target;
-            cred.caps = if p.target.is_root() {
-                sim_kernel::caps::CapSet::full()
-            } else {
-                sim_kernel::caps::CapSet::EMPTY
-            };
-            return ExecDecision::Transition {
-                cred,
-                env: EnvPolicy::ClearExcept(p.keep_env.clone()),
-            };
-        }
+    fn bprm_check(&self, ctx: &ExecCtx) -> (ExecDecision, Option<RuleId>) {
         // No pending transition: the setuid bit (if any) keeps stock
         // semantics — the Protego image simply ships without the bits, and
         // §4.6 allows an administrator to re-enable one deliberately.
-        ExecDecision::UseDefault
+        let Some(p) = &ctx.pending else {
+            return (ExecDecision::UseDefault, None);
+        };
+        // Resolve a setuid-on-exec transition under the sudoers rule that
+        // created it: the exec must name an allowed binary, else
+        // permission denied (§4.3's deliberate change in error behaviour).
+        if !p.allowed_binaries.iter().any(|b| b == &ctx.binary) {
+            return (ExecDecision::Deny(Errno::EACCES), p.rule);
+        }
+        if p.require_target_auth {
+            let scope = AuthScope::User(p.target);
+            if !ctx.authed_for(scope, AUTH_WINDOW) {
+                return (ExecDecision::NeedAuth(scope), p.rule);
+            }
+        }
+        let mut cred = ctx.cred.clone();
+        cred.ruid = p.target;
+        cred.euid = p.target;
+        cred.suid = p.target;
+        cred.fsuid = p.target;
+        cred.caps = if p.target.is_root() {
+            sim_kernel::caps::CapSet::full()
+        } else {
+            sim_kernel::caps::CapSet::EMPTY
+        };
+        let env = EnvPolicy::ClearExcept(p.keep_env.clone());
+        (ExecDecision::Transition { cred, env }, p.rule)
     }
 
     // ------------------------------------------------------------------
     // ioctls (§4.1.2, Table 4)
     // ------------------------------------------------------------------
 
-    fn ioctl_route_add(&self, cred: &Credentials, route: &Route, table: &RouteTable) -> Decision {
-        if cred.euid.is_root() {
-            return Decision::UseDefault;
+    fn ioctl_route_add(
+        &self,
+        cred: &Credentials,
+        route: &Route,
+        table: &RouteTable,
+    ) -> (Decision, Option<RuleId>) {
+        if cred.euid.is_root() || !self.policy.ppp.user_routes {
+            return (Decision::UseDefault, None);
         }
-        if !self.policy.ppp.user_routes {
-            return Decision::UseDefault;
-        }
-        self.note_rule("ppp:user_routes".to_string());
-        match table.conflict_with(route) {
+        let decision = match table.conflict_with(route) {
             None => Decision::Allow,
             Some(_) => Decision::Deny(Errno::EEXIST),
-        }
+        };
+        (decision, Some(self.labels.ppp_routes))
     }
 
-    fn ioctl_modem(&self, cred: &Credentials, opt: ModemOpt, state: &ModemState) -> Decision {
-        if cred.euid.is_root() {
-            return Decision::UseDefault;
+    fn ioctl_modem(
+        &self,
+        cred: &Credentials,
+        opt: ModemOpt,
+        _state: &ModemState,
+    ) -> (Decision, Option<RuleId>) {
+        // "A user may configure a modem (if not in use)" — Table 4. Once
+        // the modem is claimed, only the claimer's further configuration
+        // is mediated by the claim ioctl, so safe options stay allowed.
+        if !cred.euid.is_root() && self.policy.ppp.safe_modem_opts && opt.is_safe() {
+            return (Decision::Allow, Some(self.labels.ppp_modem));
         }
-        if self.policy.ppp.safe_modem_opts && opt.is_safe() && state.in_use_by.is_none() {
-            // "A user may configure a modem (if not in use)" — Table 4.
-            self.note_rule("ppp:safe_modem_opts".to_string());
-            return Decision::Allow;
-        }
-        if self.policy.ppp.safe_modem_opts && opt.is_safe() {
-            // Already claimed: only the claimer's further configuration is
-            // mediated by the claim ioctl; be conservative here.
-            self.note_rule("ppp:safe_modem_opts".to_string());
-            return Decision::Allow;
-        }
-        Decision::UseDefault
+        (Decision::UseDefault, None)
     }
 
-    fn ioctl_dmcrypt(&self, _cred: &Credentials) -> Decision {
+    fn ioctl_dmcrypt(&self, _cred: &Credentials) -> (Decision, Option<RuleId>) {
         // The all-or-nothing ioctl stays privileged; the `/sys` attribute
         // is the unprivileged replacement (Table 4: "abandon this ioctl").
-        Decision::UseDefault
+        (Decision::UseDefault, None)
     }
 
-    fn ioctl_kms(&self, _cred: &Credentials, _op: KmsOp) -> Decision {
+    fn ioctl_kms(&self, _cred: &Credentials, _op: KmsOp) -> (Decision, Option<RuleId>) {
         // KMS already removed the privilege requirement in-kernel (§4.5).
-        Decision::UseDefault
+        (Decision::UseDefault, None)
     }
 
     // ------------------------------------------------------------------
     // file open (§4.4, §4.6)
     // ------------------------------------------------------------------
 
-    fn file_open(&self, ctx: &FileOpenCtx) -> FileDecision {
+    fn file_open(&self, ctx: &FileOpenCtx) -> (FileDecision, Option<RuleId>) {
         // Binary-identity grants: only the named binary may open the key
         // file, regardless of uid ("instead of, or in addition to, user
         // IDs" — Table 4).
-        if let Some(rule) = self.keyfile_rule(ctx.path) {
-            self.note_rule(format!("keyfiles:{} -> {}", rule.path, rule.binary));
-            return if ctx.binary == rule.binary && !ctx.access.wants_write() {
+        if let Some((rule, id)) = self.keyfile_rule(ctx.path) {
+            let decision = if ctx.binary == rule.binary && !ctx.access.wants_write() {
                 FileDecision::AllowCloexec
             } else {
                 FileDecision::Deny(Errno::EACCES)
             };
+            return (decision, Some(id));
         }
         // Per-user shadow fragments: reading your own requires a fresh
         // authentication, and the handle may not be inherited (§4.4).
-        if self.is_shadow_fragment(ctx.path) && ctx.access.wants_read() {
-            self.note_rule(format!("creddb:{}", ctx.path));
-            if ctx.cred.euid.is_root() {
-                // The trusted authentication agent and root tools.
-                return FileDecision::UseDefault;
-            }
-            if !ctx.dac_allows || ctx.file_owner != ctx.cred.fsuid {
-                return FileDecision::UseDefault; // DAC already refuses others.
-            }
-            let scope = AuthScope::User(ctx.cred.ruid);
-            return if ctx.authed_for(scope, AUTH_WINDOW) {
-                FileDecision::AllowCloexec
-            } else {
-                FileDecision::NeedAuth(scope)
-            };
+        // The trusted authentication agent and root tools keep stock
+        // semantics, and DAC already refuses other users' fragments.
+        if !ctx.access.wants_read()
+            || ctx.cred.euid.is_root()
+            || !ctx.dac_allows
+            || ctx.file_owner != ctx.cred.fsuid
+        {
+            return (FileDecision::UseDefault, None);
         }
-        FileDecision::UseDefault
+        let Some(id) = self.shadow_fragment(ctx.path) else {
+            return (FileDecision::UseDefault, None);
+        };
+        let scope = AuthScope::User(ctx.cred.ruid);
+        let decision = if ctx.authed_for(scope, AUTH_WINDOW) {
+            FileDecision::AllowCloexec
+        } else {
+            FileDecision::NeedAuth(scope)
+        };
+        (decision, Some(id))
     }
 
     // ------------------------------------------------------------------
@@ -529,14 +575,36 @@ impl SecurityModule for ProtegoLsm {
     }
 
     fn config_write(&mut self, node: &str, content: &str) -> KResult<()> {
+        // Each arm interns the labels of the rules it just parsed.
+        let (p, l) = (&mut self.policy, &mut self.labels);
         match node {
-            "mounts" => self.policy.mounts = policy::parse_mounts(content)?,
-            "bind" => self.policy.binds = policy::parse_binds(content)?,
-            "sudoers" => self.policy.sudo = policy::parse_sudo(content)?,
-            "groups" => self.policy.groups = policy::parse_groups(content)?,
-            "keyfiles" => self.policy.keyfiles = policy::parse_keyfiles(content)?,
-            "ppp" => self.policy.ppp = policy::parse_ppp(content)?,
-            "creddb" => self.policy.creddb = policy::parse_creddb(content)?,
+            "mounts" => {
+                p.mounts = policy::parse_mounts(content)?;
+                l.mounts = intern_each(&p.mounts, mount_label);
+                l.umounts = intern_each(&p.mounts, umount_label);
+            }
+            "bind" => {
+                p.binds = policy::parse_binds(content)?;
+                l.binds = intern_each(&p.binds, bind_label);
+            }
+            "sudoers" => {
+                p.sudo = policy::parse_sudo(content)?;
+                l.sudo = intern_each(&p.sudo, sudo_label);
+            }
+            "groups" => {
+                p.groups = policy::parse_groups(content)?;
+                l.groups = intern_each(&p.groups, group_label);
+            }
+            "keyfiles" => {
+                p.keyfiles = policy::parse_keyfiles(content)?;
+                l.keyfiles = intern_each(&p.keyfiles, keyfile_label);
+            }
+            // The ppp rules are switches with constant labels.
+            "ppp" => p.ppp = policy::parse_ppp(content)?,
+            "creddb" => {
+                p.creddb = policy::parse_creddb(content)?;
+                l.creddb = intern_each(&p.creddb.shadow_prefixes, creddb_label);
+            }
             _ => return Err(Errno::ENOENT),
         }
         // Any policy write may change what a cached lookup would answer;
@@ -560,10 +628,6 @@ impl SecurityModule for ProtegoLsm {
 
     fn boot_netfilter_rules(&self) -> Vec<Rule> {
         Self::default_raw_rules()
-    }
-
-    fn take_matched_rule(&self) -> Option<String> {
-        lock(&self.matched).take()
     }
 
     fn cache_stats(&self) -> Vec<(&'static str, CacheStats)> {
@@ -616,13 +680,24 @@ mod tests {
         }
     }
 
-    fn mount_req(source: &str, target: &str, fstype: &str, opts: &str) -> MountRequest {
-        MountRequest {
-            source: source.into(),
+    /// `sb_mount` of an iso9660 request under the cdrom whitelist.
+    fn cdrom_mount(
+        cred: &Credentials,
+        src: &str,
+        target: &str,
+        opts: &str,
+    ) -> (Decision, Option<RuleId>) {
+        let req = MountRequest {
+            source: src.into(),
             target: target.into(),
-            fstype: fstype.into(),
+            fstype: "iso9660".into(),
             options: sim_kernel::vfs::MountOptions::parse(opts),
-        }
+        };
+        lsm_with(cdrom_policy()).sb_mount(cred, &req)
+    }
+
+    fn label(text: &str) -> Option<RuleId> {
+        Some(RuleId::intern(text))
     }
 
     fn user_cred() -> Credentials {
@@ -641,50 +716,33 @@ mod tests {
 
     #[test]
     fn mount_whitelist_grants_matching_request() {
-        let lsm = lsm_with(cdrom_policy());
-        let d = lsm.sb_mount(
-            &user_cred(),
-            &mount_req("/dev/cdrom", "/mnt/cdrom", "iso9660", "ro"),
+        let got = cdrom_mount(&user_cred(), "/dev/cdrom", "/mnt/cdrom", "ro");
+        assert_eq!(
+            got,
+            (Decision::Allow, label("mounts:/dev/cdrom->/mnt/cdrom"))
         );
-        assert_eq!(d, Decision::Allow);
     }
 
     #[test]
     fn mount_whitelist_rejects_rw_when_ro_required() {
-        let lsm = lsm_with(cdrom_policy());
-        let d = lsm.sb_mount(
-            &user_cred(),
-            &mount_req("/dev/cdrom", "/mnt/cdrom", "iso9660", "rw"),
-        );
-        assert_eq!(d, Decision::Deny(Errno::EACCES));
+        let got = cdrom_mount(&user_cred(), "/dev/cdrom", "/mnt/cdrom", "rw");
+        assert_eq!(got.0, Decision::Deny(Errno::EACCES));
     }
 
     #[test]
     fn mount_off_whitelist_falls_to_default() {
-        let lsm = lsm_with(cdrom_policy());
         // Wrong mountpoint — the attack the paper highlights (mounting
-        // over /etc).
-        let d = lsm.sb_mount(
-            &user_cred(),
-            &mount_req("/dev/cdrom", "/etc", "iso9660", "ro"),
-        );
-        assert_eq!(d, Decision::UseDefault);
-        // Wrong device.
-        let d = lsm.sb_mount(
-            &user_cred(),
-            &mount_req("/dev/sda1", "/mnt/cdrom", "iso9660", "ro"),
-        );
-        assert_eq!(d, Decision::UseDefault);
+        // over /etc) — and wrong device: no rule matches.
+        let got = cdrom_mount(&user_cred(), "/dev/cdrom", "/etc", "ro");
+        assert_eq!(got, (Decision::UseDefault, None));
+        let got = cdrom_mount(&user_cred(), "/dev/sda1", "/mnt/cdrom", "ro");
+        assert_eq!(got, (Decision::UseDefault, None));
     }
 
     #[test]
     fn root_mount_path_unchanged() {
-        let lsm = lsm_with(cdrom_policy());
-        let d = lsm.sb_mount(
-            &Credentials::root(),
-            &mount_req("/dev/cdrom", "/mnt/cdrom", "iso9660", "ro"),
-        );
-        assert_eq!(d, Decision::UseDefault);
+        let got = cdrom_mount(&Credentials::root(), "/dev/cdrom", "/mnt/cdrom", "ro");
+        assert_eq!(got.0, Decision::UseDefault);
     }
 
     #[test]
@@ -696,9 +754,9 @@ mod tests {
             fstype: "iso9660".into(),
             mounted_by: Uid(1000),
         };
-        assert_eq!(lsm.sb_umount(&user_cred(), &req), Decision::Allow);
+        assert_eq!(lsm.sb_umount(&user_cred(), &req).0, Decision::Allow);
         let other = Credentials::user(Uid(1001), Gid(1001));
-        assert_eq!(lsm.sb_umount(&other, &req), Decision::Deny(Errno::EPERM));
+        assert_eq!(lsm.sb_umount(&other, &req).0, Decision::Deny(Errno::EPERM));
     }
 
     #[test]
@@ -717,7 +775,7 @@ mod tests {
             tcp: true,
         };
         assert_eq!(
-            lsm.socket_bind(&Credentials::root(), &good),
+            lsm.socket_bind(&Credentials::root(), &good).0,
             Decision::Allow
         );
         let rogue = BindRequest {
@@ -726,7 +784,7 @@ mod tests {
             tcp: true,
         };
         assert_eq!(
-            lsm.socket_bind(&Credentials::root(), &rogue),
+            lsm.socket_bind(&Credentials::root(), &rogue).0,
             Decision::Deny(Errno::EACCES)
         );
     }
@@ -744,10 +802,12 @@ mod tests {
         let lsm = lsm_with(p);
         // Not authenticated yet -> kernel must launch the auth agent.
         let alice = user_cred();
-        let d = lsm.task_setuid(&ctx(&alice, None), Uid::ROOT);
+        let d = lsm.task_setuid(&ctx(&alice, None), Uid::ROOT).0;
         assert_eq!(d, SetuidDecision::NeedAuth(AuthScope::User(Uid(1000))));
         // Recently authenticated -> allowed.
-        let d = lsm.task_setuid(&ctx(&alice, Some(AuthScope::User(Uid(1000)))), Uid::ROOT);
+        let d = lsm
+            .task_setuid(&ctx(&alice, Some(AuthScope::User(Uid(1000)))), Uid::ROOT)
+            .0;
         assert_eq!(d, SetuidDecision::Allow);
     }
 
@@ -766,7 +826,7 @@ mod tests {
         let mut c = ctx(&alice, Some(AuthScope::User(Uid(1000))));
         c.now = c.last_auth.unwrap() + AUTH_WINDOW + 1;
         assert!(matches!(
-            lsm.task_setuid(&c, Uid::ROOT),
+            lsm.task_setuid(&c, Uid::ROOT).0,
             SetuidDecision::NeedAuth(_)
         ));
     }
@@ -784,10 +844,13 @@ mod tests {
         let lsm = lsm_with(p);
         let bob = Credentials::user(Uid(1001), Gid(1001));
         match lsm.task_setuid(&ctx(&bob, None), Uid(1000)) {
-            SetuidDecision::Pending(pend) => {
+            (SetuidDecision::Pending(pend), rule) => {
                 assert_eq!(pend.target, Uid(1000));
                 assert_eq!(pend.allowed_binaries, vec!["/usr/bin/lpr".to_string()]);
                 assert_eq!(pend.keep_env, vec!["PRINTER".to_string()]);
+                // The transition carries the sudoers rule that made it.
+                assert!(rule.is_some_and(|r| r.as_str().starts_with("sudoers:Uid(1001)")));
+                assert_eq!(pend.rule, rule);
             }
             other => panic!("expected pending, got {:?}", other),
         }
@@ -806,7 +869,7 @@ mod tests {
         let lsm = lsm_with(p);
         let charlie = Credentials::user(Uid(1002), Gid(1002));
         assert_eq!(
-            lsm.task_setuid(&ctx(&charlie, None), Uid::ROOT),
+            lsm.task_setuid(&ctx(&charlie, None), Uid::ROOT).0,
             SetuidDecision::UseDefault
         );
     }
@@ -825,7 +888,7 @@ mod tests {
         let mut admin = Credentials::user(Uid(1003), Gid(1003));
         admin.groups.push(Gid(27));
         assert_eq!(
-            lsm.task_setuid(&ctx(&admin, None), Uid::ROOT),
+            lsm.task_setuid(&ctx(&admin, None), Uid::ROOT).0,
             SetuidDecision::Allow
         );
     }
@@ -836,13 +899,17 @@ mod tests {
         p.sudo.push(SudoRule::su_rule());
         let lsm = lsm_with(p);
         let alice = user_cred();
-        let d = lsm.task_setuid(&ctx(&alice, None), Uid(1001));
+        let d = lsm.task_setuid(&ctx(&alice, None), Uid(1001)).0;
         assert_eq!(d, SetuidDecision::NeedAuth(AuthScope::User(Uid(1001))));
         // Proving the *wrong* (own) password is not enough.
-        let d = lsm.task_setuid(&ctx(&alice, Some(AuthScope::User(Uid(1000)))), Uid(1001));
+        let d = lsm
+            .task_setuid(&ctx(&alice, Some(AuthScope::User(Uid(1000)))), Uid(1001))
+            .0;
         assert_eq!(d, SetuidDecision::NeedAuth(AuthScope::User(Uid(1001))));
         // Target's password proven -> allowed.
-        let d = lsm.task_setuid(&ctx(&alice, Some(AuthScope::User(Uid(1001)))), Uid(1001));
+        let d = lsm
+            .task_setuid(&ctx(&alice, Some(AuthScope::User(Uid(1001)))), Uid(1001))
+            .0;
         assert_eq!(d, SetuidDecision::Allow);
     }
 
@@ -858,15 +925,16 @@ mod tests {
         member.groups.push(Gid(101));
         assert_eq!(
             lsm.task_setgid(&ctx(&member, None), Gid(101)),
-            SetuidDecision::Allow
+            (SetuidDecision::Allow, label("groups:membership"))
         );
         let stranger = Credentials::user(Uid(1004), Gid(1004));
         assert_eq!(
-            lsm.task_setgid(&ctx(&stranger, None), Gid(101)),
+            lsm.task_setgid(&ctx(&stranger, None), Gid(101)).0,
             SetuidDecision::NeedAuth(AuthScope::Group(Gid(101)))
         );
         assert_eq!(
-            lsm.task_setgid(&ctx(&stranger, Some(AuthScope::Group(Gid(101)))), Gid(101)),
+            lsm.task_setgid(&ctx(&stranger, Some(AuthScope::Group(Gid(101)))), Gid(101))
+                .0,
             SetuidDecision::Allow
         );
     }
@@ -876,7 +944,7 @@ mod tests {
         let lsm = lsm_with(PolicySet::default());
         let stranger = Credentials::user(Uid(1004), Gid(1004));
         assert_eq!(
-            lsm.task_setgid(&ctx(&stranger, None), Gid(101)),
+            lsm.task_setgid(&ctx(&stranger, None), Gid(101)).0,
             SetuidDecision::UseDefault
         );
     }
@@ -889,6 +957,7 @@ mod tests {
             allowed_binaries: vec!["/usr/bin/lpr".into()],
             require_target_auth: false,
             keep_env: vec!["PRINTER".into()],
+            rule: label("sudoers:lpr"),
         };
         let mk = |binary: &str| ExecCtx {
             cred: Credentials::user(Uid(1001), Gid(1001)),
@@ -903,7 +972,8 @@ mod tests {
             now: 0,
         };
         match lsm.bprm_check(&mk("/usr/bin/lpr")) {
-            ExecDecision::Transition { cred, env } => {
+            (ExecDecision::Transition { cred, env }, rule) => {
+                assert_eq!(rule, pend.rule);
                 assert_eq!(cred.euid, Uid(1000));
                 assert_eq!(cred.ruid, Uid(1000));
                 assert!(cred.caps.is_empty());
@@ -913,7 +983,7 @@ mod tests {
         }
         // Any other binary: permission denied at exec (§4.3).
         assert_eq!(
-            lsm.bprm_check(&mk("/bin/sh")),
+            lsm.bprm_check(&mk("/bin/sh")).0,
             ExecDecision::Deny(Errno::EACCES)
         );
     }
@@ -933,12 +1003,13 @@ mod tests {
                 allowed_binaries: vec!["/usr/bin/apt".into()],
                 require_target_auth: false,
                 keep_env: vec![],
+                rule: None,
             }),
             last_auth: None,
             last_auth_scope: None,
             now: 0,
         };
-        match lsm.bprm_check(&c) {
+        match lsm.bprm_check(&c).0 {
             ExecDecision::Transition { cred, .. } => {
                 assert!(cred.euid.is_root());
                 assert!(cred.has_cap(Cap::SysAdmin));
@@ -970,7 +1041,7 @@ mod tests {
             created_by: Uid(1000),
         };
         assert_eq!(
-            lsm.ioctl_route_add(&user_cred(), &fresh, &table),
+            lsm.ioctl_route_add(&user_cred(), &fresh, &table).0,
             Decision::Allow
         );
         let conflicting = Route {
@@ -981,7 +1052,7 @@ mod tests {
             created_by: Uid(1000),
         };
         assert_eq!(
-            lsm.ioctl_route_add(&user_cred(), &conflicting, &table),
+            lsm.ioctl_route_add(&user_cred(), &conflicting, &table).0,
             Decision::Deny(Errno::EEXIST)
         );
     }
@@ -998,7 +1069,7 @@ mod tests {
             created_by: Uid(1000),
         };
         assert_eq!(
-            lsm.ioctl_route_add(&user_cred(), &r, &table),
+            lsm.ioctl_route_add(&user_cred(), &r, &table).0,
             Decision::UseDefault
         );
     }
@@ -1010,11 +1081,13 @@ mod tests {
         let lsm = lsm_with(p);
         let state = ModemState::default();
         assert_eq!(
-            lsm.ioctl_modem(&user_cred(), ModemOpt::Baud(57600), &state),
+            lsm.ioctl_modem(&user_cred(), ModemOpt::Baud(57600), &state)
+                .0,
             Decision::Allow
         );
         assert_eq!(
-            lsm.ioctl_modem(&user_cred(), ModemOpt::HardwareReset, &state),
+            lsm.ioctl_modem(&user_cred(), ModemOpt::HardwareReset, &state)
+                .0,
             Decision::UseDefault
         );
     }
@@ -1042,17 +1115,20 @@ mod tests {
         }
         // The named binary reads the key even as an unprivileged user.
         assert_eq!(
-            lsm.file_open(&mk("/usr/lib/ssh-keysign", &user_cred(), Access::READ)),
+            lsm.file_open(&mk("/usr/lib/ssh-keysign", &user_cred(), Access::READ))
+                .0,
             FileDecision::AllowCloexec
         );
         // Any other binary is refused, even running as root.
         assert_eq!(
-            lsm.file_open(&mk("/bin/cat", &Credentials::root(), Access::READ)),
+            lsm.file_open(&mk("/bin/cat", &Credentials::root(), Access::READ))
+                .0,
             FileDecision::Deny(Errno::EACCES)
         );
         // Writes are never granted through the keyfile rule.
         assert_eq!(
-            lsm.file_open(&mk("/usr/lib/ssh-keysign", &user_cred(), Access::WRITE)),
+            lsm.file_open(&mk("/usr/lib/ssh-keysign", &user_cred(), Access::WRITE))
+                .0,
             FileDecision::Deny(Errno::EACCES)
         );
     }
@@ -1074,12 +1150,16 @@ mod tests {
             last_auth_scope: authed,
             now,
         };
+        // The rule names the prefix, not the fragment being opened.
         assert_eq!(
             lsm.file_open(&mk(None, 1100)),
-            FileDecision::NeedAuth(AuthScope::User(Uid(1000)))
+            (
+                FileDecision::NeedAuth(AuthScope::User(Uid(1000))),
+                label("creddb:/etc/shadows/")
+            )
         );
         assert_eq!(
-            lsm.file_open(&mk(Some(AuthScope::User(Uid(1000))), 1100)),
+            lsm.file_open(&mk(Some(AuthScope::User(Uid(1000))), 1100)).0,
             FileDecision::AllowCloexec
         );
         // Stale authentication is not enough.
@@ -1087,9 +1167,17 @@ mod tests {
             lsm.file_open(&mk(
                 Some(AuthScope::User(Uid(1000))),
                 1000 + AUTH_WINDOW + 1
-            )),
+            ))
+            .0,
             FileDecision::NeedAuth(AuthScope::User(Uid(1000)))
         );
+        // Root keeps stock semantics, and a UseDefault answer names no rule.
+        let root = Credentials::root();
+        let as_root = FileOpenCtx {
+            cred: &root,
+            ..mk(None, 1100)
+        };
+        assert_eq!(lsm.file_open(&as_root), (FileDecision::UseDefault, None));
     }
 
     #[test]
@@ -1109,7 +1197,8 @@ mod tests {
             last_auth_scope: Some(AuthScope::User(Uid(1000))),
             now: 1001,
         };
-        assert_eq!(lsm.file_open(&c), FileDecision::UseDefault);
+        // DAC refuses it; the module answers UseDefault and names no rule.
+        assert_eq!(lsm.file_open(&c), (FileDecision::UseDefault, None));
     }
 
     #[test]
@@ -1132,17 +1221,21 @@ mod tests {
             last_auth_scope: None,
             now: 0,
         };
-        assert_eq!(lsm.file_open(&mk()), FileDecision::AllowCloexec);
-        assert_eq!(lsm.file_open(&mk()), FileDecision::AllowCloexec);
-        // Provenance must still be recorded on the cached (second) hit.
-        assert!(lsm.take_matched_rule().is_some());
+        assert_eq!(lsm.file_open(&mk()).0, FileDecision::AllowCloexec);
+        // The cached (second) hit still returns its rule.
+        let (d, rule) = lsm.file_open(&mk());
+        assert_eq!(d, FileDecision::AllowCloexec);
+        assert_eq!(
+            rule.map(RuleId::as_str),
+            Some("keyfiles:/etc/ssh/ssh_host_key -> /usr/lib/ssh-keysign")
+        );
         let s = lsm.keyfile_cache_stats();
         assert_eq!(s.hits, 1);
         assert!(s.misses >= 1);
         // A policy write drops the cache and the new rules take effect.
         lsm.config_write("keyfiles", "").unwrap();
         assert_eq!(lsm.keyfile_cache_stats().invalidations, 1);
-        assert_eq!(lsm.file_open(&mk()), FileDecision::UseDefault);
+        assert_eq!(lsm.file_open(&mk()).0, FileDecision::UseDefault);
     }
 
     #[test]
@@ -1185,27 +1278,6 @@ mod tests {
         assert!(!bind_would_allow(&p, 25, true, "/usr/sbin/httpd", 8));
         assert!(!bind_would_allow(&p, 25, false, "/usr/sbin/exim4", 8));
         assert!(!bind_would_allow(&p, 26, true, "/usr/sbin/exim4", 8));
-    }
-
-    #[test]
-    fn matched_rule_is_recorded_and_drained() {
-        let lsm = lsm_with(cdrom_policy());
-        assert_eq!(lsm.take_matched_rule(), None);
-        let d = lsm.sb_mount(
-            &user_cred(),
-            &mount_req("/dev/cdrom", "/mnt/cdrom", "iso9660", "ro"),
-        );
-        assert_eq!(d, Decision::Allow);
-        let rule = lsm.take_matched_rule().expect("rule recorded");
-        assert_eq!(rule, "mounts:/dev/cdrom->/mnt/cdrom");
-        // Drained: a second take yields nothing.
-        assert_eq!(lsm.take_matched_rule(), None);
-        // Off-whitelist requests record no rule.
-        let _ = lsm.sb_mount(
-            &user_cred(),
-            &mount_req("/dev/sda1", "/etc", "iso9660", "ro"),
-        );
-        assert_eq!(lsm.take_matched_rule(), None);
     }
 
     #[test]

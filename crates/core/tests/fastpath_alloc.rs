@@ -1,17 +1,20 @@
 //! Counting-allocator proof that the steady-state VFS fast path is
 //! allocation-free end to end: once the interner, dcache, path-arena
 //! pools and fd table are warm, a resolve/open/read/close/getuid cycle
-//! under the full Protego LSM performs **zero** heap allocations.
+//! under the full Protego LSM performs **zero** heap allocations, and so
+//! does a warm Protego hook that matches a policy rule.
 //!
 //! Built only with `--features alloc-count` (see `[[test]]` in
 //! Cargo.toml) so ordinary test runs keep the stock allocator.
 
 use protego_core::ProtegoLsm;
 use sim_kernel::cred::{Credentials, Gid, Uid};
+use sim_kernel::error::Errno;
 use sim_kernel::kernel::Kernel;
+use sim_kernel::lsm::{Decision, FileDecision, FileOpenCtx, MountRequest, SecurityModule};
 use sim_kernel::net::SimNet;
 use sim_kernel::syscall::OpenFlags;
-use sim_kernel::vfs::Mode;
+use sim_kernel::vfs::{Access, Mode, MountOptions};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
@@ -64,6 +67,16 @@ unsafe impl GlobalAlloc for CountingAlloc {
 #[global_allocator]
 static ALLOCATOR: CountingAlloc = CountingAlloc;
 
+/// Runs `f` with this thread's gate up and returns how many heap
+/// allocations it made.
+fn count_allocs(f: impl FnOnce()) -> u64 {
+    ALLOCS.with(|a| a.set(0));
+    GATE.with(|g| g.set(true));
+    f();
+    GATE.with(|g| g.set(false));
+    ALLOCS.with(|a| a.get())
+}
+
 fn fastpath_cycle(k: &Kernel, pid: sim_kernel::task::Pid, buf: &mut Vec<u8>) {
     let fd = k
         .sys_open(pid, "/etc/hosts", OpenFlags::read_only())
@@ -98,17 +111,62 @@ fn steady_state_resolve_open_read_is_allocation_free() {
         fastpath_cycle(&k, user, &mut buf);
     }
 
-    ALLOCS.with(|a| a.set(0));
-    GATE.with(|g| g.set(true));
-    for _ in 0..256 {
-        fastpath_cycle(&k, user, &mut buf);
-    }
-    GATE.with(|g| g.set(false));
-
-    let n = ALLOCS.with(|a| a.get());
+    let n = count_allocs(|| {
+        for _ in 0..256 {
+            fastpath_cycle(&k, user, &mut buf);
+        }
+    });
     assert_eq!(
         n, 0,
         "steady-state open/read/close/getuid cycle allocated {} times (expected 0)",
         n
     );
+}
+
+/// A hook that matches a rule returns the rule's label interned at policy
+/// load, so a warm keyfile open (granted or denied) and a whitelisted
+/// mount allocate nothing.
+#[test]
+fn warm_hooks_matching_a_rule_are_allocation_free() {
+    let mut lsm = ProtegoLsm::new();
+    lsm.config_write("keyfiles", "/etc/ssh/ssh_host_key /usr/lib/ssh-keysign\n")
+        .expect("keyfiles");
+    lsm.config_write("mounts", "/dev/cdrom /mnt/cdrom iso9660 user ro\n")
+        .expect("mounts");
+    let user = Credentials::user(Uid(1000), Gid(1000));
+    let open = FileOpenCtx {
+        cred: &user,
+        path: "/etc/ssh/ssh_host_key",
+        binary: "/usr/lib/ssh-keysign",
+        access: Access::READ,
+        dac_allows: false,
+        file_owner: Uid::ROOT,
+        last_auth: None,
+        last_auth_scope: None,
+        now: 0,
+    };
+    let mount = MountRequest {
+        source: "/dev/cdrom".into(),
+        target: "/mnt/cdrom".into(),
+        fstype: "iso9660".into(),
+        options: MountOptions::parse("ro"),
+    };
+    let foreign = FileOpenCtx {
+        binary: "/bin/cat",
+        ..open
+    };
+    // Warmup: interns the key path and fills the keyfile-rule cache.
+    lsm.file_open(&open);
+
+    let n = count_allocs(|| {
+        for _ in 0..256 {
+            let (d, rule) = lsm.file_open(&open);
+            assert!(d == FileDecision::AllowCloexec && rule.is_some());
+            let (d, rule) = lsm.file_open(&foreign);
+            assert!(d == FileDecision::Deny(Errno::EACCES) && rule.is_some());
+            let (d, rule) = lsm.sb_mount(&user, &mount);
+            assert!(d == Decision::Allow && rule.is_some());
+        }
+    });
+    assert_eq!(n, 0, "matched hooks allocated {} times (expected 0)", n);
 }

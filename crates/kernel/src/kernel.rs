@@ -16,7 +16,7 @@ use crate::dev::{
     BlockState, DevId, DeviceKind, DeviceRegistry, DmCryptState, KmsState, ModemState,
 };
 use crate::error::{Errno, KResult};
-use crate::lsm::{AuthProvider, AuthScope, Decision, SecurityModule};
+use crate::lsm::{AuthProvider, AuthScope, Decision, RuleId, SecurityModule};
 use crate::net::{NetStack, Netfilter, RouteTable, SimNet};
 use crate::sync::{lock, read, write, Locked};
 use crate::task::{Pid, PipeId, Task, TaskIdentity};
@@ -215,33 +215,6 @@ impl DerefMut for TaskMut<'_> {
         self.guard
             .get_mut(&self.pid)
             .expect("task vanished under guard")
-    }
-}
-
-/// A shared borrow of the active security module (read guard wrapper).
-pub struct LsmRef<'a>(RwLockReadGuard<'a, Box<dyn SecurityModule>>);
-
-impl Deref for LsmRef<'_> {
-    type Target = dyn SecurityModule;
-    fn deref(&self) -> &(dyn SecurityModule + 'static) {
-        self.0.as_ref()
-    }
-}
-
-/// An exclusive borrow of the active security module (write guard
-/// wrapper) — configuration writes only.
-pub struct LsmMut<'a>(RwLockWriteGuard<'a, Box<dyn SecurityModule>>);
-
-impl Deref for LsmMut<'_> {
-    type Target = dyn SecurityModule;
-    fn deref(&self) -> &(dyn SecurityModule + 'static) {
-        self.0.as_ref()
-    }
-}
-
-impl DerefMut for LsmMut<'_> {
-    fn deref_mut(&mut self) -> &mut (dyn SecurityModule + 'static) {
-        self.0.as_mut()
     }
 }
 
@@ -551,9 +524,7 @@ impl Kernel {
             Uid::ROOT,
             crate::cred::Gid::ROOT,
         )?;
-        // Every registered module is wrapped so its hooks feed the
-        // per-pathway latency histograms (trace::span) uniformly.
-        *write(&self.lsm) = Box::new(crate::lsm::TimedLsm::new(lsm));
+        *write(&self.lsm) = lsm;
         self.emit_event(
             0,
             "register_lsm",
@@ -569,15 +540,25 @@ impl Kernel {
         read(&self.lsm).name()
     }
 
-    /// Borrows the active security module (hooks are `&self`). The
-    /// returned guard holds the LSM read lock; keep its scope tight.
-    pub fn lsm(&self) -> LsmRef<'_> {
-        LsmRef(read(&self.lsm))
+    /// Calls into the security module under the LSM read guard, inside
+    /// `pathway`'s span so the call feeds that pathway's latency
+    /// histogram. Every hook call site and config read goes through here.
+    pub(crate) fn lsm_hook<R>(
+        &self,
+        pathway: crate::trace::Pathway,
+        hook: impl FnOnce(&dyn SecurityModule) -> R,
+    ) -> R {
+        let lsm = read(&self.lsm);
+        let _span = crate::trace::span(pathway);
+        hook(lsm.as_ref())
     }
 
-    /// Mutably borrows the security module (configuration writes only).
-    pub fn lsm_mut(&self) -> LsmMut<'_> {
-        LsmMut(write(&self.lsm))
+    /// Writes `/proc/<lsm>/<node>` through the module's configuration
+    /// interface, under the LSM write lock.
+    pub(crate) fn lsm_config_write(&self, node: &str, content: &str) -> KResult<()> {
+        let mut lsm = write(&self.lsm);
+        let _span = crate::trace::span(crate::trace::Pathway::LsmConfig);
+        lsm.config_write(node, content)
     }
 
     /// A self-contained copy of the kernel's metrics with the live cache
@@ -589,7 +570,7 @@ impl Kernel {
         let mut m = self.metrics.snapshot();
         m.record_cache("dcache", self.vfs.dcache_stats());
         m.record_cache("intern", crate::vfs::intern::stats());
-        for (name, stats) in self.lsm().cache_stats() {
+        for (name, stats) in read(&self.lsm).cache_stats() {
             m.record_cache(name, stats);
         }
         m
@@ -649,9 +630,8 @@ impl Kernel {
         }
     }
 
-    /// Emits an event attributed to the active LSM, draining the rule it
-    /// recorded for its most recent decision. Call immediately after the
-    /// hook whose outcome is being reported.
+    /// Emits an event attributed to the active LSM, with the rule its
+    /// hook returned for the decision being reported.
     #[allow(clippy::too_many_arguments)]
     pub fn emit_lsm_event(
         &self,
@@ -660,13 +640,11 @@ impl Kernel {
         hook: Hook,
         decision: DecisionKind,
         errno: Option<Errno>,
+        rule: Option<RuleId>,
         object: AuditObject,
         message: String,
     ) {
-        let (module, rule) = {
-            let lsm = self.lsm();
-            (lsm.name(), lsm.take_matched_rule())
-        };
+        let module = self.lsm_name();
         self.emit_event(
             pid.0,
             syscall,
@@ -688,9 +666,6 @@ impl Kernel {
         object: AuditObject,
         message: String,
     ) {
-        // The stock path never involves a module rule; discard any stale
-        // one so it cannot leak into a later LSM-attributed event.
-        let _ = self.lsm().take_matched_rule();
         self.emit_event(
             pid.0,
             syscall,
@@ -785,13 +760,15 @@ impl Kernel {
         // common grant/fall-through path performs no clones. Both guards
         // (task shard read, LSM read) drop at the end of the block,
         // before any event is emitted.
-        let (decision, has, euid) = {
+        let ((decision, rule), has, euid) = {
             let t = match self.task(pid) {
                 Ok(t) => t,
                 Err(_) => return false,
             };
             (
-                self.lsm().capable(&t.cred, &t.binary, cap),
+                self.lsm_hook(crate::trace::Pathway::LsmCapable, |m| {
+                    m.capable(&t.cred, &t.binary, cap)
+                }),
                 t.cred.has_cap(cap),
                 t.cred.euid,
             )
@@ -813,6 +790,7 @@ impl Kernel {
                     Hook::Capable,
                     DecisionKind::Deny,
                     Some(e),
+                    rule,
                     AuditObject::Capability(cap.name()),
                     msg,
                 );

@@ -13,6 +13,8 @@
 //! [`Decision::Deny`] refuses with a specific errno. Hooks that interact
 //! with authentication (the sudoers delegation of §4.3) can additionally
 //! request that the kernel launch the trusted authentication utility.
+//! Each hook returns the [`RuleId`] of the rule it matched beside its
+//! decision, so audit provenance travels with the call.
 
 use crate::caps::Cap;
 use crate::cred::{Credentials, Gid, Uid};
@@ -20,6 +22,12 @@ use crate::dev::{ModemOpt, ModemState};
 use crate::error::{Errno, KResult};
 use crate::net::{Domain, Route, RouteTable, Rule, SockType};
 use crate::vfs::{Access, MountOptions};
+
+/// Identifier of a module policy rule, as recorded in audit provenance:
+/// an interned label such as `bind:80/tcp -> (/usr/sbin/httpd, 33)`.
+/// Modules intern each label once, when the policy is loaded, so a hook
+/// returns a `Copy` symbol and formats nothing.
+pub type RuleId = crate::vfs::Name;
 
 /// Tri-state outcome of a simple hook.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -54,6 +62,9 @@ pub struct PendingSetuid {
     /// Environment variables that survive the transition; everything else
     /// is sanitized to protect the delegated command's integrity.
     pub keep_env: Vec<String>,
+    /// The rule that created the transition; `bprm_check` reports it when
+    /// the transition resolves.
+    pub rule: Option<RuleId>,
 }
 
 /// Outcome of the `setuid`/`setgid` hooks.
@@ -285,6 +296,10 @@ pub enum KmsOp {
 /// The LSM hook surface. Default implementations fall through to the stock
 /// kernel policy, so a module only overrides the interfaces it governs.
 ///
+/// Every hook returns `(decision, rule)`: the rule is the [`RuleId`] the
+/// decision came from, or `None`. A `UseDefault` answer carries `None`:
+/// it is audited as stock policy, so no module rule decided it.
+///
 /// Hooks take `&self`; module policy state is mutated only through
 /// [`SecurityModule::config_write`] (the `/proc` interface) — mirroring how
 /// Protego's LSM is configured by the monitoring daemon in Figure 1.
@@ -299,18 +314,18 @@ pub trait SecurityModule: Send + Sync {
     /// May `cred` exercise `cap`? `UseDefault` means "iff the credential
     /// holds the capability"; a module may deny (confinement) but should
     /// grant through the specific object hooks instead of here.
-    fn capable(&self, _cred: &Credentials, _binary: &str, _cap: Cap) -> Decision {
-        Decision::UseDefault
+    fn capable(&self, _cred: &Credentials, _binary: &str, _cap: Cap) -> (Decision, Option<RuleId>) {
+        (Decision::UseDefault, None)
     }
 
     /// `mount(2)`.
-    fn sb_mount(&self, _cred: &Credentials, _req: &MountRequest) -> Decision {
-        Decision::UseDefault
+    fn sb_mount(&self, _cred: &Credentials, _req: &MountRequest) -> (Decision, Option<RuleId>) {
+        (Decision::UseDefault, None)
     }
 
     /// `umount(2)`.
-    fn sb_umount(&self, _cred: &Credentials, _req: &UmountRequest) -> Decision {
-        Decision::UseDefault
+    fn sb_umount(&self, _cred: &Credentials, _req: &UmountRequest) -> (Decision, Option<RuleId>) {
+        (Decision::UseDefault, None)
     }
 
     /// `socket(2)`.
@@ -320,29 +335,29 @@ pub trait SecurityModule: Send + Sync {
         _domain: Domain,
         _stype: SockType,
         _protocol: u8,
-    ) -> Decision {
-        Decision::UseDefault
+    ) -> (Decision, Option<RuleId>) {
+        (Decision::UseDefault, None)
     }
 
     /// `bind(2)` to a port below 1024.
-    fn socket_bind(&self, _cred: &Credentials, _req: &BindRequest) -> Decision {
-        Decision::UseDefault
+    fn socket_bind(&self, _cred: &Credentials, _req: &BindRequest) -> (Decision, Option<RuleId>) {
+        (Decision::UseDefault, None)
     }
 
     /// `setuid(2)` family.
-    fn task_setuid(&self, _ctx: &SetidCtx<'_>, _target: Uid) -> SetuidDecision {
-        SetuidDecision::UseDefault
+    fn task_setuid(&self, _ctx: &SetidCtx<'_>, _target: Uid) -> (SetuidDecision, Option<RuleId>) {
+        (SetuidDecision::UseDefault, None)
     }
 
     /// `setgid(2)` family.
-    fn task_setgid(&self, _ctx: &SetidCtx<'_>, _target: Gid) -> SetuidDecision {
-        SetuidDecision::UseDefault
+    fn task_setgid(&self, _ctx: &SetidCtx<'_>, _target: Gid) -> (SetuidDecision, Option<RuleId>) {
+        (SetuidDecision::UseDefault, None)
     }
 
     /// `execve(2)` — both setuid-bit handling and pending-transition
     /// resolution.
-    fn bprm_check(&self, _ctx: &ExecCtx) -> ExecDecision {
-        ExecDecision::UseDefault
+    fn bprm_check(&self, _ctx: &ExecCtx) -> (ExecDecision, Option<RuleId>) {
+        (ExecDecision::UseDefault, None)
     }
 
     /// Route-table-changing ioctls (`SIOCADDRT`).
@@ -351,28 +366,33 @@ pub trait SecurityModule: Send + Sync {
         _cred: &Credentials,
         _route: &Route,
         _table: &RouteTable,
-    ) -> Decision {
-        Decision::UseDefault
+    ) -> (Decision, Option<RuleId>) {
+        (Decision::UseDefault, None)
     }
 
     /// Modem-configuration ioctls on a tty/ppp device.
-    fn ioctl_modem(&self, _cred: &Credentials, _opt: ModemOpt, _state: &ModemState) -> Decision {
-        Decision::UseDefault
+    fn ioctl_modem(
+        &self,
+        _cred: &Credentials,
+        _opt: ModemOpt,
+        _state: &ModemState,
+    ) -> (Decision, Option<RuleId>) {
+        (Decision::UseDefault, None)
     }
 
     /// The dm-crypt metadata ioctl (discloses key material).
-    fn ioctl_dmcrypt(&self, _cred: &Credentials) -> Decision {
-        Decision::UseDefault
+    fn ioctl_dmcrypt(&self, _cred: &Credentials) -> (Decision, Option<RuleId>) {
+        (Decision::UseDefault, None)
     }
 
     /// Video mode-setting and VT-switch operations.
-    fn ioctl_kms(&self, _cred: &Credentials, _op: KmsOp) -> Decision {
-        Decision::UseDefault
+    fn ioctl_kms(&self, _cred: &Credentials, _op: KmsOp) -> (Decision, Option<RuleId>) {
+        (Decision::UseDefault, None)
     }
 
     /// `open(2)` after DAC evaluation.
-    fn file_open(&self, _ctx: &FileOpenCtx) -> FileDecision {
-        FileDecision::UseDefault
+    fn file_open(&self, _ctx: &FileOpenCtx) -> (FileDecision, Option<RuleId>) {
+        (FileDecision::UseDefault, None)
     }
 
     /// Configuration files to expose under `/proc/<name>/`.
@@ -397,16 +417,6 @@ pub trait SecurityModule: Send + Sync {
         Vec::new()
     }
 
-    /// Returns and clears the identifier of the policy rule the module's
-    /// *most recent* hook decision matched, if it tracks one. The kernel
-    /// drains this right after each hook call to attach rule provenance
-    /// to the corresponding audit event. Hooks take `&self`, so modules
-    /// implement this with interior mutability; the default tracks
-    /// nothing.
-    fn take_matched_rule(&self) -> Option<String> {
-        None
-    }
-
     /// Hit/miss/invalidation counters for the module's internal policy
     /// caches (compiled-profile lookup tables and the like), keyed by a
     /// stable cache name. The kernel folds these into the
@@ -414,128 +424,6 @@ pub trait SecurityModule: Send + Sync {
     /// default reports no caches.
     fn cache_stats(&self) -> Vec<(&'static str, crate::trace::CacheStats)> {
         Vec::new()
-    }
-}
-
-/// Decorator that brackets every hook of the wrapped module with a
-/// [`mod@crate::trace::span`], feeding the per-hook latency histograms.
-/// `Kernel::register_lsm` wraps every registered module in one of these,
-/// so all `SecurityModule` implementations are timed uniformly without
-/// touching any call site. Pass-through methods (`name`,
-/// `take_matched_rule`, `cache_stats`) are not spanned: they are
-/// bookkeeping, not policy evaluation.
-pub struct TimedLsm {
-    inner: Box<dyn SecurityModule>,
-}
-
-impl TimedLsm {
-    /// Wraps `inner` so every hook invocation is timed.
-    pub fn new(inner: Box<dyn SecurityModule>) -> TimedLsm {
-        TimedLsm { inner }
-    }
-}
-
-impl SecurityModule for TimedLsm {
-    fn name(&self) -> &'static str {
-        self.inner.name()
-    }
-
-    fn capable(&self, cred: &Credentials, binary: &str, cap: Cap) -> Decision {
-        let _span = crate::trace::span(crate::trace::Pathway::LsmCapable);
-        self.inner.capable(cred, binary, cap)
-    }
-
-    fn sb_mount(&self, cred: &Credentials, req: &MountRequest) -> Decision {
-        let _span = crate::trace::span(crate::trace::Pathway::LsmSbMount);
-        self.inner.sb_mount(cred, req)
-    }
-
-    fn sb_umount(&self, cred: &Credentials, req: &UmountRequest) -> Decision {
-        let _span = crate::trace::span(crate::trace::Pathway::LsmSbUmount);
-        self.inner.sb_umount(cred, req)
-    }
-
-    fn socket_create(
-        &self,
-        cred: &Credentials,
-        domain: Domain,
-        stype: SockType,
-        protocol: u8,
-    ) -> Decision {
-        let _span = crate::trace::span(crate::trace::Pathway::LsmSocketCreate);
-        self.inner.socket_create(cred, domain, stype, protocol)
-    }
-
-    fn socket_bind(&self, cred: &Credentials, req: &BindRequest) -> Decision {
-        let _span = crate::trace::span(crate::trace::Pathway::LsmSocketBind);
-        self.inner.socket_bind(cred, req)
-    }
-
-    fn task_setuid(&self, ctx: &SetidCtx<'_>, target: Uid) -> SetuidDecision {
-        let _span = crate::trace::span(crate::trace::Pathway::LsmTaskSetuid);
-        self.inner.task_setuid(ctx, target)
-    }
-
-    fn task_setgid(&self, ctx: &SetidCtx<'_>, target: Gid) -> SetuidDecision {
-        let _span = crate::trace::span(crate::trace::Pathway::LsmTaskSetgid);
-        self.inner.task_setgid(ctx, target)
-    }
-
-    fn bprm_check(&self, ctx: &ExecCtx) -> ExecDecision {
-        let _span = crate::trace::span(crate::trace::Pathway::LsmBprmCheck);
-        self.inner.bprm_check(ctx)
-    }
-
-    fn ioctl_route_add(&self, cred: &Credentials, route: &Route, table: &RouteTable) -> Decision {
-        let _span = crate::trace::span(crate::trace::Pathway::LsmIoctl);
-        self.inner.ioctl_route_add(cred, route, table)
-    }
-
-    fn ioctl_modem(&self, cred: &Credentials, opt: ModemOpt, state: &ModemState) -> Decision {
-        let _span = crate::trace::span(crate::trace::Pathway::LsmIoctl);
-        self.inner.ioctl_modem(cred, opt, state)
-    }
-
-    fn ioctl_dmcrypt(&self, cred: &Credentials) -> Decision {
-        let _span = crate::trace::span(crate::trace::Pathway::LsmIoctl);
-        self.inner.ioctl_dmcrypt(cred)
-    }
-
-    fn ioctl_kms(&self, cred: &Credentials, op: KmsOp) -> Decision {
-        let _span = crate::trace::span(crate::trace::Pathway::LsmIoctl);
-        self.inner.ioctl_kms(cred, op)
-    }
-
-    fn file_open(&self, ctx: &FileOpenCtx) -> FileDecision {
-        let _span = crate::trace::span(crate::trace::Pathway::LsmFileOpen);
-        self.inner.file_open(ctx)
-    }
-
-    fn config_nodes(&self) -> Vec<&'static str> {
-        self.inner.config_nodes()
-    }
-
-    fn config_write(&mut self, node: &str, content: &str) -> KResult<()> {
-        let _span = crate::trace::span(crate::trace::Pathway::LsmConfig);
-        self.inner.config_write(node, content)
-    }
-
-    fn config_read(&self, node: &str) -> KResult<String> {
-        let _span = crate::trace::span(crate::trace::Pathway::LsmConfig);
-        self.inner.config_read(node)
-    }
-
-    fn boot_netfilter_rules(&self) -> Vec<Rule> {
-        let _span = crate::trace::span(crate::trace::Pathway::LsmNetfilter);
-        self.inner.boot_netfilter_rules()
-    }
-
-    fn take_matched_rule(&self) -> Option<String> {
-        self.inner.take_matched_rule()
-    }
-
-    fn cache_stats(&self) -> Vec<(&'static str, crate::trace::CacheStats)> {
-        self.inner.cache_stats()
     }
 }
 
@@ -605,9 +493,9 @@ mod tests {
         let cred = Credentials::user(Uid(1000), Gid(1000));
         assert_eq!(
             lsm.capable(&cred, "/bin/x", Cap::SysAdmin),
-            Decision::UseDefault
+            (Decision::UseDefault, None)
         );
-        assert_eq!(lsm.ioctl_dmcrypt(&cred), Decision::UseDefault);
+        assert_eq!(lsm.ioctl_dmcrypt(&cred), (Decision::UseDefault, None));
         assert!(lsm.config_nodes().is_empty());
         assert_eq!(lsm.config_read("x").unwrap_err(), Errno::ENOSYS);
     }

@@ -11,6 +11,7 @@
 //! these rules through the usual administrative path.
 
 use super::packet::{Packet, L4};
+use crate::vfs::Name;
 use core::fmt;
 
 /// Rule verdicts.
@@ -149,6 +150,9 @@ impl fmt::Display for Rule {
 #[derive(Clone, Debug, Default)]
 pub struct Netfilter {
     rules: Vec<Rule>,
+    /// `rules[i].name`, interned when the rule is installed so a verdict
+    /// reports its rule without cloning a string per packet.
+    names: Vec<Name>,
     /// Count of packets evaluated (for overhead accounting in benches).
     pub evaluated: u64,
     /// Count of packets dropped.
@@ -160,8 +164,9 @@ pub struct Netfilter {
 pub struct Evaluation {
     /// Final verdict.
     pub verdict: Verdict,
-    /// Name of the matching rule, or `None` for the default policy.
-    pub rule: Option<String>,
+    /// Interned name of the matching rule, or `None` for the default
+    /// policy.
+    pub rule: Option<Name>,
 }
 
 impl Netfilter {
@@ -173,11 +178,13 @@ impl Netfilter {
 
     /// Appends a rule to the chain.
     pub fn append(&mut self, rule: Rule) {
+        self.names.push(Name::intern(&rule.name));
         self.rules.push(rule);
     }
 
     /// Inserts a rule at the head of the chain.
     pub fn insert_front(&mut self, rule: Rule) {
+        self.names.insert(0, Name::intern(&rule.name));
         self.rules.insert(0, rule);
     }
 
@@ -185,12 +192,17 @@ impl Netfilter {
     pub fn delete_by_name(&mut self, name: &str) -> usize {
         let before = self.rules.len();
         self.rules.retain(|r| r.name != name);
+        // Equal text is an equal symbol, so this drops the same entries.
+        if let Some(sym) = Name::lookup(name) {
+            self.names.retain(|&n| n != sym);
+        }
         before - self.rules.len()
     }
 
     /// Clears the chain.
     pub fn flush(&mut self) {
         self.rules.clear();
+        self.names.clear();
     }
 
     /// The installed rules, in evaluation order.
@@ -201,14 +213,14 @@ impl Netfilter {
     /// Evaluates a packet: first matching rule wins; default is accept.
     pub fn evaluate(&mut self, meta: &PacketMeta<'_>) -> Evaluation {
         self.evaluated += 1;
-        for r in &self.rules {
+        for (r, &name) in self.rules.iter().zip(&self.names) {
             if r.matches(meta) {
                 if r.verdict == Verdict::Drop {
                     self.dropped += 1;
                 }
                 return Evaluation {
                     verdict: r.verdict,
-                    rule: Some(r.name.clone()),
+                    rule: Some(name),
                 };
             }
         }
@@ -268,13 +280,16 @@ mod tests {
             verdict: Verdict::Drop,
         });
         let p = echo_pkt();
-        assert_eq!(nf.evaluate(&meta(&p)).rule.as_deref(), Some("allow-icmp"));
+        assert_eq!(
+            nf.evaluate(&meta(&p)).rule.map(Name::as_str),
+            Some("allow-icmp")
+        );
         // A raw ICMP redirect (type 5) is not whitelisted -> falls to drop.
         let mut evil = echo_pkt();
         evil.l4 = L4::Icmp(IcmpKind::Other(5));
         let e = nf.evaluate(&meta(&evil));
         assert_eq!(e.verdict, Verdict::Drop);
-        assert_eq!(e.rule.as_deref(), Some("drop-raw"));
+        assert_eq!(e.rule.map(Name::as_str), Some("drop-raw"));
         assert_eq!(nf.dropped, 1);
     }
 

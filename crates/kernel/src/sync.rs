@@ -8,11 +8,10 @@
 //!   panicking worker thread must not wedge every other worker on a
 //!   poisoned `std` lock, so all kernel subsystems acquire through these;
 //! * [`PerThread`], a per-instance thread-local slot used where a value
-//!   is logically *per (object, thread)* — e.g. the last-matched policy
-//!   rule an LSM reports between a hook call and the kernel draining it,
-//!   or a syscall meter's dispatch start time. Both are written and read
-//!   within one dispatch on one thread, so thread-locality keeps them
-//!   exact under concurrency without any locking.
+//!   is logically *per (object, thread)* — e.g. a syscall meter's
+//!   dispatch start time, written and read within one dispatch on one
+//!   thread, so thread-locality keeps it exact under concurrency without
+//!   any locking.
 
 use std::any::Any;
 use std::cell::RefCell;

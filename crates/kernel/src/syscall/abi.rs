@@ -30,7 +30,7 @@ use crate::syscall::{Interceptor, IoctlCmd, IoctlOut, NetfilterOp, OpenFlags, Ro
 use crate::task::{NsKind, Pid};
 use crate::trace;
 use crate::trace::{AuditObject, DecisionKind, Hook, Provenance};
-use crate::vfs::Mode;
+use crate::vfs::{Mode, Name};
 use std::sync::Arc;
 
 /// The class a syscall belongs to — the granularity at which the fault
@@ -916,6 +916,13 @@ fn wrap<T>(r: KResult<T>, f: impl FnOnce(T) -> SysRet) -> SysRet {
     }
 }
 
+/// The audit rule of an interceptor verdict: interceptor, syscall and
+/// class, so Table-6-style provenance assertions can key on what was
+/// denied, not just who denied it.
+fn interceptor_rule(who: &str, call: &Syscall) -> Name {
+    Name::intern(&format!("{}:{}:{}", who, call.name(), call.class().name()))
+}
+
 impl Kernel {
     /// Dispatches a typed syscall through the interceptor chain.
     ///
@@ -992,7 +999,7 @@ impl Kernel {
                 Provenance {
                     module: who,
                     hook: Hook::Interceptor,
-                    rule: Some(format!("{}:{}:{}", who, call.name(), call.class().name())),
+                    rule: Some(interceptor_rule(who, &call)),
                     decision: DecisionKind::Info,
                     errno: Some(errno),
                 },
@@ -1009,10 +1016,7 @@ impl Kernel {
                     Provenance {
                         module: "interceptor",
                         hook: Hook::Interceptor,
-                        // `rule` carries interceptor, syscall, and class, so
-                        // Table-6-style provenance assertions can key on what
-                        // was denied, not just who denied it.
-                        rule: Some(format!("{}:{}:{}", who, call.name(), call.class().name())),
+                        rule: Some(interceptor_rule(who, &call)),
                         decision: DecisionKind::Deny,
                         errno: Some(e),
                     },

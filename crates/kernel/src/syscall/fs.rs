@@ -8,7 +8,7 @@ use crate::kernel::Kernel;
 use crate::lsm::{FileDecision, FileOpenCtx};
 use crate::syscall::abi::Whence;
 use crate::task::{Fd, FdObject, Pid};
-use crate::trace::{AuditObject, DecisionKind, Hook};
+use crate::trace::{AuditObject, DecisionKind, Hook, Pathway};
 use crate::vfs::{Access, Ino, InodeData, Mode, Name, PathArena, ProcHook, Resolved};
 
 /// Flags for [`Kernel::sys_open`].
@@ -263,7 +263,7 @@ impl Kernel {
                 // the task table). The hook itself runs with the guard
                 // held — modules only read the borrowed context (same
                 // discipline as the setuid/setgid hooks).
-                let decision = {
+                let (decision, rule) = {
                     let t = self.task(pid)?;
                     let ctx = FileOpenCtx {
                         cred: &t.cred,
@@ -276,7 +276,7 @@ impl Kernel {
                         last_auth_scope: t.last_auth_scope,
                         now: self.clock(),
                     };
-                    self.lsm().file_open(&ctx)
+                    self.lsm_hook(Pathway::LsmFileOpen, |m| m.file_open(&ctx))
                 };
                 match decision {
                     FileDecision::UseDefault => {
@@ -291,6 +291,7 @@ impl Kernel {
                             Hook::FileOpen,
                             DecisionKind::Allow,
                             None,
+                            rule,
                             AuditObject::Path(abs.to_string()),
                             msg,
                         );
@@ -305,6 +306,7 @@ impl Kernel {
                             Hook::FileOpen,
                             DecisionKind::Allow,
                             None,
+                            rule,
                             AuditObject::Path(abs.to_string()),
                             msg,
                         );
@@ -318,6 +320,7 @@ impl Kernel {
                             Hook::FileOpen,
                             DecisionKind::Deny,
                             Some(e),
+                            rule,
                             AuditObject::Path(abs.to_string()),
                             msg,
                         );
@@ -333,6 +336,7 @@ impl Kernel {
                                 Hook::FileOpen,
                                 DecisionKind::Deny,
                                 Some(Errno::EACCES),
+                                rule,
                                 AuditObject::Path(abs.to_string()),
                                 msg,
                             );
@@ -496,7 +500,9 @@ impl Kernel {
         match hook {
             ProcHook::Mounts => Ok(self.vfs.render_proc_mounts().into_bytes()),
             ProcHook::Uptime => Ok(format!("{}.00 0.00\n", self.clock()).into_bytes()),
-            ProcHook::LsmConfig(name) => Ok(self.lsm().config_read(name)?.into_bytes()),
+            ProcHook::LsmConfig(name) => Ok(self
+                .lsm_hook(Pathway::LsmConfig, |m| m.config_read(name))?
+                .into_bytes()),
             ProcHook::Audit => Ok(self.audit.render().into_bytes()),
             ProcHook::Metrics => Ok(self.metrics_snapshot().render().into_bytes()),
             ProcHook::Histograms => Ok(crate::trace::span::render().into_bytes()),
@@ -583,7 +589,7 @@ impl Kernel {
                     return Err(Errno::EPERM);
                 }
                 let content = String::from_utf8(data.to_vec()).map_err(|_| Errno::EINVAL)?;
-                self.lsm_mut().config_write(name, &content)?;
+                self.lsm_config_write(name, &content)?;
                 let msg = format!("lsm-config: '{}' updated", name);
                 self.emit_kernel_event(
                     pid,

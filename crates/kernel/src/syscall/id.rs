@@ -13,7 +13,7 @@ use crate::error::{Errno, KResult};
 use crate::kernel::Kernel;
 use crate::lsm::{SetidCtx, SetuidDecision};
 use crate::task::Pid;
-use crate::trace::{AuditObject, DecisionKind, Hook};
+use crate::trace::{AuditObject, DecisionKind, Hook, Pathway};
 
 impl Kernel {
     /// `setuid(2)`.
@@ -23,7 +23,7 @@ impl Kernel {
             // The hook context borrows the task's credentials and binary
             // in place — no clones on the id fast path. Only the scalar
             // ruid survives the block for the audit messages.
-            let (decision, ruid) = {
+            let ((decision, rule), ruid) = {
                 let t = self.task(pid)?;
                 let ctx = SetidCtx {
                     cred: &t.cred,
@@ -32,7 +32,8 @@ impl Kernel {
                     last_auth_scope: t.last_auth_scope,
                     now: self.clock(),
                 };
-                (self.lsm().task_setuid(&ctx, target), t.cred.ruid)
+                let hook = self.lsm_hook(Pathway::LsmTaskSetuid, |m| m.task_setuid(&ctx, target));
+                (hook, t.cred.ruid)
             };
             match decision {
                 SetuidDecision::UseDefault => return self.setuid_stock(pid, target),
@@ -44,6 +45,7 @@ impl Kernel {
                         Hook::TaskSetuid,
                         DecisionKind::Allow,
                         None,
+                        rule,
                         AuditObject::UidTarget(target.0),
                         msg,
                     );
@@ -69,6 +71,7 @@ impl Kernel {
                         Hook::TaskSetuid,
                         DecisionKind::Deny,
                         Some(e),
+                        rule,
                         AuditObject::UidTarget(target.0),
                         msg,
                     );
@@ -85,6 +88,7 @@ impl Kernel {
                         Hook::TaskSetuid,
                         DecisionKind::Defer,
                         None,
+                        rule,
                         AuditObject::UidTarget(target.0),
                         msg,
                     );
@@ -103,6 +107,7 @@ impl Kernel {
                             Hook::TaskSetuid,
                             DecisionKind::Deny,
                             Some(Errno::EPERM),
+                            rule,
                             AuditObject::UidTarget(target.0),
                             msg,
                         );
@@ -185,7 +190,7 @@ impl Kernel {
         loop {
             // Clone-free hook context, as in sys_setuid; the scalar rgid
             // survives for the audit messages.
-            let (decision, rgid) = {
+            let ((decision, rule), rgid) = {
                 let t = self.task(pid)?;
                 let ctx = SetidCtx {
                     cred: &t.cred,
@@ -194,7 +199,8 @@ impl Kernel {
                     last_auth_scope: t.last_auth_scope,
                     now: self.clock(),
                 };
-                (self.lsm().task_setgid(&ctx, target), t.cred.rgid)
+                let hook = self.lsm_hook(Pathway::LsmTaskSetgid, |m| m.task_setgid(&ctx, target));
+                (hook, t.cred.rgid)
             };
             match decision {
                 SetuidDecision::UseDefault => return self.setgid_stock(pid, target),
@@ -206,6 +212,7 @@ impl Kernel {
                         Hook::TaskSetgid,
                         DecisionKind::Allow,
                         None,
+                        rule,
                         AuditObject::GidTarget(target.0),
                         msg,
                     );
@@ -231,6 +238,7 @@ impl Kernel {
                         Hook::TaskSetgid,
                         DecisionKind::Deny,
                         Some(e),
+                        rule,
                         AuditObject::GidTarget(target.0),
                         msg,
                     );
@@ -247,6 +255,7 @@ impl Kernel {
                             Hook::TaskSetgid,
                             DecisionKind::Deny,
                             Some(Errno::EPERM),
+                            rule,
                             AuditObject::GidTarget(target.0),
                             msg,
                         );

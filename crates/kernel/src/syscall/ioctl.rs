@@ -12,7 +12,7 @@ use crate::error::{Errno, KResult};
 use crate::kernel::Kernel;
 use crate::lsm::{Decision, KmsOp};
 use crate::task::{FdObject, Pid};
-use crate::trace::{AuditObject, DecisionKind, Hook};
+use crate::trace::{AuditObject, DecisionKind, Hook, Pathway};
 use crate::vfs::InodeData;
 
 /// Ioctl commands dispatched by [`Kernel::sys_ioctl`].
@@ -85,7 +85,8 @@ impl Kernel {
             }
             (IoctlCmd::Modem(opt), DeviceKind::Modem(state)) => {
                 let cred = self.task(pid)?.cred.clone();
-                let decision = self.lsm().ioctl_modem(&cred, opt, &state);
+                let (decision, rule) =
+                    self.lsm_hook(Pathway::LsmIoctl, |m| m.ioctl_modem(&cred, opt, &state));
                 match decision {
                     Decision::UseDefault => {
                         if !self.capable(pid, Cap::NetAdmin) {
@@ -113,6 +114,7 @@ impl Kernel {
                             Hook::IoctlModem,
                             DecisionKind::Allow,
                             None,
+                            rule,
                             AuditObject::Device(dev_path),
                             msg,
                         );
@@ -130,6 +132,7 @@ impl Kernel {
                             Hook::IoctlModem,
                             DecisionKind::Deny,
                             Some(e),
+                            rule,
                             AuditObject::Device(dev_path),
                             msg,
                         );
@@ -151,7 +154,7 @@ impl Kernel {
             }
             (IoctlCmd::DmStatus, DeviceKind::DmCrypt(state)) => {
                 let cred = self.task(pid)?.cred.clone();
-                let decision = self.lsm().ioctl_dmcrypt(&cred);
+                let (decision, rule) = self.lsm_hook(Pathway::LsmIoctl, |m| m.ioctl_dmcrypt(&cred));
                 match decision {
                     Decision::UseDefault => {
                         if !self.capable(pid, Cap::SysAdmin) {
@@ -184,6 +187,7 @@ impl Kernel {
                             Hook::IoctlDmcrypt,
                             DecisionKind::Deny,
                             Some(e),
+                            rule,
                             AuditObject::Device(dev_path),
                             msg,
                         );
@@ -201,7 +205,7 @@ impl Kernel {
             }
             (IoctlCmd::Kms(op), DeviceKind::Video(state)) => {
                 let cred = self.task(pid)?.cred.clone();
-                let decision = self.lsm().ioctl_kms(&cred, op);
+                let (decision, rule) = self.lsm_hook(Pathway::LsmIoctl, |m| m.ioctl_kms(&cred, op));
                 match decision {
                     Decision::UseDefault => {
                         // Stock policy: with KMS the kernel manages mode
@@ -245,6 +249,7 @@ impl Kernel {
                             Hook::IoctlKms,
                             DecisionKind::Deny,
                             Some(e),
+                            rule,
                             AuditObject::Device(dev_path),
                             msg,
                         );

@@ -11,7 +11,7 @@ use crate::error::{Errno, KResult};
 use crate::kernel::Kernel;
 use crate::lsm::{Decision, MountRequest, UmountRequest};
 use crate::task::Pid;
-use crate::trace::{AuditObject, DecisionKind, Hook};
+use crate::trace::{AuditObject, DecisionKind, Hook, Pathway};
 use crate::vfs::{Access, InodeData, MountOptions};
 
 impl Kernel {
@@ -49,7 +49,7 @@ impl Kernel {
             options: opts.clone(),
         };
         let object = AuditObject::Path(format!("{} -> {}", source, mountpoint));
-        let decision = self.lsm().sb_mount(&cred, &req);
+        let (decision, rule) = self.lsm_hook(Pathway::LsmSbMount, |m| m.sb_mount(&cred, &req));
         match decision {
             Decision::UseDefault => {
                 if !self.capable(pid, Cap::SysAdmin) {
@@ -96,6 +96,7 @@ impl Kernel {
                     Hook::SbMount,
                     DecisionKind::Allow,
                     None,
+                    rule,
                     object,
                     msg,
                 );
@@ -113,6 +114,7 @@ impl Kernel {
                     Hook::SbMount,
                     DecisionKind::Deny,
                     Some(e),
+                    rule,
                     object,
                     msg,
                 );
@@ -185,7 +187,7 @@ impl Kernel {
             mounted_by: m.mounted_by,
         };
         let object = AuditObject::Path(mountpoint.clone());
-        let decision = self.lsm().sb_umount(&cred, &req);
+        let (decision, rule) = self.lsm_hook(Pathway::LsmSbUmount, |m| m.sb_umount(&cred, &req));
         match decision {
             Decision::UseDefault => {
                 if !self.capable(pid, Cap::SysAdmin) {
@@ -220,6 +222,7 @@ impl Kernel {
                     Hook::SbUmount,
                     DecisionKind::Allow,
                     None,
+                    rule,
                     object,
                     msg,
                 );
@@ -232,6 +235,7 @@ impl Kernel {
                     Hook::SbUmount,
                     DecisionKind::Deny,
                     Some(e),
+                    rule,
                     object,
                     msg,
                 );

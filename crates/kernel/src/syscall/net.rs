@@ -25,7 +25,8 @@ use crate::net::{
 };
 use crate::syscall::abi::NetfilterRule;
 use crate::task::{Fd, FdObject, Pid};
-use crate::trace::{AuditObject, DecisionKind, Hook, Provenance};
+use crate::trace::{AuditObject, DecisionKind, Hook, Pathway, Provenance};
+use crate::vfs::Name;
 
 /// Netfilter administration operations (the iptables backend).
 #[derive(Clone, Debug)]
@@ -72,7 +73,9 @@ impl Kernel {
     ) -> KResult<i32> {
         let cred = self.task(pid)?.cred.clone();
         let needs_raw_cap = matches!(stype, SockType::Raw) || matches!(domain, Domain::Packet);
-        let decision = self.lsm().socket_create(&cred, domain, stype, protocol);
+        let (decision, rule) = self.lsm_hook(Pathway::LsmSocketCreate, |m| {
+            m.socket_create(&cred, domain, stype, protocol)
+        });
         match decision {
             Decision::UseDefault => {
                 if needs_raw_cap && !self.capable(pid, Cap::NetRaw) {
@@ -104,6 +107,7 @@ impl Kernel {
                         Hook::SocketCreate,
                         DecisionKind::Allow,
                         None,
+                        rule,
                         AuditObject::None,
                         msg,
                     );
@@ -117,6 +121,7 @@ impl Kernel {
                     Hook::SocketCreate,
                     DecisionKind::Deny,
                     Some(e),
+                    rule,
                     AuditObject::None,
                     msg,
                 );
@@ -146,7 +151,8 @@ impl Kernel {
                 tcp: matches!(stype, SockType::Stream),
             };
             let object = AuditObject::Port { port, tcp: req.tcp };
-            let decision = self.lsm().socket_bind(&cred, &req);
+            let (decision, rule) =
+                self.lsm_hook(Pathway::LsmSocketBind, |m| m.socket_bind(&cred, &req));
             match decision {
                 Decision::UseDefault => {
                     if !self.capable(pid, Cap::NetBindService) {
@@ -177,6 +183,7 @@ impl Kernel {
                         Hook::SocketBind,
                         DecisionKind::Allow,
                         None,
+                        rule,
                         object,
                         msg,
                     );
@@ -192,6 +199,7 @@ impl Kernel {
                         Hook::SocketBind,
                         DecisionKind::Deny,
                         Some(e),
+                        rule,
                         object,
                         msg,
                     );
@@ -442,14 +450,16 @@ impl Kernel {
         if eval.verdict == Verdict::Drop {
             let msg = format!(
                 "netfilter: dropped {:?} from {} (rule {:?})",
-                pkt.l4, pkt.sender_uid, eval.rule
+                pkt.l4,
+                pkt.sender_uid,
+                eval.rule.map(Name::as_str)
             );
             // The matched netfilter rule is the provenance here, so build
-            // it explicitly rather than via the LSM rule channel.
+            // it explicitly rather than through emit_lsm_event.
             let provenance = Provenance::lsm(
                 "netfilter",
                 Hook::Netfilter,
-                eval.rule.clone(),
+                eval.rule,
                 DecisionKind::Deny,
                 Some(Errno::EPERM),
             );
@@ -601,9 +611,11 @@ impl Kernel {
                 ));
                 // The hook inspects the current table for conflicts
                 // (§4.1.2); both guards drop before any emission below.
-                let decision = {
+                let (decision, rule) = {
                     let routes = self.routes.read();
-                    self.lsm().ioctl_route_add(&cred, &route, &routes)
+                    self.lsm_hook(Pathway::LsmIoctl, |m| {
+                        m.ioctl_route_add(&cred, &route, &routes)
+                    })
                 };
                 match decision {
                     Decision::UseDefault => {
@@ -635,6 +647,7 @@ impl Kernel {
                             Hook::IoctlRoute,
                             DecisionKind::Allow,
                             None,
+                            rule,
                             object,
                             msg,
                         );
@@ -653,6 +666,7 @@ impl Kernel {
                             Hook::IoctlRoute,
                             DecisionKind::Deny,
                             Some(e),
+                            rule,
                             object,
                             msg,
                         );

@@ -9,7 +9,7 @@ use crate::error::{Errno, KResult};
 use crate::kernel::Kernel;
 use crate::lsm::{EnvPolicy, ExecCtx, ExecDecision};
 use crate::task::{FdObject, Pid};
-use crate::trace::{AuditObject, DecisionKind, Hook};
+use crate::trace::{AuditObject, DecisionKind, Hook, Pathway};
 use crate::vfs::{Access, InodeData};
 
 impl Kernel {
@@ -82,7 +82,7 @@ impl Kernel {
         let pending = self.task_mut(pid)?.pending_setuid.take();
 
         let mut attempts = 0;
-        let decision = loop {
+        let (decision, rule) = loop {
             // Scoped: the task guard must drop before the arms below
             // emit events or re-run authentication.
             let ctx = {
@@ -100,7 +100,8 @@ impl Kernel {
                     now: self.clock(),
                 }
             };
-            let hook_decision = self.lsm().bprm_check(&ctx);
+            let (hook_decision, rule) =
+                self.lsm_hook(Pathway::LsmBprmCheck, |m| m.bprm_check(&ctx));
             match hook_decision {
                 ExecDecision::NeedAuth(scope) => {
                     attempts += 1;
@@ -112,13 +113,14 @@ impl Kernel {
                             Hook::BprmCheck,
                             DecisionKind::Deny,
                             Some(Errno::EACCES),
+                            rule,
                             AuditObject::Binary(abs.clone()),
                             msg,
                         );
                         return Err(Errno::EACCES);
                     }
                 }
-                other => break other,
+                other => break (other, rule),
             }
         };
 
@@ -155,6 +157,7 @@ impl Kernel {
                     Hook::BprmCheck,
                     DecisionKind::Allow,
                     None,
+                    rule,
                     AuditObject::Binary(abs.clone()),
                     msg,
                 );
@@ -167,6 +170,7 @@ impl Kernel {
                     Hook::BprmCheck,
                     DecisionKind::Deny,
                     Some(e),
+                    rule,
                     AuditObject::Binary(abs.clone()),
                     msg,
                 );

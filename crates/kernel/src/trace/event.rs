@@ -1,6 +1,7 @@
 //! The typed audit event and its provenance record.
 
 use crate::error::Errno;
+use crate::lsm::RuleId;
 use core::fmt;
 
 /// The LSM hook (or kernel-internal site) a decision came from.
@@ -190,7 +191,7 @@ pub struct Provenance {
     /// The hook the decision came from.
     pub hook: Hook,
     /// The matched policy rule, when the module tracks one.
-    pub rule: Option<String>,
+    pub rule: Option<RuleId>,
     /// The decision kind.
     pub decision: DecisionKind,
     /// The errno returned to the caller, for denials.
@@ -202,7 +203,7 @@ impl Provenance {
     pub fn lsm(
         module: &'static str,
         hook: Hook,
-        rule: Option<String>,
+        rule: Option<RuleId>,
         decision: DecisionKind,
         errno: Option<Errno>,
     ) -> Provenance {
@@ -272,7 +273,7 @@ impl AuditEvent {
             self.provenance.module,
             self.provenance.decision.name(),
             errno,
-            self.provenance.rule.as_deref().unwrap_or("-"),
+            self.provenance.rule.map_or("-", RuleId::as_str),
             self.object,
             self.message,
         )

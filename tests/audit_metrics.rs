@@ -6,7 +6,8 @@
 use protego::kernel::cred::{Credentials, Gid, Uid};
 use protego::kernel::net::{Domain, Ipv4, SockType};
 use protego::kernel::syscall::OpenFlags;
-use protego::kernel::trace::Hook;
+use protego::kernel::trace::{DecisionKind, Hook};
+use protego::kernel::vfs::Name;
 use protego::kernel::Errno;
 use protego::userland::{boot, SystemMode};
 
@@ -59,9 +60,36 @@ fn per_hook_counters_track_mount_setuid_and_bind() {
         .expect("bind denial stored");
     assert!(ev.is_denial());
     assert_eq!(
-        ev.provenance.rule.as_deref(),
+        ev.provenance.rule.map(Name::as_str),
         Some("bind:80/tcp -> (/usr/sbin/httpd, 33)")
     );
+}
+
+/// A rule a hook matched without deciding must not surface on a later,
+/// unrelated event. bob's open of alice's shadow fragment falls under the
+/// creddb rule, but DAC refuses it and the hook defers to stock policy;
+/// the raw socket he creates next is granted by no rule at all.
+#[test]
+fn a_deferred_rule_does_not_leak_into_the_next_event() {
+    let sys = boot(SystemMode::Protego);
+    let k = &sys.kernel;
+    k.set_trace(true);
+    let bob = k.spawn_session(Credentials::user(Uid(1001), Gid(1001)), "/home/bob/tool");
+    assert_eq!(
+        k.sys_open(bob, "/etc/shadows/alice", OpenFlags::read_only())
+            .unwrap_err(),
+        Errno::EACCES
+    );
+    let seq = k.audit.next_seq();
+    k.sys_socket(bob, Domain::Inet, SockType::Raw, 1).unwrap();
+    let ev = k
+        .audit
+        .since(seq)
+        .into_iter()
+        .find(|e| e.provenance.hook == Hook::SocketCreate)
+        .expect("raw socket grant audited");
+    assert_eq!(ev.provenance.decision, DecisionKind::Allow);
+    assert_eq!(ev.provenance.rule, None);
 }
 
 #[test]

@@ -196,8 +196,8 @@ proptest! {
         prop_assert_eq!(&first.rule, &second.rule);
         prop_assert_eq!(nf.evaluated, 2);
         // A named verdict must come from an installed rule.
-        if let Some(name) = &first.rule {
-            prop_assert!(nf.rules().iter().any(|r| &r.name == name));
+        if let Some(name) = first.rule {
+            prop_assert!(nf.rules().iter().any(|r| r.name == name.as_str()));
         }
     }
 

@@ -3,13 +3,18 @@
 //! workload under a seeded 1% errno storm. The run must complete with
 //! zero panics and zero privileged artifacts, and the VFS namespace
 //! property invariants — resolution terminates, live inodes are
-//! root-reachable at their own paths — must hold after the churn.
+//! root-reachable at their own paths — must hold after the churn. A
+//! second test checks that audit provenance stays per-call when eight
+//! workers decide under distinct policy rules at once.
 
+use protego::kernel::cred::{Credentials, Gid, Uid};
 use protego::kernel::net::{Domain, Ipv4, SockType};
 use protego::kernel::syscall::FaultConfig;
-use protego::kernel::vfs::Mode;
+use protego::kernel::trace::{AuditEvent, AuditSink, DecisionKind, Hook};
+use protego::kernel::vfs::{Mode, Name};
 use protego::userland::workload::{privileged_artifacts, vfs_namespace_violations};
 use protego::userland::{boot, System, SystemMode};
+use std::sync::{Arc, Mutex};
 
 const WORKERS: usize = 8;
 const ITERS: u64 = 400;
@@ -146,4 +151,74 @@ fn eight_workers_storm_one_kernel_without_damage() {
         "namespace invariants violated after churn: {:?}",
         violations
     );
+}
+
+/// `(pid, rule)` of every audited bind decision.
+type Seen = Arc<Mutex<Vec<(u32, Option<Name>)>>>;
+
+/// Records every bind decision the module makes into a [`Seen`] list.
+struct BindRules(Seen);
+
+impl AuditSink for BindRules {
+    fn on_event(&mut self, ev: &AuditEvent) {
+        if ev.provenance.hook == Hook::SocketBind {
+            assert_eq!(ev.provenance.decision, DecisionKind::Allow);
+            self.0.lock().unwrap().push((ev.pid, ev.provenance.rule));
+        }
+    }
+}
+
+#[test]
+fn concurrent_decisions_keep_their_own_rule() {
+    const BINDS: usize = 1_000;
+    let mut base = boot(SystemMode::Protego);
+    let init = base.init_pid();
+    let k = &base.kernel;
+    // One privileged port per worker, allocated to that worker's
+    // (binary, uid) instance.
+    let mut policy = k.read_to_string(init, "/proc/protego/bind").unwrap();
+    for w in 0..WORKERS {
+        policy.push_str(&format!(
+            "{} tcp /usr/sbin/svc{} {}\n",
+            900 + w,
+            w,
+            2000 + w
+        ));
+    }
+    k.write_file(init, "/proc/protego/bind", policy.as_bytes(), Mode(0o600))
+        .unwrap();
+    let seen = Arc::new(Mutex::new(Vec::new()));
+    k.subscribe_sink(Box::new(BindRules(seen.clone())));
+
+    let pids: Vec<_> = std::thread::scope(|s| {
+        let workers: Vec<_> = (0..WORKERS)
+            .map(|w| {
+                s.spawn(move || {
+                    let uid = 2000 + w as u32;
+                    let cred = Credentials::user(Uid(uid), Gid(uid));
+                    let pid = k.spawn_session(cred, &format!("/usr/sbin/svc{}", w));
+                    for _ in 0..BINDS {
+                        let fd = k
+                            .sys_socket(pid, Domain::Inet, SockType::Stream, 0)
+                            .unwrap();
+                        k.sys_bind(pid, fd, Ipv4::ANY, 900 + w as u16).unwrap();
+                        k.sys_close(pid, fd).unwrap();
+                    }
+                    pid
+                })
+            })
+            .collect();
+        workers.into_iter().map(|h| h.join().unwrap()).collect()
+    });
+
+    let seen = seen.lock().unwrap();
+    assert_eq!(seen.len(), WORKERS * BINDS, "one audited grant per bind");
+    for (w, pid) in pids.iter().enumerate() {
+        let own = format!("bind:{}/tcp -> (/usr/sbin/svc{}, {})", 900 + w, w, 2000 + w);
+        let rules: Vec<_> = seen.iter().filter(|(p, _)| *p == pid.0).collect();
+        assert_eq!(rules.len(), BINDS, "worker {} grants audited", w);
+        for (_, rule) in rules {
+            assert_eq!(rule.map(Name::as_str), Some(own.as_str()), "worker {}", w);
+        }
+    }
 }
