@@ -44,27 +44,6 @@ grep -q '"schema": *"bench_table5/v2"' BENCH_table5.json \
     || { echo "error: committed BENCH_table5.json is not schema bench_table5/v2" >&2; exit 1; }
 cargo run --release -p bench --bin tables -- bench-verify BENCH_table5.json
 
-echo "== smoke fleet: macro fleets aggregate deterministically =="
-# Tiny fleets of the web + mail macro workloads in both modes plus a 1%
-# errno-storm soak; the subcommand itself re-runs the whole matrix and
-# fails unless every op/fault/syscall count reproduces per seed, the
-# overheads are finite, and the soak ends with zero panics and zero
-# privileged artifacts.
-cargo run --release -p bench --bin tables -- bench-macro --smoke --out target/BENCH_macro.smoke.json
-cargo run --release -p bench --bin tables -- bench-verify target/BENCH_macro.smoke.json
-test -s BENCH_macro.json || { echo "error: committed BENCH_macro.json missing" >&2; exit 1; }
-cargo run --release -p bench --bin tables -- bench-verify BENCH_macro.json
-
-echo "== smoke shared fleet: one kernel, many workers =="
-# Shared-kernel contention points (1/8 workers, web + mail, both modes)
-# on top of the per-thread smoke. The subcommand's double-run
-# count-determinism gate covers the fault-free shared points too (their
-# op/failure/syscall totals are interleaving-independent), and the
-# shared soak must end with zero panics and zero privileged artifacts;
-# bench-verify re-checks the emitted bench_macro/v2 document.
-cargo run --release -p bench --bin tables -- bench-macro --smoke --shared --out target/BENCH_macro.shared.smoke.json
-cargo run --release -p bench --bin tables -- bench-verify target/BENCH_macro.shared.smoke.json
-
 echo "== smoke profile: pathway attribution covers dispatched time =="
 # Reduced-op run of the overhead-attribution pipeline on both images; the
 # subcommand fails unless >=95% of dispatched wall time is attributed to

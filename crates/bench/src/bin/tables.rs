@@ -3,7 +3,6 @@
 //! ```text
 //! tables [table1|table2|table3|table4|table5|table6|table7|table8|ablations|all] [--quick]
 //! tables bench-json [--quick] [--out PATH]   # write BENCH_table5.json
-//! tables bench-macro [--smoke] [--shared] [--out PATH]  # fleet macro benchmark -> BENCH_macro.json (--shared adds one-kernel contention curves, schema v2)
 //! tables profile [--smoke] [--out PATH]      # overhead attribution -> BENCH_profile.json
 //! tables bench-verify PATH                   # validate a results file (schema-dispatched)
 //! tables replay-smoke                        # record + replay determinism check
@@ -12,7 +11,7 @@
 //! tables fuzz [--seed N] [--mins M] [--smoke]  # adversarial differential fuzzing (legacy vs Protego)
 //! ```
 
-use bench::{json, macro_fleet, profile, seccomp_derive, table5};
+use bench::{json, profile, seccomp_derive, table5};
 use setuid_study::render;
 use setuid_study::summary::{table1, MeasuredInputs};
 use userland::suite::{run_divergence_suite, run_functional_suite, run_service_suite};
@@ -29,10 +28,6 @@ fn main() {
 
     if which == "bench-json" {
         run_bench_json(quick, &args);
-        return;
-    }
-    if which == "bench-macro" {
-        run_bench_macro(&args);
         return;
     }
     if which == "profile" {
@@ -120,14 +115,12 @@ fn print_table5(quick: bool) {
         table5::max_overhead(&rows)
     );
     let mut f = bench::fixture(SystemMode::Protego);
-    let (direct, dispatched, metered) = bench::micro::dispatch_overhead(&mut f, warm, iters);
+    let (direct, dispatched) = bench::micro::dispatch_overhead(&mut f, warm, iters);
     println!(
-        "  syscall ABI dispatch: direct {:.0} ns, dispatched {:.0} ns ({:+.2}%), +meter {:.0} ns ({:+.2}%)",
+        "  syscall ABI dispatch: direct {:.0} ns, dispatched {:.0} ns ({:+.2}%)",
         direct,
         dispatched,
         bench::overhead_pct(direct, dispatched),
-        metered,
-        bench::overhead_pct(direct, metered),
     );
     let seccomp = table5::measure_dispatch_seccomp(warm, iters);
     println!(
@@ -341,111 +334,6 @@ fn run_bench_json(quick: bool, args: &[String]) {
     println!("wrote {}", out);
 }
 
-fn run_bench_macro(args: &[String]) {
-    let smoke = args.iter().any(|a| a == "--smoke");
-    let shared = args.iter().any(|a| a == "--shared");
-    let out = args
-        .iter()
-        .position(|a| a == "--out")
-        .and_then(|i| args.get(i + 1))
-        .cloned()
-        .unwrap_or_else(|| "BENCH_macro.json".to_string());
-    let options = macro_fleet::MacroOptions {
-        smoke,
-        seed: 0xC0FFEE,
-        shared,
-    };
-    eprintln!(
-        "running fleet macro benchmark ({} mode, fleets of {:?} workers{})...",
-        if smoke { "smoke" } else { "full" },
-        options.worker_counts(),
-        if shared {
-            format!(
-                ", shared-kernel fleets of {:?} workers",
-                options.shared_worker_counts()
-            )
-        } else {
-            String::new()
-        }
-    );
-    let results = macro_fleet::run_macro_matrix(options);
-    if let Err(e) = results.check() {
-        eprintln!("error: fleet run failed its invariants: {}", e);
-        std::process::exit(1);
-    }
-    if smoke {
-        // Determinism gate: the whole matrix again with the same seed
-        // must reproduce every op/failure/fault/syscall-class count
-        // (timings excluded by construction of the fingerprint).
-        let again = macro_fleet::run_macro_matrix(options);
-        if results.fingerprint() != again.fingerprint() {
-            eprintln!("error: fleet counts are not deterministic per seed:");
-            eprintln!("--- first run ---\n{}", results.fingerprint());
-            eprintln!("--- second run ---\n{}", again.fingerprint());
-            std::process::exit(1);
-        }
-    }
-    let mut text = macro_fleet::macro_json(&results);
-    text.push('\n');
-    if let Err(e) = json::validate_macro(&text) {
-        eprintln!("error: generated document fails validation: {}", e);
-        std::process::exit(1);
-    }
-    if let Err(e) = std::fs::write(&out, &text) {
-        eprintln!("error: cannot write {}: {}", out, e);
-        std::process::exit(1);
-    }
-    for (wl, points) in &results.curves {
-        for p in points {
-            println!(
-                "  {:<5} x{:<2} legacy {:>12.0} ops/s | protego {:>12.0} ops/s  ({:+.2}%)",
-                wl.name(),
-                p.workers,
-                p.legacy.ops_per_sec,
-                p.protego.ops_per_sec,
-                p.overhead_pct()
-            );
-        }
-        println!(
-            "  {:<5} protego scaling 1 -> {} workers: {:.2}x",
-            wl.name(),
-            points.iter().map(|p| p.workers).max().unwrap_or(1),
-            results.scaling(*wl)
-        );
-    }
-    for (wl, points) in &results.shared_curves {
-        for p in points {
-            println!(
-                "  shared {:<5} x{:<3} legacy {:>12.0} ops/s | protego {:>12.0} ops/s  ({:+.2}%, median of {})",
-                wl.name(),
-                p.workers,
-                p.legacy.ops_per_sec,
-                p.protego.ops_per_sec,
-                p.overhead_pct(),
-                p.runs
-            );
-        }
-        println!(
-            "  shared {:<5} protego scaling 1 -> 8 workers on one kernel: {:.2}x",
-            wl.name(),
-            results.shared_scaling_1_to_8(*wl)
-        );
-    }
-    println!(
-        "  soak: {} workers, 1% storm, {} ops, {} injected faults, {} failed ops, {} panics, {} artifacts",
-        results.soak.workers,
-        results.soak.ops,
-        results.soak.injected,
-        results.soak.failures,
-        results.soak.panicked,
-        results.soak.artifacts.len()
-    );
-    if smoke {
-        println!("  determinism: double-run fingerprints identical");
-    }
-    println!("wrote {}", out);
-}
-
 fn run_profile_cmd(args: &[String]) {
     let smoke = args.iter().any(|a| a == "--smoke");
     let out = args
@@ -596,9 +484,7 @@ fn run_bench_verify(args: &[String]) {
                 .map(String::from)
         })
         .unwrap_or_default();
-    let checked = if schema == json::MACRO_SCHEMA || schema == json::MACRO_SCHEMA_V2 {
-        json::validate_macro(&text)
-    } else if schema == json::PROFILE_SCHEMA {
+    let checked = if schema == json::PROFILE_SCHEMA {
         json::validate_profile(&text)
     } else if schema == json::SECCOMP_SCHEMA {
         json::validate_seccomp_profiles(&text)

@@ -541,187 +541,11 @@ fn validate_table5_micro_v2(doc: &Value) -> Result<(), String> {
     Ok(())
 }
 
-/// The schema tag of per-thread-only `BENCH_macro.json` documents.
-pub const MACRO_SCHEMA: &str = "bench_macro/v1";
-
-/// The schema tag of documents that also carry shared-kernel contention
-/// curves (the `shared` section).
-pub const MACRO_SCHEMA_V2: &str = "bench_macro/v2";
-
 fn require_bool(v: &Value, field: &str, ctx: &str) -> Result<bool, String> {
     match v.get(field) {
         Some(Value::Bool(b)) => Ok(*b),
         _ => Err(format!("{}: field {:?} missing or not a bool", ctx, field)),
     }
-}
-
-/// Validates a `BENCH_macro.json` document against the acceptance
-/// criteria: schema tag, both `web` and `mail` workload curves with
-/// finite positive throughput at every fleet size, finite overhead, and
-/// a clean soak (storm fired, zero panicked workers, zero privileged
-/// artifacts). Full (non-smoke) documents must additionally cover fleet
-/// sizes 1/2/4/8 and show ≥3x aggregate Protego scaling from 1 to 8
-/// workers per workload.
-///
-/// `bench_macro/v2` documents must additionally carry the shared-kernel
-/// `shared` section: contention
-/// curves for both workloads at 1/8/32/128 workers (1/8 in smoke), ≥2.5×
-/// Protego throughput from 1 to 8 workers on one kernel, and ≤8% Protego
-/// overhead at the 8-worker contention point.
-pub fn validate_macro(text: &str) -> Result<(), String> {
-    let doc = parse(text).map_err(|e| format!("not valid JSON: {}", e))?;
-    let schema = doc
-        .get("schema")
-        .and_then(Value::as_str)
-        .ok_or("missing \"schema\" string")?;
-    if schema != MACRO_SCHEMA && schema != MACRO_SCHEMA_V2 {
-        return Err(format!(
-            "schema {:?}, expected {:?} or {:?}",
-            schema, MACRO_SCHEMA, MACRO_SCHEMA_V2
-        ));
-    }
-    let smoke = require_bool(&doc, "smoke", "document")?;
-    if schema == MACRO_SCHEMA_V2 {
-        validate_macro_shared(&doc, smoke)?;
-    } else if doc.get("shared").is_some() {
-        return Err("v1 document carries a \"shared\" section (should be tagged v2)".into());
-    }
-
-    let workloads = doc
-        .get("workloads")
-        .and_then(Value::as_arr)
-        .ok_or("missing \"workloads\" array")?;
-    for required in ["web", "mail"] {
-        let wl = workloads
-            .iter()
-            .find(|w| w.get("name").and_then(Value::as_str) == Some(required))
-            .ok_or_else(|| format!("workloads missing required entry {:?}", required))?;
-        let points = wl
-            .get("points")
-            .and_then(Value::as_arr)
-            .ok_or_else(|| format!("workload {:?} without a points array", required))?;
-        if points.is_empty() {
-            return Err(format!("workload {:?} has no points", required));
-        }
-        let mut sizes = Vec::new();
-        for p in points {
-            let ctx = format!("workload {:?} point", required);
-            let workers = require_num(p, "workers", &ctx)?;
-            let ctx = format!("workload {:?} x{}", required, workers);
-            sizes.push(workers as u64);
-            for field in ["legacy_ops_per_sec", "protego_ops_per_sec"] {
-                if require_num(p, field, &ctx)? <= 0.0 {
-                    return Err(format!("{}: non-positive {}", ctx, field));
-                }
-            }
-            require_num(p, "overhead_pct", &ctx)?;
-        }
-        if !smoke {
-            if sizes != [1, 2, 4, 8] {
-                return Err(format!(
-                    "workload {:?} fleet sizes {:?}, expected [1, 2, 4, 8]",
-                    required, sizes
-                ));
-            }
-            let scaling = require_num(wl, "protego_scaling_1_to_max", &format!("{:?}", required))?;
-            if scaling < 3.0 {
-                return Err(format!(
-                    "workload {:?} scaled only {:.2}x from 1 to 8 workers (need >= 3x)",
-                    required, scaling
-                ));
-            }
-        }
-    }
-
-    let soak = doc.get("soak").ok_or("missing \"soak\" object")?;
-    if !require_bool(soak, "completed", "soak")? {
-        return Err("soak did not complete".into());
-    }
-    if require_num(soak, "injected", "soak")? <= 0.0 {
-        return Err("soak storm never injected a fault".into());
-    }
-    if require_num(soak, "panicked_workers", "soak")? != 0.0 {
-        return Err("soak had panicked workers".into());
-    }
-    if require_num(soak, "privileged_artifacts", "soak")? != 0.0 {
-        return Err("soak left privileged artifacts".into());
-    }
-    Ok(())
-}
-
-/// Validates the `shared` section of a `bench_macro/v2` document: the
-/// shared-kernel contention curves and their gated criteria.
-fn validate_macro_shared(doc: &Value, smoke: bool) -> Result<(), String> {
-    let shared = doc
-        .get("shared")
-        .ok_or("v2 document missing \"shared\" object")?;
-    let workloads = shared
-        .get("workloads")
-        .and_then(Value::as_arr)
-        .ok_or("shared section missing \"workloads\" array")?;
-    for required in ["web", "mail"] {
-        let wl = workloads
-            .iter()
-            .find(|w| w.get("name").and_then(Value::as_str) == Some(required))
-            .ok_or_else(|| format!("shared workloads missing required entry {:?}", required))?;
-        let points = wl
-            .get("points")
-            .and_then(Value::as_arr)
-            .ok_or_else(|| format!("shared workload {:?} without a points array", required))?;
-        let mut sizes = Vec::new();
-        let mut overhead_at_8 = None;
-        for p in points {
-            let ctx = format!("shared workload {:?} point", required);
-            let workers = require_num(p, "workers", &ctx)?;
-            let ctx = format!("shared workload {:?} x{}", required, workers);
-            sizes.push(workers as u64);
-            for field in ["legacy_ops_per_sec", "protego_ops_per_sec"] {
-                if require_num(p, field, &ctx)? <= 0.0 {
-                    return Err(format!("{}: non-positive {}", ctx, field));
-                }
-            }
-            let overhead = require_num(p, "overhead_pct", &ctx)?;
-            if workers as u64 == 8 {
-                overhead_at_8 = Some(overhead);
-            }
-        }
-        let expected: &[u64] = if smoke { &[1, 8] } else { &[1, 8, 32, 128] };
-        if sizes != expected {
-            return Err(format!(
-                "shared workload {:?} worker counts {:?}, expected {:?}",
-                required, sizes, expected
-            ));
-        }
-        if !smoke {
-            let scaling = require_num(
-                wl,
-                "protego_scaling_1_to_8",
-                &format!("shared {:?}", required),
-            )?;
-            if scaling < 2.5 {
-                return Err(format!(
-                    "shared workload {:?} scaled only {:.2}x from 1 to 8 workers on one kernel (need >= 2.5x)",
-                    required, scaling
-                ));
-            }
-            match overhead_at_8 {
-                Some(o) if o <= 8.0 => {}
-                Some(o) => {
-                    return Err(format!(
-                        "shared workload {:?}: protego overhead {:.2}% at 8 workers (budget <= 8%)",
-                        required, o
-                    ));
-                }
-                None => {
-                    return Err(format!(
-                        "shared workload {:?} has no 8-worker contention point",
-                        required
-                    ));
-                }
-            }
-        }
-    }
-    Ok(())
 }
 
 /// The schema tag every generated `BENCH_profile.json` carries.
@@ -975,31 +799,6 @@ mod tests {
         assert!(validate_table5(&no_macro).unwrap_err().contains("macro"));
     }
 
-    fn valid_macro_doc() -> String {
-        r#"{
-          "schema": "bench_macro/v1",
-          "smoke": false,
-          "iters_per_worker": 300,
-          "workloads": [
-            {"name":"web","points":[
-              {"workers":1,"legacy_ops_per_sec":100.0,"protego_ops_per_sec":95.0,"overhead_pct":5.2},
-              {"workers":2,"legacy_ops_per_sec":200.0,"protego_ops_per_sec":190.0,"overhead_pct":5.2},
-              {"workers":4,"legacy_ops_per_sec":400.0,"protego_ops_per_sec":380.0,"overhead_pct":5.2},
-              {"workers":8,"legacy_ops_per_sec":800.0,"protego_ops_per_sec":760.0,"overhead_pct":5.2}
-            ],"protego_scaling_1_to_max":8.0},
-            {"name":"mail","points":[
-              {"workers":1,"legacy_ops_per_sec":50.0,"protego_ops_per_sec":48.0,"overhead_pct":4.1},
-              {"workers":2,"legacy_ops_per_sec":100.0,"protego_ops_per_sec":96.0,"overhead_pct":4.1},
-              {"workers":4,"legacy_ops_per_sec":200.0,"protego_ops_per_sec":192.0,"overhead_pct":4.1},
-              {"workers":8,"legacy_ops_per_sec":400.0,"protego_ops_per_sec":384.0,"overhead_pct":4.1}
-            ],"protego_scaling_1_to_max":8.0}
-          ],
-          "soak": {"workers":8,"fault_rate_pct":1,"injected":42,"ops":2400,"failures":31,
-                   "panicked_workers":0,"privileged_artifacts":0,"completed":true}
-        }"#
-        .to_string()
-    }
-
     fn valid_profile_doc() -> String {
         r#"{
           "schema": "bench_profile/v1",
@@ -1039,43 +838,6 @@ mod tests {
             .unwrap_err()
             .contains("schema"));
         assert!(validate_profile("not json").is_err());
-    }
-
-    #[test]
-    fn macro_validator_accepts_a_good_document() {
-        validate_macro(&valid_macro_doc()).unwrap();
-    }
-
-    #[test]
-    fn macro_validator_enforces_scaling_soak_and_shape() {
-        let flat = valid_macro_doc().replace(
-            "\"protego_scaling_1_to_max\":8.0",
-            "\"protego_scaling_1_to_max\":1.2",
-        );
-        assert!(validate_macro(&flat).unwrap_err().contains("3x"));
-        let dirty =
-            valid_macro_doc().replace("\"privileged_artifacts\":0", "\"privileged_artifacts\":2");
-        assert!(validate_macro(&dirty).unwrap_err().contains("artifacts"));
-        let panicky = valid_macro_doc().replace("\"panicked_workers\":0", "\"panicked_workers\":1");
-        assert!(validate_macro(&panicky).unwrap_err().contains("panicked"));
-        let no_storm = valid_macro_doc().replace("\"injected\":42", "\"injected\":0");
-        assert!(validate_macro(&no_storm).unwrap_err().contains("injected"));
-        let no_mail = valid_macro_doc().replace("\"name\":\"mail\"", "\"name\":\"imap\"");
-        assert!(validate_macro(&no_mail).unwrap_err().contains("mail"));
-        let short = valid_macro_doc().replace(
-            "{\"workers\":8,\"legacy_ops_per_sec\":800.0,\"protego_ops_per_sec\":760.0,\"overhead_pct\":5.2}\n            ],",
-            "],",
-        );
-        assert!(validate_macro(&short).is_err());
-        assert!(validate_macro("not json").is_err());
-        // Smoke documents skip the 1/2/4/8 + scaling requirements.
-        let smoke = valid_macro_doc()
-            .replace("\"smoke\": false", "\"smoke\": true")
-            .replace(
-                "\"protego_scaling_1_to_max\":8.0",
-                "\"protego_scaling_1_to_max\":1.0",
-            );
-        validate_macro(&smoke).unwrap();
     }
 
     fn valid_v2_doc() -> String {

@@ -32,7 +32,7 @@ use sim_kernel::lsm::{
 use sim_kernel::net::{Domain, ProtoMatch, Route, RouteTable, Rule, SockType, Verdict};
 use sim_kernel::sync::lock;
 use sim_kernel::trace::CacheStats;
-use sim_kernel::vfs::{Access, Name};
+use sim_kernel::vfs::Name;
 use std::collections::HashMap;
 use std::sync::Mutex;
 
@@ -635,33 +635,10 @@ impl SecurityModule for ProtegoLsm {
     }
 }
 
-/// Convenience used by exploit analysis: would the Protego policy allow
-/// this (binary, uid) to bind the port?
-pub fn bind_would_allow(policy: &PolicySet, port: u16, tcp: bool, binary: &str, uid: u32) -> bool {
-    policy
-        .binds
-        .iter()
-        .any(|r| r.port == port && r.tcp == tcp && r.binary == binary && r.uid == uid)
-}
-
-/// Convenience: access decision summary for diagnostics/tests.
-pub fn describe_access(access: Access) -> &'static str {
-    match (
-        access.wants_read(),
-        access.wants_write(),
-        access.wants_exec(),
-    ) {
-        (true, true, _) => "read-write",
-        (true, false, _) => "read",
-        (false, true, _) => "write",
-        (false, false, true) => "exec",
-        _ => "none",
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use sim_kernel::vfs::Access;
 
     fn lsm_with(policy: PolicySet) -> ProtegoLsm {
         ProtegoLsm::with_policy(policy)
@@ -1262,33 +1239,5 @@ mod tests {
         assert_eq!(rules[0].name, "protego-no-spoof");
         assert!(rules.iter().all(|r| r.raw_socket_only));
         assert_eq!(rules.last().unwrap().verdict, Verdict::Drop);
-    }
-
-    #[test]
-    fn bind_would_allow_helper() {
-        let mut p = PolicySet::default();
-        p.binds.push(BindRule {
-            port: 25,
-            tcp: true,
-            binary: "/usr/sbin/exim4".into(),
-            uid: 8,
-        });
-        assert!(bind_would_allow(&p, 25, true, "/usr/sbin/exim4", 8));
-        assert!(!bind_would_allow(&p, 25, true, "/usr/sbin/exim4", 0));
-        assert!(!bind_would_allow(&p, 25, true, "/usr/sbin/httpd", 8));
-        assert!(!bind_would_allow(&p, 25, false, "/usr/sbin/exim4", 8));
-        assert!(!bind_would_allow(&p, 26, true, "/usr/sbin/exim4", 8));
-    }
-
-    #[test]
-    fn describe_access_names() {
-        assert_eq!(describe_access(Access::READ), "read");
-        assert_eq!(describe_access(Access::WRITE), "write");
-        assert_eq!(
-            describe_access(Access::READ.and(Access::WRITE)),
-            "read-write"
-        );
-        assert_eq!(describe_access(Access::EXEC), "exec");
-        assert_eq!(describe_access(Access(0)), "none");
     }
 }

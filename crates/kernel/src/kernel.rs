@@ -565,7 +565,7 @@ impl Kernel {
     /// counters (VFS dcache, the name interner, and the security
     /// module's policy caches) folded in — the same view `/proc/<lsm>/metrics` renders, but as a
     /// plain value that can cross threads and be [`Metrics::merge`]d
-    /// into a fleet-wide aggregate.
+    /// into a cross-thread aggregate.
     pub fn metrics_snapshot(&self) -> Metrics {
         let mut m = self.metrics.snapshot();
         m.record_cache("dcache", self.vfs.dcache_stats());

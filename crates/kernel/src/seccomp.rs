@@ -729,7 +729,7 @@ impl Interceptor for SeccompInterceptor {
         "seccomp"
     }
 
-    fn before(&self, _pid: Pid, call: &Syscall, ctx: &mut SysCtx<'_>) -> Verdict {
+    fn before(&self, _pid: Pid, call: &Syscall, ctx: &mut SysCtx) -> Verdict {
         self.state.check(&ctx.task, call, ctx.clock)
     }
 }
@@ -789,7 +789,7 @@ impl Interceptor for ProfileRecorder {
         "seccomp_profile_recorder"
     }
 
-    fn before(&self, _pid: Pid, call: &Syscall, ctx: &mut SysCtx<'_>) -> Verdict {
+    fn before(&self, _pid: Pid, call: &Syscall, ctx: &mut SysCtx) -> Verdict {
         if ctx.task.alive {
             let mut seen = lock(&self.seen);
             seen.entry(ctx.task.binary.as_str().to_string())
@@ -798,7 +798,7 @@ impl Interceptor for ProfileRecorder {
         Verdict::Continue
     }
 
-    fn after(&self, _pid: Pid, _call: &Syscall, _ret: &SysRet, _ctx: &mut SysCtx<'_>) {}
+    fn after(&self, _pid: Pid, _call: &Syscall, _ret: &SysRet, _ctx: &mut SysCtx) {}
 }
 
 #[cfg(test)]

@@ -8,9 +8,9 @@
 //!   panicking worker thread must not wedge every other worker on a
 //!   poisoned `std` lock, so all kernel subsystems acquire through these;
 //! * [`PerThread`], a per-instance thread-local slot used where a value
-//!   is logically *per (object, thread)* — e.g. a syscall meter's
-//!   dispatch start time, written and read within one dispatch on one
-//!   thread, so thread-locality keeps it exact under concurrency without
+//!   is logically *per (object, thread)* — e.g. a worker thread's
+//!   metrics shard or audit staging buffer, which only that thread
+//!   writes, so thread-locality keeps it exact under concurrency without
 //!   any locking.
 
 use std::any::Any;

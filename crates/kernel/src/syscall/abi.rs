@@ -12,7 +12,7 @@
 //!   dispatched call before and after execution. A `before` hook may
 //!   short-circuit the call with an injected errno (fault injection); an
 //!   `after` hook observes the full `(pid, Syscall, SysRet)` triple
-//!   (trace recording, replay checking, metering).
+//!   (trace recording, replay checking).
 //! * Because the whole simulation is deterministic, the dispatched stream
 //!   of a run replays byte-identically under the same seed, which turns
 //!   behavioural comparisons (the paper's §5.3 legacy-vs-Protego
@@ -34,7 +34,7 @@ use crate::vfs::{Mode, Name};
 use std::sync::Arc;
 
 /// The class a syscall belongs to — the granularity at which the fault
-/// injector targets errno storms and the meter aggregates counters.
+/// injector targets errno storms and the span pathways time syscall bodies.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
 pub enum SyscallClass {
     /// Filesystem calls (open/read/write/stat/...).
@@ -54,13 +54,6 @@ pub enum SyscallClass {
 impl SyscallClass {
     /// Number of syscall classes ([`SyscallClass::ALL`] length).
     pub const COUNT: usize = 6;
-
-    /// Fixed array index for this class (discriminant order, which is
-    /// also the [`SyscallClass::ALL`] / alphabetical-name order).
-    #[inline]
-    pub fn index(self) -> usize {
-        self as usize
-    }
 
     /// All classes, in stable order.
     pub const ALL: [SyscallClass; 6] = [
@@ -978,7 +971,6 @@ impl Kernel {
             for ic in chain() {
                 let mut ctx = SysCtx {
                     clock: self.clock(),
-                    metrics: &self.metrics,
                     task,
                 };
                 match ic.before(pid, &call, &mut ctx) {
@@ -1031,7 +1023,6 @@ impl Kernel {
             for ic in chain().rev() {
                 let mut ctx = SysCtx {
                     clock: self.clock(),
-                    metrics: &self.metrics,
                     task,
                 };
                 ic.after(pid, &call, &ret, &mut ctx);

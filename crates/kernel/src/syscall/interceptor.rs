@@ -1,5 +1,5 @@
-//! Dispatch-chain interceptors: fault injection, per-class metering,
-//! trace capture/replay, and seccomp enforcement.
+//! Dispatch-chain interceptors: fault injection, trace capture/replay,
+//! and seccomp enforcement.
 //!
 //! An [`Interceptor`] registered with
 //! [`crate::kernel::Kernel::register_interceptor`] (which returns an
@@ -12,10 +12,9 @@
 //! replayer consume (see [`crate::trace::TraceRecorder`]).
 
 use crate::error::Errno;
-use crate::sync::{lock, PerThread};
+use crate::sync::lock;
 use crate::syscall::abi::{SysRet, Syscall, SyscallClass};
 use crate::task::{Pid, TaskIdentity};
-use crate::trace::ShardedMetrics;
 use std::collections::BTreeMap;
 use std::sync::{Arc, Mutex};
 
@@ -28,17 +27,13 @@ use std::sync::{Arc, Mutex};
 /// breaking change to every [`Interceptor`] implementor. Current fields:
 ///
 /// - [`clock`](SysCtx::clock) — the logical clock at hook time;
-/// - [`metrics`](SysCtx::metrics) — the kernel-wide metrics sink;
 /// - [`task`](SysCtx::task) — a [`TaskIdentity`] snapshot of the calling
 ///   task (uid/euid/binary), taken **once per dispatch** with a single
 ///   task-shard read and shared by every hook of that dispatch, so
 ///   identity-aware interceptors (seccomp) pay no per-hook lookup.
-pub struct SysCtx<'a> {
+pub struct SysCtx {
     /// The kernel's logical clock at hook time.
     pub clock: u64,
-    /// The kernel-wide metrics sink (per-worker shards; see
-    /// [`ShardedMetrics`]).
-    pub metrics: &'a ShardedMetrics,
     /// Identity of the dispatching task, snapshotted at dispatch entry.
     /// For pids without a live task this is [`TaskIdentity::unknown`]
     /// (the entry point itself will fail with `ESRCH`).
@@ -74,7 +69,7 @@ pub enum Verdict {
 ///
 /// The kernel stores interceptors as shared handles and many worker
 /// threads may dispatch concurrently, so hooks take `&self` and
-/// implementations keep mutable state behind a mutex (or [`PerThread`]
+/// implementations keep mutable state behind a mutex (or [`crate::sync::PerThread`]
 /// for values scoped to one dispatch on one thread); they interact with
 /// kernel state only through [`SysCtx`] — never by re-entering
 /// [`Kernel::dispatch`](crate::kernel::Kernel::dispatch), which does not
@@ -88,12 +83,12 @@ pub trait Interceptor: Send + Sync {
     /// [`Verdict::Deny`] short-circuits the call. [`Verdict::Note`] lets
     /// the call proceed while the dispatcher records an informational
     /// audit event attributed to this interceptor.
-    fn before(&self, _pid: Pid, _call: &Syscall, _ctx: &mut SysCtx<'_>) -> Verdict {
+    fn before(&self, _pid: Pid, _call: &Syscall, _ctx: &mut SysCtx) -> Verdict {
         Verdict::Continue
     }
 
     /// Runs after the response is known (real or injected).
-    fn after(&self, _pid: Pid, _call: &Syscall, _ret: &SysRet, _ctx: &mut SysCtx<'_>) {}
+    fn after(&self, _pid: Pid, _call: &Syscall, _ret: &SysRet, _ctx: &mut SysCtx) {}
 }
 
 /// A deterministic xorshift64 generator — the simulation must not pull in
@@ -278,7 +273,7 @@ impl Interceptor for FaultInjector {
         "fault_injector"
     }
 
-    fn before(&self, _pid: Pid, call: &Syscall, _ctx: &mut SysCtx<'_>) -> Verdict {
+    fn before(&self, _pid: Pid, call: &Syscall, _ctx: &mut SysCtx) -> Verdict {
         // Lock order: stats before inner, everywhere — the consumption
         // flags live in stats (see `FaultStats::one_shots_fired`) while
         // the PRNG and occurrence counts live in injector-private state.
@@ -312,39 +307,5 @@ impl Interceptor for FaultInjector {
             return Verdict::Deny(errno);
         }
         Verdict::Continue
-    }
-}
-
-/// The per-class latency/count meter (tentpole interceptor #3): folds
-/// every dispatched call into [`Metrics::observe_class`](crate::trace::Metrics::observe_class), surfacing
-/// `syscall_class_<class>` lines in `/proc/<lsm>/metrics`.
-#[derive(Debug, Default)]
-pub struct SyscallMeter {
-    /// Clock at `before` time. Dispatch never re-enters itself on a
-    /// thread, so one pending slot per dispatching thread suffices.
-    start: PerThread<Option<u64>>,
-}
-
-impl SyscallMeter {
-    /// Builds a meter.
-    pub fn new() -> SyscallMeter {
-        SyscallMeter::default()
-    }
-}
-
-impl Interceptor for SyscallMeter {
-    fn name(&self) -> &'static str {
-        "syscall_meter"
-    }
-
-    fn before(&self, _pid: Pid, _call: &Syscall, ctx: &mut SysCtx<'_>) -> Verdict {
-        self.start.replace(Some(ctx.clock));
-        Verdict::Continue
-    }
-
-    fn after(&self, _pid: Pid, call: &Syscall, ret: &SysRet, ctx: &mut SysCtx<'_>) {
-        let start = self.start.take().unwrap_or(ctx.clock);
-        let delta = ctx.clock.saturating_sub(start);
-        ctx.metrics.observe_class(call.class(), delta, ret.is_err());
     }
 }

@@ -9,7 +9,7 @@
 //! [`Kernel::dispatch`](crate::kernel::Kernel::dispatch) maps a
 //! [`Syscall`] request onto the matching `sys_*` method and threads it
 //! through the registered [`Interceptor`] chain (fault injection, trace
-//! record/replay, per-class metering).
+//! record/replay, seccomp).
 
 pub mod abi;
 mod fs;
@@ -23,7 +23,7 @@ mod process;
 pub use abi::{NetfilterRule, SysRet, Syscall, SyscallClass, Whence};
 pub use fs::{OpenFlags, Stat};
 pub use interceptor::{
-    FaultConfig, FaultInjector, FaultStats, Interceptor, OneShot, SysCtx, SyscallMeter, Verdict,
+    FaultConfig, FaultInjector, FaultStats, Interceptor, OneShot, SysCtx, Verdict,
 };
 pub use ioctl::{IoctlCmd, IoctlOut};
 pub use net::{NetfilterOp, RouteOp};

@@ -5,7 +5,7 @@
 //! count/total/min/max. The layout is allocation-free and `Copy`-free but
 //! plain-old-data, so snapshots cross threads over a channel and merge
 //! associatively and commutatively — the same contract [`super::Metrics`]
-//! honours for the fleet benchmarks.
+//! honours for its per-thread shards.
 //!
 //! Bucket layout: bucket 0 holds exactly the value 0; bucket `k` (k ≥ 1)
 //! holds values in `[2^(k-1), 2^k - 1]`. A `u64` value therefore always
@@ -135,7 +135,7 @@ impl LatencyHistogram {
     }
 
     /// Adds another histogram into this one. Element-wise, so the
-    /// operation is associative and commutative and fleet merges are
+    /// operation is associative and commutative and cross-thread merges are
     /// order-independent.
     pub fn merge(&mut self, other: &LatencyHistogram) {
         self.count += other.count;

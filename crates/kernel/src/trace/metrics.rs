@@ -1,16 +1,16 @@
 //! Per-hook and per-syscall decision counters, an errno histogram, and
 //! logical-clock latency observations.
 //!
-//! The hot-path counters ([`HookCounters`], [`SyscallCounters`],
-//! [`ClassTable`]) are fixed arrays indexed by enum discriminant, so
-//! recording an event or a dispatched call never touches a map. Cold
+//! The hot-path counters ([`HookCounters`], [`SyscallCounters`]) are
+//! fixed arrays indexed by enum discriminant, so recording an event
+//! never touches a map. Cold
 //! aggregates (errnos, named latency pathways, cache snapshots) stay in
 //! `BTreeMap`s. Rendering sorts by name at read time, which keeps the
 //! `/proc/<lsm>/metrics` output byte-identical to the old all-`BTreeMap`
 //! layout.
 
 use super::event::{AuditEvent, DecisionKind, Hook};
-use crate::syscall::{Syscall, SyscallClass};
+use crate::syscall::Syscall;
 use std::collections::BTreeMap;
 
 /// Allow/deny/use-default/defer/info counts for one key.
@@ -137,30 +137,6 @@ impl LatencyStats {
         self.total = self.total.saturating_add(other.total);
         self.min = self.min.min(other.min);
         self.max = self.max.max(other.max);
-    }
-}
-
-/// Dispatch counters for one syscall class, fed by the
-/// [`crate::syscall::SyscallMeter`] interceptor: call and error totals
-/// plus logical-clock latency over the dispatched call.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct ClassStats {
-    /// Calls dispatched in this class.
-    pub calls: u64,
-    /// Calls that returned an errno (including injected faults).
-    pub errors: u64,
-    /// Logical-clock latency over the dispatched call (normally 0 in the
-    /// simulation; nonzero when a syscall advances the clock, e.g. an
-    /// authentication prompt).
-    pub latency: LatencyStats,
-}
-
-impl ClassStats {
-    /// Adds another counter set into this one.
-    pub fn merge(&mut self, other: &ClassStats) {
-        self.calls += other.calls;
-        self.errors += other.errors;
-        self.latency.merge(&other.latency);
     }
 }
 
@@ -315,66 +291,6 @@ impl std::ops::Index<&str> for SyscallCounters {
     }
 }
 
-/// Per-class dispatch counters as a fixed array indexed by
-/// [`SyscallClass`] discriminant.
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
-pub struct ClassTable {
-    table: [ClassStats; SyscallClass::COUNT],
-}
-
-impl ClassTable {
-    /// The stats recorded for `class`.
-    pub fn class(&self, class: SyscallClass) -> &ClassStats {
-        &self.table[class.index()]
-    }
-
-    /// The stats recorded under a class *name*, if that class was hit.
-    pub fn get(&self, name: &str) -> Option<&ClassStats> {
-        SyscallClass::ALL
-            .iter()
-            .find(|c| c.name() == name)
-            .map(|c| &self.table[c.index()])
-            .filter(|s| s.calls > 0)
-    }
-
-    /// Touched classes as `(name, stats)` pairs. Discriminant order is
-    /// already alphabetical, matching the old `BTreeMap` rendering.
-    pub fn iter(&self) -> impl Iterator<Item = (&'static str, &ClassStats)> {
-        SyscallClass::ALL
-            .iter()
-            .map(|c| (c.name(), &self.table[c.index()]))
-            .filter(|(_, s)| s.calls > 0)
-    }
-
-    /// Adds another table into this one, element-wise.
-    pub fn merge(&mut self, other: &ClassTable) {
-        for (mine, theirs) in self.table.iter_mut().zip(other.table.iter()) {
-            mine.merge(theirs);
-        }
-    }
-}
-
-impl std::ops::Index<&str> for ClassTable {
-    type Output = ClassStats;
-
-    fn index(&self, name: &str) -> &ClassStats {
-        let class = SyscallClass::ALL
-            .iter()
-            .find(|c| c.name() == name)
-            .unwrap_or_else(|| panic!("unknown syscall class {name:?}"));
-        &self.table[class.index()]
-    }
-}
-
-impl<'a> IntoIterator for &'a ClassTable {
-    type Item = (&'static str, &'a ClassStats);
-    type IntoIter = std::vec::IntoIter<(&'static str, &'a ClassStats)>;
-
-    fn into_iter(self) -> Self::IntoIter {
-        self.iter().collect::<Vec<_>>().into_iter()
-    }
-}
-
 /// Kernel-wide observability counters. Updated on every emitted event,
 /// independent of the `trace` flag and of ring-buffer eviction.
 #[derive(Clone, Debug, Default)]
@@ -391,10 +307,6 @@ pub struct Metrics {
     /// dcache and the registered module's policy caches when the
     /// `/proc/<lsm>/metrics` view is rendered.
     pub caches: BTreeMap<&'static str, CacheStats>,
-    /// Per-class dispatch counters (fixed array indexed by
-    /// [`SyscallClass`]), fed by the [`crate::syscall::SyscallMeter`]
-    /// interceptor.
-    pub classes: ClassTable,
     /// Total events emitted.
     pub events: u64,
 }
@@ -414,17 +326,6 @@ impl Metrics {
     /// Records a logical-clock latency observation.
     pub fn observe_latency(&mut self, pathway: &'static str, delta: u64) {
         self.latency.entry(pathway).or_default().observe(delta);
-    }
-
-    /// Folds one dispatched call into the per-class counters.
-    #[inline]
-    pub fn observe_class(&mut self, class: SyscallClass, delta: u64, errored: bool) {
-        let s = &mut self.classes.table[class.index()];
-        s.calls += 1;
-        if errored {
-            s.errors += 1;
-        }
-        s.latency.observe(delta);
     }
 
     /// Overwrites the snapshot for cache `name`. Cache owners keep the
@@ -458,7 +359,6 @@ impl Metrics {
         for (k, v) in &other.caches {
             self.caches.entry(k).or_default().merge(v);
         }
-        self.classes.merge(&other.classes);
     }
 
     /// Renders the `/proc/<lsm>/metrics` view: one `key value` line per
@@ -494,14 +394,6 @@ impl Metrics {
             out.push_str(&format!(
                 "cache_{} hits={} misses={} invalidations={}\n",
                 cache, c.hits, c.misses, c.invalidations
-            ));
-        }
-        // The `syscall_class_` prefix keeps class rows distinct from the
-        // per-syscall rows above ("mount" is both a class and a syscall).
-        for (class, s) in self.classes.iter() {
-            out.push_str(&format!(
-                "syscall_class_{} calls={} errors={} clk_total={} clk_max={}\n",
-                class, s.calls, s.errors, s.latency.total, s.latency.max
             ));
         }
         out
@@ -636,30 +528,14 @@ mod tests {
         );
     }
 
-    /// Fleet workers snapshot metrics in-thread and ship them over a
-    /// channel to the aggregating driver — that only works if `Metrics`
+    /// Worker threads fill their own metrics shards and whichever thread
+    /// takes the snapshot merges them — that only works if `Metrics`
     /// stays `Send + 'static`. This is a compile-time guarantee; the
     /// function body never runs.
     #[allow(dead_code)]
     fn metrics_crosses_threads() {
         fn assert_send<T: Send + 'static>() {}
         assert_send::<Metrics>();
-    }
-
-    #[test]
-    fn merged_snapshot_sums_class_counters() {
-        let mut a = Metrics::default();
-        a.observe_class(SyscallClass::Fs, 3, false);
-        a.observe_class(SyscallClass::Fs, 0, true);
-        let mut b = Metrics::default();
-        b.observe_class(SyscallClass::Fs, 5, false);
-        b.observe_class(SyscallClass::Net, 1, false);
-        a.merge(&b);
-        assert_eq!(a.classes["fs"].calls, 3);
-        assert_eq!(a.classes["fs"].errors, 1);
-        assert_eq!(a.classes["fs"].latency.total, 8);
-        assert_eq!(a.classes["fs"].latency.max, 5);
-        assert_eq!(a.classes["net"].calls, 1);
     }
 
     #[test]
@@ -679,10 +555,7 @@ mod tests {
         assert_eq!(hook_lines.len(), 2);
         assert!(hook_lines[0].starts_with("hook_capable "));
         assert!(hook_lines[1].starts_with("hook_task_setuid "));
-        let sys_lines: Vec<&str> = text
-            .lines()
-            .filter(|l| l.starts_with("syscall_") && !l.starts_with("syscall_class_"))
-            .collect();
+        let sys_lines: Vec<&str> = text.lines().filter(|l| l.starts_with("syscall_")).collect();
         assert_eq!(sys_lines.len(), 2);
         assert!(sys_lines[0].starts_with("syscall_chmod "));
         assert!(sys_lines[1].starts_with("syscall_setuid "));

@@ -35,8 +35,7 @@ pub mod span;
 pub use event::{AuditEvent, AuditObject, DecisionKind, Hook, Provenance};
 pub use hist::{LatencyHistogram, HIST_BUCKETS};
 pub use metrics::{
-    CacheStats, ClassStats, ClassTable, DecisionCounters, HookCounters, LatencyStats, Metrics,
-    SyscallCounters,
+    CacheStats, DecisionCounters, HookCounters, LatencyStats, Metrics, SyscallCounters,
 };
 pub use recorder::{Divergence, Trace, TraceEntry, TraceError, TraceRecorder, TraceReplayer};
 pub use ring::{AuditRing, DEFAULT_RING_CAPACITY};

@@ -228,7 +228,7 @@ impl Interceptor for TraceRecorder {
         "trace_recorder"
     }
 
-    fn after(&self, pid: Pid, call: &Syscall, ret: &SysRet, _ctx: &mut SysCtx<'_>) {
+    fn after(&self, pid: Pid, call: &Syscall, ret: &SysRet, _ctx: &mut SysCtx) {
         lock(&self.trace)
             .entries
             .push(TraceEntry::new(pid, call, ret));
@@ -298,7 +298,7 @@ impl Interceptor for TraceReplayer {
         "trace_replayer"
     }
 
-    fn after(&self, pid: Pid, call: &Syscall, ret: &SysRet, _ctx: &mut SysCtx<'_>) {
+    fn after(&self, pid: Pid, call: &Syscall, ret: &SysRet, _ctx: &mut SysCtx) {
         let actual = TraceEntry::new(pid, call, ret);
         let mut cursor = lock(&self.state);
         let expected = self.expected.entries.get(*cursor).cloned();

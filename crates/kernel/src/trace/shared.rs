@@ -249,11 +249,6 @@ impl ShardedMetrics {
         self.with(|m| m.observe_latency(pathway, delta));
     }
 
-    /// Observes a per-class syscall sample on this thread's shard.
-    pub fn observe_class(&self, class: crate::syscall::SyscallClass, delta: u64, errored: bool) {
-        self.with(|m| m.observe_class(class, delta, errored));
-    }
-
     /// Merges every worker's shard into one self-contained value.
     pub fn snapshot(&self) -> Metrics {
         let mut out = Metrics::default();

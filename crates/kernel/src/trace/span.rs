@@ -21,7 +21,7 @@
 //!   [`span`] into an inert zero-sized guard and the registry into
 //!   constants; the optimiser removes every call site.
 //!
-//! The registry is **thread-local**: each fleet worker thread gets an
+//! The registry is **thread-local**: each worker thread gets an
 //! isolated set of histograms for free, and snapshots are merged across
 //! threads exactly like [`super::Metrics`]. The caveat is the converse:
 //! two `Kernel` instances driven on the *same* thread share one registry,
@@ -177,7 +177,7 @@ impl Pathway {
 /// A mergeable, thread-crossing copy of one thread's timing state.
 ///
 /// Mirrors the [`super::Metrics`] contract: plain data, `Send`, merged
-/// element-wise so fleet aggregation is order-independent.
+/// element-wise so cross-thread aggregation is order-independent.
 #[derive(Clone, Debug, Default)]
 pub struct TimingSnapshot {
     /// Inclusive-latency histogram per pathway, indexed by discriminant.

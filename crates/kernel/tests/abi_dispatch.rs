@@ -4,15 +4,14 @@
 //! value, same state transitions, same audit stream. These tests drive a
 //! twin pair of kernels (one direct, one dispatched) through every
 //! variant, then exercise the interceptor stack: deterministic fault
-//! injection, one-shot faults, per-class metering, and trace recording.
+//! injection, one-shot faults, and trace recording.
 
 use sim_kernel::cred::{Credentials, Gid, Uid};
 use sim_kernel::error::Errno;
 use sim_kernel::kernel::Kernel;
 use sim_kernel::net::{Domain, Ipv4, Packet, SimNet, SockType};
 use sim_kernel::syscall::{
-    FaultConfig, FaultInjector, IoctlCmd, NetfilterOp, OpenFlags, RouteOp, Syscall, SyscallMeter,
-    Whence,
+    FaultConfig, FaultInjector, IoctlCmd, NetfilterOp, OpenFlags, RouteOp, Syscall, Whence,
 };
 use sim_kernel::task::{NsKind, Pid};
 use sim_kernel::trace::TraceRecorder;
@@ -665,52 +664,6 @@ fn consumed_one_shot_cannot_rearm_across_reselection() {
     let s = stats.lock().unwrap();
     assert_eq!(s.injected, 1, "exactly one injection across both lives");
     assert_eq!(s.one_shots_fired, vec![true]);
-}
-
-/// The meter feeds per-class counters into the kernel metrics registry,
-/// which renders them as `syscall_class_*` lines.
-#[test]
-fn meter_renders_per_class_metrics_lines() {
-    let (k, root, user) = boot();
-    k.push_interceptor(Box::new(SyscallMeter::new()));
-    let _ = k.dispatch(
-        user,
-        Syscall::Stat {
-            path: "/tmp".into(),
-        },
-    );
-    let _ = k.dispatch(user, Syscall::Getuid);
-    let _ = k.dispatch(
-        root,
-        Syscall::Mount {
-            source: "/dev/cdrom".into(),
-            target: "/mnt/cdrom".into(),
-            fstype: "iso9660".into(),
-            options: "ro".into(),
-        },
-    );
-    let _ = k.dispatch(
-        user,
-        Syscall::Stat {
-            path: "/nope".into(),
-        },
-    );
-    let rendered = k.metrics.snapshot().render();
-    assert!(
-        rendered.contains("syscall_class_fs calls=2 errors=1"),
-        "fs class line missing or wrong: {}",
-        rendered
-    );
-    assert!(
-        rendered.contains("syscall_class_id calls=1"),
-        "{}",
-        rendered
-    );
-    assert!(
-        rendered.contains("syscall_class_mount calls=1"),
-        "{}",
-        rendered
-    );
 }
 
 /// A recorder attached to a run captures the full (pid, call, ret)

@@ -1,6 +1,6 @@
 //! Property tests for the latency-histogram algebra.
 //!
-//! Fleet aggregation folds per-thread [`LatencyHistogram`]s (and the
+//! Cross-thread aggregation folds per-thread [`LatencyHistogram`]s (and the
 //! coarser [`LatencyStats`]) in whatever order worker reports arrive, so
 //! `merge` must form a commutative monoid: associative, commutative,
 //! with the empty histogram as identity. Quantiles must be monotone in

@@ -4,7 +4,7 @@
 //! through [`Kernel::dispatch`] — the typed ABI boundary — instead of the
 //! raw `sys_*(pid, ...)` methods. Routing userland through dispatch is
 //! what makes it observable: registered interceptors (fault injection,
-//! trace record/replay, per-class metering) see every call a binary or
+//! trace record/replay, seccomp) see every call a binary or
 //! daemon makes, which the raw methods bypass.
 //!
 //! The file helpers ([`Process::read_file`] and friends) mirror the

@@ -122,7 +122,7 @@ impl System {
     /// A worker's view onto the *same* kernel: shares the kernel handle,
     /// the program registry, and the init task, but carries its own
     /// coverage/attack instrumentation and no monitoring daemon. Views
-    /// are what fleet workers drive concurrently — userland bookkeeping
+    /// are what worker threads drive concurrently — userland bookkeeping
     /// stays per-worker while every syscall lands in the shared kernel.
     pub fn worker_view(&self) -> System {
         System {
@@ -172,13 +172,6 @@ impl System {
         let trace = recorder.trace();
         let slot = self.kernel.register_interceptor(Box::new(recorder));
         (slot, trace)
-    }
-
-    /// Installs a [`SyscallMeter`](sim_kernel::syscall::SyscallMeter),
-    /// returning its chain slot.
-    pub fn attach_meter(&mut self) -> sim_kernel::kernel::InterceptorSlot {
-        self.kernel
-            .register_interceptor(Box::new(sim_kernel::syscall::SyscallMeter::new()))
     }
 
     /// Installs a [`SeccompInterceptor`](sim_kernel::seccomp::SeccompInterceptor)
@@ -454,7 +447,7 @@ impl<'a> Proc<'a> {
 
     /// The typed syscall context for this process — every call made
     /// through it goes via `Kernel::dispatch` and is therefore visible to
-    /// interceptors (fault injection, tracing, metering).
+    /// interceptors (fault injection, tracing, seccomp).
     pub fn os(&mut self) -> Process<'_> {
         self.sys.process(self.pid)
     }

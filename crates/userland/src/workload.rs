@@ -3,8 +3,8 @@
 //! The Table 5 macro benchmarks drive whole services, not single
 //! syscalls: ApacheBench hammers the web server, Postal hammers the
 //! MTA. This module packages those loops as reusable drivers so the
-//! micro-bench crate, the fleet macro-benchmark engine, and tests all
-//! exercise the same code paths:
+//! Table 5 benchmarks, the end-to-end benchmark and tests all exercise
+//! the same code paths:
 //!
 //! - [`web_request`] — one HTTP round trip; the serving side stats,
 //!   opens, reads, and closes the docroot file per request.
@@ -72,7 +72,7 @@ pub fn start_web_service(sys: &mut System) -> KResult<Service> {
     start_service(sys, "/usr/sbin/httpd", Uid(mail::WWW_UID), Gid(33), 80)
 }
 
-/// The web port shared-fleet worker `w` serves on. Ports are disjoint
+/// The web port shared-kernel worker `w` serves on. Ports are disjoint
 /// per worker so concurrent workers on one kernel never steal each
 /// other's connections out of a shared listen backlog; they sit above
 /// 1024 so the Protego bind policy treats them as unrestricted.
@@ -80,12 +80,12 @@ pub fn shared_web_port(worker: usize) -> u16 {
     8080 + worker as u16
 }
 
-/// The SMTP port shared-fleet worker `w` serves on.
+/// The SMTP port shared-kernel worker `w` serves on.
 pub fn shared_mail_port(worker: usize) -> u16 {
     2525 + worker as u16
 }
 
-/// The spool name shared-fleet worker `w` delivers to: per-worker
+/// The spool name shared-kernel worker `w` delivers to: per-worker
 /// recipients keep the atomic-replace `rename` commits of concurrent
 /// workers on disjoint spool files.
 pub fn worker_rcpt(worker: usize) -> String {
@@ -125,7 +125,7 @@ fn start_shared_service(
     })
 }
 
-/// Starts shared-fleet worker `w`'s web server on its own port.
+/// Starts shared-kernel worker `w`'s web server on its own port.
 pub fn start_shared_web_service(sys: &mut System, worker: usize) -> KResult<Service> {
     start_shared_service(
         sys,
@@ -136,7 +136,7 @@ pub fn start_shared_web_service(sys: &mut System, worker: usize) -> KResult<Serv
     )
 }
 
-/// Starts shared-fleet worker `w`'s MTA on its own port.
+/// Starts shared-kernel worker `w`'s MTA on its own port.
 pub fn start_shared_mail_service(sys: &mut System, worker: usize) -> KResult<Service> {
     start_shared_service(
         sys,
@@ -294,50 +294,10 @@ pub fn drain_spools(sys: &mut System, srv: Service) {
     }
 }
 
-/// Drains one named spool — the shared fleet's per-worker consumer,
-/// paying the same legacy euid raise as [`drain_spools`].
-pub fn drain_spool(sys: &mut System, srv: Service, rcpt: &str) {
-    let legacy_raise = sys.mode == SystemMode::Legacy
-        && sys
-            .kernel
-            .task(srv.pid)
-            .map(|t| t.cred.suid.is_root() && !t.cred.euid.is_root())
-            .unwrap_or(false);
-    if legacy_raise {
-        let _ = sys.process(srv.pid).seteuid(Uid::ROOT);
-    }
-    let _ = sys.process(srv.pid).unlink(&format!("/var/mail/{}", rcpt));
-    if legacy_raise {
-        let _ = sys.process(srv.pid).seteuid(Uid(mail::MAIL_UID));
-    }
-}
-
-/// Flushes connections stranded in `srv`'s listen backlog by a failed
-/// request (e.g. a fault injected into the server's `accept`): without
-/// this, every later request would be served the *previous* client's
-/// connection and the loop would wedge permanently one-off. Returns how
-/// many stale connections were reaped.
-pub fn drain_backlog(sys: &mut System, srv: Service) -> usize {
-    let mut reaped = 0;
-    // Bounded: the backlog can only hold connections from failed ops,
-    // and the drain itself may be fault-injected mid-way — the next
-    // failed op simply drains again.
-    for _ in 0..64 {
-        match sys.process(srv.pid).accept(srv.listen_fd) {
-            Ok(conn) => {
-                let _ = sys.process(srv.pid).close(conn);
-                reaped += 1;
-            }
-            Err(_) => break,
-        }
-    }
-    reaped
-}
-
 /// Escalation artifacts only an exploit (or corrupted kernel) produces;
 /// the macro workloads must never create any. Returns human-readable
-/// descriptions of everything found, empty when clean — the fleet soak
-/// asserts emptiness per worker.
+/// descriptions of everything found, empty when clean — the
+/// shared-kernel stress tests assert emptiness after every run.
 pub fn privileged_artifacts(sys: &mut System) -> Vec<String> {
     let root = sys.init_pid();
     let mut found = Vec::new();

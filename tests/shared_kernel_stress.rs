@@ -1,30 +1,76 @@
 //! Shared-kernel concurrency stress: 8 worker threads hammer *one*
-//! kernel through [`System::worker_view`] handles with a mixed fs/id/net
-//! workload under a seeded 1% errno storm. The run must complete with
-//! zero panics and zero privileged artifacts, and the VFS namespace
-//! property invariants — resolution terminates, live inodes are
-//! root-reachable at their own paths — must hold after the churn. A
-//! second test checks that audit provenance stays per-call when eight
-//! workers decide under distinct policy rules at once.
+//! kernel through [`System::worker_view`] handles under a seeded 1%
+//! errno storm, once with a mixed fs/id/net churn and once as the §6
+//! web and mail services. Each run must complete with zero panics and
+//! zero privileged artifacts, and the VFS namespace property invariants
+//! — resolution terminates, live inodes are root-reachable at their own
+//! paths — must hold afterwards. The service workload's op, failure and
+//! per-class syscall totals must also reproduce across two fault-free
+//! runs. A last test checks that audit provenance stays per-call when
+//! eight workers decide under distinct policy rules at once.
 
 use protego::kernel::cred::{Credentials, Gid, Uid};
 use protego::kernel::net::{Domain, Ipv4, SockType};
-use protego::kernel::syscall::FaultConfig;
-use protego::kernel::trace::{AuditEvent, AuditSink, DecisionKind, Hook};
+use protego::kernel::syscall::{FaultConfig, SyscallClass};
+use protego::kernel::trace::{span, AuditEvent, AuditSink, DecisionKind, Hook, Pathway};
 use protego::kernel::vfs::{Mode, Name};
-use protego::userland::workload::{privileged_artifacts, vfs_namespace_violations};
+use protego::kernel::Pid;
+use protego::userland::workload::{self, privileged_artifacts, vfs_namespace_violations, Service};
 use protego::userland::{boot, System, SystemMode};
 use std::sync::{Arc, Mutex};
 
 const WORKERS: usize = 8;
 const ITERS: u64 = 400;
+/// Requests or deliveries per service worker.
+const SERVICE_OPS: u64 = 60;
+
+/// Runs `work(view, input, worker)` on one thread per input, each thread
+/// driving its own [`System::worker_view`] of `base`. Returns the results
+/// of the workers that finished and the number that panicked.
+fn run_workers<T: Send + 'static, R: Send + 'static>(
+    base: &System,
+    inputs: Vec<T>,
+    work: fn(System, T, usize) -> R,
+) -> (Vec<R>, usize) {
+    let handles: Vec<_> = inputs
+        .into_iter()
+        .enumerate()
+        .map(|(worker, input)| {
+            let view = base.worker_view();
+            std::thread::spawn(move || work(view, input, worker))
+        })
+        .collect();
+    let mut results = Vec::new();
+    let mut panicked = 0;
+    for h in handles {
+        match h.join() {
+            Ok(r) => results.push(r),
+            Err(_) => panicked += 1,
+        }
+    }
+    (results, panicked)
+}
+
+/// The damage checks every concurrent run must pass on the shared kernel.
+fn assert_undamaged(base: &mut System) {
+    assert!(
+        privileged_artifacts(base).is_empty(),
+        "concurrent churn under faults must not mint privileged artifacts"
+    );
+    let violations = vfs_namespace_violations(base);
+    assert!(
+        violations.is_empty(),
+        "namespace invariants violated after churn: {:?}",
+        violations
+    );
+}
 
 /// One worker's churn: per-iteration it mixes file create/rename/unlink
 /// (both in a private directory and in the contended `/tmp`), identity
 /// syscalls, and a loopback TCP round trip against its own listener.
 /// Every result is ignored — under the storm any call may fail — but
 /// nothing here may panic.
-fn worker_churn(mut sys: System, session: protego::kernel::Pid, worker: usize) {
+fn worker_churn(mut sys: System, session: Pid, worker: usize) {
     let dir = format!("/tmp/stress{}", worker);
     let _ = sys.process(session).mkdir(&dir, Mode(0o755));
     let listen_port = 21000 + worker as u16;
@@ -116,20 +162,7 @@ fn eight_workers_storm_one_kernel_without_damage() {
         .collect();
     let (_slot, stats) = base.attach_fault_injector(FaultConfig::storm(0xD1CE, 100));
 
-    let handles: Vec<_> = sessions
-        .into_iter()
-        .enumerate()
-        .map(|(worker, session)| {
-            let view = base.worker_view();
-            std::thread::spawn(move || worker_churn(view, session, worker))
-        })
-        .collect();
-    let mut panicked = 0;
-    for h in handles {
-        if h.join().is_err() {
-            panicked += 1;
-        }
-    }
+    let (_, panicked) = run_workers(&base, sessions, worker_churn);
     assert_eq!(panicked, 0, "no worker may panic under the storm");
 
     let s = stats.lock().unwrap();
@@ -140,16 +173,115 @@ fn eight_workers_storm_one_kernel_without_damage() {
         WORKERS
     );
     drop(s);
+    assert_undamaged(&mut base);
+}
 
+/// One service worker: its own service instance on the shared kernel
+/// plus the client session that drives it.
+struct ServiceWorker {
+    web: bool,
+    srv: Service,
+    client: Pid,
+}
+
+/// A service worker's totals: ops attempted, ops failed, and the
+/// syscall bodies it dispatched per class (from its span counters).
+type ServiceTotals = (u64, u64, [u64; SyscallClass::COUNT]);
+
+/// Starts one service per worker on `base` — even workers serve web,
+/// odd workers mail — each on its own port and, for mail, its own
+/// spool, so concurrent workers share kernel locks but never a
+/// connection queue or a rename target.
+fn start_service_workers(base: &mut System) -> Vec<ServiceWorker> {
+    (0..WORKERS)
+        .map(|w| {
+            let web = w % 2 == 0;
+            let srv = if web {
+                workload::start_shared_web_service(base, w)
+            } else {
+                workload::start_shared_mail_service(base, w)
+            }
+            .expect("service start on a clean boot");
+            let client = workload::client_session(base).expect("client login");
+            ServiceWorker { web, srv, client }
+        })
+        .collect()
+}
+
+/// Drives [`SERVICE_OPS`] web requests or mail deliveries against the
+/// worker's own service. A failed op may strand its connection in the
+/// listen backlog, so it is reaped before the next op.
+fn serve_traffic(mut sys: System, w: ServiceWorker, worker: usize) -> ServiceTotals {
+    let rcpt = workload::worker_rcpt(worker);
+    // Span counters are thread-local, so this fresh thread's registry
+    // counts exactly this worker's syscalls.
+    span::set_enabled(true);
+    let mut failures = 0;
+    for i in 0..SERVICE_OPS {
+        let ok = if w.web {
+            workload::web_request(&mut sys, w.client, w.srv).is_ok()
+        } else {
+            let body = format!("w{} op{}", worker, i);
+            workload::mail_delivery(&mut sys, w.client, w.srv, &rcpt, &body).is_ok()
+        };
+        if !ok {
+            failures += 1;
+            while let Ok(stale) = sys.process(w.srv.pid).accept(w.srv.listen_fd) {
+                let _ = sys.process(w.srv.pid).close(stale);
+            }
+        }
+    }
+    span::set_enabled(false);
+    let timing = span::snapshot();
+    let calls = SyscallClass::ALL.map(|c| timing.hist(Pathway::for_class(c)).count);
+    (SERVICE_OPS, failures, calls)
+}
+
+/// Boots a Protego kernel, starts the service workers and drives them
+/// concurrently, optionally under a seeded 1% errno storm. Returns the
+/// summed totals, the panicked-worker count and the injected-fault
+/// count, after checking the kernel came out undamaged.
+fn run_services(storm_seed: Option<u64>) -> (ServiceTotals, usize, u64) {
+    let mut base = boot(SystemMode::Protego);
+    let workers = start_service_workers(&mut base);
+    let stats = storm_seed.map(|seed| base.attach_fault_injector(FaultConfig::storm(seed, 100)).1);
+    let (results, panicked) = run_workers(&base, workers, serve_traffic);
+    let mut sum: ServiceTotals = (0, 0, [0; SyscallClass::COUNT]);
+    for (ops, failures, calls) in results {
+        sum.0 += ops;
+        sum.1 += failures;
+        for (total, n) in sum.2.iter_mut().zip(calls) {
+            *total += n;
+        }
+    }
+    let injected = stats.map_or(0, |s| s.lock().unwrap().injected);
+    assert_undamaged(&mut base);
+    (sum, panicked, injected)
+}
+
+#[test]
+fn web_and_mail_services_share_one_kernel_under_a_storm() {
+    let (totals, panicked, injected) = run_services(Some(0x5EED));
+    assert_eq!(panicked, 0, "no service worker may panic under the storm");
+    assert_eq!(totals.0, WORKERS as u64 * SERVICE_OPS);
     assert!(
-        privileged_artifacts(&mut base).is_empty(),
-        "concurrent churn under faults must not mint privileged artifacts"
+        injected > 0,
+        "a 1% storm over {} concurrent service workers must fire",
+        WORKERS
     );
-    let violations = vfs_namespace_violations(&base);
-    assert!(
-        violations.is_empty(),
-        "namespace invariants violated after churn: {:?}",
-        violations
+
+    let (first, panicked, _) = run_services(None);
+    assert_eq!(panicked, 0);
+    assert_eq!(first.1, 0, "fault-free service traffic never fails");
+    for (class, calls) in SyscallClass::ALL.iter().zip(first.2) {
+        if matches!(class, SyscallClass::Fs | SyscallClass::Net) {
+            assert!(calls > 0, "{:?} bodies dispatched", class);
+        }
+    }
+    let (second, _, _) = run_services(None);
+    assert_eq!(
+        first, second,
+        "fault-free totals must not depend on thread interleaving"
     );
 }
 
