@@ -3,7 +3,6 @@
 //! ```text
 //! tables [table1|table2|table3|table4|table5|table6|table7|table8|ablations|all] [--quick]
 //! tables bench-json [--quick] [--out PATH]   # write BENCH_table5.json
-//! tables profile [--smoke] [--out PATH]      # overhead attribution -> BENCH_profile.json
 //! tables bench-verify PATH                   # validate a results file (schema-dispatched)
 //! tables replay-smoke                        # record + replay determinism check
 //! tables seccomp-derive [--smoke] [--check] [--out PATH]  # derive per-binary allowlists -> SECCOMP_PROFILES.json
@@ -11,7 +10,7 @@
 //! tables fuzz [--seed N] [--mins M] [--smoke]  # adversarial differential fuzzing (legacy vs Protego)
 //! ```
 
-use bench::{json, profile, seccomp_derive, table5};
+use bench::{json, seccomp_derive, table5};
 use setuid_study::render;
 use setuid_study::summary::{table1, MeasuredInputs};
 use userland::suite::{run_divergence_suite, run_functional_suite, run_service_suite};
@@ -28,10 +27,6 @@ fn main() {
 
     if which == "bench-json" {
         run_bench_json(quick, &args);
-        return;
-    }
-    if which == "profile" {
-        run_profile_cmd(&args);
         return;
     }
     if which == "bench-verify" {
@@ -115,19 +110,19 @@ fn print_table5(quick: bool) {
         table5::max_overhead(&rows)
     );
     let mut f = bench::fixture(SystemMode::Protego);
-    let (direct, dispatched) = bench::micro::dispatch_overhead(&mut f, warm, iters);
+    let abi = bench::micro::dispatch_overhead(&mut f, warm, iters);
     println!(
         "  syscall ABI dispatch: direct {:.0} ns, dispatched {:.0} ns ({:+.2}%)",
-        direct,
-        dispatched,
-        bench::overhead_pct(direct, dispatched),
+        abi.base_ns(),
+        abi.variant_ns(),
+        abi.overhead_pct(),
     );
     let seccomp = table5::measure_dispatch_seccomp(warm, iters);
     println!(
         "  seccomp hot path: dispatch off {:.0} ns, enforcing profile {:.0} ns ({:+.2}%, budget <{:.0}%)\n",
-        seccomp.base_ns,
-        seccomp.seccomp_ns,
-        seccomp.overhead_pct,
+        seccomp.base_ns(),
+        seccomp.variant_ns(),
+        seccomp.overhead_pct(),
         json::DISPATCH_SECCOMP_BUDGET_PCT,
     );
 }
@@ -334,38 +329,6 @@ fn run_bench_json(quick: bool, args: &[String]) {
     println!("wrote {}", out);
 }
 
-fn run_profile_cmd(args: &[String]) {
-    let smoke = args.iter().any(|a| a == "--smoke");
-    let out = args
-        .iter()
-        .position(|a| a == "--out")
-        .and_then(|i| args.get(i + 1))
-        .cloned()
-        .unwrap_or_else(|| "BENCH_profile.json".to_string());
-    eprintln!(
-        "profiling kernel pathways ({} mode, both images)...",
-        if smoke { "smoke" } else { "full" }
-    );
-    let report = profile::run_profile(smoke);
-    if let Err(e) = report.check() {
-        eprintln!("error: profile failed its attribution gate: {}", e);
-        std::process::exit(1);
-    }
-    let mut text = report.to_json();
-    text.push('\n');
-    if let Err(e) = json::validate_profile(&text) {
-        eprintln!("error: generated document fails validation: {}", e);
-        std::process::exit(1);
-    }
-    if let Err(e) = std::fs::write(&out, &text) {
-        eprintln!("error: cannot write {}: {}", out, e);
-        std::process::exit(1);
-    }
-    println!("== Overhead attribution (protego, top 15 pathways by self time) ==");
-    print!("{}", report.render(15));
-    println!("wrote {}", out);
-}
-
 /// Derives the per-binary syscall allowlists from a full battery +
 /// workload run on both images, proves the batteries still pass with the
 /// profiles enforced, and writes (or, with `--check`, diffs against) the
@@ -484,9 +447,7 @@ fn run_bench_verify(args: &[String]) {
                 .map(String::from)
         })
         .unwrap_or_default();
-    let checked = if schema == json::PROFILE_SCHEMA {
-        json::validate_profile(&text)
-    } else if schema == json::SECCOMP_SCHEMA {
+    let checked = if schema == json::SECCOMP_SCHEMA {
         json::validate_seccomp_profiles(&text)
     } else {
         json::validate_table5(&text)

@@ -1,5 +1,5 @@
-//! A dependency-free JSON writer, parser and the `BENCH_table5.json`
-//! schema validator.
+//! A dependency-free JSON writer, parser and the validators of the
+//! committed `BENCH_table5.json` and `SECCOMP_PROFILES.json` documents.
 //!
 //! The bench crate must not pull serde into the workspace, so the
 //! machine-readable results file is produced and checked with this small
@@ -316,20 +316,16 @@ impl Parser<'_> {
     }
 }
 
-/// The schema tag of legacy best-of-two Table 5 results files.
-pub const TABLE5_SCHEMA: &str = "bench_table5/v1";
-
-/// The schema tag of Table 5 documents whose micro rows were measured
-/// with the paired interleaved median-of-K protocol: the document carries
+/// The schema tag of Table 5 documents: the document carries
 /// `runs_per_mode` and every micro row carries its per-run samples.
 pub const TABLE5_SCHEMA_V2: &str = "bench_table5/v2";
 
 /// The per-row overhead budget enforced on every micro row of a full
-/// (non-quick) `bench_table5/v2` document, in percent.
+/// (non-quick) Table 5 document, in percent.
 pub const MICRO_BUDGET_PCT: f64 = 10.0;
 
 /// The overhead budget for the `dispatch_seccomp` section of a full
-/// (non-quick) `bench_table5/v2` document, in percent: an enforcing
+/// (non-quick) Table 5 document, in percent: an enforcing
 /// seccomp profile's flat array lookup must stay within 1% of the bare
 /// dispatch row.
 pub const DISPATCH_SECCOMP_BUDGET_PCT: f64 = 1.0;
@@ -341,7 +337,9 @@ fn require_num(row: &Value, field: &str, ctx: &str) -> Result<f64, String> {
         .ok_or_else(|| format!("{}: field {:?} missing or not a finite number", ctx, field))
 }
 
-fn require_rows(doc: &Value, key: &str) -> Result<Vec<(String, f64, f64)>, String> {
+/// Checks the named row array is non-empty with a name and positive
+/// finite medians on every row, and returns it.
+fn require_rows<'a>(doc: &'a Value, key: &str) -> Result<&'a [Value], String> {
     let rows = doc
         .get(key)
         .and_then(Value::as_arr)
@@ -349,7 +347,6 @@ fn require_rows(doc: &Value, key: &str) -> Result<Vec<(String, f64, f64)>, Strin
     if rows.is_empty() {
         return Err(format!("{:?} array is empty", key));
     }
-    let mut out = Vec::new();
     for row in rows {
         let name = row
             .get("name")
@@ -362,9 +359,8 @@ fn require_rows(doc: &Value, key: &str) -> Result<Vec<(String, f64, f64)>, Strin
         if linux <= 0.0 || protego <= 0.0 {
             return Err(format!("{}: non-positive measurement", ctx));
         }
-        out.push((name.to_string(), linux, protego));
     }
-    Ok(out)
+    Ok(rows)
 }
 
 fn cache_hits(doc: &Value, name: &str) -> Result<f64, String> {
@@ -378,35 +374,66 @@ fn cache_hits(doc: &Value, name: &str) -> Result<f64, String> {
 }
 
 /// Validates a `BENCH_table5.json` document against the acceptance
-/// criteria: schema tag, non-empty numeric micro *and* macro rows, the two
-/// required hot-path rows at ≥2x speedup, and nonzero dcache plus
-/// profile-cache hit counters.
-///
-/// `bench_table5/v2` documents must additionally carry `runs_per_mode`
-/// (>= 3) and per-run sample arrays of exactly that length on every micro
-/// row, with the reported median inside the sample range; full (non-quick)
-/// v2 documents must keep every micro row within [`MICRO_BUDGET_PCT`].
-/// v2 documents must also carry the `dispatch_seccomp` section with the
-/// same per-run evidence, bounded by [`DISPATCH_SECCOMP_BUDGET_PCT`] on
-/// full runs.
+/// criteria: the `bench_table5/v2` schema tag, `runs_per_mode` (>= 3),
+/// non-empty numeric micro *and* macro rows, per-run sample arrays of
+/// exactly `runs_per_mode` entries on every micro row and on the
+/// `dispatch_seccomp` section with each reported median inside its
+/// sample range, the two required hot-path rows at ≥2x speedup, and
+/// nonzero dcache plus profile-cache hit counters. Full (non-quick)
+/// documents must also keep every micro row within [`MICRO_BUDGET_PCT`]
+/// and the seccomp row within [`DISPATCH_SECCOMP_BUDGET_PCT`].
 pub fn validate_table5(text: &str) -> Result<(), String> {
     let doc = parse(text).map_err(|e| format!("not valid JSON: {}", e))?;
     let schema = doc
         .get("schema")
         .and_then(Value::as_str)
         .ok_or("missing \"schema\" string")?;
-    if schema != TABLE5_SCHEMA && schema != TABLE5_SCHEMA_V2 {
+    if schema != TABLE5_SCHEMA_V2 {
         return Err(format!(
-            "schema {:?}, expected {:?} or {:?}",
-            schema, TABLE5_SCHEMA, TABLE5_SCHEMA_V2
+            "schema {:?}, expected {:?}",
+            schema, TABLE5_SCHEMA_V2
         ));
     }
-    require_rows(&doc, "micro")?;
+    let micro = require_rows(&doc, "micro")?;
     require_rows(&doc, "macro")?;
-    if schema == TABLE5_SCHEMA_V2 {
-        validate_table5_micro_v2(&doc)?;
-    } else if doc.get("runs_per_mode").is_some() {
-        return Err("v1 document carries \"runs_per_mode\" (should be tagged v2)".into());
+    let runs = require_num(&doc, "runs_per_mode", "document")?;
+    if runs < 3.0 {
+        return Err(format!(
+            "runs_per_mode {} below the minimum 3 for a median to discard outliers",
+            runs
+        ));
+    }
+    let quick = matches!(doc.get("quick"), Some(Value::Bool(true)));
+    for row in micro {
+        let name = row.get("name").and_then(Value::as_str).unwrap_or_default();
+        let ctx = format!("micro row {:?}", name);
+        require_run_samples(row, "linux_runs_ns", "linux_ns", runs, &ctx)?;
+        require_run_samples(row, "protego_runs_ns", "protego_ns", runs, &ctx)?;
+        if !quick {
+            let overhead = require_num(row, "overhead_pct", &ctx)?;
+            if overhead > MICRO_BUDGET_PCT {
+                return Err(format!(
+                    "{}: overhead {:.2}% exceeds the {:.0}% micro budget",
+                    ctx, overhead, MICRO_BUDGET_PCT
+                ));
+            }
+        }
+    }
+
+    let row = doc
+        .get("dispatch_seccomp")
+        .ok_or("missing \"dispatch_seccomp\" object")?;
+    let ctx = "dispatch_seccomp";
+    require_run_samples(row, "base_runs_ns", "base_ns", runs, ctx)?;
+    require_run_samples(row, "seccomp_runs_ns", "seccomp_ns", runs, ctx)?;
+    if !quick {
+        let overhead = require_num(row, "overhead_pct", ctx)?;
+        if overhead > DISPATCH_SECCOMP_BUDGET_PCT {
+            return Err(format!(
+                "{}: overhead {:.2}% exceeds the {:.0}% seccomp hot-path budget",
+                ctx, overhead, DISPATCH_SECCOMP_BUDGET_PCT
+            ));
+        }
     }
 
     let hotpath = doc
@@ -443,7 +470,7 @@ pub fn validate_table5(text: &str) -> Result<(), String> {
     Ok(())
 }
 
-/// Checks one per-run sample array of a v2 row: exactly `runs` finite
+/// Checks one per-run sample array of a row: exactly `runs` finite
 /// positive samples, with the reported median inside the sample range.
 fn require_run_samples(
     row: &Value,
@@ -452,12 +479,10 @@ fn require_run_samples(
     runs: f64,
     ctx: &str,
 ) -> Result<(), String> {
-    let arr = row.get(field).and_then(Value::as_arr).ok_or_else(|| {
-        format!(
-            "{}: missing {:?} (v2 rows carry per-run samples)",
-            ctx, field
-        )
-    })?;
+    let arr = row
+        .get(field)
+        .and_then(Value::as_arr)
+        .ok_or_else(|| format!("{}: missing {:?} (rows carry per-run samples)", ctx, field))?;
     if arr.len() != runs as usize {
         return Err(format!(
             "{}: {} has {} samples, document says runs_per_mode={}",
@@ -483,134 +508,6 @@ fn require_run_samples(
             "{}: {} {} outside its own sample range [{}, {}]",
             ctx, median_field, median, lo, hi
         ));
-    }
-    Ok(())
-}
-
-/// Validates the v2-only parts of a Table 5 document: the paired
-/// median-of-K evidence on every micro row and on the `dispatch_seccomp`
-/// section, and (for full runs) the per-row micro overhead budget plus
-/// the seccomp hot-path budget.
-fn validate_table5_micro_v2(doc: &Value) -> Result<(), String> {
-    let runs = require_num(doc, "runs_per_mode", "document")?;
-    if runs < 3.0 {
-        return Err(format!(
-            "runs_per_mode {} below the minimum 3 for a median to discard outliers",
-            runs
-        ));
-    }
-    let quick = matches!(doc.get("quick"), Some(Value::Bool(true)));
-    let rows = doc
-        .get("micro")
-        .and_then(Value::as_arr)
-        .ok_or("missing \"micro\" array")?;
-    for row in rows {
-        let name = row
-            .get("name")
-            .and_then(Value::as_str)
-            .ok_or("micro row without a string name")?;
-        let ctx = format!("micro row {:?}", name);
-        require_run_samples(row, "linux_runs_ns", "linux_ns", runs, &ctx)?;
-        require_run_samples(row, "protego_runs_ns", "protego_ns", runs, &ctx)?;
-        if !quick {
-            let overhead = require_num(row, "overhead_pct", &ctx)?;
-            if overhead > MICRO_BUDGET_PCT {
-                return Err(format!(
-                    "{}: overhead {:.2}% exceeds the {:.0}% micro budget",
-                    ctx, overhead, MICRO_BUDGET_PCT
-                ));
-            }
-        }
-    }
-
-    let row = doc
-        .get("dispatch_seccomp")
-        .ok_or("v2 document missing \"dispatch_seccomp\" object")?;
-    let ctx = "dispatch_seccomp";
-    require_run_samples(row, "base_runs_ns", "base_ns", runs, ctx)?;
-    require_run_samples(row, "seccomp_runs_ns", "seccomp_ns", runs, ctx)?;
-    if !quick {
-        let overhead = require_num(row, "overhead_pct", ctx)?;
-        if overhead > DISPATCH_SECCOMP_BUDGET_PCT {
-            return Err(format!(
-                "{}: overhead {:.2}% exceeds the {:.0}% seccomp hot-path budget",
-                ctx, overhead, DISPATCH_SECCOMP_BUDGET_PCT
-            ));
-        }
-    }
-    Ok(())
-}
-
-fn require_bool(v: &Value, field: &str, ctx: &str) -> Result<bool, String> {
-    match v.get(field) {
-        Some(Value::Bool(b)) => Ok(*b),
-        _ => Err(format!("{}: field {:?} missing or not a bool", ctx, field)),
-    }
-}
-
-/// The schema tag every generated `BENCH_profile.json` carries.
-pub const PROFILE_SCHEMA: &str = "bench_profile/v1";
-
-/// Validates a `bench_profile/v1` document: schema tag, one run per mode
-/// (`legacy` and `protego`), each with positive dispatched wall time, a
-/// non-empty pathway table whose rows carry finite timing fields, and —
-/// the pipeline's acceptance criterion — at least 95% of dispatched wall
-/// time attributed to named pathways.
-pub fn validate_profile(text: &str) -> Result<(), String> {
-    let doc = parse(text).map_err(|e| format!("not valid JSON: {}", e))?;
-    let schema = doc
-        .get("schema")
-        .and_then(Value::as_str)
-        .ok_or("missing \"schema\" string")?;
-    if schema != PROFILE_SCHEMA {
-        return Err(format!(
-            "schema {:?}, expected {:?}",
-            schema, PROFILE_SCHEMA
-        ));
-    }
-    require_bool(&doc, "smoke", "document")?;
-    let runs = doc
-        .get("runs")
-        .and_then(Value::as_arr)
-        .ok_or("missing \"runs\" array")?;
-    for required in ["legacy", "protego"] {
-        let run = runs
-            .iter()
-            .find(|r| r.get("mode").and_then(Value::as_str) == Some(required))
-            .ok_or_else(|| format!("runs missing required mode {:?}", required))?;
-        let ctx = format!("run {:?}", required);
-        if require_num(run, "root_total_ns", &ctx)? <= 0.0 {
-            return Err(format!("{}: no dispatched wall time recorded", ctx));
-        }
-        require_num(run, "root_spans", &ctx)?;
-        require_num(run, "attributed_self_ns", &ctx)?;
-        let pct = require_num(run, "attributed_pct", &ctx)?;
-        if pct < 95.0 {
-            return Err(format!(
-                "{}: only {:.2}% of dispatched time attributed (need >= 95%)",
-                ctx, pct
-            ));
-        }
-        let pathways = run
-            .get("pathways")
-            .and_then(Value::as_arr)
-            .ok_or_else(|| format!("{} without a pathways array", ctx))?;
-        if pathways.is_empty() {
-            return Err(format!("{}: pathway table is empty", ctx));
-        }
-        for p in pathways {
-            let name = p
-                .get("name")
-                .and_then(Value::as_str)
-                .ok_or_else(|| format!("{}: pathway row without a string name", ctx))?;
-            let ctx = format!("{} pathway {:?}", ctx, name);
-            for field in [
-                "count", "total_ns", "self_ns", "pct", "min_ns", "p50_ns", "p95_ns", "p99_ns",
-                "max_ns",
-            ] {
-                require_num(p, field, &ctx)?;
-            }
-        }
     }
     Ok(())
 }
@@ -764,15 +661,18 @@ mod tests {
 
     fn valid_doc() -> String {
         r#"{
-          "schema": "bench_table5/v1",
-          "quick": true,
-          "micro": [{"name":"read","linux_ns":90.0,"protego_ns":91.0,"overhead_pct":1.1,"paper_overhead_pct":0.0}],
+          "schema": "bench_table5/v2",
+          "quick": false,
+          "runs_per_mode": 3,
+          "micro": [{"name":"read","linux_ns":90.0,"protego_ns":91.0,"linux_runs_ns":[89.0,90.0,92.0],"protego_runs_ns":[90.5,91.0,93.0],"overhead_pct":1.1,"paper_overhead_pct":0.0}],
           "macro": [{"name":"Postal (msg)","linux_ns":900.0,"protego_ns":910.0,"overhead_pct":1.1,"paper_overhead_pct":null}],
           "hotpath": [
             {"name":"glob_match","before_ns":100.0,"after_ns":10.0,"speedup":10.0},
             {"name":"path_resolution","before_ns":100.0,"after_ns":20.0,"speedup":5.0},
             {"name":"file_open","before_ns":100.0,"after_ns":25.0,"speedup":4.0}
           ],
+          "dispatch_seccomp": {"base_ns":200.0,"seccomp_ns":201.0,"overhead_pct":0.5,
+            "base_runs_ns":[199.0,200.0,202.0],"seccomp_runs_ns":[200.0,201.0,203.0]},
           "cache_metrics": {
             "dcache": {"hits":10,"misses":2,"invalidations":1},
             "apparmor_binary_lookup": {"hits":5,"misses":1,"invalidations":0}
@@ -792,88 +692,51 @@ mod tests {
         assert!(validate_table5(&slow).unwrap_err().contains("below"));
         let cold = valid_doc().replace("\"hits\":10", "\"hits\":0");
         assert!(validate_table5(&cold).unwrap_err().contains("dcache"));
-        let wrong_schema = valid_doc().replace("bench_table5/v1", "v0");
+        let wrong_schema = valid_doc().replace("bench_table5/v2", "v0");
         assert!(validate_table5(&wrong_schema).is_err());
+        // The best-of-two v1 format is no longer accepted.
+        let v1 = valid_doc().replace("bench_table5/v2", "bench_table5/v1");
+        assert!(validate_table5(&v1)
+            .unwrap_err()
+            .contains("expected \"bench_table5/v2\""));
         assert!(validate_table5("not json").is_err());
         let no_macro = valid_doc().replace("\"macro\"", "\"macros\"");
         assert!(validate_table5(&no_macro).unwrap_err().contains("macro"));
-    }
-
-    fn valid_profile_doc() -> String {
-        r#"{
-          "schema": "bench_profile/v1",
-          "smoke": true,
-          "runs": [
-            {"mode":"legacy","ops":100,"root_spans":1200,"root_total_ns":900000,
-             "attributed_self_ns":890000,"attributed_pct":98.9,
-             "pathways":[{"name":"sys_fs","count":800,"total_ns":500000,"self_ns":400000,
-                          "pct":44.4,"min_ns":100,"p50_ns":512,"p95_ns":2047,"p99_ns":4095,"max_ns":9000}]},
-            {"mode":"protego","ops":100,"root_spans":1300,"root_total_ns":1000000,
-             "attributed_self_ns":990000,"attributed_pct":99.0,
-             "pathways":[{"name":"sys_fs","count":800,"total_ns":520000,"self_ns":410000,
-                          "pct":41.0,"min_ns":100,"p50_ns":512,"p95_ns":2047,"p99_ns":4095,"max_ns":9000},
-                         {"name":"lsm_file_open","count":800,"total_ns":40000,"self_ns":40000,
-                          "pct":4.0,"min_ns":20,"p50_ns":63,"p95_ns":127,"p99_ns":255,"max_ns":400}]}
-          ]
-        }"#
-        .to_string()
-    }
-
-    #[test]
-    fn profile_validator_accepts_a_good_document() {
-        validate_profile(&valid_profile_doc()).unwrap();
-    }
-
-    #[test]
-    fn profile_validator_enforces_attribution_modes_and_shape() {
-        let leaky =
-            valid_profile_doc().replace("\"attributed_pct\":99.0", "\"attributed_pct\":80.0");
-        assert!(validate_profile(&leaky).unwrap_err().contains("95%"));
-        let one_mode = valid_profile_doc().replace("\"mode\":\"legacy\"", "\"mode\":\"linux\"");
-        assert!(validate_profile(&one_mode).unwrap_err().contains("legacy"));
-        let no_paths = valid_profile_doc().replace("\"p50_ns\":512,", "");
-        assert!(validate_profile(&no_paths).unwrap_err().contains("p50_ns"));
-        let wrong_schema = valid_profile_doc().replace("bench_profile/v1", "bench_profile/v0");
-        assert!(validate_profile(&wrong_schema)
+        let no_runs = valid_doc().replace("\"runs_per_mode\": 3,", "");
+        assert!(validate_table5(&no_runs)
             .unwrap_err()
-            .contains("schema"));
-        assert!(validate_profile("not json").is_err());
+            .contains("runs_per_mode"));
+        let short = valid_doc().replace("[89.0,90.0,92.0]", "[89.0,90.0]");
+        assert!(validate_table5(&short).unwrap_err().contains("2 samples"));
     }
 
-    fn valid_v2_doc() -> String {
-        valid_doc()
-            .replace("bench_table5/v1", "bench_table5/v2")
-            .replace(
-                "\"quick\": true,",
-                "\"quick\": false,\n          \"runs_per_mode\": 3,",
-            )
-            .replace(
-                "\"linux_ns\":90.0,\"protego_ns\":91.0,",
-                "\"linux_ns\":90.0,\"protego_ns\":91.0,\"linux_runs_ns\":[89.0,90.0,92.0],\"protego_runs_ns\":[90.5,91.0,93.0],",
-            )
-            .replace(
-                "\"cache_metrics\": {",
-                "\"dispatch_seccomp\": {\"base_ns\":200.0,\"seccomp_ns\":201.0,\"overhead_pct\":0.5,\n            \"base_runs_ns\":[199.0,200.0,202.0],\"seccomp_runs_ns\":[200.0,201.0,203.0]},\n          \"cache_metrics\": {",
-            )
+    #[test]
+    fn validator_enforces_the_micro_budget_on_full_runs_only() {
+        let over = valid_doc().replace(
+            "\"overhead_pct\":1.1,\"paper_overhead_pct\":0.0",
+            "\"overhead_pct\":12.0,\"paper_overhead_pct\":0.0",
+        );
+        assert!(validate_table5(&over).unwrap_err().contains("micro budget"));
+        validate_table5(&over.replace("\"quick\": false", "\"quick\": true")).unwrap();
     }
 
     #[test]
     fn v2_validator_accepts_and_gates_the_seccomp_dispatch_row() {
-        validate_table5(&valid_v2_doc()).unwrap();
-        let missing = valid_v2_doc().replace("\"dispatch_seccomp\"", "\"dispatch_secomp\"");
+        validate_table5(&valid_doc()).unwrap();
+        let missing = valid_doc().replace("\"dispatch_seccomp\"", "\"dispatch_secomp\"");
         assert!(validate_table5(&missing)
             .unwrap_err()
             .contains("dispatch_seccomp"));
-        let hot = valid_v2_doc().replace("\"overhead_pct\":0.5", "\"overhead_pct\":1.7");
+        let hot = valid_doc().replace("\"overhead_pct\":0.5", "\"overhead_pct\":1.7");
         assert!(validate_table5(&hot)
             .unwrap_err()
             .contains("seccomp hot-path budget"));
         // Quick documents carry the evidence but skip the budget.
-        let quick = valid_v2_doc()
+        let quick = valid_doc()
             .replace("\"quick\": false", "\"quick\": true")
             .replace("\"overhead_pct\":0.5", "\"overhead_pct\":1.7");
         validate_table5(&quick).unwrap();
-        let skewed = valid_v2_doc().replace("\"seccomp_ns\":201.0", "\"seccomp_ns\":250.0");
+        let skewed = valid_doc().replace("\"seccomp_ns\":201.0", "\"seccomp_ns\":250.0");
         assert!(validate_table5(&skewed)
             .unwrap_err()
             .contains("sample range"));

@@ -448,26 +448,30 @@ pub fn all_micro_ops() -> Vec<MicroOp> {
 }
 
 /// Cost of the typed-ABI boundary itself: the same `stat` measured two
-/// ways — direct `sys_stat`, and through
-/// [`sim_kernel::kernel::Kernel::dispatch`] with an empty interceptor
-/// chain. Returns `(direct_ns, dispatched_ns)`.
-pub fn dispatch_overhead(f: &mut Fixture, warmup: u32, iters: u32) -> (f64, f64) {
+/// ways as a [`paired_median`](crate::paired_median) — direct `sys_stat`
+/// (baseline), and through [`sim_kernel::kernel::Kernel::dispatch`] with
+/// an empty interceptor chain.
+pub fn dispatch_overhead(f: &mut Fixture, warmup: u32, iters: u32) -> crate::Paired {
     use sim_kernel::syscall::Syscall;
 
     let sys = &mut f.sys;
     let user = f.user;
-    let direct = crate::quick_time_ns(warmup, iters, || {
-        let _ = sys.kernel.sys_stat(user, "/etc/motd");
-    });
-    let dispatched = crate::quick_time_ns(warmup, iters, || {
-        let _ = sys.kernel.dispatch(
-            user,
-            Syscall::Stat {
-                path: "/etc/motd".into(),
-            },
-        );
-    });
-    (direct, dispatched)
+    crate::paired_median(|dispatched| {
+        if dispatched {
+            crate::quick_time_ns(warmup, iters, || {
+                let _ = sys.kernel.dispatch(
+                    user,
+                    Syscall::Stat {
+                        path: "/etc/motd".into(),
+                    },
+                );
+            })
+        } else {
+            crate::quick_time_ns(warmup, iters, || {
+                let _ = sys.kernel.sys_stat(user, "/etc/motd");
+            })
+        }
+    })
 }
 
 #[cfg(test)]
@@ -492,8 +496,8 @@ mod tests {
     #[test]
     fn dispatch_overhead_measures_both_ways() {
         let mut f = fixture(SystemMode::Protego);
-        let (direct, dispatched) = dispatch_overhead(&mut f, 2, 20);
-        assert!(direct > 0.0 && dispatched > 0.0);
+        let p = dispatch_overhead(&mut f, 2, 20);
+        assert!(p.base_ns() > 0.0 && p.variant_ns() > 0.0);
     }
 
     #[test]

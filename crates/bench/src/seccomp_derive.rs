@@ -23,29 +23,40 @@
 use crate::json::{self, Value};
 use crate::workloads;
 use crate::{fixture, Fixture};
+use sim_kernel::error::KResult;
 use sim_kernel::seccomp::{
     render_profile_line, ProfileRecorder, ProfileSpec, Seccomp, SeccompMode,
 };
 use sim_kernel::syscall::Syscall;
 use userland::suite::{run_functional_suite, run_service_suite, StepOutcome};
+use userland::workload;
 use userland::SystemMode;
 
-/// SMTP round trips in the profiled mail workload.
-pub const POSTAL_MESSAGES: u64 = 16;
+/// SMTP deliveries in the profiled mail workload.
+pub const MAIL_DELIVERIES: u64 = 16;
 /// HTTP round trips in the profiled web workload.
-pub const AB_REQUESTS: u64 = 16;
-/// Concurrent connections per ApacheBench batch.
-pub const AB_CONCURRENCY: u64 = 4;
+pub const WEB_REQUESTS: u64 = 16;
 /// Translation units in the profiled compile workload.
 pub const COMPILE_UNITS: u64 = 4;
 
-/// The web/mail/compile slice of the derivation run (fixed counts).
-fn run_profiled_workloads(f: &mut Fixture) {
-    let (mta, mfd) = workloads::start_mta(f);
-    let _ = workloads::postal(f, mta, mfd, POSTAL_MESSAGES);
-    let (web, wfd) = workloads::start_httpd(f);
-    let _ = workloads::apache_bench(f, web, wfd, AB_REQUESTS, AB_CONCURRENCY);
-    let _ = workloads::compile(f, COMPILE_UNITS);
+/// The web/mail/compile slice of the derivation run (fixed counts): the
+/// `userland::workload` mail and web drivers — the ones the end-to-end
+/// benchmark and the Table 5 Postal row run — then the compile stand-in.
+/// Fails on the first delivery or request that does not complete.
+fn run_profiled_workloads(f: &mut Fixture) -> KResult<()> {
+    let mta = workload::start_mail_service(&mut f.sys)?;
+    let web = workload::start_web_service(&mut f.sys)?;
+    let client = workload::client_session(&mut f.sys)?;
+    for i in 0..MAIL_DELIVERIES {
+        let rcpt = if i % 2 == 0 { "alice" } else { "bob" };
+        workload::mail_delivery(&mut f.sys, client, mta, rcpt, "derivation body")?;
+    }
+    workload::drain_spools(&mut f.sys, mta);
+    for _ in 0..WEB_REQUESTS {
+        workload::web_request(&mut f.sys, client, web)?;
+    }
+    workloads::compile(f, COMPILE_UNITS);
+    Ok(())
 }
 
 /// Runs the full derivation matrix — functional battery, service battery,
@@ -66,7 +77,7 @@ pub fn derive_profiles() -> Vec<ProfileSpec> {
         w.sys
             .kernel
             .register_interceptor(Box::new(recorder.clone()));
-        run_profiled_workloads(&mut w);
+        run_profiled_workloads(&mut w).expect("profiled workloads run unconfined");
     }
     recorder.specs()
 }
@@ -241,7 +252,8 @@ pub fn enforcement_check(specs: &[ProfileSpec], smoke: bool) -> Result<EnforceSu
             // The workloads mirror the derivation's fresh-boot split;
             // their observable gate is the violation counter below.
             let mut w = enforced_fixture(mode)?;
-            run_profiled_workloads(&mut w);
+            run_profiled_workloads(&mut w)
+                .map_err(|e| format!("{:?} workload run failed under enforcement: {}", mode, e))?;
             let violations = w.sys.kernel.seccomp.total_violations();
             if violations > 0 {
                 return Err(format!(
@@ -335,6 +347,40 @@ mod tests {
         let text = profiles_proc_text(&specs);
         let parsed = Seccomp::parse_profiles_text(&text).expect("grammar roundtrip");
         assert_eq!(parsed.len(), specs.len());
+    }
+
+    // The committed allowlists must cover the web and mail drivers the
+    // end-to-end benchmark and the shared-kernel stress test run: a
+    // filter derived from any other workload fails them with EPERM.
+    #[test]
+    fn committed_profiles_enforce_cleanly_over_web_and_mail() {
+        let specs = parse_profiles(include_str!("../../../SECCOMP_PROFILES.json"))
+            .expect("committed profiles parse");
+        for mode in [SystemMode::Legacy, SystemMode::Protego] {
+            let mut sys = userland::boot(mode);
+            sys.kernel.seccomp.load_profiles(&specs).unwrap();
+            sys.kernel.seccomp.set_mode(SeccompMode::Enforce);
+            sys.attach_seccomp();
+            let web = workload::start_web_service(&mut sys).expect("httpd starts");
+            let mta = workload::start_mail_service(&mut sys).expect("exim4 starts");
+            let client = workload::client_session(&mut sys).expect("client login");
+            for i in 0..4 {
+                let rcpt = if i % 2 == 0 { "alice" } else { "bob" };
+                let mail = workload::mail_delivery(&mut sys, client, mta, rcpt, "body");
+                assert_eq!(mail, Ok(()), "{:?} mail delivery {}", mode, i);
+                let web = workload::web_request(&mut sys, client, web);
+                assert_eq!(web, Ok(()), "{:?} web request {}", mode, i);
+            }
+            workload::drain_spools(&mut sys, mta);
+            let violations: Vec<String> = sys
+                .kernel
+                .seccomp
+                .violations()
+                .iter()
+                .map(|v| format!("{} by {}", v.syscall, v.binary.as_str()))
+                .collect();
+            assert!(violations.is_empty(), "{:?}: {:?}", mode, violations);
+        }
     }
 
     // The full derivation + enforcement matrix is exercised by

@@ -1,10 +1,12 @@
-//! Macro workloads of Table 5: the Postal mail benchmark, the kernel
-//! compile, and ApacheBench.
+//! The Table 5 macro workloads `userland::workload` does not already
+//! drive: the kernel-compile stand-in and ApacheBench's batches of
+//! concurrent connections. The Postal row drives
+//! [`userland::workload::mail_delivery`] directly.
 
 use crate::Fixture;
 use sim_kernel::vfs::Mode;
 use userland::bins::mail;
-use userland::workload;
+use userland::workload::Service;
 
 /// Result of a throughput workload.
 #[derive(Clone, Copy, Debug)]
@@ -16,40 +18,9 @@ pub struct Throughput {
 }
 
 impl Throughput {
-    /// Operations per simulated minute of wall-clock time.
-    pub fn per_minute(&self) -> f64 {
-        self.ops as f64 / (self.elapsed_ns as f64 / 60e9)
-    }
-
     /// Nanoseconds per operation.
     pub fn ns_per_op(&self) -> f64 {
         self.elapsed_ns as f64 / self.ops as f64
-    }
-}
-
-/// Starts the image's mail service and returns (server task, listen fd).
-pub fn start_mta(f: &mut Fixture) -> (sim_kernel::Pid, i32) {
-    let srv = workload::start_mail_service(&mut f.sys).expect("spawn mta");
-    (srv.pid, srv.listen_fd)
-}
-
-/// The Postal benchmark: `messages` SMTP round-trips through the MTA.
-pub fn postal(f: &mut Fixture, server: sim_kernel::Pid, fd: i32, messages: u64) -> Throughput {
-    let start = std::time::Instant::now();
-    for i in 0..messages {
-        let rcpt = if i % 2 == 0 { "alice" } else { "bob" };
-        let _ = mail::smtp_send(
-            &mut f.sys,
-            f.user,
-            server,
-            fd,
-            rcpt,
-            "postal benchmark body",
-        );
-    }
-    Throughput {
-        ops: messages,
-        elapsed_ns: start.elapsed().as_nanos(),
     }
 }
 
@@ -91,21 +62,9 @@ pub fn compile(f: &mut Fixture, units: u64) -> Throughput {
     t
 }
 
-/// Starts the image's web service and returns (server task, listen fd).
-pub fn start_httpd(f: &mut Fixture) -> (sim_kernel::Pid, i32) {
-    let srv = workload::start_web_service(&mut f.sys).expect("spawn httpd");
-    (srv.pid, srv.listen_fd)
-}
-
-/// ApacheBench: `requests` HTTP round-trips issued in batches of
-/// `concurrency` open connections (connect all, serve all, read all).
-pub fn apache_bench(
-    f: &mut Fixture,
-    server: sim_kernel::Pid,
-    fd: i32,
-    requests: u64,
-    concurrency: u64,
-) -> Throughput {
+/// ApacheBench: `requests` HTTP round-trips to `srv` issued in batches
+/// of `concurrency` open connections (connect all, serve all, read all).
+pub fn apache_bench(f: &mut Fixture, srv: Service, requests: u64, concurrency: u64) -> Throughput {
     use sim_kernel::net::{Domain, Ipv4, SockType};
     let start = std::time::Instant::now();
     let mut done = 0u64;
@@ -120,7 +79,7 @@ pub fn apache_bench(
             {
                 if f.sys
                     .kernel
-                    .sys_connect(f.user, cli, Ipv4::LOOPBACK, 80)
+                    .sys_connect(f.user, cli, Ipv4::LOOPBACK, srv.port)
                     .is_ok()
                 {
                     let _ = f
@@ -132,7 +91,7 @@ pub fn apache_bench(
             }
         }
         for _ in 0..clients.len() {
-            let _ = mail::httpd_serve_one(&mut f.sys, server, fd);
+            let _ = mail::httpd_serve_one(&mut f.sys, srv.pid, srv.listen_fd);
         }
         for cli in clients {
             let _ = f.sys.kernel.sys_recv(f.user, cli, 65536);
@@ -153,20 +112,6 @@ mod tests {
     use userland::SystemMode;
 
     #[test]
-    fn postal_runs_on_both_modes() {
-        for mode in [SystemMode::Legacy, SystemMode::Protego] {
-            let mut f = fixture(mode);
-            let (mta, fd) = start_mta(&mut f);
-            let t = postal(&mut f, mta, fd, 10);
-            assert_eq!(t.ops, 10);
-            // Mail actually landed.
-            let init = f.sys.init_pid();
-            let spool = f.sys.kernel.read_to_string(init, "/var/mail/bob").unwrap();
-            assert!(spool.contains("postal benchmark body"));
-        }
-    }
-
-    #[test]
     fn compile_runs_and_cleans_up() {
         let mut f = fixture(SystemMode::Protego);
         let t = compile(&mut f, 5);
@@ -178,8 +123,8 @@ mod tests {
     fn apache_bench_serves_all_requests() {
         for mode in [SystemMode::Legacy, SystemMode::Protego] {
             let mut f = fixture(mode);
-            let (web, fd) = start_httpd(&mut f);
-            let t = apache_bench(&mut f, web, fd, 20, 5);
+            let web = userland::workload::start_web_service(&mut f.sys).expect("httpd");
+            let t = apache_bench(&mut f, web, 20, 5);
             assert_eq!(t.ops, 20);
             assert!(t.ns_per_op() > 0.0);
         }

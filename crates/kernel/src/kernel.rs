@@ -1062,11 +1062,6 @@ impl Kernel {
             _ => Err(Errno::ENOENT),
         }
     }
-
-    /// The auth-recency window in logical seconds.
-    pub fn auth_window(&self) -> u64 {
-        AUTH_WINDOW_SECS
-    }
 }
 
 impl std::fmt::Debug for Kernel {

@@ -391,16 +391,6 @@ impl Seccomp {
         Ok(n)
     }
 
-    /// Removes every profile (pids become unconfined).
-    pub fn clear_profiles(&self) {
-        {
-            let mut t = write(&self.inner.table);
-            t.profiles.clear();
-            t.by_binary.clear();
-        }
-        self.bump_generation();
-    }
-
     /// Stamps this table state with a process-globally unique generation
     /// (see [`GENERATION_SOURCE`]), invalidating stale [`PidSel`] and
     /// [`SelMemo`] entries by compare failure.

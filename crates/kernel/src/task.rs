@@ -260,12 +260,6 @@ impl Task {
             None => false,
         }
     }
-
-    /// Like [`Task::recently_authenticated`], additionally requiring that
-    /// the proof was for `scope`.
-    pub fn recently_authenticated_for(&self, scope: AuthScope, now: u64, window: u64) -> bool {
-        self.recently_authenticated(now, window) && self.last_auth_scope == Some(scope)
-    }
 }
 
 #[cfg(test)]

@@ -6,28 +6,30 @@
 //! child-time accumulators so each pathway is charged its **self time**
 //! (elapsed minus time spent in nested spans) as well as its inclusive
 //! elapsed time. Summed self time over all pathways therefore equals the
-//! root-span wall time by construction, which is what lets
-//! `tables profile` attribute ≥95% of dispatched time to named pathways.
+//! root-span wall time by construction, which is what lets the
+//! span-attribution test (`tests/span_attribution.rs`) require ≥95% of
+//! dispatched time on named pathways. The end-to-end benchmark roots its
+//! traced run at the workload request instead and reports the userland
+//! driver as a layer of its own.
 //!
 //! Cost model:
 //!
 //! * **Hot path, enabled** — two `Instant` reads (`Instant::now` at enter,
 //!   `elapsed` at drop) plus a thread-local histogram update. No
 //!   allocation beyond the amortised span-stack `Vec` growth.
-//! * **Hot path, runtime-disabled** (the default) — one thread-local
-//!   `Cell<bool>` read; the guard carries `None` and drop is a no-op.
-//! * **Compiled out** — building `sim-kernel` with
-//!   `--no-default-features` (dropping the `span-timing` feature) turns
-//!   [`span`] into an inert zero-sized guard and the registry into
-//!   constants; the optimiser removes every call site.
+//! * **Hot path, disabled** (the default) — one thread-local `Cell<bool>`
+//!   read; the guard carries `None` and drop is a no-op. [`set_enabled`]
+//!   is the only switch.
 //!
 //! The registry is **thread-local**: each worker thread gets an
 //! isolated set of histograms for free, and snapshots are merged across
 //! threads exactly like [`super::Metrics`]. The caveat is the converse:
 //! two `Kernel` instances driven on the *same* thread share one registry,
-//! so profilers reset it between runs (see `bench::profile`).
+//! so profilers [`reset`] it between runs.
 
 use super::hist::LatencyHistogram;
+use std::cell::{Cell, RefCell};
+use std::time::Instant;
 
 /// A named kernel pathway that feeds a latency histogram.
 ///
@@ -281,154 +283,111 @@ impl TimingSnapshot {
     }
 }
 
-#[cfg(feature = "span-timing")]
-mod imp {
-    use super::{Pathway, TimingSnapshot, PATHWAY_COUNT};
-    use crate::trace::hist::LatencyHistogram;
-    use std::cell::{Cell, RefCell};
-    use std::time::Instant;
+struct Registry {
+    hists: [LatencyHistogram; PATHWAY_COUNT],
+    self_ns: [u64; PATHWAY_COUNT],
+    /// One child-time accumulator per live (entered, not yet dropped)
+    /// span on this thread.
+    stack: Vec<u64>,
+    root_ns: u64,
+    root_spans: u64,
+}
 
-    struct Registry {
-        hists: [LatencyHistogram; PATHWAY_COUNT],
-        self_ns: [u64; PATHWAY_COUNT],
-        /// One child-time accumulator per live (entered, not yet dropped)
-        /// span on this thread.
-        stack: Vec<u64>,
-        root_ns: u64,
-        root_spans: u64,
-    }
-
-    impl Registry {
-        const fn new() -> Registry {
-            const EMPTY: LatencyHistogram = LatencyHistogram::new();
-            Registry {
-                hists: [EMPTY; PATHWAY_COUNT],
-                self_ns: [0; PATHWAY_COUNT],
-                stack: Vec::new(),
-                root_ns: 0,
-                root_spans: 0,
-            }
+impl Registry {
+    const fn new() -> Registry {
+        const EMPTY: LatencyHistogram = LatencyHistogram::new();
+        Registry {
+            hists: [EMPTY; PATHWAY_COUNT],
+            self_ns: [0; PATHWAY_COUNT],
+            stack: Vec::new(),
+            root_ns: 0,
+            root_spans: 0,
         }
     }
+}
 
-    thread_local! {
-        static ENABLED: Cell<bool> = const { Cell::new(false) };
-        static REGISTRY: RefCell<Registry> = const { RefCell::new(Registry::new()) };
-    }
+thread_local! {
+    static ENABLED: Cell<bool> = const { Cell::new(false) };
+    static REGISTRY: RefCell<Registry> = const { RefCell::new(Registry::new()) };
+}
 
-    /// Guard for one pathway traversal; records on drop.
-    #[must_use = "a span measures the scope it is alive for"]
-    pub struct SpanGuard {
-        pathway: Pathway,
-        start: Option<Instant>,
-    }
+/// Guard for one pathway traversal; records on drop.
+#[must_use = "a span measures the scope it is alive for"]
+pub struct SpanGuard {
+    pathway: Pathway,
+    start: Option<Instant>,
+}
 
-    /// Opens a span over `pathway`. When timing is disabled (the default)
-    /// this costs a single thread-local flag read and the returned guard
-    /// is inert.
-    #[inline]
-    pub fn span(pathway: Pathway) -> SpanGuard {
-        if !ENABLED.with(|e| e.get()) {
-            return SpanGuard {
-                pathway,
-                start: None,
-            };
-        }
-        REGISTRY.with(|r| r.borrow_mut().stack.push(0));
-        SpanGuard {
+/// Opens a span over `pathway`. When timing is disabled (the default)
+/// this costs a single thread-local flag read and the returned guard
+/// is inert.
+#[inline]
+pub fn span(pathway: Pathway) -> SpanGuard {
+    if !ENABLED.with(|e| e.get()) {
+        return SpanGuard {
             pathway,
-            start: Some(Instant::now()),
-        }
+            start: None,
+        };
     }
-
-    impl Drop for SpanGuard {
-        fn drop(&mut self) {
-            let Some(start) = self.start else { return };
-            let elapsed = start.elapsed().as_nanos() as u64;
-            REGISTRY.with(|r| {
-                let mut reg = r.borrow_mut();
-                // A reset() between enter and exit empties the stack; the
-                // span then records nothing rather than corrupting state.
-                let Some(child_ns) = reg.stack.pop() else {
-                    return;
-                };
-                let idx = self.pathway as usize;
-                reg.hists[idx].observe(elapsed);
-                reg.self_ns[idx] += elapsed.saturating_sub(child_ns);
-                if let Some(parent) = reg.stack.last_mut() {
-                    *parent += elapsed;
-                } else {
-                    reg.root_ns += elapsed;
-                    reg.root_spans += 1;
-                }
-            });
-        }
+    REGISTRY.with(|r| r.borrow_mut().stack.push(0));
+    SpanGuard {
+        pathway,
+        start: Some(Instant::now()),
     }
+}
 
-    /// Turns span timing on or off for the current thread.
-    pub fn set_enabled(on: bool) {
-        ENABLED.with(|e| e.set(on));
-    }
-
-    /// Whether span timing is currently enabled on this thread.
-    pub fn enabled() -> bool {
-        ENABLED.with(|e| e.get())
-    }
-
-    /// Clears the current thread's histograms and span stack.
-    pub fn reset() {
-        REGISTRY.with(|r| *r.borrow_mut() = Registry::new());
-    }
-
-    /// Copies the current thread's timing state into a mergeable
-    /// snapshot.
-    pub fn snapshot() -> TimingSnapshot {
+impl Drop for SpanGuard {
+    fn drop(&mut self) {
+        let Some(start) = self.start else { return };
+        let elapsed = start.elapsed().as_nanos() as u64;
         REGISTRY.with(|r| {
-            let reg = r.borrow();
-            TimingSnapshot {
-                hists: reg.hists.to_vec(),
-                self_ns: reg.self_ns.to_vec(),
-                root_ns: reg.root_ns,
-                root_spans: reg.root_spans,
+            let mut reg = r.borrow_mut();
+            // A reset() between enter and exit empties the stack; the
+            // span then records nothing rather than corrupting state.
+            let Some(child_ns) = reg.stack.pop() else {
+                return;
+            };
+            let idx = self.pathway as usize;
+            reg.hists[idx].observe(elapsed);
+            reg.self_ns[idx] += elapsed.saturating_sub(child_ns);
+            if let Some(parent) = reg.stack.last_mut() {
+                *parent += elapsed;
+            } else {
+                reg.root_ns += elapsed;
+                reg.root_spans += 1;
             }
-        })
+        });
     }
 }
 
-#[cfg(not(feature = "span-timing"))]
-mod imp {
-    use super::{Pathway, TimingSnapshot};
-
-    /// Inert guard: with `span-timing` compiled out, spans cost nothing.
-    #[must_use = "a span measures the scope it is alive for"]
-    pub struct SpanGuard {
-        _priv: (),
-    }
-
-    /// No-op: `span-timing` is compiled out.
-    #[inline]
-    pub fn span(_pathway: Pathway) -> SpanGuard {
-        SpanGuard { _priv: () }
-    }
-
-    /// No-op: `span-timing` is compiled out.
-    pub fn set_enabled(_on: bool) {}
-
-    /// Always false: `span-timing` is compiled out.
-    pub fn enabled() -> bool {
-        false
-    }
-
-    /// No-op: `span-timing` is compiled out.
-    pub fn reset() {}
-
-    /// Always empty: `span-timing` is compiled out.
-    pub fn snapshot() -> TimingSnapshot {
-        TimingSnapshot::new()
-    }
+/// Turns span timing on or off for the current thread.
+pub fn set_enabled(on: bool) {
+    ENABLED.with(|e| e.set(on));
 }
 
-pub use imp::{enabled, reset, set_enabled, snapshot, span, SpanGuard};
+/// Whether span timing is currently enabled on this thread.
+pub fn enabled() -> bool {
+    ENABLED.with(|e| e.get())
+}
+
+/// Clears the current thread's histograms and span stack.
+pub fn reset() {
+    REGISTRY.with(|r| *r.borrow_mut() = Registry::new());
+}
+
+/// Copies the current thread's timing state into a mergeable
+/// snapshot.
+pub fn snapshot() -> TimingSnapshot {
+    REGISTRY.with(|r| {
+        let reg = r.borrow();
+        TimingSnapshot {
+            hists: reg.hists.to_vec(),
+            self_ns: reg.self_ns.to_vec(),
+            root_ns: reg.root_ns,
+            root_spans: reg.root_spans,
+        }
+    })
+}
 
 /// Renders the current thread's timing state as `/proc/kernel/histograms`
 /// text.
@@ -436,7 +395,7 @@ pub fn render() -> String {
     snapshot().render()
 }
 
-#[cfg(all(test, feature = "span-timing"))]
+#[cfg(test)]
 mod tests {
     use super::*;
     use std::time::Duration;

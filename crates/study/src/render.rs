@@ -1,8 +1,8 @@
 //! Plain-text renderers producing paper-style tables.
 
-use crate::interfaces::{RemainingRow, TABLE4, TABLE8};
-use crate::loc::{LocRow, TABLE2, TABLE2_PRINTED_TOTAL};
-use crate::popularity::{weighted_average, PopularityRow, TABLE3};
+use crate::interfaces::{RemainingRow, TABLE4};
+use crate::loc::{LocRow, TABLE2_PRINTED_TOTAL};
+use crate::popularity::{weighted_average, PopularityRow};
 use crate::summary::Table1;
 
 /// Renders Table 1.
@@ -106,20 +106,12 @@ pub fn render_table8(rows: &[RemainingRow]) -> String {
     s
 }
 
-/// Convenience: render the published Table 2/3/8.
-pub fn render_published() -> String {
-    format!(
-        "{}\n{}\n{}\n{}",
-        render_table2(TABLE2),
-        render_table3(TABLE3),
-        render_table4(),
-        render_table8(TABLE8)
-    )
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::interfaces::TABLE8;
+    use crate::loc::TABLE2;
+    use crate::popularity::TABLE3;
     use crate::summary::{table1, MeasuredInputs};
 
     #[test]

@@ -9,7 +9,6 @@
 
 use super::{fail, CatalogItem};
 use crate::system::{BinEntry, Proc, SystemMode};
-use sim_kernel::error::Errno;
 use sim_kernel::net::{Domain, IcmpKind, Ipv4, Packet, SockType, L4};
 
 /// Catalog entries for this module.
@@ -421,25 +420,4 @@ pub fn myping_main(p: &mut Proc<'_>) -> i32 {
             1
         }
     }
-}
-
-/// A spoofing attempt: claims a TCP source port owned by another user.
-/// Not installed as a binary; used directly by tests and examples to show
-/// the netfilter rule stopping it (Table 4's raw-socket security concern).
-pub fn send_spoofed_tcp(p: &mut Proc<'_>, victim_port: u16, dst: Ipv4) -> Result<(), Errno> {
-    let fd = p.os().socket(Domain::Inet, SockType::Raw, 6)?;
-    let pkt = Packet {
-        src: local_ip(p),
-        dst,
-        ttl: 64,
-        l4: L4::Tcp {
-            src_port: victim_port,
-            dst_port: 80,
-            syn: false,
-        },
-        payload: b"RST".to_vec(),
-        from_raw_socket: true,
-        sender_uid: p.euid(),
-    };
-    p.os().send_packet(fd, pkt)
 }

@@ -115,13 +115,6 @@ pub fn pppd_main(p: &mut Proc<'_>) -> i32 {
     0
 }
 
-/// Tears down a pppd link created by `pid` (helper used by tests).
-pub fn pppd_down(p: &mut Proc<'_>, dest: Ipv4, prefix: u8) -> Result<(), Errno> {
-    p.sys
-        .kernel
-        .sys_ioctl_route(p.pid, RouteOp::Del { dest, prefix })
-}
-
 /// The uid pppd runs under after dropping privilege in legacy mode — kept
 /// for symmetry with the paper's description of privilege bracketing.
 pub const PPPD_RUN_UID: Uid = Uid(0);
