@@ -1,5 +1,5 @@
 #!/usr/bin/env bash
-# Repo CI: formatting, lints, tier-1 tests, and audit-subsystem guards.
+# Repo CI: formatting, lints, tier-1 tests, smoke runs and rustdoc.
 set -euo pipefail
 cd "$(dirname "$0")"
 
@@ -25,8 +25,10 @@ cargo test --release --offline --manifest-path e2e-bench/Cargo.toml
 echo "== zero-alloc gate: steady-state fast path allocates nothing =="
 # Counting-allocator proof that a warm resolve/open/read/close/getuid
 # cycle under the full Protego LSM performs zero heap allocations
-# (interner + dcache + path arenas end to end), and that a warm Protego
-# hook matching a policy rule allocates nothing either.
+# (interner + dcache + path arenas end to end), that a warm Protego
+# hook matching a policy rule allocates nothing either, and that a warm
+# stock setuid denial (typed audit event into a full ring) allocates
+# nothing.
 cargo test -q -p protego-core --features alloc-count --test fastpath_alloc
 
 echo "== smoke bench: BENCH_table5.json regenerates and validates =="
@@ -75,13 +77,5 @@ cmp target/fuzz.smoke.1.txt target/fuzz.smoke.2.txt \
 
 echo "== docs: sim-kernel + bench rustdoc is warning-clean =="
 RUSTDOCFLAGS="-D warnings" cargo doc -p sim-kernel -p bench --no-deps --quiet
-
-echo "== guard: no string-formatted audit calls =="
-# The legacy unbounded string log is gone; decisions must go through the
-# typed emit_* API so provenance and metrics stay complete.
-if grep -rn "audit_event(format!" --include='*.rs' crates src examples benches 2>/dev/null; then
-    echo "error: string audit_event(format!(..)) call sites found; use emit_lsm_event/emit_kernel_event" >&2
-    exit 1
-fi
 
 echo "CI OK"

@@ -12,6 +12,7 @@
 use crate::Fixture;
 use sim_kernel::net::{Domain, Ipv4, Packet, SockType};
 use sim_kernel::task::Pid;
+use sim_kernel::trace::Hook;
 use userland::SystemMode;
 
 /// Sends `n` kernel-built UDP datagrams (the non-raw fast path the
@@ -65,7 +66,7 @@ pub fn prompts_for_window(spacing_secs: u64) -> u64 {
         .audit
         .events()
         .into_iter()
-        .filter(|l| l.starts_with("auth:"))
+        .filter(|e| e.provenance.hook == Hook::Auth)
         .count() as u64
 }
 

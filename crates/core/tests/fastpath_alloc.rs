@@ -2,7 +2,8 @@
 //! allocation-free end to end: once the interner, dcache, path-arena
 //! pools and fd table are warm, a resolve/open/read/close/getuid cycle
 //! under the full Protego LSM performs **zero** heap allocations, and so
-//! does a warm Protego hook that matches a policy rule.
+//! do a warm Protego hook that matches a policy rule and a warm denial
+//! that lands in the audit ring.
 //!
 //! Built only with `--features alloc-count` (see `[[test]]` in
 //! Cargo.toml) so ordinary test runs keep the stock allocator.
@@ -169,4 +170,37 @@ fn warm_hooks_matching_a_rule_are_allocation_free() {
         }
     });
     assert_eq!(n, 0, "matched hooks allocated {} times (expected 0)", n);
+}
+
+/// A denial leaves a typed audit event in the ring, and that costs no
+/// heap allocation: the event carries no formatted text, and once the
+/// ring is full each push evicts the oldest event in place.
+#[test]
+fn warm_stock_setuid_denial_is_allocation_free() {
+    let k = Kernel::new(SimNet::new());
+    k.register_lsm(Box::new(ProtegoLsm::new())).expect("lsm");
+    let _root = k.spawn_init();
+    let user = k.spawn_session(Credentials::user(Uid(1000), Gid(1000)), "/bin/sh");
+    assert!(!k.trace());
+    let deny = || assert_eq!(k.sys_setuid(user, Uid::ROOT), Err(Errno::EPERM));
+
+    // Warmup: fill the ring past capacity and the metrics errno table.
+    for _ in 0..2 * k.audit.capacity() {
+        deny();
+    }
+    let seq0 = k.audit.next_seq();
+
+    let n = count_allocs(|| {
+        for _ in 0..256 {
+            deny();
+        }
+    });
+    assert_eq!(
+        n, 0,
+        "warm setuid denial allocated {} times (expected 0)",
+        n
+    );
+    assert_eq!(k.audit.next_seq() - seq0, 256, "every denial was audited");
+    let last = k.audit.last().expect("denial stored with trace off");
+    assert!(last.is_denial() && last.provenance.module == "kernel");
 }

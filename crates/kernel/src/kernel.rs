@@ -7,8 +7,8 @@
 //! threads at once. Mutable state lives behind fine-grained interior
 //! locks — the sharded VFS namespace, a sharded task table, [`Locked`]
 //! wrappers around the peripheral subsystems, atomics for the clock and
-//! pid counter, and per-worker shards for metrics and audit staging. See
-//! `DESIGN.md` §13 for the lock hierarchy.
+//! pid counter, per-worker metrics shards, and one mutex over the audit
+//! ring. See `DESIGN.md` §13 for the lock hierarchy.
 
 use crate::caps::Cap;
 use crate::cred::{Credentials, Uid};
@@ -22,7 +22,7 @@ use crate::sync::{lock, read, write, Locked};
 use crate::task::{Pid, PipeId, Task, TaskIdentity};
 use crate::trace::DecisionKind;
 use crate::trace::{
-    AuditEvent, AuditObject, AuditSink, Hook, Metrics, Provenance, ShardedMetrics, SharedAuditRing,
+    AuditEvent, AuditObject, AuditRing, AuditSink, Hook, Metrics, Provenance, ShardedMetrics,
 };
 use crate::vfs::{Ino, InodeData, Mode, ProcHook, Vfs};
 use std::collections::{BTreeMap, VecDeque};
@@ -236,12 +236,11 @@ pub struct Kernel {
     pub devices: Locked<DeviceRegistry>,
     /// Pipe arena with free-list slot reuse.
     pub pipes: PipeArena,
-    /// Bounded audit trail of typed policy events, with per-worker write
-    /// staging. Denials are always recorded; informational events
-    /// require `trace`.
-    pub audit: SharedAuditRing,
-    /// Kernel-wide decision counters and latency aggregates (always on),
-    /// accumulated per worker and merged on snapshot.
+    /// Bounded audit trail of typed policy events. Denials are always
+    /// recorded; informational events require `trace`.
+    pub audit: AuditRing,
+    /// Kernel-wide decision counters (always on), accumulated per worker
+    /// and merged on snapshot.
     pub metrics: ShardedMetrics,
     /// Whether unprivileged user-namespace creation is allowed — the
     /// Linux >= 3.8 behaviour (§4.6); the paper's 3.6 baseline is false.
@@ -372,7 +371,7 @@ impl Kernel {
             devices: Locked::new(DeviceRegistry::new()),
             pipes: PipeArena::default(),
             clock: AtomicU64::new(1_000_000),
-            audit: SharedAuditRing::default(),
+            audit: AuditRing::default(),
             metrics: ShardedMetrics::new(),
             trace: AtomicBool::new(false),
             unprivileged_userns: false,
@@ -529,8 +528,7 @@ impl Kernel {
             0,
             "register_lsm",
             AuditObject::None,
-            Provenance::kernel(Hook::Lifecycle, DecisionKind::Info, None),
-            format!("lsm: registered module '{}'", name),
+            Provenance::lsm(name, Hook::Lifecycle, None, DecisionKind::Info, None),
         );
         Ok(())
     }
@@ -603,7 +601,6 @@ impl Kernel {
         syscall: &'static str,
         object: AuditObject,
         provenance: Provenance,
-        message: String,
     ) {
         let _span = crate::trace::span(crate::trace::Pathway::AuditEmit);
         let (ruid, euid) = self
@@ -619,7 +616,6 @@ impl Kernel {
             syscall,
             object,
             provenance,
-            message,
         };
         self.metrics.record(&ev);
         for sink in lock(&self.sinks).iter_mut() {
@@ -642,7 +638,6 @@ impl Kernel {
         errno: Option<Errno>,
         rule: Option<RuleId>,
         object: AuditObject,
-        message: String,
     ) {
         let module = self.lsm_name();
         self.emit_event(
@@ -650,12 +645,10 @@ impl Kernel {
             syscall,
             object,
             Provenance::lsm(module, hook, rule, decision, errno),
-            message,
         );
     }
 
     /// Emits an event attributed to stock kernel policy (no module rule).
-    #[allow(clippy::too_many_arguments)]
     pub fn emit_kernel_event(
         &self,
         pid: Pid,
@@ -664,14 +657,12 @@ impl Kernel {
         decision: DecisionKind,
         errno: Option<Errno>,
         object: AuditObject,
-        message: String,
     ) {
         self.emit_event(
             pid.0,
             syscall,
             object,
             Provenance::kernel(hook, decision, errno),
-            message,
         );
     }
 
@@ -760,7 +751,7 @@ impl Kernel {
         // common grant/fall-through path performs no clones. Both guards
         // (task shard read, LSM read) drop at the end of the block,
         // before any event is emitted.
-        let ((decision, rule), has, euid) = {
+        let ((decision, rule), has) = {
             let t = match self.task(pid) {
                 Ok(t) => t,
                 Err(_) => return false,
@@ -770,20 +761,12 @@ impl Kernel {
                     m.capable(&t.cred, &t.binary, cap)
                 }),
                 t.cred.has_cap(cap),
-                t.cred.euid,
             )
         };
         match decision {
             Decision::UseDefault => has,
             Decision::Allow => true,
             Decision::Deny(e) => {
-                let binary = self.task(pid).map(|t| t.binary.clone()).unwrap_or_default();
-                let msg = format!(
-                    "capable: lsm denied {} for {} ({})",
-                    cap.name(),
-                    euid,
-                    binary
-                );
                 self.emit_lsm_event(
                     pid,
                     "capable",
@@ -792,7 +775,6 @@ impl Kernel {
                     Some(e),
                     rule,
                     AuditObject::Capability(cap.name()),
-                    msg,
                 );
                 false
             }
@@ -817,20 +799,13 @@ impl Kernel {
         let ok = agent.authenticate(scope, &mut input, &self.vfs);
         let now = self.clock();
         let mut parent = None;
-        let mut reprompt_gap = None;
         if let Ok(mut t) = self.task_mut(pid) {
             t.terminal_input = input;
             if ok {
-                reprompt_gap = t.last_auth.map(|prev| now.saturating_sub(prev));
                 t.last_auth = Some(now);
                 t.last_auth_scope = Some(scope);
                 parent = Some(t.ppid);
             }
-        }
-        // Logical-clock interval between successful prompts for the same
-        // task: the usability metric the recency-window ablation sweeps.
-        if let Some(gap) = reprompt_gap {
-            self.metrics.observe_latency("auth_reprompt_gap", gap);
         }
         // Recency is a property of the login session, not just the one
         // process that prompted (sudo's classic per-terminal ticket): the
@@ -843,18 +818,16 @@ impl Kernel {
             }
         }
         drop(slot);
-        let msg = format!(
-            "auth: {:?} for pid {} -> {}",
-            scope,
-            pid.0,
-            if ok { "success" } else { "failure" }
-        );
         let (kind, errno) = if ok {
             (DecisionKind::Info, None)
         } else {
             (DecisionKind::Deny, Some(Errno::EACCES))
         };
-        self.emit_kernel_event(pid, "auth", Hook::Auth, kind, errno, AuditObject::None, msg);
+        let object = match scope {
+            AuthScope::User(uid) => AuditObject::UidTarget(uid.0),
+            AuthScope::Group(gid) => AuditObject::GidTarget(gid.0),
+        };
+        self.emit_kernel_event(pid, "auth", Hook::Auth, kind, errno, object);
         ok
     }
 
@@ -1163,7 +1136,6 @@ mod tests {
             "test",
             AuditObject::None,
             Provenance::kernel(Hook::Lifecycle, DecisionKind::Info, None),
-            "ignored".into(),
         );
         assert!(k.audit.is_empty());
         k.set_trace(true);
@@ -1172,7 +1144,6 @@ mod tests {
             "test",
             AuditObject::None,
             Provenance::kernel(Hook::Lifecycle, DecisionKind::Info, None),
-            "recorded".into(),
         );
         assert_eq!(k.audit.len(), 1);
         // Metrics saw both events even though only one was stored.
@@ -1193,7 +1164,6 @@ mod tests {
             "test",
             AuditObject::None,
             Provenance::kernel(Hook::SbMount, DecisionKind::Deny, Some(Errno::EPERM)),
-            "denied".into(),
         );
         assert_eq!(k.audit.len(), 1);
         assert!(k.audit.last().unwrap().is_denial());
@@ -1239,14 +1209,12 @@ mod tests {
             "test",
             AuditObject::None,
             Provenance::kernel(Hook::Lifecycle, DecisionKind::Info, None),
-            "info".into(),
         );
         k.emit_event(
             0,
             "test",
             AuditObject::None,
             Provenance::kernel(Hook::SbMount, DecisionKind::Deny, Some(Errno::EPERM)),
-            "denied".into(),
         );
         assert!(k.audit.len() == 1);
         assert_eq!(lock(&feed).events.len(), 2);

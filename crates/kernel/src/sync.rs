@@ -9,9 +9,8 @@
 //!   poisoned `std` lock, so all kernel subsystems acquire through these;
 //! * [`PerThread`], a per-instance thread-local slot used where a value
 //!   is logically *per (object, thread)* — e.g. a worker thread's
-//!   metrics shard or audit staging buffer, which only that thread
-//!   writes, so thread-locality keeps it exact under concurrency without
-//!   any locking.
+//!   metrics shard, which only that thread writes, so thread-locality
+//!   keeps it exact under concurrency without any locking.
 
 use std::any::Any;
 use std::cell::RefCell;

@@ -965,7 +965,7 @@ impl Kernel {
         let mut injected = None;
         // Complain-mode notes filed by hooks via `Verdict::Note`; empty on
         // the fast path (`Vec::new` does not allocate until first push).
-        let mut notes: Vec<(&'static str, Errno, String)> = Vec::new();
+        let mut notes: Vec<(&'static str, Errno)> = Vec::new();
         {
             let _before_span = trace::span(trace::Pathway::InterceptBefore);
             for ic in chain() {
@@ -979,11 +979,11 @@ impl Kernel {
                         injected = Some((e, ic.name()));
                         break;
                     }
-                    Verdict::Note { errno, note } => notes.push((ic.name(), errno, note)),
+                    Verdict::Note { errno } => notes.push((ic.name(), errno)),
                 }
             }
         }
-        for (who, errno, note) in notes {
+        for (who, errno) in notes {
             self.emit_event(
                 pid.0,
                 call.name(),
@@ -995,12 +995,10 @@ impl Kernel {
                     decision: DecisionKind::Info,
                     errno: Some(errno),
                 },
-                note,
             );
         }
         let ret = match injected {
             Some((e, who)) => {
-                let msg = format!("{}: injected {} by interceptor '{}'", call.name(), e, who);
                 self.emit_event(
                     pid.0,
                     call.name(),
@@ -1012,7 +1010,6 @@ impl Kernel {
                         decision: DecisionKind::Deny,
                         errno: Some(e),
                     },
-                    msg,
                 );
                 SysRet::Err(e)
             }

@@ -284,7 +284,6 @@ impl Kernel {
                         break;
                     }
                     FileDecision::Allow => {
-                        let msg = format!("open: lsm granted {}", abs);
                         self.emit_lsm_event(
                             pid,
                             "open",
@@ -293,13 +292,11 @@ impl Kernel {
                             None,
                             rule,
                             AuditObject::Path(abs.to_string()),
-                            msg,
                         );
                         break;
                     }
                     FileDecision::AllowCloexec => {
                         force_cloexec = true;
-                        let msg = format!("open: lsm granted {} (cloexec forced)", abs);
                         self.emit_lsm_event(
                             pid,
                             "open",
@@ -308,12 +305,10 @@ impl Kernel {
                             None,
                             rule,
                             AuditObject::Path(abs.to_string()),
-                            msg,
                         );
                         break;
                     }
                     FileDecision::Deny(e) => {
-                        let msg = format!("open: lsm denied {} ({})", abs, e.name());
                         self.emit_lsm_event(
                             pid,
                             "open",
@@ -322,14 +317,12 @@ impl Kernel {
                             Some(e),
                             rule,
                             AuditObject::Path(abs.to_string()),
-                            msg,
                         );
                         return Err(e);
                     }
                     FileDecision::NeedAuth(scope) => {
                         attempts += 1;
                         if attempts > 1 || !self.run_auth(pid, scope) {
-                            let msg = format!("open: auth failed for {}", abs);
                             self.emit_lsm_event(
                                 pid,
                                 "open",
@@ -338,7 +331,6 @@ impl Kernel {
                                 Some(Errno::EACCES),
                                 rule,
                                 AuditObject::Path(abs.to_string()),
-                                msg,
                             );
                             return Err(Errno::EACCES);
                         }
@@ -576,7 +568,6 @@ impl Kernel {
             ProcHook::LsmConfig(name) => {
                 let cred = self.task(pid)?.cred.clone();
                 if !cred.euid.is_root() {
-                    let msg = format!("lsm-config: non-root write to '{}' refused", name);
                     self.emit_kernel_event(
                         pid,
                         "write",
@@ -584,13 +575,11 @@ impl Kernel {
                         DecisionKind::Deny,
                         Some(Errno::EPERM),
                         AuditObject::Config(name.to_string()),
-                        msg,
                     );
                     return Err(Errno::EPERM);
                 }
                 let content = String::from_utf8(data.to_vec()).map_err(|_| Errno::EINVAL)?;
                 self.lsm_config_write(name, &content)?;
-                let msg = format!("lsm-config: '{}' updated", name);
                 self.emit_kernel_event(
                     pid,
                     "write",
@@ -598,7 +587,6 @@ impl Kernel {
                     DecisionKind::Info,
                     None,
                     AuditObject::Config(name.to_string()),
-                    msg,
                 );
                 Ok(data.len())
             }
@@ -620,7 +608,6 @@ impl Kernel {
             _ => "seccomp/violations",
         };
         if !self.task(pid)?.cred.euid.is_root() {
-            let msg = format!("seccomp: non-root write to '{}' refused", node);
             self.emit_kernel_event(
                 pid,
                 "write",
@@ -628,34 +615,29 @@ impl Kernel {
                 DecisionKind::Deny,
                 Some(Errno::EPERM),
                 AuditObject::Config(node.to_string()),
-                msg,
             );
             return Err(Errno::EPERM);
         }
         let content = String::from_utf8(data.to_vec()).map_err(|_| Errno::EINVAL)?;
-        let msg = match hook {
+        match hook {
             ProcHook::SeccompProfiles => {
                 let specs = crate::seccomp::Seccomp::parse_profiles_text(&content)
                     .map_err(|_| Errno::EINVAL)?;
-                let n = self
-                    .seccomp
+                self.seccomp
                     .load_profiles(&specs)
                     .map_err(|_| Errno::EINVAL)?;
-                format!("seccomp: loaded {} profiles", n)
             }
             ProcHook::SeccompStatus => {
                 let mode = crate::seccomp::SeccompMode::parse(&content).ok_or(Errno::EINVAL)?;
                 self.seccomp.set_mode(mode);
-                format!("seccomp: mode -> {}", mode.name())
             }
             _ => {
                 if content.trim() != "clear" {
                     return Err(Errno::EINVAL);
                 }
                 self.seccomp.clear_violations();
-                "seccomp: violation log cleared".to_string()
             }
-        };
+        }
         self.emit_kernel_event(
             pid,
             "write",
@@ -663,7 +645,6 @@ impl Kernel {
             DecisionKind::Info,
             None,
             AuditObject::Config(node.to_string()),
-            msg,
         );
         Ok(data.len())
     }

@@ -21,9 +21,8 @@ impl Kernel {
         let mut attempts = 0;
         loop {
             // The hook context borrows the task's credentials and binary
-            // in place — no clones on the id fast path. Only the scalar
-            // ruid survives the block for the audit messages.
-            let ((decision, rule), ruid) = {
+            // in place — no clones on the id fast path.
+            let (decision, rule) = {
                 let t = self.task(pid)?;
                 let ctx = SetidCtx {
                     cred: &t.cred,
@@ -32,13 +31,11 @@ impl Kernel {
                     last_auth_scope: t.last_auth_scope,
                     now: self.clock(),
                 };
-                let hook = self.lsm_hook(Pathway::LsmTaskSetuid, |m| m.task_setuid(&ctx, target));
-                (hook, t.cred.ruid)
+                self.lsm_hook(Pathway::LsmTaskSetuid, |m| m.task_setuid(&ctx, target))
             };
             match decision {
                 SetuidDecision::UseDefault => return self.setuid_stock(pid, target),
                 SetuidDecision::Allow => {
-                    let msg = format!("setuid: lsm granted {} -> {}", ruid, target);
                     self.emit_lsm_event(
                         pid,
                         "setuid",
@@ -47,7 +44,6 @@ impl Kernel {
                         None,
                         rule,
                         AuditObject::UidTarget(target.0),
-                        msg,
                     );
                     let mut t = self.task_mut(pid)?;
                     t.cred.ruid = target;
@@ -64,7 +60,6 @@ impl Kernel {
                     return Ok(());
                 }
                 SetuidDecision::Deny(e) => {
-                    let msg = format!("setuid: lsm denied {} -> {} ({})", ruid, target, e.name());
                     self.emit_lsm_event(
                         pid,
                         "setuid",
@@ -73,15 +68,10 @@ impl Kernel {
                         Some(e),
                         rule,
                         AuditObject::UidTarget(target.0),
-                        msg,
                     );
                     return Err(e);
                 }
                 SetuidDecision::Pending(p) => {
-                    let msg = format!(
-                        "setuid: pending transition {} -> {} restricted to {:?}",
-                        ruid, target, p.allowed_binaries
-                    );
                     self.emit_lsm_event(
                         pid,
                         "setuid",
@@ -90,7 +80,6 @@ impl Kernel {
                         None,
                         rule,
                         AuditObject::UidTarget(target.0),
-                        msg,
                     );
                     self.task_mut(pid)?.pending_setuid = Some(p);
                     // The call *reports* success; the credential change is
@@ -100,7 +89,6 @@ impl Kernel {
                 SetuidDecision::NeedAuth(scope) => {
                     attempts += 1;
                     if attempts > 1 || !self.run_auth(pid, scope) {
-                        let msg = format!("setuid: auth failed for {} -> {}", ruid, target);
                         self.emit_lsm_event(
                             pid,
                             "setuid",
@@ -109,7 +97,6 @@ impl Kernel {
                             Some(Errno::EPERM),
                             rule,
                             AuditObject::UidTarget(target.0),
-                            msg,
                         );
                         return Err(Errno::EPERM);
                     }
@@ -134,23 +121,18 @@ impl Kernel {
         }
         // The write guard is scoped so it is gone before the audit
         // emission (which re-reads the same task shard).
-        let (allowed, ruid) = {
+        let allowed = {
             let mut t = self.task_mut(pid)?;
-            if target == t.cred.ruid || target == t.cred.suid {
+            let allowed = target == t.cred.ruid || target == t.cred.suid;
+            if allowed {
                 t.cred.euid = target;
                 t.cred.fsuid = target;
-                (true, t.cred.ruid)
-            } else {
-                (false, t.cred.ruid)
             }
+            allowed
         };
         if allowed {
             Ok(())
         } else {
-            let msg = format!(
-                "setuid: stock denied {} -> {} (no CAP_SETUID)",
-                ruid, target
-            );
             self.emit_kernel_event(
                 pid,
                 "setuid",
@@ -158,7 +140,6 @@ impl Kernel {
                 DecisionKind::Deny,
                 Some(Errno::EPERM),
                 AuditObject::UidTarget(target.0),
-                msg,
             );
             Err(Errno::EPERM)
         }
@@ -188,9 +169,8 @@ impl Kernel {
     pub fn sys_setgid(&self, pid: Pid, target: Gid) -> KResult<()> {
         let mut attempts = 0;
         loop {
-            // Clone-free hook context, as in sys_setuid; the scalar rgid
-            // survives for the audit messages.
-            let ((decision, rule), rgid) = {
+            // Clone-free hook context, as in sys_setuid.
+            let (decision, rule) = {
                 let t = self.task(pid)?;
                 let ctx = SetidCtx {
                     cred: &t.cred,
@@ -199,13 +179,11 @@ impl Kernel {
                     last_auth_scope: t.last_auth_scope,
                     now: self.clock(),
                 };
-                let hook = self.lsm_hook(Pathway::LsmTaskSetgid, |m| m.task_setgid(&ctx, target));
-                (hook, t.cred.rgid)
+                self.lsm_hook(Pathway::LsmTaskSetgid, |m| m.task_setgid(&ctx, target))
             };
             match decision {
                 SetuidDecision::UseDefault => return self.setgid_stock(pid, target),
                 SetuidDecision::Allow => {
-                    let msg = format!("setgid: lsm granted {} -> {}", rgid.0, target.0);
                     self.emit_lsm_event(
                         pid,
                         "setgid",
@@ -214,7 +192,6 @@ impl Kernel {
                         None,
                         rule,
                         AuditObject::GidTarget(target.0),
-                        msg,
                     );
                     let mut t = self.task_mut(pid)?;
                     t.cred.rgid = target;
@@ -226,12 +203,6 @@ impl Kernel {
                     return Ok(());
                 }
                 SetuidDecision::Deny(e) => {
-                    let msg = format!(
-                        "setgid: lsm denied {} -> {} ({})",
-                        rgid.0,
-                        target.0,
-                        e.name()
-                    );
                     self.emit_lsm_event(
                         pid,
                         "setgid",
@@ -240,7 +211,6 @@ impl Kernel {
                         Some(e),
                         rule,
                         AuditObject::GidTarget(target.0),
-                        msg,
                     );
                     return Err(e);
                 }
@@ -248,7 +218,6 @@ impl Kernel {
                 SetuidDecision::NeedAuth(scope) => {
                     attempts += 1;
                     if attempts > 1 || !self.run_auth(pid, scope) {
-                        let msg = format!("setgid: auth failed for {} -> {}", rgid.0, target.0);
                         self.emit_lsm_event(
                             pid,
                             "setgid",
@@ -257,7 +226,6 @@ impl Kernel {
                             Some(Errno::EPERM),
                             rule,
                             AuditObject::GidTarget(target.0),
-                            msg,
                         );
                         return Err(Errno::EPERM);
                     }
@@ -276,22 +244,17 @@ impl Kernel {
             return Ok(());
         }
         // Scoped as in setuid_stock: guard released before any emission.
-        let (allowed, rgid) = {
+        let allowed = {
             let mut t = self.task_mut(pid)?;
-            if target == t.cred.rgid || target == t.cred.sgid {
+            let allowed = target == t.cred.rgid || target == t.cred.sgid;
+            if allowed {
                 t.cred.egid = target;
-                (true, t.cred.rgid)
-            } else {
-                (false, t.cred.rgid)
             }
+            allowed
         };
         if allowed {
             Ok(())
         } else {
-            let msg = format!(
-                "setgid: stock denied {} -> {} (no CAP_SETGID)",
-                rgid.0, target.0
-            );
             self.emit_kernel_event(
                 pid,
                 "setgid",
@@ -299,7 +262,6 @@ impl Kernel {
                 DecisionKind::Deny,
                 Some(Errno::EPERM),
                 AuditObject::GidTarget(target.0),
-                msg,
             );
             Err(Errno::EPERM)
         }

@@ -53,15 +53,12 @@ pub enum Verdict {
     /// Let the call proceed but have the dispatcher emit an
     /// informational audit event on the interceptor's behalf — the
     /// complain-mode primitive: `errno` is what a denying configuration
-    /// *would* have returned, `note` the human-readable explanation.
-    /// (Informational events reach the ring only while
-    /// [`Kernel::trace`](crate::kernel::Kernel::trace) is on, like every
-    /// other `Info` event.)
+    /// *would* have returned. (Informational events reach the ring only
+    /// while [`Kernel::trace`](crate::kernel::Kernel::trace) is on, like
+    /// every other `Info` event.)
     Note {
         /// The errno an enforcing configuration would have injected.
         errno: Errno,
-        /// Human-readable explanation, becomes the audit message.
-        note: String,
     },
 }
 

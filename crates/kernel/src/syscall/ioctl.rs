@@ -90,10 +90,6 @@ impl Kernel {
                 match decision {
                     Decision::UseDefault => {
                         if !self.capable(pid, Cap::NetAdmin) {
-                            let msg = format!(
-                                "ioctl: modem {:?} denied for {} (no CAP_NET_ADMIN)",
-                                opt, cred.ruid
-                            );
                             self.emit_kernel_event(
                                 pid,
                                 "ioctl",
@@ -101,13 +97,11 @@ impl Kernel {
                                 DecisionKind::Deny,
                                 Some(Errno::EPERM),
                                 AuditObject::Device(dev_path),
-                                msg,
                             );
                             return Err(Errno::EPERM);
                         }
                     }
                     Decision::Allow => {
-                        let msg = format!("ioctl: lsm granted modem {:?} to {}", opt, cred.ruid);
                         self.emit_lsm_event(
                             pid,
                             "ioctl",
@@ -116,16 +110,9 @@ impl Kernel {
                             None,
                             rule,
                             AuditObject::Device(dev_path),
-                            msg,
                         );
                     }
                     Decision::Deny(e) => {
-                        let msg = format!(
-                            "ioctl: lsm denied modem {:?} to {} ({})",
-                            opt,
-                            cred.ruid,
-                            e.name()
-                        );
                         self.emit_lsm_event(
                             pid,
                             "ioctl",
@@ -134,7 +121,6 @@ impl Kernel {
                             Some(e),
                             rule,
                             AuditObject::Device(dev_path),
-                            msg,
                         );
                         return Err(e);
                     }
@@ -158,10 +144,6 @@ impl Kernel {
                 match decision {
                     Decision::UseDefault => {
                         if !self.capable(pid, Cap::SysAdmin) {
-                            let msg = format!(
-                                "ioctl: dm status denied for {} (no CAP_SYS_ADMIN)",
-                                cred.ruid
-                            );
                             self.emit_kernel_event(
                                 pid,
                                 "ioctl",
@@ -169,18 +151,12 @@ impl Kernel {
                                 DecisionKind::Deny,
                                 Some(Errno::EPERM),
                                 AuditObject::Device(dev_path),
-                                msg,
                             );
                             return Err(Errno::EPERM);
                         }
                     }
                     Decision::Allow => {}
                     Decision::Deny(e) => {
-                        let msg = format!(
-                            "ioctl: lsm denied dm status to {} ({})",
-                            cred.ruid,
-                            e.name()
-                        );
                         self.emit_lsm_event(
                             pid,
                             "ioctl",
@@ -189,7 +165,6 @@ impl Kernel {
                             Some(e),
                             rule,
                             AuditObject::Device(dev_path),
-                            msg,
                         );
                         return Err(e);
                     }
@@ -219,10 +194,6 @@ impl Kernel {
                         let need_priv =
                             matches!(op, KmsOp::RawRegisterAccess) || !state.kms_capable;
                         if need_priv && !privileged_ok {
-                            let msg = format!(
-                                "ioctl: kms {:?} denied for {} (needs CAP_SYS_RAWIO+CAP_SYS_ADMIN)",
-                                op, cred.ruid
-                            );
                             self.emit_kernel_event(
                                 pid,
                                 "ioctl",
@@ -230,19 +201,12 @@ impl Kernel {
                                 DecisionKind::Deny,
                                 Some(Errno::EPERM),
                                 AuditObject::Device(dev_path),
-                                msg,
                             );
                             return Err(Errno::EPERM);
                         }
                     }
                     Decision::Allow => {}
                     Decision::Deny(e) => {
-                        let msg = format!(
-                            "ioctl: lsm denied kms {:?} to {} ({})",
-                            op,
-                            cred.ruid,
-                            e.name()
-                        );
                         self.emit_lsm_event(
                             pid,
                             "ioctl",
@@ -251,7 +215,6 @@ impl Kernel {
                             Some(e),
                             rule,
                             AuditObject::Device(dev_path),
-                            msg,
                         );
                         return Err(e);
                     }

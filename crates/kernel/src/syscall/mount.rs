@@ -53,10 +53,6 @@ impl Kernel {
         match decision {
             Decision::UseDefault => {
                 if !self.capable(pid, Cap::SysAdmin) {
-                    let msg = format!(
-                        "mount: {} -> {} denied (no CAP_SYS_ADMIN)",
-                        source, mountpoint
-                    );
                     self.emit_kernel_event(
                         pid,
                         "mount",
@@ -64,11 +60,9 @@ impl Kernel {
                         DecisionKind::Deny,
                         Some(Errno::EPERM),
                         object,
-                        msg,
                     );
                     return Err(Errno::EPERM);
                 }
-                let msg = format!("mount: {} -> {} via CAP_SYS_ADMIN", source, mountpoint);
                 self.emit_kernel_event(
                     pid,
                     "mount",
@@ -76,7 +70,6 @@ impl Kernel {
                     DecisionKind::UseDefault,
                     None,
                     object,
-                    msg,
                 );
             }
             Decision::Allow => {
@@ -86,10 +79,6 @@ impl Kernel {
                     opts.nosuid = true;
                     opts.nodev = true;
                 }
-                let msg = format!(
-                    "mount: lsm granted {} -> {} for {}",
-                    source, mountpoint, cred.ruid
-                );
                 self.emit_lsm_event(
                     pid,
                     "mount",
@@ -98,16 +87,9 @@ impl Kernel {
                     None,
                     rule,
                     object,
-                    msg,
                 );
             }
             Decision::Deny(e) => {
-                let msg = format!(
-                    "mount: lsm denied {} -> {} ({})",
-                    source,
-                    mountpoint,
-                    e.name()
-                );
                 self.emit_lsm_event(
                     pid,
                     "mount",
@@ -116,7 +98,6 @@ impl Kernel {
                     Some(e),
                     rule,
                     object,
-                    msg,
                 );
                 return Err(e);
             }
@@ -191,7 +172,6 @@ impl Kernel {
         match decision {
             Decision::UseDefault => {
                 if !self.capable(pid, Cap::SysAdmin) {
-                    let msg = format!("umount: {} denied (no CAP_SYS_ADMIN)", mountpoint);
                     self.emit_kernel_event(
                         pid,
                         "umount",
@@ -199,11 +179,9 @@ impl Kernel {
                         DecisionKind::Deny,
                         Some(Errno::EPERM),
                         object,
-                        msg,
                     );
                     return Err(Errno::EPERM);
                 }
-                let msg = format!("umount: {} via CAP_SYS_ADMIN", mountpoint);
                 self.emit_kernel_event(
                     pid,
                     "umount",
@@ -211,11 +189,9 @@ impl Kernel {
                     DecisionKind::UseDefault,
                     None,
                     object,
-                    msg,
                 );
             }
             Decision::Allow => {
-                let msg = format!("umount: lsm granted {} for {}", mountpoint, cred.ruid);
                 self.emit_lsm_event(
                     pid,
                     "umount",
@@ -224,11 +200,9 @@ impl Kernel {
                     None,
                     rule,
                     object,
-                    msg,
                 );
             }
             Decision::Deny(e) => {
-                let msg = format!("umount: lsm denied {} ({})", mountpoint, e.name());
                 self.emit_lsm_event(
                     pid,
                     "umount",
@@ -237,7 +211,6 @@ impl Kernel {
                     Some(e),
                     rule,
                     object,
-                    msg,
                 );
                 return Err(e);
             }

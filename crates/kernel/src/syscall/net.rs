@@ -26,7 +26,6 @@ use crate::net::{
 use crate::syscall::abi::NetfilterRule;
 use crate::task::{Fd, FdObject, Pid};
 use crate::trace::{AuditObject, DecisionKind, Hook, Pathway, Provenance};
-use crate::vfs::Name;
 
 /// Netfilter administration operations (the iptables backend).
 #[derive(Clone, Debug)]
@@ -79,10 +78,6 @@ impl Kernel {
         match decision {
             Decision::UseDefault => {
                 if needs_raw_cap && !self.capable(pid, Cap::NetRaw) {
-                    let msg = format!(
-                        "socket: raw socket denied for {} (no CAP_NET_RAW)",
-                        cred.euid
-                    );
                     self.emit_kernel_event(
                         pid,
                         "socket",
@@ -90,17 +85,12 @@ impl Kernel {
                         DecisionKind::Deny,
                         Some(Errno::EPERM),
                         AuditObject::None,
-                        msg,
                     );
                     return Err(Errno::EPERM);
                 }
             }
             Decision::Allow => {
                 if needs_raw_cap {
-                    let msg = format!(
-                        "socket: lsm granted raw socket to {} (netfilter-scoped)",
-                        cred.euid
-                    );
                     self.emit_lsm_event(
                         pid,
                         "socket",
@@ -109,12 +99,10 @@ impl Kernel {
                         None,
                         rule,
                         AuditObject::None,
-                        msg,
                     );
                 }
             }
             Decision::Deny(e) => {
-                let msg = format!("socket: lsm denied socket to {} ({})", cred.euid, e.name());
                 self.emit_lsm_event(
                     pid,
                     "socket",
@@ -123,7 +111,6 @@ impl Kernel {
                     Some(e),
                     rule,
                     AuditObject::None,
-                    msg,
                 );
                 return Err(e);
             }
@@ -156,10 +143,6 @@ impl Kernel {
             match decision {
                 Decision::UseDefault => {
                     if !self.capable(pid, Cap::NetBindService) {
-                        let msg = format!(
-                            "bind: port {} denied for {} (no CAP_NET_BIND_SERVICE)",
-                            port, cred.euid
-                        );
                         self.emit_kernel_event(
                             pid,
                             "bind",
@@ -167,16 +150,11 @@ impl Kernel {
                             DecisionKind::Deny,
                             Some(Errno::EACCES),
                             object,
-                            msg,
                         );
                         return Err(Errno::EACCES);
                     }
                 }
                 Decision::Allow => {
-                    let msg = format!(
-                        "bind: lsm granted port {} to ({}, {})",
-                        port, req.binary, cred.euid
-                    );
                     self.emit_lsm_event(
                         pid,
                         "bind",
@@ -185,14 +163,9 @@ impl Kernel {
                         None,
                         rule,
                         object,
-                        msg,
                     );
                 }
                 Decision::Deny(e) => {
-                    let msg = format!(
-                        "bind: lsm denied port {} to ({}, {})",
-                        port, req.binary, cred.euid
-                    );
                     self.emit_lsm_event(
                         pid,
                         "bind",
@@ -201,7 +174,6 @@ impl Kernel {
                         Some(e),
                         rule,
                         object,
-                        msg,
                     );
                     return Err(e);
                 }
@@ -448,12 +420,6 @@ impl Kernel {
             spoofed_src_port: spoofed,
         });
         if eval.verdict == Verdict::Drop {
-            let msg = format!(
-                "netfilter: dropped {:?} from {} (rule {:?})",
-                pkt.l4,
-                pkt.sender_uid,
-                eval.rule.map(Name::as_str)
-            );
             // The matched netfilter rule is the provenance here, so build
             // it explicitly rather than through emit_lsm_event.
             let provenance = Provenance::lsm(
@@ -464,7 +430,7 @@ impl Kernel {
                 Some(Errno::EPERM),
             );
             let object = AuditObject::Packet(format!("{:?} -> {}", pkt.l4, pkt.dst));
-            self.emit_event(pid.0, "send", object, provenance, msg);
+            self.emit_event(pid.0, "send", object, provenance);
             return Err(Errno::EPERM);
         }
 
@@ -620,10 +586,6 @@ impl Kernel {
                 match decision {
                     Decision::UseDefault => {
                         if !self.capable(pid, Cap::NetAdmin) {
-                            let msg = format!(
-                                "route: add {}/{} denied for {} (no CAP_NET_ADMIN)",
-                                route.dest, route.prefix, cred.ruid
-                            );
                             self.emit_kernel_event(
                                 pid,
                                 "ioctl",
@@ -631,16 +593,11 @@ impl Kernel {
                                 DecisionKind::Deny,
                                 Some(Errno::EPERM),
                                 object,
-                                msg,
                             );
                             return Err(Errno::EPERM);
                         }
                     }
                     Decision::Allow => {
-                        let msg = format!(
-                            "route: lsm granted {}/{} via {} to {}",
-                            route.dest, route.prefix, route.dev, cred.ruid
-                        );
                         self.emit_lsm_event(
                             pid,
                             "ioctl",
@@ -649,17 +606,9 @@ impl Kernel {
                             None,
                             rule,
                             object,
-                            msg,
                         );
                     }
                     Decision::Deny(e) => {
-                        let msg = format!(
-                            "route: lsm denied {}/{} to {} ({})",
-                            route.dest,
-                            route.prefix,
-                            cred.ruid,
-                            e.name()
-                        );
                         self.emit_lsm_event(
                             pid,
                             "ioctl",
@@ -668,7 +617,6 @@ impl Kernel {
                             Some(e),
                             rule,
                             object,
-                            msg,
                         );
                         return Err(e);
                     }
@@ -690,10 +638,6 @@ impl Kernel {
                         .ok_or(Errno::ENOENT)?
                 };
                 if owner != cred.ruid && !self.capable(pid, Cap::NetAdmin) {
-                    let msg = format!(
-                        "route: del {}/{} denied for {} (not owner, no CAP_NET_ADMIN)",
-                        dest, prefix, cred.ruid
-                    );
                     self.emit_kernel_event(
                         pid,
                         "ioctl",
@@ -701,7 +645,6 @@ impl Kernel {
                         DecisionKind::Deny,
                         Some(Errno::EPERM),
                         AuditObject::Route(format!("{}/{}", dest, prefix)),
-                        msg,
                     );
                     return Err(Errno::EPERM);
                 }

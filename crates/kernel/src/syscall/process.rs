@@ -106,7 +106,6 @@ impl Kernel {
                 ExecDecision::NeedAuth(scope) => {
                     attempts += 1;
                     if attempts > 1 || !self.run_auth(pid, scope) {
-                        let msg = format!("exec: auth failed for {}", abs);
                         self.emit_lsm_event(
                             pid,
                             "exec",
@@ -115,7 +114,6 @@ impl Kernel {
                             Some(Errno::EACCES),
                             rule,
                             AuditObject::Binary(abs.clone()),
-                            msg,
                         );
                         return Err(Errno::EACCES);
                     }
@@ -135,7 +133,6 @@ impl Kernel {
                 }
             }
             ExecDecision::Transition { cred, env } => {
-                let new_euid = cred.euid;
                 {
                     // Scoped: drop the task write guard before emitting
                     // (the emit path re-reads the task table).
@@ -150,7 +147,6 @@ impl Kernel {
                         }
                     }
                 }
-                let msg = format!("exec: lsm transition {} -> euid {}", abs, new_euid);
                 self.emit_lsm_event(
                     pid,
                     "execve",
@@ -159,11 +155,9 @@ impl Kernel {
                     None,
                     rule,
                     AuditObject::Binary(abs.clone()),
-                    msg,
                 );
             }
             ExecDecision::Deny(e) => {
-                let msg = format!("exec: lsm denied {} ({})", abs, e.name());
                 self.emit_lsm_event(
                     pid,
                     "execve",
@@ -172,7 +166,6 @@ impl Kernel {
                     Some(e),
                     rule,
                     AuditObject::Binary(abs.clone()),
-                    msg,
                 );
                 return Err(e);
             }
@@ -200,7 +193,6 @@ impl Kernel {
         // selection so the next dispatched call re-selects by the new
         // binary (§15 exec re-selection).
         self.seccomp.forget_pid(pid);
-        let msg = format!("exec: pid {} -> {}", pid.0, abs);
         self.emit_kernel_event(
             pid,
             "execve",
@@ -208,7 +200,6 @@ impl Kernel {
             DecisionKind::Info,
             None,
             AuditObject::Binary(abs.clone()),
-            msg,
         );
         Ok(abs)
     }

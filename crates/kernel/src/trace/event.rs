@@ -248,8 +248,6 @@ pub struct AuditEvent {
     pub object: AuditObject,
     /// Who decided and how.
     pub provenance: Provenance,
-    /// The human-readable line the legacy string log carried.
-    pub message: String,
 }
 
 impl AuditEvent {
@@ -262,7 +260,7 @@ impl AuditEvent {
     pub fn render(&self) -> String {
         let errno = self.provenance.errno.map(|e| e.name()).unwrap_or("-");
         format!(
-            "seq={} clk={} pid={} uid={}/{} syscall={} hook={} module={} decision={} errno={} rule={} obj={} msg=\"{}\"",
+            "seq={} clk={} pid={} uid={}/{} syscall={} hook={} module={} decision={} errno={} rule={} obj={}",
             self.seq,
             self.clock,
             self.pid,
@@ -275,23 +273,6 @@ impl AuditEvent {
             errno,
             self.provenance.rule.map_or("-", RuleId::as_str),
             self.object,
-            self.message,
         )
-    }
-
-    /// String-view compatibility with the legacy `Vec<String>` log.
-    pub fn starts_with(&self, prefix: &str) -> bool {
-        self.message.starts_with(prefix)
-    }
-
-    /// String-view compatibility with the legacy `Vec<String>` log.
-    pub fn contains(&self, needle: &str) -> bool {
-        self.message.contains(needle)
-    }
-}
-
-impl fmt::Display for AuditEvent {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(&self.message)
     }
 }

@@ -1,17 +1,18 @@
-//! Per-hook and per-syscall decision counters, an errno histogram, and
-//! logical-clock latency observations.
+//! Per-hook and per-syscall decision counters, an errno histogram and
+//! cache snapshots, accumulated per worker thread by [`ShardedMetrics`].
 //!
 //! The hot-path counters ([`HookCounters`], [`SyscallCounters`]) are
 //! fixed arrays indexed by enum discriminant, so recording an event
-//! never touches a map. Cold
-//! aggregates (errnos, named latency pathways, cache snapshots) stay in
-//! `BTreeMap`s. Rendering sorts by name at read time, which keeps the
+//! never touches a map. Cold aggregates (errnos, cache snapshots) stay
+//! in `BTreeMap`s. Rendering sorts by name at read time, which keeps the
 //! `/proc/<lsm>/metrics` output byte-identical to the old all-`BTreeMap`
 //! layout.
 
 use super::event::{AuditEvent, DecisionKind, Hook};
+use crate::sync::{lock, PerThread};
 use crate::syscall::Syscall;
 use std::collections::BTreeMap;
+use std::sync::{Arc, Mutex};
 
 /// Allow/deny/use-default/defer/info counts for one key.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -73,70 +74,6 @@ impl CacheStats {
         self.hits += other.hits;
         self.misses += other.misses;
         self.invalidations += other.invalidations;
-    }
-}
-
-/// Logical-clock latency aggregate for one pathway.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct LatencyStats {
-    /// Number of observations.
-    pub samples: u64,
-    /// Sum of observed logical-clock deltas.
-    pub total: u64,
-    /// Smallest observed delta (`u64::MAX` until the first observation,
-    /// so merges are order-independent; use [`LatencyStats::observed_min`]
-    /// for display).
-    pub min: u64,
-    /// Largest observed delta.
-    pub max: u64,
-}
-
-impl Default for LatencyStats {
-    fn default() -> LatencyStats {
-        LatencyStats {
-            samples: 0,
-            total: 0,
-            min: u64::MAX,
-            max: 0,
-        }
-    }
-}
-
-impl LatencyStats {
-    /// Records one observation.
-    pub fn observe(&mut self, delta: u64) {
-        self.samples += 1;
-        // Saturating like `LatencyHistogram::observe`: a clamped sum of
-        // non-negative deltas is still order-independent under merge.
-        self.total = self.total.saturating_add(delta);
-        self.min = self.min.min(delta);
-        self.max = self.max.max(delta);
-    }
-
-    /// The smallest observation, or 0 when empty (the sentinel never
-    /// leaks into rendered output).
-    pub fn observed_min(&self) -> u64 {
-        if self.samples == 0 {
-            0
-        } else {
-            self.min
-        }
-    }
-
-    /// Mean observation (0 when empty) — preserved exactly across merges
-    /// because `samples` and `total` both fold.
-    pub fn mean(&self) -> u64 {
-        self.total.checked_div(self.samples).unwrap_or(0)
-    }
-
-    /// Adds another aggregate into this one. Folds every field — samples,
-    /// total, min, and max — so thread merges lose no fidelity and are
-    /// associative, commutative, and order-independent.
-    pub fn merge(&mut self, other: &LatencyStats) {
-        self.samples += other.samples;
-        self.total = self.total.saturating_add(other.total);
-        self.min = self.min.min(other.min);
-        self.max = self.max.max(other.max);
     }
 }
 
@@ -301,8 +238,6 @@ pub struct Metrics {
     pub per_syscall: SyscallCounters,
     /// Denial errno histogram.
     pub errnos: BTreeMap<&'static str, u64>,
-    /// Logical-clock latency aggregates (e.g. authentication prompts).
-    pub latency: BTreeMap<&'static str, LatencyStats>,
     /// Cache counters keyed by cache name, synchronized from the VFS
     /// dcache and the registered module's policy caches when the
     /// `/proc/<lsm>/metrics` view is rendered.
@@ -321,11 +256,6 @@ impl Metrics {
         if let Some(e) = ev.provenance.errno {
             *self.errnos.entry(e.name()).or_insert(0) += 1;
         }
-    }
-
-    /// Records a logical-clock latency observation.
-    pub fn observe_latency(&mut self, pathway: &'static str, delta: u64) {
-        self.latency.entry(pathway).or_default().observe(delta);
     }
 
     /// Overwrites the snapshot for cache `name`. Cache owners keep the
@@ -353,9 +283,6 @@ impl Metrics {
         for (k, v) in &other.errnos {
             *self.errnos.entry(k).or_insert(0) += v;
         }
-        for (k, v) in &other.latency {
-            self.latency.entry(k).or_default().merge(v);
-        }
         for (k, v) in &other.caches {
             self.caches.entry(k).or_default().merge(v);
         }
@@ -380,21 +307,70 @@ impl Metrics {
         for (errno, n) in &self.errnos {
             out.push_str(&format!("errno_{} {}\n", errno, n));
         }
-        for (pathway, l) in &self.latency {
-            out.push_str(&format!(
-                "latency_{} samples={} total={} min={} max={}\n",
-                pathway,
-                l.samples,
-                l.total,
-                l.observed_min(),
-                l.max
-            ));
-        }
         for (cache, c) in &self.caches {
             out.push_str(&format!(
                 "cache_{} hits={} misses={} invalidations={}\n",
                 cache, c.hits, c.misses, c.invalidations
             ));
+        }
+        out
+    }
+}
+
+type MetricsSlot = Arc<Mutex<Metrics>>;
+
+/// Per-worker [`Metrics`] accumulation with merge-on-snapshot.
+///
+/// Each thread records into its own shard (an uncontended mutex), so
+/// `Kernel::dispatch` can run on many workers without funnelling every
+/// event through one metrics lock; [`ShardedMetrics::snapshot`] folds
+/// every shard into a single value with [`Metrics::merge`], which is
+/// sound because every `Metrics` field is a sum — per-worker
+/// accumulation then merging equals recording centrally in any order.
+#[derive(Default)]
+pub struct ShardedMetrics {
+    shards: Mutex<Vec<MetricsSlot>>,
+    my_shard: PerThread<Option<MetricsSlot>>,
+}
+
+impl std::fmt::Debug for ShardedMetrics {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("ShardedMetrics").finish()
+    }
+}
+
+impl ShardedMetrics {
+    /// An empty sharded collector.
+    pub fn new() -> ShardedMetrics {
+        ShardedMetrics::default()
+    }
+
+    /// Runs `f` over this thread's shard, registering it on first use.
+    pub fn with<R>(&self, f: impl FnOnce(&mut Metrics) -> R) -> R {
+        let shard = self.my_shard.with(|slot| match slot {
+            Some(s) => Arc::clone(s),
+            None => {
+                let s: MetricsSlot = Arc::new(Mutex::new(Metrics::default()));
+                lock(&self.shards).push(Arc::clone(&s));
+                *slot = Some(Arc::clone(&s));
+                s
+            }
+        });
+        let mut m = lock(&shard);
+        f(&mut m)
+    }
+
+    /// Folds an audit event into this thread's shard.
+    pub fn record(&self, ev: &AuditEvent) {
+        self.with(|m| m.record(ev));
+    }
+
+    /// Merges every worker's shard into one self-contained value.
+    pub fn snapshot(&self) -> Metrics {
+        let mut out = Metrics::default();
+        let shards = lock(&self.shards);
+        for s in shards.iter() {
+            out.merge(&lock(s));
         }
         out
     }
@@ -416,7 +392,6 @@ mod tests {
             syscall: "mount",
             object: AuditObject::None,
             provenance: Provenance::lsm("protego", hook, None, kind, errno),
-            message: String::new(),
         }
     }
 
@@ -449,48 +424,14 @@ mod tests {
     }
 
     #[test]
-    fn latency_aggregates() {
-        let mut m = Metrics::default();
-        m.observe_latency("auth", 3);
-        m.observe_latency("auth", 7);
-        let l = m.latency["auth"];
-        assert_eq!((l.samples, l.total, l.max), (2, 10, 7));
-        assert_eq!(l.observed_min(), 3);
-        assert_eq!(l.mean(), 5);
-    }
-
-    #[test]
-    fn latency_merge_keeps_min_and_mean_fidelity() {
-        let mut a = LatencyStats::default();
-        a.observe(10);
-        a.observe(20);
-        let mut b = LatencyStats::default();
-        b.observe(2);
-        // Merge order must not matter, and min/mean must survive.
-        let mut ab = a;
-        ab.merge(&b);
-        let mut ba = b;
-        ba.merge(&a);
-        assert_eq!(ab, ba);
-        assert_eq!(ab.observed_min(), 2);
-        assert_eq!(ab.mean(), 32 / 3);
-        // An empty aggregate is the merge identity.
-        let mut with_empty = ab;
-        with_empty.merge(&LatencyStats::default());
-        assert_eq!(with_empty, ab);
-    }
-
-    #[test]
     fn merge_sums_everything() {
         let mut a = Metrics::default();
         let mut b = Metrics::default();
         a.record(&ev(Hook::SbMount, DecisionKind::Deny, Some(Errno::EPERM)));
         b.record(&ev(Hook::SbMount, DecisionKind::Deny, Some(Errno::EPERM)));
-        b.observe_latency("auth", 5);
         a.merge(&b);
         assert_eq!(a.hook(Hook::SbMount).deny, 2);
         assert_eq!(a.errnos["EPERM"], 2);
-        assert_eq!(a.latency["auth"].samples, 1);
         assert_eq!(a.events, 2);
     }
 
@@ -570,5 +511,27 @@ mod tests {
         assert!(text.contains("hook_sb_mount allow=0 deny=1"));
         assert!(text.contains("syscall_mount"));
         assert!(text.contains("errno_EPERM 1"));
+    }
+
+    #[test]
+    fn sharded_metrics_merge_across_threads() {
+        let m = std::sync::Arc::new(ShardedMetrics::new());
+        let mut handles = Vec::new();
+        for _ in 0..4 {
+            let m = std::sync::Arc::clone(&m);
+            handles.push(std::thread::spawn(move || {
+                for _ in 0..100 {
+                    m.record(&ev(Hook::SbMount, DecisionKind::Deny, Some(Errno::EPERM)));
+                }
+            }));
+        }
+        for h in handles {
+            h.join().unwrap();
+        }
+        let snap = m.snapshot();
+        assert_eq!(snap.events, 400);
+        assert_eq!(snap.hook(Hook::SbMount).deny, 400);
+        assert_eq!(snap.per_syscall["mount"].deny, 400);
+        assert_eq!(snap.errnos["EPERM"], 400);
     }
 }

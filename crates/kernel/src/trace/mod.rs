@@ -8,11 +8,10 @@
 //! [`AuditEvent`] carrying *which* LSM hook decided, *which* policy rule
 //! matched (when the module tracks one), the resulting decision kind and
 //! errno, and the subject (pid + credentials) and object (path, port,
-//! device, uid…) involved. The human-readable line the old log carried is
-//! preserved as [`AuditEvent::message`], so string-level assertions keep
-//! working, while everything downstream (benches, the exploit replay
-//! harness, `/proc/<lsm>/audit` and `/proc/<lsm>/metrics`) can query the
-//! typed form.
+//! device, uid…) involved. Events carry typed fields only; text exists
+//! only when a reader asks for it ([`AuditEvent::render`], the
+//! `/proc/<lsm>/audit` view), so emitting an event allocates nothing
+//! beyond what its object owns.
 //!
 //! Recording policy (see `Kernel::emit_event`):
 //!
@@ -28,17 +27,15 @@ pub mod hist;
 mod metrics;
 mod recorder;
 mod ring;
-mod shared;
 mod sink;
 pub mod span;
 
 pub use event::{AuditEvent, AuditObject, DecisionKind, Hook, Provenance};
 pub use hist::{LatencyHistogram, HIST_BUCKETS};
 pub use metrics::{
-    CacheStats, DecisionCounters, HookCounters, LatencyStats, Metrics, SyscallCounters,
+    CacheStats, DecisionCounters, HookCounters, Metrics, ShardedMetrics, SyscallCounters,
 };
 pub use recorder::{Divergence, Trace, TraceEntry, TraceError, TraceRecorder, TraceReplayer};
 pub use ring::{AuditRing, DEFAULT_RING_CAPACITY};
-pub use shared::{ShardedMetrics, SharedAuditRing, AUDIT_STAGE_BATCH};
 pub use sink::{AuditSink, CollectingSink};
 pub use span::{span, Pathway, SpanGuard, TimingSnapshot};

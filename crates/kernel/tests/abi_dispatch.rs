@@ -14,7 +14,7 @@ use sim_kernel::syscall::{
     FaultConfig, FaultInjector, IoctlCmd, NetfilterOp, OpenFlags, RouteOp, Syscall, Whence,
 };
 use sim_kernel::task::{NsKind, Pid};
-use sim_kernel::trace::TraceRecorder;
+use sim_kernel::trace::{DecisionKind, Hook, TraceRecorder};
 use sim_kernel::vfs::Mode;
 
 fn boot() -> (Kernel, Pid, Pid) {
@@ -543,8 +543,11 @@ fn injected_faults_are_audited_and_getters_are_exempt() {
     );
     assert!(ret.is_err(), "rate-1 storm must fail the first fs call");
     let last = k.audit.last().expect("injection emits an audit event");
+    let rule = last.provenance.rule.map_or("-", |r| r.as_str());
     assert!(
-        last.contains("injected") && last.contains("fault_injector"),
+        last.provenance.hook == Hook::Interceptor
+            && last.provenance.decision == DecisionKind::Deny
+            && rule.starts_with("fault_injector:stat:"),
         "audit event should attribute the fault: {}",
         last.render()
     );

@@ -15,7 +15,7 @@ use sim_kernel::net::SimNet;
 use sim_kernel::seccomp::{ProfileSpec, Seccomp, SeccompInterceptor, SeccompMode};
 use sim_kernel::syscall::{OpenFlags, Syscall};
 use sim_kernel::task::Pid;
-use sim_kernel::trace::TraceRecorder;
+use sim_kernel::trace::{AuditObject, Hook, TraceRecorder};
 use sim_kernel::vfs::Mode;
 
 fn boot() -> (Kernel, Pid, Pid) {
@@ -150,7 +150,10 @@ fn leaked_fd_after_cred_drop_gets_audited_eperm() {
     assert_eq!(k.sys_write(child, fd, b"off"), Err(Errno::EPERM));
     let last = k.audit.last().expect("refused write files an event");
     assert!(
-        last.contains("seccomp: non-root write"),
+        last.is_denial()
+            && last.provenance.hook == Hook::LsmConfig
+            && last.provenance.errno == Some(Errno::EPERM)
+            && last.object == AuditObject::Config("seccomp/status".into()),
         "missing audit attribution: {}",
         last.render()
     );

@@ -94,8 +94,8 @@ fn main() {
     print!("{}", r.stdout);
 
     println!("\nkernel audit trail (Protego):");
-    for line in protego.kernel.audit.events() {
-        println!("  {}", line);
+    for ev in protego.kernel.audit.events() {
+        println!("  {}", ev.render());
     }
 
     // The admin edits fstab; the monitoring daemon re-syncs the kernel.

@@ -194,3 +194,34 @@ fn ring_overflow_is_counted_and_visible_in_proc() {
         .unwrap();
     assert!(view.contains(&format!("stored=4 capacity=4 dropped={}", dropped)));
 }
+
+#[test]
+fn proc_audit_header_reports_the_true_next_seq() {
+    use protego::kernel::kernel::Kernel;
+    use protego::kernel::lsm::NullLsm;
+    use protego::kernel::net::SimNet;
+
+    const N: u64 = 7;
+    let k = Kernel::new(SimNet::new());
+    k.install_standard_devices().unwrap();
+    // Registration emits event 0 (informational: counted, not stored).
+    k.register_lsm(Box::new(NullLsm)).unwrap();
+    let root = k.spawn_init();
+    let user = k.spawn_session(Credentials::user(Uid(1000), Gid(1000)), "/bin/sh");
+    // Each refused setuid emits exactly one stock denial.
+    for _ in 1..N {
+        assert_eq!(k.sys_setuid(user, Uid::ROOT).unwrap_err(), Errno::EPERM);
+    }
+    assert_eq!(k.audit.next_seq(), N);
+    let view = k.read_to_string(root, "/proc/null/audit").unwrap();
+    let header = view.lines().next().unwrap();
+    assert_eq!(
+        header,
+        format!(
+            "# audit ring: stored={} capacity={} dropped=0 next_seq={}",
+            N - 1,
+            k.audit.capacity(),
+            N
+        )
+    );
+}

@@ -2,6 +2,7 @@
 //! *compromised* mount binary can do on each.
 
 use protego::kernel::cred::{Credentials, Gid, Uid};
+use protego::kernel::trace::{AuditObject, DecisionKind, Hook};
 use protego::userland::{boot, Exploit, Proc, SystemMode};
 
 #[test]
@@ -89,10 +90,19 @@ fn audit_trail_names_the_granting_rule() {
     sys.kernel.set_trace(true);
     let alice = sys.login("alice", "alicepw").unwrap();
     sys.run(alice, "/bin/mount", &["/mnt/cdrom"], &[]).unwrap();
-    assert!(sys
+    let grant = sys
         .kernel
         .audit
         .events()
         .into_iter()
-        .any(|l| l.contains("mount: lsm granted /dev/cdrom -> /mnt/cdrom")));
+        .find(|e| {
+            e.provenance.hook == Hook::SbMount && e.provenance.decision == DecisionKind::Allow
+        })
+        .expect("the mount grant is audited");
+    assert_eq!(grant.provenance.module, "protego");
+    assert_eq!(
+        grant.object,
+        AuditObject::Path("/dev/cdrom -> /mnt/cdrom".into())
+    );
+    assert!(grant.provenance.rule.is_some(), "{}", grant.render());
 }
