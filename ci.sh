@@ -25,10 +25,11 @@ cargo test --release --offline --manifest-path e2e-bench/Cargo.toml
 echo "== zero-alloc gate: steady-state fast path allocates nothing =="
 # Counting-allocator proof that a warm resolve/open/read/close/getuid
 # cycle under the full Protego LSM performs zero heap allocations
-# (interner + dcache + path arenas end to end), that a warm Protego
-# hook matching a policy rule allocates nothing either, and that a warm
-# stock setuid denial (typed audit event into a full ring) allocates
-# nothing.
+# (interner + dcache + path arenas end to end), also after an unrelated
+# mount and rename (the dcache hit checks its directory generations and
+# stays a hit), that a warm Protego hook matching a policy rule
+# allocates nothing either, and that a warm stock setuid denial (typed
+# audit event into a full ring) allocates nothing.
 cargo test -q -p protego-core --features alloc-count --test fastpath_alloc
 
 echo "== smoke bench: BENCH_table5.json regenerates and validates =="

@@ -1,9 +1,10 @@
 //! Counting-allocator proof that the steady-state VFS fast path is
 //! allocation-free end to end: once the interner, dcache, path-arena
 //! pools and fd table are warm, a resolve/open/read/close/getuid cycle
-//! under the full Protego LSM performs **zero** heap allocations, and so
-//! do a warm Protego hook that matches a policy rule and a warm denial
-//! that lands in the audit ring.
+//! under the full Protego LSM performs **zero** heap allocations — also
+//! once an unrelated mount and rename have happened, when each dcache hit
+//! checks its directory generations — and so do a warm Protego hook that
+//! matches a policy rule and a warm denial that lands in the audit ring.
 //!
 //! Built only with `--features alloc-count` (see `[[test]]` in
 //! Cargo.toml) so ordinary test runs keep the stock allocator.
@@ -15,6 +16,7 @@ use sim_kernel::kernel::Kernel;
 use sim_kernel::lsm::{Decision, FileDecision, FileOpenCtx, MountRequest, SecurityModule};
 use sim_kernel::net::SimNet;
 use sim_kernel::syscall::OpenFlags;
+use sim_kernel::task::Pid;
 use sim_kernel::vfs::{Access, Mode, MountOptions};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -78,7 +80,7 @@ fn count_allocs(f: impl FnOnce()) -> u64 {
     ALLOCS.with(|a| a.get())
 }
 
-fn fastpath_cycle(k: &Kernel, pid: sim_kernel::task::Pid, buf: &mut Vec<u8>) {
+fn fastpath_cycle(k: &Kernel, pid: Pid, buf: &mut Vec<u8>) {
     let fd = k
         .sys_open(pid, "/etc/hosts", OpenFlags::read_only())
         .expect("open");
@@ -88,12 +90,13 @@ fn fastpath_cycle(k: &Kernel, pid: sim_kernel::task::Pid, buf: &mut Vec<u8>) {
     k.sys_getuid(pid).expect("getuid");
 }
 
-#[test]
-fn steady_state_resolve_open_read_is_allocation_free() {
+/// A Protego kernel with `/etc/hosts` installed: returns it with init's
+/// pid and a user session's pid.
+fn fastpath_kernel() -> (Kernel, Pid, Pid) {
     let k = Kernel::new(SimNet::new());
     k.install_standard_devices().expect("devices");
     k.register_lsm(Box::new(ProtegoLsm::new())).expect("lsm");
-    let _root = k.spawn_init();
+    let root = k.spawn_init();
     k.vfs
         .install_file(
             "/etc/hosts",
@@ -104,6 +107,12 @@ fn steady_state_resolve_open_read_is_allocation_free() {
         )
         .expect("hosts");
     let user = k.spawn_session(Credentials::user(Uid(1000), Gid(1000)), "/bin/cat");
+    (k, root, user)
+}
+
+#[test]
+fn steady_state_resolve_open_read_is_allocation_free() {
+    let (k, _root, user) = fastpath_kernel();
 
     // Warmup: populate the interner, the dcache entry for the path, the
     // path-arena pools, the fd slot, and the read buffer's capacity.
@@ -122,6 +131,36 @@ fn steady_state_resolve_open_read_is_allocation_free() {
         "steady-state open/read/close/getuid cycle allocated {} times (expected 0)",
         n
     );
+}
+
+/// A warm dcache hit checks the generations of the directories its walk
+/// read, so a mount and a rename elsewhere leave it a hit, still
+/// allocation-free.
+#[test]
+fn warm_hit_after_unrelated_mount_and_rename_is_allocation_free() {
+    let (k, root, user) = fastpath_kernel();
+    k.vfs.mkdir_p("/mnt/x").expect("mountpoint");
+    k.vfs
+        .install_file("/tmp/a", b"", Mode(0o644), Uid::ROOT, Gid::ROOT)
+        .expect("tmp file");
+    let mut buf = Vec::with_capacity(4096);
+    for _ in 0..64 {
+        fastpath_cycle(&k, user, &mut buf);
+    }
+    k.sys_mount(root, "tmpfs", "/mnt/x", "tmpfs", "rw")
+        .expect("mount");
+    k.sys_rename(root, "/tmp/a", "/tmp/b").expect("rename");
+
+    let before = k.vfs.dcache_stats();
+    let n = count_allocs(|| {
+        for _ in 0..256 {
+            fastpath_cycle(&k, user, &mut buf);
+        }
+    });
+    let after = k.vfs.dcache_stats();
+    assert_eq!(n, 0, "warm hit allocated {} times (expected 0)", n);
+    assert_eq!(after.misses, before.misses, "every resolve was a hit");
+    assert!(after.hits >= before.hits + 256);
 }
 
 /// A hook that matches a rule returns the rule's label interned at policy

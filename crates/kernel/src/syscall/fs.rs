@@ -736,10 +736,9 @@ impl Kernel {
         // Setting setuid/setgid as non-root is allowed on own files (as on
         // Linux); the *power* of the bit depends on the owner.
         self.vfs.inode_mut(r.ino).mode = mode;
+        // No dcache invalidation: a walk reads no mode bits, and
+        // `check_access` reads the live inode.
         self.vfs.touch(r.ino);
-        // Mode changes alter what a path *means* to permission-aware
-        // walkers, so conservatively invalidate cached resolutions.
-        self.vfs.bump_namespace_gen();
         Ok(())
     }
 
@@ -783,7 +782,6 @@ impl Kernel {
             }
         }
         self.vfs.touch(r.ino);
-        self.vfs.bump_namespace_gen();
         Ok(())
     }
 

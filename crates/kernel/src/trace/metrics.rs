@@ -64,7 +64,8 @@ pub struct CacheStats {
     pub hits: u64,
     /// Lookups that fell through to the slow path.
     pub misses: u64,
-    /// Times the cache was flushed (generation bump, reload, overflow).
+    /// Times the cache was flushed (generation bump, reload, overflow)
+    /// or, for the dcache, a stale entry was rejected at probe time.
     pub invalidations: u64,
 }
 

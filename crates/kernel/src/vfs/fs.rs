@@ -12,9 +12,27 @@
 //! arena is sharded across [`NSHARDS`] `RwLock`s (shard = ino mod
 //! [`NSHARDS`], so a directory and the files allocated under it land in
 //! different shards and independent subtrees don't contend), the dcache is
-//! hash-sharded `Mutex`es with a generation-stamped lazy flush, the mount
-//! table is a small `RwLock` snapshot-cloned per uncached walk, and the
-//! counters (`change_seq`, `namespace_gen`) are atomics.
+//! hash-sharded `Mutex`es whose entries are validated against a fixed
+//! table of per-directory generations, the mount table is a small
+//! copy-on-write `RwLock<Arc<..>>` that a walk snapshots by reference
+//! count, and the counters (`change_seq`, `mount_seq`, the directory
+//! generations) are atomics.
+//!
+//! # Dcache invalidation
+//!
+//! A cached resolution records the generation of every directory its walk
+//! depended on: each directory whose entries (or `..`) it read and each
+//! directory whose mount coverage it consulted, every generation loaded
+//! *before* that read. A probe hits only while all of them are unchanged.
+//! Writers bump just the directories they change, after changing them:
+//! `dir_add`, `dir_remove` and `link` the directory; `rename` both
+//! directories plus a moved directory (its `..` changes); mount and
+//! umount the covered directory and the mount root. `chmod`/`chown` bump
+//! nothing, because a walk reads no mode bits. So a user mount over
+//! `/mnt/x` leaves `/etc/passwd` cached. The walk's mount-table snapshot is
+//! taken before its generation loads, so a walk that overlapped a mount
+//! or umount could pair a fresh generation with a stale snapshot; such a
+//! walk is not stored (`mount_seq` moved).
 //!
 //! Lock discipline (see DESIGN.md §13):
 //! * at most one inode-shard guard is held at a time, except through
@@ -35,8 +53,9 @@ use crate::error::{Errno, KResult};
 use crate::sync;
 use crate::trace::CacheStats;
 use std::collections::{BTreeMap, HashMap};
+use std::hash::{BuildHasherDefault, Hasher};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Mutex, RwLock, RwLockReadGuard, RwLockWriteGuard};
+use std::sync::{Arc, Mutex, RwLock, RwLockReadGuard, RwLockWriteGuard};
 
 /// Maximum symlink expansions during one path walk (Linux uses 40).
 const MAX_SYMLINK_DEPTH: usize = 16;
@@ -47,12 +66,17 @@ const MAX_SYMLINK_DEPTH: usize = 16;
 /// rarely touch the same lock.
 const NSHARDS: usize = 64;
 
-/// Number of dcache shards (hash of the lookup key picks one).
+/// Number of dcache shards (the key's hash picks one).
 const DSHARDS: usize = 16;
 
 /// Bound on cached resolutions; a dcache shard is flushed wholesale when
 /// it fills (a simulation stand-in for the kernel's LRU shrinker).
 const DCACHE_CAPACITY: usize = 4096;
+
+/// Size of the directory-generation table. Directory `ino` owns slot
+/// `ino % DIR_GENS`; two directories sharing a slot only cost each other
+/// extra dcache misses.
+const DIR_GENS: usize = 1024;
 
 const fn shard_of(ino: Ino) -> usize {
     ino.0 % NSHARDS
@@ -62,41 +86,86 @@ const fn slot_of(ino: Ino) -> usize {
     ino.0 / NSHARDS
 }
 
-/// One shard of the generation-stamped dentry cache fronting
-/// [`Vfs::resolve`].
-///
-/// Entries are keyed by (starting directory, raw path string, follow-last
-/// flag) and are valid only for the namespace generation they were stored
-/// under: any mutation of the tree or mount table bumps
-/// [`Vfs::namespace_generation`], and the next lookup in each shard
-/// flushes its map lazily. This mirrors how the real dcache leans on
-/// d_seq/mount generations rather than tracking per-entry dependencies.
-///
-/// The shard also holds the canonical-path memo behind
-/// [`Vfs::canonical_path`] (inode → interned absolute path), flushed by
-/// the same generation check. Memo entries have their own capacity bound
-/// and are not counted in `stats`, which describes resolutions only.
+/// A dcache key: starting directory, follow-last flag, raw path.
+type DcacheKey<'a> = (Ino, bool, &'a str);
+
+/// Hashes a dcache key in one pass over the path, word-at-a-time
+/// (FxHash-style `(h.rotl(5) ^ w) * K`), then avalanches so that both the
+/// shard index and the map's bucket bits are well spread. The one hash
+/// serves the shard choice and the map lookup, and the probe never
+/// touches the interner. Not DoS-resistant; a collision only costs a
+/// miss, because a probe also compares the full key.
+fn dcache_hash((start, follow_last, path): DcacheKey<'_>) -> u64 {
+    const K: u64 = 0x517c_c1b7_2722_0a95;
+    let mix = |h: u64, w: u64| (h.rotate_left(5) ^ w).wrapping_mul(K);
+    let mut h = mix(mix(start.0 as u64, follow_last as u64), path.len() as u64);
+    let mut words = path.as_bytes().chunks_exact(8);
+    for w in &mut words {
+        h = mix(h, u64::from_le_bytes(w.try_into().expect("8-byte chunk")));
+    }
+    let mut tail = [0u8; 8];
+    tail[..words.remainder().len()].copy_from_slice(words.remainder());
+    h = mix(h, u64::from_le_bytes(tail));
+    h ^= h >> 33;
+    h = h.wrapping_mul(0xff51_afd7_ed55_8ccd);
+    h ^ (h >> 33)
+}
+
+/// Hands a precomputed [`dcache_hash`] to the shard map unchanged.
+#[derive(Default)]
+struct PreHashed(u64);
+
+impl Hasher for PreHashed {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    fn write(&mut self, _: &[u8]) {
+        unreachable!("dcache maps are keyed by u64 hashes only")
+    }
+
+    fn write_u64(&mut self, h: u64) {
+        self.0 = h;
+    }
+}
+
+/// One shard of the dentry cache fronting [`Vfs::resolve`], keyed by the
+/// key's [`dcache_hash`]. Each entry carries the directory generations its
+/// walk depended on (see the module docs); a probe that finds one of them
+/// moved drops the entry and counts an invalidation.
 #[derive(Debug, Default)]
 struct DcacheShard {
-    map: HashMap<(Ino, bool), HashMap<Name, Resolved>>,
-    entries: usize,
-    paths: HashMap<Ino, Name>,
-    gen: u64,
+    map: HashMap<u64, Cached, BuildHasherDefault<PreHashed>>,
     stats: CacheStats,
 }
 
+/// A cached resolution, the full key it was stored under, and the
+/// generations it is valid for.
+#[derive(Debug)]
+struct Cached {
+    key: DcacheKey<'static>,
+    resolved: Resolved,
+    deps: Box<[Dep]>,
+}
+
+/// One dependency of a cached resolution: a directory-generation slot and
+/// the value it held before the walk read that directory.
+#[derive(Clone, Copy, Debug, Default)]
+struct Dep {
+    slot: usize,
+    gen: u64,
+}
+
 impl DcacheShard {
-    /// Lazily flushes everything stored under an older generation.
-    fn revalidate(&mut self, gen_now: u64) {
-        if self.gen != gen_now {
-            if self.entries > 0 {
-                self.stats.invalidations += 1;
-            }
+    /// Stores an entry under its key's hash, replacing any already
+    /// there. Inserting a fresh hash into a full shard flushes it
+    /// wholesale first.
+    fn store(&mut self, hash: u64, entry: Cached) {
+        if self.map.len() >= DCACHE_CAPACITY / DSHARDS && !self.map.contains_key(&hash) {
             self.map.clear();
-            self.entries = 0;
-            self.paths.clear();
-            self.gen = gen_now;
+            self.stats.invalidations += 1;
         }
+        self.map.insert(hash, entry);
     }
 }
 
@@ -183,37 +252,47 @@ pub struct Mount {
     pub mounted_by: Uid,
 }
 
-/// Directories traversed during one resolution, inline up to
-/// `DIR_INLINE` deep so the common walk — and cloning a dcache hit —
-/// never touches the heap. Deeper walks spill to a `Vec`.
+/// Directories traversed during one resolution (or, in the dcache, the
+/// directory generations it depends on), inline up to `DIR_INLINE` deep
+/// so the common walk — and cloning a dcache hit — never touches the
+/// heap. Deeper walks spill to a `Vec`.
 #[derive(Clone, Debug)]
-pub struct DirChain {
-    inline: [Ino; DIR_INLINE],
+pub struct DirChain<T = Ino> {
+    inline: [T; DIR_INLINE],
     len: usize,
-    spill: Vec<Ino>,
+    spill: Vec<T>,
 }
 
 /// Inline capacity of a [`DirChain`]; covers any realistic path depth.
 const DIR_INLINE: usize = 12;
 
-impl DirChain {
+impl<T: Copy + Default> DirChain<T> {
     /// An empty chain (no allocation).
-    pub fn new() -> DirChain {
+    pub fn new() -> DirChain<T> {
         DirChain {
-            inline: [Ino(0); DIR_INLINE],
+            inline: [T::default(); DIR_INLINE],
             len: 0,
             spill: Vec::new(),
         }
     }
 
-    /// Appends a directory to the chain.
-    pub fn push(&mut self, ino: Ino) {
+    /// Appends an element to the chain.
+    pub fn push(&mut self, item: T) {
         if self.len < DIR_INLINE {
-            self.inline[self.len] = ino;
+            self.inline[self.len] = item;
         } else {
-            self.spill.push(ino);
+            self.spill.push(item);
         }
         self.len += 1;
+    }
+
+    /// The most recently pushed element.
+    pub fn last(&self) -> Option<T> {
+        match self.len {
+            0 => None,
+            n if n <= DIR_INLINE => Some(self.inline[n - 1]),
+            _ => self.spill.last().copied(),
+        }
     }
 
     /// Number of directories recorded.
@@ -226,8 +305,8 @@ impl DirChain {
         self.len == 0
     }
 
-    /// Iterates the directories in traversal order.
-    pub fn iter(&self) -> impl Iterator<Item = Ino> + '_ {
+    /// Iterates the elements in push order.
+    pub fn iter(&self) -> impl Iterator<Item = T> + '_ {
         self.inline[..self.len.min(DIR_INLINE)]
             .iter()
             .copied()
@@ -235,7 +314,7 @@ impl DirChain {
     }
 }
 
-impl Default for DirChain {
+impl<T: Copy + Default> Default for DirChain<T> {
     fn default() -> Self {
         DirChain::new()
     }
@@ -297,16 +376,19 @@ pub struct Vfs {
     shards: Vec<RwLock<Vec<Inode>>>,
     alloc: Mutex<AllocState>,
     root: Ino,
-    mounts: RwLock<Vec<Mount>>,
+    /// The mount table, copied on write so a walk's snapshot is one
+    /// reference-count bump.
+    mounts: RwLock<Arc<Vec<Mount>>>,
     next_mount_id: AtomicU64,
     /// Global change sequence, bumped on every mutation; cheap poll target
     /// for the monitoring daemon. Read via [`Vfs::change_seq`].
     change_seq: AtomicU64,
-    /// Namespace generation: bumped only on mutations that can change what
-    /// a path resolves to (link/unlink/rename/mount/umount/chmod/chown),
-    /// *not* on content writes — unlike `change_seq`, so file I/O does not
-    /// thrash the dcache.
-    namespace_gen: AtomicU64,
+    /// Mount-table sequence, bumped under the `mounts` write lock. Only a
+    /// guard: a walk that saw it move is not stored in the dcache.
+    mount_seq: AtomicU64,
+    /// Per-directory generations, slot `ino % DIR_GENS`, bumped after every
+    /// change to a directory's entries, `..` or mount coverage.
+    dir_gens: Vec<AtomicU64>,
     dcache: Vec<Mutex<DcacheShard>>,
     dcache_enabled: AtomicBool,
     /// Serializes renames. Only rename re-parents a directory, so holding
@@ -337,10 +419,13 @@ fn mount_covering_in(mounts: &[Mount], ino: Ino) -> Option<&Mount> {
     mounts.iter().rev().find(|m| m.covered == ino)
 }
 
-fn follow_mounts_in(mounts: &[Mount], mut ino: Ino) -> Ino {
+/// Follows the mounts stacked on directory `ino`, passing each directory
+/// whose coverage it consults to `note` first.
+fn follow_mounts_in(mounts: &[Mount], mut ino: Ino, mut note: impl FnMut(Ino)) -> Ino {
     // The guard bounds pathological self-covering stacks, which
     // `add_mount` rejects but which defensive code should not spin on.
     for _ in 0..mounts.len() + 1 {
+        note(ino);
         match mount_covering_in(mounts, ino) {
             Some(m) if m.root != ino => ino = m.root,
             _ => break,
@@ -378,10 +463,11 @@ impl Vfs {
                 next: 1,
             }),
             root: Ino(0),
-            mounts: RwLock::new(Vec::new()),
+            mounts: RwLock::new(Arc::new(Vec::new())),
             next_mount_id: AtomicU64::new(1),
             change_seq: AtomicU64::new(0),
-            namespace_gen: AtomicU64::new(0),
+            mount_seq: AtomicU64::new(0),
+            dir_gens: (0..DIR_GENS).map(|_| AtomicU64::new(0)).collect(),
             dcache: (0..DSHARDS)
                 .map(|_| Mutex::new(DcacheShard::default()))
                 .collect(),
@@ -569,21 +655,25 @@ impl Vfs {
     // Dentry cache
     // ------------------------------------------------------------------
 
-    /// The current namespace generation. Any two `resolve` calls bracketing
-    /// an unchanged generation see the same namespace.
-    pub fn namespace_generation(&self) -> u64 {
-        self.namespace_gen.load(Ordering::SeqCst)
+    /// Invalidates every cached resolution that read directory `ino`.
+    fn bump_dir(&self, ino: Ino) {
+        self.dir_gens[ino.0 % DIR_GENS].fetch_add(1, Ordering::Release);
     }
 
-    /// Invalidates the dcache by advancing the namespace generation.
-    /// Called from every mutation that can change a path's meaning.
-    pub fn bump_namespace_gen(&self) {
-        self.namespace_gen.fetch_add(1, Ordering::SeqCst);
+    /// Records that a walk is about to read directory `ino`: its entries,
+    /// its `..`, or its mount coverage. The generation is loaded before the
+    /// read, so a change racing the read leaves the entry already stale.
+    fn note_dep(&self, deps: &mut DirChain<Dep>, ino: Ino) {
+        let slot = ino.0 % DIR_GENS;
+        if deps.last().map(|d| d.slot) != Some(slot) {
+            let gen = self.dir_gens[slot].load(Ordering::Acquire);
+            deps.push(Dep { slot, gen });
+        }
     }
 
     /// Enables or disables the dcache (used by benches to measure the cold
-    /// path). Disabling does not flush; re-enabled entries are still
-    /// generation-checked.
+    /// path, and by oracles comparing against it). Disabling does not
+    /// flush; re-enabled entries are still generation-checked.
     pub fn set_dcache_enabled(&self, on: bool) {
         self.dcache_enabled.store(on, Ordering::Relaxed);
     }
@@ -597,77 +687,67 @@ impl Vfs {
         total
     }
 
-    fn dcache_shard_index(start: Ino, follow_last: bool, path: &str) -> usize {
-        use std::hash::{Hash, Hasher};
-        let mut h = std::collections::hash_map::DefaultHasher::new();
-        start.0.hash(&mut h);
-        follow_last.hash(&mut h);
-        path.hash(&mut h);
-        (h.finish() as usize) % DSHARDS
+    /// Snapshot of the mount table for one walk; allocation-free.
+    fn mounts_snapshot(&self) -> Arc<Vec<Mount>> {
+        Arc::clone(&sync::read(&self.mounts))
     }
 
-    /// Snapshot of the mount table for one walk. Cloning an empty `Vec`
-    /// does not allocate, so the common no-mounts case stays cheap.
-    fn mounts_snapshot(&self) -> Vec<Mount> {
-        sync::read(&self.mounts).clone()
-    }
-
-    /// Cache-fronted resolution. Looks up (start dir, path, follow-last) in
-    /// the dcache shard after lazily flushing a stale generation; falls
-    /// back to [`Vfs::resolve_inner`] and stores the result if the
-    /// namespace did not move underneath the walk.
+    /// Cache-fronted resolution. Looks up (start dir, follow-last, path) in
+    /// its dcache shard and serves the entry if every directory generation
+    /// it recorded is unchanged; otherwise walks with
+    /// [`Vfs::resolve_inner`] and stores the result with the generations
+    /// that walk loaded.
     fn resolve_cached(&self, cwd: Ino, path: &str, follow_last: bool) -> KResult<Resolved> {
         let _resolve_span = crate::trace::span(crate::trace::Pathway::VfsResolve);
         if !self.dcache_enabled.load(Ordering::Relaxed) {
             let mounts = self.mounts_snapshot();
-            return self.resolve_inner(cwd, path, follow_last, 0, &mounts);
+            return self.resolve_inner(cwd, path, follow_last, 0, &mounts, &mut DirChain::new());
         }
         let start = if path.starts_with('/') {
             self.root
         } else {
             cwd
         };
-        let shard_idx = Vfs::dcache_shard_index(start, follow_last, path);
-        let gen_now = self.namespace_generation();
+        let key = (start, follow_last, path);
+        let hash = dcache_hash(key);
+        let shard = &self.dcache[(hash >> 32) as usize % DSHARDS];
         {
             let _probe_span = crate::trace::span(crate::trace::Pathway::DcacheProbe);
-            let mut dc = sync::lock(&self.dcache[shard_idx]);
-            dc.revalidate(gen_now);
-            // The probe interns nothing: a path that was never interned
-            // cannot have been inserted, so `Name::lookup` returning
-            // `None` is itself the miss verdict. A hit clones a
-            // `Resolved` whose `DirChain` is inline for realistic
-            // depths, so the hit path stays allocation-free.
-            if let Some(hit) = Name::lookup(path).and_then(|key| {
-                dc.map
-                    .get(&(start, follow_last))
-                    .and_then(|paths| paths.get(&key))
-            }) {
-                let hit = hit.clone();
-                dc.stats.hits += 1;
-                return Ok(hit);
+            let mut dc = sync::lock(shard);
+            // A hit clones a `Resolved` whose `DirChain` is inline for
+            // realistic depths, so the hit path stays allocation-free.
+            if let Some(entry) = dc.map.get(&hash).filter(|e| e.key == key) {
+                let fresh = entry
+                    .deps
+                    .iter()
+                    .all(|d| self.dir_gens[d.slot].load(Ordering::Acquire) == d.gen);
+                if fresh {
+                    let hit = entry.resolved.clone();
+                    dc.stats.hits += 1;
+                    return Ok(hit);
+                }
+                dc.map.remove(&hash);
+                dc.stats.invalidations += 1;
             }
             dc.stats.misses += 1;
         }
+        let mount_seq = self.mount_seq.load(Ordering::Acquire);
         let mounts = self.mounts_snapshot();
-        let resolved = self.resolve_inner(cwd, path, follow_last, 0, &mounts)?;
-        let key = Name::intern(path);
-        let mut dc = sync::lock(&self.dcache[shard_idx]);
-        // Insert only if the namespace generation is unchanged since the
-        // probe: a walk that raced a mutation may have observed either
-        // state, and the generation is monotonic, so a stale entry can
-        // never be served (the next probe's gen check flushes it).
-        if dc.gen == gen_now && self.namespace_generation() == gen_now {
-            if dc.entries >= DCACHE_CAPACITY / DSHARDS {
-                dc.map.clear();
-                dc.entries = 0;
-                dc.stats.invalidations += 1;
-            }
-            dc.map
-                .entry((start, follow_last))
-                .or_default()
-                .insert(key, resolved.clone());
-            dc.entries += 1;
+        let mut deps = DirChain::new();
+        let resolved = self.resolve_inner(cwd, path, follow_last, 0, &mounts, &mut deps)?;
+        // The stored key borrows the path's interned text, which lives
+        // for the whole process.
+        let key = (start, follow_last, Name::intern(path).as_str());
+        let mut dc = sync::lock(shard);
+        // A walk that overlapped a mount or umount may pair its stale
+        // snapshot with a fresh generation, so it is not stored.
+        if self.mount_seq.load(Ordering::Acquire) == mount_seq {
+            let entry = Cached {
+                key,
+                resolved: resolved.clone(),
+                deps: deps.iter().collect(),
+            };
+            dc.store(hash, entry);
         }
         Ok(resolved)
     }
@@ -684,7 +764,7 @@ impl Vfs {
 
     /// Follows mounts stacked on a directory.
     fn follow_mounts(&self, ino: Ino) -> Ino {
-        follow_mounts_in(&self.mounts_snapshot(), ino)
+        follow_mounts_in(&self.mounts_snapshot(), ino, |_| {})
     }
 
     /// Resolves `path` (absolute, or relative to `cwd`) to an inode,
@@ -705,6 +785,7 @@ impl Vfs {
         follow_last: bool,
         depth: usize,
         mounts: &[Mount],
+        deps: &mut DirChain<Dep>,
     ) -> KResult<Resolved> {
         if depth > MAX_SYMLINK_DEPTH {
             return Err(Errno::ELOOP);
@@ -713,7 +794,7 @@ impl Vfs {
             return Err(Errno::ENAMETOOLONG);
         }
         let mut cur = if path.starts_with('/') {
-            follow_mounts_in(mounts, self.root)
+            follow_mounts_in(mounts, self.root, |d| self.note_dep(deps, d))
         } else {
             cwd
         };
@@ -729,6 +810,7 @@ impl Vfs {
             // Entries are keyed by interned symbol; a `Name::lookup`
             // miss means the name was never interned anywhere, hence
             // certainly absent from this directory.
+            self.note_dep(deps, cur);
             let (entry, parent) = {
                 let node = self.inode(cur);
                 let entries = match node.dir_entries() {
@@ -743,6 +825,7 @@ impl Vfs {
                 // At a mount root, `..` escapes to the covered directory's
                 // parent.
                 if let Some(m) = mount_rooted_at_in(mounts, cur) {
+                    self.note_dep(deps, m.covered);
                     self.inode(m.covered).parent
                 } else {
                     parent
@@ -765,18 +848,18 @@ impl Vfs {
                 if is_last && !follow_last {
                     return Ok(Resolved { ino: next, dirs });
                 }
-                let sub = self.resolve_inner(cur, &target, true, depth + 1, mounts)?;
+                let sub = self.resolve_inner(cur, &target, true, depth + 1, mounts, deps)?;
                 for d in sub.dirs.iter() {
                     dirs.push(d);
                 }
                 let mut landed = sub.ino;
                 if !is_last {
-                    landed = follow_mounts_in(mounts, landed);
+                    landed = follow_mounts_in(mounts, landed, |d| self.note_dep(deps, d));
                     cur = landed;
                     continue;
                 }
                 let landed = if self.inode(landed).data.is_dir() {
-                    follow_mounts_in(mounts, landed)
+                    follow_mounts_in(mounts, landed, |d| self.note_dep(deps, d))
                 } else {
                     landed
                 };
@@ -784,7 +867,7 @@ impl Vfs {
             }
             // Mount traversal.
             let next = if self.inode(next).data.is_dir() {
-                follow_mounts_in(mounts, next)
+                follow_mounts_in(mounts, next, |d| self.note_dep(deps, d))
             } else {
                 next
             };
@@ -961,7 +1044,7 @@ impl Vfs {
             }
             node.version = seq;
         }
-        self.bump_namespace_gen();
+        self.bump_dir(dir);
         Ok(())
     }
 
@@ -1011,7 +1094,7 @@ impl Vfs {
             d.version = self.next_seq();
             Ok(())
         })?;
-        self.bump_namespace_gen();
+        self.bump_dir(dir);
         self.maybe_reclaim(child);
         Ok(child)
     }
@@ -1203,7 +1286,11 @@ impl Vfs {
             s.parent = to_dir;
             s.version = seq;
         }
-        self.bump_namespace_gen();
+        self.bump_dir(from_dir);
+        self.bump_dir(to_dir);
+        if src_is_dir {
+            self.bump_dir(src);
+        }
         Ok(())
     }
 
@@ -1235,7 +1322,7 @@ impl Vfs {
             d.version = self.next_seq();
             Ok(())
         })?;
-        self.bump_namespace_gen();
+        self.bump_dir(dir);
         Ok(())
     }
 
@@ -1320,7 +1407,9 @@ impl Vfs {
             return Err(Errno::EBUSY);
         }
         let id = self.next_mount_id.fetch_add(1, Ordering::Relaxed);
-        sync::write(&self.mounts).push(Mount {
+        let mut mounts = sync::write(&self.mounts);
+        self.mount_seq.fetch_add(1, Ordering::Release);
+        Arc::make_mut(&mut mounts).push(Mount {
             id,
             source: source.to_string(),
             mountpoint: mountpoint.to_string(),
@@ -1330,8 +1419,10 @@ impl Vfs {
             covered,
             mounted_by,
         });
+        drop(mounts);
         self.next_seq();
-        self.bump_namespace_gen();
+        self.bump_dir(covered);
+        self.bump_dir(root);
         Ok(id)
     }
 
@@ -1354,16 +1445,18 @@ impl Vfs {
         if has_children {
             return Err(Errno::EBUSY);
         }
-        let removed = mounts.remove(idx);
+        let removed = Arc::make_mut(&mut mounts).remove(idx);
+        self.mount_seq.fetch_add(1, Ordering::Release);
         drop(mounts);
         self.next_seq();
-        self.bump_namespace_gen();
+        self.bump_dir(removed.covered);
+        self.bump_dir(removed.root);
         Ok(removed)
     }
 
     /// A snapshot of the current mount table.
     pub fn mounts(&self) -> Vec<Mount> {
-        self.mounts_snapshot()
+        self.mounts_snapshot().to_vec()
     }
 
     /// Finds a mount by its mountpoint path.
@@ -2011,22 +2104,53 @@ mod tests {
         );
     }
 
+    /// Resolves `path` from the root and reports whether the dcache
+    /// served it.
+    fn resolve_hit(v: &Vfs, path: &str) -> (KResult<Ino>, bool) {
+        let before = v.dcache_stats().hits;
+        let r = v.resolve(v.root(), path).map(|r| r.ino);
+        (r, v.dcache_stats().hits > before)
+    }
+
     #[test]
-    fn namespace_mutations_bump_generation() {
+    fn namespace_mutations_invalidate_only_what_they_change() {
         let v = fixture();
-        let g0 = v.namespace_generation();
         let etc = v.resolve(v.root(), "/etc").unwrap().ino;
-        v.create_file(etc, "new", Mode(0o644), Uid::ROOT, Gid::ROOT, true)
+        let fstab = v.resolve(v.root(), "/etc/fstab").unwrap().ino;
+        let alice = v.resolve(v.root(), "/home/alice").unwrap().ino;
+        let new = v
+            .create_file(etc, "new", Mode(0o644), Uid::ROOT, Gid::ROOT, true)
             .unwrap();
-        assert!(v.namespace_generation() > g0);
-        let g1 = v.namespace_generation();
+        // The creation is visible, and a path in another directory stays
+        // cached.
+        assert_eq!(resolve_hit(&v, "/etc/new").0, Ok(new));
+        assert_eq!(resolve_hit(&v, "/home/alice"), (Ok(alice), true));
+        // No stale hit after the unlink; /etc's other entries still resolve.
         v.unlink(etc, "new").unwrap();
-        assert!(v.namespace_generation() > g1);
-        // Content writes do NOT invalidate the namespace.
-        let g2 = v.namespace_generation();
-        let f = v.resolve(v.root(), "/etc/fstab").unwrap().ino;
-        v.append(f, b"x").unwrap();
-        assert_eq!(v.namespace_generation(), g2);
+        assert_eq!(resolve_hit(&v, "/etc/new").0, Err(Errno::ENOENT));
+        assert_eq!(resolve_hit(&v, "/etc/fstab").0, Ok(fstab));
+        assert_eq!(resolve_hit(&v, "/home/alice"), (Ok(alice), true));
+        // Content writes invalidate nothing.
+        v.append(fstab, b"x").unwrap();
+        assert_eq!(resolve_hit(&v, "/etc/fstab"), (Ok(fstab), true));
+    }
+
+    #[test]
+    fn re_storing_one_key_never_flushes_the_shard() {
+        let v = fixture();
+        let resolved = v.resolve(v.root(), "/etc/fstab").unwrap();
+        let key = (v.root(), true, "/etc/fstab");
+        let mut shard = DcacheShard::default();
+        for _ in 0..1000 {
+            let entry = Cached {
+                key,
+                resolved: resolved.clone(),
+                deps: Box::new([]),
+            };
+            shard.store(dcache_hash(key), entry);
+        }
+        assert_eq!(shard.map.len(), 1);
+        assert_eq!(shard.stats.invalidations, 0, "no capacity flush");
     }
 
     #[test]

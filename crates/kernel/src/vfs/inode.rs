@@ -6,7 +6,7 @@ use crate::vfs::intern::Name;
 use std::collections::BTreeMap;
 
 /// An inode number: an index into the VFS inode arena.
-#[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Debug)]
+#[derive(Clone, Copy, Default, PartialEq, Eq, Hash, PartialOrd, Ord, Debug)]
 pub struct Ino(pub usize);
 
 /// A file mode: permission bits plus the setuid/setgid/sticky bits, in the

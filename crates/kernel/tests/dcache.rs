@@ -1,15 +1,17 @@
 //! Dcache invalidation properties, exercised through the syscall layer:
-//! every namespace mutation must bump the generation so a stale cached
-//! resolution can never be served, and the `/proc/<lsm>/metrics` view must
-//! report the cache counters.
+//! a mutation invalidates exactly the cached resolutions that read the
+//! directories it changed, so a stale resolution is never served while
+//! unrelated paths stay cached, and the `/proc/<lsm>/metrics` view reports
+//! the cache counters.
 
-use sim_kernel::cred::{Gid, Uid};
-use sim_kernel::error::Errno;
+use sim_kernel::cred::{Credentials, Gid, Uid};
+use sim_kernel::error::{Errno, KResult};
 use sim_kernel::kernel::Kernel;
 use sim_kernel::lsm::NullLsm;
 use sim_kernel::net::SimNet;
-use sim_kernel::vfs::Mode;
+use sim_kernel::vfs::{Ino, Mode, Vfs};
 use sim_kernel::Pid;
+use std::sync::atomic::{AtomicU64, Ordering};
 
 fn boot() -> (Kernel, Pid) {
     let k = Kernel::new(SimNet::new());
@@ -22,7 +24,32 @@ fn boot() -> (Kernel, Pid) {
     k.vfs
         .install_file("/data/b.txt", b"beta", Mode(0o644), Uid::ROOT, Gid::ROOT)
         .unwrap();
+    k.vfs
+        .install_file(
+            "/etc/passwd",
+            b"root:x:0:0\n",
+            Mode(0o644),
+            Uid::ROOT,
+            Gid::ROOT,
+        )
+        .unwrap();
     (k, root)
+}
+
+/// Stats `path` as `pid`, reporting whether the dcache served the walk.
+fn stat_hit(k: &Kernel, pid: Pid, path: &str) -> (KResult<Ino>, bool) {
+    let before = k.vfs.dcache_stats().hits;
+    let r = k.sys_stat(pid, path).map(|s| s.ino);
+    (r, k.vfs.dcache_stats().hits > before)
+}
+
+/// What `path` resolves to with the dcache off: the oracle every cached
+/// answer must match.
+fn uncached(k: &Kernel, pid: Pid, path: &str) -> KResult<Ino> {
+    k.vfs.set_dcache_enabled(false);
+    let r = k.sys_stat(pid, path).map(|s| s.ino);
+    k.vfs.set_dcache_enabled(true);
+    r
 }
 
 #[test]
@@ -36,33 +63,39 @@ fn repeated_reads_hit_the_dcache() {
 }
 
 #[test]
-fn rename_bumps_generation_and_redirects() {
+fn rename_redirects_without_a_stale_hit() {
     let (k, root) = boot();
     assert_eq!(k.read_to_string(root, "/data/a.txt").unwrap(), "alpha");
-    let g0 = k.vfs.namespace_generation();
+    k.read_to_string(root, "/etc/passwd").unwrap();
     // Atomic replace: b.txt takes over the name a.txt.
     k.sys_rename(root, "/data/b.txt", "/data/a.txt").unwrap();
-    assert!(k.vfs.namespace_generation() > g0, "rename must bump gen");
     // A stale hit would return "alpha".
     assert_eq!(k.read_to_string(root, "/data/a.txt").unwrap(), "beta");
+    assert!(
+        stat_hit(&k, root, "/etc/passwd").1,
+        "unrelated path stays cached"
+    );
 }
 
 #[test]
-fn unlink_bumps_generation_and_uncaches() {
+fn unlink_uncaches_the_name_and_nothing_unrelated() {
     let (k, root) = boot();
     k.read_to_string(root, "/data/a.txt").unwrap();
-    let g0 = k.vfs.namespace_generation();
+    k.read_to_string(root, "/etc/passwd").unwrap();
     k.sys_unlink(root, "/data/a.txt").unwrap();
-    assert!(k.vfs.namespace_generation() > g0, "unlink must bump gen");
     // A stale hit would resolve the dead inode instead of failing.
     assert_eq!(
         k.read_to_string(root, "/data/a.txt").unwrap_err(),
         Errno::ENOENT
     );
+    assert!(
+        stat_hit(&k, root, "/etc/passwd").1,
+        "unrelated path stays cached"
+    );
 }
 
 #[test]
-fn mount_and_umount_bump_generation() {
+fn mount_and_umount_redirect_the_covered_path() {
     let (k, root) = boot();
     k.vfs.mkdir_p("/mnt/usb").unwrap();
     k.vfs
@@ -79,18 +112,14 @@ fn mount_and_umount_bump_generation() {
         k.read_to_string(root, "/mnt/usb/under.txt").unwrap(),
         "under"
     );
-    let g0 = k.vfs.namespace_generation();
     k.sys_mount(root, "/dev/sdb1", "/mnt/usb", "vfat", "rw")
         .unwrap();
-    assert!(k.vfs.namespace_generation() > g0, "mount must bump gen");
     // A stale hit would still see the covered file.
     assert_eq!(
         k.read_to_string(root, "/mnt/usb/under.txt").unwrap_err(),
         Errno::ENOENT
     );
-    let g1 = k.vfs.namespace_generation();
     k.sys_umount(root, "/mnt/usb").unwrap();
-    assert!(k.vfs.namespace_generation() > g1, "umount must bump gen");
     assert_eq!(
         k.read_to_string(root, "/mnt/usb/under.txt").unwrap(),
         "under"
@@ -98,12 +127,219 @@ fn mount_and_umount_bump_generation() {
 }
 
 #[test]
-fn chmod_bumps_generation() {
+fn chmod_keeps_the_path_cached_and_access_checks_live() {
     let (k, root) = boot();
-    k.read_to_string(root, "/data/a.txt").unwrap();
-    let g0 = k.vfs.namespace_generation();
+    let user = k.spawn_session(Credentials::user(Uid(1000), Gid(1000)), "/bin/cat");
+    assert_eq!(k.read_to_string(user, "/data/a.txt").unwrap(), "alpha");
     k.sys_chmod(root, "/data/a.txt", Mode(0o600)).unwrap();
-    assert!(k.vfs.namespace_generation() > g0, "chmod must bump gen");
+    // The walk is still served from the dcache, but the permission check
+    // reads the new mode.
+    assert!(
+        stat_hit(&k, user, "/data/a.txt").1,
+        "chmod invalidates nothing"
+    );
+    assert_eq!(
+        k.read_to_string(user, "/data/a.txt").unwrap_err(),
+        Errno::EACCES
+    );
+    k.sys_chown(root, "/data/a.txt", Some(Uid(1000)), None)
+        .unwrap();
+    assert_eq!(k.read_to_string(user, "/data/a.txt").unwrap(), "alpha");
+}
+
+#[test]
+fn renaming_a_directory_invalidates_paths_beneath_it() {
+    let (k, root) = boot();
+    k.vfs
+        .install_file(
+            "/data/sub/deep/f.txt",
+            b"f",
+            Mode(0o644),
+            Uid::ROOT,
+            Gid::ROOT,
+        )
+        .unwrap();
+    let f = k.sys_stat(root, "/data/sub/deep/f.txt").unwrap().ino;
+    k.sys_chdir(root, "/data/sub/deep").unwrap();
+    let up = k.sys_stat(root, "../../a.txt").unwrap().ino;
+    assert_eq!(up, k.sys_stat(root, "/data/a.txt").unwrap().ino);
+    k.vfs.mkdir_p("/elsewhere").unwrap();
+    k.sys_rename(root, "/data/sub", "/elsewhere/moved").unwrap();
+    for path in [
+        "/data/sub/deep/f.txt",
+        "/elsewhere/moved/deep/f.txt",
+        "../../a.txt",
+        "f.txt",
+    ] {
+        assert_eq!(
+            k.sys_stat(root, path).map(|s| s.ino),
+            uncached(&k, root, path),
+            "{path}"
+        );
+    }
+    assert_eq!(
+        k.sys_stat(root, "/elsewhere/moved/deep/f.txt").unwrap().ino,
+        f
+    );
+    // The moved directory's `..` now leads to /elsewhere.
+    assert_eq!(k.sys_stat(root, "../../a.txt").unwrap_err(), Errno::ENOENT);
+}
+
+#[test]
+fn cwd_under_a_newly_covered_directory_sees_the_mount() {
+    let (k, root) = boot();
+    k.vfs
+        .install_file("/mnt/x/under.txt", b"u", Mode(0o644), Uid::ROOT, Gid::ROOT)
+        .unwrap();
+    k.vfs
+        .install_file("/mnt/x/sub/g.txt", b"g", Mode(0o644), Uid::ROOT, Gid::ROOT)
+        .unwrap();
+    k.sys_chdir(root, "/mnt/x/sub").unwrap();
+    let paths = [
+        "..",
+        "../under.txt",
+        "../sub/g.txt",
+        "g.txt",
+        "/mnt/x/sub/g.txt",
+    ];
+    for path in paths {
+        assert!(k.sys_stat(root, path).is_ok(), "{path}");
+    }
+    k.sys_mount(root, "tmpfs", "/mnt/x", "tmpfs", "rw").unwrap();
+    let media = k.vfs.find_mount("/mnt/x").unwrap().root;
+    for path in paths {
+        assert_eq!(
+            k.sys_stat(root, path).map(|s| s.ino),
+            uncached(&k, root, path),
+            "{path}"
+        );
+    }
+    // `..` from the old directory crosses into the new mount, whose root
+    // holds none of the covered names; the cwd itself keeps its entries.
+    assert_eq!(k.sys_stat(root, "..").unwrap().ino, media);
+    assert_eq!(k.sys_stat(root, "../under.txt").unwrap_err(), Errno::ENOENT);
+    assert!(k.sys_stat(root, "g.txt").is_ok());
+    k.sys_umount(root, "/mnt/x").unwrap();
+    for path in paths {
+        assert_eq!(
+            k.sys_stat(root, path).map(|s| s.ino),
+            uncached(&k, root, path),
+            "{path}"
+        );
+    }
+    assert!(k.sys_stat(root, "../under.txt").is_ok());
+}
+
+#[test]
+fn symlink_replaced_by_rename_resolves_to_the_new_target() {
+    let (k, root) = boot();
+    k.vfs
+        .install_file("/data/d1/f", b"one", Mode(0o644), Uid::ROOT, Gid::ROOT)
+        .unwrap();
+    k.vfs
+        .install_file("/data/d2/f", b"two", Mode(0o644), Uid::ROOT, Gid::ROOT)
+        .unwrap();
+    k.sys_symlink(root, "a.txt", "/data/link").unwrap();
+    k.sys_symlink(root, "/data/d1", "/data/dir").unwrap();
+    assert_eq!(k.read_to_string(root, "/data/link").unwrap(), "alpha");
+    assert_eq!(k.read_to_string(root, "/data/dir/f").unwrap(), "one");
+    k.sys_symlink(root, "b.txt", "/data/link.new").unwrap();
+    k.sys_rename(root, "/data/link.new", "/data/link").unwrap();
+    k.sys_symlink(root, "/data/d2", "/data/dir.new").unwrap();
+    k.sys_rename(root, "/data/dir.new", "/data/dir").unwrap();
+    assert_eq!(k.read_to_string(root, "/data/link").unwrap(), "beta");
+    assert_eq!(k.read_to_string(root, "/data/dir/f").unwrap(), "two");
+}
+
+#[test]
+fn a_mount_elsewhere_leaves_etc_passwd_cached() {
+    let (k, root) = boot();
+    k.vfs.mkdir_p("/mnt/x").unwrap();
+    let passwd = k.sys_stat(root, "/etc/passwd").unwrap().ino;
+    k.sys_mount(root, "tmpfs", "/mnt/x", "tmpfs", "rw").unwrap();
+    assert_eq!(stat_hit(&k, root, "/etc/passwd"), (Ok(passwd), true));
+    k.sys_umount(root, "/mnt/x").unwrap();
+    assert_eq!(stat_hit(&k, root, "/etc/passwd"), (Ok(passwd), true));
+}
+
+/// One thread keeps replacing `/spin/cur` by rename while another resolves
+/// it and a path elsewhere. Every version stays hard-linked under `/keep`,
+/// so an inode's content names its version for good. A resolve that
+/// starts after rename `n` returned must see version `n` or later; a stale
+/// dcache hit would see an older one.
+#[test]
+fn concurrent_renames_never_serve_a_stale_inode() {
+    /// Releases the renamer's wait for good once the reader stops, even
+    /// by a panic.
+    struct Finish<'a>(&'a AtomicU64);
+    impl Drop for Finish<'_> {
+        fn drop(&mut self) {
+            self.0.store(u64::MAX, Ordering::SeqCst);
+        }
+    }
+    const ROUNDS: u64 = 400;
+    let v = Vfs::new();
+    let spin = v.mkdir_p("/spin").unwrap();
+    let keep = v.mkdir_p("/keep").unwrap();
+    let other = v
+        .install_file("/other/stable", b"s", Mode(0o644), Uid::ROOT, Gid::ROOT)
+        .unwrap();
+    let version = |i: u64| {
+        let ino = v
+            .create_file(
+                keep,
+                &format!("v{i}"),
+                Mode(0o644),
+                Uid::ROOT,
+                Gid::ROOT,
+                true,
+            )
+            .unwrap();
+        v.write_all(ino, i.to_string().as_bytes()).unwrap();
+        ino
+    };
+    v.link(spin, "cur", version(0)).unwrap();
+    let (done, reads) = (AtomicU64::new(0), AtomicU64::new(0));
+    std::thread::scope(|s| {
+        s.spawn(|| {
+            for i in 1..=ROUNDS {
+                // Keep the threads overlapping: the reader has resolved at
+                // least once per earlier round.
+                while reads.load(Ordering::SeqCst) < i {
+                    std::thread::yield_now();
+                }
+                v.link(spin, "next", version(i)).unwrap();
+                v.rename(spin, "next", spin, "cur").unwrap();
+                done.store(i, Ordering::SeqCst);
+            }
+        });
+        s.spawn(|| {
+            let _finish = Finish(&reads);
+            loop {
+                let floor = done.load(Ordering::SeqCst);
+                // Rename drops an overwritten target before moving the new
+                // entry in, so the name can be briefly absent; it must
+                // never be an older version.
+                if let Ok(r) = v.resolve(v.root(), "/spin/cur") {
+                    let seen: u64 = String::from_utf8(v.read_all(r.ino).unwrap())
+                        .unwrap()
+                        .parse()
+                        .unwrap();
+                    assert!(
+                        seen >= floor,
+                        "stale inode: version {seen} after rename {floor}"
+                    );
+                }
+                assert_eq!(v.resolve(v.root(), "/other/stable").unwrap().ino, other);
+                reads.fetch_add(1, Ordering::SeqCst);
+                if floor == ROUNDS {
+                    break;
+                }
+            }
+        });
+    });
+    // Renames in /spin never evicted /other/stable.
+    assert!(v.dcache_stats().hits >= ROUNDS);
 }
 
 #[test]
@@ -112,7 +348,8 @@ fn invalidation_counter_advances_on_flush() {
     k.read_to_string(root, "/data/a.txt").unwrap();
     k.sys_unlink(root, "/data/b.txt").unwrap();
     let before = k.vfs.dcache_stats().invalidations;
-    // The flush is lazy: the next lookup after the mutation performs it.
+    // The next probe of a.txt finds /data's generation moved and drops the
+    // entry.
     let _ = k.read_to_string(root, "/data/a.txt");
     assert!(k.vfs.dcache_stats().invalidations > before);
 }
