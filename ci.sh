@@ -79,4 +79,8 @@ cmp target/fuzz.smoke.1.txt target/fuzz.smoke.2.txt \
 echo "== docs: sim-kernel + bench rustdoc is warning-clean =="
 RUSTDOCFLAGS="-D warnings" cargo doc -p sim-kernel -p bench --no-deps --quiet
 
+echo "== size: Rust lines under crates/ (information, not a gate) =="
+# The net-lines figure every change reports against its parent.
+find crates -name '*.rs' -not -path '*/target/*' -print0 | xargs -0 cat | wc -l
+
 echo "CI OK"

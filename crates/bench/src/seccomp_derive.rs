@@ -383,6 +383,201 @@ mod tests {
         }
     }
 
+    /// One call per ABI variant, in [`Syscall::index`] order.
+    fn one_call_per_index() -> Vec<Syscall> {
+        use sim_kernel::cred::{Gid, Uid};
+        use sim_kernel::net::{Domain, Ipv4, Packet, SockType};
+        use sim_kernel::syscall::{IoctlCmd, NetfilterOp, OpenFlags, RouteOp, Whence};
+        use sim_kernel::task::NsKind;
+        use sim_kernel::vfs::Mode;
+        let path = || "/tmp/x".to_string();
+        let calls = vec![
+            Syscall::Open {
+                path: path(),
+                flags: OpenFlags::read_only(),
+            },
+            Syscall::Close { fd: 3 },
+            Syscall::Read { fd: 3, count: 1 },
+            Syscall::Write {
+                fd: 3,
+                data: vec![],
+            },
+            Syscall::Lseek {
+                fd: 3,
+                offset: 0,
+                whence: Whence::Set,
+            },
+            Syscall::Stat { path: path() },
+            Syscall::Lstat { path: path() },
+            Syscall::Chmod {
+                path: path(),
+                mode: Mode(0o644),
+            },
+            Syscall::Chown {
+                path: path(),
+                uid: None,
+                gid: None,
+            },
+            Syscall::Mkdir {
+                path: path(),
+                mode: Mode(0o755),
+            },
+            Syscall::Unlink { path: path() },
+            Syscall::Rmdir { path: path() },
+            Syscall::Rename {
+                from: path(),
+                to: path(),
+            },
+            Syscall::Symlink {
+                target: path(),
+                linkpath: path(),
+            },
+            Syscall::Chdir { path: path() },
+            Syscall::Readdir { path: path() },
+            Syscall::Pipe,
+            Syscall::Setuid { uid: Uid(0) },
+            Syscall::Seteuid { uid: Uid(0) },
+            Syscall::Setgid { gid: Gid(0) },
+            Syscall::Setgroups { groups: vec![] },
+            Syscall::Getuid,
+            Syscall::Geteuid,
+            Syscall::Getgid,
+            Syscall::Ioctl {
+                fd: 3,
+                cmd: IoctlCmd::Eject,
+            },
+            Syscall::Mount {
+                source: path(),
+                target: path(),
+                fstype: "tmpfs".into(),
+                options: String::new(),
+            },
+            Syscall::Umount { target: path() },
+            Syscall::Socket {
+                domain: Domain::Inet,
+                stype: SockType::Stream,
+                protocol: 0,
+            },
+            Syscall::Bind {
+                fd: 3,
+                addr: Ipv4::ANY,
+                port: 80,
+            },
+            Syscall::Listen { fd: 3 },
+            Syscall::Connect {
+                fd: 3,
+                addr: Ipv4::LOOPBACK,
+                port: 80,
+            },
+            Syscall::Accept { fd: 3 },
+            Syscall::Send {
+                fd: 3,
+                data: vec![],
+            },
+            Syscall::Recv { fd: 3, max: 1 },
+            Syscall::RecvPacket { fd: 3 },
+            Syscall::Sendto {
+                fd: 3,
+                addr: Ipv4::LOOPBACK,
+                port: 53,
+                data: vec![],
+            },
+            Syscall::SendPacket {
+                fd: 3,
+                pkt: Packet::echo_request(Ipv4::LOOPBACK, Ipv4::LOOPBACK, 1, 1, Uid(0)),
+            },
+            Syscall::Socketpair,
+            Syscall::Netfilter {
+                op: NetfilterOp::Flush,
+            },
+            Syscall::NetfilterList,
+            Syscall::IoctlRoute {
+                op: RouteOp::Del {
+                    dest: Ipv4::ANY,
+                    prefix: 0,
+                },
+            },
+            Syscall::Fork,
+            Syscall::Execve { path: path() },
+            Syscall::Unshare {
+                kind: NsKind::Mount,
+            },
+            Syscall::Exit { status: 0 },
+            Syscall::Wait {
+                child: sim_kernel::Pid(2),
+            },
+        ];
+        for (i, c) in calls.iter().enumerate() {
+            assert_eq!(c.index(), i, "{:?}", c);
+        }
+        assert_eq!(calls.len(), Syscall::COUNT);
+        calls
+    }
+
+    // Differential oracle for the thread-local selection memo against the
+    // allow lists themselves: every committed profile plus one unprofiled
+    // binary, all 46 calls, in enforce mode. Each binary's turn checks two
+    // calls, so the memo alternates a miss (the binary changed) and a hit.
+    // Midway the profiles reload with every allow list complemented,
+    // between the two calls of one turn, so a memo entry that survived the
+    // reload would answer the second call wrongly.
+    #[test]
+    fn memo_denies_exactly_the_calls_outside_each_committed_allow_list() {
+        use sim_kernel::cred::Uid;
+        use sim_kernel::syscall::Verdict;
+        use sim_kernel::task::TaskIdentity;
+        use sim_kernel::vfs::Name;
+        let committed = parse_profiles(include_str!("../../../SECCOMP_PROFILES.json"))
+            .expect("committed profiles parse");
+        let complemented: Vec<ProfileSpec> = committed
+            .iter()
+            .map(|p| ProfileSpec {
+                allow: Syscall::NAMES
+                    .iter()
+                    .filter(|n| !p.allow.iter().any(|a| a == *n))
+                    .map(|n| n.to_string())
+                    .collect(),
+                ..p.clone()
+            })
+            .collect();
+        let unprofiled = "/usr/bin/unprofiled";
+        let mut binaries: Vec<&str> = committed.iter().map(|p| p.binary.as_str()).collect();
+        assert!(!binaries.contains(&unprofiled));
+        binaries.push(unprofiled);
+        let calls = one_call_per_index();
+        let s = Seccomp::new();
+        s.set_mode(SeccompMode::Enforce);
+        let mut loaded = &committed;
+        s.load_profiles(loaded).unwrap();
+        for i in 0..Syscall::COUNT {
+            for (n, &binary) in binaries.iter().enumerate() {
+                let task = TaskIdentity {
+                    pid: sim_kernel::Pid(100 + n as u32),
+                    uid: Uid(1000),
+                    euid: Uid(1000),
+                    binary: Name::intern(binary),
+                    alive: true,
+                };
+                for (j, call) in [&calls[i], &calls[(i + 1) % Syscall::COUNT]]
+                    .into_iter()
+                    .enumerate()
+                {
+                    if (i, n, j) == (Syscall::COUNT / 2, 0, 1) {
+                        loaded = &complemented;
+                        s.load_profiles(loaded).unwrap();
+                    }
+                    let want = match loaded.iter().find(|p| p.binary == binary) {
+                        Some(p) if !p.allow.iter().any(|a| a == call.name()) => {
+                            Verdict::Deny(p.deny_action.errno().expect("a deny action"))
+                        }
+                        _ => Verdict::Continue,
+                    };
+                    assert_eq!(s.check(&task, call, 0), want, "{} {}", binary, call.name());
+                }
+            }
+        }
+    }
+
     // The full derivation + enforcement matrix is exercised by
     // `tables seccomp-derive` in ci.sh; here a trimmed single-mode pass
     // proves the pipeline wiring (record -> specs -> enforce) end to end.

@@ -21,9 +21,7 @@ use crate::net::{NetStack, Netfilter, RouteTable, SimNet};
 use crate::sync::{lock, read, write, Locked};
 use crate::task::{Pid, PipeId, Task, TaskIdentity};
 use crate::trace::DecisionKind;
-use crate::trace::{
-    AuditEvent, AuditObject, AuditRing, AuditSink, Hook, Metrics, Provenance, ShardedMetrics,
-};
+use crate::trace::{AuditEvent, AuditObject, AuditRing, Hook, Metrics, Provenance, ShardedMetrics};
 use crate::vfs::{Ino, InodeData, Mode, ProcHook, Vfs};
 use std::collections::{BTreeMap, VecDeque};
 use std::ops::{Deref, DerefMut};
@@ -255,7 +253,6 @@ pub struct Kernel {
     lsm: RwLock<Box<dyn SecurityModule>>,
     auth: Mutex<Option<Box<dyn AuthProvider>>>,
     media_roots: Mutex<BTreeMap<DevId, Ino>>,
-    sinks: Mutex<Vec<Box<dyn AuditSink>>>,
     pub(crate) interceptors: Locked<InterceptorChain>,
     /// How many interceptors the chain has enabled, recomputed under the
     /// chain's write lock by every chain mutation and published with
@@ -380,7 +377,6 @@ impl Kernel {
             lsm: RwLock::new(Box::new(crate::lsm::NullLsm)),
             auth: Mutex::new(None),
             media_roots: Mutex::new(BTreeMap::new()),
-            sinks: Mutex::new(Vec::new()),
             interceptors: Locked::new(InterceptorChain::default()),
             armed: AtomicUsize::new(0),
             seccomp: crate::seccomp::Seccomp::new(),
@@ -579,19 +575,13 @@ impl Kernel {
         *lock(&self.auth) = Some(auth);
     }
 
-    /// Subscribes an audit sink; it observes every event emitted from now
-    /// on, independent of the `trace` flag and of ring eviction.
-    pub fn subscribe_sink(&self, sink: Box<dyn AuditSink>) {
-        lock(&self.sinks).push(sink);
-    }
-
     /// Emits one typed audit event: snapshots the subject's credentials,
-    /// assigns a sequence number, folds the event into [`Metrics`],
-    /// notifies subscribed sinks, and stores it in the ring.
+    /// assigns a sequence number, folds the event into [`Metrics`], and
+    /// stores it in the ring.
     ///
     /// Recording policy: `Deny` events are security-relevant and always
     /// stored; every other kind is stored only when `trace` is on.
-    /// Metrics and sinks see all events unconditionally.
+    /// Metrics see all events unconditionally.
     ///
     /// Callers must not hold a task guard for `pid` across this call —
     /// the credential snapshot re-reads the task table.
@@ -618,9 +608,6 @@ impl Kernel {
             provenance,
         };
         self.metrics.record(&ev);
-        for sink in lock(&self.sinks).iter_mut() {
-            sink.on_event(&ev);
-        }
         if ev.is_denial() || self.trace() {
             self.audit.push(ev);
         }
@@ -724,10 +711,8 @@ impl Kernel {
         write(&self.tasks[tshard(task.pid.0)]).insert(task.pid.0, task);
     }
 
-    /// Removes a task's entry entirely (after wait), dropping any cached
-    /// seccomp profile selection for the pid.
+    /// Removes a task's entry entirely (after wait).
     pub fn reap(&self, pid: Pid) -> KResult<Task> {
-        self.seccomp.forget_pid(pid);
         write(&self.tasks[tshard(pid.0)])
             .remove(&pid.0)
             .ok_or(Errno::ESRCH)
@@ -1198,12 +1183,10 @@ mod tests {
     }
 
     #[test]
-    fn sinks_observe_all_events() {
-        use crate::trace::CollectingSink;
+    fn metrics_count_events_the_ring_skips() {
         let k = Kernel::new(SimNet::new());
-        let feed = Arc::new(Mutex::new(CollectingSink::default()));
-        k.subscribe_sink(Box::new(feed.clone()));
-        // Informational event with trace off: ring skips it, sink sees it.
+        // Informational event with trace off: the ring skips it, metrics
+        // count it.
         k.emit_event(
             0,
             "test",
@@ -1216,9 +1199,11 @@ mod tests {
             AuditObject::None,
             Provenance::kernel(Hook::SbMount, DecisionKind::Deny, Some(Errno::EPERM)),
         );
-        assert!(k.audit.len() == 1);
-        assert_eq!(lock(&feed).events.len(), 2);
-        assert!(lock(&feed).events[1].is_denial());
+        assert_eq!(k.audit.len(), 1);
+        assert!(k.audit.events()[0].is_denial());
+        let m = k.metrics_snapshot();
+        assert_eq!(m.hook(Hook::Lifecycle).info, 1);
+        assert_eq!(m.hook(Hook::SbMount).deny, 1);
     }
 
     #[test]

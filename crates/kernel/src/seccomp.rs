@@ -8,9 +8,10 @@
 //! and the web/mail workloads under a [`ProfileRecorder`], attributes
 //! every dispatched call to the calling task's binary (via the
 //! [`TaskIdentity`] snapshot in [`SysCtx`]), and emits one allowlist per
-//! binary. At enforcement time each profile is compiled into a flat
-//! `[Action; Syscall::COUNT]` array indexed by [`Syscall::index`], so the
-//! per-call check is an array load — no maps, no string compares.
+//! binary. At enforcement time each profile is compiled into a
+//! [`CompiledProfile`]: an allow bitmask indexed by [`Syscall::index`]
+//! and the one action for every other call, so the per-call check is a
+//! shift — no maps, no string compares.
 //!
 //! Lifecycle: profiles and the global mode live in a [`Seccomp`] control
 //! block owned by the kernel (`kernel.seccomp`) and shared with the
@@ -27,20 +28,18 @@
 //!   kill-flagged violation (the simulation has no signal delivery, see
 //!   DESIGN.md §17).
 //!
-//! Profile selection is per-pid: the first dispatch after `fork`/`execve`
-//! resolves the task's binary to a profile and caches the choice; the
-//! cache entry is invalidated on `execve` (the kernel calls
-//! [`Seccomp::forget_pid`]) and when the profile table is reloaded, so a
-//! task is always judged by its current image. Binaries without a profile
-//! are unconfined — deriving must therefore cover every binary that
-//! should be confined. In front of the shared per-pid cache sits a
-//! lock-free thread-local memo of the last selection, validated by
-//! `(table generation, binary)` — the enforcing hot path is two integer
-//! compares plus a shift on a packed allow mask (see `SelMemo`).
+//! Profile selection is a pure function of `(table generation, binary)`:
+//! a task is judged by the binary in its identity snapshot, so after
+//! `execve` the next call selects by the new image, and a reload restamps
+//! the generation. Binaries without a profile are unconfined — deriving
+//! must therefore cover every binary that should be confined. A lock-free
+//! thread-local memo keeps the last selection keyed by that pair; a hit is
+//! two integer compares plus a shift on the allow mask, and a miss is one
+//! hash probe under the profile table's read lock (see `SelMemo`).
 
 use crate::error::Errno;
 use crate::sync::{lock, read, write};
-use crate::syscall::abi::{SysRet, Syscall};
+use crate::syscall::abi::Syscall;
 use crate::syscall::interceptor::{Interceptor, SysCtx, Verdict};
 use crate::task::{Pid, TaskIdentity};
 use crate::vfs::Name;
@@ -142,53 +141,56 @@ impl ProfileSpec {
     }
 }
 
-/// A compiled profile: the flat per-discriminant action table.
-#[derive(Clone, Debug)]
+// The allow mask packs one bit per ABI syscall into a u64.
+const _: () = assert!(Syscall::COUNT <= 64);
+
+/// A compiled profile: the allowlist as a bitmask over [`Syscall::index`]
+/// plus the one action for every call outside it.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct CompiledProfile {
     /// Interned binary path (the selection key).
     pub binary: Name,
-    /// One action per [`Syscall`] variant, indexed by [`Syscall::index`].
-    pub actions: [Action; Syscall::COUNT],
+    /// Bit `i` set ⇔ the call with [`Syscall::index`] `i` is allowed.
+    pub allow: u64,
+    /// The action for every call whose bit is clear.
+    pub deny: Action,
 }
 
 impl CompiledProfile {
     /// Compiles a spec. Fails with the offending name if any allowlist
     /// entry is not an ABI syscall name.
     pub fn compile(spec: &ProfileSpec) -> Result<CompiledProfile, String> {
-        let mut actions = [spec.deny_action; Syscall::COUNT];
+        let mut allow = 0u64;
         for name in &spec.allow {
             let idx = Syscall::name_index(name)
                 .ok_or_else(|| format!("unknown syscall name '{}'", name))?;
-            actions[idx] = Action::Allow;
+            allow |= 1 << idx;
         }
         Ok(CompiledProfile {
             binary: Name::intern(&spec.binary),
-            actions,
+            allow,
+            deny: spec.deny_action,
         })
     }
 
-    /// How many of the ABI's variants this profile lets through.
-    pub fn allowed_count(&self) -> usize {
-        self.actions
-            .iter()
-            .filter(|a| matches!(a, Action::Allow))
-            .count()
+    /// The profile's action for the call with [`Syscall::index`] `idx`.
+    pub fn action(&self, idx: usize) -> Action {
+        if self.allow >> idx & 1 == 1 {
+            Action::Allow
+        } else {
+            self.deny
+        }
     }
 
     /// Back to the exchange form (allow names in ABI order).
     pub fn spec(&self) -> ProfileSpec {
-        let mut allow = Vec::new();
-        let mut deny_action = Action::Deny(Errno::EPERM);
-        for (i, a) in self.actions.iter().enumerate() {
-            match a {
-                Action::Allow => allow.push(Syscall::NAMES[i].to_string()),
-                other => deny_action = *other,
-            }
-        }
         ProfileSpec {
             binary: self.binary.as_str().to_string(),
-            allow,
-            deny_action,
+            allow: (0..Syscall::COUNT)
+                .filter(|&i| self.allow >> i & 1 == 1)
+                .map(|i| Syscall::NAMES[i].to_string())
+                .collect(),
+            deny_action: self.deny,
         }
     }
 }
@@ -215,18 +217,6 @@ pub struct Violation {
 /// counted, like the audit ring.
 const MAX_VIOLATIONS: usize = 4096;
 
-struct ProfileTable {
-    profiles: Vec<Arc<CompiledProfile>>,
-    by_binary: HashMap<Name, usize>,
-}
-
-#[derive(Clone, Copy)]
-struct PidSel {
-    binary: Name,
-    generation: u64,
-    profile: Option<u32>,
-}
-
 /// Process-global source for table generations. Every (re)load of *any*
 /// [`Seccomp`] instance draws a fresh stamp, so a nonzero generation
 /// identifies exactly one table state across the whole process — which is
@@ -237,66 +227,17 @@ struct PidSel {
 /// them.
 static GENERATION_SOURCE: AtomicU64 = AtomicU64::new(1);
 
-// The memo packs the allowlist into one u64; the ABI must fit.
-const _: () = assert!(Syscall::COUNT <= 64);
-
 /// Thread-local memo of the last profile selection: the dispatch fast
-/// path. Selection is a pure function of `(table generation, binary)` —
-/// the per-pid cache only ever re-derives it — so a memo hit needs two
-/// integer compares and no locks, and a profiled binary's action check is
-/// a shift on the packed allow mask. Filled on the slow path; never
-/// explicitly invalidated (a reload changes the generation, an `execve`
-/// changes the binary, and both fail the compare).
+/// path. Selection is a pure function of `(table generation, binary)`, so
+/// a memo hit needs two integer compares and no locks. Filled on a miss;
+/// never explicitly invalidated (a reload changes the generation, an
+/// `execve` changes the binary, and both fail the compare).
 #[derive(Clone, Copy)]
 struct SelMemo {
     generation: u64,
     binary: Name,
-    /// `false`: no profile for `binary` (unconfined); mask/deny unused.
-    confined: bool,
-    /// `false`: the profile mixes distinct deny actions, which the single
-    /// `deny` slot cannot represent — always take the slow path.
-    uniform: bool,
-    /// Bit `i` set ⇔ `actions[i] == Allow` (valid when `confined`).
-    allow_mask: u64,
-    /// The profile's action for every cleared bit.
-    deny: Action,
-}
-
-impl SelMemo {
-    fn new(generation: u64, binary: Name, profile: Option<&CompiledProfile>) -> SelMemo {
-        let (confined, uniform, allow_mask, deny) = match profile {
-            None => (false, true, 0, Action::Deny(Errno::EPERM)),
-            Some(cp) => {
-                let mut mask = 0u64;
-                let mut deny = None;
-                let mut uniform = true;
-                for (i, a) in cp.actions.iter().enumerate() {
-                    match a {
-                        Action::Allow => mask |= 1 << i,
-                        other => match deny {
-                            None => deny = Some(*other),
-                            Some(d) if d == *other => {}
-                            Some(_) => uniform = false,
-                        },
-                    }
-                }
-                (
-                    true,
-                    uniform,
-                    mask,
-                    deny.unwrap_or(Action::Deny(Errno::EPERM)),
-                )
-            }
-        };
-        SelMemo {
-            generation,
-            binary,
-            confined,
-            uniform,
-            allow_mask,
-            deny,
-        }
-    }
+    /// `None`: no profile for `binary` (unconfined).
+    profile: Option<CompiledProfile>,
 }
 
 thread_local! {
@@ -306,10 +247,9 @@ thread_local! {
 struct SeccompState {
     mode: AtomicU8,
     /// Restamped from [`GENERATION_SOURCE`] on every (re)load; stale
-    /// [`PidSel`] and [`SelMemo`] entries self-invalidate by comparison.
+    /// [`SelMemo`] entries self-invalidate by comparison.
     generation: AtomicU64,
-    table: RwLock<ProfileTable>,
-    pid_sel: RwLock<HashMap<u32, PidSel>>,
+    by_binary: RwLock<HashMap<Name, CompiledProfile>>,
     violations: Mutex<Vec<Violation>>,
     total_violations: AtomicU64,
     dropped_violations: AtomicU64,
@@ -336,11 +276,7 @@ impl Seccomp {
             inner: Arc::new(SeccompState {
                 mode: AtomicU8::new(0),
                 generation: AtomicU64::new(0),
-                table: RwLock::new(ProfileTable {
-                    profiles: Vec::new(),
-                    by_binary: HashMap::new(),
-                }),
-                pid_sel: RwLock::new(HashMap::new()),
+                by_binary: RwLock::new(HashMap::new()),
                 violations: Mutex::new(Vec::new()),
                 total_violations: AtomicU64::new(0),
                 dropped_violations: AtomicU64::new(0),
@@ -369,31 +305,25 @@ impl Seccomp {
 
     /// Replaces the whole profile table. Compilation is all-or-nothing:
     /// on any bad spec the previous table survives untouched. Loading
-    /// bumps the selection generation, so every pid re-resolves its
-    /// profile on its next call.
+    /// bumps the selection generation, so every thread re-selects on its
+    /// next call.
     pub fn load_profiles(&self, specs: &[ProfileSpec]) -> Result<usize, String> {
-        let mut profiles = Vec::with_capacity(specs.len());
         let mut by_binary = HashMap::with_capacity(specs.len());
         for spec in specs {
-            let compiled = Arc::new(CompiledProfile::compile(spec)?);
-            if by_binary.insert(compiled.binary, profiles.len()).is_some() {
+            let compiled = CompiledProfile::compile(spec)?;
+            if by_binary.insert(compiled.binary, compiled).is_some() {
                 return Err(format!("duplicate profile for '{}'", spec.binary));
             }
-            profiles.push(compiled);
         }
-        let n = profiles.len();
-        {
-            let mut t = write(&self.inner.table);
-            t.profiles = profiles;
-            t.by_binary = by_binary;
-        }
+        let n = by_binary.len();
+        *write(&self.inner.by_binary) = by_binary;
         self.bump_generation();
         Ok(n)
     }
 
     /// Stamps this table state with a process-globally unique generation
-    /// (see [`GENERATION_SOURCE`]), invalidating stale [`PidSel`] and
-    /// [`SelMemo`] entries by compare failure.
+    /// (see [`GENERATION_SOURCE`]), invalidating stale [`SelMemo`]
+    /// entries by compare failure.
     fn bump_generation(&self) {
         self.inner.generation.store(
             GENERATION_SOURCE.fetch_add(1, Ordering::Relaxed),
@@ -403,48 +333,35 @@ impl Seccomp {
 
     /// Number of loaded profiles.
     pub fn profile_count(&self) -> usize {
-        read(&self.inner.table).profiles.len()
+        read(&self.inner.by_binary).len()
     }
 
     /// Snapshot of the loaded profiles as exchange specs, sorted by
     /// binary path.
     pub fn profiles(&self) -> Vec<ProfileSpec> {
-        let mut specs: Vec<ProfileSpec> = read(&self.inner.table)
-            .profiles
-            .iter()
-            .map(|p| p.spec())
+        let mut specs: Vec<ProfileSpec> = read(&self.inner.by_binary)
+            .values()
+            .map(CompiledProfile::spec)
             .collect();
         specs.sort_by(|a, b| a.binary.cmp(&b.binary));
         specs
     }
 
-    /// Drops the cached profile selection for `pid` — called by the
-    /// kernel on `execve` (the image changed) and on reap.
-    pub fn forget_pid(&self, pid: Pid) {
-        // Skip the write lock entirely when nothing is loaded (the
-        // common case for kernels that never enable seccomp).
-        if self.inner.generation.load(Ordering::Relaxed) == 0 {
-            return;
-        }
-        write(&self.inner.pid_sel).remove(&pid.0);
-    }
-
-    /// The core per-call check: resolves the caller's profile (cached
-    /// per pid, re-resolved when the binary or table generation changed)
-    /// and maps the profile action plus the global mode onto a dispatch
-    /// [`Verdict`].
+    /// The core per-call check: selects the caller's profile by its
+    /// binary and maps the profile action plus the global mode onto a
+    /// dispatch [`Verdict`].
     pub fn check(&self, task: &TaskIdentity, call: &Syscall, clock: u64) -> Verdict {
         let mode = self.mode();
         if mode == SeccompMode::Off {
             return Verdict::Continue;
         }
-        let action = match self.action_for(task, call.index()) {
-            Some(a) => a,
+        let action = match self.profile_for(task.binary) {
+            Some(p) => p.action(call.index()),
             None => return Verdict::Continue, // unprofiled binary: unconfined
         };
-        if action == Action::Allow {
+        let Some(errno) = action.errno() else {
             return Verdict::Continue;
-        }
+        };
         let enforced = mode == SeccompMode::Enforce;
         self.record_violation(Violation {
             clock,
@@ -455,79 +372,31 @@ impl Seccomp {
             enforced,
         });
         if enforced {
-            Verdict::Deny(action.errno().unwrap_or(Errno::EPERM))
+            Verdict::Deny(errno)
         } else {
-            Verdict::Note {
-                errno: action.errno().unwrap_or(Errno::EPERM),
-            }
+            Verdict::Note { errno }
         }
     }
 
-    /// Profile action for (task, syscall-index): the dispatch fast path.
-    /// A warm hit is the thread-local [`SelMemo`] — two integer compares
-    /// and a shift on the packed allow mask, no locks. Misses fall back
-    /// to the shared per-pid cache and the profile table, then refill the
-    /// memo.
-    fn action_for(&self, task: &TaskIdentity, idx: usize) -> Option<Action> {
+    /// The profile for `binary`: a warm hit is the thread-local
+    /// [`SelMemo`], no locks; a miss probes the table under its read lock
+    /// and refills the memo.
+    fn profile_for(&self, binary: Name) -> Option<CompiledProfile> {
         let generation = self.inner.generation.load(Ordering::Relaxed);
         if let Some(m) = SEL_MEMO.with(Cell::get) {
-            if m.generation == generation && m.binary == task.binary && m.uniform {
-                if !m.confined {
-                    return None;
-                }
-                return Some(if m.allow_mask >> idx & 1 == 1 {
-                    Action::Allow
-                } else {
-                    m.deny
-                });
+            if m.generation == generation && m.binary == binary {
+                return m.profile;
             }
         }
-        self.action_for_slow(task, idx, generation)
-    }
-
-    /// Memo-miss path: first call on this thread for the task's binary,
-    /// or its image / the table changed since. One read lock + hash probe
-    /// on the shared per-pid cache when that is warm; a table lookup and
-    /// cache fill otherwise.
-    fn action_for_slow(&self, task: &TaskIdentity, idx: usize, generation: u64) -> Option<Action> {
-        let cached = {
-            let sel = read(&self.inner.pid_sel);
-            sel.get(&task.pid.0)
-                .filter(|s| s.generation == generation && s.binary == task.binary)
-                .map(|s| s.profile)
-        };
-        let profile_idx = match cached {
-            Some(p) => p,
-            None => {
-                // First call of this pid, or invalidated: resolve the
-                // binary against the table and refill the shared cache.
-                let p = {
-                    let t = read(&self.inner.table);
-                    t.by_binary.get(&task.binary).map(|&i| i as u32)
-                };
-                write(&self.inner.pid_sel).insert(
-                    task.pid.0,
-                    PidSel {
-                        binary: task.binary,
-                        generation,
-                        profile: p,
-                    },
-                );
-                p
-            }
-        };
-        let profile = profile_idx.and_then(|p| {
-            let t = read(&self.inner.table);
-            t.profiles.get(p as usize).cloned()
-        });
+        let profile = read(&self.inner.by_binary).get(&binary).copied();
         SEL_MEMO.with(|c| {
-            c.set(Some(SelMemo::new(
+            c.set(Some(SelMemo {
                 generation,
-                task.binary,
-                profile.as_deref(),
-            )))
+                binary,
+                profile,
+            }))
         });
-        profile.map(|cp| cp.actions[idx])
+        profile
     }
 
     fn record_violation(&self, v: Violation) {
@@ -628,15 +497,10 @@ impl Seccomp {
 
 /// Renders one `profile` line of the exchange grammar.
 pub fn render_profile_line(spec: &ProfileSpec) -> String {
-    let default = match spec.deny_action {
-        Action::Kill => "kill".to_string(),
-        Action::Deny(e) => format!("deny({})", e.name()),
-        Action::Allow => "allow".to_string(), // degenerate, but renderable
-    };
     format!(
         "profile {} default={} allow={}",
         spec.binary,
-        default,
+        spec.deny_action.render(),
         spec.allow.join(",")
     )
 }
@@ -726,7 +590,8 @@ impl Interceptor for SeccompInterceptor {
 /// access.
 #[derive(Clone, Default)]
 pub struct ProfileRecorder {
-    seen: Arc<Mutex<BTreeMap<String, [bool; Syscall::COUNT]>>>,
+    /// Binary path → allow mask over [`Syscall::index`].
+    seen: Arc<Mutex<BTreeMap<String, u64>>>,
 }
 
 impl ProfileRecorder {
@@ -735,34 +600,18 @@ impl ProfileRecorder {
         ProfileRecorder::default()
     }
 
-    /// The recorded reach sets: binary → syscall indices seen, sorted by
-    /// binary path (BTreeMap order) and index.
-    pub fn reach_sets(&self) -> Vec<(String, Vec<usize>)> {
-        lock(&self.seen)
-            .iter()
-            .map(|(bin, seen)| {
-                let idxs = seen
-                    .iter()
-                    .enumerate()
-                    .filter_map(|(i, &s)| if s { Some(i) } else { None })
-                    .collect();
-                (bin.clone(), idxs)
-            })
-            .collect()
-    }
-
     /// The recorded sets as allow-list [`ProfileSpec`]s (deny action
     /// `EPERM`), sorted by binary path.
     pub fn specs(&self) -> Vec<ProfileSpec> {
-        self.reach_sets()
-            .into_iter()
-            .map(|(binary, idxs)| ProfileSpec {
-                binary,
-                allow: idxs
-                    .iter()
-                    .map(|&i| Syscall::NAMES[i].to_string())
-                    .collect(),
-                deny_action: Action::Deny(Errno::EPERM),
+        lock(&self.seen)
+            .iter()
+            .map(|(binary, &allow)| {
+                CompiledProfile {
+                    binary: Name::intern(binary),
+                    allow,
+                    deny: Action::Deny(Errno::EPERM),
+                }
+                .spec()
             })
             .collect()
     }
@@ -775,14 +624,12 @@ impl Interceptor for ProfileRecorder {
 
     fn before(&self, _pid: Pid, call: &Syscall, ctx: &mut SysCtx) -> Verdict {
         if ctx.task.alive {
-            let mut seen = lock(&self.seen);
-            seen.entry(ctx.task.binary.as_str().to_string())
-                .or_insert([false; Syscall::COUNT])[call.index()] = true;
+            *lock(&self.seen)
+                .entry(ctx.task.binary.as_str().to_string())
+                .or_default() |= 1 << call.index();
         }
         Verdict::Continue
     }
-
-    fn after(&self, _pid: Pid, _call: &Syscall, _ret: &SysRet, _ctx: &mut SysCtx) {}
 }
 
 #[cfg(test)]
@@ -812,7 +659,6 @@ mod tests {
         let back = compiled.spec();
         assert_eq!(back.binary, "/bin/x");
         assert_eq!(back.allow, vec!["open", "close", "exit"]);
-        assert_eq!(compiled.allowed_count(), 3);
     }
 
     #[test]
@@ -885,7 +731,7 @@ mod tests {
     }
 
     #[test]
-    fn reload_invalidates_pid_cache() {
+    fn reload_invalidates_the_memo() {
         let s = Seccomp::new();
         s.load_profiles(&[ProfileSpec::allowing("/bin/x", &["getuid"])])
             .unwrap();
@@ -983,29 +829,6 @@ mod tests {
                 Verdict::Deny(Errno::EPERM)
             );
         }
-    }
-
-    #[test]
-    fn memo_packs_uniform_profiles_and_flags_mixed_ones() {
-        let spec = ProfileSpec::allowing("/bin/x", &["open", "exit"]);
-        let cp = CompiledProfile::compile(&spec).unwrap();
-        let m = SelMemo::new(7, cp.binary, Some(&cp));
-        assert!(m.confined && m.uniform);
-        assert_eq!(m.deny, Action::Deny(Errno::EPERM));
-        let open = Syscall::name_index("open").unwrap();
-        let exit = Syscall::name_index("exit").unwrap();
-        let pipe = Syscall::name_index("pipe").unwrap();
-        assert_eq!(m.allow_mask >> open & 1, 1);
-        assert_eq!(m.allow_mask >> exit & 1, 1);
-        assert_eq!(m.allow_mask >> pipe & 1, 0);
-        // A hand-built table mixing deny actions (unreachable through
-        // load_profiles) must refuse the packed fast path.
-        let mut mixed = cp.clone();
-        mixed.actions[pipe] = Action::Kill;
-        assert!(!SelMemo::new(8, mixed.binary, Some(&mixed)).uniform);
-        // No profile at all: unconfined, but still memoizable.
-        let un = SelMemo::new(9, cp.binary, None);
-        assert!(!un.confined && un.uniform);
     }
 
     #[test]

@@ -162,10 +162,74 @@ impl std::fmt::Display for NetfilterRule {
     }
 }
 
-/// A typed syscall request: one variant per `sys_*` entry point, owning
-/// its arguments so a recorded call is self-contained.
-#[derive(Clone, Debug)]
-pub enum Syscall {
+/// Declares [`Syscall`] and its per-variant tables from one row per
+/// syscall, `Variant { fields } => "name", Class;`, so each syscall is
+/// named once. Row order is the fixed table index.
+macro_rules! syscalls {
+    ($(
+        $(#[$doc:meta])*
+        $variant:ident $({ $($(#[$fdoc:meta])* $field:ident: $ty:ty),* $(,)? })?
+            => $name:literal, $class:ident;
+    )*) => {
+        /// A typed syscall request: one variant per `sys_*` entry point, owning
+        /// its arguments so a recorded call is self-contained.
+        #[derive(Clone, Debug)]
+        pub enum Syscall {
+            $($(#[$doc])* $variant $({ $($(#[$fdoc])* $field: $ty),* })?,)*
+        }
+
+        /// The row position of each variant: its fixed table index.
+        enum Ordinal {
+            $($variant,)*
+        }
+
+        impl Syscall {
+            /// Number of syscall variants (the fixed-counter table size).
+            pub const COUNT: usize = [$($name),*].len();
+
+            /// Every ABI syscall name, in variant-declaration order. The index of
+            /// a name here matches [`Syscall::name_index`], so metrics can use a
+            /// fixed `[T; Syscall::COUNT]` table instead of a map on the dispatch
+            /// fast path.
+            pub const NAMES: [&'static str; Syscall::COUNT] = [$($name),*];
+
+            /// Stable syscall name (matches the audit-event `syscall` field where
+            /// the call emits events).
+            pub fn name(&self) -> &'static str {
+                Syscall::NAMES[self.index()]
+            }
+
+            /// Fixed table index for an ABI syscall name (a compiler-optimised
+            /// string match — no allocation, no map). `None` for names that are
+            /// not ABI syscalls (kernel-internal audit pathways like `"auth"`).
+            pub fn name_index(name: &str) -> Option<usize> {
+                match name {
+                    $($name => Some(Ordinal::$variant as usize),)*
+                    _ => None,
+                }
+            }
+
+            /// Fixed table index of this call — the position of its name in
+            /// [`Syscall::NAMES`], computed by a direct variant match so per-call
+            /// table lookups (seccomp allow masks, per-syscall counters) cost a
+            /// jump, not a string comparison.
+            pub fn index(&self) -> usize {
+                match self {
+                    $(Syscall::$variant { .. } => Ordinal::$variant as usize,)*
+                }
+            }
+
+            /// The class this call belongs to.
+            pub fn class(&self) -> SyscallClass {
+                match self {
+                    $(Syscall::$variant { .. } => SyscallClass::$class,)*
+                }
+            }
+        }
+    };
+}
+
+syscalls! {
     // ------------------------------------------------------------- fs --
     /// `open(2)`.
     Open {
@@ -173,26 +237,26 @@ pub enum Syscall {
         path: String,
         /// Open flags.
         flags: OpenFlags,
-    },
+    } => "open", Fs;
     /// `close(2)`.
     Close {
         /// Descriptor to close.
         fd: i32,
-    },
+    } => "close", Fs;
     /// `read(2)` — the response carries the bytes read.
     Read {
         /// Descriptor to read from.
         fd: i32,
         /// Maximum byte count.
         count: usize,
-    },
+    } => "read", Fs;
     /// `write(2)`.
     Write {
         /// Descriptor to write to.
         fd: i32,
         /// Bytes to write.
         data: Vec<u8>,
-    },
+    } => "write", Fs;
     /// `lseek(2)`.
     Lseek {
         /// Descriptor to seek.
@@ -201,24 +265,24 @@ pub enum Syscall {
         offset: i64,
         /// Seek origin.
         whence: Whence,
-    },
+    } => "lseek", Fs;
     /// `stat(2)`.
     Stat {
         /// Path to inspect.
         path: String,
-    },
+    } => "stat", Fs;
     /// `lstat(2)`.
     Lstat {
         /// Path to inspect (not following a trailing symlink).
         path: String,
-    },
+    } => "lstat", Fs;
     /// `chmod(2)`.
     Chmod {
         /// Path to change.
         path: String,
         /// New mode bits.
         mode: Mode,
-    },
+    } => "chmod", Fs;
     /// `chown(2)`.
     Chown {
         /// Path to change.
@@ -227,77 +291,77 @@ pub enum Syscall {
         uid: Option<Uid>,
         /// New group, if changing.
         gid: Option<Gid>,
-    },
+    } => "chown", Fs;
     /// `mkdir(2)`.
     Mkdir {
         /// Directory to create.
         path: String,
         /// Mode bits.
         mode: Mode,
-    },
+    } => "mkdir", Fs;
     /// `unlink(2)`.
     Unlink {
         /// Path to remove.
         path: String,
-    },
+    } => "unlink", Fs;
     /// `rmdir(2)`.
     Rmdir {
         /// Directory to remove.
         path: String,
-    },
+    } => "rmdir", Fs;
     /// `rename(2)`.
     Rename {
         /// Source path.
         from: String,
         /// Destination path.
         to: String,
-    },
+    } => "rename", Fs;
     /// `symlink(2)`.
     Symlink {
         /// Link target.
         target: String,
         /// Path of the new link.
         linkpath: String,
-    },
+    } => "symlink", Fs;
     /// `chdir(2)`.
     Chdir {
         /// New working directory.
         path: String,
-    },
+    } => "chdir", Fs;
     /// `readdir(3)`.
     Readdir {
         /// Directory to list.
         path: String,
-    },
+    } => "readdir", Fs;
     /// `pipe(2)`.
-    Pipe,
+    Pipe => "pipe", Fs;
     // ------------------------------------------------------------- id --
     /// `setuid(2)`.
     Setuid {
         /// Target uid.
         uid: Uid,
-    },
+    } => "setuid", Id;
     /// `seteuid(2)`.
     Seteuid {
         /// Target effective uid.
         uid: Uid,
-    },
+    } => "seteuid", Id;
     /// `setgid(2)`.
     Setgid {
         /// Target gid.
         gid: Gid,
-    },
+    } => "setgid", Id;
     /// `setgroups(2)`.
     Setgroups {
         /// New supplementary group list.
         groups: Vec<Gid>,
-    },
+    } => "setgroups", Id;
     /// `getuid(2)`.
-    Getuid,
+    Getuid => "getuid", Id;
     /// `geteuid(2)`.
-    Geteuid,
+    Geteuid => "geteuid", Id;
     /// `getgid(2)`.
-    Getgid,
+    Getgid => "getgid", Id;
     // ---------------------------------------------------------- ioctl --
     /// `ioctl(2)` on a device fd.
     Ioctl {
@@ -305,7 +369,7 @@ pub enum Syscall {
         fd: i32,
         /// Command.
         cmd: IoctlCmd,
-    },
+    } => "ioctl", Ioctl;
     // ---------------------------------------------------------- mount --
     /// `mount(2)`.
     Mount {
@@ -317,12 +381,12 @@ pub enum Syscall {
         fstype: String,
         /// Comma-separated options.
         options: String,
-    },
+    } => "mount", Mount;
     /// `umount(2)`.
     Umount {
         /// Mountpoint path.
         target: String,
-    },
+    } => "umount", Mount;
     // ------------------------------------------------------------ net --
     /// `socket(2)`.
     Socket {
@@ -332,7 +396,7 @@ pub enum Syscall {
         stype: SockType,
         /// Protocol number.
         protocol: u8,
-    },
+    } => "socket", Net;
     /// `bind(2)`.
     Bind {
         /// Socket descriptor.
@@ -341,12 +405,12 @@ pub enum Syscall {
         addr: Ipv4,
         /// Local port.
         port: u16,
-    },
+    } => "bind", Net;
     /// `listen(2)`.
     Listen {
         /// Socket descriptor.
         fd: i32,
-    },
+    } => "listen", Net;
     /// `connect(2)`.
     Connect {
         /// Socket descriptor.
@@ -355,31 +419,31 @@ pub enum Syscall {
         addr: Ipv4,
         /// Remote port.
         port: u16,
-    },
+    } => "connect", Net;
     /// `accept(2)`.
     Accept {
         /// Listening descriptor.
         fd: i32,
-    },
+    } => "accept", Net;
     /// `send(2)` on a connected socket.
     Send {
         /// Socket descriptor.
         fd: i32,
         /// Payload.
         data: Vec<u8>,
-    },
+    } => "send", Net;
     /// `recv(2)` on a connected socket.
     Recv {
         /// Socket descriptor.
         fd: i32,
         /// Maximum byte count.
         max: usize,
-    },
+    } => "recv", Net;
     /// Raw packet reception.
     RecvPacket {
         /// Raw/packet socket descriptor.
         fd: i32,
-    },
+    } => "recv_packet", Net;
     /// `sendto(2)` on a UDP socket.
     Sendto {
         /// Socket descriptor.
@@ -390,325 +454,51 @@ pub enum Syscall {
         port: u16,
         /// Payload.
         data: Vec<u8>,
-    },
+    } => "sendto", Net;
     /// Raw packet transmission (caller-built headers).
     SendPacket {
         /// Raw/packet socket descriptor.
         fd: i32,
         /// The packet, headers included.
         pkt: Packet,
-    },
+    } => "send_packet", Net;
     /// `socketpair(2)`.
-    Socketpair,
+    Socketpair => "socketpair", Net;
     /// Netfilter administration (the iptables backend).
     Netfilter {
         /// Chain operation.
         op: NetfilterOp,
-    },
+    } => "netfilter", Net;
     /// Lists the OUTPUT-chain rules.
-    NetfilterList,
+    NetfilterList => "netfilter_list", Net;
     /// Routing-table ioctls (`SIOCADDRT`/`SIOCDELRT`).
     IoctlRoute {
         /// Route operation.
         op: RouteOp,
-    },
+    } => "ioctl_route", Net;
     // -------------------------------------------------------- process --
     /// `fork(2)`.
-    Fork,
+    Fork => "fork", Process;
     /// `execve(2)`.
     Execve {
         /// Program path.
         path: String,
-    },
+    } => "execve", Process;
     /// `unshare(2)`.
     Unshare {
         /// Namespace kind to unshare.
         kind: NsKind,
-    },
+    } => "unshare", Process;
     /// `exit(2)`.
     Exit {
         /// Exit status.
         status: i32,
-    },
+    } => "exit", Process;
     /// `waitpid(2)`.
     Wait {
         /// Child to reap.
         child: Pid,
-    },
-}
-
-impl Syscall {
-    /// Stable syscall name (matches the audit-event `syscall` field where
-    /// the call emits events).
-    pub fn name(&self) -> &'static str {
-        match self {
-            Syscall::Open { .. } => "open",
-            Syscall::Close { .. } => "close",
-            Syscall::Read { .. } => "read",
-            Syscall::Write { .. } => "write",
-            Syscall::Lseek { .. } => "lseek",
-            Syscall::Stat { .. } => "stat",
-            Syscall::Lstat { .. } => "lstat",
-            Syscall::Chmod { .. } => "chmod",
-            Syscall::Chown { .. } => "chown",
-            Syscall::Mkdir { .. } => "mkdir",
-            Syscall::Unlink { .. } => "unlink",
-            Syscall::Rmdir { .. } => "rmdir",
-            Syscall::Rename { .. } => "rename",
-            Syscall::Symlink { .. } => "symlink",
-            Syscall::Chdir { .. } => "chdir",
-            Syscall::Readdir { .. } => "readdir",
-            Syscall::Pipe => "pipe",
-            Syscall::Setuid { .. } => "setuid",
-            Syscall::Seteuid { .. } => "seteuid",
-            Syscall::Setgid { .. } => "setgid",
-            Syscall::Setgroups { .. } => "setgroups",
-            Syscall::Getuid => "getuid",
-            Syscall::Geteuid => "geteuid",
-            Syscall::Getgid => "getgid",
-            Syscall::Ioctl { .. } => "ioctl",
-            Syscall::Mount { .. } => "mount",
-            Syscall::Umount { .. } => "umount",
-            Syscall::Socket { .. } => "socket",
-            Syscall::Bind { .. } => "bind",
-            Syscall::Listen { .. } => "listen",
-            Syscall::Connect { .. } => "connect",
-            Syscall::Accept { .. } => "accept",
-            Syscall::Send { .. } => "send",
-            Syscall::Recv { .. } => "recv",
-            Syscall::RecvPacket { .. } => "recv_packet",
-            Syscall::Sendto { .. } => "sendto",
-            Syscall::SendPacket { .. } => "send_packet",
-            Syscall::Socketpair => "socketpair",
-            Syscall::Netfilter { .. } => "netfilter",
-            Syscall::NetfilterList => "netfilter_list",
-            Syscall::IoctlRoute { .. } => "ioctl_route",
-            Syscall::Fork => "fork",
-            Syscall::Execve { .. } => "execve",
-            Syscall::Unshare { .. } => "unshare",
-            Syscall::Exit { .. } => "exit",
-            Syscall::Wait { .. } => "wait",
-        }
-    }
-
-    /// Number of syscall variants (the fixed-counter table size).
-    pub const COUNT: usize = 46;
-
-    /// Every ABI syscall name, in variant-declaration order. The index of
-    /// a name here matches [`Syscall::name_index`], so metrics can use a
-    /// fixed `[T; Syscall::COUNT]` table instead of a map on the dispatch
-    /// fast path.
-    pub const NAMES: [&'static str; Syscall::COUNT] = [
-        "open",
-        "close",
-        "read",
-        "write",
-        "lseek",
-        "stat",
-        "lstat",
-        "chmod",
-        "chown",
-        "mkdir",
-        "unlink",
-        "rmdir",
-        "rename",
-        "symlink",
-        "chdir",
-        "readdir",
-        "pipe",
-        "setuid",
-        "seteuid",
-        "setgid",
-        "setgroups",
-        "getuid",
-        "geteuid",
-        "getgid",
-        "ioctl",
-        "mount",
-        "umount",
-        "socket",
-        "bind",
-        "listen",
-        "connect",
-        "accept",
-        "send",
-        "recv",
-        "recv_packet",
-        "sendto",
-        "send_packet",
-        "socketpair",
-        "netfilter",
-        "netfilter_list",
-        "ioctl_route",
-        "fork",
-        "execve",
-        "unshare",
-        "exit",
-        "wait",
-    ];
-
-    /// Fixed table index for an ABI syscall name (a compiler-optimised
-    /// string match — no allocation, no map). `None` for names that are
-    /// not ABI syscalls (kernel-internal audit pathways like `"auth"`).
-    pub fn name_index(name: &str) -> Option<usize> {
-        let idx = match name {
-            "open" => 0,
-            "close" => 1,
-            "read" => 2,
-            "write" => 3,
-            "lseek" => 4,
-            "stat" => 5,
-            "lstat" => 6,
-            "chmod" => 7,
-            "chown" => 8,
-            "mkdir" => 9,
-            "unlink" => 10,
-            "rmdir" => 11,
-            "rename" => 12,
-            "symlink" => 13,
-            "chdir" => 14,
-            "readdir" => 15,
-            "pipe" => 16,
-            "setuid" => 17,
-            "seteuid" => 18,
-            "setgid" => 19,
-            "setgroups" => 20,
-            "getuid" => 21,
-            "geteuid" => 22,
-            "getgid" => 23,
-            "ioctl" => 24,
-            "mount" => 25,
-            "umount" => 26,
-            "socket" => 27,
-            "bind" => 28,
-            "listen" => 29,
-            "connect" => 30,
-            "accept" => 31,
-            "send" => 32,
-            "recv" => 33,
-            "recv_packet" => 34,
-            "sendto" => 35,
-            "send_packet" => 36,
-            "socketpair" => 37,
-            "netfilter" => 38,
-            "netfilter_list" => 39,
-            "ioctl_route" => 40,
-            "fork" => 41,
-            "execve" => 42,
-            "unshare" => 43,
-            "exit" => 44,
-            "wait" => 45,
-            _ => return None,
-        };
-        Some(idx)
-    }
-
-    /// Fixed table index of this call — the position of its name in
-    /// [`Syscall::NAMES`], computed by a direct variant match so per-call
-    /// table lookups (seccomp action arrays, per-syscall counters) cost a
-    /// jump, not a string comparison. Invariant `Syscall::NAMES[c.index()]
-    /// == c.name()` is locked by a test.
-    pub fn index(&self) -> usize {
-        match self {
-            Syscall::Open { .. } => 0,
-            Syscall::Close { .. } => 1,
-            Syscall::Read { .. } => 2,
-            Syscall::Write { .. } => 3,
-            Syscall::Lseek { .. } => 4,
-            Syscall::Stat { .. } => 5,
-            Syscall::Lstat { .. } => 6,
-            Syscall::Chmod { .. } => 7,
-            Syscall::Chown { .. } => 8,
-            Syscall::Mkdir { .. } => 9,
-            Syscall::Unlink { .. } => 10,
-            Syscall::Rmdir { .. } => 11,
-            Syscall::Rename { .. } => 12,
-            Syscall::Symlink { .. } => 13,
-            Syscall::Chdir { .. } => 14,
-            Syscall::Readdir { .. } => 15,
-            Syscall::Pipe => 16,
-            Syscall::Setuid { .. } => 17,
-            Syscall::Seteuid { .. } => 18,
-            Syscall::Setgid { .. } => 19,
-            Syscall::Setgroups { .. } => 20,
-            Syscall::Getuid => 21,
-            Syscall::Geteuid => 22,
-            Syscall::Getgid => 23,
-            Syscall::Ioctl { .. } => 24,
-            Syscall::Mount { .. } => 25,
-            Syscall::Umount { .. } => 26,
-            Syscall::Socket { .. } => 27,
-            Syscall::Bind { .. } => 28,
-            Syscall::Listen { .. } => 29,
-            Syscall::Connect { .. } => 30,
-            Syscall::Accept { .. } => 31,
-            Syscall::Send { .. } => 32,
-            Syscall::Recv { .. } => 33,
-            Syscall::RecvPacket { .. } => 34,
-            Syscall::Sendto { .. } => 35,
-            Syscall::SendPacket { .. } => 36,
-            Syscall::Socketpair => 37,
-            Syscall::Netfilter { .. } => 38,
-            Syscall::NetfilterList => 39,
-            Syscall::IoctlRoute { .. } => 40,
-            Syscall::Fork => 41,
-            Syscall::Execve { .. } => 42,
-            Syscall::Unshare { .. } => 43,
-            Syscall::Exit { .. } => 44,
-            Syscall::Wait { .. } => 45,
-        }
-    }
-
-    /// The class this call belongs to.
-    pub fn class(&self) -> SyscallClass {
-        match self {
-            Syscall::Open { .. }
-            | Syscall::Close { .. }
-            | Syscall::Read { .. }
-            | Syscall::Write { .. }
-            | Syscall::Lseek { .. }
-            | Syscall::Stat { .. }
-            | Syscall::Lstat { .. }
-            | Syscall::Chmod { .. }
-            | Syscall::Chown { .. }
-            | Syscall::Mkdir { .. }
-            | Syscall::Unlink { .. }
-            | Syscall::Rmdir { .. }
-            | Syscall::Rename { .. }
-            | Syscall::Symlink { .. }
-            | Syscall::Chdir { .. }
-            | Syscall::Readdir { .. }
-            | Syscall::Pipe => SyscallClass::Fs,
-            Syscall::Setuid { .. }
-            | Syscall::Seteuid { .. }
-            | Syscall::Setgid { .. }
-            | Syscall::Setgroups { .. }
-            | Syscall::Getuid
-            | Syscall::Geteuid
-            | Syscall::Getgid => SyscallClass::Id,
-            Syscall::Ioctl { .. } => SyscallClass::Ioctl,
-            Syscall::Mount { .. } | Syscall::Umount { .. } => SyscallClass::Mount,
-            Syscall::Socket { .. }
-            | Syscall::Bind { .. }
-            | Syscall::Listen { .. }
-            | Syscall::Connect { .. }
-            | Syscall::Accept { .. }
-            | Syscall::Send { .. }
-            | Syscall::Recv { .. }
-            | Syscall::RecvPacket { .. }
-            | Syscall::Sendto { .. }
-            | Syscall::SendPacket { .. }
-            | Syscall::Socketpair
-            | Syscall::Netfilter { .. }
-            | Syscall::NetfilterList
-            | Syscall::IoctlRoute { .. } => SyscallClass::Net,
-            Syscall::Fork
-            | Syscall::Execve { .. }
-            | Syscall::Unshare { .. }
-            | Syscall::Exit { .. }
-            | Syscall::Wait { .. } => SyscallClass::Process,
-        }
-    }
+    } => "wait", Process;
 }
 
 /// A typed syscall response. [`Kernel::dispatch`] returns the variant
@@ -775,15 +565,6 @@ impl SysRet {
         }
     }
 
-    /// File-descriptor result.
-    pub fn fd(self) -> KResult<i32> {
-        match self {
-            SysRet::Fd(n) => Ok(n),
-            SysRet::Err(e) => Err(e),
-            other => unreachable!("ABI mismatch: expected Fd, got {:?}", other),
-        }
-    }
-
     /// Descriptor-pair result.
     pub fn fd_pair(self) -> KResult<(i32, i32)> {
         match self {
@@ -792,114 +573,58 @@ impl SysRet {
             other => unreachable!("ABI mismatch: expected FdPair, got {:?}", other),
         }
     }
+}
 
+/// The payload accessors of one shape: `$get` unwraps `SysRet::$Variant`
+/// into `Ok`, an `Err` into `Err`, and any other variant is an ABI
+/// mismatch.
+macro_rules! payload_accessors {
+    ($($(#[$doc:meta])* $get:ident -> $T:ty = $Variant:ident;)*) => {
+        impl SysRet {
+            $(
+                $(#[$doc])*
+                pub fn $get(self) -> KResult<$T> {
+                    match self {
+                        SysRet::$Variant(v) => Ok(v),
+                        SysRet::Err(e) => Err(e),
+                        other => unreachable!(
+                            concat!("ABI mismatch: expected ", stringify!($Variant), ", got {:?}"),
+                            other
+                        ),
+                    }
+                }
+            )*
+        }
+    };
+}
+
+payload_accessors! {
+    /// File-descriptor result.
+    fd -> i32 = Fd;
     /// Byte-count/offset result.
-    pub fn size(self) -> KResult<usize> {
-        match self {
-            SysRet::Size(n) => Ok(n),
-            SysRet::Err(e) => Err(e),
-            other => unreachable!("ABI mismatch: expected Size, got {:?}", other),
-        }
-    }
-
+    size -> usize = Size;
     /// Byte-payload result.
-    pub fn data(self) -> KResult<Vec<u8>> {
-        match self {
-            SysRet::Data(d) => Ok(d),
-            SysRet::Err(e) => Err(e),
-            other => unreachable!("ABI mismatch: expected Data, got {:?}", other),
-        }
-    }
-
+    data -> Vec<u8> = Data;
     /// Name-list result.
-    pub fn names(self) -> KResult<Vec<String>> {
-        match self {
-            SysRet::Names(n) => Ok(n),
-            SysRet::Err(e) => Err(e),
-            other => unreachable!("ABI mismatch: expected Names, got {:?}", other),
-        }
-    }
-
+    names -> Vec<String> = Names;
     /// Stat result.
-    pub fn stat(self) -> KResult<Stat> {
-        match self {
-            SysRet::Stat(s) => Ok(s),
-            SysRet::Err(e) => Err(e),
-            other => unreachable!("ABI mismatch: expected Stat, got {:?}", other),
-        }
-    }
-
+    stat -> Stat = Stat;
     /// Ioctl result.
-    pub fn ioctl(self) -> KResult<IoctlOut> {
-        match self {
-            SysRet::Ioctl(o) => Ok(o),
-            SysRet::Err(e) => Err(e),
-            other => unreachable!("ABI mismatch: expected Ioctl, got {:?}", other),
-        }
-    }
-
+    ioctl -> IoctlOut = Ioctl;
     /// Packet result.
-    pub fn packet(self) -> KResult<Packet> {
-        match self {
-            SysRet::Packet(p) => Ok(p),
-            SysRet::Err(e) => Err(e),
-            other => unreachable!("ABI mismatch: expected Packet, got {:?}", other),
-        }
-    }
-
+    packet -> Packet = Packet;
     /// Uid result.
-    pub fn uid(self) -> KResult<Uid> {
-        match self {
-            SysRet::Uid(u) => Ok(u),
-            SysRet::Err(e) => Err(e),
-            other => unreachable!("ABI mismatch: expected Uid, got {:?}", other),
-        }
-    }
-
+    uid -> Uid = Uid;
     /// Gid result.
-    pub fn gid(self) -> KResult<Gid> {
-        match self {
-            SysRet::Gid(g) => Ok(g),
-            SysRet::Err(e) => Err(e),
-            other => unreachable!("ABI mismatch: expected Gid, got {:?}", other),
-        }
-    }
-
+    gid -> Gid = Gid;
     /// Pid result.
-    pub fn pid(self) -> KResult<Pid> {
-        match self {
-            SysRet::Pid(p) => Ok(p),
-            SysRet::Err(e) => Err(e),
-            other => unreachable!("ABI mismatch: expected Pid, got {:?}", other),
-        }
-    }
-
+    pid -> Pid = Pid;
     /// Path result.
-    pub fn path(self) -> KResult<String> {
-        match self {
-            SysRet::Path(p) => Ok(p),
-            SysRet::Err(e) => Err(e),
-            other => unreachable!("ABI mismatch: expected Path, got {:?}", other),
-        }
-    }
-
+    path -> String = Path;
     /// Exit-status result.
-    pub fn status(self) -> KResult<i32> {
-        match self {
-            SysRet::Status(s) => Ok(s),
-            SysRet::Err(e) => Err(e),
-            other => unreachable!("ABI mismatch: expected Status, got {:?}", other),
-        }
-    }
-
+    status -> i32 = Status;
     /// Netfilter rule-list result.
-    pub fn rules(self) -> KResult<Vec<NetfilterRule>> {
-        match self {
-            SysRet::Rules(r) => Ok(r),
-            SysRet::Err(e) => Err(e),
-            other => unreachable!("ABI mismatch: expected Rules, got {:?}", other),
-        }
-    }
+    rules -> Vec<NetfilterRule> = Rules;
 }
 
 fn wrap<T>(r: KResult<T>, f: impl FnOnce(T) -> SysRet) -> SysRet {

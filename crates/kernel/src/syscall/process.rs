@@ -189,10 +189,6 @@ impl Kernel {
         }
 
         self.task_mut(pid)?.binary = abs.clone();
-        // The task's image changed: drop its cached seccomp profile
-        // selection so the next dispatched call re-selects by the new
-        // binary (§15 exec re-selection).
-        self.seccomp.forget_pid(pid);
         self.emit_kernel_event(
             pid,
             "execve",

@@ -109,13 +109,7 @@ impl HookCounters {
     /// Touched hooks as `(name, counters)` pairs, sorted by name — the
     /// same visiting order the old `BTreeMap` produced.
     pub fn iter(&self) -> impl Iterator<Item = (&'static str, &DecisionCounters)> {
-        let mut rows: Vec<(&'static str, &DecisionCounters)> = Hook::ALL
-            .iter()
-            .map(|h| (h.name(), &self.table[h.index()]))
-            .filter(|(_, c)| c.total() > 0)
-            .collect();
-        rows.sort_by_key(|(name, _)| *name);
-        rows.into_iter()
+        self.into_iter()
     }
 
     /// Total denials across all hooks.

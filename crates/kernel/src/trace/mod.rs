@@ -1,7 +1,6 @@
 //! Structured kernel observability: typed audit events with decision
 //! provenance, a bounded ring buffer with kernel-audit-backlog drop
-//! semantics, per-hook / per-syscall decision metrics, and an
-//! [`AuditSink`] subscription point for userland daemons.
+//! semantics, and per-hook / per-syscall decision metrics.
 //!
 //! This replaces the original unbounded `Vec<String>` audit trail. Every
 //! policy-relevant decision site in the syscall layer now emits an
@@ -19,15 +18,14 @@
 //!   because tracing is off would blind incident response;
 //! * all other kinds (`Allow`, `UseDefault`, `Defer`, `Info`) are
 //!   recorded only when `Kernel::trace` is on;
-//! * [`Metrics`] counters and subscribed sinks observe every emitted
-//!   event regardless of the flag.
+//! * [`Metrics`] counters observe every emitted event regardless of the
+//!   flag.
 
 mod event;
 pub mod hist;
 mod metrics;
 mod recorder;
 mod ring;
-mod sink;
 pub mod span;
 
 pub use event::{AuditEvent, AuditObject, DecisionKind, Hook, Provenance};
@@ -37,5 +35,4 @@ pub use metrics::{
 };
 pub use recorder::{Divergence, Trace, TraceEntry, TraceError, TraceRecorder, TraceReplayer};
 pub use ring::{AuditRing, DEFAULT_RING_CAPACITY};
-pub use sink::{AuditSink, CollectingSink};
 pub use span::{span, Pathway, SpanGuard, TimingSnapshot};

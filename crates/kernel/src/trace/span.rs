@@ -59,7 +59,7 @@ pub enum Pathway {
     VfsResolve,
     /// Dcache probe inside a resolve (hit or miss bookkeeping).
     DcacheProbe,
-    /// Audit event emission: metrics record + sinks + ring push.
+    /// Audit event emission: metrics record + ring push.
     AuditEmit,
     /// `SecurityModule::capable`.
     LsmCapable,

@@ -1224,62 +1224,75 @@ impl Vfs {
                 cur = self.inode(cur).parent;
             }
         }
-        if let Some(existing) = self.dir_lookup(to_dir, to_name)? {
-            if existing == src {
-                return Ok(());
-            }
-            if self.inode(existing).data.is_dir() {
-                return Err(Errno::EISDIR);
-            }
-            self.dir_remove(to_dir, to_name)?;
-        }
-        // Move the entry without touching the inode's link count. The
-        // source key must already be interned (the entry exists); the
+        // The source key must already be interned (the entry exists); the
         // destination name is interned fresh.
         let from_key = Name::lookup(from_name).ok_or(Errno::ENOENT)?;
         let to_key = Name::intern(to_name);
-        if from_dir == to_dir {
-            let mut d = self.inode_mut(from_dir);
-            let seq = self.next_seq();
-            let entries = match &mut d.data {
-                InodeData::Directory(e) => e,
-                _ => return Err(Errno::ENOTDIR),
-            };
-            match entries.get(&from_key) {
-                Some(&i) if i == src => {}
-                _ => return Err(Errno::ENOENT),
-            }
-            entries.remove(&from_key);
-            entries.insert(to_key, src);
-            d.version = seq;
-        } else {
-            self.with_pair(from_dir, to_dir, |f, t| {
-                if !matches!(t.data, InodeData::Directory(_)) {
-                    return Err(Errno::ENOTDIR);
+        // An existing target is overwritten in the same critical section
+        // that inserts the source, so a concurrent resolve of `to_name`
+        // finds the old inode or the new one, never ENOENT (rename(2)).
+        // A target a non-rename writer changed since the lookup is looked
+        // up again.
+        let replaced = loop {
+            let existing = self.dir_lookup(to_dir, to_name)?;
+            if let Some(e) = existing {
+                if e == src {
+                    return Ok(());
                 }
-                let from_entries = match &mut f.data {
+                if self.inode(e).data.is_dir() {
+                    return Err(Errno::EISDIR);
+                }
+            }
+            // Swap the entries under the directory lock(s); `false`,
+            // having changed nothing, when the target entry is no longer
+            // `existing`.
+            let moved = if from_dir == to_dir {
+                let mut d = self.inode_mut(from_dir);
+                let entries = match &mut d.data {
                     InodeData::Directory(e) => e,
                     _ => return Err(Errno::ENOTDIR),
                 };
-                match from_entries.get(&from_key) {
-                    Some(&i) if i == src => {}
-                    _ => return Err(Errno::ENOENT),
+                if entries.get(&from_key) != Some(&src) {
+                    return Err(Errno::ENOENT);
                 }
-                from_entries.remove(&from_key);
-                if src_is_dir {
-                    f.nlink -= 1;
+                let moved = entries.get(&to_key).copied() == existing;
+                if moved {
+                    entries.remove(&from_key);
+                    entries.insert(to_key, src);
+                    d.version = self.next_seq();
                 }
-                f.version = self.next_seq();
-                if let InodeData::Directory(to_entries) = &mut t.data {
+                moved
+            } else {
+                self.with_pair(from_dir, to_dir, |f, t| {
+                    let to_entries = match &mut t.data {
+                        InodeData::Directory(e) => e,
+                        _ => return Err(Errno::ENOTDIR),
+                    };
+                    let from_entries = match &mut f.data {
+                        InodeData::Directory(e) => e,
+                        _ => return Err(Errno::ENOTDIR),
+                    };
+                    if from_entries.get(&from_key) != Some(&src) {
+                        return Err(Errno::ENOENT);
+                    }
+                    if to_entries.get(&to_key).copied() != existing {
+                        return Ok(false);
+                    }
+                    from_entries.remove(&from_key);
                     to_entries.insert(to_key, src);
-                }
-                if src_is_dir {
-                    t.nlink += 1;
-                }
-                t.version = self.next_seq();
-                Ok(())
-            })?;
-        }
+                    if src_is_dir {
+                        f.nlink -= 1;
+                        t.nlink += 1;
+                    }
+                    f.version = self.next_seq();
+                    t.version = self.next_seq();
+                    Ok(true)
+                })?
+            };
+            if moved {
+                break existing;
+            }
+        };
         {
             let mut s = self.inode_mut(src);
             let seq = self.next_seq();
@@ -1290,6 +1303,16 @@ impl Vfs {
         self.bump_dir(to_dir);
         if src_is_dir {
             self.bump_dir(src);
+        }
+        // Only now, with every cached path through the old entry stale, may
+        // the replaced inode be freed (the order `dir_remove` keeps): a
+        // probe passing its generation check never returns a freed slot.
+        if let Some(old) = replaced {
+            {
+                let mut g = self.inode_mut(old);
+                g.nlink = g.nlink.saturating_sub(1);
+            }
+            self.maybe_reclaim(old);
         }
         Ok(())
     }

@@ -263,10 +263,14 @@ fn a_mount_elsewhere_leaves_etc_passwd_cached() {
 }
 
 /// One thread keeps replacing `/spin/cur` by rename while another resolves
-/// it and a path elsewhere. Every version stays hard-linked under `/keep`,
-/// so an inode's content names its version for good. A resolve that
-/// starts after rename `n` returned must see version `n` or later; a stale
-/// dcache hit would see an older one.
+/// it and a path elsewhere. Nothing else links a replaced version, so
+/// every rename frees the inode it overwrites. The name never goes
+/// missing; once a rename returns, the name resolves to its new version;
+/// and a resolve that starts once the replaced inode's link count reads 0
+/// never returns it (rename makes every cached path to it stale before
+/// freeing it). After each rename the renamer waits for the reader to see
+/// the new version, so at most one rename is in flight and a freed slot is
+/// not reused while the reader still watches it.
 #[test]
 fn concurrent_renames_never_serve_a_stale_inode() {
     /// Releases the renamer's wait for good once the reader stops, even
@@ -280,60 +284,62 @@ fn concurrent_renames_never_serve_a_stale_inode() {
     const ROUNDS: u64 = 400;
     let v = Vfs::new();
     let spin = v.mkdir_p("/spin").unwrap();
-    let keep = v.mkdir_p("/keep").unwrap();
     let other = v
         .install_file("/other/stable", b"s", Mode(0o644), Uid::ROOT, Gid::ROOT)
         .unwrap();
-    let version = |i: u64| {
+    let version = |name: &str, i: u64| {
         let ino = v
-            .create_file(
-                keep,
-                &format!("v{i}"),
-                Mode(0o644),
-                Uid::ROOT,
-                Gid::ROOT,
-                true,
-            )
+            .create_file(spin, name, Mode(0o644), Uid::ROOT, Gid::ROOT, true)
             .unwrap();
         v.write_all(ino, i.to_string().as_bytes()).unwrap();
         ino
     };
-    v.link(spin, "cur", version(0)).unwrap();
-    let (done, reads) = (AtomicU64::new(0), AtomicU64::new(0));
+    let read = |ino: Ino| -> u64 {
+        String::from_utf8(v.read_all(ino).unwrap())
+            .unwrap()
+            .parse()
+            .unwrap()
+    };
+    let mut cur = version("cur", 0);
+    let (done, acked) = (AtomicU64::new(0), AtomicU64::new(0));
     std::thread::scope(|s| {
         s.spawn(|| {
             for i in 1..=ROUNDS {
-                // Keep the threads overlapping: the reader has resolved at
-                // least once per earlier round.
-                while reads.load(Ordering::SeqCst) < i {
+                while acked.load(Ordering::SeqCst) < i - 1 {
                     std::thread::yield_now();
                 }
-                v.link(spin, "next", version(i)).unwrap();
+                version("next", i);
                 v.rename(spin, "next", spin, "cur").unwrap();
                 done.store(i, Ordering::SeqCst);
             }
         });
         s.spawn(|| {
-            let _finish = Finish(&reads);
+            let _finish = Finish(&acked);
+            let mut seen = 0;
             loop {
-                let floor = done.load(Ordering::SeqCst);
-                // Rename drops an overwritten target before moving the new
-                // entry in, so the name can be briefly absent; it must
-                // never be an older version.
-                if let Ok(r) = v.resolve(v.root(), "/spin/cur") {
-                    let seen: u64 = String::from_utf8(v.read_all(r.ino).unwrap())
-                        .unwrap()
-                        .parse()
-                        .unwrap();
-                    assert!(
-                        seen >= floor,
-                        "stale inode: version {seen} after rename {floor}"
-                    );
-                }
                 assert_eq!(v.resolve(v.root(), "/other/stable").unwrap().ino, other);
-                reads.fetch_add(1, Ordering::SeqCst);
-                if floor == ROUNDS {
-                    break;
+                let floor = done.load(Ordering::SeqCst);
+                if floor > seen {
+                    // The renamer waits for this ack: nothing is in flight.
+                    let r = v.resolve(v.root(), "/spin/cur").unwrap();
+                    assert_eq!(read(r.ino), floor, "stale inode after rename {floor}");
+                    assert_eq!(v.inode(r.ino).nlink, 1);
+                    (cur, seen) = (r.ino, floor);
+                    acked.store(floor, Ordering::SeqCst);
+                    if floor == ROUNDS {
+                        break;
+                    }
+                    continue;
+                }
+                // Rename `floor + 1` may be in flight and may free `cur`.
+                let freed = v.inode(cur).nlink == 0;
+                let r = v.resolve(v.root(), "/spin/cur").unwrap();
+                if freed {
+                    assert_ne!(r.ino, cur, "resolved a freed inode");
+                }
+                if r.ino != cur {
+                    // The new version stays linked until our next ack.
+                    assert_eq!(read(r.ino), floor + 1);
                 }
             }
         });

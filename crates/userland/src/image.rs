@@ -195,11 +195,9 @@ pub fn boot(mode: SystemMode) -> System {
                 Mode(0o600),
             )
             .expect("creddb policy");
-        // The monitoring daemon mirrors every legacy config file and
-        // subscribes to the kernel's structured audit stream.
+        // The monitoring daemon mirrors every legacy config file.
         let mut daemon = MonitorDaemon::new(init);
         daemon.sync_all(&sys.kernel).expect("initial sync");
-        daemon.subscribe(&sys.kernel);
         sys.monitord = Some(daemon);
     }
     sys

@@ -22,45 +22,9 @@ use protego_core::policy::{self, GroupRule, SudoRule};
 use protego_core::sudoers::{parse_sudoers, MapResolver};
 use sim_kernel::error::KResult;
 use sim_kernel::kernel::Kernel;
-use sim_kernel::sync::lock;
 use sim_kernel::task::Pid;
-use sim_kernel::trace::{AuditEvent, AuditSink};
 use sim_kernel::vfs::Mode;
 use std::collections::BTreeMap;
-use std::sync::{Arc, Mutex};
-
-/// How many rendered denial lines the daemon's feed retains.
-const FEED_CAPACITY: usize = 256;
-
-/// What the daemon has observed on the kernel's audit stream.
-#[derive(Debug, Default)]
-pub struct AuditFeed {
-    /// Total events observed.
-    pub events_seen: u64,
-    /// Denial events observed (counted even after lines rotate out).
-    pub denials_seen: u64,
-    /// Rendered lines of the most recent denials (bounded).
-    pub recent_denials: Vec<String>,
-}
-
-/// The audit-sink handle the daemon registers with the kernel. Clones
-/// share the feed, so the daemon keeps reading what the kernel writes.
-#[derive(Debug, Clone)]
-pub struct MonitorSink(Arc<Mutex<AuditFeed>>);
-
-impl AuditSink for MonitorSink {
-    fn on_event(&mut self, ev: &AuditEvent) {
-        let mut feed = lock(&self.0);
-        feed.events_seen += 1;
-        if ev.is_denial() {
-            feed.denials_seen += 1;
-            if feed.recent_denials.len() == FEED_CAPACITY {
-                feed.recent_denials.remove(0);
-            }
-            feed.recent_denials.push(ev.render());
-        }
-    }
-}
 
 /// The monitoring daemon's state.
 #[derive(Debug)]
@@ -73,7 +37,6 @@ pub struct MonitorDaemon {
     /// Parse problems encountered (logged, not fatal — the previous
     /// kernel policy stays in force, as the paper's daemon does).
     pub errors: Vec<String>,
-    feed: Arc<Mutex<AuditFeed>>,
 }
 
 impl MonitorDaemon {
@@ -84,29 +47,7 @@ impl MonitorDaemon {
             seen: BTreeMap::new(),
             syncs: 0,
             errors: Vec::new(),
-            feed: Arc::new(Mutex::new(AuditFeed::default())),
         }
-    }
-
-    /// Subscribes the daemon to the kernel's structured audit stream; the
-    /// kernel pushes every event into the shared feed from then on.
-    pub fn subscribe(&self, k: &Kernel) {
-        k.subscribe_sink(Box::new(MonitorSink(Arc::clone(&self.feed))));
-    }
-
-    /// Total audit events observed through the subscription.
-    pub fn audit_events_seen(&self) -> u64 {
-        lock(&self.feed).events_seen
-    }
-
-    /// Denial events observed through the subscription.
-    pub fn audit_denials_seen(&self) -> u64 {
-        lock(&self.feed).denials_seen
-    }
-
-    /// Rendered lines of the most recent denials (bounded buffer).
-    pub fn recent_denials(&self) -> Vec<String> {
-        lock(&self.feed).recent_denials.clone()
     }
 
     /// The daemon's typed syscall context — all of its file IO goes
@@ -560,14 +501,12 @@ mod tests {
     }
 
     #[test]
-    fn subscribed_daemon_sees_denials() {
+    fn denials_are_readable_from_the_audit_ring_and_metrics() {
         let (k, root) = boot();
         let mut d = MonitorDaemon::new(root);
         d.sync_all(&k).unwrap();
-        d.subscribe(&k);
-        assert_eq!(d.audit_denials_seen(), 0);
         // An unprivileged mount off the whitelist is denied by the stock
-        // fallback — the daemon's feed must carry the event.
+        // fallback; the ring and the metrics registry both hold it.
         let user = k.spawn_session(
             sim_kernel::cred::Credentials::user(Uid(1000), Gid(1000)),
             "/bin/mount",
@@ -576,12 +515,19 @@ mod tests {
         assert!(k
             .sys_mount(user, "/dev/sdb1", "/mnt/nope", "vfat", "rw")
             .is_err());
-        assert!(d.audit_events_seen() >= 1);
-        assert_eq!(d.audit_denials_seen(), 1);
-        let lines = d.recent_denials();
-        assert_eq!(lines.len(), 1);
-        assert!(lines[0].contains("decision=deny"), "{}", lines[0]);
-        assert!(lines[0].contains("hook=sb_mount"), "{}", lines[0]);
+        assert_eq!(
+            k.metrics_snapshot()
+                .hook(sim_kernel::trace::Hook::SbMount)
+                .deny,
+            1
+        );
+        let audit = k.read_to_string(root, "/proc/protego/audit").unwrap();
+        let denials: Vec<_> = audit
+            .lines()
+            .filter(|l| l.contains("decision=deny"))
+            .collect();
+        assert_eq!(denials.len(), 1, "{}", audit);
+        assert!(denials[0].contains("hook=sb_mount"), "{}", denials[0]);
     }
 
     #[test]

@@ -12,12 +12,11 @@
 use protego::kernel::cred::{Credentials, Gid, Uid};
 use protego::kernel::net::{Domain, Ipv4, SockType};
 use protego::kernel::syscall::{FaultConfig, SyscallClass};
-use protego::kernel::trace::{span, AuditEvent, AuditSink, DecisionKind, Hook, Pathway};
+use protego::kernel::trace::{span, DecisionKind, Hook, Pathway};
 use protego::kernel::vfs::{Mode, Name};
 use protego::kernel::Pid;
 use protego::userland::workload::{self, privileged_artifacts, vfs_namespace_violations, Service};
 use protego::userland::{boot, System, SystemMode};
-use std::sync::{Arc, Mutex};
 
 const WORKERS: usize = 8;
 const ITERS: u64 = 400;
@@ -285,21 +284,6 @@ fn web_and_mail_services_share_one_kernel_under_a_storm() {
     );
 }
 
-/// `(pid, rule)` of every audited bind decision.
-type Seen = Arc<Mutex<Vec<(u32, Option<Name>)>>>;
-
-/// Records every bind decision the module makes into a [`Seen`] list.
-struct BindRules(Seen);
-
-impl AuditSink for BindRules {
-    fn on_event(&mut self, ev: &AuditEvent) {
-        if ev.provenance.hook == Hook::SocketBind {
-            assert_eq!(ev.provenance.decision, DecisionKind::Allow);
-            self.0.lock().unwrap().push((ev.pid, ev.provenance.rule));
-        }
-    }
-}
-
 #[test]
 fn concurrent_decisions_keep_their_own_rule() {
     const BINDS: usize = 1_000;
@@ -319,8 +303,9 @@ fn concurrent_decisions_keep_their_own_rule() {
     }
     k.write_file(init, "/proc/protego/bind", policy.as_bytes(), Mode(0o600))
         .unwrap();
-    let seen = Arc::new(Mutex::new(Vec::new()));
-    k.subscribe_sink(Box::new(BindRules(seen.clone())));
+    // Record every decision, in a ring that holds all of them.
+    k.set_trace(true);
+    k.audit.set_capacity(WORKERS * BINDS * 8);
 
     let pids: Vec<_> = std::thread::scope(|s| {
         let workers: Vec<_> = (0..WORKERS)
@@ -343,7 +328,17 @@ fn concurrent_decisions_keep_their_own_rule() {
         workers.into_iter().map(|h| h.join().unwrap()).collect()
     });
 
-    let seen = seen.lock().unwrap();
+    assert_eq!(k.audit.dropped(), 0);
+    let seen: Vec<_> = k
+        .audit
+        .events()
+        .into_iter()
+        .filter(|ev| ev.provenance.hook == Hook::SocketBind)
+        .map(|ev| {
+            assert_eq!(ev.provenance.decision, DecisionKind::Allow);
+            (ev.pid, ev.provenance.rule)
+        })
+        .collect();
     assert_eq!(seen.len(), WORKERS * BINDS, "one audited grant per bind");
     for (w, pid) in pids.iter().enumerate() {
         let own = format!("bind:{}/tcp -> (/usr/sbin/svc{}, {})", 900 + w, w, 2000 + w);
