@@ -27,9 +27,12 @@ echo "== zero-alloc gate: steady-state fast path allocates nothing =="
 # cycle under the full Protego LSM performs zero heap allocations
 # (interner + dcache + path arenas end to end), also after an unrelated
 # mount and rename (the dcache hit checks its directory generations and
-# stays a hit), that a warm Protego hook matching a policy rule
-# allocates nothing either, and that a warm stock setuid denial (typed
-# audit event into a full ring) allocates nothing.
+# stays a hit), that a warm resolve of a directory right after a create
+# and a rename inside it stays a hit and allocates nothing (those change
+# the directory's entries generation, not its coverage), that a warm
+# Protego hook matching a policy rule allocates nothing either, and that
+# a warm stock setuid denial (typed audit event into a full ring)
+# allocates nothing.
 cargo test -q -p protego-core --features alloc-count --test fastpath_alloc
 
 echo "== smoke bench: BENCH_table5.json regenerates and validates =="

@@ -3,8 +3,10 @@
 //! pools and fd table are warm, a resolve/open/read/close/getuid cycle
 //! under the full Protego LSM performs **zero** heap allocations — also
 //! once an unrelated mount and rename have happened, when each dcache hit
-//! checks its directory generations — and so do a warm Protego hook that
-//! matches a policy rule and a warm denial that lands in the audit ring.
+//! checks its directory generations — and so do a warm resolve of a
+//! directory right after a create and a rename inside it, a warm Protego
+//! hook that matches a policy rule and a warm denial that lands in the
+//! audit ring.
 //!
 //! Built only with `--features alloc-count` (see `[[test]]` in
 //! Cargo.toml) so ordinary test runs keep the stock allocator.
@@ -161,6 +163,37 @@ fn warm_hit_after_unrelated_mount_and_rename_is_allocation_free() {
     assert_eq!(n, 0, "warm hit allocated {} times (expected 0)", n);
     assert_eq!(after.misses, before.misses, "every resolve was a hit");
     assert!(after.hits >= before.hits + 256);
+}
+
+/// A create and a rename inside a directory change its entries, not its
+/// mount coverage, so a warm resolve of the directory itself right after
+/// them stays a hit and allocates nothing.
+#[test]
+fn warm_directory_hit_after_create_and_rename_inside_it_is_allocation_free() {
+    let (k, root, user) = fastpath_kernel();
+    k.vfs.mkdir_p("/var/mail").expect("spool dir");
+    for _ in 0..64 {
+        k.sys_stat(user, "/var/mail").expect("warm stat");
+    }
+    let mut n = 0;
+    for _ in 0..64 {
+        k.write_file(root, "/var/mail/.bob.tmp", b"m", Mode(0o660))
+            .expect("create");
+        k.sys_rename(root, "/var/mail/.bob.tmp", "/var/mail/bob")
+            .expect("rename");
+        let before = k.vfs.dcache_stats();
+        n += count_allocs(|| {
+            k.sys_stat(user, "/var/mail").expect("stat");
+        });
+        let after = k.vfs.dcache_stats();
+        assert_eq!(after.hits, before.hits + 1, "the resolve was a hit");
+        assert_eq!(after.misses, before.misses);
+    }
+    assert_eq!(
+        n, 0,
+        "warm directory hit allocated {} times (expected 0)",
+        n
+    );
 }
 
 /// A hook that matches a rule returns the rule's label interned at policy

@@ -2,14 +2,16 @@
 //! metadata operations.
 
 use crate::caps::Cap;
-use crate::cred::{Gid, Uid};
+use crate::cred::{Credentials, Gid, Uid};
 use crate::error::{Errno, KResult};
 use crate::kernel::Kernel;
 use crate::lsm::{FileDecision, FileOpenCtx};
 use crate::syscall::abi::Whence;
 use crate::task::{Fd, FdObject, Pid};
 use crate::trace::{AuditObject, DecisionKind, Hook, Pathway};
-use crate::vfs::{Access, Ino, InodeData, Mode, Name, PathArena, ProcHook, Resolved};
+use crate::vfs::{
+    Access, DirChain, Ino, InodeData, Mode, Name, PathArena, ProcHook, Resolved, PATH_MAX,
+};
 
 /// Flags for [`Kernel::sys_open`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -118,6 +120,40 @@ pub struct Stat {
     pub is_dir: bool,
 }
 
+/// Supplementary groups a [`DacId`] keeps on the stack.
+const GROUPS_INLINE: usize = 8;
+
+/// The DAC identity of a task, copied out of its credentials so a walk
+/// checks every directory under one task-table lookup and the snapshot
+/// stays on the stack. Tasks with more than [`GROUPS_INLINE`]
+/// supplementary groups spill (cold).
+struct DacId {
+    fsuid: Uid,
+    egid: Gid,
+    groups: [Gid; GROUPS_INLINE],
+    ngroups: usize,
+    spill: Vec<Gid>,
+}
+
+impl DacId {
+    fn of(c: &Credentials) -> DacId {
+        let ngroups = c.groups.len().min(GROUPS_INLINE);
+        let mut groups = [Gid(0); GROUPS_INLINE];
+        groups[..ngroups].copy_from_slice(&c.groups[..ngroups]);
+        DacId {
+            fsuid: c.fsuid,
+            egid: c.egid,
+            groups,
+            ngroups,
+            spill: c.groups.get(GROUPS_INLINE..).unwrap_or_default().to_vec(),
+        }
+    }
+
+    fn in_group(&self, g: Gid) -> bool {
+        self.egid == g || self.groups[..self.ngroups].contains(&g) || self.spill.contains(&g)
+    }
+}
+
 impl Kernel {
     // ------------------------------------------------------------------
     // Permission helpers
@@ -125,33 +161,19 @@ impl Kernel {
 
     /// Checks a DAC access on an inode, honouring the DAC-override
     /// capabilities through the (LSM-aware) `capable` path.
-    ///
-    /// Called once per traversed directory on every walk, so the
-    /// credential snapshot stays on the stack: the scalars are copied
-    /// out and supplementary groups land in an inline array (tasks with
-    /// more than [`GROUPS_INLINE`] groups spill, which is cold).
     pub(crate) fn check_access(&self, pid: Pid, ino: Ino, want: Access) -> KResult<()> {
-        /// Supplementary groups kept on the stack per check.
-        const GROUPS_INLINE: usize = 8;
-        let mut inline = [Gid(0); GROUPS_INLINE];
-        let (fsuid, egid, ngroups, spill) = {
-            let t = self.task(pid)?;
-            let c = &t.cred;
-            let n = c.groups.len().min(GROUPS_INLINE);
-            inline[..n].copy_from_slice(&c.groups[..n]);
-            let spill: Vec<Gid> = if c.groups.len() > GROUPS_INLINE {
-                c.groups[GROUPS_INLINE..].to_vec()
-            } else {
-                Vec::new()
-            };
-            (c.fsuid, c.egid, n, spill)
-        };
-        let allowed = crate::vfs::Vfs::dac_allows(
-            &self.vfs.inode(ino),
-            fsuid,
-            |g| egid == g || inline[..ngroups].contains(&g) || spill.contains(&g),
-            want,
-        );
+        // Bind the snapshot first: the task-shard read guard must drop
+        // before a DAC denial re-enters the task table through `capable`.
+        let id = DacId::of(&self.task(pid)?.cred);
+        self.check_access_as(pid, &id, ino, want)
+    }
+
+    /// [`Kernel::check_access`] against a credential snapshot taken once
+    /// for a whole walk. Capabilities are consulted only when DAC denies,
+    /// exactly as a fresh check would.
+    fn check_access_as(&self, pid: Pid, id: &DacId, ino: Ino, want: Access) -> KResult<()> {
+        let allowed =
+            crate::vfs::Vfs::dac_allows(&self.vfs.inode(ino), id.fsuid, |g| id.in_group(g), want);
         if allowed {
             return Ok(());
         }
@@ -175,14 +197,31 @@ impl Kernel {
         Err(Errno::EACCES)
     }
 
+    /// Checks search permission on every directory a walk traversed, with
+    /// one credential snapshot, and returns the snapshot for any further
+    /// check.
+    fn check_search(&self, pid: Pid, dirs: &DirChain) -> KResult<DacId> {
+        let id = DacId::of(&self.task(pid)?.cred);
+        for dir in dirs.iter() {
+            self.check_access_as(pid, &id, dir, Access::EXEC)?;
+        }
+        Ok(id)
+    }
+
+    /// The checks before a name is added to or removed from `parent`:
+    /// search on every directory its walk traversed, then write and
+    /// search on the directory itself.
+    fn check_parent(&self, pid: Pid, parent: &Resolved) -> KResult<()> {
+        let id = self.check_search(pid, &parent.dirs)?;
+        self.check_access_as(pid, &id, parent.ino, Access::WRITE.and(Access::EXEC))
+    }
+
     /// Resolves a path for task `pid`, checking search permission on every
     /// traversed directory.
     pub(crate) fn walk(&self, pid: Pid, path: &str) -> KResult<Resolved> {
         let cwd = self.task(pid)?.cwd;
         let r = self.vfs.resolve(cwd, path)?;
-        for dir in r.dirs.iter() {
-            self.check_access(pid, dir, Access::EXEC)?;
-        }
+        self.check_search(pid, &r.dirs)?;
         Ok(r)
     }
 
@@ -190,10 +229,18 @@ impl Kernel {
     pub(crate) fn walk_nofollow(&self, pid: Pid, path: &str) -> KResult<Resolved> {
         let cwd = self.task(pid)?.cwd;
         let r = self.vfs.resolve_nofollow(cwd, path)?;
-        for dir in r.dirs.iter() {
-            self.check_access(pid, dir, Access::EXEC)?;
-        }
+        self.check_search(pid, &r.dirs)?;
         Ok(r)
+    }
+
+    /// Resolves the parent directory of `path` for task `pid` and runs
+    /// [`Kernel::check_parent`] on it: the walk of every call that adds or
+    /// removes a name. Returns the parent and the last name.
+    fn walk_parent<'p>(&self, pid: Pid, path: &'p str) -> KResult<(Resolved, &'p str)> {
+        let cwd = self.task(pid)?.cwd;
+        let (parent, name) = self.vfs.resolve_parent(cwd, path)?;
+        self.check_parent(pid, &parent)?;
+        Ok((parent, name))
     }
 
     // ------------------------------------------------------------------
@@ -208,35 +255,14 @@ impl Kernel {
     /// re-authentication (Protego's shadow files), or force close-on-exec.
     pub fn sys_open(&self, pid: Pid, path: &str, flags: OpenFlags) -> KResult<i32> {
         let want = flags.access();
-        let cwd = self.task(pid)?.cwd;
-
-        // Creation path.
-        let resolved = match self.walk(pid, path) {
-            Ok(r) => {
-                if flags.create && flags.excl {
-                    return Err(Errno::EEXIST);
-                }
-                Some(r)
-            }
-            Err(Errno::ENOENT) if flags.create => None,
-            Err(e) => return Err(e),
+        let in_parent = if flags.create {
+            self.open_create_in_parent(pid, path, flags)?
+        } else {
+            None
         };
-
-        let ino = match resolved {
-            Some(r) => r.ino,
-            None => {
-                let (parent, name) = self.vfs.resolve_parent(cwd, path)?;
-                for d in parent.dirs.iter() {
-                    self.check_access(pid, d, Access::EXEC)?;
-                }
-                self.check_access(pid, parent.ino, Access::WRITE.and(Access::EXEC))?;
-                let cred = self.task(pid)?.cred.clone();
-                let ino = self
-                    .vfs
-                    .create_file(parent.ino, &name, flags.mode, cred.fsuid, cred.egid, true)?;
-                self.vfs.touch(ino);
-                ino
-            }
+        let ino = match in_parent {
+            Some(ino) => ino,
+            None => self.open_walk(pid, path, flags)?,
         };
 
         if self.vfs.inode(ino).data.is_dir() && want.wants_write() {
@@ -359,6 +385,72 @@ impl Kernel {
         };
         self.vfs.inc_open(ino);
         self.task_mut(pid)?.fd_install(fd)
+    }
+
+    /// `O_CREAT` in one walk: resolves the parent (a dcache hit in steady
+    /// state, since creates and renames inside a directory leave its own
+    /// resolution cached) and looks up the last name in it. An absent name
+    /// is created; a regular file reuses the parent's walk, whose
+    /// directories plus the parent are exactly the full walk's. Every other
+    /// case, and every error of the parent walk, returns `None` for
+    /// [`Kernel::open_walk`], so each case keeps the full walk's errno and
+    /// check order.
+    fn open_create_in_parent(
+        &self,
+        pid: Pid,
+        path: &str,
+        flags: OpenFlags,
+    ) -> KResult<Option<Ino>> {
+        if path.len() > PATH_MAX {
+            return Ok(None);
+        }
+        let cwd = self.task(pid)?.cwd;
+        let Ok((mut parent, name)) = self.vfs.resolve_parent(cwd, path) else {
+            return Ok(None);
+        };
+        match self.vfs.dir_lookup(parent.ino, name) {
+            Ok(None) => {
+                self.check_parent(pid, &parent)?;
+                self.create_in(pid, parent.ino, name, flags.mode).map(Some)
+            }
+            Ok(Some(ino)) if matches!(self.vfs.inode(ino).data, InodeData::Regular(_)) => {
+                parent.dirs.push(parent.ino);
+                self.check_search(pid, &parent.dirs)?;
+                if flags.excl {
+                    return Err(Errno::EEXIST);
+                }
+                Ok(Some(ino))
+            }
+            _ => Ok(None),
+        }
+    }
+
+    /// The full walk of `open(2)`: resolves the whole path, and with
+    /// `O_CREAT` creates a missing last name in its parent.
+    fn open_walk(&self, pid: Pid, path: &str, flags: OpenFlags) -> KResult<Ino> {
+        match self.walk(pid, path) {
+            Ok(_) if flags.create && flags.excl => Err(Errno::EEXIST),
+            Ok(r) => Ok(r.ino),
+            Err(Errno::ENOENT) if flags.create => {
+                let (parent, name) = self.walk_parent(pid, path)?;
+                self.create_in(pid, parent.ino, name, flags.mode)
+            }
+            Err(e) => Err(e),
+        }
+    }
+
+    /// Creates `name` in the checked directory `parent` as a regular file
+    /// owned by the caller; `EEXIST` if the name appeared meanwhile.
+    fn create_in(&self, pid: Pid, parent: Ino, name: &str, mode: Mode) -> KResult<Ino> {
+        let (fsuid, egid) = {
+            let t = self.task(pid)?;
+            (t.cred.fsuid, t.cred.egid)
+        };
+        let ino = self
+            .vfs
+            .create_file(parent, name, mode, fsuid, egid, true)?;
+        self.vfs.touch(ino);
+        Ok(ino)
     }
 
     /// `lseek(2)` — repositions the file offset relative to `whence`.
@@ -533,13 +625,7 @@ impl Kernel {
                 if append {
                     self.vfs.append(ino, data)?;
                 } else {
-                    // Positional overwrite.
-                    let mut content = self.vfs.read_all(ino)?.to_vec();
-                    if offset + data.len() > content.len() {
-                        content.resize(offset + data.len(), 0);
-                    }
-                    content[offset..offset + data.len()].copy_from_slice(data);
-                    self.vfs.write_all(ino, &content)?;
+                    self.vfs.write_at(ino, offset, data)?;
                     if let FdObject::File { offset, .. } =
                         &mut self.task_mut(pid)?.fd_mut(fd)?.object
                     {
@@ -787,65 +873,39 @@ impl Kernel {
 
     /// `mkdir(2)`.
     pub fn sys_mkdir(&self, pid: Pid, path: &str, mode: Mode) -> KResult<()> {
-        let cwd = self.task(pid)?.cwd;
-        let (parent, name) = self.vfs.resolve_parent(cwd, path)?;
-        for d in parent.dirs.iter() {
-            self.check_access(pid, d, Access::EXEC)?;
-        }
-        self.check_access(pid, parent.ino, Access::WRITE.and(Access::EXEC))?;
+        let (parent, name) = self.walk_parent(pid, path)?;
         let cred = self.task(pid)?.cred.clone();
         self.vfs
-            .mkdir(parent.ino, &name, mode, cred.fsuid, cred.egid)?;
+            .mkdir(parent.ino, name, mode, cred.fsuid, cred.egid)?;
         Ok(())
     }
 
     /// `unlink(2)`.
     pub fn sys_unlink(&self, pid: Pid, path: &str) -> KResult<()> {
-        let cwd = self.task(pid)?.cwd;
-        let (parent, name) = self.vfs.resolve_parent(cwd, path)?;
-        for d in parent.dirs.iter() {
-            self.check_access(pid, d, Access::EXEC)?;
-        }
-        self.check_access(pid, parent.ino, Access::WRITE.and(Access::EXEC))?;
-        self.vfs.unlink(parent.ino, &name)
+        let (parent, name) = self.walk_parent(pid, path)?;
+        self.vfs.unlink(parent.ino, name)
     }
 
     /// `rmdir(2)`.
     pub fn sys_rmdir(&self, pid: Pid, path: &str) -> KResult<()> {
-        let cwd = self.task(pid)?.cwd;
-        let (parent, name) = self.vfs.resolve_parent(cwd, path)?;
-        for d in parent.dirs.iter() {
-            self.check_access(pid, d, Access::EXEC)?;
-        }
-        self.check_access(pid, parent.ino, Access::WRITE.and(Access::EXEC))?;
-        self.vfs.rmdir(parent.ino, &name)
+        let (parent, name) = self.walk_parent(pid, path)?;
+        self.vfs.rmdir(parent.ino, name)
     }
 
     /// `rename(2)` — both parents need write+search permission.
     pub fn sys_rename(&self, pid: Pid, from: &str, to: &str) -> KResult<()> {
-        let cwd = self.task(pid)?.cwd;
-        let (from_parent, from_name) = self.vfs.resolve_parent(cwd, from)?;
-        for d in from_parent.dirs.iter() {
-            self.check_access(pid, d, Access::EXEC)?;
-        }
-        self.check_access(pid, from_parent.ino, Access::WRITE.and(Access::EXEC))?;
-        let (to_parent, to_name) = self.vfs.resolve_parent(cwd, to)?;
-        for d in to_parent.dirs.iter() {
-            self.check_access(pid, d, Access::EXEC)?;
-        }
-        self.check_access(pid, to_parent.ino, Access::WRITE.and(Access::EXEC))?;
+        let (from_parent, from_name) = self.walk_parent(pid, from)?;
+        let (to_parent, to_name) = self.walk_parent(pid, to)?;
         self.vfs
-            .rename(from_parent.ino, &from_name, to_parent.ino, &to_name)
+            .rename(from_parent.ino, from_name, to_parent.ino, to_name)
     }
 
     /// `symlink(2)`.
     pub fn sys_symlink(&self, pid: Pid, target: &str, linkpath: &str) -> KResult<()> {
-        let cwd = self.task(pid)?.cwd;
-        let (parent, name) = self.vfs.resolve_parent(cwd, linkpath)?;
-        self.check_access(pid, parent.ino, Access::WRITE.and(Access::EXEC))?;
+        let (parent, name) = self.walk_parent(pid, linkpath)?;
         let cred = self.task(pid)?.cred.clone();
         self.vfs
-            .symlink(parent.ino, &name, target, cred.fsuid, cred.egid)?;
+            .symlink(parent.ino, name, target, cred.fsuid, cred.egid)?;
         Ok(())
     }
 
@@ -1037,6 +1097,126 @@ mod tests {
         k.write_file(r, "/secret/f", b"x", Mode(0o644)).unwrap();
         assert_eq!(k.read_file(u, "/secret/f").unwrap_err(), Errno::EACCES);
         assert!(k.read_file(r, "/secret/f").is_ok());
+    }
+
+    #[test]
+    fn symlink_checks_search_on_the_parents_ancestors_like_mkdir() {
+        let (k, _, u) = boot();
+        k.vfs.mkdir_p("/locked/open").unwrap();
+        let locked = k.vfs.resolve(k.vfs.root(), "/locked").unwrap().ino;
+        let open = k.vfs.resolve(k.vfs.root(), "/locked/open").unwrap().ino;
+        k.vfs.inode_mut(locked).mode = Mode(0o700);
+        k.vfs.inode_mut(open).mode = Mode(0o777);
+        assert_eq!(
+            k.sys_mkdir(u, "/locked/open/d", Mode(0o755)),
+            Err(Errno::EACCES)
+        );
+        assert_eq!(
+            k.sys_symlink(u, "/etc/motd", "/locked/open/l"),
+            Err(Errno::EACCES)
+        );
+        // Search permission on the ancestor is all either call lacked.
+        k.vfs.inode_mut(locked).mode = Mode(0o711);
+        k.sys_mkdir(u, "/locked/open/d", Mode(0o755)).unwrap();
+        k.sys_symlink(u, "/etc/motd", "/locked/open/l").unwrap();
+        assert_eq!(k.read_file(u, "/locked/open/l").unwrap(), b"hello\n");
+    }
+
+    /// Two tasks on two threads overwrite the two halves of one file
+    /// through their own descriptors, each byte once. A positional write
+    /// resizes and copies under one inode guard, so every write survives;
+    /// a read-copy-write of the whole file would put back the other
+    /// half's bytes as they were before its overlapping write.
+    #[test]
+    fn concurrent_positional_writes_to_disjoint_offsets_all_survive() {
+        const HALF: usize = 4096;
+        let (k, _, u) = boot();
+        let v = k.spawn_session(Credentials::user(Uid(1000), Gid(1000)), "/bin/sh");
+        k.write_file(u, "/tmp/shared", &[0; 2 * HALF], Mode(0o666))
+            .unwrap();
+        let k = crate::kernel::SharedKernel::new(k);
+        let start = std::sync::Arc::new(std::sync::Barrier::new(2));
+        let writers: Vec<_> = [u, v]
+            .into_iter()
+            .enumerate()
+            .map(|(t, pid)| {
+                let (k, start) = (k.clone(), start.clone());
+                std::thread::spawn(move || {
+                    let fd = k
+                        .sys_open(pid, "/tmp/shared", OpenFlags::write_only())
+                        .unwrap();
+                    start.wait();
+                    for i in 0..HALF {
+                        k.sys_lseek(pid, fd, (t * HALF + i) as i64, Whence::Set)
+                            .unwrap();
+                        k.sys_write(pid, fd, &[1 + t as u8]).unwrap();
+                    }
+                    k.sys_close(pid, fd).unwrap();
+                })
+            })
+            .collect();
+        for w in writers {
+            w.join().unwrap();
+        }
+        let data = k.read_file(u, "/tmp/shared").unwrap();
+        assert_eq!(data.len(), 2 * HALF);
+        for (i, &b) in data.iter().enumerate() {
+            assert_eq!(b, 1 + (i / HALF) as u8, "write at offset {i} lost");
+        }
+    }
+
+    /// One thread makes DAC-denied opens, each of which consults
+    /// `capable` and so takes the task's shard read lock; another keeps
+    /// write-locking the same shard through `lseek` on the same task. A
+    /// read guard held across the `capable` relock would block behind the
+    /// waiting writer, and the writer behind it, forever.
+    #[test]
+    fn a_dac_denial_reaching_capable_holds_no_task_guard() {
+        use std::sync::atomic::{AtomicBool, Ordering};
+        use std::sync::{mpsc, Arc};
+        const OPENS: usize = 500_000;
+        let (k, _, u) = boot();
+        let fd = k.sys_open(u, "/etc/motd", OpenFlags::read_only()).unwrap();
+        let k = crate::kernel::SharedKernel::new(k);
+        let stop = Arc::new(AtomicBool::new(false));
+        let (done, finished) = mpsc::channel();
+        let denier = {
+            let (k, stop) = (k.clone(), stop.clone());
+            std::thread::spawn(move || {
+                for _ in 0..OPENS {
+                    let denied = k.sys_open(u, "/etc/shadow", OpenFlags::read_only());
+                    assert_eq!(denied, Err(Errno::EACCES));
+                }
+                stop.store(true, Ordering::Relaxed);
+                done.send(()).unwrap();
+            })
+        };
+        let seeker = {
+            let k = k.clone();
+            std::thread::spawn(move || {
+                while !stop.load(Ordering::Relaxed) {
+                    k.sys_lseek(u, fd, 0, Whence::Set).unwrap();
+                }
+            })
+        };
+        let outcome = finished.recv_timeout(std::time::Duration::from_secs(60));
+        assert!(outcome.is_ok(), "denied opens deadlocked against lseek");
+        denier.join().unwrap();
+        seeker.join().unwrap();
+    }
+
+    #[test]
+    fn positional_write_past_the_end_zero_fills_the_hole() {
+        let (k, _, u) = boot();
+        k.write_file(u, "/tmp/holey", b"ab", Mode(0o600)).unwrap();
+        let fd = k
+            .sys_open(u, "/tmp/holey", OpenFlags::write_only())
+            .unwrap();
+        k.sys_lseek(u, fd, 4, Whence::Set).unwrap();
+        k.sys_write(u, fd, b"xy").unwrap();
+        k.sys_lseek(u, fd, 1, Whence::Set).unwrap();
+        k.sys_write(u, fd, b"B").unwrap();
+        assert_eq!(k.read_file(u, "/tmp/holey").unwrap(), b"aB\0\0xy");
     }
 
     #[test]

@@ -12,7 +12,7 @@ use crate::kernel::Kernel;
 use crate::lsm::{Decision, MountRequest, UmountRequest};
 use crate::task::Pid;
 use crate::trace::{AuditObject, DecisionKind, Hook, Pathway};
-use crate::vfs::{Access, InodeData, MountOptions};
+use crate::vfs::{InodeData, MountOptions};
 
 impl Kernel {
     /// `mount(2)`.
@@ -148,11 +148,7 @@ impl Kernel {
     pub fn sys_umount(&self, pid: Pid, target: &str) -> KResult<()> {
         // Resolve the *mountpoint* (without crossing into the mount): we
         // look up the path string in the mount table.
-        let cwd = self.task(pid)?.cwd;
-        let r = self.vfs.resolve(cwd, target)?;
-        for d in r.dirs.iter() {
-            self.check_access(pid, d, Access::EXEC)?;
-        }
+        let r = self.walk(pid, target)?;
         let mountpoint = self.vfs.path_of(r.ino);
         let m = self
             .vfs

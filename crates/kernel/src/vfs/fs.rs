@@ -12,27 +12,34 @@
 //! arena is sharded across [`NSHARDS`] `RwLock`s (shard = ino mod
 //! [`NSHARDS`], so a directory and the files allocated under it land in
 //! different shards and independent subtrees don't contend), the dcache is
-//! hash-sharded `Mutex`es whose entries are validated against a fixed
-//! table of per-directory generations, the mount table is a small
-//! copy-on-write `RwLock<Arc<..>>` that a walk snapshots by reference
-//! count, and the counters (`change_seq`, `mount_seq`, the directory
-//! generations) are atomics.
+//! hash-sharded `RwLock`s (a hit holds only the read lock) whose entries
+//! are validated against a fixed table of per-directory generations, the
+//! mount table is a small copy-on-write `RwLock<Arc<..>>` that a walk
+//! snapshots by reference count, and the counters (`change_seq`,
+//! `mount_seq`, the directory generations, the dcache statistics) are
+//! atomics.
 //!
 //! # Dcache invalidation
 //!
-//! A cached resolution records the generation of every directory its walk
-//! depended on: each directory whose entries (or `..`) it read and each
-//! directory whose mount coverage it consulted, every generation loaded
-//! *before* that read. A probe hits only while all of them are unchanged.
-//! Writers bump just the directories they change, after changing them:
-//! `dir_add`, `dir_remove` and `link` the directory; `rename` both
-//! directories plus a moved directory (its `..` changes); mount and
-//! umount the covered directory and the mount root. `chmod`/`chown` bump
-//! nothing, because a walk reads no mode bits. So a user mount over
-//! `/mnt/x` leaves `/etc/passwd` cached. The walk's mount-table snapshot is
-//! taken before its generation loads, so a walk that overlapped a mount
-//! or umount could pair a fresh generation with a stale snapshot; such a
-//! walk is not stored (`mount_seq` moved).
+//! Each directory owns two generations in one cache-line slot: `entries`
+//! and `coverage`. A cached resolution records, for every directory its
+//! walk depended on, the generation of each part it actually read, loaded
+//! *before* that read: reading a directory's entries or its `..` records
+//! `entries`; consulting its mount coverage (following the mounts stacked
+//! on it, or asking whether a `..` starts at a mount root) records
+//! `coverage`. A probe hits only while every recorded generation is
+//! unchanged. Writers bump just the counter they change, after changing
+//! it: `dir_add`, `dir_remove` and `link` the directory's `entries`;
+//! `rename` the `entries` of both directories plus a moved directory's
+//! (its `..` changes); mount and umount the `coverage` of the covered
+//! directory and of the mount root. `chmod`/`chown` bump nothing, because
+//! a walk reads no mode bits. So a user mount over `/mnt/x` leaves
+//! `/etc/passwd` cached, and a create or rename inside `/var/mail` leaves
+//! the resolution of `/var/mail` itself cached: that walk read only the
+//! coverage of `/var/mail`, not its entries. The walk's mount-table
+//! snapshot is taken before its generation loads, so a walk that
+//! overlapped a mount or umount could pair a fresh generation with a
+//! stale snapshot; such a walk is not stored (`mount_seq` moved).
 //!
 //! Lock discipline (see DESIGN.md §13):
 //! * at most one inode-shard guard is held at a time, except through
@@ -77,6 +84,9 @@ const DCACHE_CAPACITY: usize = 4096;
 /// `ino % DIR_GENS`; two directories sharing a slot only cost each other
 /// extra dcache misses.
 const DIR_GENS: usize = 1024;
+
+/// Longest path a walk accepts; longer ones fail `ENAMETOOLONG`.
+pub(crate) const PATH_MAX: usize = 4096;
 
 const fn shard_of(ino: Ino) -> usize {
     ino.0 % NSHARDS
@@ -132,11 +142,15 @@ impl Hasher for PreHashed {
 /// One shard of the dentry cache fronting [`Vfs::resolve`], keyed by the
 /// key's [`dcache_hash`]. Each entry carries the directory generations its
 /// walk depended on (see the module docs); a probe that finds one of them
-/// moved drops the entry and counts an invalidation.
+/// moved drops the entry and counts an invalidation. Probes share the
+/// shard's read lock, so threads whose hot paths hash to one shard never
+/// wait for each other on a hit; the counters are atomic for that reason.
 #[derive(Debug, Default)]
 struct DcacheShard {
     map: HashMap<u64, Cached, BuildHasherDefault<PreHashed>>,
-    stats: CacheStats,
+    hits: AtomicU64,
+    misses: AtomicU64,
+    invalidations: AtomicU64,
 }
 
 /// A cached resolution, the full key it was stored under, and the
@@ -148,12 +162,49 @@ struct Cached {
     deps: Box<[Dep]>,
 }
 
+/// One directory's two generations, padded to a cache line so that a
+/// probe checking both loads one line and two slots never share one.
+#[derive(Debug, Default)]
+#[repr(align(64))]
+struct DirGen {
+    /// Bumped when a name is added or removed, on a rename, or when the
+    /// directory's `..` changes.
+    entries: AtomicU64,
+    /// Bumped when a mount covers or uncovers the directory, or is rooted
+    /// at it.
+    coverage: AtomicU64,
+}
+
+/// The part of a directory a walk read, and so the generation it records
+/// and a writer bumps.
+#[derive(Clone, Copy, Debug)]
+enum Part {
+    /// Its entries or its `..`.
+    Entries,
+    /// Its mount coverage, or whether a mount is rooted at it.
+    Coverage,
+}
+
+impl DirGen {
+    fn get(&self, part: Part) -> &AtomicU64 {
+        match part {
+            Part::Entries => &self.entries,
+            Part::Coverage => &self.coverage,
+        }
+    }
+}
+
+/// A [`Dep`] generation for a part the walk did not read.
+const UNREAD: u64 = u64::MAX;
+
 /// One dependency of a cached resolution: a directory-generation slot and
-/// the value it held before the walk read that directory.
+/// the value each of its counters held before the walk read that part of
+/// the directory, or [`UNREAD`].
 #[derive(Clone, Copy, Debug, Default)]
 struct Dep {
     slot: usize,
-    gen: u64,
+    entries: u64,
+    coverage: u64,
 }
 
 impl DcacheShard {
@@ -163,9 +214,17 @@ impl DcacheShard {
     fn store(&mut self, hash: u64, entry: Cached) {
         if self.map.len() >= DCACHE_CAPACITY / DSHARDS && !self.map.contains_key(&hash) {
             self.map.clear();
-            self.stats.invalidations += 1;
+            *self.invalidations.get_mut() += 1;
         }
         self.map.insert(hash, entry);
+    }
+
+    fn stats(&self) -> CacheStats {
+        CacheStats {
+            hits: self.hits.load(Ordering::Relaxed),
+            misses: self.misses.load(Ordering::Relaxed),
+            invalidations: self.invalidations.load(Ordering::Relaxed),
+        }
     }
 }
 
@@ -295,6 +354,15 @@ impl<T: Copy + Default> DirChain<T> {
         }
     }
 
+    /// The most recently pushed element, mutably.
+    fn last_mut(&mut self) -> Option<&mut T> {
+        match self.len {
+            0 => None,
+            n if n <= DIR_INLINE => Some(&mut self.inline[n - 1]),
+            _ => self.spill.last_mut(),
+        }
+    }
+
     /// Number of directories recorded.
     pub fn len(&self) -> usize {
         self.len
@@ -386,10 +454,11 @@ pub struct Vfs {
     /// Mount-table sequence, bumped under the `mounts` write lock. Only a
     /// guard: a walk that saw it move is not stored in the dcache.
     mount_seq: AtomicU64,
-    /// Per-directory generations, slot `ino % DIR_GENS`, bumped after every
-    /// change to a directory's entries, `..` or mount coverage.
-    dir_gens: Vec<AtomicU64>,
-    dcache: Vec<Mutex<DcacheShard>>,
+    /// Per-directory generations, slot `ino % DIR_GENS`: `entries` bumped
+    /// after every change to a directory's entries or `..`, `coverage`
+    /// after every mount or umount over or rooted at it.
+    dir_gens: Vec<DirGen>,
+    dcache: Vec<RwLock<DcacheShard>>,
     dcache_enabled: AtomicBool,
     /// Serializes renames. Only rename re-parents a directory, so holding
     /// this lock makes the into-own-subtree ancestor walk race-free
@@ -467,9 +536,9 @@ impl Vfs {
             next_mount_id: AtomicU64::new(1),
             change_seq: AtomicU64::new(0),
             mount_seq: AtomicU64::new(0),
-            dir_gens: (0..DIR_GENS).map(|_| AtomicU64::new(0)).collect(),
+            dir_gens: (0..DIR_GENS).map(|_| DirGen::default()).collect(),
             dcache: (0..DSHARDS)
-                .map(|_| Mutex::new(DcacheShard::default()))
+                .map(|_| RwLock::new(DcacheShard::default()))
                 .collect(),
             dcache_enabled: AtomicBool::new(true),
             rename_lock: Mutex::new(()),
@@ -655,20 +724,42 @@ impl Vfs {
     // Dentry cache
     // ------------------------------------------------------------------
 
-    /// Invalidates every cached resolution that read directory `ino`.
-    fn bump_dir(&self, ino: Ino) {
-        self.dir_gens[ino.0 % DIR_GENS].fetch_add(1, Ordering::Release);
+    /// Invalidates every cached resolution that read `part` of directory
+    /// `ino`.
+    fn bump(&self, ino: Ino, part: Part) {
+        self.dir_gens[ino.0 % DIR_GENS]
+            .get(part)
+            .fetch_add(1, Ordering::Release);
     }
 
-    /// Records that a walk is about to read directory `ino`: its entries,
-    /// its `..`, or its mount coverage. The generation is loaded before the
-    /// read, so a change racing the read leaves the entry already stale.
-    fn note_dep(&self, deps: &mut DirChain<Dep>, ino: Ino) {
+    /// Records that a walk is about to read `part` of directory `ino`. The
+    /// generation is loaded before the read, so a change racing the read
+    /// leaves the entry already stale. Consecutive reads of one slot share
+    /// a [`Dep`].
+    fn note_dep(&self, deps: &mut DirChain<Dep>, ino: Ino, part: Part) {
         let slot = ino.0 % DIR_GENS;
         if deps.last().map(|d| d.slot) != Some(slot) {
-            let gen = self.dir_gens[slot].load(Ordering::Acquire);
-            deps.push(Dep { slot, gen });
+            deps.push(Dep {
+                slot,
+                entries: UNREAD,
+                coverage: UNREAD,
+            });
         }
+        let dep = deps.last_mut().expect("pushed above");
+        let seen = match part {
+            Part::Entries => &mut dep.entries,
+            Part::Coverage => &mut dep.coverage,
+        };
+        if *seen == UNREAD {
+            *seen = self.dir_gens[slot].get(part).load(Ordering::Acquire);
+        }
+    }
+
+    /// Whether every generation `dep` recorded still holds.
+    fn dep_fresh(&self, dep: &Dep) -> bool {
+        let gens = &self.dir_gens[dep.slot];
+        (dep.entries == UNREAD || gens.entries.load(Ordering::Acquire) == dep.entries)
+            && (dep.coverage == UNREAD || gens.coverage.load(Ordering::Acquire) == dep.coverage)
     }
 
     /// Enables or disables the dcache (used by benches to measure the cold
@@ -682,7 +773,7 @@ impl Vfs {
     pub fn dcache_stats(&self) -> CacheStats {
         let mut total = CacheStats::default();
         for shard in &self.dcache {
-            total.merge(&sync::lock(shard).stats);
+            total.merge(&sync::read(shard).stats());
         }
         total
     }
@@ -713,23 +804,29 @@ impl Vfs {
         let shard = &self.dcache[(hash >> 32) as usize % DSHARDS];
         {
             let _probe_span = crate::trace::span(crate::trace::Pathway::DcacheProbe);
-            let mut dc = sync::lock(shard);
+            let fresh = |e: &Cached| e.deps.iter().all(|d| self.dep_fresh(d));
+            let dc = sync::read(shard);
             // A hit clones a `Resolved` whose `DirChain` is inline for
             // realistic depths, so the hit path stays allocation-free.
-            if let Some(entry) = dc.map.get(&hash).filter(|e| e.key == key) {
-                let fresh = entry
-                    .deps
-                    .iter()
-                    .all(|d| self.dir_gens[d.slot].load(Ordering::Acquire) == d.gen);
-                if fresh {
+            let stale = match dc.map.get(&hash).filter(|e| e.key == key) {
+                Some(entry) if fresh(entry) => {
                     let hit = entry.resolved.clone();
-                    dc.stats.hits += 1;
+                    dc.hits.fetch_add(1, Ordering::Relaxed);
                     return Ok(hit);
                 }
-                dc.map.remove(&hash);
-                dc.stats.invalidations += 1;
+                found => found.is_some(),
+            };
+            dc.misses.fetch_add(1, Ordering::Relaxed);
+            drop(dc);
+            if stale {
+                // Unless another probe dropped it, or a walk replaced it
+                // with a fresh entry, in the meantime.
+                let mut dc = sync::write(shard);
+                if dc.map.get(&hash).is_some_and(|e| e.key == key && !fresh(e)) {
+                    dc.map.remove(&hash);
+                    *dc.invalidations.get_mut() += 1;
+                }
             }
-            dc.stats.misses += 1;
         }
         let mount_seq = self.mount_seq.load(Ordering::Acquire);
         let mounts = self.mounts_snapshot();
@@ -738,7 +835,7 @@ impl Vfs {
         // The stored key borrows the path's interned text, which lives
         // for the whole process.
         let key = (start, follow_last, Name::intern(path).as_str());
-        let mut dc = sync::lock(shard);
+        let mut dc = sync::write(shard);
         // A walk that overlapped a mount or umount may pair its stale
         // snapshot with a fresh generation, so it is not stored.
         if self.mount_seq.load(Ordering::Acquire) == mount_seq {
@@ -790,11 +887,13 @@ impl Vfs {
         if depth > MAX_SYMLINK_DEPTH {
             return Err(Errno::ELOOP);
         }
-        if path.len() > 4096 {
+        if path.len() > PATH_MAX {
             return Err(Errno::ENAMETOOLONG);
         }
         let mut cur = if path.starts_with('/') {
-            follow_mounts_in(mounts, self.root, |d| self.note_dep(deps, d))
+            follow_mounts_in(mounts, self.root, |d| {
+                self.note_dep(deps, d, Part::Coverage)
+            })
         } else {
             cwd
         };
@@ -810,7 +909,7 @@ impl Vfs {
             // Entries are keyed by interned symbol; a `Name::lookup`
             // miss means the name was never interned anywhere, hence
             // certainly absent from this directory.
-            self.note_dep(deps, cur);
+            self.note_dep(deps, cur, Part::Entries);
             let (entry, parent) = {
                 let node = self.inode(cur);
                 let entries = match node.dir_entries() {
@@ -824,8 +923,9 @@ impl Vfs {
             let next = if comp == ".." {
                 // At a mount root, `..` escapes to the covered directory's
                 // parent.
+                self.note_dep(deps, cur, Part::Coverage);
                 if let Some(m) = mount_rooted_at_in(mounts, cur) {
-                    self.note_dep(deps, m.covered);
+                    self.note_dep(deps, m.covered, Part::Entries);
                     self.inode(m.covered).parent
                 } else {
                     parent
@@ -854,12 +954,14 @@ impl Vfs {
                 }
                 let mut landed = sub.ino;
                 if !is_last {
-                    landed = follow_mounts_in(mounts, landed, |d| self.note_dep(deps, d));
+                    landed = follow_mounts_in(mounts, landed, |d| {
+                        self.note_dep(deps, d, Part::Coverage)
+                    });
                     cur = landed;
                     continue;
                 }
                 let landed = if self.inode(landed).data.is_dir() {
-                    follow_mounts_in(mounts, landed, |d| self.note_dep(deps, d))
+                    follow_mounts_in(mounts, landed, |d| self.note_dep(deps, d, Part::Coverage))
                 } else {
                     landed
                 };
@@ -867,7 +969,7 @@ impl Vfs {
             }
             // Mount traversal.
             let next = if self.inode(next).data.is_dir() {
-                follow_mounts_in(mounts, next, |d| self.note_dep(deps, d))
+                follow_mounts_in(mounts, next, |d| self.note_dep(deps, d, Part::Coverage))
             } else {
                 next
             };
@@ -882,9 +984,9 @@ impl Vfs {
     /// Resolves the parent directory of `path` and returns it with the
     /// final component name. Used by create/unlink-style operations.
     ///
-    /// The parent prefix is borrowed straight out of `path` (no join), so
-    /// the walk itself allocates nothing beyond the returned name.
-    pub fn resolve_parent(&self, cwd: Ino, path: &str) -> KResult<(Resolved, String)> {
+    /// The parent prefix and the name are borrowed straight out of `path`
+    /// (no join), so the walk itself allocates nothing.
+    pub fn resolve_parent<'p>(&self, cwd: Ino, path: &'p str) -> KResult<(Resolved, &'p str)> {
         // Locate the last normalized component and its byte offset.
         let mut last: Option<(usize, &str)> = None;
         let mut off = 0;
@@ -904,7 +1006,7 @@ impl Vfs {
         if !self.inode(r.ino).data.is_dir() {
             return Err(Errno::ENOTDIR);
         }
-        Ok((r, name.to_string()))
+        Ok((r, name))
     }
 
     /// Computes the absolute path of an inode by walking parents. Mount
@@ -1044,7 +1146,7 @@ impl Vfs {
             }
             node.version = seq;
         }
-        self.bump_dir(dir);
+        self.bump(dir, Part::Entries);
         Ok(())
     }
 
@@ -1094,7 +1196,7 @@ impl Vfs {
             d.version = self.next_seq();
             Ok(())
         })?;
-        self.bump_dir(dir);
+        self.bump(dir, Part::Entries);
         self.maybe_reclaim(child);
         Ok(child)
     }
@@ -1299,10 +1401,10 @@ impl Vfs {
             s.parent = to_dir;
             s.version = seq;
         }
-        self.bump_dir(from_dir);
-        self.bump_dir(to_dir);
+        self.bump(from_dir, Part::Entries);
+        self.bump(to_dir, Part::Entries);
         if src_is_dir {
-            self.bump_dir(src);
+            self.bump(src, Part::Entries);
         }
         // Only now, with every cached path through the old entry stale, may
         // the replaced inode be freed (the order `dir_remove` keeps): a
@@ -1345,7 +1447,7 @@ impl Vfs {
             d.version = self.next_seq();
             Ok(())
         })?;
-        self.bump_dir(dir);
+        self.bump(dir, Part::Entries);
         Ok(())
     }
 
@@ -1385,6 +1487,29 @@ impl Vfs {
             }
             node.version = seq;
         }
+        Ok(())
+    }
+
+    /// Overwrites a regular file's bytes from `offset`, growing it (with
+    /// zeros for any hole) as needed: the positional `write(2)`. Resize
+    /// and copy happen under one inode guard, so a concurrent write to
+    /// other bytes of the file is never lost.
+    pub fn write_at(&self, ino: Ino, offset: usize, data: &[u8]) -> KResult<()> {
+        let end = offset.checked_add(data.len()).ok_or(Errno::EFBIG)?;
+        let mut g = self.inode_mut(ino);
+        let seq = self.next_seq();
+        let node = &mut *g;
+        match &mut node.data {
+            InodeData::Regular(d) => {
+                if end > d.len() {
+                    d.resize(end, 0);
+                }
+                d[offset..end].copy_from_slice(data);
+            }
+            InodeData::Directory(_) => return Err(Errno::EISDIR),
+            _ => return Err(Errno::EINVAL),
+        }
+        node.version = seq;
         Ok(())
     }
 
@@ -1444,8 +1569,8 @@ impl Vfs {
         });
         drop(mounts);
         self.next_seq();
-        self.bump_dir(covered);
-        self.bump_dir(root);
+        self.bump(covered, Part::Coverage);
+        self.bump(root, Part::Coverage);
         Ok(id)
     }
 
@@ -1472,8 +1597,8 @@ impl Vfs {
         self.mount_seq.fetch_add(1, Ordering::Release);
         drop(mounts);
         self.next_seq();
-        self.bump_dir(removed.covered);
-        self.bump_dir(removed.root);
+        self.bump(removed.covered, Part::Coverage);
+        self.bump(removed.root, Part::Coverage);
         Ok(removed)
     }
 
@@ -2173,7 +2298,7 @@ mod tests {
             shard.store(dcache_hash(key), entry);
         }
         assert_eq!(shard.map.len(), 1);
-        assert_eq!(shard.stats.invalidations, 0, "no capacity flush");
+        assert_eq!(shard.stats().invalidations, 0, "no capacity flush");
     }
 
     #[test]

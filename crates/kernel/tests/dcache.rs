@@ -262,6 +262,65 @@ fn a_mount_elsewhere_leaves_etc_passwd_cached() {
     assert_eq!(stat_hit(&k, root, "/etc/passwd"), (Ok(passwd), true));
 }
 
+#[test]
+fn a_create_or_rename_inside_a_directory_leaves_its_own_walk_cached() {
+    let (k, root) = boot();
+    k.vfs.mkdir_p("/var/mail").unwrap();
+    let mail = k.sys_stat(root, "/var/mail").unwrap().ino;
+    k.write_file(root, "/var/mail/.bob.tmp", b"m", Mode(0o660))
+        .unwrap();
+    assert_eq!(stat_hit(&k, root, "/var/mail"), (Ok(mail), true));
+    k.sys_rename(root, "/var/mail/.bob.tmp", "/var/mail/bob")
+        .unwrap();
+    assert_eq!(stat_hit(&k, root, "/var/mail"), (Ok(mail), true));
+    // The entries themselves did change.
+    assert!(k.sys_stat(root, "/var/mail/bob").is_ok());
+    assert_eq!(
+        k.sys_stat(root, "/var/mail/.bob.tmp").unwrap_err(),
+        Errno::ENOENT
+    );
+}
+
+#[test]
+fn a_mount_its_umount_or_renaming_the_parent_invalidates_the_directory() {
+    let (k, root) = boot();
+    k.vfs.mkdir_p("/var/mail").unwrap();
+    let mail = k.sys_stat(root, "/var/mail").unwrap().ino;
+    k.sys_mount(root, "tmpfs", "/var/mail", "tmpfs", "rw")
+        .unwrap();
+    let media = k.vfs.find_mount("/var/mail").unwrap().root;
+    assert_eq!(stat_hit(&k, root, "/var/mail"), (Ok(media), false));
+    assert_eq!(stat_hit(&k, root, "/var/mail"), (Ok(media), true));
+    k.sys_umount(root, "/var/mail").unwrap();
+    assert_eq!(stat_hit(&k, root, "/var/mail"), (Ok(mail), false));
+    assert_eq!(stat_hit(&k, root, "/var/mail"), (Ok(mail), true));
+    k.sys_rename(root, "/var", "/spool").unwrap();
+    assert_eq!(stat_hit(&k, root, "/var/mail"), (Err(Errno::ENOENT), false));
+    assert_eq!(stat_hit(&k, root, "/spool/mail").0, Ok(mail));
+}
+
+#[test]
+fn dotdot_out_of_a_mount_root_is_invalidated_by_the_umount() {
+    let (k, root) = boot();
+    k.vfs.mkdir_p("/mnt/x").unwrap();
+    let mnt = k.sys_stat(root, "/mnt").unwrap().ino;
+    k.sys_mount(root, "tmpfs", "/mnt/x", "tmpfs", "rw").unwrap();
+    // From inside the mount root, by absolute path and from the cwd.
+    k.sys_chdir(root, "/mnt/x").unwrap();
+    for path in ["/mnt/x/..", ".."] {
+        assert_eq!(k.sys_stat(root, path).unwrap().ino, mnt, "{path}");
+        assert_eq!(stat_hit(&k, root, path), (Ok(mnt), true), "{path}");
+    }
+    k.sys_umount(root, "/mnt/x").unwrap();
+    for path in ["/mnt/x/..", ".."] {
+        let (now, hit) = stat_hit(&k, root, path);
+        assert!(!hit, "{path} served from before the umount");
+        assert_eq!(now, uncached(&k, root, path), "{path}");
+    }
+    // The detached root's `..` no longer escapes to /mnt.
+    assert_ne!(k.sys_stat(root, "..").unwrap().ino, mnt);
+}
+
 /// One thread keeps replacing `/spin/cur` by rename while another resolves
 /// it and a path elsewhere. Nothing else links a replaced version, so
 /// every rename frees the inode it overwrites. The name never goes
