@@ -43,29 +43,58 @@ impl FstabEntry {
     }
 }
 
+/// The fields of one fstab line with its comment stripped: `None` for a
+/// blank or comment-only line.
+fn fields(raw: &str) -> Option<std::str::SplitWhitespace<'_>> {
+    let line = raw.split('#').next().unwrap_or("").trim();
+    (!line.is_empty()).then(|| line.split_whitespace())
+}
+
+/// Parses one fstab line: `Ok(None)` for a blank or comment-only line,
+/// `Err(())` for a malformed one (fewer than four fields).
+fn parse_line(raw: &str) -> Result<Option<FstabEntry>, ()> {
+    let Some(mut f) = fields(raw) else {
+        return Ok(None);
+    };
+    let (Some(device), Some(mountpoint), Some(fstype), Some(options)) =
+        (f.next(), f.next(), f.next(), f.next())
+    else {
+        return Err(());
+    };
+    Ok(Some(FstabEntry {
+        device: device.to_string(),
+        mountpoint: mountpoint.to_string(),
+        fstype: fstype.to_string(),
+        options: options.split(',').map(String::from).collect(),
+    }))
+}
+
 /// Parses fstab text. Malformed lines are skipped (as mount does),
 /// returned separately for diagnostics.
 pub fn parse_fstab(text: &str) -> (Vec<FstabEntry>, Vec<String>) {
     let mut entries = Vec::new();
     let mut bad = Vec::new();
     for raw in text.lines() {
-        let line = raw.split('#').next().unwrap_or("").trim();
-        if line.is_empty() {
-            continue;
+        match parse_line(raw) {
+            Ok(Some(e)) => entries.push(e),
+            Ok(None) => {}
+            Err(()) => bad.push(raw.to_string()),
         }
-        let f: Vec<&str> = line.split_whitespace().collect();
-        if f.len() < 4 {
-            bad.push(raw.to_string());
-            continue;
-        }
-        entries.push(FstabEntry {
-            device: f[0].to_string(),
-            mountpoint: f[1].to_string(),
-            fstype: f[2].to_string(),
-            options: f[3].split(',').map(String::from).collect(),
-        });
     }
     (entries, bad)
+}
+
+/// The well-formed entries mounted at `mountpoint`, in file order,
+/// parsing only the lines whose second field matches: the entries of
+/// `parse_fstab(text).0` with that mountpoint, without building the
+/// others.
+pub fn fstab_entries_at<'a>(
+    text: &'a str,
+    mountpoint: &'a str,
+) -> impl Iterator<Item = FstabEntry> + 'a {
+    text.lines()
+        .filter(move |raw| fields(raw).and_then(|mut f| f.nth(1)) == Some(mountpoint))
+        .filter_map(|raw| parse_line(raw).ok().flatten())
 }
 
 /// Translates the user-mountable fstab entries into kernel mount rules —

@@ -450,13 +450,13 @@ impl SecurityModule for ProtegoLsm {
         // No pending transition: the setuid bit (if any) keeps stock
         // semantics — the Protego image simply ships without the bits, and
         // §4.6 allows an administrator to re-enable one deliberately.
-        let Some(p) = &ctx.pending else {
+        let Some(p) = ctx.pending else {
             return (ExecDecision::UseDefault, None);
         };
         // Resolve a setuid-on-exec transition under the sudoers rule that
         // created it: the exec must name an allowed binary, else
         // permission denied (§4.3's deliberate change in error behaviour).
-        if !p.allowed_binaries.iter().any(|b| b == &ctx.binary) {
+        if !p.allowed_binaries.iter().any(|b| b == ctx.binary) {
             return (ExecDecision::Deny(Errno::EACCES), p.rule);
         }
         if p.require_target_auth {
@@ -936,14 +936,15 @@ mod tests {
             keep_env: vec!["PRINTER".into()],
             rule: label("sudoers:lpr"),
         };
-        let mk = |binary: &str| ExecCtx {
-            cred: Credentials::user(Uid(1001), Gid(1001)),
-            binary: binary.into(),
+        let cred = Credentials::user(Uid(1001), Gid(1001));
+        let mk = |binary| ExecCtx {
+            cred: &cred,
+            binary,
             file_owner: Uid::ROOT,
             file_group: Gid::ROOT,
             setuid_bit: false,
             setgid_bit: false,
-            pending: Some(pend.clone()),
+            pending: Some(&pend),
             last_auth: None,
             last_auth_scope: None,
             now: 0,
@@ -968,20 +969,21 @@ mod tests {
     #[test]
     fn pending_to_root_grants_full_caps_only_at_exec() {
         let lsm = lsm_with(PolicySet::default());
+        let pend = PendingSetuid {
+            target: Uid::ROOT,
+            allowed_binaries: vec!["/usr/bin/apt".into()],
+            require_target_auth: false,
+            keep_env: vec![],
+            rule: None,
+        };
         let c = ExecCtx {
-            cred: Credentials::user(Uid(1000), Gid(1000)),
-            binary: "/usr/bin/apt".into(),
+            cred: &Credentials::user(Uid(1000), Gid(1000)),
+            binary: "/usr/bin/apt",
             file_owner: Uid::ROOT,
             file_group: Gid::ROOT,
             setuid_bit: false,
             setgid_bit: false,
-            pending: Some(PendingSetuid {
-                target: Uid::ROOT,
-                allowed_binaries: vec!["/usr/bin/apt".into()],
-                require_target_auth: false,
-                keep_env: vec![],
-                rule: None,
-            }),
+            pending: Some(&pend),
             last_auth: None,
             last_auth_scope: None,
             now: 0,

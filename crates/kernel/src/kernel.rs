@@ -18,7 +18,7 @@ use crate::dev::{
 use crate::error::{Errno, KResult};
 use crate::lsm::{AuthProvider, AuthScope, Decision, RuleId, SecurityModule};
 use crate::net::{NetStack, Netfilter, RouteTable, SimNet};
-use crate::sync::{lock, read, write, Locked};
+use crate::sync::{lock, read, write, CachePadded, Locked};
 use crate::task::{Pid, PipeId, Task, TaskIdentity};
 use crate::trace::DecisionKind;
 use crate::trace::{AuditEvent, AuditObject, AuditRing, Hook, Metrics, Provenance, ShardedMetrics};
@@ -245,11 +245,11 @@ pub struct Kernel {
     /// Set only at image-build time, before the kernel is shared.
     pub unprivileged_userns: bool,
     /// Logical clock in seconds.
-    clock: AtomicU64,
+    clock: CachePadded<AtomicU64>,
     /// Whether to record non-denial (informational) audit events.
     trace: AtomicBool,
-    tasks: Vec<RwLock<TaskMap>>,
-    next_pid: AtomicU32,
+    tasks: Vec<CachePadded<RwLock<TaskMap>>>,
+    next_pid: CachePadded<AtomicU32>,
     lsm: RwLock<Box<dyn SecurityModule>>,
     auth: Mutex<Option<Box<dyn AuthProvider>>>,
     media_roots: Mutex<BTreeMap<DevId, Ino>>,
@@ -367,13 +367,15 @@ impl Kernel {
             simnet,
             devices: Locked::new(DeviceRegistry::new()),
             pipes: PipeArena::default(),
-            clock: AtomicU64::new(1_000_000),
+            clock: CachePadded(AtomicU64::new(1_000_000)),
             audit: AuditRing::default(),
             metrics: ShardedMetrics::new(),
             trace: AtomicBool::new(false),
             unprivileged_userns: false,
-            tasks: (0..TSHARDS).map(|_| RwLock::new(TaskMap::new())).collect(),
-            next_pid: AtomicU32::new(1),
+            tasks: (0..TSHARDS)
+                .map(|_| CachePadded(RwLock::new(TaskMap::new())))
+                .collect(),
+            next_pid: CachePadded(AtomicU32::new(1)),
             lsm: RwLock::new(Box::new(crate::lsm::NullLsm)),
             auth: Mutex::new(None),
             media_roots: Mutex::new(BTreeMap::new()),

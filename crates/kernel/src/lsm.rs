@@ -197,13 +197,15 @@ impl SetidCtx<'_> {
     }
 }
 
-/// Context for the exec hook.
+/// Context for the exec hook. Borrows the credentials from the task
+/// table and the path and pending transition from the exec call (like
+/// [`SetidCtx`]), so building one clones nothing.
 #[derive(Clone, Debug)]
-pub struct ExecCtx {
+pub struct ExecCtx<'a> {
     /// Credentials before the exec.
-    pub cred: Credentials,
+    pub cred: &'a Credentials,
     /// Resolved path of the binary being executed.
-    pub binary: String,
+    pub binary: &'a str,
     /// Owner of the binary's inode.
     pub file_owner: Uid,
     /// Group of the binary's inode.
@@ -213,7 +215,7 @@ pub struct ExecCtx {
     /// Whether the inode carries the setgid bit.
     pub setgid_bit: bool,
     /// Pending restricted transition recorded at `setuid` time.
-    pub pending: Option<PendingSetuid>,
+    pub pending: Option<&'a PendingSetuid>,
     /// Logical time of last authentication.
     pub last_auth: Option<u64>,
     /// Principal that authentication proved.
@@ -222,7 +224,7 @@ pub struct ExecCtx {
     pub now: u64,
 }
 
-impl ExecCtx {
+impl ExecCtx<'_> {
     /// Whether the task proved `scope` within `window` seconds.
     pub fn authed_for(&self, scope: AuthScope, window: u64) -> bool {
         self.last_auth_scope == Some(scope)
@@ -463,23 +465,38 @@ pub trait AuthProvider: Send {
 /// hashing keeps the end-to-end flows testable without a crypto
 /// dependency; the paper's flows are agnostic to the hash.
 pub fn sim_crypt(salt: &str, password: &str) -> String {
+    format!("$sim${}${:016x}", salt, sim_digest(salt, password))
+}
+
+fn sim_digest(salt: &str, password: &str) -> u64 {
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
     for b in salt.bytes().chain(password.bytes()) {
         h ^= b as u64;
         h = h.wrapping_mul(0x100_0000_01b3);
     }
-    format!("$sim${}${:016x}", salt, h)
+    h
 }
 
-/// Verifies a password against a `sim_crypt` hash string.
+/// Verifies a password against a `sim_crypt` hash string: true exactly
+/// when `sim_crypt(salt, password) == hash` for the hash's own salt,
+/// compared in place without formatting.
 pub fn sim_crypt_verify(hash: &str, password: &str) -> bool {
     let mut parts = hash.split('$');
-    let (Some(""), Some("sim"), Some(salt), Some(_)) =
-        (parts.next(), parts.next(), parts.next(), parts.next())
-    else {
+    let (Some(""), Some("sim"), Some(salt), Some(digest), None) = (
+        parts.next(),
+        parts.next(),
+        parts.next(),
+        parts.next(),
+        parts.next(),
+    ) else {
         return false;
     };
-    sim_crypt(salt, password) == hash
+    let h = sim_digest(salt, password);
+    digest.len() == 16
+        && digest
+            .bytes()
+            .enumerate()
+            .all(|(i, c)| c == b"0123456789abcdef"[(h >> (60 - 4 * i)) as usize & 0xf])
 }
 
 #[cfg(test)]
@@ -507,6 +524,15 @@ mod tests {
         assert!(!sim_crypt_verify(&h, "hunter3"));
         assert!(!sim_crypt_verify("garbage", "hunter2"));
         assert!(!sim_crypt_verify("$sim$ab$deadbeef", "hunter2"));
+        // Only the exact lowercase, zero-padded digest verifies.
+        assert!(!sim_crypt_verify(
+            &h.to_uppercase().replace("$SIM$AB$", "$sim$ab$"),
+            "hunter2"
+        ));
+        assert!(!sim_crypt_verify(&format!("{}$", h), "hunter2"));
+        assert!(!sim_crypt_verify(&format!("{}0", h), "hunter2"));
+        let empty = sim_crypt("", "");
+        assert!(sim_crypt_verify(&empty, ""));
     }
 
     #[test]

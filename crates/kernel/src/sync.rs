@@ -2,11 +2,13 @@
 //! subsystems.
 //!
 //! Everything here is built on `std::sync` only (the crate vendors no
-//! locking dependencies). Two pieces live here:
+//! locking dependencies). Three pieces live here:
 //!
 //! * poison-tolerant lock helpers ([`read`], [`write()`], [`lock`]) — a
 //!   panicking worker thread must not wedge every other worker on a
 //!   poisoned `std` lock, so all kernel subsystems acquire through these;
+//! * [`CachePadded`], which gives a write-hot atomic or shard lock a
+//!   cache line of its own;
 //! * [`PerThread`], a per-instance thread-local slot used where a value
 //!   is logically *per (object, thread)* — e.g. a worker thread's
 //!   metrics shard, which only that thread writes, so thread-locality
@@ -102,6 +104,23 @@ impl<T: Default + 'static> Default for PerThread<T> {
 impl<T: Default + 'static> Clone for PerThread<T> {
     fn clone(&self) -> Self {
         PerThread::new()
+    }
+}
+
+/// A value alone on its own 128-byte line. Write-hot atomics (the clock,
+/// the pid counter, the VFS change sequence) and the locks of sharded
+/// tables sit in one, so a write to one of them does not invalidate the
+/// line a reader on another core is using for its neighbour. 128 bytes
+/// covers the adjacent-line prefetcher of x86-64 as well as the 128-byte
+/// lines of some arm64 cores.
+#[derive(Debug, Default)]
+#[repr(align(128))]
+pub struct CachePadded<T>(pub T);
+
+impl<T> std::ops::Deref for CachePadded<T> {
+    type Target = T;
+    fn deref(&self) -> &T {
+        &self.0
     }
 }
 

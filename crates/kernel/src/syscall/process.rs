@@ -57,14 +57,9 @@ impl Kernel {
         let abs = self.vfs.path_of(r.ino);
 
         // Mount flags covering the binary.
-        let (nosuid, noexec) = self
-            .vfs
-            .mounts()
-            .iter()
-            .filter(|m| abs.starts_with(&format!("{}/", m.mountpoint)) || abs == m.mountpoint)
-            .max_by_key(|m| m.mountpoint.len())
-            .map(|m| (m.options.nosuid, m.options.noexec))
-            .unwrap_or((false, false));
+        let (nosuid, noexec) = self.vfs.with_mount_holding(&abs, |m| {
+            m.map_or((false, false), |m| (m.options.nosuid, m.options.noexec))
+        });
         if noexec {
             return Err(Errno::EACCES);
         }
@@ -85,23 +80,22 @@ impl Kernel {
         let (decision, rule) = loop {
             // Scoped: the task guard must drop before the arms below
             // emit events or re-run authentication.
-            let ctx = {
+            let (hook_decision, rule) = {
                 let t = self.task(pid)?;
-                ExecCtx {
-                    cred: t.cred.clone(),
-                    binary: abs.clone(),
+                let ctx = ExecCtx {
+                    cred: &t.cred,
+                    binary: &abs,
                     file_owner,
                     file_group,
                     setuid_bit,
                     setgid_bit,
-                    pending: pending.clone(),
+                    pending: pending.as_ref(),
                     last_auth: t.last_auth,
                     last_auth_scope: t.last_auth_scope,
                     now: self.clock(),
-                }
+                };
+                self.lsm_hook(Pathway::LsmBprmCheck, |m| m.bprm_check(&ctx))
             };
-            let (hook_decision, rule) =
-                self.lsm_hook(Pathway::LsmBprmCheck, |m| m.bprm_check(&ctx));
             match hook_decision {
                 ExecDecision::NeedAuth(scope) => {
                     attempts += 1;

@@ -31,133 +31,95 @@ use super::hist::LatencyHistogram;
 use std::cell::{Cell, RefCell};
 use std::time::Instant;
 
-/// A named kernel pathway that feeds a latency histogram.
-///
-/// Variants are fieldless so the registry can be a fixed array indexed by
-/// discriminant — no allocation or map lookup on the hot path.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub enum Pathway {
-    /// `Kernel::dispatch` end to end (the root span for syscalls).
-    Dispatch,
-    /// Interceptor chain `before` pass.
-    InterceptBefore,
-    /// Interceptor chain `after` pass.
-    InterceptAfter,
-    /// Filesystem-class syscall body.
-    SysFs,
-    /// Identity-class (setuid/setgid/…) syscall body.
-    SysId,
-    /// Ioctl-class syscall body.
-    SysIoctl,
-    /// Mount-class syscall body.
-    SysMount,
-    /// Network-class syscall body.
-    SysNet,
-    /// Process-class syscall body.
-    SysProcess,
-    /// VFS path resolution (`resolve_cached` end to end).
-    VfsResolve,
-    /// Dcache probe inside a resolve (hit or miss bookkeeping).
-    DcacheProbe,
-    /// Audit event emission: metrics record + ring push.
-    AuditEmit,
-    /// `SecurityModule::capable`.
-    LsmCapable,
-    /// `SecurityModule::sb_mount`.
-    LsmSbMount,
-    /// `SecurityModule::sb_umount`.
-    LsmSbUmount,
-    /// `SecurityModule::socket_create`.
-    LsmSocketCreate,
-    /// `SecurityModule::socket_bind`.
-    LsmSocketBind,
-    /// `SecurityModule::task_setuid`.
-    LsmTaskSetuid,
-    /// `SecurityModule::task_setgid`.
-    LsmTaskSetgid,
-    /// `SecurityModule::bprm_check`.
-    LsmBprmCheck,
-    /// The four ioctl route/modem/dmcrypt/kms hooks.
-    LsmIoctl,
-    /// `SecurityModule::file_open`.
-    LsmFileOpen,
-    /// LSM config-file reads and writes (`/proc/<lsm>/…`).
-    LsmConfig,
-    /// `SecurityModule::boot_netfilter_rules`.
-    LsmNetfilter,
-    /// Policy decision caches (keyfile / binary-profile lookup caches).
-    PolicyCache,
-    /// Name-interner insert path (`Name::intern` on a miss or first use).
-    Intern,
+/// Declares [`Pathway`] from one table: each variant with its doc and
+/// its stable name. `ALL`, [`PATHWAY_COUNT`] and `name()` all come from
+/// the table, so a pathway is listed once.
+macro_rules! pathways {
+    ($($(#[$doc:meta])* $variant:ident => $name:literal;)*) => {
+        /// A named kernel pathway that feeds a latency histogram.
+        ///
+        /// Variants are fieldless so the registry can be a fixed array
+        /// indexed by discriminant — no allocation or map lookup on the
+        /// hot path.
+        #[derive(Clone, Copy, PartialEq, Eq, Debug)]
+        pub enum Pathway {
+            $($(#[$doc])* $variant,)*
+        }
+
+        /// Number of pathways (the registry array length).
+        pub const PATHWAY_COUNT: usize = [$($name),*].len();
+
+        impl Pathway {
+            /// Every pathway, in discriminant order.
+            pub const ALL: [Pathway; PATHWAY_COUNT] = [$(Pathway::$variant),*];
+
+            /// Stable snake_case name used in `/proc/kernel/histograms`
+            /// and the profile snapshot schema.
+            pub fn name(self) -> &'static str {
+                match self {
+                    $(Pathway::$variant => $name,)*
+                }
+            }
+        }
+    };
 }
 
-/// Number of pathways (the registry array length).
-pub const PATHWAY_COUNT: usize = 26;
+pathways! {
+    /// `Kernel::dispatch` end to end (the root span for syscalls).
+    Dispatch => "dispatch";
+    /// Interceptor chain `before` pass.
+    InterceptBefore => "intercept_before";
+    /// Interceptor chain `after` pass.
+    InterceptAfter => "intercept_after";
+    /// Filesystem-class syscall body.
+    SysFs => "sys_fs";
+    /// Identity-class (setuid/setgid/…) syscall body.
+    SysId => "sys_id";
+    /// Ioctl-class syscall body.
+    SysIoctl => "sys_ioctl";
+    /// Mount-class syscall body.
+    SysMount => "sys_mount";
+    /// Network-class syscall body.
+    SysNet => "sys_net";
+    /// Process-class syscall body.
+    SysProcess => "sys_process";
+    /// VFS path resolution (`resolve_cached` end to end).
+    VfsResolve => "vfs_resolve";
+    /// Dcache probe inside a resolve (hit or miss bookkeeping).
+    DcacheProbe => "dcache_probe";
+    /// Audit event emission: metrics record + ring push.
+    AuditEmit => "audit_emit";
+    /// `SecurityModule::capable`.
+    LsmCapable => "lsm_capable";
+    /// `SecurityModule::sb_mount`.
+    LsmSbMount => "lsm_sb_mount";
+    /// `SecurityModule::sb_umount`.
+    LsmSbUmount => "lsm_sb_umount";
+    /// `SecurityModule::socket_create`.
+    LsmSocketCreate => "lsm_socket_create";
+    /// `SecurityModule::socket_bind`.
+    LsmSocketBind => "lsm_socket_bind";
+    /// `SecurityModule::task_setuid`.
+    LsmTaskSetuid => "lsm_task_setuid";
+    /// `SecurityModule::task_setgid`.
+    LsmTaskSetgid => "lsm_task_setgid";
+    /// `SecurityModule::bprm_check`.
+    LsmBprmCheck => "lsm_bprm_check";
+    /// The four ioctl route/modem/dmcrypt/kms hooks.
+    LsmIoctl => "lsm_ioctl";
+    /// `SecurityModule::file_open`.
+    LsmFileOpen => "lsm_file_open";
+    /// LSM config-file reads and writes (`/proc/<lsm>/…`).
+    LsmConfig => "lsm_config";
+    /// `SecurityModule::boot_netfilter_rules`.
+    LsmNetfilter => "lsm_netfilter";
+    /// Policy decision caches (keyfile / binary-profile lookup caches).
+    PolicyCache => "policy_cache";
+    /// Name-interner insert path (`Name::intern` on a miss or first use).
+    Intern => "intern";
+}
 
 impl Pathway {
-    /// Every pathway, in discriminant order.
-    pub const ALL: [Pathway; PATHWAY_COUNT] = [
-        Pathway::Dispatch,
-        Pathway::InterceptBefore,
-        Pathway::InterceptAfter,
-        Pathway::SysFs,
-        Pathway::SysId,
-        Pathway::SysIoctl,
-        Pathway::SysMount,
-        Pathway::SysNet,
-        Pathway::SysProcess,
-        Pathway::VfsResolve,
-        Pathway::DcacheProbe,
-        Pathway::AuditEmit,
-        Pathway::LsmCapable,
-        Pathway::LsmSbMount,
-        Pathway::LsmSbUmount,
-        Pathway::LsmSocketCreate,
-        Pathway::LsmSocketBind,
-        Pathway::LsmTaskSetuid,
-        Pathway::LsmTaskSetgid,
-        Pathway::LsmBprmCheck,
-        Pathway::LsmIoctl,
-        Pathway::LsmFileOpen,
-        Pathway::LsmConfig,
-        Pathway::LsmNetfilter,
-        Pathway::PolicyCache,
-        Pathway::Intern,
-    ];
-
-    /// Stable snake_case name used in `/proc/kernel/histograms` and the
-    /// profile snapshot schema.
-    pub fn name(self) -> &'static str {
-        match self {
-            Pathway::Dispatch => "dispatch",
-            Pathway::InterceptBefore => "intercept_before",
-            Pathway::InterceptAfter => "intercept_after",
-            Pathway::SysFs => "sys_fs",
-            Pathway::SysId => "sys_id",
-            Pathway::SysIoctl => "sys_ioctl",
-            Pathway::SysMount => "sys_mount",
-            Pathway::SysNet => "sys_net",
-            Pathway::SysProcess => "sys_process",
-            Pathway::VfsResolve => "vfs_resolve",
-            Pathway::DcacheProbe => "dcache_probe",
-            Pathway::AuditEmit => "audit_emit",
-            Pathway::LsmCapable => "lsm_capable",
-            Pathway::LsmSbMount => "lsm_sb_mount",
-            Pathway::LsmSbUmount => "lsm_sb_umount",
-            Pathway::LsmSocketCreate => "lsm_socket_create",
-            Pathway::LsmSocketBind => "lsm_socket_bind",
-            Pathway::LsmTaskSetuid => "lsm_task_setuid",
-            Pathway::LsmTaskSetgid => "lsm_task_setgid",
-            Pathway::LsmBprmCheck => "lsm_bprm_check",
-            Pathway::LsmIoctl => "lsm_ioctl",
-            Pathway::LsmFileOpen => "lsm_file_open",
-            Pathway::LsmConfig => "lsm_config",
-            Pathway::LsmNetfilter => "lsm_netfilter",
-            Pathway::PolicyCache => "policy_cache",
-            Pathway::Intern => "intern",
-        }
-    }
-
     /// The syscall-body pathway for a dispatch class.
     pub fn for_class(class: crate::syscall::SyscallClass) -> Pathway {
         use crate::syscall::SyscallClass;

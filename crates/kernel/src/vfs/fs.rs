@@ -57,7 +57,7 @@ use super::inode::{Access, Ino, Inode, InodeData, Mode, ProcHook};
 use super::intern::Name;
 use crate::cred::{Gid, Uid};
 use crate::error::{Errno, KResult};
-use crate::sync;
+use crate::sync::{self, CachePadded};
 use crate::trace::CacheStats;
 use std::collections::{BTreeMap, HashMap};
 use std::hash::{BuildHasherDefault, Hasher};
@@ -441,7 +441,7 @@ impl std::ops::DerefMut for InodeMut<'_> {
 #[derive(Debug)]
 pub struct Vfs {
     /// Inode arena, sharded by `ino % NSHARDS`.
-    shards: Vec<RwLock<Vec<Inode>>>,
+    shards: Vec<CachePadded<RwLock<Vec<Inode>>>>,
     alloc: Mutex<AllocState>,
     root: Ino,
     /// The mount table, copied on write so a walk's snapshot is one
@@ -450,7 +450,7 @@ pub struct Vfs {
     next_mount_id: AtomicU64,
     /// Global change sequence, bumped on every mutation; cheap poll target
     /// for the monitoring daemon. Read via [`Vfs::change_seq`].
-    change_seq: AtomicU64,
+    change_seq: CachePadded<AtomicU64>,
     /// Mount-table sequence, bumped under the `mounts` write lock. Only a
     /// guard: a walk that saw it move is not stored in the dcache.
     mount_seq: AtomicU64,
@@ -458,7 +458,7 @@ pub struct Vfs {
     /// after every change to a directory's entries or `..`, `coverage`
     /// after every mount or umount over or rooted at it.
     dir_gens: Vec<DirGen>,
-    dcache: Vec<RwLock<DcacheShard>>,
+    dcache: Vec<CachePadded<RwLock<DcacheShard>>>,
     dcache_enabled: AtomicBool,
     /// Serializes renames. Only rename re-parents a directory, so holding
     /// this lock makes the into-own-subtree ancestor walk race-free
@@ -517,13 +517,13 @@ impl Vfs {
             nlink: 2,
             opens: 0,
         };
-        let mut shards: Vec<RwLock<Vec<Inode>>> = Vec::with_capacity(NSHARDS);
+        let mut shards = Vec::with_capacity(NSHARDS);
         for s in 0..NSHARDS {
-            shards.push(RwLock::new(if s == 0 {
+            shards.push(CachePadded(RwLock::new(if s == 0 {
                 vec![root_inode.clone()]
             } else {
                 Vec::new()
-            }));
+            })));
         }
         Vfs {
             shards,
@@ -534,11 +534,11 @@ impl Vfs {
             root: Ino(0),
             mounts: RwLock::new(Arc::new(Vec::new())),
             next_mount_id: AtomicU64::new(1),
-            change_seq: AtomicU64::new(0),
+            change_seq: CachePadded(AtomicU64::new(0)),
             mount_seq: AtomicU64::new(0),
             dir_gens: (0..DIR_GENS).map(|_| DirGen::default()).collect(),
             dcache: (0..DSHARDS)
-                .map(|_| RwLock::new(DcacheShard::default()))
+                .map(|_| CachePadded(RwLock::new(DcacheShard::default())))
                 .collect(),
             dcache_enabled: AtomicBool::new(true),
             rename_lock: Mutex::new(()),
@@ -1607,6 +1607,22 @@ impl Vfs {
         self.mounts_snapshot().to_vec()
     }
 
+    /// Runs `f` over the innermost mount holding absolute path `abs`,
+    /// under the mount-table read lock: of the mounts whose mountpoint is
+    /// `abs` itself or a `/`-bounded prefix of it, the one with the
+    /// longest mountpoint, the latest on a tie. So the `/` mount holds
+    /// only `/` itself.
+    pub fn with_mount_holding<R>(&self, abs: &str, f: impl FnOnce(Option<&Mount>) -> R) -> R {
+        let mounts = sync::read(&self.mounts);
+        f(mounts
+            .iter()
+            .filter(|m| {
+                abs.strip_prefix(m.mountpoint.as_str())
+                    .is_some_and(|rest| rest.is_empty() || rest.starts_with('/'))
+            })
+            .max_by_key(|m| m.mountpoint.len()))
+    }
+
     /// Finds a mount by its mountpoint path.
     pub fn find_mount(&self, mountpoint: &str) -> Option<Mount> {
         sync::read(&self.mounts)
@@ -1868,6 +1884,42 @@ mod tests {
         // `..` from inside the mount escapes to /mnt.
         let up = v.resolve(v.root(), "/mnt/cdrom/..").unwrap();
         assert_eq!(v.path_of(up.ino), "/mnt");
+    }
+
+    #[test]
+    fn mount_holding_a_path_is_the_longest_slash_bounded_prefix() {
+        let v = fixture();
+        let media = |v: &Vfs| {
+            v.alloc(
+                Ino(0),
+                Mode(0o755),
+                Uid::ROOT,
+                Gid::ROOT,
+                InodeData::Directory(BTreeMap::new()),
+            )
+        };
+        for (mp, opts) in [("/", "ro"), ("/mnt/cd", "noexec"), ("/mnt/cdrom", "nosuid")] {
+            let covered = v.mkdir_p(mp).unwrap();
+            let root = media(&v);
+            v.add_mount(
+                "dev",
+                mp,
+                "t",
+                MountOptions::parse(opts),
+                root,
+                covered,
+                Uid::ROOT,
+            )
+            .unwrap();
+        }
+        let holder = |abs: &str| v.with_mount_holding(abs, |m| m.map(|m| m.mountpoint.clone()));
+        assert_eq!(holder("/mnt/cdrom/bin/x").as_deref(), Some("/mnt/cdrom"));
+        assert_eq!(holder("/mnt/cdrom").as_deref(), Some("/mnt/cdrom"));
+        assert_eq!(holder("/mnt/cd/x").as_deref(), Some("/mnt/cd"));
+        assert_eq!(holder("/mnt/cdromx/y"), None);
+        // The `/` mount holds `/` itself and nothing below it.
+        assert_eq!(holder("/").as_deref(), Some("/"));
+        assert_eq!(holder("/bin/sh"), None);
     }
 
     #[test]

@@ -9,7 +9,10 @@
 //! Here it implements [`sim_kernel::lsm::AuthProvider`]; the kernel hands
 //! it the task's queued terminal input and a read-only filesystem view.
 
-use crate::db::{parse_db, GroupEntry, GshadowEntry, PasswdEntry, ShadowEntry};
+use crate::db::{
+    find_entry, first_entry, GroupEntry, GshadowEntry, PasswdEntry, ShadowEntry, ID_FIELD,
+    NAME_FIELD,
+};
 use sim_kernel::cred::{Gid, Uid};
 use sim_kernel::lsm::{AuthProvider, AuthScope};
 use sim_kernel::vfs::Vfs;
@@ -30,54 +33,54 @@ impl AuthDaemon {
         AuthDaemon::default()
     }
 
-    fn read(vfs: &Vfs, path: &str) -> Option<String> {
+    /// Runs `f` over a UTF-8 file's text in place. `f` runs under the
+    /// inode's shard read guard, so it must not call back into the VFS
+    /// (DESIGN.md §13: one inode guard at a time).
+    fn with_text<R>(vfs: &Vfs, path: &str, f: impl FnOnce(&str) -> Option<R>) -> Option<R> {
         let r = vfs.resolve(vfs.root(), path).ok()?;
-        let bytes = vfs.read_all(r.ino).ok()?;
-        String::from_utf8(bytes.to_vec()).ok()
+        vfs.with_file(r.ino, |bytes| std::str::from_utf8(bytes).ok().and_then(f))
+            .ok()
+            .flatten()
     }
 
     fn user_name(vfs: &Vfs, uid: Uid) -> Option<String> {
-        let passwd = Self::read(vfs, "/etc/passwd")?;
-        parse_db(&passwd, PasswdEntry::parse)
-            .into_iter()
-            .find(|e| e.uid == uid.0)
-            .map(|e| e.name)
+        Self::with_text(vfs, "/etc/passwd", |t| {
+            find_entry(t, ID_FIELD, uid.0, PasswdEntry::parse)
+        })
+        .map(|e| e.name)
     }
 
     fn group_name(vfs: &Vfs, gid: Gid) -> Option<String> {
-        let group = Self::read(vfs, "/etc/group")?;
-        parse_db(&group, GroupEntry::parse)
-            .into_iter()
-            .find(|e| e.gid == gid.0)
-            .map(|e| e.name)
+        Self::with_text(vfs, "/etc/group", |t| {
+            find_entry(t, ID_FIELD, gid.0, GroupEntry::parse)
+        })
+        .map(|e| e.name)
     }
 
     fn user_hash(vfs: &Vfs, name: &str) -> Option<String> {
         // Protego's fragmented database first, then the legacy file the
         // monitoring daemon keeps synchronized.
-        if let Some(frag) = Self::read(vfs, &format!("/etc/shadows/{}", name)) {
-            if let Some(e) = parse_db(&frag, ShadowEntry::parse).into_iter().next() {
-                return Some(e.hash);
-            }
-        }
-        let shadow = Self::read(vfs, "/etc/shadow")?;
-        parse_db(&shadow, ShadowEntry::parse)
-            .into_iter()
-            .find(|e| e.name == name)
-            .map(|e| e.hash)
+        Self::with_text(vfs, &format!("/etc/shadows/{}", name), |t| {
+            first_entry(t, ShadowEntry::parse)
+        })
+        .or_else(|| {
+            Self::with_text(vfs, "/etc/shadow", |t| {
+                find_entry(t, NAME_FIELD, name, ShadowEntry::parse)
+            })
+        })
+        .map(|e| e.hash)
     }
 
     fn group_hash(vfs: &Vfs, name: &str) -> Option<String> {
-        if let Some(frag) = Self::read(vfs, &format!("/etc/gshadows/{}", name)) {
-            if let Some(e) = parse_db(&frag, GshadowEntry::parse).into_iter().next() {
-                return Some(e.hash);
-            }
-        }
-        let gshadow = Self::read(vfs, "/etc/gshadow")?;
-        parse_db(&gshadow, GshadowEntry::parse)
-            .into_iter()
-            .find(|e| e.name == name)
-            .map(|e| e.hash)
+        Self::with_text(vfs, &format!("/etc/gshadows/{}", name), |t| {
+            first_entry(t, GshadowEntry::parse)
+        })
+        .or_else(|| {
+            Self::with_text(vfs, "/etc/gshadow", |t| {
+                find_entry(t, NAME_FIELD, name, GshadowEntry::parse)
+            })
+        })
+        .map(|e| e.hash)
     }
 }
 

@@ -16,6 +16,7 @@
 //!   per-user.
 
 use super::{fail, CatalogItem};
+use crate::db::{find_entry, PasswdEntry, ID_FIELD};
 use crate::system::{BinEntry, Proc, SystemMode};
 use sim_kernel::error::Errno;
 use sim_kernel::lsm::sim_crypt;
@@ -141,9 +142,7 @@ pub fn lppasswd_main(p: &mut Proc<'_>) -> i32 {
     let uid = p.ruid();
     let me = {
         let text = p.read_to_string("/etc/passwd").unwrap_or_default();
-        crate::db::parse_db(&text, crate::db::PasswdEntry::parse)
-            .into_iter()
-            .find(|e| e.uid == uid.0)
+        find_entry(&text, ID_FIELD, uid.0, PasswdEntry::parse)
     };
     let me = match me {
         Some(e) => e,
@@ -190,9 +189,7 @@ pub fn ecryptfs_main(p: &mut Proc<'_>) -> i32 {
     let uid = p.ruid();
     let me = {
         let text = p.read_to_string("/etc/passwd").unwrap_or_default();
-        crate::db::parse_db(&text, crate::db::PasswdEntry::parse)
-            .into_iter()
-            .find(|e| e.uid == uid.0)
+        find_entry(&text, ID_FIELD, uid.0, PasswdEntry::parse)
     };
     let me = match me {
         Some(e) => e,

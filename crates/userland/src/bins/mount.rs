@@ -8,7 +8,7 @@
 
 use super::{fail, CatalogItem};
 use crate::system::{BinEntry, Proc, SystemMode};
-use protego_core::fstab::{parse_fstab, FstabEntry};
+use protego_core::fstab::fstab_entries_at;
 use sim_kernel::cred::Uid;
 use sim_kernel::error::Errno;
 use sim_kernel::syscall::{IoctlCmd, OpenFlags};
@@ -69,10 +69,8 @@ pub fn catalog() -> Vec<CatalogItem> {
     ]
 }
 
-fn read_fstab(p: &mut Proc<'_>) -> Vec<FstabEntry> {
-    p.read_to_string("/etc/fstab")
-        .map(|t| parse_fstab(&t).0)
-        .unwrap_or_default()
+fn read_fstab(p: &mut Proc<'_>) -> String {
+    p.read_to_string("/etc/fstab").unwrap_or_default()
 }
 
 /// `mount <mountpoint>` (fstab lookup) or `mount <source> <mountpoint>
@@ -82,16 +80,12 @@ pub fn mount_main(p: &mut Proc<'_>) -> i32 {
     let args = p.args.clone();
     let (source, target, fstype, mut options) = match args.len() {
         1 => {
-            let entries = read_fstab(p);
-            match entries.iter().find(|e| e.mountpoint == args[0]) {
+            let fstab = read_fstab(p);
+            let entry = fstab_entries_at(&fstab, &args[0]).next();
+            match entry {
                 Some(e) => {
                     p.cov("fstab_entry");
-                    (
-                        e.device.clone(),
-                        e.mountpoint.clone(),
-                        e.fstype.clone(),
-                        e.options.join(","),
-                    )
+                    (e.device, e.mountpoint, e.fstype, e.options.join(","))
                 }
                 None => {
                     p.cov("fstab_missing");
@@ -119,10 +113,9 @@ pub fn mount_main(p: &mut Proc<'_>) -> i32 {
             return fail(p, "mount", "must be setuid root", Errno::EPERM);
         }
         if !p.ruid().is_root() {
-            let entries = read_fstab(p);
-            let permitted = entries
-                .iter()
-                .any(|e| e.device == source && e.mountpoint == target && e.user_mountable());
+            let fstab = read_fstab(p);
+            let permitted =
+                fstab_entries_at(&fstab, &target).any(|e| e.device == source && e.user_mountable());
             if !permitted {
                 p.cov("legacy_user_check_fail");
                 return fail(p, "mount", "only root can do that", Errno::EPERM);
@@ -180,13 +173,10 @@ pub fn umount_main(p: &mut Proc<'_>) -> i32 {
             let mount = p.sys.kernel.vfs.find_mount(&target);
             if let Some(m) = mount {
                 // The legacy binary re-derives policy from fstab and mtab.
-                let entries = read_fstab(p);
-                let fstab_ok = entries
-                    .iter()
-                    .any(|e| e.mountpoint == target && e.user_mountable());
-                let users_ok = entries
-                    .iter()
-                    .any(|e| e.mountpoint == target && e.has_option("users"));
+                let fstab = read_fstab(p);
+                let entries: Vec<_> = fstab_entries_at(&fstab, &target).collect();
+                let fstab_ok = entries.iter().any(|e| e.user_mountable());
+                let users_ok = entries.iter().any(|e| e.has_option("users"));
                 let mounted_by_me = m.mounted_by == p.ruid();
                 if !(fstab_ok && (users_ok || mounted_by_me)) {
                     p.cov("legacy_user_check_fail");

@@ -6,7 +6,9 @@
 //! hook enforces the same policy with kernel-launched authentication.
 
 use super::{fail, CatalogItem};
-use crate::db::{parse_db, GroupEntry, GshadowEntry};
+use crate::db::{
+    find_entry, parse_db, GroupEntry, GshadowEntry, PasswdEntry, ID_FIELD, NAME_FIELD,
+};
 use crate::system::{BinEntry, Proc, SystemMode};
 use sim_kernel::cred::Gid;
 use sim_kernel::error::Errno;
@@ -46,18 +48,13 @@ pub fn catalog() -> Vec<CatalogItem> {
 /// Looks up a group by name.
 pub fn lookup_group(p: &mut Proc<'_>, name: &str) -> Option<GroupEntry> {
     let text = p.read_to_string("/etc/group").ok()?;
-    parse_db(&text, GroupEntry::parse)
-        .into_iter()
-        .find(|g| g.name == name)
+    find_entry(&text, NAME_FIELD, name, GroupEntry::parse)
 }
 
 fn my_name(p: &mut Proc<'_>) -> Option<String> {
     let uid = p.ruid();
     let text = p.read_to_string("/etc/passwd").ok()?;
-    parse_db(&text, crate::db::PasswdEntry::parse)
-        .into_iter()
-        .find(|e| e.uid == uid.0)
-        .map(|e| e.name)
+    find_entry(&text, ID_FIELD, uid.0, PasswdEntry::parse).map(|e| e.name)
 }
 
 /// `newgrp <group>`.
@@ -91,9 +88,7 @@ pub fn newgrp_main(p: &mut Proc<'_>) -> i32 {
             // password from /etc/gshadow.
             p.cov("legacy_prompt");
             let gshadow = p.read_to_string("/etc/gshadow").unwrap_or_default();
-            let entry = parse_db(&gshadow, GshadowEntry::parse)
-                .into_iter()
-                .find(|e| e.name == gname);
+            let entry = find_entry(&gshadow, NAME_FIELD, gname.as_str(), GshadowEntry::parse);
             let ok = match (entry, p.read_tty()) {
                 (Some(e), Some(attempt)) if e.password_protected() => e.verify(&attempt),
                 _ => false,

@@ -8,7 +8,7 @@
 //! monitoring daemon keeps the legacy files synchronized.
 
 use super::{fail, CatalogItem};
-use crate::db::{parse_db, render_db, PasswdEntry, ShadowEntry};
+use crate::db::{find_entry, parse_db, render_db, PasswdEntry, ShadowEntry, ID_FIELD, NAME_FIELD};
 use crate::system::{BinEntry, Proc, SystemMode};
 use sim_kernel::cred::Uid;
 use sim_kernel::error::Errno;
@@ -101,9 +101,7 @@ pub fn catalog() -> Vec<CatalogItem> {
 fn my_entry(p: &mut Proc<'_>) -> Option<PasswdEntry> {
     let uid = p.ruid();
     let text = p.read_to_string("/etc/passwd").ok()?;
-    parse_db(&text, PasswdEntry::parse)
-        .into_iter()
-        .find(|e| e.uid == uid.0)
+    find_entry(&text, ID_FIELD, uid.0, PasswdEntry::parse)
 }
 
 /// Atomically replaces a shared database file: write the new content to
@@ -204,9 +202,7 @@ pub fn passwd_main(p: &mut Proc<'_>) -> i32 {
         let old_ok = {
             let attempt = p.read_tty();
             let shadow = p.read_to_string("/etc/shadow").unwrap_or_default();
-            parse_db(&shadow, ShadowEntry::parse)
-                .iter()
-                .find(|e| e.name == me.name)
+            find_entry(&shadow, NAME_FIELD, me.name.as_str(), ShadowEntry::parse)
                 .zip(attempt)
                 .map(|(e, a)| e.verify(&a))
                 .unwrap_or(false)
@@ -331,10 +327,7 @@ pub fn vipw_main(p: &mut Proc<'_>) -> i32 {
         }
     };
     let text = p.read_to_string("/etc/passwd").unwrap_or_default();
-    let mut entry = match parse_db(&text, PasswdEntry::parse)
-        .into_iter()
-        .find(|e| e.name == user)
-    {
+    let mut entry = match find_entry(&text, NAME_FIELD, user.as_str(), PasswdEntry::parse) {
         Some(e) => e,
         None => {
             p.cov("no_user");
@@ -380,10 +373,7 @@ pub fn login_main(p: &mut Proc<'_>) -> i32 {
         }
     };
     let text = p.read_to_string("/etc/passwd").unwrap_or_default();
-    let entry = match parse_db(&text, PasswdEntry::parse)
-        .into_iter()
-        .find(|e| e.name == user)
-    {
+    let entry = match find_entry(&text, NAME_FIELD, user.as_str(), PasswdEntry::parse) {
         Some(e) => e,
         None => {
             p.cov("no_user");
@@ -393,9 +383,7 @@ pub fn login_main(p: &mut Proc<'_>) -> i32 {
     let ok = {
         let attempt = p.read_tty();
         let shadow = p.read_to_string("/etc/shadow").unwrap_or_default();
-        parse_db(&shadow, ShadowEntry::parse)
-            .iter()
-            .find(|e| e.name == user)
+        find_entry(&shadow, NAME_FIELD, user.as_str(), ShadowEntry::parse)
             .zip(attempt)
             .map(|(e, a)| e.verify(&a))
             .unwrap_or(false)

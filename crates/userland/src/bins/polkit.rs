@@ -8,7 +8,7 @@
 //! service accounts; Protego encodes both as delegation rules.
 
 use super::{fail, CatalogItem};
-use crate::db::{parse_db, ShadowEntry};
+use crate::db::{find_entry, PasswdEntry, ShadowEntry, ID_FIELD, NAME_FIELD};
 use crate::system::{BinEntry, Proc, SystemMode};
 use sim_kernel::cred::{Gid, Uid};
 use sim_kernel::error::Errno;
@@ -79,18 +79,14 @@ pub fn pkexec_main(p: &mut Proc<'_>) -> i32 {
             let uid = p.ruid();
             let name = {
                 let passwd = p.read_to_string("/etc/passwd").unwrap_or_default();
-                parse_db(&passwd, crate::db::PasswdEntry::parse)
-                    .into_iter()
-                    .find(|e| e.uid == uid.0)
+                find_entry(&passwd, ID_FIELD, uid.0, PasswdEntry::parse)
                     .map(|e| e.name)
                     .unwrap_or_default()
             };
             let ok = {
                 let attempt = p.read_tty();
                 let shadow = p.read_to_string("/etc/shadow").unwrap_or_default();
-                parse_db(&shadow, ShadowEntry::parse)
-                    .iter()
-                    .find(|e| e.name == name)
+                find_entry(&shadow, NAME_FIELD, name.as_str(), ShadowEntry::parse)
                     .zip(attempt)
                     .map(|(e, a)| e.verify(&a))
                     .unwrap_or(false)

@@ -9,7 +9,7 @@
 //! `exec` of a permitted binary.
 
 use super::{fail, CatalogItem};
-use crate::db::{parse_db, PasswdEntry, ShadowEntry};
+use crate::db::{find_entry, parse_db, PasswdEntry, ShadowEntry, ID_FIELD, NAME_FIELD};
 use crate::system::{BinEntry, Proc, SystemMode};
 use protego_core::policy::{AuthReq, CmdSpec, Principal, Target};
 use protego_core::sudoers::{parse_sudoers, MapResolver};
@@ -94,16 +94,12 @@ pub fn catalog() -> Vec<CatalogItem> {
 /// Looks a user up by name in `/etc/passwd`.
 pub fn lookup_user(p: &mut Proc<'_>, name: &str) -> Option<PasswdEntry> {
     let text = p.read_to_string("/etc/passwd").ok()?;
-    parse_db(&text, PasswdEntry::parse)
-        .into_iter()
-        .find(|e| e.name == name)
+    find_entry(&text, NAME_FIELD, name, PasswdEntry::parse)
 }
 
 fn lookup_uid(p: &mut Proc<'_>, uid: Uid) -> Option<PasswdEntry> {
     let text = p.read_to_string("/etc/passwd").ok()?;
-    parse_db(&text, PasswdEntry::parse)
-        .into_iter()
-        .find(|e| e.uid == uid.0)
+    find_entry(&text, ID_FIELD, uid.0, PasswdEntry::parse)
 }
 
 fn resolver(p: &mut Proc<'_>) -> MapResolver {
@@ -130,11 +126,7 @@ fn verify_password(p: &mut Proc<'_>, name: &str) -> bool {
         Ok(s) => s,
         Err(_) => return false,
     };
-    parse_db(&shadow, ShadowEntry::parse)
-        .iter()
-        .find(|e| e.name == name)
-        .map(|e| e.verify(&attempt))
-        .unwrap_or(false)
+    find_entry(&shadow, NAME_FIELD, name, ShadowEntry::parse).is_some_and(|e| e.verify(&attempt))
 }
 
 /// Strips dangerous environment variables, keeping only a safe base plus

@@ -12,7 +12,8 @@ use std::collections::BTreeMap;
 #[derive(Debug, Default, Clone)]
 pub struct Coverage {
     declared: BTreeMap<String, Vec<&'static str>>,
-    hits: BTreeMap<(String, &'static str), u64>,
+    /// Hit counters, binary → point, so a repeat hit allocates nothing.
+    hits: BTreeMap<String, BTreeMap<&'static str, u64>>,
 }
 
 /// A per-binary coverage summary row (Table 7 shape).
@@ -41,13 +42,22 @@ impl Coverage {
 
     /// Records a hit.
     pub fn hit(&mut self, binary: &str, point: &'static str) {
-        *self.hits.entry((binary.to_string(), point)).or_insert(0) += 1;
+        self.add(binary, point, 1);
+    }
+
+    fn add(&mut self, binary: &str, point: &'static str, n: u64) {
+        let points = match self.hits.get_mut(binary) {
+            Some(points) => points,
+            None => self.hits.entry(binary.to_string()).or_default(),
+        };
+        *points.entry(point).or_insert(0) += n;
     }
 
     /// Hit count for one point.
     pub fn count(&self, binary: &str, point: &'static str) -> u64 {
         self.hits
-            .get(&(binary.to_string(), point))
+            .get(binary)
+            .and_then(|points| points.get(point))
             .copied()
             .unwrap_or(0)
     }
@@ -80,8 +90,10 @@ impl Coverage {
                 .entry(binary.clone())
                 .or_insert_with(|| points.clone());
         }
-        for ((binary, point), count) in &other.hits {
-            *self.hits.entry((binary.clone(), point)).or_insert(0) += count;
+        for (binary, points) in &other.hits {
+            for (point, count) in points {
+                self.add(binary, point, *count);
+            }
         }
     }
 

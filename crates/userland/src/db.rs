@@ -3,6 +3,11 @@
 
 use sim_kernel::lsm::sim_crypt;
 
+/// The colon field that holds the name in every format here.
+pub const NAME_FIELD: usize = 0;
+/// The colon field that holds the uid in passwd and the gid in group.
+pub const ID_FIELD: usize = 2;
+
 /// One `/etc/passwd` record.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct PasswdEntry {
@@ -31,17 +36,14 @@ impl PasswdEntry {
 
     /// Parses a passwd line.
     pub fn parse(line: &str) -> Option<PasswdEntry> {
-        let f: Vec<&str> = line.split(':').collect();
-        if f.len() != 7 {
-            return None;
-        }
+        let [name, _, uid, gid, gecos, home, shell] = fields(line)?;
         Some(PasswdEntry {
-            name: f[0].to_string(),
-            uid: f[2].parse().ok()?,
-            gid: f[3].parse().ok()?,
-            gecos: f[4].to_string(),
-            home: f[5].to_string(),
-            shell: f[6].to_string(),
+            name: name.to_string(),
+            uid: uid.parse().ok()?,
+            gid: gid.parse().ok()?,
+            gecos: gecos.to_string(),
+            home: home.to_string(),
+            shell: shell.to_string(),
         })
     }
 }
@@ -61,15 +63,13 @@ impl ShadowEntry {
         format!("{}:{}:19000:0:99999:7:::", self.name, self.hash)
     }
 
-    /// Parses a shadow line.
+    /// Parses a shadow line (name and hash; the aging fields are not
+    /// read).
     pub fn parse(line: &str) -> Option<ShadowEntry> {
-        let f: Vec<&str> = line.split(':').collect();
-        if f.len() < 2 {
-            return None;
-        }
+        let (name, hash) = name_and_hash(line)?;
         Some(ShadowEntry {
-            name: f[0].to_string(),
-            hash: f[1].to_string(),
+            name: name.to_string(),
+            hash: hash.to_string(),
         })
     }
 
@@ -107,14 +107,11 @@ impl GroupEntry {
 
     /// Parses a group line.
     pub fn parse(line: &str) -> Option<GroupEntry> {
-        let f: Vec<&str> = line.split(':').collect();
-        if f.len() != 4 {
-            return None;
-        }
+        let [name, _, gid, members] = fields(line)?;
         Some(GroupEntry {
-            name: f[0].to_string(),
-            gid: f[2].parse().ok()?,
-            members: f[3]
+            name: name.to_string(),
+            gid: gid.parse().ok()?,
+            members: members
                 .split(',')
                 .filter(|m| !m.is_empty())
                 .map(String::from)
@@ -138,15 +135,13 @@ impl GshadowEntry {
         format!("{}:{}::", self.name, self.hash)
     }
 
-    /// Parses a gshadow line.
+    /// Parses a gshadow line (name and hash; the admin and member fields
+    /// are not read).
     pub fn parse(line: &str) -> Option<GshadowEntry> {
-        let f: Vec<&str> = line.split(':').collect();
-        if f.len() < 2 {
-            return None;
-        }
+        let (name, hash) = name_and_hash(line)?;
         Some(GshadowEntry {
-            name: f[0].to_string(),
-            hash: f[1].to_string(),
+            name: name.to_string(),
+            hash: hash.to_string(),
         })
     }
 
@@ -161,12 +156,75 @@ impl GshadowEntry {
     }
 }
 
-/// Parses a whole database file into entries, skipping malformed lines.
-pub fn parse_db<T>(text: &str, parse: impl Fn(&str) -> Option<T>) -> Vec<T> {
+/// Splits `line` into exactly `N` colon-separated fields.
+fn fields<const N: usize>(line: &str) -> Option<[&str; N]> {
+    let mut it = line.split(':');
+    let mut out = [""; N];
+    for slot in &mut out {
+        *slot = it.next()?;
+    }
+    it.next().is_none().then_some(out)
+}
+
+/// The first two colon fields of a line that has at least two.
+fn name_and_hash(line: &str) -> Option<(&str, &str)> {
+    let mut it = line.split(':');
+    Some((it.next()?, it.next()?))
+}
+
+/// The lines of a database file that hold records: not blank, not a
+/// comment.
+fn records(text: &str) -> impl Iterator<Item = &str> {
     text.lines()
         .filter(|l| !l.trim().is_empty() && !l.starts_with('#'))
-        .filter_map(parse)
-        .collect()
+}
+
+/// Parses a whole database file into entries, skipping malformed lines.
+pub fn parse_db<T>(text: &str, parse: impl Fn(&str) -> Option<T>) -> Vec<T> {
+    records(text).filter_map(parse).collect()
+}
+
+/// The first well-formed entry of a database file, whatever its key (a
+/// per-account fragment holds one record).
+pub fn first_entry<T>(text: &str, parse: impl Fn(&str) -> Option<T>) -> Option<T> {
+    records(text).find_map(parse)
+}
+
+/// A value one colon field of a record is matched against.
+pub trait FieldKey {
+    /// Whether the raw field text holds this key.
+    fn matches(&self, field: &str) -> bool;
+}
+
+/// A name matches its field byte for byte.
+impl FieldKey for &str {
+    fn matches(&self, field: &str) -> bool {
+        field == *self
+    }
+}
+
+/// A numeric id matches any spelling its entry's parser reads as the
+/// same number (`1000`, `01000`, `+1000`).
+impl FieldKey for u32 {
+    fn matches(&self, field: &str) -> bool {
+        field.parse::<u32>() == Ok(*self)
+    }
+}
+
+/// The first well-formed entry whose colon field `field` (0-based) holds
+/// `key`. Only the lines whose key matches are parsed, so one lookup
+/// allocates no more than the entry it returns. The answer equals
+/// `parse_db(text, parse).into_iter().find(..)` on that field, provided
+/// `parse` takes the field's value from the same column.
+pub fn find_entry<T>(
+    text: &str,
+    field: usize,
+    key: impl FieldKey,
+    parse: impl Fn(&str) -> Option<T>,
+) -> Option<T> {
+    records(text)
+        .filter(|l| l.split(':').nth(field).is_some_and(|f| key.matches(f)))
+        .find_map(parse)
 }
 
 /// Renders entries back to a database file.

@@ -11,6 +11,7 @@
 //! memory-corruption exploit achieves.
 
 use crate::coverage::Coverage;
+use crate::db::{find_entry, PasswdEntry, ShadowEntry, NAME_FIELD};
 use crate::process::Process;
 use sim_kernel::cred::{Credentials, Gid, Uid};
 use sim_kernel::error::{Errno, KResult};
@@ -242,15 +243,10 @@ impl System {
     pub fn login(&mut self, name: &str, password: &str) -> KResult<Pid> {
         let init = self.init_pid();
         let passwd = self.process(init).read_to_string("/etc/passwd")?;
-        let entry = crate::db::parse_db(&passwd, crate::db::PasswdEntry::parse)
-            .into_iter()
-            .find(|e| e.name == name)
-            .ok_or(Errno::ENOENT)?;
+        let entry =
+            find_entry(&passwd, NAME_FIELD, name, PasswdEntry::parse).ok_or(Errno::ENOENT)?;
         let shadow = self.process(init).read_to_string("/etc/shadow")?;
-        let sh = crate::db::parse_db(&shadow, crate::db::ShadowEntry::parse)
-            .into_iter()
-            .find(|e| e.name == name)
-            .ok_or(Errno::ENOENT)?;
+        let sh = find_entry(&shadow, NAME_FIELD, name, ShadowEntry::parse).ok_or(Errno::ENOENT)?;
         if !sh.verify(password) {
             return Err(Errno::EAUTH);
         }
@@ -406,8 +402,11 @@ impl<'a> Proc<'a> {
 
     /// Marks a coverage point.
     pub fn cov(&mut self, point: &'static str) {
-        let b = self.binary();
-        self.sys.coverage.hit(&b, point);
+        let sys = &mut *self.sys;
+        match sys.kernel.task(self.pid) {
+            Ok(t) => sys.coverage.hit(&t.binary, point),
+            Err(_) => sys.coverage.hit("", point),
+        }
     }
 
     /// Marks a coverage point that is also a *vulnerability point*: if an
@@ -415,9 +414,8 @@ impl<'a> Proc<'a> {
     /// payload runs here with the program's current credentials.
     pub fn vuln(&mut self, point: &'static str) {
         self.cov(point);
-        let b = self.binary();
         let payload = match &self.sys.exploit {
-            Some(e) if e.binary == b && e.point == point => Some(e.payload),
+            Some(e) if e.point == point && e.binary == self.binary() => Some(e.payload),
             _ => None,
         };
         if let Some(p) = payload {

@@ -6,12 +6,15 @@
 //! — resolution terminates, live inodes are root-reachable at their own
 //! paths — must hold afterwards. The service workload's op, failure and
 //! per-class syscall totals must also reproduce across two fault-free
-//! runs. A last test checks that audit provenance stays per-call when
-//! eight workers decide under distinct policy rules at once.
+//! runs. A further test checks that audit provenance stays per-call when
+//! eight workers decide under distinct policy rules at once, and a last
+//! one that a DAC denial which consults capabilities holds no task-table
+//! guard while it does.
 
 use protego::kernel::cred::{Credentials, Gid, Uid};
+use protego::kernel::error::Errno;
 use protego::kernel::net::{Domain, Ipv4, SockType};
-use protego::kernel::syscall::{FaultConfig, SyscallClass};
+use protego::kernel::syscall::{FaultConfig, OpenFlags, SyscallClass};
 use protego::kernel::trace::{span, DecisionKind, Hook, Pathway};
 use protego::kernel::vfs::{Mode, Name};
 use protego::kernel::Pid;
@@ -348,4 +351,57 @@ fn concurrent_decisions_keep_their_own_rule() {
             assert_eq!(rule.map(Name::as_str), Some(own.as_str()), "worker {}", w);
         }
     }
+}
+
+/// A DAC-denied open asks `capable` for an override, which reads the
+/// caller's task. If the open still held its own task-shard read guard
+/// there, a writer queued on that shard (std's `RwLock` prefers writers)
+/// would wait for the first guard while the second read waited for the
+/// writer: a deadlock. One thread makes denied opens while another keeps
+/// write-locking a different task that shares the opener's shard
+/// (shards are pid mod 64); a watchdog fails the test instead of hanging.
+#[test]
+fn dac_denials_reaching_capable_do_not_deadlock_same_shard_writers() {
+    const OPENS: usize = 200_000;
+    let mut base = boot(SystemMode::Protego);
+    let alice = base.login("alice", "alicepw").unwrap();
+    let k = base.kernel.clone();
+    let neighbour = loop {
+        let pid = k.spawn_session(Credentials::user(Uid(1001), Gid(1001)), "/bin/sh");
+        if pid.0 == alice.0 + 64 {
+            break pid;
+        }
+        assert!(pid.0 < alice.0 + 64, "pids are allocated in order");
+    };
+    assert_eq!(
+        k.sys_open(alice, "/etc/shadow", OpenFlags::read_only()),
+        Err(Errno::EACCES)
+    );
+    let stop = std::sync::Arc::new(std::sync::atomic::AtomicBool::new(false));
+    let (done, finished) = std::sync::mpsc::channel();
+    let denier = {
+        let (k, stop) = (k.clone(), stop.clone());
+        std::thread::spawn(move || {
+            for _ in 0..OPENS {
+                let denied = k.sys_open(alice, "/etc/shadow", OpenFlags::read_only());
+                assert_eq!(denied, Err(Errno::EACCES));
+            }
+            stop.store(true, std::sync::atomic::Ordering::Relaxed);
+            done.send(()).unwrap();
+        })
+    };
+    let writer = std::thread::spawn(move || {
+        while !stop.load(std::sync::atomic::Ordering::Relaxed) {
+            k.task_mut(neighbour).unwrap().setenv("TICK", "1");
+        }
+    });
+    // On a timeout the two threads stay blocked and are left detached:
+    // joining them would hang the test instead of failing it.
+    let outcome = finished.recv_timeout(std::time::Duration::from_secs(60));
+    assert!(
+        outcome.is_ok(),
+        "denied opens deadlocked against a same-shard writer"
+    );
+    denier.join().unwrap();
+    writer.join().unwrap();
 }
