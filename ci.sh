@@ -32,14 +32,15 @@ echo "== zero-alloc gate: steady-state fast path allocates nothing =="
 # the directory's entries generation, not its coverage), that a warm
 # Protego hook matching a policy rule allocates nothing either, and that
 # a warm stock setuid denial (typed audit event into a full ring)
-# allocates nothing. The second counting-allocator test holds a warm
+# allocates nothing. The same counting allocator holds a warm
 # privileged run to a budget: one 8-operation privops cycle (mount,
 # umount, ping, three sudo runs, su, newgrp) makes at most 64
 # allocations per operation on Protego and 120 on legacy, and one warm
 # kernel authentication makes as many allocations after 100 accounts
 # are added to /etc/passwd as before (one-entry lookups, in-place reads).
-cargo test -q -p protego-core --features alloc-count --test fastpath_alloc
-cargo test -q -p userland --test privops_alloc
+# Both live in one root integration test, so tier-1 runs them too; this
+# step names them so a failure here points at the gate.
+cargo test -q --release --test alloc_gates
 
 echo "== smoke bench: BENCH_table5.json regenerates and validates =="
 # Low-iteration run of the Table 5 micro/macro/hot-path rows, every one

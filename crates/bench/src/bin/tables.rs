@@ -134,7 +134,7 @@ fn run_replay_smoke() {
     use sim_kernel::trace::{Trace, TraceReplayer};
 
     let mut sys = boot(SystemMode::Protego);
-    let (_rec_slot, trace) = sys.attach_recorder();
+    let trace = sys.attach_recorder();
     let outcomes = run_functional_suite(&mut sys);
     let serialized = trace.lock().unwrap().render();
     let recorded = trace.lock().unwrap().len();
@@ -149,7 +149,7 @@ fn run_replay_smoke() {
     let replayer = TraceReplayer::new(expected);
     let divergences = replayer.divergences();
     let mut sys2 = boot(SystemMode::Protego);
-    sys2.kernel.push_interceptor(Box::new(replayer));
+    sys2.kernel.register_interceptor(Box::new(replayer));
     let outcomes2 = run_functional_suite(&mut sys2);
 
     let divs = divergences.lock().unwrap();

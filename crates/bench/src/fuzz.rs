@@ -23,46 +23,10 @@
 //!   deliberate cross-mode differences there (raw sockets, spoofing).
 
 use sim_kernel::error::Errno;
+use sim_kernel::syscall::XorShift64;
 use sim_kernel::task::NsKind;
 use std::time::{Duration, Instant};
 use userland::scenario::{failure_signature, run_differential, Failure, Scenario, ScenarioOp};
-
-/// Deterministic xorshift64 — same construction as the kernel's fault
-/// injector PRNG (which is private to the kernel crate by design; the
-/// generator must not share its stream anyway).
-#[derive(Clone, Debug)]
-struct XorShift64 {
-    state: u64,
-}
-
-impl XorShift64 {
-    fn new(seed: u64) -> XorShift64 {
-        XorShift64 {
-            state: seed.wrapping_add(0x9E37_79B9_7F4A_7C15).max(1),
-        }
-    }
-
-    fn next(&mut self) -> u64 {
-        let mut x = self.state;
-        x ^= x << 13;
-        x ^= x >> 7;
-        x ^= x << 17;
-        self.state = x;
-        x
-    }
-
-    fn below(&mut self, n: usize) -> usize {
-        (self.next() % n.max(1) as u64) as usize
-    }
-
-    fn pick<'a, T>(&mut self, pool: &'a [T]) -> &'a T {
-        &pool[self.below(pool.len())]
-    }
-
-    fn chance(&mut self, pct: u64) -> bool {
-        self.next() % 100 < pct
-    }
-}
 
 /// The scenario families the generator knows how to compose.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -430,7 +394,7 @@ pub fn generate(family: Family, seed: u64, n_ops: usize) -> Scenario {
     let mut sc = Scenario::new(&name, ops);
     if family == Family::FaultStorm {
         if rng.chance(60) {
-            sc.storm = Some((rng.next(), *rng.pick(&[20u64, 50, 100])));
+            sc.storm = Some((rng.next_u64(), *rng.pick(&[20u64, 50, 100])));
         }
         let shots = 1 + rng.below(2);
         for _ in 0..shots {

@@ -12,7 +12,9 @@ use crate::{both, fixture, overhead_pct, paired_median, quick_time_ns, Paired, M
 use apparmor_lsm::{glob_match, AppArmorLsm, CompiledGlob};
 use sim_kernel::cred::{Credentials, Gid, Uid};
 use sim_kernel::lsm::{FileOpenCtx, SecurityModule};
+use sim_kernel::trace::{CacheStats, Metrics};
 use sim_kernel::vfs::{Access, Ino, Mode};
+use std::collections::BTreeMap;
 use std::hint::black_box;
 use std::time::Instant;
 use userland::{boot, workload, SystemMode};
@@ -332,58 +334,11 @@ pub fn measure_dispatch_seccomp(warmup: u32, iters: u32) -> Paired {
     })
 }
 
-/// One named cache's counters as parsed from a `/proc/<lsm>/metrics`
-/// view (`cache_<name> hits=.. misses=.. invalidations=..`).
-#[derive(Clone, Debug, Default)]
-pub struct CacheCounters {
-    /// Cache name (`dcache`, `apparmor_binary_lookup`, ...).
-    pub name: String,
-    /// Lookup hits.
-    pub hits: u64,
-    /// Lookup misses.
-    pub misses: u64,
-    /// Wholesale flushes.
-    pub invalidations: u64,
-}
-
-fn merge_cache_lines(into: &mut Vec<CacheCounters>, metrics_text: &str) {
-    for line in metrics_text.lines().filter(|l| l.starts_with("cache_")) {
-        let mut fields = line.split_whitespace();
-        let name = fields
-            .next()
-            .unwrap_or_default()
-            .trim_start_matches("cache_")
-            .to_string();
-        let mut row = CacheCounters {
-            name,
-            ..CacheCounters::default()
-        };
-        for field in fields {
-            if let Some((key, value)) = field.split_once('=') {
-                let value: u64 = value.parse().unwrap_or(0);
-                match key {
-                    "hits" => row.hits = value,
-                    "misses" => row.misses = value,
-                    "invalidations" => row.invalidations = value,
-                    _ => {}
-                }
-            }
-        }
-        if let Some(existing) = into.iter_mut().find(|c| c.name == row.name) {
-            existing.hits += row.hits;
-            existing.misses += row.misses;
-            existing.invalidations += row.invalidations;
-        } else {
-            into.push(row);
-        }
-    }
-}
-
-/// Runs a short cache-exercising workload on both systems and collects
-/// the counters their `/proc/<lsm>/metrics` views report (summed across
-/// modes for the caches both share, like the dcache).
-pub fn collect_cache_metrics() -> Vec<CacheCounters> {
-    let mut merged = Vec::new();
+/// Runs a short cache-exercising workload on both systems and merges
+/// their kernels' metrics snapshots, so the caches both share (like the
+/// dcache) are summed across modes. Keyed by cache name.
+pub fn collect_cache_metrics() -> BTreeMap<&'static str, CacheStats> {
+    let mut merged = Metrics::default();
 
     // Legacy: AppArmor confines tcpdump, so repeated opens by that binary
     // exercise the binary→profile cache, the decision LRU and the dcache.
@@ -392,17 +347,11 @@ pub fn collect_cache_metrics() -> Vec<CacheCounters> {
         let k = &f.sys.kernel;
         k.write_file(f.root, "/etc/hosts", b"127.0.0.1 localhost\n", Mode(0o644))
             .expect("hosts file");
-        let shell = k.task_mut(f.root).expect("root task").binary.clone();
         k.task_mut(f.root).expect("root task").binary = "/usr/sbin/tcpdump".to_string();
         for _ in 0..8 {
             let _ = k.read_to_string(f.root, "/etc/hosts");
         }
-        // The confined binary may not read /proc; restore before sampling.
-        k.task_mut(f.root).expect("root task").binary = shell;
-        let text = k
-            .read_to_string(f.root, "/proc/apparmor/metrics")
-            .expect("apparmor metrics readable");
-        merge_cache_lines(&mut merged, &text);
+        merged.merge(&k.metrics_snapshot());
     }
 
     // Protego: every file_open consults the keyfile-rule cache, so plain
@@ -415,13 +364,10 @@ pub fn collect_cache_metrics() -> Vec<CacheCounters> {
         for _ in 0..8 {
             let _ = k.read_to_string(f.user, "/etc/hosts");
         }
-        let text = k
-            .read_to_string(f.root, "/proc/protego/metrics")
-            .expect("protego metrics readable");
-        merge_cache_lines(&mut merged, &text);
+        merged.merge(&k.metrics_snapshot());
     }
 
-    merged
+    merged.caches
 }
 
 fn row_to_value(r: &Row) -> Value {
@@ -445,7 +391,7 @@ fn row_to_value(r: &Row) -> Value {
 
 /// Builds the machine-readable `BENCH_table5.json` document: micro and
 /// macro Table 5 rows, the hot-path before/after rows, and the cache
-/// counters observed through the `/proc/<lsm>/metrics` views.
+/// counters from both kernels' metrics snapshots.
 pub fn table5_json(
     quick: bool,
     warmup: u32,
@@ -504,9 +450,9 @@ pub fn table5_json(
             Value::Obj(
                 caches
                     .iter()
-                    .map(|c| {
+                    .map(|(name, c)| {
                         (
-                            c.name.clone(),
+                            name.to_string(),
                             Value::Obj(vec![
                                 ("hits".into(), Value::Num(c.hits as f64)),
                                 ("misses".into(), Value::Num(c.misses as f64)),
@@ -558,13 +504,7 @@ mod tests {
     #[test]
     fn cache_metrics_report_hits_on_every_layer() {
         let caches = collect_cache_metrics();
-        let hits = |name: &str| {
-            caches
-                .iter()
-                .find(|c| c.name == name)
-                .map(|c| c.hits)
-                .unwrap_or(0)
-        };
+        let hits = |name: &str| caches.get(name).map_or(0, |c| c.hits);
         assert!(hits("dcache") > 0, "dcache: {:?}", caches);
         assert!(hits("apparmor_binary_lookup") > 0, "{:?}", caches);
         assert!(hits("apparmor_decision_lru") > 0, "{:?}", caches);

@@ -253,68 +253,20 @@ pub struct Kernel {
     lsm: RwLock<Box<dyn SecurityModule>>,
     auth: Mutex<Option<Box<dyn AuthProvider>>>,
     media_roots: Mutex<BTreeMap<DevId, Ino>>,
-    pub(crate) interceptors: Locked<InterceptorChain>,
-    /// How many interceptors the chain has enabled, recomputed under the
-    /// chain's write lock by every chain mutation and published with
-    /// `Release`. [`Kernel::dispatch`] reads it with `Acquire`: zero means
-    /// no hook can run, so the call skips the chain lock, the identity
-    /// snapshot and both hook passes.
+    /// The dispatch chain in registration order, which fixes the
+    /// `before`/`after` hook ordering. Interceptors are only ever
+    /// appended; the chain lives as long as the kernel.
+    pub(crate) interceptors: Locked<Vec<Arc<dyn crate::syscall::Interceptor>>>,
+    /// The chain's length, published with `Release` under the chain's
+    /// write lock by [`Kernel::register_interceptor`].
+    /// [`Kernel::dispatch`] reads it with `Acquire`: zero means no hook
+    /// can run, so the call skips the chain lock, the identity snapshot
+    /// and both hook passes.
     pub(crate) armed: AtomicUsize,
     /// Per-binary syscall-allowlist state (profiles, mode, violations),
     /// shared with any [`crate::seccomp::SeccompInterceptor`] on the
     /// dispatch chain and surfaced under `/proc/seccomp/`.
     pub seccomp: crate::seccomp::Seccomp,
-}
-
-/// A stable handle onto one registered interceptor, returned by
-/// [`Kernel::register_interceptor`]. The handle stays valid across
-/// enable/disable/replace; it dies only with [`Kernel::remove_interceptor`]
-/// or [`Kernel::clear_interceptors`].
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
-pub struct InterceptorSlot(u64);
-
-struct ChainEntry {
-    id: u64,
-    enabled: bool,
-    ic: Arc<dyn crate::syscall::Interceptor>,
-}
-
-/// The registered dispatch chain: entries keep their registration order
-/// (which fixes `before`/`after` hook ordering) while individual slots
-/// can be flipped off or swapped in place without rebuilding the chain —
-/// disabling a slot keeps its position, so re-enabling restores exactly
-/// the old ordering.
-#[derive(Default)]
-pub(crate) struct InterceptorChain {
-    entries: Vec<ChainEntry>,
-    next_id: u64,
-}
-
-impl InterceptorChain {
-    fn register(&mut self, ic: Arc<dyn crate::syscall::Interceptor>) -> InterceptorSlot {
-        self.next_id += 1;
-        let id = self.next_id;
-        self.entries.push(ChainEntry {
-            id,
-            enabled: true,
-            ic,
-        });
-        InterceptorSlot(id)
-    }
-
-    fn entry_mut(&mut self, slot: InterceptorSlot) -> Option<&mut ChainEntry> {
-        self.entries.iter_mut().find(|e| e.id == slot.0)
-    }
-
-    /// Enabled interceptors in registration order (what dispatch runs).
-    pub(crate) fn enabled(&self) -> impl Iterator<Item = &Arc<dyn crate::syscall::Interceptor>> {
-        self.entries.iter().filter(|e| e.enabled).map(|e| &e.ic)
-    }
-
-    /// How many interceptors are currently enabled.
-    pub(crate) fn enabled_len(&self) -> usize {
-        self.entries.iter().filter(|e| e.enabled).count()
-    }
 }
 
 /// A cloneable, thread-shareable handle onto one kernel.
@@ -379,7 +331,7 @@ impl Kernel {
             lsm: RwLock::new(Box::new(crate::lsm::NullLsm)),
             auth: Mutex::new(None),
             media_roots: Mutex::new(BTreeMap::new()),
-            interceptors: Locked::new(InterceptorChain::default()),
+            interceptors: Locked::new(Vec::new()),
             armed: AtomicUsize::new(0),
             seccomp: crate::seccomp::Seccomp::new(),
         }
@@ -405,71 +357,18 @@ impl Kernel {
         self.trace.store(on, Ordering::Relaxed);
     }
 
-    /// Runs `f` over the chain under its write lock, then republishes the
-    /// enabled count that [`Kernel::dispatch`] reads to decide whether the
-    /// chain is armed. The store happens before the lock drops, so a
-    /// dispatch that observes the new count also observes the new chain.
-    fn edit_chain<R>(&self, f: impl FnOnce(&mut InterceptorChain) -> R) -> R {
+    /// Appends an interceptor to the dispatch chain. `before` hooks run
+    /// in registration order, `after` hooks in reverse (see
+    /// [`Kernel::dispatch`]). The length is stored before the lock drops,
+    /// so a dispatch that observes the new count also observes the new
+    /// chain.
+    pub fn register_interceptor(&self, ic: Box<dyn crate::syscall::Interceptor>) {
         let mut chain = self.interceptors.write();
-        let r = f(&mut chain);
-        self.armed.store(chain.enabled_len(), Ordering::Release);
-        r
+        chain.push(Arc::from(ic));
+        self.armed.store(chain.len(), Ordering::Release);
     }
 
-    /// Registers an interceptor on the dispatch chain and returns its
-    /// [`InterceptorSlot`] handle. `before` hooks run in registration
-    /// order, `after` hooks in reverse (see [`Kernel::dispatch`]); the
-    /// slot can later be disabled, re-enabled, or have its interceptor
-    /// replaced in place — the chain is never rebuilt, so relative
-    /// ordering of the other interceptors is undisturbed.
-    pub fn register_interceptor(
-        &self,
-        ic: Box<dyn crate::syscall::Interceptor>,
-    ) -> InterceptorSlot {
-        self.edit_chain(|c| c.register(Arc::from(ic)))
-    }
-
-    /// Registers an interceptor, discarding the slot handle — for chains
-    /// that are only ever torn down wholesale via
-    /// [`Kernel::clear_interceptors`].
-    pub fn push_interceptor(&self, ic: Box<dyn crate::syscall::Interceptor>) {
-        let _ = self.register_interceptor(ic);
-    }
-
-    /// Enables or disables the interceptor in `slot` without removing it
-    /// (a disabled slot keeps its chain position). Returns `false` if the
-    /// slot no longer exists.
-    pub fn set_interceptor_enabled(&self, slot: InterceptorSlot, enabled: bool) -> bool {
-        self.edit_chain(|c| c.entry_mut(slot).map(|e| e.enabled = enabled).is_some())
-    }
-
-    /// Replaces the interceptor in `slot`, keeping its chain position and
-    /// enabled state. Returns `false` if the slot no longer exists (the
-    /// new interceptor is dropped).
-    pub fn replace_interceptor(
-        &self,
-        slot: InterceptorSlot,
-        ic: Box<dyn crate::syscall::Interceptor>,
-    ) -> bool {
-        self.edit_chain(|c| c.entry_mut(slot).map(|e| e.ic = Arc::from(ic)).is_some())
-    }
-
-    /// Unregisters the interceptor in `slot`. Returns `false` if the slot
-    /// no longer exists.
-    pub fn remove_interceptor(&self, slot: InterceptorSlot) -> bool {
-        self.edit_chain(|c| {
-            let before = c.entries.len();
-            c.entries.retain(|e| e.id != slot.0);
-            c.entries.len() != before
-        })
-    }
-
-    /// Removes all registered interceptors (every slot handle dies).
-    pub fn clear_interceptors(&self) {
-        self.edit_chain(|c| c.entries.clear());
-    }
-
-    /// Whether any interceptor is enabled on the dispatch chain — the
+    /// Whether any interceptor is registered on the dispatch chain — the
     /// test [`Kernel::dispatch`] makes before paying for the chain.
     pub fn interceptors_armed(&self) -> bool {
         self.armed.load(Ordering::Acquire) != 0

@@ -650,7 +650,7 @@ impl Kernel {
     /// the injection). `after` hooks run in reverse order and always see
     /// the final response, injected or real.
     ///
-    /// With no interceptor enabled (see [`Kernel::interceptors_armed`])
+    /// With no interceptor registered (see [`Kernel::interceptors_armed`])
     /// the call goes straight to its entry point: no chain lock, no
     /// [`TaskIdentity`](crate::task::TaskIdentity) snapshot, no hook pass.
     pub fn dispatch(&self, pid: Pid, call: Syscall) -> SysRet {
@@ -661,8 +661,7 @@ impl Kernel {
         // Snapshot the chain's shared handles under a brief read lock, so
         // hooks run without holding any kernel lock (an interceptor may
         // itself consult kernel state) and concurrent dispatches do not
-        // serialize on the chain. Only enabled slots are snapshotted, in
-        // registration order. Short chains (the overwhelmingly common
+        // serialize on the chain. Short chains (the overwhelmingly common
         // case) snapshot into a stack array so dispatch entry touches no
         // heap; longer chains spill to a clone.
         const IC_INLINE: usize = 4;
@@ -670,12 +669,12 @@ impl Kernel {
         let mut spill: Vec<Arc<dyn Interceptor>> = Vec::new();
         {
             let guard = self.interceptors.read();
-            if guard.enabled_len() <= IC_INLINE {
-                for (slot, ic) in inline.iter_mut().zip(guard.enabled()) {
+            if guard.len() <= IC_INLINE {
+                for (slot, ic) in inline.iter_mut().zip(guard.iter()) {
                     *slot = Some(ic.clone());
                 }
             } else {
-                spill = guard.enabled().cloned().collect();
+                spill = guard.clone();
             }
         }
         let chain = || {

@@ -2,10 +2,8 @@
 //! and seccomp enforcement.
 //!
 //! An [`Interceptor`] registered with
-//! [`crate::kernel::Kernel::register_interceptor`] (which returns an
-//! [`InterceptorSlot`](crate::kernel::InterceptorSlot) handle for later
-//! enable/disable/replace) sees every call that flows through
-//! [`crate::kernel::Kernel::dispatch`]. `before` hooks run in
+//! [`crate::kernel::Kernel::register_interceptor`] sees every call that
+//! flows through [`crate::kernel::Kernel::dispatch`]. `before` hooks run in
 //! registration order and return a [`Verdict`]; `after` hooks run in
 //! reverse order and observe the final `(pid, Syscall, SysRet)` triple —
 //! injected faults included — which is what the trace recorder and
@@ -89,28 +87,45 @@ pub trait Interceptor: Send + Sync {
 }
 
 /// A deterministic xorshift64 generator — the simulation must not pull in
-/// a randomness crate, and the fault stream has to be reproducible from
-/// the seed alone.
+/// a randomness crate, and the fault stream (and the scenario fuzzer's
+/// generation) has to be reproducible from the seed alone.
 #[derive(Clone, Debug)]
-struct XorShift64 {
+pub struct XorShift64 {
     state: u64,
 }
 
 impl XorShift64 {
-    fn new(seed: u64) -> XorShift64 {
+    /// A generator whose whole stream is a function of `seed`.
+    pub fn new(seed: u64) -> XorShift64 {
         XorShift64 {
             // xorshift has a fixed point at 0; displace it.
             state: seed.wrapping_add(0x9E37_79B9_7F4A_7C15).max(1),
         }
     }
 
-    fn next(&mut self) -> u64 {
+    /// The next value of the stream.
+    pub fn next_u64(&mut self) -> u64 {
         let mut x = self.state;
         x ^= x << 13;
         x ^= x >> 7;
         x ^= x << 17;
         self.state = x;
         x
+    }
+
+    /// A value in `0..n` (`0` when `n` is `0`).
+    pub fn below(&mut self, n: usize) -> usize {
+        (self.next_u64() % n.max(1) as u64) as usize
+    }
+
+    /// A uniformly drawn element of a non-empty `pool`.
+    pub fn pick<'a, T>(&mut self, pool: &'a [T]) -> &'a T {
+        &pool[self.below(pool.len())]
+    }
+
+    /// `true` with probability `pct` percent.
+    pub fn chance(&mut self, pct: u64) -> bool {
+        self.next_u64() % 100 < pct
     }
 }
 
@@ -132,40 +147,20 @@ pub struct FaultConfig {
     /// PRNG seed; the full fault stream is a function of this value and
     /// the dispatched call sequence.
     pub seed: u64,
-    /// Injection rate as "1 in `rate`" per eligible call; `0` disables
-    /// random injection (one-shots still fire).
+    /// Injection rate as "1 in `rate`" per eligible call (an fs, net or
+    /// id call); `0` disables random injection (one-shots still fire).
     pub rate: u64,
-    /// Classes eligible for random injection. The default deliberately
-    /// excludes [`SyscallClass::Process`] so fork/exec/exit/wait — the
-    /// harness spine — always runs; fs/net/id calls are where userland
-    /// must degrade gracefully.
-    pub classes: Vec<SyscallClass>,
-    /// Errnos drawn from (uniformly) when a random injection fires.
-    pub palette: Vec<Errno>,
     /// Scheduled one-shot faults, checked before the random draw.
     pub one_shots: Vec<OneShot>,
 }
 
-impl Default for FaultConfig {
-    fn default() -> FaultConfig {
-        FaultConfig {
-            seed: 0xC0FFEE,
-            rate: 0,
-            classes: vec![SyscallClass::Fs, SyscallClass::Net, SyscallClass::Id],
-            palette: vec![Errno::EINTR, Errno::ENOMEM, Errno::EACCES],
-            one_shots: Vec::new(),
-        }
-    }
-}
-
 impl FaultConfig {
-    /// A 1-in-`rate` random-injection config with the default class set
-    /// and palette.
+    /// A 1-in-`rate` random-injection config with no one-shots.
     pub fn storm(seed: u64, rate: u64) -> FaultConfig {
         FaultConfig {
             seed,
             rate,
-            ..FaultConfig::default()
+            one_shots: Vec::new(),
         }
     }
 
@@ -188,20 +183,25 @@ pub struct FaultStats {
     /// Injections keyed by errno name.
     pub per_errno: BTreeMap<&'static str, u64>,
     /// Per-one-shot consumption flags, indexed like
-    /// [`FaultConfig::one_shots`]. These live in the *shared* stats — not
-    /// in injector-private state — so a consumed one-shot stays consumed
-    /// even when the injector object is rebuilt and re-registered (the
-    /// exec re-selection pattern): pass the old handle to
-    /// [`FaultInjector::resuming`] and the replacement cannot re-fire it.
+    /// [`FaultConfig::one_shots`].
     pub one_shots_fired: Vec<bool>,
 }
+
+/// Classes eligible for random injection. Deliberately excludes
+/// [`SyscallClass::Process`] so fork/exec/exit/wait — the harness spine —
+/// always runs; fs/net/id calls are where userland must degrade
+/// gracefully.
+const STORM_CLASSES: [SyscallClass; 3] = [SyscallClass::Fs, SyscallClass::Net, SyscallClass::Id];
+
+/// Errnos drawn from (uniformly) when a random injection fires.
+const STORM_ERRNOS: [Errno; 3] = [Errno::EINTR, Errno::ENOMEM, Errno::EACCES];
 
 /// The seeded fault injector (tentpole interceptor #1).
 ///
 /// Decides per dispatched call — deterministically from the seed and the
-/// call sequence — whether to short-circuit it with an errno from the
-/// palette. One-shot faults ("fail the 2nd mount with `EBUSY`") fire
-/// before the random draw and exactly once.
+/// call sequence — whether to short-circuit it with an errno drawn from
+/// EINTR, ENOMEM and EACCES. One-shot faults ("fail the 2nd mount with
+/// `EBUSY`") fire before the random draw and exactly once.
 pub struct FaultInjector {
     config: FaultConfig,
     /// PRNG, one-shot bookkeeping, and per-name dispatch counts; a single
@@ -221,34 +221,17 @@ struct FaultState {
 impl FaultInjector {
     /// Builds an injector from `config` with fresh stats.
     pub fn new(config: FaultConfig) -> FaultInjector {
-        FaultInjector::resuming(config, Arc::new(Mutex::new(FaultStats::default())))
-    }
-
-    /// Builds an injector from `config` that *resumes* an earlier
-    /// injector's [`FaultStats`]: counters keep accumulating, and —
-    /// critically — one-shots the predecessor already consumed stay
-    /// consumed. Use this when exec re-selection (or any interceptor
-    /// replace/rebuild cycle) swaps the injector object mid-run:
-    /// rebuilding with fresh stats would silently re-arm every one-shot,
-    /// so "fail the 2nd mount" could fire again after umount/remount
-    /// churn crosses the replacement boundary.
-    ///
-    /// Occurrence *counting* is injector-local by design (a fresh
-    /// injector counts "the k-th mount" from its own registration), but
-    /// consumption is a property of the fault plan, so it rides with the
-    /// shared stats handle.
-    pub fn resuming(config: FaultConfig, stats: Arc<Mutex<FaultStats>>) -> FaultInjector {
-        let rng = XorShift64::new(config.seed);
-        lock(&stats)
-            .one_shots_fired
-            .resize(config.one_shots.len(), false);
+        let stats = FaultStats {
+            one_shots_fired: vec![false; config.one_shots.len()],
+            ..FaultStats::default()
+        };
         FaultInjector {
-            config,
             inner: Mutex::new(FaultState {
-                rng,
+                rng: XorShift64::new(config.seed),
                 counts: BTreeMap::new(),
             }),
-            stats,
+            config,
+            stats: Arc::new(Mutex::new(stats)),
         }
     }
 
@@ -287,19 +270,15 @@ impl Interceptor for FaultInjector {
                 return Verdict::Deny(shot.errno);
             }
         }
-        if self.config.rate == 0
-            || self.config.palette.is_empty()
-            || !self.config.classes.contains(&call.class())
-        {
+        if self.config.rate == 0 || !STORM_CLASSES.contains(&call.class()) {
             return Verdict::Continue;
         }
         // Getters are infallible reads; injecting there models nothing.
         if matches!(call, Syscall::Getuid | Syscall::Geteuid | Syscall::Getgid) {
             return Verdict::Continue;
         }
-        if st.rng.next().is_multiple_of(self.config.rate) {
-            let pick = (st.rng.next() % self.config.palette.len() as u64) as usize;
-            let errno = self.config.palette[pick];
+        if st.rng.next_u64().is_multiple_of(self.config.rate) {
+            let errno = *st.rng.pick(&STORM_ERRNOS);
             FaultInjector::record(&mut s, call, errno);
             return Verdict::Deny(errno);
         }

@@ -23,7 +23,7 @@ mod process;
 pub use abi::{NetfilterRule, SysRet, Syscall, SyscallClass, Whence};
 pub use fs::{OpenFlags, Stat};
 pub use interceptor::{
-    FaultConfig, FaultInjector, FaultStats, Interceptor, OneShot, SysCtx, Verdict,
+    FaultConfig, FaultInjector, FaultStats, Interceptor, OneShot, SysCtx, Verdict, XorShift64,
 };
 pub use ioctl::{IoctlCmd, IoctlOut};
 pub use net::{NetfilterOp, RouteOp};

@@ -4,101 +4,78 @@ use crate::error::Errno;
 use crate::lsm::RuleId;
 use core::fmt;
 
-/// The LSM hook (or kernel-internal site) a decision came from.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
-pub enum Hook {
+/// Declares [`Hook`] from one table: each variant with its doc and its
+/// stable name. `COUNT`, `ALL` and `name()` all come from the table, so
+/// a hook is listed once.
+macro_rules! hooks {
+    ($($(#[$doc:meta])* $variant:ident => $name:literal;)*) => {
+        /// The LSM hook (or kernel-internal site) a decision came from.
+        #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
+        pub enum Hook {
+            $($(#[$doc])* $variant,)*
+        }
+
+        impl Hook {
+            /// Number of hooks (the fixed metrics-counter table size).
+            pub const COUNT: usize = [$($name),*].len();
+
+            /// Every hook, in discriminant order.
+            pub const ALL: [Hook; Hook::COUNT] = [$(Hook::$variant),*];
+
+            /// Stable lower-snake name (metrics keys, `/proc` rendering).
+            pub fn name(self) -> &'static str {
+                match self {
+                    $(Hook::$variant => $name,)*
+                }
+            }
+        }
+    };
+}
+
+hooks! {
     /// `capable()` — coarse capability check.
-    Capable,
+    Capable => "capable";
     /// `sb_mount` — `mount(2)`.
-    SbMount,
+    SbMount => "sb_mount";
     /// `sb_umount` — `umount(2)`.
-    SbUmount,
+    SbUmount => "sb_umount";
     /// `socket_create` — `socket(2)` (raw/packet sockets).
-    SocketCreate,
+    SocketCreate => "socket_create";
     /// `socket_bind` — `bind(2)` to a privileged port.
-    SocketBind,
+    SocketBind => "socket_bind";
     /// `task_setuid` — the `setuid(2)` family.
-    TaskSetuid,
+    TaskSetuid => "task_setuid";
     /// `task_setgid` — the `setgid(2)` family.
-    TaskSetgid,
+    TaskSetgid => "task_setgid";
     /// `bprm_check` — `execve(2)` credential transitions.
-    BprmCheck,
+    BprmCheck => "bprm_check";
     /// `ioctl_route_add` — route-table-changing ioctls.
-    IoctlRoute,
+    IoctlRoute => "ioctl_route";
     /// `ioctl_modem` — modem-line ioctls (pppd).
-    IoctlModem,
+    IoctlModem => "ioctl_modem";
     /// `ioctl_dmcrypt` — dm-crypt status ioctls.
-    IoctlDmcrypt,
+    IoctlDmcrypt => "ioctl_dmcrypt";
     /// `ioctl_kms` — KMS mode-setting ioctls.
-    IoctlKms,
+    IoctlKms => "ioctl_kms";
     /// `file_open` — per-open policy (key files, shadow fragments).
-    FileOpen,
+    FileOpen => "file_open";
     /// Netfilter OUTPUT-chain verdicts on the packet path.
-    Netfilter,
+    Netfilter => "netfilter";
     /// `/proc/<lsm>/*` configuration reads/writes.
-    LsmConfig,
+    LsmConfig => "lsm_config";
     /// Kernel-launched trusted authentication (§4.3).
-    Auth,
+    Auth => "auth";
     /// Module registration and other lifecycle events.
-    Lifecycle,
+    Lifecycle => "lifecycle";
     /// A dispatch-chain interceptor (fault injection, replay checking).
-    Interceptor,
+    Interceptor => "interceptor";
 }
 
 impl Hook {
-    /// Number of hooks (the fixed metrics-counter table size).
-    pub const COUNT: usize = 18;
-
-    /// Every hook, in discriminant order.
-    pub const ALL: [Hook; Hook::COUNT] = [
-        Hook::Capable,
-        Hook::SbMount,
-        Hook::SbUmount,
-        Hook::SocketCreate,
-        Hook::SocketBind,
-        Hook::TaskSetuid,
-        Hook::TaskSetgid,
-        Hook::BprmCheck,
-        Hook::IoctlRoute,
-        Hook::IoctlModem,
-        Hook::IoctlDmcrypt,
-        Hook::IoctlKms,
-        Hook::FileOpen,
-        Hook::Netfilter,
-        Hook::LsmConfig,
-        Hook::Auth,
-        Hook::Lifecycle,
-        Hook::Interceptor,
-    ];
-
     /// Fixed counter-table index (the discriminant).
     #[inline]
     pub fn index(self) -> usize {
         self as usize
-    }
-
-    /// Stable lower-snake name (metrics keys, `/proc` rendering).
-    pub fn name(self) -> &'static str {
-        match self {
-            Hook::Capable => "capable",
-            Hook::SbMount => "sb_mount",
-            Hook::SbUmount => "sb_umount",
-            Hook::SocketCreate => "socket_create",
-            Hook::SocketBind => "socket_bind",
-            Hook::TaskSetuid => "task_setuid",
-            Hook::TaskSetgid => "task_setgid",
-            Hook::BprmCheck => "bprm_check",
-            Hook::IoctlRoute => "ioctl_route",
-            Hook::IoctlModem => "ioctl_modem",
-            Hook::IoctlDmcrypt => "ioctl_dmcrypt",
-            Hook::IoctlKms => "ioctl_kms",
-            Hook::FileOpen => "file_open",
-            Hook::Netfilter => "netfilter",
-            Hook::LsmConfig => "lsm_config",
-            Hook::Auth => "auth",
-            Hook::Lifecycle => "lifecycle",
-            Hook::Interceptor => "interceptor",
-        }
     }
 }
 

@@ -3,19 +3,21 @@
 //! exactly like the corresponding direct `sys_*` call — same return
 //! value, same state transitions, same audit stream. These tests drive a
 //! twin pair of kernels (one direct, one dispatched) through every
-//! variant, then exercise the interceptor stack: deterministic fault
-//! injection, one-shot faults, and trace recording.
+//! variant, then exercise the interceptor stack: hook ordering,
+//! deterministic fault injection, one-shot faults, and trace recording.
 
 use sim_kernel::cred::{Credentials, Gid, Uid};
 use sim_kernel::error::Errno;
 use sim_kernel::kernel::Kernel;
 use sim_kernel::net::{Domain, Ipv4, Packet, SimNet, SockType};
 use sim_kernel::syscall::{
-    FaultConfig, FaultInjector, IoctlCmd, NetfilterOp, OpenFlags, RouteOp, Syscall, Whence,
+    FaultConfig, FaultInjector, Interceptor, IoctlCmd, NetfilterOp, OpenFlags, RouteOp, SysCtx,
+    SysRet, Syscall, Verdict, Whence,
 };
 use sim_kernel::task::{NsKind, Pid};
 use sim_kernel::trace::{DecisionKind, Hook, TraceRecorder};
 use sim_kernel::vfs::Mode;
+use std::sync::{Arc, Mutex};
 
 fn boot() -> (Kernel, Pid, Pid) {
     let k = Kernel::new(SimNet::new());
@@ -503,7 +505,7 @@ fn fault_injection_is_deterministic_under_a_fixed_seed() {
         let (k, _root, user) = boot();
         let inj = FaultInjector::new(FaultConfig::storm(seed, 10));
         let stats = inj.stats();
-        k.push_interceptor(Box::new(inj));
+        k.register_interceptor(Box::new(inj));
         let pattern: Vec<bool> = (0..400)
             .map(|_| {
                 k.dispatch(
@@ -534,7 +536,7 @@ fn fault_injection_is_deterministic_under_a_fixed_seed() {
 fn injected_faults_are_audited_and_getters_are_exempt() {
     let (k, _root, user) = boot();
     // rate 1 = inject on every eligible call.
-    k.push_interceptor(Box::new(FaultInjector::new(FaultConfig::storm(7, 1))));
+    k.register_interceptor(Box::new(FaultInjector::new(FaultConfig::storm(7, 1))));
     let ret = k.dispatch(
         user,
         Syscall::Stat {
@@ -563,8 +565,8 @@ fn injected_faults_are_audited_and_getters_are_exempt() {
 #[test]
 fn one_shot_fails_exactly_the_kth_mount() {
     let (mut k, root, _user) = boot();
-    k.push_interceptor(Box::new(FaultInjector::new(
-        FaultConfig::default().with_one_shot("mount", 2, Errno::EIO),
+    k.register_interceptor(Box::new(FaultInjector::new(
+        FaultConfig::storm(0, 0).with_one_shot("mount", 2, Errno::EIO),
     )));
     let mount = |k: &mut Kernel| {
         k.dispatch(
@@ -598,75 +600,95 @@ fn one_shot_fails_exactly_the_kth_mount() {
     assert_eq!(umount(&mut k), Ok(()));
 }
 
-/// A consumed one-shot must stay consumed across an injector
-/// replace/rebuild cycle (the exec re-selection pattern): umount/remount
-/// churn after the swap may not re-fire "fail the 2nd mount". The
-/// consumption flag rides in the shared [`FaultStats`], which
-/// [`FaultInjector::resuming`] carries into the replacement.
-#[test]
-fn consumed_one_shot_cannot_rearm_across_reselection() {
-    let (k, root, _user) = boot();
-    let config = FaultConfig::default().with_one_shot("mount", 2, Errno::EIO);
-    let injector = FaultInjector::resuming(
-        config.clone(),
-        std::sync::Arc::new(std::sync::Mutex::new(Default::default())),
-    );
-    let stats = injector.stats();
-    let slot = k.register_interceptor(Box::new(injector));
+/// Logs every hook it runs into a log shared by the whole chain; denies
+/// `mkdir` when `deny` is set.
+struct Probe {
+    name: &'static str,
+    deny: bool,
+    log: Arc<Mutex<Vec<String>>>,
+}
 
-    let mount = |k: &Kernel| {
-        k.dispatch(
-            root,
-            Syscall::Mount {
-                source: "/dev/cdrom".into(),
-                target: "/mnt/cdrom".into(),
-                fstype: "iso9660".into(),
-                options: "ro".into(),
-            },
-        )
-        .unit()
-    };
-    let umount = |k: &Kernel| {
-        k.dispatch(
-            root,
-            Syscall::Umount {
-                target: "/mnt/cdrom".into(),
-            },
-        )
-        .unit()
-    };
-
-    // Mount/umount churn up to the one-shot: the 2nd mount takes it.
-    assert_eq!(mount(&k), Ok(()));
-    assert_eq!(umount(&k), Ok(()));
-    assert_eq!(
-        mount(&k),
-        Err(Errno::EIO),
-        "second mount takes the one-shot"
-    );
-    assert_eq!(stats.lock().unwrap().one_shots_fired, vec![true]);
-
-    // Disable/enable churn on the slot must not reset consumption.
-    assert!(k.set_interceptor_enabled(slot, false));
-    assert_eq!(mount(&k), Ok(()));
-    assert_eq!(umount(&k), Ok(()));
-    assert!(k.set_interceptor_enabled(slot, true));
-
-    // Exec re-selection: the injector object is rebuilt from the same
-    // config and swapped into the slot. Resuming the stats handle keeps
-    // the one-shot consumed even though the replacement's occurrence
-    // counter restarts (its own 2nd mount would otherwise match k=2).
-    assert!(k.replace_interceptor(
-        slot,
-        Box::new(FaultInjector::resuming(config, stats.clone()))
-    ));
-    for _ in 0..4 {
-        assert_eq!(mount(&k), Ok(()), "consumed one-shot must not re-fire");
-        assert_eq!(umount(&k), Ok(()));
+impl Interceptor for Probe {
+    fn name(&self) -> &'static str {
+        self.name
     }
-    let s = stats.lock().unwrap();
-    assert_eq!(s.injected, 1, "exactly one injection across both lives");
-    assert_eq!(s.one_shots_fired, vec![true]);
+
+    fn before(&self, _pid: Pid, call: &Syscall, _ctx: &mut SysCtx) -> Verdict {
+        self.log
+            .lock()
+            .unwrap()
+            .push(format!("before {}", self.name));
+        match call {
+            Syscall::Mkdir { .. } if self.deny => Verdict::Deny(Errno::EPERM),
+            _ => Verdict::Continue,
+        }
+    }
+
+    fn after(&self, _pid: Pid, _call: &Syscall, ret: &SysRet, _ctx: &mut SysCtx) {
+        let seen = ret.err().map_or("ok", |e| e.name());
+        self.log
+            .lock()
+            .unwrap()
+            .push(format!("after {} {}", self.name, seen));
+    }
+}
+
+/// The chain's contract: `before` hooks run in registration order, the
+/// first `Deny` skips the later `before` hooks and the syscall body, and
+/// `after` hooks run in reverse order, every one seeing the final
+/// (here injected) response.
+#[test]
+fn chain_runs_before_in_order_stops_at_deny_and_unwinds_after() {
+    let (k, _root, user) = boot();
+    assert!(!k.interceptors_armed(), "a fresh kernel has no chain");
+    let log = Arc::new(Mutex::new(Vec::new()));
+    for (name, deny) in [("a", false), ("b", true), ("c", false)] {
+        let log = log.clone();
+        k.register_interceptor(Box::new(Probe { name, deny, log }));
+    }
+    assert!(k.interceptors_armed());
+
+    let stat = k.dispatch(
+        user,
+        Syscall::Stat {
+            path: "/tmp".into(),
+        },
+    );
+    assert!(!stat.is_err());
+    assert_eq!(
+        std::mem::take(&mut *log.lock().unwrap()),
+        [
+            "before a",
+            "before b",
+            "before c",
+            "after c ok",
+            "after b ok",
+            "after a ok"
+        ]
+    );
+
+    let mkdir = k.dispatch(
+        user,
+        Syscall::Mkdir {
+            path: "/tmp/denied".into(),
+            mode: Mode(0o755),
+        },
+    );
+    assert_eq!(mkdir.err(), Some(Errno::EPERM));
+    assert_eq!(
+        *log.lock().unwrap(),
+        [
+            "before a",
+            "before b",
+            "after c EPERM",
+            "after b EPERM",
+            "after a EPERM"
+        ]
+    );
+    assert!(
+        k.vfs.resolve(k.vfs.root(), "/tmp/denied").is_err(),
+        "a denied call never reaches its body"
+    );
 }
 
 /// A recorder attached to a run captures the full (pid, call, ret)
@@ -711,7 +733,7 @@ fn recorded_trace_replays_byte_identically() {
     let (mut k1, _r1, u1) = boot();
     let rec = TraceRecorder::new();
     let trace1 = rec.trace();
-    k1.push_interceptor(Box::new(rec));
+    k1.register_interceptor(Box::new(rec));
     drive(&mut k1, u1);
     let rendered = trace1.lock().unwrap().render();
     assert!(!trace1.lock().unwrap().is_empty());
@@ -720,7 +742,7 @@ fn recorded_trace_replays_byte_identically() {
     let (mut k2, _r2, u2) = boot();
     let rec2 = TraceRecorder::new();
     let trace2 = rec2.trace();
-    k2.push_interceptor(Box::new(rec2));
+    k2.register_interceptor(Box::new(rec2));
     drive(&mut k2, u2);
     assert_eq!(rendered, trace2.lock().unwrap().render());
 

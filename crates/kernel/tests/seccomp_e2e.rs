@@ -1,7 +1,6 @@
 //! End-to-end coverage for the auto-seccomp subsystem (DESIGN.md §15):
 //! the `/proc/seccomp/*` control plane driven through the real
-//! open/read/write path, enforcement and the typed interceptor-slot
-//! lifecycle through `Kernel::dispatch`, profile re-selection across
+//! open/read/write path, enforcement through `Kernel::dispatch`, profile re-selection across
 //! `execve`, the `Syscall::NAMES`/`Syscall::index` invariant the
 //! compiled allow masks rely on, and a differential property test that
 //! `enforce` behaves exactly as `complain` predicts (the
@@ -31,11 +30,7 @@ fn boot() -> (Kernel, Pid, Pid) {
 
 /// Arms the kernel's own seccomp control block with `specs` in `mode`
 /// and puts its interceptor on the dispatch chain.
-fn arm(
-    k: &Kernel,
-    specs: &[ProfileSpec],
-    mode: SeccompMode,
-) -> sim_kernel::kernel::InterceptorSlot {
+fn arm(k: &Kernel, specs: &[ProfileSpec], mode: SeccompMode) {
     k.seccomp.load_profiles(specs).unwrap();
     k.seccomp.set_mode(mode);
     k.register_interceptor(Box::new(SeccompInterceptor::new(k.seccomp.clone())))
@@ -163,16 +158,15 @@ fn leaked_fd_after_cred_drop_gets_audited_eperm() {
 }
 
 // ---------------------------------------------------------------------
-// Enforcement + slot lifecycle through dispatch
+// Enforcement through dispatch
 // ---------------------------------------------------------------------
 
-/// The typed slot API gates enforcement live: disable lets calls
-/// through, re-enable denies again, replacing the interceptor in place
-/// swaps the policy without disturbing the chain, and removal ends it.
+/// An enforcing profile lets its allowlisted calls through and denies
+/// the rest, and the denial is audited.
 #[test]
-fn slot_lifecycle_controls_enforcement_through_dispatch() {
+fn enforcement_denies_and_audits_off_profile_calls() {
     let (k, _root, user) = boot();
-    let slot = arm(
+    arm(
         &k,
         &[ProfileSpec::allowing("/bin/sh", &["stat", "getuid"])],
         SeccompMode::Enforce,
@@ -189,22 +183,6 @@ fn slot_lifecycle_controls_enforcement_through_dispatch() {
         last.contains("seccomp:pipe:fs"),
         "deny rule should name interceptor, call, and class: {last}"
     );
-
-    assert!(k.set_interceptor_enabled(slot, false));
-    assert!(k.dispatch(user, Syscall::Pipe).fd_pair().is_ok());
-    assert!(k.set_interceptor_enabled(slot, true));
-    assert_eq!(k.dispatch(user, Syscall::Pipe).fd_pair(), Err(Errno::EPERM));
-
-    // In-place replacement with an unrelated (empty ⇒ unconfining)
-    // control block: the pid is immediately unconfined.
-    assert!(k.replace_interceptor(slot, Box::new(SeccompInterceptor::new(Seccomp::new()))));
-    assert!(k.dispatch(user, Syscall::Pipe).fd_pair().is_ok());
-    assert!(k.replace_interceptor(slot, Box::new(SeccompInterceptor::new(k.seccomp.clone()))));
-    assert_eq!(k.dispatch(user, Syscall::Pipe).fd_pair(), Err(Errno::EPERM));
-
-    assert!(k.remove_interceptor(slot));
-    assert!(k.dispatch(user, Syscall::Pipe).fd_pair().is_ok());
-    assert!(!k.remove_interceptor(slot), "slot is gone");
 }
 
 /// `execve` re-selects the profile: the exec itself is judged under the

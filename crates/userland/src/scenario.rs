@@ -42,7 +42,7 @@ use crate::system::{System, SystemMode};
 use crate::workload::{privileged_artifacts, vfs_namespace_violations};
 use sim_kernel::cred::{Gid, Uid};
 use sim_kernel::error::Errno;
-use sim_kernel::syscall::{FaultConfig, SyscallClass};
+use sim_kernel::syscall::FaultConfig;
 use sim_kernel::task::{NsKind, Pid};
 use sim_kernel::trace::{Trace, TraceEntry};
 use sim_kernel::vfs::Mode;
@@ -517,13 +517,7 @@ impl Scenario {
             return None;
         }
         let (seed, rate) = self.storm.unwrap_or((0, 0));
-        let mut config = FaultConfig {
-            seed,
-            rate,
-            classes: vec![SyscallClass::Fs, SyscallClass::Net, SyscallClass::Id],
-            palette: vec![Errno::EINTR, Errno::ENOMEM, Errno::EACCES],
-            one_shots: Vec::new(),
-        };
+        let mut config = FaultConfig::storm(seed, rate);
         for (syscall, k, errno) in &self.one_shots {
             // OneShot takes a &'static str; intern through the ABI's own
             // name table so serialized names round-trip.
@@ -600,7 +594,7 @@ fn run_scenario_inner(scenario: &Scenario, mode: SystemMode) -> ModeRun {
 
     let fault_stats = scenario
         .fault_config()
-        .map(|config| sys.attach_fault_injector(config).1);
+        .map(|config| sys.attach_fault_injector(config));
 
     let mut trace = Trace::default();
     for op in &scenario.ops {

@@ -139,50 +139,42 @@ impl System {
     }
 
     // ------------------------------------------------------------------
-    // Typed interceptor registration (the InterceptorSlot surface):
-    // helpers that box the standard interceptors onto the dispatch chain
-    // and hand back both the slot handle (enable/disable/replace) and the
+    // Interceptor registration: helpers that box the standard
+    // interceptors onto the dispatch chain and hand back the
     // interceptor's shared observer handle where it has one.
     // ------------------------------------------------------------------
 
     /// Installs a [`FaultInjector`](sim_kernel::syscall::FaultInjector)
-    /// built from `config`, returning its chain slot and the shared
-    /// stats handle.
+    /// built from `config`, returning its shared stats handle.
     pub fn attach_fault_injector(
         &mut self,
         config: sim_kernel::syscall::FaultConfig,
-    ) -> (
-        sim_kernel::kernel::InterceptorSlot,
-        std::sync::Arc<std::sync::Mutex<sim_kernel::syscall::FaultStats>>,
-    ) {
+    ) -> std::sync::Arc<std::sync::Mutex<sim_kernel::syscall::FaultStats>> {
         let injector = sim_kernel::syscall::FaultInjector::new(config);
         let stats = injector.stats();
-        let slot = self.kernel.register_interceptor(Box::new(injector));
-        (slot, stats)
+        self.kernel.register_interceptor(Box::new(injector));
+        stats
     }
 
     /// Installs a [`TraceRecorder`](sim_kernel::trace::TraceRecorder),
-    /// returning its chain slot and the shared trace handle.
+    /// returning its shared trace handle.
     pub fn attach_recorder(
         &mut self,
-    ) -> (
-        sim_kernel::kernel::InterceptorSlot,
-        std::sync::Arc<std::sync::Mutex<sim_kernel::trace::Trace>>,
-    ) {
+    ) -> std::sync::Arc<std::sync::Mutex<sim_kernel::trace::Trace>> {
         let recorder = sim_kernel::trace::TraceRecorder::new();
         let trace = recorder.trace();
-        let slot = self.kernel.register_interceptor(Box::new(recorder));
-        (slot, trace)
+        self.kernel.register_interceptor(Box::new(recorder));
+        trace
     }
 
     /// Installs a [`SeccompInterceptor`](sim_kernel::seccomp::SeccompInterceptor)
     /// wired to this kernel's [`Seccomp`](sim_kernel::seccomp::Seccomp)
-    /// control block, returning its chain slot. Profiles and mode are
-    /// managed through `kernel.seccomp` (or `/proc/seccomp/*`); the
-    /// interceptor is inert while the mode is `off`.
-    pub fn attach_seccomp(&mut self) -> sim_kernel::kernel::InterceptorSlot {
+    /// control block. Profiles and mode are managed through
+    /// `kernel.seccomp` (or `/proc/seccomp/*`); the interceptor is inert
+    /// while the mode is `off`.
+    pub fn attach_seccomp(&mut self) {
         let ic = sim_kernel::seccomp::SeccompInterceptor::new(self.kernel.seccomp.clone());
-        self.kernel.register_interceptor(Box::new(ic))
+        self.kernel.register_interceptor(Box::new(ic));
     }
 
     /// Runs one monitoring-daemon poll cycle (Protego's policy

@@ -162,7 +162,7 @@ fn eight_workers_storm_one_kernel_without_damage() {
     let sessions: Vec<_> = (0..WORKERS)
         .map(|_| base.login("alice", "alicepw").expect("login"))
         .collect();
-    let (_slot, stats) = base.attach_fault_injector(FaultConfig::storm(0xD1CE, 100));
+    let stats = base.attach_fault_injector(FaultConfig::storm(0xD1CE, 100));
 
     let (_, panicked) = run_workers(&base, sessions, worker_churn);
     assert_eq!(panicked, 0, "no worker may panic under the storm");
@@ -246,7 +246,7 @@ fn serve_traffic(mut sys: System, w: ServiceWorker, worker: usize) -> ServiceTot
 fn run_services(storm_seed: Option<u64>) -> (ServiceTotals, usize, u64) {
     let mut base = boot(SystemMode::Protego);
     let workers = start_service_workers(&mut base);
-    let stats = storm_seed.map(|seed| base.attach_fault_injector(FaultConfig::storm(seed, 100)).1);
+    let stats = storm_seed.map(|seed| base.attach_fault_injector(FaultConfig::storm(seed, 100)));
     let (results, panicked) = run_workers(&base, workers, serve_traffic);
     let mut sum: ServiceTotals = (0, 0, [0; SyscallClass::COUNT]);
     for (ops, failures, calls) in results {

@@ -41,7 +41,7 @@ fn assert_no_privileged_effects(sys: &mut System) {
 fn errno_storm_over_functional_battery_is_safe_and_deterministic() {
     let storm_run = |seed: u64| {
         let mut sys = boot(SystemMode::Protego);
-        let (_slot, stats) = sys.attach_fault_injector(FaultConfig::storm(seed, 100));
+        let stats = sys.attach_fault_injector(FaultConfig::storm(seed, 100));
         let outcomes = run_functional_suite(&mut sys);
         let s = stats.lock().unwrap();
         assert!(s.seen > 0, "the battery must route through dispatch");
@@ -75,7 +75,7 @@ fn errno_storm_over_functional_battery_is_safe_and_deterministic() {
 fn functional_battery_trace_replays_deterministically() {
     // Pass 1: record.
     let mut sys = boot(SystemMode::Protego);
-    let (_rec_slot, trace) = sys.attach_recorder();
+    let trace = sys.attach_recorder();
     let outcomes1 = run_functional_suite(&mut sys);
     let serialized = trace.lock().unwrap().render();
     assert!(
@@ -90,7 +90,7 @@ fn functional_battery_trace_replays_deterministically() {
     let divergences = replayer.divergences();
     let mut sys2 = boot(SystemMode::Protego);
     sys2.kernel.register_interceptor(Box::new(replayer));
-    let (_rec2_slot, trace2) = sys2.attach_recorder();
+    let trace2 = sys2.attach_recorder();
     let outcomes2 = run_functional_suite(&mut sys2);
 
     assert_eq!(
