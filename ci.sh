@@ -32,7 +32,11 @@ echo "== zero-alloc gate: steady-state fast path allocates nothing =="
 # the directory's entries generation, not its coverage), that a warm
 # Protego hook matching a policy rule allocates nothing either, and that
 # a warm stock setuid denial (typed audit event into a full ring)
-# allocates nothing. The same counting allocator holds a warm
+# allocates nothing, and that a whole warm web request
+# (workload::web_request: 13 kernel entries through the borrowed
+# syscall ABI, read/recv filling reusable buffers) allocates nothing on
+# either image. The same counting allocator holds a warm mail delivery
+# to at most 4 allocations and a warm
 # privileged run to a budget: one 8-operation privops cycle (mount,
 # umount, ping, three sudo runs, su, newgrp) makes at most 64
 # allocations per operation on Protego and 120 on legacy, and one warm

@@ -354,7 +354,8 @@ pub fn all_micro_ops() -> Vec<MicroOp> {
             prepare: prep_socketpair,
             run: |f, p| {
                 let _ = f.sys.kernel.sys_send(f.user, p.fds[0], b"x");
-                let _ = f.sys.kernel.sys_recv(f.user, p.fds[1], 1);
+                let mut buf = Vec::with_capacity(1);
+                let _ = f.sys.kernel.sys_recv(f.user, p.fds[1], &mut buf, 1);
             },
         },
         MicroOp {
@@ -390,10 +391,12 @@ pub fn all_micro_ops() -> Vec<MicroOp> {
             paper_protego_us: Some(20.87),
             prepare: prep_tcp_pair,
             run: |f, p| {
+                let mut buf = Vec::with_capacity(4);
                 let _ = f.sys.kernel.sys_send(f.user, p.fds[0], b"ping");
-                let _ = f.sys.kernel.sys_recv(f.user, p.fds[1], 4);
+                let _ = f.sys.kernel.sys_recv(f.user, p.fds[1], &mut buf, 4);
+                buf.clear();
                 let _ = f.sys.kernel.sys_send(f.user, p.fds[1], b"pong");
-                let _ = f.sys.kernel.sys_recv(f.user, p.fds[0], 4);
+                let _ = f.sys.kernel.sys_recv(f.user, p.fds[0], &mut buf, 4);
             },
         },
         MicroOp {
@@ -429,7 +432,8 @@ pub fn all_micro_ops() -> Vec<MicroOp> {
             prepare: prep_remote_tcp,
             run: |f, p| {
                 let _ = f.sys.kernel.sys_send(f.user, p.fds[0], b"x");
-                let _ = f.sys.kernel.sys_recv(f.user, p.fds[0], 1);
+                let mut buf = Vec::with_capacity(1);
+                let _ = f.sys.kernel.sys_recv(f.user, p.fds[0], &mut buf, 1);
             },
         },
         MicroOp {
@@ -459,12 +463,9 @@ pub fn dispatch_overhead(f: &mut Fixture, warmup: u32, iters: u32) -> crate::Pai
     crate::paired_median(|dispatched| {
         if dispatched {
             crate::quick_time_ns(warmup, iters, || {
-                let _ = sys.kernel.dispatch(
-                    user,
-                    Syscall::Stat {
-                        path: "/etc/motd".into(),
-                    },
-                );
+                let _ = sys
+                    .kernel
+                    .dispatch(user, Syscall::Stat { path: "/etc/motd" });
             })
         } else {
             crate::quick_time_ns(warmup, iters, || {

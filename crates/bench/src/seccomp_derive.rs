@@ -384,13 +384,13 @@ mod tests {
     }
 
     /// One call per ABI variant, in [`Syscall::index`] order.
-    fn one_call_per_index() -> Vec<Syscall> {
+    fn one_call_per_index() -> Vec<Syscall<'static>> {
         use sim_kernel::cred::{Gid, Uid};
         use sim_kernel::net::{Domain, Ipv4, Packet, SockType};
         use sim_kernel::syscall::{IoctlCmd, NetfilterOp, OpenFlags, RouteOp, Whence};
         use sim_kernel::task::NsKind;
         use sim_kernel::vfs::Mode;
-        let path = || "/tmp/x".to_string();
+        let path = || "/tmp/x";
         let calls = vec![
             Syscall::Open {
                 path: path(),
@@ -398,10 +398,7 @@ mod tests {
             },
             Syscall::Close { fd: 3 },
             Syscall::Read { fd: 3, count: 1 },
-            Syscall::Write {
-                fd: 3,
-                data: vec![],
-            },
+            Syscall::Write { fd: 3, data: &[] },
             Syscall::Lseek {
                 fd: 3,
                 offset: 0,
@@ -438,7 +435,7 @@ mod tests {
             Syscall::Setuid { uid: Uid(0) },
             Syscall::Seteuid { uid: Uid(0) },
             Syscall::Setgid { gid: Gid(0) },
-            Syscall::Setgroups { groups: vec![] },
+            Syscall::Setgroups { groups: &[] },
             Syscall::Getuid,
             Syscall::Geteuid,
             Syscall::Getgid,
@@ -449,8 +446,8 @@ mod tests {
             Syscall::Mount {
                 source: path(),
                 target: path(),
-                fstype: "tmpfs".into(),
-                options: String::new(),
+                fstype: "tmpfs",
+                options: "",
             },
             Syscall::Umount { target: path() },
             Syscall::Socket {
@@ -470,17 +467,14 @@ mod tests {
                 port: 80,
             },
             Syscall::Accept { fd: 3 },
-            Syscall::Send {
-                fd: 3,
-                data: vec![],
-            },
+            Syscall::Send { fd: 3, data: &[] },
             Syscall::Recv { fd: 3, max: 1 },
             Syscall::RecvPacket { fd: 3 },
             Syscall::Sendto {
                 fd: 3,
                 addr: Ipv4::LOOPBACK,
                 port: 53,
-                data: vec![],
+                data: &[],
             },
             Syscall::SendPacket {
                 fd: 3,

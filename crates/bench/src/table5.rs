@@ -324,12 +324,9 @@ pub fn measure_dispatch_seccomp(warmup: u32, iters: u32) -> Paired {
             SeccompMode::Off
         });
         quick_time_ns(warmup, iters, || {
-            let _ = sys.kernel.dispatch(
-                user,
-                Syscall::Stat {
-                    path: "/etc/motd".into(),
-                },
-            );
+            let _ = sys
+                .kernel
+                .dispatch(user, Syscall::Stat { path: "/etc/motd" });
         })
     })
 }

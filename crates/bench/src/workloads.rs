@@ -94,7 +94,8 @@ pub fn apache_bench(f: &mut Fixture, srv: Service, requests: u64, concurrency: u
             let _ = mail::httpd_serve_one(&mut f.sys, srv.pid, srv.listen_fd);
         }
         for cli in clients {
-            let _ = f.sys.kernel.sys_recv(f.user, cli, 65536);
+            let mut resp = Vec::new();
+            let _ = f.sys.kernel.sys_recv(f.user, cli, &mut resp, 65536);
             let _ = f.sys.kernel.sys_close(f.user, cli);
             done += 1;
         }

@@ -66,13 +66,9 @@ pub struct Socket {
     pub stype: SockType,
     /// IP protocol number for raw sockets (1 = ICMP), 0 otherwise.
     pub protocol: u8,
-    /// Owning process.
-    pub owner_pid: u32,
-    /// Uid at creation time (the LSM's subject for per-packet checks).
+    /// Uid at creation time (the spoof analysis compares it with a
+    /// packet's sender).
     pub owner_uid: Uid,
-    /// Path of the binary that created the socket (Protego's bind policy
-    /// keys on (binary, uid) application instances).
-    pub owner_binary: String,
     /// Local address, once bound.
     pub bound: Option<(Ipv4, u16)>,
     /// Remote address, once connected.
@@ -91,11 +87,17 @@ pub struct Socket {
     pub cloexec: bool,
 }
 
+/// The largest receive-buffer capacity, in bytes, a closed socket hands
+/// on to the next socket allocated in its slot; a larger buffer is freed.
+pub const RX_KEEP_CAPACITY: usize = 64 * 1024;
+
 /// The socket arena plus port bindings.
 #[derive(Debug, Default)]
 pub struct NetStack {
     sockets: Vec<Option<Socket>>,
-    free_ids: Vec<SockId>,
+    /// Closed slots, each with the emptied receive buffer of its last
+    /// socket, so a slot's next socket starts with that capacity.
+    free_ids: Vec<(SockId, VecDeque<u8>)>,
     ports: BTreeMap<(PortProto, u16), SockId>,
     next_ephemeral: u16,
 }
@@ -117,19 +119,18 @@ impl NetStack {
         domain: Domain,
         stype: SockType,
         protocol: u8,
-        owner_pid: u32,
         owner_uid: Uid,
-        owner_binary: String,
     ) -> SockId {
         // Closed slots are recycled: the simulated kernel's close is
         // global (one close destroys the socket), so an id never outlives
-        // its last descriptor.
-        let id = match self.free_ids.pop() {
-            Some(id) => id,
+        // its last descriptor. The slot's receive buffer comes back empty
+        // but keeps its capacity.
+        let (id, rx_bytes) = match self.free_ids.pop() {
+            Some(free) => free,
             None => {
                 let id = SockId(self.sockets.len());
                 self.sockets.push(None);
-                id
+                (id, VecDeque::new())
             }
         };
         self.sockets[id.0] = Some(Socket {
@@ -137,16 +138,14 @@ impl NetStack {
             domain,
             stype,
             protocol,
-            owner_pid,
             owner_uid,
-            owner_binary,
             bound: None,
             connected: None,
             peer: None,
             state: StreamState::Idle,
             backlog: VecDeque::new(),
             rx_packets: VecDeque::new(),
-            rx_bytes: VecDeque::new(),
+            rx_bytes,
             cloexec: false,
         });
         id
@@ -233,8 +232,15 @@ impl NetStack {
                 p.state = StreamState::Reset;
             }
         }
-        self.sockets[id.0] = None;
-        self.free_ids.push(id);
+        let mut rx = self.sockets[id.0]
+            .take()
+            .map(|s| s.rx_bytes)
+            .unwrap_or_default();
+        if rx.capacity() > RX_KEEP_CAPACITY {
+            rx = VecDeque::new();
+        }
+        rx.clear();
+        self.free_ids.push((id, rx));
         Ok(())
     }
 
@@ -259,7 +265,7 @@ mod tests {
 
     fn stack_with_socket(stype: SockType) -> (NetStack, SockId) {
         let mut ns = NetStack::new();
-        let id = ns.alloc(Domain::Inet, stype, 0, 1, Uid(1000), "/bin/test".into());
+        let id = ns.alloc(Domain::Inet, stype, 0, Uid(1000));
         (ns, id)
     }
 
@@ -274,14 +280,7 @@ mod tests {
     #[test]
     fn double_bind_is_eaddrinuse() {
         let (mut ns, a) = stack_with_socket(SockType::Stream);
-        let b = ns.alloc(
-            Domain::Inet,
-            SockType::Stream,
-            0,
-            2,
-            Uid(1001),
-            "/bin/x".into(),
-        );
+        let b = ns.alloc(Domain::Inet, SockType::Stream, 0, Uid(1001));
         ns.bind(a, Ipv4::ANY, 80).unwrap();
         assert_eq!(ns.bind(b, Ipv4::ANY, 80).unwrap_err(), Errno::EADDRINUSE);
     }
@@ -305,19 +304,34 @@ mod tests {
     #[test]
     fn close_releases_port_and_resets_peer() {
         let (mut ns, a) = stack_with_socket(SockType::Stream);
-        let b = ns.alloc(
-            Domain::Inet,
-            SockType::Stream,
-            0,
-            2,
-            Uid(1001),
-            "/bin/x".into(),
-        );
+        let b = ns.alloc(Domain::Inet, SockType::Stream, 0, Uid(1001));
         ns.bind(a, Ipv4::ANY, 81).unwrap();
         ns.make_pair(a, b).unwrap();
         ns.close(a).unwrap();
         assert!(ns.port_owner(PortProto::Tcp, 81).is_none());
         assert_eq!(ns.get(b).unwrap().state, StreamState::Reset);
         assert_eq!(ns.get(a).unwrap_err(), Errno::EBADF);
+    }
+
+    #[test]
+    fn recycled_slot_keeps_rx_capacity_but_no_bytes_up_to_the_bound() {
+        let (mut ns, a) = stack_with_socket(SockType::Stream);
+        ns.get_mut(a).unwrap().rx_bytes.extend(b"stale request");
+        let cap = ns.get(a).unwrap().rx_bytes.capacity();
+        ns.close(a).unwrap();
+        let b = ns.alloc(Domain::Unix, SockType::Stream, 0, Uid(1001));
+        assert_eq!(b, a, "the closed slot is reused");
+        let s = ns.get(b).unwrap();
+        assert!(s.rx_bytes.is_empty(), "no byte survives the close");
+        assert_eq!(s.rx_bytes.capacity(), cap);
+
+        // A buffer past the bound is freed, not handed on.
+        ns.get_mut(b)
+            .unwrap()
+            .rx_bytes
+            .extend(std::iter::repeat_n(0u8, RX_KEEP_CAPACITY + 1));
+        ns.close(b).unwrap();
+        let c = ns.alloc(Domain::Inet, SockType::Stream, 0, Uid(1000));
+        assert_eq!(ns.get(c).unwrap().rx_bytes.capacity(), 0);
     }
 }

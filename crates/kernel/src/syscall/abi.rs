@@ -18,8 +18,16 @@
 //!   behavioural comparisons (the paper's §5.3 legacy-vs-Protego
 //!   divergence suite) into diffs over recorded traces.
 //!
-//! The request enum owns its arguments (`String`/`Vec` rather than
-//! borrows) so a recorded call is self-contained.
+//! The request enum borrows its arguments (`&str`, `&[u8]`, `&[Gid]`)
+//! from the caller, so issuing a call copies nothing. `read` and `recv`
+//! append their bytes to a caller buffer ([`Kernel::dispatch_into`]) and
+//! answer [`SysRet::Size`]; [`Kernel::dispatch`] is the `Vec`-returning
+//! wrapper that answers [`SysRet::Data`]. Interceptors see a borrowed
+//! call too; an `after` hook always sees a read/recv's bytes as
+//! `SysRet::Data`, copied out of the caller buffer only while the chain
+//! is armed. A borrowed argument renders under `{:?}` exactly as its
+//! owned form would, so recorded traces do not depend on which form a
+//! caller used.
 
 use crate::cred::{Gid, Uid};
 use crate::error::{Errno, KResult};
@@ -171,10 +179,10 @@ macro_rules! syscalls {
         $variant:ident $({ $($(#[$fdoc:meta])* $field:ident: $ty:ty),* $(,)? })?
             => $name:literal, $class:ident;
     )*) => {
-        /// A typed syscall request: one variant per `sys_*` entry point, owning
-        /// its arguments so a recorded call is self-contained.
+        /// A typed syscall request: one variant per `sys_*` entry point,
+        /// borrowing its string and byte arguments from the caller.
         #[derive(Clone, Debug)]
-        pub enum Syscall {
+        pub enum Syscall<'a> {
             $($(#[$doc])* $variant $({ $($(#[$fdoc])* $field: $ty),* })?,)*
         }
 
@@ -183,7 +191,7 @@ macro_rules! syscalls {
             $($variant,)*
         }
 
-        impl Syscall {
+        impl Syscall<'_> {
             /// Number of syscall variants (the fixed-counter table size).
             pub const COUNT: usize = [$($name),*].len();
 
@@ -234,7 +242,7 @@ syscalls! {
     /// `open(2)`.
     Open {
         /// Path to open.
-        path: String,
+        path: &'a str,
         /// Open flags.
         flags: OpenFlags,
     } => "open", Fs;
@@ -243,7 +251,7 @@ syscalls! {
         /// Descriptor to close.
         fd: i32,
     } => "close", Fs;
-    /// `read(2)` — the response carries the bytes read.
+    /// `read(2)` — appends up to `count` bytes to the caller buffer.
     Read {
         /// Descriptor to read from.
         fd: i32,
@@ -255,7 +263,7 @@ syscalls! {
         /// Descriptor to write to.
         fd: i32,
         /// Bytes to write.
-        data: Vec<u8>,
+        data: &'a [u8],
     } => "write", Fs;
     /// `lseek(2)`.
     Lseek {
@@ -269,24 +277,24 @@ syscalls! {
     /// `stat(2)`.
     Stat {
         /// Path to inspect.
-        path: String,
+        path: &'a str,
     } => "stat", Fs;
     /// `lstat(2)`.
     Lstat {
         /// Path to inspect (not following a trailing symlink).
-        path: String,
+        path: &'a str,
     } => "lstat", Fs;
     /// `chmod(2)`.
     Chmod {
         /// Path to change.
-        path: String,
+        path: &'a str,
         /// New mode bits.
         mode: Mode,
     } => "chmod", Fs;
     /// `chown(2)`.
     Chown {
         /// Path to change.
-        path: String,
+        path: &'a str,
         /// New owner, if changing.
         uid: Option<Uid>,
         /// New group, if changing.
@@ -295,43 +303,43 @@ syscalls! {
     /// `mkdir(2)`.
     Mkdir {
         /// Directory to create.
-        path: String,
+        path: &'a str,
         /// Mode bits.
         mode: Mode,
     } => "mkdir", Fs;
     /// `unlink(2)`.
     Unlink {
         /// Path to remove.
-        path: String,
+        path: &'a str,
     } => "unlink", Fs;
     /// `rmdir(2)`.
     Rmdir {
         /// Directory to remove.
-        path: String,
+        path: &'a str,
     } => "rmdir", Fs;
     /// `rename(2)`.
     Rename {
         /// Source path.
-        from: String,
+        from: &'a str,
         /// Destination path.
-        to: String,
+        to: &'a str,
     } => "rename", Fs;
     /// `symlink(2)`.
     Symlink {
         /// Link target.
-        target: String,
+        target: &'a str,
         /// Path of the new link.
-        linkpath: String,
+        linkpath: &'a str,
     } => "symlink", Fs;
     /// `chdir(2)`.
     Chdir {
         /// New working directory.
-        path: String,
+        path: &'a str,
     } => "chdir", Fs;
     /// `readdir(3)`.
     Readdir {
         /// Directory to list.
-        path: String,
+        path: &'a str,
     } => "readdir", Fs;
     /// `pipe(2)`.
     Pipe => "pipe", Fs;
@@ -354,7 +362,7 @@ syscalls! {
     /// `setgroups(2)`.
     Setgroups {
         /// New supplementary group list.
-        groups: Vec<Gid>,
+        groups: &'a [Gid],
     } => "setgroups", Id;
     /// `getuid(2)`.
     Getuid => "getuid", Id;
@@ -374,18 +382,18 @@ syscalls! {
     /// `mount(2)`.
     Mount {
         /// Device or pseudo-fs source.
-        source: String,
+        source: &'a str,
         /// Mountpoint path.
-        target: String,
+        target: &'a str,
         /// Filesystem type.
-        fstype: String,
+        fstype: &'a str,
         /// Comma-separated options.
-        options: String,
+        options: &'a str,
     } => "mount", Mount;
     /// `umount(2)`.
     Umount {
         /// Mountpoint path.
-        target: String,
+        target: &'a str,
     } => "umount", Mount;
     // ------------------------------------------------------------ net --
     /// `socket(2)`.
@@ -430,9 +438,10 @@ syscalls! {
         /// Socket descriptor.
         fd: i32,
         /// Payload.
-        data: Vec<u8>,
+        data: &'a [u8],
     } => "send", Net;
-    /// `recv(2)` on a connected socket.
+    /// `recv(2)` on a connected socket — appends up to `max` bytes to the
+    /// caller buffer.
     Recv {
         /// Socket descriptor.
         fd: i32,
@@ -453,7 +462,7 @@ syscalls! {
         /// Destination port.
         port: u16,
         /// Payload.
-        data: Vec<u8>,
+        data: &'a [u8],
     } => "sendto", Net;
     /// Raw packet transmission (caller-built headers).
     SendPacket {
@@ -482,7 +491,7 @@ syscalls! {
     /// `execve(2)`.
     Execve {
         /// Program path.
-        path: String,
+        path: &'a str,
     } => "execve", Process;
     /// `unshare(2)`.
     Unshare {
@@ -511,9 +520,10 @@ pub enum SysRet {
     Fd(i32),
     /// A descriptor pair (pipe, socketpair).
     FdPair(i32, i32),
-    /// A byte count (write, send, sendto) or resulting offset (lseek).
+    /// A byte count (write, send, sendto, and read/recv through
+    /// [`Kernel::dispatch_into`]) or resulting offset (lseek).
     Size(usize),
-    /// Bytes read/received.
+    /// Bytes read/received, through [`Kernel::dispatch`].
     Data(Vec<u8>),
     /// Directory entry names.
     Names(Vec<String>),
@@ -637,26 +647,52 @@ fn wrap<T>(r: KResult<T>, f: impl FnOnce(T) -> SysRet) -> SysRet {
 /// The audit rule of an interceptor verdict: interceptor, syscall and
 /// class, so Table-6-style provenance assertions can key on what was
 /// denied, not just who denied it.
-fn interceptor_rule(who: &str, call: &Syscall) -> Name {
+fn interceptor_rule(who: &str, call: &Syscall<'_>) -> Name {
     Name::intern(&format!("{}:{}:{}", who, call.name(), call.class().name()))
 }
 
+impl Syscall<'_> {
+    /// Whether the call's bytes go to the caller buffer (`read`, `recv`).
+    fn fills_buffer(&self) -> bool {
+        matches!(self, Syscall::Read { .. } | Syscall::Recv { .. })
+    }
+}
+
 impl Kernel {
-    /// Dispatches a typed syscall through the interceptor chain.
+    /// Dispatches a typed syscall through the interceptor chain; a
+    /// `read` or `recv` answers its bytes as [`SysRet::Data`].
+    ///
+    /// This is the `Vec`-returning form of [`Kernel::dispatch_into`]: it
+    /// hands that a fresh buffer and moves the buffer into the response.
+    pub fn dispatch(&self, pid: Pid, call: Syscall<'_>) -> SysRet {
+        let fills = call.fills_buffer();
+        let mut buf = Vec::new();
+        match self.dispatch_into(pid, call, &mut buf) {
+            SysRet::Size(_) if fills => SysRet::Data(buf),
+            ret => ret,
+        }
+    }
+
+    /// Dispatches a typed syscall through the interceptor chain. A `read`
+    /// or `recv` appends its bytes to `buf` and answers
+    /// [`SysRet::Size`]; every other call leaves `buf` alone.
     ///
     /// Interceptor `before` hooks run in registration order; the first to
     /// return an errno short-circuits the call (the kernel entry point is
     /// never reached and an `interceptor`-provenance audit event records
     /// the injection). `after` hooks run in reverse order and always see
-    /// the final response, injected or real.
+    /// the final response, injected or real; for a `read` or `recv` that
+    /// response is [`SysRet::Data`] with a copy of the appended bytes, the
+    /// same value [`Kernel::dispatch`] returns.
     ///
     /// With no interceptor registered (see [`Kernel::interceptors_armed`])
     /// the call goes straight to its entry point: no chain lock, no
-    /// [`TaskIdentity`](crate::task::TaskIdentity) snapshot, no hook pass.
-    pub fn dispatch(&self, pid: Pid, call: Syscall) -> SysRet {
+    /// [`TaskIdentity`](crate::task::TaskIdentity) snapshot, no hook pass
+    /// and no copy.
+    pub fn dispatch_into(&self, pid: Pid, call: Syscall<'_>, buf: &mut Vec<u8>) -> SysRet {
         let _dispatch_span = trace::span(trace::Pathway::Dispatch);
         if !self.interceptors_armed() {
-            return self.dispatch_body(pid, &call);
+            return self.dispatch_body(pid, &call, buf);
         }
         // Snapshot the chain's shared handles under a brief read lock, so
         // hooks run without holding any kernel lock (an interceptor may
@@ -737,16 +773,25 @@ impl Kernel {
                 );
                 SysRet::Err(e)
             }
-            None => self.dispatch_body(pid, &call),
+            None => self.dispatch_body(pid, &call, buf),
         };
         {
             let _after_span = trace::span(trace::Pathway::InterceptAfter);
+            // The one copy of the borrowed ABI: after hooks see a
+            // read/recv's bytes as `Data`, as `dispatch` returns them.
+            let data = match ret {
+                SysRet::Size(n) if call.fills_buffer() => {
+                    Some(SysRet::Data(buf[buf.len() - n..].to_vec()))
+                }
+                _ => None,
+            };
+            let seen = data.as_ref().unwrap_or(&ret);
             for ic in chain().rev() {
                 let mut ctx = SysCtx {
                     clock: self.clock(),
                     task,
                 };
-                ic.after(pid, &call, &ret, &mut ctx);
+                ic.after(pid, &call, seen, &mut ctx);
             }
         }
         ret
@@ -755,22 +800,18 @@ impl Kernel {
     /// Runs the entry point under its class span. The arena scope trims
     /// any pooled path buffers borrowed below back to bounds when the
     /// dispatch exits (§14 reset discipline).
-    fn dispatch_body(&self, pid: Pid, call: &Syscall) -> SysRet {
+    fn dispatch_body(&self, pid: Pid, call: &Syscall<'_>, buf: &mut Vec<u8>) -> SysRet {
         let _body_span = trace::span(trace::Pathway::for_class(call.class()));
-        crate::vfs::PathArena::scope(|_| self.dispatch_inner(pid, call))
+        crate::vfs::PathArena::scope(|_| self.dispatch_inner(pid, call, buf))
     }
 
-    /// The total request→entry-point mapping behind [`Kernel::dispatch`].
-    fn dispatch_inner(&self, pid: Pid, call: &Syscall) -> SysRet {
+    /// The total request→entry-point mapping behind
+    /// [`Kernel::dispatch_into`].
+    fn dispatch_inner(&self, pid: Pid, call: &Syscall<'_>, buf: &mut Vec<u8>) -> SysRet {
         match call {
             Syscall::Open { path, flags } => wrap(self.sys_open(pid, path, *flags), SysRet::Fd),
             Syscall::Close { fd } => wrap(self.sys_close(pid, *fd), |()| SysRet::Unit),
-            Syscall::Read { fd, count } => {
-                let mut buf = Vec::new();
-                wrap(self.sys_read(pid, *fd, &mut buf, *count), |_| {
-                    SysRet::Data(buf)
-                })
-            }
+            Syscall::Read { fd, count } => wrap(self.sys_read(pid, *fd, buf, *count), SysRet::Size),
             Syscall::Write { fd, data } => wrap(self.sys_write(pid, *fd, data), SysRet::Size),
             Syscall::Lseek { fd, offset, whence } => {
                 wrap(self.sys_lseek(pid, *fd, *offset, *whence), SysRet::Size)
@@ -830,7 +871,7 @@ impl Kernel {
             }
             Syscall::Accept { fd } => wrap(self.sys_accept(pid, *fd), SysRet::Fd),
             Syscall::Send { fd, data } => wrap(self.sys_send(pid, *fd, data), SysRet::Size),
-            Syscall::Recv { fd, max } => wrap(self.sys_recv(pid, *fd, *max), SysRet::Data),
+            Syscall::Recv { fd, max } => wrap(self.sys_recv(pid, *fd, buf, *max), SysRet::Size),
             Syscall::RecvPacket { fd } => wrap(self.sys_recv_packet(pid, *fd), SysRet::Packet),
             Syscall::Sendto {
                 fd,

@@ -384,7 +384,7 @@ impl Kernel {
             cloexec: flags.cloexec || force_cloexec,
         };
         self.vfs.inc_open(ino);
-        self.task_mut(pid)?.fd_install(fd)
+        self.install_fd(pid, fd)
     }
 
     /// `O_CREAT` in one walk: resolves the parent (a dcache hit in steady
@@ -480,6 +480,50 @@ impl Kernel {
         let taken = self.task_mut(pid)?.fd_take(fd)?;
         self.release_fd_object(taken.object);
         Ok(())
+    }
+
+    /// Installs `fd` in the lowest free slot of `pid`'s table. When that
+    /// fails (`EMFILE`, or `ESRCH` for a vanished task) the object is
+    /// released, so a failed call leaks no socket, pipe end or open count.
+    pub(crate) fn install_fd(&self, pid: Pid, fd: Fd) -> KResult<i32> {
+        let object = fd.object.clone();
+        let installed = self.task_mut(pid).and_then(|mut t| t.fd_install(fd));
+        if installed.is_err() {
+            self.release_fd_object(object);
+        }
+        installed
+    }
+
+    /// Installs two descriptors under one task guard (`pipe`,
+    /// `socketpair`): both or neither. On failure both objects are
+    /// released.
+    pub(crate) fn install_fd_pair(
+        &self,
+        pid: Pid,
+        a: FdObject,
+        b: FdObject,
+    ) -> KResult<(i32, i32)> {
+        let installed = self.task_mut(pid).and_then(|mut t| {
+            let fa = t.fd_install(Fd {
+                object: a.clone(),
+                cloexec: false,
+            })?;
+            match t.fd_install(Fd {
+                object: b.clone(),
+                cloexec: false,
+            }) {
+                Ok(fb) => Ok((fa, fb)),
+                Err(e) => {
+                    let _ = t.fd_take(fa);
+                    Err(e)
+                }
+            }
+        });
+        if installed.is_err() {
+            self.release_fd_object(a);
+            self.release_fd_object(b);
+        }
+        installed
     }
 
     /// Drops kernel-side state backing an fd object.
@@ -934,16 +978,7 @@ impl Kernel {
     /// `pipe(2)` — returns (read fd, write fd).
     pub fn sys_pipe(&self, pid: Pid) -> KResult<(i32, i32)> {
         let id = self.pipes.alloc();
-        let mut t = self.task_mut(pid)?;
-        let r = t.fd_install(Fd {
-            object: FdObject::PipeRead(id),
-            cloexec: false,
-        })?;
-        let w = t.fd_install(Fd {
-            object: FdObject::PipeWrite(id),
-            cloexec: false,
-        })?;
-        Ok((r, w))
+        self.install_fd_pair(pid, FdObject::PipeRead(id), FdObject::PipeWrite(id))
     }
 }
 

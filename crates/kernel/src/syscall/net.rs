@@ -70,11 +70,17 @@ impl Kernel {
         stype: SockType,
         protocol: u8,
     ) -> KResult<i32> {
-        let cred = self.task(pid)?.cred.clone();
         let needs_raw_cap = matches!(stype, SockType::Raw) || matches!(domain, Domain::Packet);
-        let (decision, rule) = self.lsm_hook(Pathway::LsmSocketCreate, |m| {
-            m.socket_create(&cred, domain, stype, protocol)
-        });
+        // The hook borrows the task's credentials under the task guard,
+        // as `sys_open`'s does; the guard drops before the arms below
+        // re-enter the task table.
+        let (decision, rule, euid) = {
+            let t = self.task(pid)?;
+            let (decision, rule) = self.lsm_hook(Pathway::LsmSocketCreate, |m| {
+                m.socket_create(&t.cred, domain, stype, protocol)
+            });
+            (decision, rule, t.cred.euid)
+        };
         match decision {
             Decision::UseDefault => {
                 if needs_raw_cap && !self.capable(pid, Cap::NetRaw) {
@@ -115,15 +121,14 @@ impl Kernel {
                 return Err(e);
             }
         }
-        let binary = self.task(pid)?.binary.clone();
-        let sid = self
-            .net
-            .write()
-            .alloc(domain, stype, protocol, pid.0, cred.euid, binary);
-        self.task_mut(pid)?.fd_install(Fd {
-            object: FdObject::Socket(sid),
-            cloexec: false,
-        })
+        let sid = self.net.write().alloc(domain, stype, protocol, euid);
+        self.install_fd(
+            pid,
+            Fd {
+                object: FdObject::Socket(sid),
+                cloexec: false,
+            },
+        )
     }
 
     /// `bind(2)`.
@@ -212,23 +217,16 @@ impl Kernel {
                     // handshake mutates only the socket table, so one write
                     // guard covers it.
                     let mut net = self.net.write();
-                    let listener = net
+                    let (listener, owner_uid) = net
                         .port_owner(PortProto::Tcp, port)
                         .filter(|s| s.state == StreamState::Listening)
-                        .map(|s| (s.id, s.owner_pid, s.owner_uid, s.owner_binary.clone()))
+                        .map(|s| (s.id, s.owner_uid))
                         .ok_or(Errno::ECONNREFUSED)?;
-                    let conn = net.alloc(
-                        Domain::Inet,
-                        SockType::Stream,
-                        0,
-                        listener.1,
-                        listener.2,
-                        listener.3,
-                    );
+                    let conn = net.alloc(Domain::Inet, SockType::Stream, 0, owner_uid);
                     net.get_mut(conn)?.bound = Some((addr, port));
                     net.make_pair(sid, conn)?;
                     net.get_mut(sid)?.connected = Some((addr, port));
-                    net.get_mut(listener.0)?.backlog.push_back(conn);
+                    net.get_mut(listener)?.backlog.push_back(conn);
                     Ok(())
                 } else {
                     if self.routes.read().lookup(addr).is_none() {
@@ -248,6 +246,8 @@ impl Kernel {
     }
 
     /// `accept(2)` — returns a new fd for the next pending connection.
+    /// When no descriptor can be installed the connection stays at the
+    /// head of the backlog for a later accept.
     pub fn sys_accept(&self, pid: Pid, fd: i32) -> KResult<i32> {
         let sid = self.fd_socket(pid, fd)?;
         let conn = {
@@ -258,44 +258,52 @@ impl Kernel {
             }
             s.backlog.pop_front().ok_or(Errno::EAGAIN)?
         };
-        self.task_mut(pid)?.fd_install(Fd {
-            object: FdObject::Socket(conn),
-            cloexec: false,
-        })
-    }
-
-    /// `send(2)` on a connected socket.
-    pub fn sys_send(&self, pid: Pid, fd: i32, data: &[u8]) -> KResult<usize> {
-        let sid = self.fd_socket(pid, fd)?;
-        let (stype, peer, connected, state) = {
-            let net = self.net.read();
-            let s = net.get(sid)?;
-            (s.stype, s.peer, s.connected, s.state)
-        };
-        match stype {
-            SockType::Stream => {
-                if let Some(peer) = peer {
-                    let mut net = self.net.write();
-                    let p = net.get_mut(peer)?;
-                    p.rx_bytes.extend(data.iter().copied());
-                    Ok(data.len())
-                } else if let Some((addr, port)) = connected {
-                    if state != StreamState::Connected {
-                        return Err(Errno::ENOTCONN);
-                    }
-                    // Remote echo service answers; other services consume.
-                    if port == 7 {
-                        let mut net = self.net.write();
-                        let me = net.get_mut(sid)?;
-                        me.rx_bytes.extend(data.iter().copied());
-                    }
-                    let _ = addr;
-                    Ok(data.len())
-                } else {
-                    Err(Errno::ENOTCONN)
+        let installed = self.task_mut(pid).and_then(|mut t| {
+            t.fd_install(Fd {
+                object: FdObject::Socket(conn),
+                cloexec: false,
+            })
+        });
+        if installed.is_err() {
+            let mut net = self.net.write();
+            match net.get_mut(sid) {
+                Ok(s) if s.state == StreamState::Listening => s.backlog.push_front(conn),
+                _ => {
+                    let _ = net.close(conn);
                 }
             }
+        }
+        installed
+    }
+
+    /// `send(2)` on a connected socket. A stream send looks up its peer
+    /// and appends to the peer's buffer under one write guard, so a peer
+    /// closed (and its slot reused) by another thread in between cannot
+    /// receive the bytes.
+    pub fn sys_send(&self, pid: Pid, fd: i32, data: &[u8]) -> KResult<usize> {
+        let sid = self.fd_socket(pid, fd)?;
+        let mut net = self.net.write();
+        let s = net.get(sid)?;
+        let (stype, peer, connected, state) = (s.stype, s.peer, s.connected, s.state);
+        match stype {
+            SockType::Stream => {
+                let to = match (peer, connected) {
+                    (Some(peer), _) => Some(peer),
+                    (None, Some(_)) if state != StreamState::Connected => {
+                        return Err(Errno::ENOTCONN)
+                    }
+                    // Remote echo service answers; other services consume.
+                    (None, Some((_, 7))) => Some(sid),
+                    (None, Some(_)) => None,
+                    (None, None) => return Err(Errno::ENOTCONN),
+                };
+                if let Some(to) = to {
+                    net.get_mut(to)?.rx_bytes.extend(data);
+                }
+                Ok(data.len())
+            }
             SockType::Dgram => {
+                drop(net);
                 let (addr, port) = connected.ok_or(Errno::ENOTCONN)?;
                 self.sys_sendto(pid, fd, addr, port, data)
             }
@@ -303,8 +311,10 @@ impl Kernel {
         }
     }
 
-    /// `recv(2)` on a stream socket.
-    pub fn sys_recv(&self, pid: Pid, fd: i32, max: usize) -> KResult<Vec<u8>> {
+    /// `recv(2)` on a stream socket: appends up to `max` received bytes
+    /// to `buf` and returns how many; 0 once the peer has closed and the
+    /// buffer is drained.
+    pub fn sys_recv(&self, pid: Pid, fd: i32, buf: &mut Vec<u8>, max: usize) -> KResult<usize> {
         let sid = self.fd_socket(pid, fd)?;
         let mut net = self.net.write();
         let s = net.get_mut(sid)?;
@@ -312,12 +322,17 @@ impl Kernel {
             SockType::Stream => {
                 if s.rx_bytes.is_empty() {
                     return match s.state {
-                        StreamState::Reset => Ok(Vec::new()),
+                        StreamState::Reset => Ok(0),
                         _ => Err(Errno::EAGAIN),
                     };
                 }
                 let n = max.min(s.rx_bytes.len());
-                Ok(s.rx_bytes.drain(..n).collect())
+                let (front, back) = s.rx_bytes.as_slices();
+                let head = n.min(front.len());
+                buf.extend_from_slice(&front[..head]);
+                buf.extend_from_slice(&back[..n - head]);
+                s.rx_bytes.drain(..n);
+                Ok(n)
             }
             _ => Err(Errno::EOPNOTSUPP),
         }
@@ -505,32 +520,15 @@ impl Kernel {
 
     /// `socketpair(2)` (AF_UNIX, SOCK_STREAM).
     pub fn sys_socketpair(&self, pid: Pid) -> KResult<(i32, i32)> {
-        let cred = self.task(pid)?.cred.clone();
-        let binary = self.task(pid)?.binary.clone();
+        let euid = self.task(pid)?.cred.euid;
         let (a, b) = {
             let mut net = self.net.write();
-            let a = net.alloc(
-                Domain::Unix,
-                SockType::Stream,
-                0,
-                pid.0,
-                cred.euid,
-                binary.clone(),
-            );
-            let b = net.alloc(Domain::Unix, SockType::Stream, 0, pid.0, cred.euid, binary);
+            let a = net.alloc(Domain::Unix, SockType::Stream, 0, euid);
+            let b = net.alloc(Domain::Unix, SockType::Stream, 0, euid);
             net.make_pair(a, b)?;
             (a, b)
         };
-        let mut t = self.task_mut(pid)?;
-        let fa = t.fd_install(Fd {
-            object: FdObject::Socket(a),
-            cloexec: false,
-        })?;
-        let fb = t.fd_install(Fd {
-            object: FdObject::Socket(b),
-            cloexec: false,
-        })?;
-        Ok((fa, fb))
+        self.install_fd_pair(pid, FdObject::Socket(a), FdObject::Socket(b))
     }
 
     /// Netfilter administration (the iptables backend): appending,
@@ -661,6 +659,13 @@ mod tests {
     use crate::cred::{Credentials, Gid, Uid};
     use crate::net::SimNet;
 
+    /// `sys_recv` into a fresh buffer.
+    pub(super) fn recv(k: &Kernel, pid: Pid, fd: i32, max: usize) -> Vec<u8> {
+        let mut buf = Vec::new();
+        k.sys_recv(pid, fd, &mut buf, max).unwrap();
+        buf
+    }
+
     fn boot() -> (Kernel, Pid, Pid) {
         let k = Kernel::new(SimNet::standard_topology());
         let root = k.spawn_init();
@@ -736,10 +741,10 @@ mod tests {
         k.sys_connect(user, cli, Ipv4::LOOPBACK, 8080).unwrap();
         let conn = k.sys_accept(user, srv).unwrap();
         k.sys_send(user, cli, b"GET / HTTP/1.0\r\n").unwrap();
-        let got = k.sys_recv(user, conn, 1024).unwrap();
+        let got = recv(&k, user, conn, 1024);
         assert_eq!(got, b"GET / HTTP/1.0\r\n");
         k.sys_send(user, conn, b"200 OK").unwrap();
-        assert_eq!(k.sys_recv(user, cli, 1024).unwrap(), b"200 OK");
+        assert_eq!(recv(&k, user, cli, 1024), b"200 OK");
     }
 
     #[test]
@@ -835,9 +840,9 @@ mod tests {
         let (k, _, user) = boot();
         let (a, b) = k.sys_socketpair(user).unwrap();
         k.sys_send(user, a, b"ping").unwrap();
-        assert_eq!(k.sys_recv(user, b, 16).unwrap(), b"ping");
+        assert_eq!(recv(&k, user, b, 16), b"ping");
         k.sys_send(user, b, b"pong").unwrap();
-        assert_eq!(k.sys_recv(user, a, 16).unwrap(), b"pong");
+        assert_eq!(recv(&k, user, a, 16), b"pong");
     }
 
     #[test]
@@ -896,6 +901,7 @@ mod tests {
 
 #[cfg(test)]
 mod edge_tests {
+    use super::tests::recv;
     use super::*;
     use crate::cred::{Credentials, Gid, Uid};
     use crate::net::SimNet;
@@ -904,6 +910,63 @@ mod edge_tests {
         let k = Kernel::new(SimNet::standard_topology());
         let user = k.spawn_session(Credentials::user(Uid(1000), Gid(1000)), "/bin/sh");
         (k, user)
+    }
+
+    /// With the fd table full, every call that would install a descriptor
+    /// fails with `EMFILE` and leaves nothing behind: no socket, no pipe,
+    /// no half-installed pipe end, and the pending connection stays
+    /// queued for the next accept.
+    #[test]
+    fn emfile_releases_what_the_call_allocated() {
+        use crate::task::MAX_FDS;
+        let (k, u) = boot();
+        let lfd = k.sys_socket(u, Domain::Inet, SockType::Stream, 0).unwrap();
+        k.sys_bind(u, lfd, Ipv4::ANY, 8080).unwrap();
+        k.sys_listen(u, lfd).unwrap();
+        let cli = k.sys_socket(u, Domain::Inet, SockType::Stream, 0).unwrap();
+        k.sys_connect(u, cli, Ipv4::LOOPBACK, 8080).unwrap();
+        let listener = k.fd_socket(u, lfd).unwrap();
+        let backlog = |k: &Kernel| k.net.read().get(listener).unwrap().backlog.len();
+        assert_eq!(backlog(&k), 1);
+
+        let mut last = cli;
+        for _ in 2..MAX_FDS {
+            last = k.sys_socket(u, Domain::Unix, SockType::Dgram, 0).unwrap();
+        }
+        let sockets = k.net.read().live_count();
+        let pipes = k.pipes.live_count();
+        let full = |k: &Kernel| {
+            assert_eq!(
+                k.sys_socket(u, Domain::Inet, SockType::Stream, 0),
+                Err(Errno::EMFILE)
+            );
+            assert_eq!(k.sys_socketpair(u), Err(Errno::EMFILE));
+            assert_eq!(k.sys_pipe(u), Err(Errno::EMFILE));
+            assert_eq!(k.net.read().live_count(), sockets);
+            assert_eq!(k.pipes.live_count(), pipes);
+        };
+        full(&k);
+        assert_eq!(k.sys_accept(u, lfd), Err(Errno::EMFILE));
+        assert_eq!(backlog(&k), 1, "the connection stays queued");
+        assert_eq!(k.net.read().live_count(), sockets);
+
+        // One free slot: a pair still does not fit, and its first end
+        // does not stay installed.
+        k.sys_close(u, last).unwrap();
+        let sockets = sockets - 1;
+        let freed = |k: &Kernel| k.task(u).unwrap().fd(last).is_err();
+        assert_eq!(k.sys_pipe(u), Err(Errno::EMFILE));
+        assert_eq!(k.sys_socketpair(u), Err(Errno::EMFILE));
+        assert!(freed(&k));
+        assert_eq!(k.net.read().live_count(), sockets);
+        assert_eq!(k.pipes.live_count(), pipes);
+
+        // The queued connection is accepted into that slot, intact.
+        let conn = k.sys_accept(u, lfd).unwrap();
+        assert_eq!(conn, last);
+        assert_eq!(backlog(&k), 0);
+        k.sys_send(u, cli, b"still here").unwrap();
+        assert_eq!(recv(&k, u, conn, 64), b"still here");
     }
 
     #[test]
@@ -941,9 +1004,9 @@ mod edge_tests {
         k.sys_send(u, a, b"bye").unwrap();
         k.sys_close(u, a).unwrap();
         // Buffered data still drains...
-        assert_eq!(k.sys_recv(u, b, 16).unwrap(), b"bye");
+        assert_eq!(recv(&k, u, b, 16), b"bye");
         // ...then EOF (empty read) rather than an error.
-        assert_eq!(k.sys_recv(u, b, 16).unwrap(), b"");
+        assert_eq!(recv(&k, u, b, 16), b"");
     }
 
     #[test]

@@ -68,7 +68,7 @@ fn dispatch_is_equivalent_to_direct_for_every_variant() {
         kv.dispatch(
             user,
             Syscall::Mkdir {
-                path: "/tmp/d".into(),
+                path: "/tmp/d",
                 mode: Mode(0o755),
             },
         )
@@ -79,7 +79,7 @@ fn dispatch_is_equivalent_to_direct_for_every_variant() {
         kv.dispatch(
             user,
             Syscall::Open {
-                path: "/tmp/d/f".into(),
+                path: "/tmp/d/f",
                 flags: OpenFlags::create_trunc(Mode(0o644)),
             },
         )
@@ -92,7 +92,7 @@ fn dispatch_is_equivalent_to_direct_for_every_variant() {
             user,
             Syscall::Write {
                 fd,
-                data: b"hello, abi".to_vec(),
+                data: b"hello, abi",
             },
         )
         .size()
@@ -112,41 +112,31 @@ fn dispatch_is_equivalent_to_direct_for_every_variant() {
     }
     same!(
         kd.sys_stat(user, "/tmp/d/f"),
-        kv.dispatch(
-            user,
-            Syscall::Stat {
-                path: "/tmp/d/f".into(),
-            },
-        )
-        .stat()
+        kv.dispatch(user, Syscall::Stat { path: "/tmp/d/f" },)
+            .stat()
     );
     same!(
         kd.sys_symlink(user, "/tmp/d/f", "/tmp/d/l"),
         kv.dispatch(
             user,
             Syscall::Symlink {
-                target: "/tmp/d/f".into(),
-                linkpath: "/tmp/d/l".into(),
+                target: "/tmp/d/f",
+                linkpath: "/tmp/d/l",
             },
         )
         .unit()
     );
     same!(
         kd.sys_lstat(user, "/tmp/d/l"),
-        kv.dispatch(
-            user,
-            Syscall::Lstat {
-                path: "/tmp/d/l".into(),
-            },
-        )
-        .stat()
+        kv.dispatch(user, Syscall::Lstat { path: "/tmp/d/l" },)
+            .stat()
     );
     same!(
         kd.sys_chmod(user, "/tmp/d/f", Mode(0o600)),
         kv.dispatch(
             user,
             Syscall::Chmod {
-                path: "/tmp/d/f".into(),
+                path: "/tmp/d/f",
                 mode: Mode(0o600),
             },
         )
@@ -158,7 +148,7 @@ fn dispatch_is_equivalent_to_direct_for_every_variant() {
         kv.dispatch(
             user,
             Syscall::Chown {
-                path: "/tmp/d/f".into(),
+                path: "/tmp/d/f",
                 uid: Some(Uid::ROOT),
                 gid: None,
             },
@@ -170,7 +160,7 @@ fn dispatch_is_equivalent_to_direct_for_every_variant() {
         kv.dispatch(
             root,
             Syscall::Chown {
-                path: "/tmp/d/f".into(),
+                path: "/tmp/d/f",
                 uid: None,
                 gid: Some(Gid(1000)),
             },
@@ -179,34 +169,23 @@ fn dispatch_is_equivalent_to_direct_for_every_variant() {
     );
     same!(
         kd.sys_readdir(user, "/tmp/d"),
-        kv.dispatch(
-            user,
-            Syscall::Readdir {
-                path: "/tmp/d".into(),
-            },
-        )
-        .names()
+        kv.dispatch(user, Syscall::Readdir { path: "/tmp/d" },)
+            .names()
     );
     same!(
         kd.sys_rename(user, "/tmp/d/f", "/tmp/d/g"),
         kv.dispatch(
             user,
             Syscall::Rename {
-                from: "/tmp/d/f".into(),
-                to: "/tmp/d/g".into(),
+                from: "/tmp/d/f",
+                to: "/tmp/d/g",
             },
         )
         .unit()
     );
     same!(
         kd.sys_chdir(user, "/tmp/d"),
-        kv.dispatch(
-            user,
-            Syscall::Chdir {
-                path: "/tmp/d".into(),
-            },
-        )
-        .unit()
+        kv.dispatch(user, Syscall::Chdir { path: "/tmp/d" },).unit()
     );
     same!(
         kd.sys_close(user, fd),
@@ -214,38 +193,21 @@ fn dispatch_is_equivalent_to_direct_for_every_variant() {
     );
     same!(
         kd.sys_unlink(user, "/tmp/d/g"),
-        kv.dispatch(
-            user,
-            Syscall::Unlink {
-                path: "/tmp/d/g".into(),
-            },
-        )
-        .unit()
-    );
-    same!(
-        kd.sys_unlink(user, "/tmp/d/l"),
-        kv.dispatch(
-            user,
-            Syscall::Unlink {
-                path: "/tmp/d/l".into(),
-            },
-        )
-        .unit()
-    );
-    same!(
-        kd.sys_chdir(user, "/"),
-        kv.dispatch(user, Syscall::Chdir { path: "/".into() })
+        kv.dispatch(user, Syscall::Unlink { path: "/tmp/d/g" },)
             .unit()
     );
     same!(
+        kd.sys_unlink(user, "/tmp/d/l"),
+        kv.dispatch(user, Syscall::Unlink { path: "/tmp/d/l" },)
+            .unit()
+    );
+    same!(
+        kd.sys_chdir(user, "/"),
+        kv.dispatch(user, Syscall::Chdir { path: "/" }).unit()
+    );
+    same!(
         kd.sys_rmdir(user, "/tmp/d"),
-        kv.dispatch(
-            user,
-            Syscall::Rmdir {
-                path: "/tmp/d".into(),
-            },
-        )
-        .unit()
+        kv.dispatch(user, Syscall::Rmdir { path: "/tmp/d" },).unit()
     );
     same!(
         kd.sys_pipe(user),
@@ -271,7 +233,7 @@ fn dispatch_is_equivalent_to_direct_for_every_variant() {
         kv.dispatch(
             root,
             Syscall::Setgroups {
-                groups: vec![Gid(0), Gid(24)],
+                groups: &[Gid(0), Gid(24)],
             },
         )
         .unit()
@@ -308,10 +270,10 @@ fn dispatch_is_equivalent_to_direct_for_every_variant() {
         kv.dispatch(
             root,
             Syscall::Mount {
-                source: "/dev/cdrom".into(),
-                target: "/mnt/cdrom".into(),
-                fstype: "iso9660".into(),
-                options: "ro".into(),
+                source: "/dev/cdrom",
+                target: "/mnt/cdrom",
+                fstype: "iso9660",
+                options: "ro",
             },
         )
         .unit()
@@ -321,7 +283,7 @@ fn dispatch_is_equivalent_to_direct_for_every_variant() {
         kv.dispatch(
             root,
             Syscall::Umount {
-                target: "/mnt/cdrom".into(),
+                target: "/mnt/cdrom",
             },
         )
         .unit()
@@ -379,7 +341,7 @@ fn dispatch_is_equivalent_to_direct_for_every_variant() {
             user,
             Syscall::Send {
                 fd: sock,
-                data: b"ping".to_vec(),
+                data: b"ping",
             },
         )
         .size()
@@ -392,13 +354,16 @@ fn dispatch_is_equivalent_to_direct_for_every_variant() {
                 fd: sock,
                 addr: Ipv4::LOOPBACK,
                 port: 9,
-                data: b"dgram".to_vec(),
+                data: b"dgram",
             },
         )
         .size()
     );
     same!(
-        kd.sys_recv(user, sock, 64),
+        {
+            let mut buf = Vec::new();
+            kd.sys_recv(user, sock, &mut buf, 64).map(|_| buf)
+        },
         kv.dispatch(user, Syscall::Recv { fd: sock, max: 64 })
             .data()
     );
@@ -460,13 +425,8 @@ fn dispatch_is_equivalent_to_direct_for_every_variant() {
     let child = same_val!(kd.sys_fork(user), kv.dispatch(user, Syscall::Fork).pid()).unwrap();
     same!(
         kd.sys_execve(child, "/bin/true"),
-        kv.dispatch(
-            child,
-            Syscall::Execve {
-                path: "/bin/true".into(),
-            },
-        )
-        .path()
+        kv.dispatch(child, Syscall::Execve { path: "/bin/true" },)
+            .path()
     );
     same!(
         kd.sys_unshare(child, NsKind::Mount),
@@ -507,15 +467,7 @@ fn fault_injection_is_deterministic_under_a_fixed_seed() {
         let stats = inj.stats();
         k.register_interceptor(Box::new(inj));
         let pattern: Vec<bool> = (0..400)
-            .map(|_| {
-                k.dispatch(
-                    user,
-                    Syscall::Stat {
-                        path: "/tmp".into(),
-                    },
-                )
-                .is_err()
-            })
+            .map(|_| k.dispatch(user, Syscall::Stat { path: "/tmp" }).is_err())
             .collect();
         let s = stats.lock().unwrap();
         assert_eq!(s.seen, 400);
@@ -537,12 +489,7 @@ fn injected_faults_are_audited_and_getters_are_exempt() {
     let (k, _root, user) = boot();
     // rate 1 = inject on every eligible call.
     k.register_interceptor(Box::new(FaultInjector::new(FaultConfig::storm(7, 1))));
-    let ret = k.dispatch(
-        user,
-        Syscall::Stat {
-            path: "/tmp".into(),
-        },
-    );
+    let ret = k.dispatch(user, Syscall::Stat { path: "/tmp" });
     assert!(ret.is_err(), "rate-1 storm must fail the first fs call");
     let last = k.audit.last().expect("injection emits an audit event");
     let rule = last.provenance.rule.map_or("-", |r| r.as_str());
@@ -572,10 +519,10 @@ fn one_shot_fails_exactly_the_kth_mount() {
         k.dispatch(
             root,
             Syscall::Mount {
-                source: "/dev/cdrom".into(),
-                target: "/mnt/cdrom".into(),
-                fstype: "iso9660".into(),
-                options: "ro".into(),
+                source: "/dev/cdrom",
+                target: "/mnt/cdrom",
+                fstype: "iso9660",
+                options: "ro",
             },
         )
         .unit()
@@ -584,7 +531,7 @@ fn one_shot_fails_exactly_the_kth_mount() {
         k.dispatch(
             root,
             Syscall::Umount {
-                target: "/mnt/cdrom".into(),
+                target: "/mnt/cdrom",
             },
         )
         .unit()
@@ -648,12 +595,7 @@ fn chain_runs_before_in_order_stops_at_deny_and_unwinds_after() {
     }
     assert!(k.interceptors_armed());
 
-    let stat = k.dispatch(
-        user,
-        Syscall::Stat {
-            path: "/tmp".into(),
-        },
-    );
+    let stat = k.dispatch(user, Syscall::Stat { path: "/tmp" });
     assert!(!stat.is_err());
     assert_eq!(
         std::mem::take(&mut *log.lock().unwrap()),
@@ -670,7 +612,7 @@ fn chain_runs_before_in_order_stops_at_deny_and_unwinds_after() {
     let mkdir = k.dispatch(
         user,
         Syscall::Mkdir {
-            path: "/tmp/denied".into(),
+            path: "/tmp/denied",
             mode: Mode(0o755),
         },
     );
@@ -699,7 +641,7 @@ fn recorded_trace_replays_byte_identically() {
         let _ = k.dispatch(
             user,
             Syscall::Mkdir {
-                path: "/tmp/t".into(),
+                path: "/tmp/t",
                 mode: Mode(0o755),
             },
         );
@@ -707,7 +649,7 @@ fn recorded_trace_replays_byte_identically() {
             .dispatch(
                 user,
                 Syscall::Open {
-                    path: "/tmp/t/x".into(),
+                    path: "/tmp/t/x",
                     flags: OpenFlags::create_trunc(Mode(0o644)),
                 },
             )
@@ -717,17 +659,12 @@ fn recorded_trace_replays_byte_identically() {
             user,
             Syscall::Write {
                 fd,
-                data: b"trace me".to_vec(),
+                data: b"trace me",
             },
         );
         let _ = k.dispatch(user, Syscall::Close { fd });
         let _ = k.dispatch(user, Syscall::Getuid);
-        let _ = k.dispatch(
-            user,
-            Syscall::Stat {
-                path: "/tmp/t/x".into(),
-            },
-        );
+        let _ = k.dispatch(user, Syscall::Stat { path: "/tmp/t/x" });
     };
 
     let (mut k1, _r1, u1) = boot();

@@ -28,7 +28,7 @@ fn read_all(k: &mut Kernel, pid: Pid, path: &str) -> Result<String, Errno> {
         .dispatch(
             pid,
             Syscall::Open {
-                path: path.into(),
+                path,
                 flags: OpenFlags::read_only(),
             },
         )
@@ -51,21 +51,15 @@ fn histograms_node_reflects_dispatched_pathways() {
         .dispatch(
             user,
             Syscall::Open {
-                path: "/tmp/spanfile".into(),
+                path: "/tmp/spanfile",
                 flags: OpenFlags::create_trunc(Mode(0o644)),
             },
         )
         .fd()
         .unwrap();
-    k.dispatch(
-        user,
-        Syscall::Write {
-            fd,
-            data: b"spans".to_vec(),
-        },
-    )
-    .size()
-    .unwrap();
+    k.dispatch(user, Syscall::Write { fd, data: b"spans" })
+        .size()
+        .unwrap();
     k.dispatch(user, Syscall::Close { fd }).unit().unwrap();
 
     let text = read_all(&mut k, root, "/proc/kernel/histograms").unwrap();

@@ -171,9 +171,7 @@ fn enforcement_denies_and_audits_off_profile_calls() {
         &[ProfileSpec::allowing("/bin/sh", &["stat", "getuid"])],
         SeccompMode::Enforce,
     );
-    let stat = || Syscall::Stat {
-        path: "/tmp".into(),
-    };
+    let stat = || Syscall::Stat { path: "/tmp" };
     assert!(k.dispatch(user, stat()).stat().is_ok());
     assert_eq!(k.dispatch(user, Syscall::Pipe).fd_pair(), Err(Errno::EPERM));
     // The denial is audited with the short-circuit rule carrying the
@@ -209,13 +207,7 @@ fn execve_reselects_the_profile_end_to_end() {
     assert!(k.dispatch(task, Syscall::Getuid).uid().is_ok());
     assert_eq!(k.dispatch(task, Syscall::Pipe).fd_pair(), Err(Errno::EPERM));
     assert_eq!(
-        k.dispatch(
-            task,
-            Syscall::Execve {
-                path: "/bin/b".into()
-            }
-        )
-        .path(),
+        k.dispatch(task, Syscall::Execve { path: "/bin/b" }).path(),
         Ok("/bin/b".to_string())
     );
     // Same pid, new image: /bin/b's allowlist applies from the next call.
@@ -223,13 +215,7 @@ fn execve_reselects_the_profile_end_to_end() {
     assert_eq!(k.dispatch(task, Syscall::Getuid).uid(), Err(Errno::EPERM));
     // An exec *not* in the current allowlist is itself denied.
     assert_eq!(
-        k.dispatch(
-            task,
-            Syscall::Execve {
-                path: "/bin/a".into()
-            }
-        )
-        .path(),
+        k.dispatch(task, Syscall::Execve { path: "/bin/a" }).path(),
         Err(Errno::EPERM)
     );
 }
@@ -263,18 +249,12 @@ fn names_index_and_name_index_agree() {
 /// returns at the violation positions themselves.
 const POOL: usize = 8;
 
-fn pool_call(i: usize) -> Syscall {
+fn pool_call(i: usize) -> Syscall<'static> {
     match i % POOL {
-        0 => Syscall::Stat {
-            path: "/tmp".into(),
-        },
-        1 => Syscall::Stat {
-            path: "/nope".into(),
-        },
-        2 => Syscall::Lstat {
-            path: "/tmp".into(),
-        },
-        3 => Syscall::Readdir { path: "/".into() },
+        0 => Syscall::Stat { path: "/tmp" },
+        1 => Syscall::Stat { path: "/nope" },
+        2 => Syscall::Lstat { path: "/tmp" },
+        3 => Syscall::Readdir { path: "/" },
         4 => Syscall::Getuid,
         5 => Syscall::Geteuid,
         6 => Syscall::Getgid,

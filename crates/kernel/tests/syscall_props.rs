@@ -172,7 +172,7 @@ proptest! {
                     let path = format!("/tmp/f{}", n);
                     (
                         format!("{:?}", kd.sys_open(user, &path, flags)),
-                        format!("{:?}", kv.dispatch(user, Syscall::Open { path, flags }).fd()),
+                        format!("{:?}", kv.dispatch(user, Syscall::Open { path: &path, flags }).fd()),
                     )
                 }
                 Op::Close(fd) => (
@@ -191,7 +191,7 @@ proptest! {
                     format!("{:?}", kd.sys_write(user, fd, b"xyz")),
                     format!(
                         "{:?}",
-                        kv.dispatch(user, Syscall::Write { fd, data: b"xyz".to_vec() }).size()
+                        kv.dispatch(user, Syscall::Write { fd, data: b"xyz" }).size()
                     ),
                 ),
                 Op::Lseek(fd, o) => (
@@ -209,7 +209,7 @@ proptest! {
                     let path = format!("/tmp/f{}", n);
                     (
                         format!("{:?}", kd.sys_unlink(user, &path)),
-                        format!("{:?}", kv.dispatch(user, Syscall::Unlink { path }).unit()),
+                        format!("{:?}", kv.dispatch(user, Syscall::Unlink { path: &path }).unit()),
                     )
                 }
                 Op::Mkdir(n) => {
@@ -218,7 +218,7 @@ proptest! {
                         format!("{:?}", kd.sys_mkdir(user, &path, Mode(0o755))),
                         format!(
                             "{:?}",
-                            kv.dispatch(user, Syscall::Mkdir { path, mode: Mode(0o755) }).unit()
+                            kv.dispatch(user, Syscall::Mkdir { path: &path, mode: Mode(0o755) }).unit()
                         ),
                     )
                 }
@@ -257,12 +257,12 @@ proptest! {
                     } else {
                         OpenFlags::read_only()
                     };
-                    let _ = k.dispatch(user, Syscall::Open { path: format!("/tmp/f{}", n), flags });
+                    let _ = k.dispatch(user, Syscall::Open { path: &format!("/tmp/f{}", n), flags });
                 }
                 Op::Close(fd) => { let _ = k.dispatch(user, Syscall::Close { fd }); }
                 Op::Read(fd) => { let _ = k.dispatch(user, Syscall::Read { fd, count: 16 }); }
                 Op::Write(fd) => {
-                    let _ = k.dispatch(user, Syscall::Write { fd, data: b"xyz".to_vec() });
+                    let _ = k.dispatch(user, Syscall::Write { fd, data: b"xyz" });
                 }
                 Op::Lseek(fd, o) => {
                     let _ = k.dispatch(
@@ -271,12 +271,12 @@ proptest! {
                     );
                 }
                 Op::Unlink(n) => {
-                    let _ = k.dispatch(user, Syscall::Unlink { path: format!("/tmp/f{}", n) });
+                    let _ = k.dispatch(user, Syscall::Unlink { path: &format!("/tmp/f{}", n) });
                 }
                 Op::Mkdir(n) => {
                     let _ = k.dispatch(
                         user,
-                        Syscall::Mkdir { path: format!("/tmp/d{}", n), mode: Mode(0o755) },
+                        Syscall::Mkdir { path: &format!("/tmp/d{}", n), mode: Mode(0o755) },
                     );
                 }
                 Op::Fork => {

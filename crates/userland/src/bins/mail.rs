@@ -7,11 +7,12 @@
 //! (binary, uid) application instance.
 
 use super::{fail, CatalogItem};
-use crate::system::{BinEntry, Proc, RunResult, System, SystemMode};
+use crate::system::{BinEntry, IoBufs, Proc, RunResult, System, SystemMode};
 use sim_kernel::cred::Uid;
 use sim_kernel::error::{Errno, KResult};
 use sim_kernel::net::{Domain, Ipv4, SockType};
 use sim_kernel::task::Pid;
+use std::io::Write;
 
 /// The uid the mail service runs under (`mail`).
 pub const MAIL_UID: u32 = 8;
@@ -262,24 +263,39 @@ pub const HTTPD_DOCROOT_INDEX: &str = "/var/www/index.html";
 /// Handles one HTTP connection on the httpd task: accepts, reads the
 /// request, and serves the docroot index — a stat + open + read + close
 /// per request, the per-request syscall mix ApacheBench measures —
-/// falling back to a fixed page if the docroot is absent.
+/// falling back to a fixed page if the docroot is absent or not UTF-8.
 pub fn httpd_serve_one(sys: &mut System, server: Pid, listen_fd: i32) -> KResult<()> {
-    let conn = sys.process(server).accept(listen_fd)?;
-    let _req = sys.process(server).recv(conn, 65536)?;
+    sys.with_io(|sys, io| httpd_serve_one_with(sys, server, listen_fd, io))
+}
+
+/// [`httpd_serve_one`] filling and sending from lent buffers.
+pub(crate) fn httpd_serve_one_with(
+    sys: &mut System,
+    server: Pid,
+    listen_fd: i32,
+    io: &mut IoBufs,
+) -> KResult<()> {
     let mut p = sys.process(server);
-    let body = match p.stat(HTTPD_DOCROOT_INDEX) {
-        Ok(_) => p
-            .read_to_string(HTTPD_DOCROOT_INDEX)
-            .unwrap_or_else(|_| HTTPD_FALLBACK_PAGE.to_string()),
-        Err(_) => HTTPD_FALLBACK_PAGE.to_string(),
+    let conn = p.accept(listen_fd)?;
+    io.rx.clear();
+    p.recv_into(conn, &mut io.rx, 65536)?;
+    io.file.clear();
+    let page = match p.stat(HTTPD_DOCROOT_INDEX) {
+        Ok(_) => match p.read_file_into(HTTPD_DOCROOT_INDEX, &mut io.file) {
+            Ok(_) if std::str::from_utf8(&io.file).is_ok() => &io.file[..],
+            _ => HTTPD_FALLBACK_PAGE.as_bytes(),
+        },
+        Err(_) => HTTPD_FALLBACK_PAGE.as_bytes(),
     };
-    let resp = format!(
-        "HTTP/1.0 200 OK\r\nContent-Length: {}\r\n\r\n{}",
-        body.len(),
-        body
+    io.tx.clear();
+    let _ = write!(
+        io.tx,
+        "HTTP/1.0 200 OK\r\nContent-Length: {}\r\n\r\n",
+        page.len()
     );
-    sys.process(server).send(conn, resp.as_bytes())?;
-    sys.process(server).close(conn)
+    io.tx.extend_from_slice(page);
+    p.send(conn, &io.tx)?;
+    p.close(conn)
 }
 
 /// One client HTTP request against the local httpd; returns the response.

@@ -45,13 +45,7 @@ impl<'k> Process<'k> {
     /// `open(2)`.
     pub fn open(&mut self, path: &str, flags: OpenFlags) -> KResult<i32> {
         self.kernel
-            .dispatch(
-                self.pid,
-                Syscall::Open {
-                    path: path.to_string(),
-                    flags,
-                },
-            )
+            .dispatch(self.pid, Syscall::Open { path, flags })
             .fd()
     }
 
@@ -67,16 +61,17 @@ impl<'k> Process<'k> {
             .data()
     }
 
+    /// `read(2)` — appends up to `count` bytes to `buf`; returns how many.
+    pub fn read_into(&mut self, fd: i32, buf: &mut Vec<u8>, count: usize) -> KResult<usize> {
+        self.kernel
+            .dispatch_into(self.pid, Syscall::Read { fd, count }, buf)
+            .size()
+    }
+
     /// `write(2)`.
     pub fn write(&mut self, fd: i32, data: &[u8]) -> KResult<usize> {
         self.kernel
-            .dispatch(
-                self.pid,
-                Syscall::Write {
-                    fd,
-                    data: data.to_vec(),
-                },
-            )
+            .dispatch(self.pid, Syscall::Write { fd, data })
             .size()
     }
 
@@ -90,138 +85,77 @@ impl<'k> Process<'k> {
     /// `stat(2)`.
     pub fn stat(&mut self, path: &str) -> KResult<Stat> {
         self.kernel
-            .dispatch(
-                self.pid,
-                Syscall::Stat {
-                    path: path.to_string(),
-                },
-            )
+            .dispatch(self.pid, Syscall::Stat { path })
             .stat()
     }
 
     /// `lstat(2)`.
     pub fn lstat(&mut self, path: &str) -> KResult<Stat> {
         self.kernel
-            .dispatch(
-                self.pid,
-                Syscall::Lstat {
-                    path: path.to_string(),
-                },
-            )
+            .dispatch(self.pid, Syscall::Lstat { path })
             .stat()
     }
 
     /// `chmod(2)`.
     pub fn chmod(&mut self, path: &str, mode: Mode) -> KResult<()> {
         self.kernel
-            .dispatch(
-                self.pid,
-                Syscall::Chmod {
-                    path: path.to_string(),
-                    mode,
-                },
-            )
+            .dispatch(self.pid, Syscall::Chmod { path, mode })
             .unit()
     }
 
     /// `chown(2)`.
     pub fn chown(&mut self, path: &str, uid: Option<Uid>, gid: Option<Gid>) -> KResult<()> {
         self.kernel
-            .dispatch(
-                self.pid,
-                Syscall::Chown {
-                    path: path.to_string(),
-                    uid,
-                    gid,
-                },
-            )
+            .dispatch(self.pid, Syscall::Chown { path, uid, gid })
             .unit()
     }
 
     /// `mkdir(2)`.
     pub fn mkdir(&mut self, path: &str, mode: Mode) -> KResult<()> {
         self.kernel
-            .dispatch(
-                self.pid,
-                Syscall::Mkdir {
-                    path: path.to_string(),
-                    mode,
-                },
-            )
+            .dispatch(self.pid, Syscall::Mkdir { path, mode })
             .unit()
     }
 
     /// `unlink(2)`.
     pub fn unlink(&mut self, path: &str) -> KResult<()> {
         self.kernel
-            .dispatch(
-                self.pid,
-                Syscall::Unlink {
-                    path: path.to_string(),
-                },
-            )
+            .dispatch(self.pid, Syscall::Unlink { path })
             .unit()
     }
 
     /// `rmdir(2)`.
     pub fn rmdir(&mut self, path: &str) -> KResult<()> {
         self.kernel
-            .dispatch(
-                self.pid,
-                Syscall::Rmdir {
-                    path: path.to_string(),
-                },
-            )
+            .dispatch(self.pid, Syscall::Rmdir { path })
             .unit()
     }
 
     /// `rename(2)`.
     pub fn rename(&mut self, from: &str, to: &str) -> KResult<()> {
         self.kernel
-            .dispatch(
-                self.pid,
-                Syscall::Rename {
-                    from: from.to_string(),
-                    to: to.to_string(),
-                },
-            )
+            .dispatch(self.pid, Syscall::Rename { from, to })
             .unit()
     }
 
     /// `symlink(2)`.
     pub fn symlink(&mut self, target: &str, linkpath: &str) -> KResult<()> {
         self.kernel
-            .dispatch(
-                self.pid,
-                Syscall::Symlink {
-                    target: target.to_string(),
-                    linkpath: linkpath.to_string(),
-                },
-            )
+            .dispatch(self.pid, Syscall::Symlink { target, linkpath })
             .unit()
     }
 
     /// `chdir(2)`.
     pub fn chdir(&mut self, path: &str) -> KResult<()> {
         self.kernel
-            .dispatch(
-                self.pid,
-                Syscall::Chdir {
-                    path: path.to_string(),
-                },
-            )
+            .dispatch(self.pid, Syscall::Chdir { path })
             .unit()
     }
 
     /// `readdir(3)`.
     pub fn readdir(&mut self, path: &str) -> KResult<Vec<String>> {
         self.kernel
-            .dispatch(
-                self.pid,
-                Syscall::Readdir {
-                    path: path.to_string(),
-                },
-            )
+            .dispatch(self.pid, Syscall::Readdir { path })
             .names()
     }
 
@@ -256,12 +190,7 @@ impl<'k> Process<'k> {
     /// `setgroups(2)`.
     pub fn setgroups(&mut self, groups: &[Gid]) -> KResult<()> {
         self.kernel
-            .dispatch(
-                self.pid,
-                Syscall::Setgroups {
-                    groups: groups.to_vec(),
-                },
-            )
+            .dispatch(self.pid, Syscall::Setgroups { groups })
             .unit()
     }
 
@@ -301,10 +230,10 @@ impl<'k> Process<'k> {
             .dispatch(
                 self.pid,
                 Syscall::Mount {
-                    source: source.to_string(),
-                    target: target.to_string(),
-                    fstype: fstype.to_string(),
-                    options: options.to_string(),
+                    source,
+                    target,
+                    fstype,
+                    options,
                 },
             )
             .unit()
@@ -313,12 +242,7 @@ impl<'k> Process<'k> {
     /// `umount(2)`.
     pub fn umount(&mut self, target: &str) -> KResult<()> {
         self.kernel
-            .dispatch(
-                self.pid,
-                Syscall::Umount {
-                    target: target.to_string(),
-                },
-            )
+            .dispatch(self.pid, Syscall::Umount { target })
             .unit()
     }
 
@@ -367,13 +291,7 @@ impl<'k> Process<'k> {
     /// `send(2)`.
     pub fn send(&mut self, fd: i32, data: &[u8]) -> KResult<usize> {
         self.kernel
-            .dispatch(
-                self.pid,
-                Syscall::Send {
-                    fd,
-                    data: data.to_vec(),
-                },
-            )
+            .dispatch(self.pid, Syscall::Send { fd, data })
             .size()
     }
 
@@ -382,6 +300,13 @@ impl<'k> Process<'k> {
         self.kernel
             .dispatch(self.pid, Syscall::Recv { fd, max })
             .data()
+    }
+
+    /// `recv(2)` — appends up to `max` bytes to `buf`; returns how many.
+    pub fn recv_into(&mut self, fd: i32, buf: &mut Vec<u8>, max: usize) -> KResult<usize> {
+        self.kernel
+            .dispatch_into(self.pid, Syscall::Recv { fd, max }, buf)
+            .size()
     }
 
     /// Raw packet reception.
@@ -400,7 +325,7 @@ impl<'k> Process<'k> {
                     fd,
                     addr,
                     port,
-                    data: data.to_vec(),
+                    data,
                 },
             )
             .size()
@@ -451,12 +376,7 @@ impl<'k> Process<'k> {
     /// `execve(2)` — returns the resolved binary path.
     pub fn execve(&mut self, path: &str) -> KResult<String> {
         self.kernel
-            .dispatch(
-                self.pid,
-                Syscall::Execve {
-                    path: path.to_string(),
-                },
-            )
+            .dispatch(self.pid, Syscall::Execve { path })
             .path()
     }
 
@@ -485,24 +405,28 @@ impl<'k> Process<'k> {
 
     /// Opens, reads fully, and closes — every leg through dispatch.
     pub fn read_file(&mut self, path: &str) -> KResult<Vec<u8>> {
-        let fd = self.open(path, OpenFlags::read_only())?;
         let mut buf = Vec::new();
+        self.read_file_into(path, &mut buf)?;
+        Ok(buf)
+    }
+
+    /// [`Process::read_file`] appending to `buf`; returns the file's
+    /// length. On an error `buf` may hold part of the file.
+    pub fn read_file_into(&mut self, path: &str, buf: &mut Vec<u8>) -> KResult<usize> {
+        let fd = self.open(path, OpenFlags::read_only())?;
+        let start = buf.len();
         loop {
-            let chunk = match self.read(fd, 65536) {
-                Ok(c) => c,
+            match self.read_into(fd, buf, 65536) {
+                Ok(n) if n < 65536 => break,
+                Ok(_) => {}
                 Err(e) => {
                     let _ = self.close(fd);
                     return Err(e);
                 }
-            };
-            let n = chunk.len();
-            buf.extend_from_slice(&chunk);
-            if n < 65536 {
-                break;
             }
         }
         self.close(fd)?;
-        Ok(buf)
+        Ok(buf.len() - start)
     }
 
     /// Opens, reads fully as UTF-8, and closes.

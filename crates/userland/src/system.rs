@@ -98,6 +98,26 @@ pub struct System {
     registry: std::collections::BTreeMap<String, BinEntry>,
     exploit: Option<Exploit>,
     init: Option<Pid>,
+    io: IoBufs,
+}
+
+/// The byte and path buffers the service loops (`httpd_serve_one`,
+/// `workload::web_request`, `workload::mail_delivery`) fill and send
+/// from, kept on the [`System`] so a warm request reuses their capacity
+/// instead of allocating. Only capacity carries over: every user clears
+/// a buffer before filling it, so no bytes pass from one call to the next.
+#[derive(Default)]
+pub(crate) struct IoBufs {
+    /// Bytes received: a request, a response or a reply.
+    pub rx: Vec<u8>,
+    /// Bytes to send: a response or a message.
+    pub tx: Vec<u8>,
+    /// A file's contents: the docroot page or a spool image.
+    pub file: Vec<u8>,
+    /// A spool path.
+    pub spool: String,
+    /// A staging-file path.
+    pub tmp: String,
 }
 
 impl System {
@@ -117,6 +137,7 @@ impl System {
             registry: Default::default(),
             exploit: None,
             init: None,
+            io: IoBufs::default(),
         }
     }
 
@@ -135,6 +156,7 @@ impl System {
             registry: self.registry.clone(),
             exploit: None,
             init: self.init,
+            io: IoBufs::default(),
         }
     }
 
@@ -186,6 +208,14 @@ impl System {
         };
         let r = d.poll(&self.kernel);
         self.monitord = Some(d);
+        r
+    }
+
+    /// Runs `f` with this system's [`IoBufs`] lent out beside it.
+    pub(crate) fn with_io<R>(&mut self, f: impl FnOnce(&mut System, &mut IoBufs) -> R) -> R {
+        let mut io = std::mem::take(&mut self.io);
+        let r = f(self, &mut io);
+        self.io = io;
         r
     }
 

@@ -17,12 +17,14 @@
 //! a worker loop may count failures but never panics.
 
 use crate::bins::mail;
-use crate::system::{System, SystemMode};
+use crate::system::{IoBufs, System, SystemMode};
 use sim_kernel::cred::{Gid, Uid};
 use sim_kernel::error::{Errno, KResult};
 use sim_kernel::net::{Domain, Ipv4, SockType};
 use sim_kernel::task::Pid;
 use sim_kernel::vfs::Mode;
+use std::fmt::Write as _;
+use std::io::Write as _;
 
 /// A started network service: the daemon task plus its listening socket.
 #[derive(Clone, Copy, Debug)]
@@ -154,23 +156,28 @@ pub fn client_session(sys: &mut System) -> KResult<Pid> {
 
 /// One ApacheBench-style request: connect, GET, serve (stat + open +
 /// read + close on the server), read the response, verify `200 OK`.
+/// Warm, it allocates nothing: the request, page and response bytes go
+/// through the system's reusable buffers.
 pub fn web_request(sys: &mut System, client: Pid, srv: Service) -> KResult<()> {
-    let cli = sys
-        .process(client)
-        .socket(Domain::Inet, SockType::Stream, 0)?;
-    let run = (|| {
-        sys.process(client).connect(cli, Ipv4::LOOPBACK, srv.port)?;
-        sys.process(client).send(cli, b"GET / HTTP/1.0\r\n\r\n")?;
-        mail::httpd_serve_one(sys, srv.pid, srv.listen_fd)?;
-        let resp = sys.process(client).recv(cli, 65536)?;
-        let text = String::from_utf8_lossy(&resp);
-        if !text.starts_with("HTTP/1.0 200 OK") || !text.contains("</html>") {
-            return Err(Errno::EIO);
-        }
-        Ok(())
-    })();
-    let _ = sys.process(client).close(cli);
-    run
+    sys.with_io(|sys, io| {
+        let cli = sys
+            .process(client)
+            .socket(Domain::Inet, SockType::Stream, 0)?;
+        let run = (|| {
+            sys.process(client).connect(cli, Ipv4::LOOPBACK, srv.port)?;
+            sys.process(client).send(cli, b"GET / HTTP/1.0\r\n\r\n")?;
+            mail::httpd_serve_one_with(sys, srv.pid, srv.listen_fd, io)?;
+            io.rx.clear();
+            sys.process(client).recv_into(cli, &mut io.rx, 65536)?;
+            let text = String::from_utf8_lossy(&io.rx);
+            if !text.starts_with("HTTP/1.0 200 OK") || !text.contains("</html>") {
+                return Err(Errno::EIO);
+            }
+            Ok(())
+        })();
+        let _ = sys.process(client).close(cli);
+        run
+    })
 }
 
 /// One Postal-style delivery: SMTP round trip whose server side commits
@@ -183,40 +190,48 @@ pub fn mail_delivery(
     rcpt: &str,
     body: &str,
 ) -> KResult<()> {
-    let cli = sys
-        .process(client)
-        .socket(Domain::Inet, SockType::Stream, 0)?;
-    let run = (|| {
-        sys.process(client).connect(cli, Ipv4::LOOPBACK, srv.port)?;
-        let msg = format!("MAIL TO:<{}>\n{}", rcpt, body);
-        sys.process(client).send(cli, msg.as_bytes())?;
-        serve_one_atomic(sys, srv.pid, srv.listen_fd)?;
-        let reply = sys.process(client).recv(cli, 1024)?;
-        if !String::from_utf8_lossy(&reply).starts_with("250") {
-            return Err(Errno::EIO);
-        }
-        Ok(())
-    })();
-    let _ = sys.process(client).close(cli);
-    run
+    sys.with_io(|sys, io| {
+        let cli = sys
+            .process(client)
+            .socket(Domain::Inet, SockType::Stream, 0)?;
+        let run = (|| {
+            sys.process(client).connect(cli, Ipv4::LOOPBACK, srv.port)?;
+            io.tx.clear();
+            let _ = write!(io.tx, "MAIL TO:<{}>\n{}", rcpt, body);
+            sys.process(client).send(cli, &io.tx)?;
+            serve_one_atomic(sys, srv.pid, srv.listen_fd, io)?;
+            io.rx.clear();
+            sys.process(client).recv_into(cli, &mut io.rx, 1024)?;
+            if !io.rx.starts_with(b"250") {
+                return Err(Errno::EIO);
+            }
+            Ok(())
+        })();
+        let _ = sys.process(client).close(cli);
+        run
+    })
 }
 
 /// Server half of [`mail_delivery`]: accept, parse, deliver atomically,
 /// acknowledge.
-fn serve_one_atomic(sys: &mut System, server: Pid, listen_fd: i32) -> KResult<()> {
+fn serve_one_atomic(sys: &mut System, server: Pid, listen_fd: i32, io: &mut IoBufs) -> KResult<()> {
     let conn = sys.process(server).accept(listen_fd)?;
     let run = (|| {
-        let req = sys.process(server).recv(conn, 65536)?;
-        let text = String::from_utf8_lossy(&req).to_string();
+        io.rx.clear();
+        sys.process(server).recv_into(conn, &mut io.rx, 65536)?;
+        let text = String::from_utf8_lossy(&io.rx);
         let rcpt = text
             .lines()
             .next()
             .and_then(|l| l.strip_prefix("MAIL TO:<"))
             .and_then(|l| l.strip_suffix('>'))
-            .ok_or(Errno::EINVAL)?
-            .to_string();
-        let body: String = text.lines().skip(1).collect::<Vec<_>>().join("\n");
-        match deliver_atomic(sys, server, &rcpt, &body) {
+            .ok_or(Errno::EINVAL)?;
+        let spool = Spool {
+            image: &mut io.file,
+            path: &mut io.spool,
+            tmp: &mut io.tmp,
+        };
+        match deliver_atomic(sys, server, rcpt, text.lines().skip(1), spool) {
             Ok(()) => {
                 sys.process(server).send(conn, b"250 OK\r\n")?;
                 Ok(())
@@ -231,12 +246,29 @@ fn serve_one_atomic(sys: &mut System, server: Pid, listen_fd: i32) -> KResult<()
     run
 }
 
+/// The buffers of one spool commit, lent from [`IoBufs`].
+struct Spool<'b> {
+    /// The spool's new image.
+    image: &'b mut Vec<u8>,
+    /// The spool's path.
+    path: &'b mut String,
+    /// The staging file's path.
+    tmp: &'b mut String,
+}
+
 /// Atomic-replace spool commit: read the current spool, stage the
-/// appended image to `/var/mail/.<rcpt>.tmp`, `rename` it over the
-/// spool. The legacy MTA raises its saved root euid around the commit
-/// (the §4.4 pattern Protego obviates); the Protego MTA runs it with
-/// nothing but the `mail` group.
-pub fn deliver_atomic(sys: &mut System, server: Pid, rcpt: &str, body: &str) -> KResult<()> {
+/// appended image (`From MTA: to <rcpt>`, then the body lines joined by
+/// newlines) to `/var/mail/.<rcpt>.tmp`, `rename` it over the spool. The
+/// legacy MTA raises its saved root euid around the commit (the §4.4
+/// pattern Protego obviates); the Protego MTA runs it with nothing but
+/// the `mail` group.
+fn deliver_atomic<'a>(
+    sys: &mut System,
+    server: Pid,
+    rcpt: &str,
+    body: impl Iterator<Item = &'a str>,
+    spool: Spool<'_>,
+) -> KResult<()> {
     sys.coverage.hit("/usr/sbin/exim4", "deliver");
     let legacy_raise = sys.mode == SystemMode::Legacy
         && sys
@@ -247,22 +279,35 @@ pub fn deliver_atomic(sys: &mut System, server: Pid, rcpt: &str, body: &str) -> 
     if legacy_raise {
         sys.process(server).seteuid(Uid::ROOT)?;
     }
-    let spool = format!("/var/mail/{}", rcpt);
-    let tmp = format!("/var/mail/.{}.tmp", rcpt);
+    let Spool { image, path, tmp } = spool;
+    path.clear();
+    let _ = write!(path, "/var/mail/{}", rcpt);
+    tmp.clear();
+    let _ = write!(tmp, "/var/mail/.{}.tmp", rcpt);
     let result = (|| {
-        let mut image = match sys.process(server).read_file(&spool) {
-            Ok(data) => data,
-            Err(Errno::ENOENT) => Vec::new(),
+        image.clear();
+        match sys.process(server).read_file_into(path, image) {
+            Ok(_) => {}
+            Err(Errno::ENOENT) => image.clear(),
             Err(e) => return Err(e),
-        };
-        image.extend_from_slice(format!("From MTA: to {}\n{}\n\n", rcpt, body).as_bytes());
-        sys.process(server).write_file(&tmp, &image, Mode(0o660))?;
-        sys.process(server).rename(&tmp, &spool)
+        }
+        image.extend_from_slice(b"From MTA: to ");
+        image.extend_from_slice(rcpt.as_bytes());
+        image.push(b'\n');
+        for (i, line) in body.enumerate() {
+            if i > 0 {
+                image.push(b'\n');
+            }
+            image.extend_from_slice(line.as_bytes());
+        }
+        image.extend_from_slice(b"\n\n");
+        sys.process(server).write_file(tmp, image, Mode(0o660))?;
+        sys.process(server).rename(tmp, path)
     })();
     if result.is_err() {
         sys.coverage.hit("/usr/sbin/exim4", "deliver_fail");
         // Never leave a stale staging file behind a failed commit.
-        let _ = sys.process(server).unlink(&tmp);
+        let _ = sys.process(server).unlink(tmp);
     }
     if legacy_raise {
         let _ = sys.process(server).seteuid(Uid(mail::MAIL_UID));
@@ -272,7 +317,7 @@ pub fn deliver_atomic(sys: &mut System, server: Pid, rcpt: &str, body: &str) -> 
 
 /// The mail reader's half of the closed loop: truncates the spools the
 /// way an MDA/user drains a real mailbox. Without a consumer the spool
-/// grows without bound and [`deliver_atomic`]'s read-append-rename
+/// grows without bound and each delivery's read-append-rename
 /// commit gets slower with every message, making throughput depend on
 /// how long the benchmark has been running. Uses the same legacy euid
 /// raise as delivery so both modes pay symmetric costs.

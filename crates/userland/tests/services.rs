@@ -30,7 +30,8 @@ fn malformed_smtp_gets_451_not_a_crash() {
         .sys_send(bob, cli, b"EHLO no recipient line at all")
         .unwrap();
     mail::exim_serve_one(&mut sys, mta, fd).unwrap();
-    let reply = sys.kernel.sys_recv(bob, cli, 128).unwrap();
+    let mut reply = Vec::new();
+    sys.kernel.sys_recv(bob, cli, &mut reply, 128).unwrap();
     assert!(String::from_utf8_lossy(&reply).starts_with("451"));
 }
 

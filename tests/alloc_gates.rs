@@ -6,9 +6,12 @@
 //! unrelated mount and rename have happened, when each dcache hit checks
 //! its directory generations — and so do a warm resolve of a directory
 //! right after a create and a rename inside it, a warm Protego hook that
-//! matches a policy rule and a warm denial that lands in the audit ring.
+//! matches a policy rule, a warm denial that lands in the audit ring, and
+//! a whole warm `workload::web_request` on either image (the ABI borrows
+//! its arguments and `read`/`recv` fill reusable buffers).
 //!
-//! Budgets: one cycle of the eight privops operations (mount, umount,
+//! Budgets: a warm mail delivery allocates at most [`MAIL_BUDGET`]
+//! times; one cycle of the eight privops operations (mount, umount,
 //! ping, two sudo runs, su, newgrp and a sudo denial, each a
 //! fork/exec/wait with authentication where the policy asks for it) stays
 //! within a per-operation allocation budget on both images, and one warm
@@ -32,7 +35,7 @@ use protego::kernel::net::SimNet;
 use protego::kernel::syscall::OpenFlags;
 use protego::kernel::task::Pid;
 use protego::kernel::vfs::{Access, Mode, MountOptions};
-use protego::userland::{boot, System, SystemMode};
+use protego::userland::{boot, workload, System, SystemMode};
 use std::alloc::{GlobalAlloc, Layout, System as SystemAlloc};
 use std::cell::Cell;
 
@@ -483,4 +486,68 @@ fn warm_kernel_authentication_cost_does_not_grow_with_the_account_count() {
 
     auth_allocs(&sys, alice);
     assert_eq!(auth_allocs(&sys, alice), before);
+}
+
+// ---------------------------------------------------------------------
+// Service requests
+// ---------------------------------------------------------------------
+
+/// A warm `workload::web_request` (13 kernel entries: the client's
+/// socket, connect, send, recv and close, and httpd's accept, recv, stat,
+/// open, read, close, send and close) allocates nothing on either image:
+/// the ABI borrows its arguments, `read`/`recv` fill the system's
+/// reusable buffers, and a recycled socket slot keeps its receive buffer.
+#[test]
+fn warm_web_request_is_allocation_free_on_both_images() {
+    for mode in [SystemMode::Protego, SystemMode::Legacy] {
+        let mut sys = boot(mode);
+        let srv = workload::start_web_service(&mut sys).expect("httpd");
+        let client = workload::client_session(&mut sys).expect("client login");
+        for _ in 0..64 {
+            workload::web_request(&mut sys, client, srv).expect("request");
+        }
+        let (_, n) = count_allocs(|| {
+            for _ in 0..256 {
+                workload::web_request(&mut sys, client, srv).expect("request");
+            }
+        });
+        assert_eq!(n, 0, "{mode:?}: 256 warm web requests allocated {n} times");
+    }
+}
+
+/// The most a warm mail delivery may allocate. Two allocations remain:
+/// the staging file's contents, which the kernel stores in a new inode
+/// each delivery, and the dcache entry for the spool path, which the
+/// previous delivery's rename over the spool invalidated.
+const MAIL_BUDGET: u64 = 4;
+
+#[test]
+fn warm_mail_delivery_stays_within_its_allocation_budget() {
+    const RCPTS: [&str; 2] = ["alice", "bob"];
+    for mode in [SystemMode::Protego, SystemMode::Legacy] {
+        let mut sys = boot(mode);
+        let srv = workload::start_mail_service(&mut sys).expect("exim4");
+        let client = workload::client_session(&mut sys).expect("client login");
+        for i in 0..64 {
+            workload::mail_delivery(&mut sys, client, srv, RCPTS[i % 2], "warm-up")
+                .expect("delivery");
+        }
+        workload::drain_spools(&mut sys, srv);
+        let bodies: Vec<String> = (0..64).map(|i| format!("seeded body {i:016x}")).collect();
+        let counts: Vec<u64> = bodies
+            .iter()
+            .enumerate()
+            .map(|(i, body)| {
+                let (r, n) = count_allocs(|| {
+                    workload::mail_delivery(&mut sys, client, srv, RCPTS[i % 2], body)
+                });
+                r.expect("delivery");
+                n
+            })
+            .collect();
+        assert!(
+            counts.iter().all(|&n| n <= MAIL_BUDGET),
+            "{mode:?}: warm deliveries allocated {counts:?}, budget {MAIL_BUDGET} each"
+        );
+    }
 }

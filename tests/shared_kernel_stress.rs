@@ -405,3 +405,65 @@ fn dac_denials_reaching_capable_do_not_deadlock_same_shard_writers() {
     denier.join().unwrap();
     writer.join().unwrap();
 }
+
+/// `send` looks up the peer and appends to it under one net guard: while
+/// one thread sends on a client socket, another closes the server end of
+/// the connection and at once allocates a new socket, which takes the
+/// closed end's slot. No byte may reach the new socket.
+#[test]
+fn send_racing_a_peer_close_never_reaches_the_reused_slot() {
+    const ROUNDS: usize = 5_000;
+    const SENDS: usize = 64;
+    let mut base = boot(SystemMode::Protego);
+    let (sender, owner) = (
+        base.login("alice", "alicepw").unwrap(),
+        base.login("bob", "bobpw").unwrap(),
+    );
+    let k = base.kernel.clone();
+    let lfd = k
+        .sys_socket(owner, Domain::Inet, SockType::Stream, 0)
+        .unwrap();
+    k.sys_bind(owner, lfd, Ipv4::ANY, 8181).unwrap();
+    k.sys_listen(owner, lfd).unwrap();
+    let start = std::sync::Arc::new(std::sync::Barrier::new(2));
+    let (to_sender, fds) = std::sync::mpsc::channel::<i32>();
+    let sending = {
+        let (k, start) = (k.clone(), start.clone());
+        std::thread::spawn(move || {
+            for cli in fds {
+                start.wait();
+                for _ in 0..SENDS {
+                    let _ = k.sys_send(sender, cli, b"stale");
+                }
+                start.wait();
+                k.sys_close(sender, cli).unwrap();
+            }
+        })
+    };
+    let mut leaked = 0;
+    for _ in 0..ROUNDS {
+        let cli = k
+            .sys_socket(sender, Domain::Inet, SockType::Stream, 0)
+            .unwrap();
+        k.sys_connect(sender, cli, Ipv4::LOOPBACK, 8181).unwrap();
+        let conn = k.sys_accept(owner, lfd).unwrap();
+        to_sender.send(cli).unwrap();
+        start.wait();
+        k.sys_close(owner, conn).unwrap();
+        let fresh = k
+            .sys_socket(owner, Domain::Inet, SockType::Stream, 0)
+            .unwrap();
+        start.wait();
+        let mut got = Vec::new();
+        if k.sys_recv(owner, fresh, &mut got, 4096) != Err(Errno::EAGAIN) {
+            leaked += 1;
+        }
+        k.sys_close(owner, fresh).unwrap();
+    }
+    drop(to_sender);
+    sending.join().unwrap();
+    assert_eq!(
+        leaked, 0,
+        "sends reached a socket created after the peer closed"
+    );
+}

@@ -3,10 +3,17 @@
 //! side effect, and a recorded syscall trace replays byte-identically on
 //! a fresh boot.
 
-use protego::kernel::syscall::FaultConfig;
+use protego::kernel::cred::Uid;
+use protego::kernel::error::Errno;
+use protego::kernel::net::{Domain, Ipv4, SockType};
+use protego::kernel::syscall::{FaultConfig, OpenFlags};
 use protego::kernel::trace::{Trace, TraceReplayer};
+use protego::kernel::vfs::Mode;
+use protego::kernel::Pid;
+use protego::userland::bins::mail;
 use protego::userland::suite::run_functional_suite;
-use protego::userland::{boot, System, SystemMode};
+use protego::userland::workload::{self, Service};
+use protego::userland::{boot, Process, System, SystemMode};
 
 /// Escalation artifacts that only an exploit payload (or a corrupted
 /// kernel) would produce — the functional battery never creates these.
@@ -109,4 +116,133 @@ fn functional_battery_trace_replays_deterministically() {
         trace2.lock().unwrap().render(),
         "re-recorded stream must be byte-identical"
     );
+}
+
+/// One web request as the `Vec`-returning wrappers issue it: the calls
+/// `workload::web_request` makes, in its order, with every `read` and
+/// `recv` answered in a fresh vector.
+fn web_request_via_vecs(sys: &mut System, client: Pid, srv: Service) {
+    let mut c = Process::new(&sys.kernel, client);
+    let mut s = Process::new(&sys.kernel, srv.pid);
+    let cli = c.socket(Domain::Inet, SockType::Stream, 0).unwrap();
+    c.connect(cli, Ipv4::LOOPBACK, srv.port).unwrap();
+    c.send(cli, b"GET / HTTP/1.0\r\n\r\n").unwrap();
+    let conn = s.accept(srv.listen_fd).unwrap();
+    s.recv(conn, 65536).unwrap();
+    s.stat(mail::HTTPD_DOCROOT_INDEX).unwrap();
+    let fd = s
+        .open(mail::HTTPD_DOCROOT_INDEX, OpenFlags::read_only())
+        .unwrap();
+    let page = s.read(fd, 65536).unwrap();
+    s.close(fd).unwrap();
+    let mut resp =
+        format!("HTTP/1.0 200 OK\r\nContent-Length: {}\r\n\r\n", page.len()).into_bytes();
+    resp.extend_from_slice(&page);
+    s.send(conn, &resp).unwrap();
+    s.close(conn).unwrap();
+    c.recv(cli, 65536).unwrap();
+    c.close(cli).unwrap();
+}
+
+/// One mail delivery as the `Vec`-returning wrappers issue it (the calls
+/// of `workload::mail_delivery`; `legacy` adds the MTA's euid raise).
+fn mail_delivery_via_vecs(sys: &mut System, client: Pid, srv: Service, rcpt: &str, body: &str) {
+    let legacy = sys.mode == SystemMode::Legacy;
+    let mut c = Process::new(&sys.kernel, client);
+    let mut s = Process::new(&sys.kernel, srv.pid);
+    let cli = c.socket(Domain::Inet, SockType::Stream, 0).unwrap();
+    c.connect(cli, Ipv4::LOOPBACK, srv.port).unwrap();
+    c.send(cli, format!("MAIL TO:<{rcpt}>\n{body}").as_bytes())
+        .unwrap();
+    let conn = s.accept(srv.listen_fd).unwrap();
+    s.recv(conn, 65536).unwrap();
+    if legacy {
+        s.seteuid(Uid::ROOT).unwrap();
+    }
+    let (spool, tmp) = (
+        format!("/var/mail/{rcpt}"),
+        format!("/var/mail/.{rcpt}.tmp"),
+    );
+    let mut image = match s.open(&spool, OpenFlags::read_only()) {
+        Ok(fd) => {
+            let image = s.read(fd, 65536).unwrap();
+            s.close(fd).unwrap();
+            image
+        }
+        Err(e) => {
+            assert_eq!(e, Errno::ENOENT);
+            Vec::new()
+        }
+    };
+    image.extend_from_slice(format!("From MTA: to {rcpt}\n{body}\n\n").as_bytes());
+    let fd = s.open(&tmp, OpenFlags::create_trunc(Mode(0o660))).unwrap();
+    s.write(fd, &image).unwrap();
+    s.close(fd).unwrap();
+    s.rename(&tmp, &spool).unwrap();
+    if legacy {
+        s.seteuid(Uid(mail::MAIL_UID)).unwrap();
+    }
+    s.send(conn, b"250 OK\r\n").unwrap();
+    s.close(conn).unwrap();
+    c.recv(cli, 1024).unwrap();
+    c.close(cli).unwrap();
+}
+
+/// Records three web requests and three mail deliveries on `mode`, by the
+/// workload drivers (buffer-filling `read`/`recv`) or by the wrappers.
+fn record_services(mode: SystemMode, via_vecs: bool) -> Trace {
+    let mut sys = boot(mode);
+    let web = workload::start_web_service(&mut sys).unwrap();
+    let smtp = workload::start_mail_service(&mut sys).unwrap();
+    let client = workload::client_session(&mut sys).unwrap();
+    let trace = sys.attach_recorder();
+    for i in 0..3 {
+        let (rcpt, body) = (["alice", "bob"][i % 2], format!("body {i}"));
+        if via_vecs {
+            web_request_via_vecs(&mut sys, client, web);
+            mail_delivery_via_vecs(&mut sys, client, smtp, rcpt, &body);
+        } else {
+            workload::web_request(&mut sys, client, web).unwrap();
+            workload::mail_delivery(&mut sys, client, smtp, rcpt, &body).unwrap();
+        }
+    }
+    let t = trace.lock().unwrap().clone();
+    t
+}
+
+/// With the chain armed, `read` and `recv` through the caller-buffer ABI
+/// still reach the recorder as `Data([...])` holding the bytes, and the
+/// recorded service traces equal those of the `Vec`-returning wrappers
+/// byte for byte.
+#[test]
+fn buffer_filling_reads_record_the_same_trace_as_the_vec_wrappers() {
+    for mode in [SystemMode::Protego, SystemMode::Legacy] {
+        let filled = record_services(mode, false);
+        let reads: Vec<_> = filled
+            .entries
+            .iter()
+            .filter(|e| e.call.starts_with("Read {") || e.call.starts_with("Recv {"))
+            .collect();
+        // Per request: httpd's recv and page read and the client's recv;
+        // per delivery: exim's recv and spool read and the client's recv.
+        assert_eq!(reads.len(), 3 * 3 + 3 * 3, "{mode:?}");
+        for e in &reads {
+            assert!(e.ret.starts_with("Data(["), "{mode:?}: {}", e.render());
+        }
+        let page = format!("{:?}", b"HTTP/1.0 200 OK".as_slice());
+        let page = &page[1..page.len() - 1];
+        assert!(
+            reads
+                .iter()
+                .any(|e| e.ret.starts_with(&format!("Data([{page}"))),
+            "{mode:?}: no response bytes recorded"
+        );
+        let wrapped = record_services(mode, true);
+        assert_eq!(
+            filled.render(),
+            wrapped.render(),
+            "{mode:?}: {}",
+            filled.divergence_report(&wrapped, 3).unwrap_or_default()
+        );
+    }
 }
