@@ -13,6 +13,13 @@ echo "== tier-1: build + tests =="
 cargo build --release
 cargo test -q
 
+echo "== examples: every example runs to completion =="
+# clippy only compiles the examples; this runs each one, so the daemons
+# they start and drive through userland::workload are exercised too.
+for example in examples/*.rs; do
+    cargo run --release -q --example "$(basename "$example" .rs)" > /dev/null
+done
+
 echo "== full workspace tests =="
 cargo test --workspace --release -q
 

@@ -745,14 +745,14 @@ mod tests {
     fn valid_seccomp_doc() -> String {
         r#"{
           "schema": "seccomp_profiles/v1",
-          "abi_count": 46,
+          "abi_count": 45,
           "binaries": [
             {"binary":"/bin/ping","default":"deny(EPERM)",
-             "syscalls":["socket","sendto","close","getuid"],"count":4,"pct":8.695652173913043},
+             "syscalls":["socket","sendto","close","getuid"],"count":4,"pct":8.88888888888889},
             {"binary":"/bin/sh","default":"deny(EPERM)",
-             "syscalls":["open","read","write","close","fork"],"count":5,"pct":10.869565217391305}
+             "syscalls":["open","read","write","close","fork"],"count":5,"pct":11.11111111111111}
           ],
-          "average_pct": 9.782608695652174
+          "average_pct": 10.0
         }"#
         .to_string()
     }
@@ -780,17 +780,18 @@ mod tests {
         assert!(validate_seccomp_profiles(&wrong_count)
             .unwrap_err()
             .contains("disagrees"));
-        let wrong_abi = valid_seccomp_doc().replace("\"abi_count\": 46", "\"abi_count\": 64");
+        let wrong_abi = valid_seccomp_doc().replace("\"abi_count\": 45", "\"abi_count\": 64");
         assert!(validate_seccomp_profiles(&wrong_abi)
             .unwrap_err()
             .contains("typed ABI"));
         let wrong_avg =
-            valid_seccomp_doc().replace("\"average_pct\": 9.78", "\"average_pct\": 19.78");
+            valid_seccomp_doc().replace("\"average_pct\": 10.0", "\"average_pct\": 20.0");
         assert!(validate_seccomp_profiles(&wrong_avg)
             .unwrap_err()
             .contains("inconsistent"));
-        // A consistent document whose single profile reaches 30/46 of the
-        // ABI averages 65% — over the 50% attack-surface ceiling.
+        // A consistent document whose single profile reaches 30 of the 45
+        // calls of the ABI averages 67% — over the 50% attack-surface
+        // ceiling.
         use sim_kernel::syscall::Syscall;
         let names: Vec<String> = Syscall::NAMES
             .iter()

@@ -18,7 +18,6 @@ pub mod json;
 pub mod micro;
 pub mod seccomp_derive;
 pub mod table5;
-pub mod workloads;
 
 use sim_kernel::task::Pid;
 use userland::{boot, System, SystemMode};

@@ -7,7 +7,7 @@
 //! observed reach sets into per-binary allowlist
 //! [`ProfileSpec`]s — the approach of
 //! Canella et al.'s trace-based seccomp filter generation, applied to the
-//! simulated 46-variant ABI.
+//! simulated typed ABI ([`Syscall::COUNT`] variants).
 //!
 //! The derived profiles are exchanged as the committed
 //! `SECCOMP_PROFILES.json` (schema [`json::SECCOMP_SCHEMA`]) and verified
@@ -21,7 +21,6 @@
 //! its staleness check.
 
 use crate::json::{self, Value};
-use crate::workloads;
 use crate::{fixture, Fixture};
 use sim_kernel::error::KResult;
 use sim_kernel::seccomp::{
@@ -55,7 +54,7 @@ fn run_profiled_workloads(f: &mut Fixture) -> KResult<()> {
     for _ in 0..WEB_REQUESTS {
         workload::web_request(&mut f.sys, client, web)?;
     }
-    workloads::compile(f, COMPILE_UNITS);
+    workload::compile(&mut f.sys, f.user, COMPILE_UNITS)?;
     Ok(())
 }
 
@@ -155,7 +154,7 @@ pub fn parse_profiles(text: &str) -> Result<Vec<ProfileSpec>, String> {
 }
 
 /// Renders the KASR-style attack-surface report: per binary, how much of
-/// the 46-variant ABI stays reachable under its derived allowlist (an
+/// the typed ABI ([`Syscall::COUNT`] variants) stays reachable under its derived allowlist (an
 /// unconfined binary reaches 100%), plus the average the acceptance
 /// criterion bounds below 50%.
 pub fn render_report(specs: &[ProfileSpec]) -> String {
@@ -405,7 +404,6 @@ mod tests {
                 whence: Whence::Set,
             },
             Syscall::Stat { path: path() },
-            Syscall::Lstat { path: path() },
             Syscall::Chmod {
                 path: path(),
                 mode: Mode(0o644),
@@ -510,7 +508,7 @@ mod tests {
 
     // Differential oracle for the thread-local selection memo against the
     // allow lists themselves: every committed profile plus one unprofiled
-    // binary, all 46 calls, in enforce mode. Each binary's turn checks two
+    // binary, one call per ABI variant, in enforce mode. Each binary's turn checks two
     // calls, so the memo alternates a miss (the binary changed) and a hit.
     // Midway the profiles reload with every allow list complemented,
     // between the two calls of one turn, so a memo entry that survived the

@@ -7,7 +7,6 @@
 
 use crate::json::{self, Value};
 use crate::micro::all_micro_ops;
-use crate::workloads;
 use crate::{both, fixture, overhead_pct, paired_median, quick_time_ns, Paired, MICRO_RUNS};
 use apparmor_lsm::{glob_match, AppArmorLsm, CompiledGlob};
 use sim_kernel::cred::{Credentials, Gid, Uid};
@@ -112,7 +111,9 @@ pub fn measure_macro(postal_msgs: u64, compile_units: u64, ab_requests: u64) -> 
 
     let mut fx = both();
     let p = paired_median(|protego| {
-        workloads::compile(&mut fx[protego as usize], compile_units).ns_per_op()
+        let f = &mut fx[protego as usize];
+        let build = workload::compile(&mut f.sys, f.user, compile_units).expect("compile");
+        build.as_nanos() as f64 / compile_units as f64
     });
     rows.push(Row::summary("Kernel compile (unit)".into(), p, Some(1.44)));
 
@@ -123,8 +124,11 @@ pub fn measure_macro(postal_msgs: u64, compile_units: u64, ab_requests: u64) -> 
             .each_mut()
             .map(|f| workload::start_web_service(&mut f.sys).expect("spawn httpd"));
         let p = paired_median(|protego| {
-            let side = protego as usize;
-            workloads::apache_bench(&mut fx[side], web[side], ab_requests, conc).ns_per_op()
+            let (f, web) = (&mut fx[protego as usize], web[protego as usize]);
+            let start = Instant::now();
+            let served = workload::apache_bench(&mut f.sys, f.user, web, ab_requests, conc);
+            assert_eq!(served, ab_requests, "every ApacheBench request is answered");
+            start.elapsed().as_nanos() as f64 / ab_requests as f64
         });
         rows.push(Row::summary(
             format!("ApacheBench c={}", conc),

@@ -5,9 +5,16 @@ use crate::cred::Uid;
 use crate::error::{Errno, KResult};
 use std::collections::{BTreeMap, VecDeque};
 
-/// A socket identity: index into the socket arena.
+/// A socket identity: a slot in the socket arena plus the generation of
+/// the socket in it. A closed socket's slot is reused under the next
+/// generation, so an id resolved from a descriptor before a concurrent
+/// close names no socket afterwards: the table answers `EBADF` for it
+/// instead of handing out the slot's new socket.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Debug)]
-pub struct SockId(pub usize);
+pub struct SockId {
+    pub(crate) slot: u32,
+    pub(crate) gen: u32,
+}
 
 /// Address/protocol family.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -95,8 +102,9 @@ pub const RX_KEEP_CAPACITY: usize = 64 * 1024;
 #[derive(Debug, Default)]
 pub struct NetStack {
     sockets: Vec<Option<Socket>>,
-    /// Closed slots, each with the emptied receive buffer of its last
-    /// socket, so a slot's next socket starts with that capacity.
+    /// Closed slots, each with the id its next socket gets (the next
+    /// generation) and the emptied receive buffer of its last socket, so
+    /// that socket starts with the buffer's capacity.
     free_ids: Vec<(SockId, VecDeque<u8>)>,
     ports: BTreeMap<(PortProto, u16), SockId>,
     next_ephemeral: u16,
@@ -121,19 +129,21 @@ impl NetStack {
         protocol: u8,
         owner_uid: Uid,
     ) -> SockId {
-        // Closed slots are recycled: the simulated kernel's close is
-        // global (one close destroys the socket), so an id never outlives
-        // its last descriptor. The slot's receive buffer comes back empty
-        // but keeps its capacity.
+        // Closed slots are recycled under a new generation, so an id of
+        // the slot's old socket stays dead. The slot's receive buffer
+        // comes back empty but keeps its capacity.
         let (id, rx_bytes) = match self.free_ids.pop() {
             Some(free) => free,
             None => {
-                let id = SockId(self.sockets.len());
+                let id = SockId {
+                    slot: self.sockets.len() as u32,
+                    gen: 0,
+                };
                 self.sockets.push(None);
                 (id, VecDeque::new())
             }
         };
-        self.sockets[id.0] = Some(Socket {
+        self.sockets[id.slot as usize] = Some(Socket {
             id,
             domain,
             stype,
@@ -151,20 +161,28 @@ impl NetStack {
         id
     }
 
-    /// Immutable socket access.
+    /// Immutable socket access; `EBADF` for a closed socket's id.
     pub fn get(&self, id: SockId) -> KResult<&Socket> {
         self.sockets
-            .get(id.0)
+            .get(id.slot as usize)
             .and_then(|s| s.as_ref())
+            .filter(|s| s.id == id)
             .ok_or(Errno::EBADF)
     }
 
-    /// Mutable socket access.
+    /// Mutable socket access; `EBADF` for a closed socket's id.
     pub fn get_mut(&mut self, id: SockId) -> KResult<&mut Socket> {
         self.sockets
-            .get_mut(id.0)
+            .get_mut(id.slot as usize)
             .and_then(|s| s.as_mut())
+            .filter(|s| s.id == id)
             .ok_or(Errno::EBADF)
+    }
+
+    /// The live sockets of the leading run of occupied slots, in slot
+    /// order: the scan stops at the first free slot.
+    pub(crate) fn leading(&self) -> impl Iterator<Item = &Socket> {
+        self.sockets.iter().map_while(Option::as_ref)
     }
 
     /// Binds a socket to a local address, claiming the port in the
@@ -232,7 +250,7 @@ impl NetStack {
                 p.state = StreamState::Reset;
             }
         }
-        let mut rx = self.sockets[id.0]
+        let mut rx = self.sockets[id.slot as usize]
             .take()
             .map(|s| s.rx_bytes)
             .unwrap_or_default();
@@ -240,7 +258,11 @@ impl NetStack {
             rx = VecDeque::new();
         }
         rx.clear();
-        self.free_ids.push((id, rx));
+        let next = SockId {
+            slot: id.slot,
+            gen: id.gen.wrapping_add(1),
+        };
+        self.free_ids.push((next, rx));
         Ok(())
     }
 
@@ -320,7 +342,9 @@ mod tests {
         let cap = ns.get(a).unwrap().rx_bytes.capacity();
         ns.close(a).unwrap();
         let b = ns.alloc(Domain::Unix, SockType::Stream, 0, Uid(1001));
-        assert_eq!(b, a, "the closed slot is reused");
+        assert_eq!(b.slot, a.slot, "the closed slot is reused");
+        assert_ne!(b, a, "under a new generation");
+        assert_eq!(ns.get(a).unwrap_err(), Errno::EBADF);
         let s = ns.get(b).unwrap();
         assert!(s.rx_bytes.is_empty(), "no byte survives the close");
         assert_eq!(s.rx_bytes.capacity(), cap);

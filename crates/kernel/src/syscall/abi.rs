@@ -279,11 +279,6 @@ syscalls! {
         /// Path to inspect.
         path: &'a str,
     } => "stat", Fs;
-    /// `lstat(2)`.
-    Lstat {
-        /// Path to inspect (not following a trailing symlink).
-        path: &'a str,
-    } => "lstat", Fs;
     /// `chmod(2)`.
     Chmod {
         /// Path to change.
@@ -817,7 +812,6 @@ impl Kernel {
                 wrap(self.sys_lseek(pid, *fd, *offset, *whence), SysRet::Size)
             }
             Syscall::Stat { path } => wrap(self.sys_stat(pid, path), SysRet::Stat),
-            Syscall::Lstat { path } => wrap(self.sys_lstat(pid, path), SysRet::Stat),
             Syscall::Chmod { path, mode } => {
                 wrap(self.sys_chmod(pid, path, *mode), |()| SysRet::Unit)
             }

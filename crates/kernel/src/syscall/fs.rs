@@ -225,14 +225,6 @@ impl Kernel {
         Ok(r)
     }
 
-    /// Like [`Kernel::walk`] but stops at a trailing symlink.
-    pub(crate) fn walk_nofollow(&self, pid: Pid, path: &str) -> KResult<Resolved> {
-        let cwd = self.task(pid)?.cwd;
-        let r = self.vfs.resolve_nofollow(cwd, path)?;
-        self.check_search(pid, &r.dirs)?;
-        Ok(r)
-    }
-
     /// Resolves the parent directory of `path` for task `pid` and runs
     /// [`Kernel::check_parent`] on it: the walk of every call that adds or
     /// removes a name. Returns the parent and the last name.
@@ -828,21 +820,6 @@ impl Kernel {
     /// `stat(2)`.
     pub fn sys_stat(&self, pid: Pid, path: &str) -> KResult<Stat> {
         let r = self.walk(pid, path)?;
-        let i = self.vfs.inode(r.ino);
-        Ok(Stat {
-            ino: i.ino,
-            mode: i.mode,
-            uid: i.uid,
-            gid: i.gid,
-            size: i.size(),
-            nlink: i.nlink,
-            is_dir: i.data.is_dir(),
-        })
-    }
-
-    /// `lstat(2)` — like stat but does not follow a trailing symlink.
-    pub fn sys_lstat(&self, pid: Pid, path: &str) -> KResult<Stat> {
-        let r = self.walk_nofollow(pid, path)?;
         let i = self.vfs.inode(r.ino);
         Ok(Stat {
             ino: i.ino,

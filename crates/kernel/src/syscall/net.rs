@@ -134,6 +134,11 @@ impl Kernel {
     /// `bind(2)`.
     pub fn sys_bind(&self, pid: Pid, fd: i32, addr: Ipv4, port: u16) -> KResult<()> {
         let sid = self.fd_socket(pid, fd)?;
+        self.bind_socket(pid, sid, addr, port)
+    }
+
+    /// [`Kernel::sys_bind`] on a resolved socket id.
+    fn bind_socket(&self, pid: Pid, sid: SockId, addr: Ipv4, port: u16) -> KResult<()> {
         let stype = self.net.read().get(sid)?.stype;
         if port != 0 && port < 1024 && !matches!(stype, SockType::Raw) {
             let cred = self.task(pid)?.cred.clone();
@@ -190,6 +195,11 @@ impl Kernel {
     /// `listen(2)`.
     pub fn sys_listen(&self, pid: Pid, fd: i32) -> KResult<()> {
         let sid = self.fd_socket(pid, fd)?;
+        self.listen_socket(sid)
+    }
+
+    /// [`Kernel::sys_listen`] on a resolved socket id.
+    fn listen_socket(&self, sid: SockId) -> KResult<()> {
         let mut net = self.net.write();
         let s = net.get_mut(sid)?;
         if !matches!(s.stype, SockType::Stream) {
@@ -217,6 +227,7 @@ impl Kernel {
                     // handshake mutates only the socket table, so one write
                     // guard covers it.
                     let mut net = self.net.write();
+                    net.get(sid)?; // a stale id fails before `alloc`
                     let (listener, owner_uid) = net
                         .port_owner(PortProto::Tcp, port)
                         .filter(|s| s.state == StreamState::Listening)
@@ -282,6 +293,11 @@ impl Kernel {
     /// receive the bytes.
     pub fn sys_send(&self, pid: Pid, fd: i32, data: &[u8]) -> KResult<usize> {
         let sid = self.fd_socket(pid, fd)?;
+        self.send_socket(pid, sid, data)
+    }
+
+    /// [`Kernel::sys_send`] on a resolved socket id.
+    fn send_socket(&self, pid: Pid, sid: SockId, data: &[u8]) -> KResult<usize> {
         let mut net = self.net.write();
         let s = net.get(sid)?;
         let (stype, peer, connected, state) = (s.stype, s.peer, s.connected, s.state);
@@ -305,7 +321,7 @@ impl Kernel {
             SockType::Dgram => {
                 drop(net);
                 let (addr, port) = connected.ok_or(Errno::ENOTCONN)?;
-                self.sys_sendto(pid, fd, addr, port, data)
+                self.sendto_socket(pid, sid, addr, port, data)
             }
             SockType::Raw => Err(Errno::EINVAL),
         }
@@ -316,6 +332,11 @@ impl Kernel {
     /// buffer is drained.
     pub fn sys_recv(&self, pid: Pid, fd: i32, buf: &mut Vec<u8>, max: usize) -> KResult<usize> {
         let sid = self.fd_socket(pid, fd)?;
+        self.recv_socket(sid, buf, max)
+    }
+
+    /// [`Kernel::sys_recv`] on a resolved socket id.
+    fn recv_socket(&self, sid: SockId, buf: &mut Vec<u8>, max: usize) -> KResult<usize> {
         let mut net = self.net.write();
         let s = net.get_mut(sid)?;
         match s.stype {
@@ -357,6 +378,18 @@ impl Kernel {
         data: &[u8],
     ) -> KResult<usize> {
         let sid = self.fd_socket(pid, fd)?;
+        self.sendto_socket(pid, sid, addr, port, data)
+    }
+
+    /// [`Kernel::sys_sendto`] on a resolved socket id.
+    fn sendto_socket(
+        &self,
+        pid: Pid,
+        sid: SockId,
+        addr: Ipv4,
+        port: u16,
+        data: &[u8],
+    ) -> KResult<usize> {
         if self.net.read().get(sid)?.bound.is_none() {
             self.net.write().bind(sid, Ipv4::ANY, 0)?;
         }
@@ -499,14 +532,10 @@ impl Kernel {
                 // Deliver the reply to raw ICMP sockets of the original
                 // sender's uid. One write guard covers scan and delivery.
                 let mut net = self.net.write();
-                let targets: Vec<SockId> = (0..)
-                    .map_while(|i| {
-                        net.get(SockId(i))
-                            .ok()
-                            .map(|s| (s.id, s.stype, s.owner_uid))
-                    })
-                    .filter(|(_, st, uid)| matches!(st, SockType::Raw) && *uid == pkt.sender_uid)
-                    .map(|(id, _, _)| id)
+                let targets: Vec<SockId> = net
+                    .leading()
+                    .filter(|s| matches!(s.stype, SockType::Raw) && s.owner_uid == pkt.sender_uid)
+                    .map(|s| s.id)
                     .collect();
                 for t in targets {
                     if let Ok(s) = net.get_mut(t) {
@@ -896,6 +925,47 @@ mod tests {
             .sys_socket(user, Domain::Inet, SockType::Dgram, 0)
             .unwrap();
         assert_eq!(k.sys_recv_packet(user, fd).unwrap_err(), Errno::EAGAIN);
+    }
+
+    /// An id resolved from a descriptor before another thread closes it
+    /// and a new socket takes the slot names no socket: `send`, `recv`,
+    /// `bind` and `listen` on it answer `EBADF` and leave the slot's new
+    /// socket as it was.
+    #[test]
+    fn a_stale_socket_id_is_ebadf_once_its_slot_is_reused() {
+        let (k, _, user) = boot();
+        let fd = k
+            .sys_socket(user, Domain::Inet, SockType::Stream, 0)
+            .unwrap();
+        let stale = k.fd_socket(user, fd).unwrap();
+        k.sys_close(user, fd).unwrap();
+        let other = k
+            .sys_socket(user, Domain::Inet, SockType::Stream, 0)
+            .unwrap();
+        let fresh = k.fd_socket(user, other).unwrap();
+        assert_eq!(fresh.slot, stale.slot, "the closed slot is reused");
+        k.net
+            .write()
+            .get_mut(fresh)
+            .unwrap()
+            .rx_bytes
+            .extend(b"mine");
+
+        let mut buf = Vec::new();
+        assert_eq!(k.send_socket(user, stale, b"x"), Err(Errno::EBADF));
+        assert_eq!(k.recv_socket(stale, &mut buf, 16), Err(Errno::EBADF));
+        assert_eq!(
+            k.bind_socket(user, stale, Ipv4::ANY, 9000),
+            Err(Errno::EBADF)
+        );
+        assert_eq!(k.listen_socket(stale), Err(Errno::EBADF));
+        assert!(buf.is_empty());
+
+        let net = k.net.read();
+        let s = net.get(fresh).unwrap();
+        assert_eq!(s.rx_bytes, b"mine");
+        assert_eq!((s.bound, s.state), (None, StreamState::Idle));
+        assert!(net.port_owner(PortProto::Tcp, 9000).is_none());
     }
 }
 

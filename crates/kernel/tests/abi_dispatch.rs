@@ -127,11 +127,6 @@ fn dispatch_is_equivalent_to_direct_for_every_variant() {
         .unit()
     );
     same!(
-        kd.sys_lstat(user, "/tmp/d/l"),
-        kv.dispatch(user, Syscall::Lstat { path: "/tmp/d/l" },)
-            .stat()
-    );
-    same!(
         kd.sys_chmod(user, "/tmp/d/f", Mode(0o600)),
         kv.dispatch(
             user,

@@ -253,7 +253,7 @@ fn pool_call(i: usize) -> Syscall<'static> {
     match i % POOL {
         0 => Syscall::Stat { path: "/tmp" },
         1 => Syscall::Stat { path: "/nope" },
-        2 => Syscall::Lstat { path: "/tmp" },
+        2 => Syscall::Chdir { path: "/tmp" },
         3 => Syscall::Readdir { path: "/" },
         4 => Syscall::Getuid,
         5 => Syscall::Geteuid,

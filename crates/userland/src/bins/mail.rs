@@ -7,7 +7,7 @@
 //! (binary, uid) application instance.
 
 use super::{fail, CatalogItem};
-use crate::system::{BinEntry, IoBufs, Proc, RunResult, System, SystemMode};
+use crate::system::{BinEntry, IoBufs, Proc, System, SystemMode};
 use sim_kernel::cred::Uid;
 use sim_kernel::error::{Errno, KResult};
 use sim_kernel::net::{Domain, Ipv4, SockType};
@@ -90,31 +90,41 @@ fn bind_service(p: &mut Proc<'_>, prog: &str, port: u16, drop_to: u32) -> Result
     Ok(fd)
 }
 
-/// `exim4 --daemon` — binds port 25 and leaves the listening socket open;
-/// the event loop is driven by [`exim_serve_one`].
+/// The port a `--daemon [--port N]` command line asks for: `N`, else
+/// `default`; `None` for any other command line.
+fn daemon_port(args: &[String], default: u16) -> Option<u16> {
+    match args {
+        [d] if d == "--daemon" => Some(default),
+        [d, p, n] if d == "--daemon" && p == "--port" => n.parse().ok(),
+        _ => None,
+    }
+}
+
+/// `exim4 --daemon [--port N]` — binds port 25 (or `N`) and leaves the
+/// listening socket open; the event loop is driven by [`exim_serve_one`].
 pub fn exim_main(p: &mut Proc<'_>) -> i32 {
     p.cov("start");
     // Historical exploit site: the MTA's setuid entry path
     // (CVE-2010-2023/2024, and sendmail's CVE-1999-0130/0203 class).
     p.vuln("parse_args");
-    if p.args.first().map(String::as_str) != Some("--daemon") {
-        p.println("usage: exim4 --daemon");
+    let Some(port) = daemon_port(&p.args, 25) else {
+        p.println("usage: exim4 --daemon [--port N]");
         return 2;
-    }
-    match bind_service(p, "exim4", 25, MAIL_UID) {
+    };
+    match bind_service(p, "exim4", port, MAIL_UID) {
         Ok(_) => 0,
         Err(code) => code,
     }
 }
 
-/// `httpd --daemon` — binds port 80.
+/// `httpd --daemon [--port N]` — binds port 80 (or `N`).
 pub fn httpd_main(p: &mut Proc<'_>) -> i32 {
     p.cov("start");
-    if p.args.first().map(String::as_str) != Some("--daemon") {
-        p.println("usage: httpd --daemon");
+    let Some(port) = daemon_port(&p.args, 80) else {
+        p.println("usage: httpd --daemon [--port N]");
         return 2;
-    }
-    match bind_service(p, "httpd", 80, WWW_UID) {
+    };
+    match bind_service(p, "httpd", port, WWW_UID) {
         Ok(_) => 0,
         Err(code) => code,
     }
@@ -146,112 +156,73 @@ pub fn rogue_main(p: &mut Proc<'_>) -> i32 {
 // ---------------------------------------------------------------------
 
 /// Handles one SMTP connection on the exim daemon task: accepts, reads
-/// `MAIL TO:<user>\n<body>`, delivers, replies `250 OK`.
-pub fn exim_serve_one(sys: &mut System, server: Pid, listen_fd: i32) -> KResult<String> {
+/// `MAIL TO:<user>\n<body>`, delivers, replies `250 OK` (or `451` when
+/// delivery fails). The connection is closed on every path.
+pub fn exim_serve_one(sys: &mut System, server: Pid, listen_fd: i32) -> KResult<()> {
     let conn = sys.process(server).accept(listen_fd)?;
-    let req = sys.process(server).recv(conn, 65536)?;
-    let text = String::from_utf8_lossy(&req).to_string();
-    let reply = match deliver(sys, server, &text) {
-        Ok(log) => {
-            sys.process(server).send(conn, b"250 OK\r\n")?;
-            log
-        }
-        Err(e) => {
-            sys.process(server).send(conn, b"451 delivery failed\r\n")?;
-            format!("delivery failed: {}", e)
-        }
-    };
-    sys.process(server).close(conn)?;
-    Ok(reply)
+    let run = (|| {
+        let req = sys.process(server).recv(conn, 65536)?;
+        let reply: &[u8] = match deliver(sys, server, &String::from_utf8_lossy(&req)) {
+            Ok(()) => b"250 OK\r\n",
+            Err(_) => b"451 delivery failed\r\n",
+        };
+        sys.process(server).send(conn, reply).map(drop)
+    })();
+    let closed = sys.process(server).close(conn);
+    run.and(closed)
 }
 
 /// Mail delivery (the §4.4 `.forward` case): consult the recipient's
 /// `~/.forward` if readable; on Protego the unprivileged MDA may not read
 /// it, in which case a diagnostic goes to the log and delivery proceeds
 /// to the spool.
-fn deliver(sys: &mut System, server: Pid, text: &str) -> KResult<String> {
-    let rcpt = text
+fn deliver(sys: &mut System, server: Pid, text: &str) -> KResult<()> {
+    let rcpt = recipient(text)?;
+    let body: String = text.lines().skip(1).collect::<Vec<_>>().join("\n");
+    sys.coverage.hit("/usr/sbin/exim4", "deliver");
+    crate::workload::as_legacy_root(sys, server, |sys| {
+        let forward_path = format!("/home/{}/.forward", rcpt);
+        let spool = format!("/var/mail/{}", rcpt);
+        let target = match sys.process(server).read_to_string(&forward_path) {
+            Ok(fwd) => {
+                sys.coverage.hit("/usr/sbin/exim4", "forward_used");
+                match fwd.trim() {
+                    "" => spool,
+                    t => t.to_string(),
+                }
+            }
+            Err(Errno::EACCES) => {
+                // Protego's answer: a clear warning in the log instead of
+                // a root-powered DAC bypass (§4.4).
+                sys.coverage.hit("/usr/sbin/exim4", "forward_unreadable");
+                let warn = format!(
+                    "warning: cannot read {} (permission denied); delivering to spool\n",
+                    forward_path
+                );
+                let _ = sys
+                    .kernel
+                    .append_file(server, "/var/log/exim4/mainlog", warn.as_bytes());
+                spool
+            }
+            Err(_) => spool,
+        };
+        let line = format!("From MTA: to {}\n{}\n\n", rcpt, body);
+        let result = sys.process(server).append_file(&target, line.as_bytes());
+        if result.is_err() {
+            sys.coverage.hit("/usr/sbin/exim4", "deliver_fail");
+        }
+        result
+    })
+}
+
+/// The recipient an SMTP request's `MAIL TO:<user>` first line names.
+pub(crate) fn recipient(request: &str) -> KResult<&str> {
+    request
         .lines()
         .next()
         .and_then(|l| l.strip_prefix("MAIL TO:<"))
         .and_then(|l| l.strip_suffix('>'))
-        .ok_or(Errno::EINVAL)?
-        .to_string();
-    let body: String = text.lines().skip(1).collect::<Vec<_>>().join("\n");
-    sys.coverage.hit("/usr/sbin/exim4", "deliver");
-
-    // The legacy MTA regains root for delivery (its saved uid is still
-    // 0); the Protego MTA has nothing to regain.
-    let legacy_raise = sys.mode == SystemMode::Legacy
-        && sys
-            .kernel
-            .task(server)
-            .map(|t| t.cred.suid.is_root() && !t.cred.euid.is_root())
-            .unwrap_or(false);
-    if legacy_raise {
-        sys.process(server).seteuid(Uid::ROOT)?;
-    }
-
-    let forward_path = format!("/home/{}/.forward", rcpt);
-    let target = match sys.process(server).read_to_string(&forward_path) {
-        Ok(fwd) => {
-            sys.coverage.hit("/usr/sbin/exim4", "forward_used");
-            let t = fwd.trim().to_string();
-            if t.is_empty() {
-                format!("/var/mail/{}", rcpt)
-            } else {
-                t
-            }
-        }
-        Err(Errno::EACCES) => {
-            // Protego's answer: a clear warning in the log instead of a
-            // root-powered DAC bypass (§4.4).
-            sys.coverage.hit("/usr/sbin/exim4", "forward_unreadable");
-            let warn = format!(
-                "warning: cannot read {} (permission denied); delivering to spool\n",
-                forward_path
-            );
-            let _ = sys
-                .kernel
-                .append_file(server, "/var/log/exim4/mainlog", warn.as_bytes());
-            format!("/var/mail/{}", rcpt)
-        }
-        Err(_) => format!("/var/mail/{}", rcpt),
-    };
-    let line = format!("From MTA: to {}\n{}\n\n", rcpt, body);
-    let result = match sys.process(server).append_file(&target, line.as_bytes()) {
-        Ok(()) => Ok(format!("delivered to {}", target)),
-        Err(e) => {
-            sys.coverage.hit("/usr/sbin/exim4", "deliver_fail");
-            Err(e)
-        }
-    };
-    if legacy_raise {
-        let _ = sys.process(server).seteuid(Uid(MAIL_UID));
-    }
-    result
-}
-
-/// Sends one message through the local SMTP port from `session`; returns
-/// the server's reply line.
-pub fn smtp_send(
-    sys: &mut System,
-    session: Pid,
-    server: Pid,
-    listen_fd: i32,
-    rcpt: &str,
-    body: &str,
-) -> KResult<String> {
-    let cli = sys
-        .process(session)
-        .socket(Domain::Inet, SockType::Stream, 0)?;
-    sys.process(session).connect(cli, Ipv4::LOOPBACK, 25)?;
-    let msg = format!("MAIL TO:<{}>\n{}", rcpt, body);
-    sys.process(session).send(cli, msg.as_bytes())?;
-    exim_serve_one(sys, server, listen_fd)?;
-    let reply = sys.process(session).recv(cli, 1024)?;
-    sys.process(session).close(cli)?;
-    Ok(String::from_utf8_lossy(&reply).to_string())
+        .ok_or(Errno::EINVAL)
 }
 
 /// The page served when the docroot is missing or unreadable.
@@ -264,12 +235,9 @@ pub const HTTPD_DOCROOT_INDEX: &str = "/var/www/index.html";
 /// request, and serves the docroot index — a stat + open + read + close
 /// per request, the per-request syscall mix ApacheBench measures —
 /// falling back to a fixed page if the docroot is absent or not UTF-8.
-pub fn httpd_serve_one(sys: &mut System, server: Pid, listen_fd: i32) -> KResult<()> {
-    sys.with_io(|sys, io| httpd_serve_one_with(sys, server, listen_fd, io))
-}
-
-/// [`httpd_serve_one`] filling and sending from lent buffers.
-pub(crate) fn httpd_serve_one_with(
+/// Fills and sends from lent buffers; the connection is closed on every
+/// path.
+pub(crate) fn httpd_serve_one(
     sys: &mut System,
     server: Pid,
     listen_fd: i32,
@@ -277,48 +245,26 @@ pub(crate) fn httpd_serve_one_with(
 ) -> KResult<()> {
     let mut p = sys.process(server);
     let conn = p.accept(listen_fd)?;
-    io.rx.clear();
-    p.recv_into(conn, &mut io.rx, 65536)?;
-    io.file.clear();
-    let page = match p.stat(HTTPD_DOCROOT_INDEX) {
-        Ok(_) => match p.read_file_into(HTTPD_DOCROOT_INDEX, &mut io.file) {
-            Ok(_) if std::str::from_utf8(&io.file).is_ok() => &io.file[..],
-            _ => HTTPD_FALLBACK_PAGE.as_bytes(),
-        },
-        Err(_) => HTTPD_FALLBACK_PAGE.as_bytes(),
-    };
-    io.tx.clear();
-    let _ = write!(
-        io.tx,
-        "HTTP/1.0 200 OK\r\nContent-Length: {}\r\n\r\n",
-        page.len()
-    );
-    io.tx.extend_from_slice(page);
-    p.send(conn, &io.tx)?;
-    p.close(conn)
-}
-
-/// One client HTTP request against the local httpd; returns the response.
-pub fn http_get(sys: &mut System, session: Pid, server: Pid, listen_fd: i32) -> KResult<String> {
-    let cli = sys
-        .process(session)
-        .socket(Domain::Inet, SockType::Stream, 0)?;
-    sys.process(session).connect(cli, Ipv4::LOOPBACK, 80)?;
-    sys.process(session).send(cli, b"GET / HTTP/1.0\r\n\r\n")?;
-    httpd_serve_one(sys, server, listen_fd)?;
-    let resp = sys.process(session).recv(cli, 65536)?;
-    sys.process(session).close(cli)?;
-    Ok(String::from_utf8_lossy(&resp).to_string())
-}
-
-/// Extracts the listening fd a daemon announced in its startup output.
-pub fn parse_listen_fd(startup: &RunResult) -> Option<i32> {
-    startup
-        .stdout
-        .split("(fd ")
-        .nth(1)?
-        .split(')')
-        .next()?
-        .parse()
-        .ok()
+    let run = (|| {
+        io.rx.clear();
+        p.recv_into(conn, &mut io.rx, 65536)?;
+        io.file.clear();
+        let page = match p.stat(HTTPD_DOCROOT_INDEX) {
+            Ok(_) => match p.read_file_into(HTTPD_DOCROOT_INDEX, &mut io.file) {
+                Ok(_) if std::str::from_utf8(&io.file).is_ok() => &io.file[..],
+                _ => HTTPD_FALLBACK_PAGE.as_bytes(),
+            },
+            Err(_) => HTTPD_FALLBACK_PAGE.as_bytes(),
+        };
+        io.tx.clear();
+        let _ = write!(
+            io.tx,
+            "HTTP/1.0 200 OK\r\nContent-Length: {}\r\n\r\n",
+            page.len()
+        );
+        io.tx.extend_from_slice(page);
+        p.send(conn, &io.tx).map(drop)
+    })();
+    let closed = p.close(conn);
+    run.and(closed)
 }

@@ -89,13 +89,6 @@ impl<'k> Process<'k> {
             .stat()
     }
 
-    /// `lstat(2)`.
-    pub fn lstat(&mut self, path: &str) -> KResult<Stat> {
-        self.kernel
-            .dispatch(self.pid, Syscall::Lstat { path })
-            .stat()
-    }
-
     /// `chmod(2)`.
     pub fn chmod(&mut self, path: &str, mode: Mode) -> KResult<()> {
         self.kernel

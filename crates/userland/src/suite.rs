@@ -6,9 +6,10 @@
 //! outcomes; the Table 7 generator runs it and reads the coverage
 //! counters.
 
-use crate::bins::mail;
-use crate::system::{System, SystemMode};
+use crate::system::{RunResult, System, SystemMode};
+use crate::workload::{self, Service};
 use sim_kernel::cred::Uid;
+use sim_kernel::error::KResult;
 use sim_kernel::net::{Domain, Ipv4, Packet, Route, SockType, L4};
 use sim_kernel::syscall::RouteOp;
 use sim_kernel::task::Pid;
@@ -23,6 +24,26 @@ pub struct StepOutcome {
     pub code: i32,
     /// Whether the step succeeded (exit 0).
     pub ok: bool,
+}
+
+impl StepOutcome {
+    /// Step `name`'s outcome: the exit of the command `r`.
+    fn ran(name: &'static str, r: &RunResult) -> StepOutcome {
+        StepOutcome {
+            name,
+            code: r.code,
+            ok: r.ok(),
+        }
+    }
+
+    /// Step `name`'s outcome: code 0 when it passed, else 1.
+    fn passed(name: &'static str, ok: bool) -> StepOutcome {
+        StepOutcome {
+            name,
+            code: if ok { 0 } else { 1 },
+            ok,
+        }
+    }
 }
 
 /// Sessions used by the battery.
@@ -79,11 +100,7 @@ pub fn run_functional_suite(sys: &mut System) -> Vec<StepOutcome> {
             // only reachable under fault injection; record it as a failed
             // step instead of tearing the battery down.
             match sys.run($session, $path, $args, $input) {
-                Ok(r) => out.push(StepOutcome {
-                    name: $name,
-                    code: r.code,
-                    ok: r.ok(),
-                }),
+                Ok(r) => out.push(StepOutcome::ran($name, &r)),
                 Err(_) => out.push(StepOutcome {
                     name: $name,
                     code: 127,
@@ -279,11 +296,7 @@ pub fn run_functional_suite(sys: &mut System) -> Vec<StepOutcome> {
     );
     // Within the window: no password needed (recency).
     match sys.run(s.carol, "/usr/bin/sudo", &["/bin/id"], &[]) {
-        Ok(r) => out.push(StepOutcome {
-            name: "sudo-carol-recency",
-            code: r.code,
-            ok: r.ok(),
-        }),
+        Ok(r) => out.push(StepOutcome::ran("sudo-carol-recency", &r)),
         Err(_) => out.push(StepOutcome {
             name: "sudo-carol-recency",
             code: 127,
@@ -665,11 +678,7 @@ pub fn run_divergence_suite(sys: &mut System) -> Vec<StepOutcome> {
     let r = sys
         .run(s.alice, "/home/alice/bin/myping", &["10.0.0.1"], &[])
         .expect("run myping");
-    out.push(StepOutcome {
-        name: "myping-custom-tool",
-        code: r.code,
-        ok: r.ok(),
-    });
+    out.push(StepOutcome::ran("myping-custom-tool", &r));
 
     // 2. The administrator removes the setuid bit from ping (hardening):
     //    on stock Linux the utility breaks for users; Protego is
@@ -678,11 +687,7 @@ pub fn run_divergence_suite(sys: &mut System) -> Vec<StepOutcome> {
     let r = sys
         .run(s.alice, "/bin/ping", &["10.0.0.1"], &[])
         .expect("run ping");
-    out.push(StepOutcome {
-        name: "ping-without-setuid-bit",
-        code: r.code,
-        ok: r.ok(),
-    });
+    out.push(StepOutcome::ran("ping-without-setuid-bit", &r));
     if sys.mode == SystemMode::Legacy {
         let _ = sys.process(s.root).chmod("/bin/ping", Mode(0o4755));
     }
@@ -739,11 +744,7 @@ pub fn run_divergence_suite(sys: &mut System) -> Vec<StepOutcome> {
     let r = sys
         .run(s.alice, "/usr/bin/tcptraceroute", &["8.8.8.8"], &[])
         .expect("run tcptraceroute");
-    out.push(StepOutcome {
-        name: "tcptraceroute-default-policy",
-        code: r.code,
-        ok: r.ok(),
-    });
+    out.push(StepOutcome::ran("tcptraceroute-default-policy", &r));
     out
 }
 
@@ -752,81 +753,29 @@ pub fn run_divergence_suite(sys: &mut System) -> Vec<StepOutcome> {
 pub fn run_service_suite(sys: &mut System) -> Vec<StepOutcome> {
     let mut out = Vec::new();
     let s = open_sessions(sys);
+    let accepted = |reply: KResult<String>| reply.is_ok_and(|r| r.starts_with("250"));
 
     // The mail server: root-started on legacy; the mail user on Protego.
-    let mail_session = match sys.mode {
-        SystemMode::Legacy => s.root,
-        SystemMode::Protego => sys.service_session(
-            sim_kernel::cred::Uid(mail::MAIL_UID),
-            sim_kernel::cred::Gid(8),
-            "/bin/sh",
-        ),
-    };
-    let (mta, startup) = sys
-        .spawn_service(mail_session, "/usr/sbin/exim4", &["--daemon"])
-        .expect("spawn exim");
-    out.push(StepOutcome {
-        name: "exim-bind-25",
-        code: startup.code,
-        ok: startup.ok(),
-    });
-    if let Some(fd) = mail::parse_listen_fd(&startup) {
-        let reply = mail::smtp_send(sys, s.bob, mta, fd, "alice", "hi alice").unwrap_or_default();
-        out.push(StepOutcome {
-            name: "smtp-deliver-alice",
-            code: if reply.starts_with("250") { 0 } else { 1 },
-            ok: reply.starts_with("250"),
-        });
-        let reply = mail::smtp_send(sys, s.alice, mta, fd, "bob", "hi bob").unwrap_or_default();
-        out.push(StepOutcome {
-            name: "smtp-deliver-bob",
-            code: if reply.starts_with("250") { 0 } else { 1 },
-            ok: reply.starts_with("250"),
-        });
+    let (mta, startup) = workload::launch(sys, workload::EXIM4, &["--daemon"]).expect("spawn exim");
+    out.push(StepOutcome::ran("exim-bind-25", &startup));
+    if let Some(srv) = Service::announced(mta, &startup, 25) {
+        let ok = accepted(workload::smtp_send(sys, s.bob, srv, "alice", "hi alice"));
+        out.push(StepOutcome::passed("smtp-deliver-alice", ok));
+        let ok = accepted(workload::smtp_send(sys, s.alice, srv, "bob", "hi bob"));
+        out.push(StepOutcome::passed("smtp-deliver-bob", ok));
     }
 
     // The rogue web service trying to take port 25 as well.
-    let rogue_session = match sys.mode {
-        SystemMode::Legacy => s.root,
-        SystemMode::Protego => sys.service_session(
-            sim_kernel::cred::Uid(mail::WWW_UID),
-            sim_kernel::cred::Gid(33),
-            "/bin/sh",
-        ),
-    };
-    let (_rogue, r) = sys
-        .spawn_service(rogue_session, "/usr/sbin/rogue-mta", &[])
-        .expect("spawn rogue");
-    out.push(StepOutcome {
-        name: "rogue-port25-attempt",
-        code: r.code,
-        ok: r.ok(),
-    });
+    let (_rogue, r) = workload::launch(sys, workload::ROGUE_MTA, &[]).expect("spawn rogue");
+    out.push(StepOutcome::ran("rogue-port25-attempt", &r));
 
     // The web server on port 80.
-    let web_session = match sys.mode {
-        SystemMode::Legacy => s.root,
-        SystemMode::Protego => sys.service_session(
-            sim_kernel::cred::Uid(mail::WWW_UID),
-            sim_kernel::cred::Gid(33),
-            "/bin/sh",
-        ),
-    };
-    let (web, startup) = sys
-        .spawn_service(web_session, "/usr/sbin/httpd", &["--daemon"])
-        .expect("spawn httpd");
-    out.push(StepOutcome {
-        name: "httpd-bind-80",
-        code: startup.code,
-        ok: startup.ok(),
-    });
-    if let Some(fd) = mail::parse_listen_fd(&startup) {
-        let resp = mail::http_get(sys, s.alice, web, fd).unwrap_or_default();
-        out.push(StepOutcome {
-            name: "http-get",
-            code: if resp.contains("200 OK") { 0 } else { 1 },
-            ok: resp.contains("200 OK"),
-        });
+    let (web, startup) =
+        workload::launch(sys, workload::HTTPD, &["--daemon"]).expect("spawn httpd");
+    out.push(StepOutcome::ran("httpd-bind-80", &startup));
+    if let Some(srv) = Service::announced(web, &startup, 80) {
+        let ok = workload::web_request(sys, s.alice, srv).is_ok();
+        out.push(StepOutcome::passed("http-get", ok));
     }
     out
 }

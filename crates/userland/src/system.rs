@@ -101,8 +101,8 @@ pub struct System {
     io: IoBufs,
 }
 
-/// The byte and path buffers the service loops (`httpd_serve_one`,
-/// `workload::web_request`, `workload::mail_delivery`) fill and send
+/// The byte and path buffers the service drivers of [`crate::workload`]
+/// and the daemons they drive fill and send
 /// from, kept on the [`System`] so a warm request reuses their capacity
 /// instead of allocating. Only capacity carries over: every user clears
 /// a buffer before filling it, so no bytes pass from one call to the next.
@@ -316,28 +316,6 @@ impl System {
         Ok(RunResult { code, stdout: out })
     }
 
-    /// Starts a long-running service: forks from `session`, execs `path`,
-    /// and runs its setup body, but leaves the task alive so its sockets
-    /// persist. Returns the service pid and the setup output.
-    pub fn spawn_service(
-        &mut self,
-        session: Pid,
-        path: &str,
-        args: &[&str],
-    ) -> KResult<(Pid, RunResult)> {
-        let child = self.process(session).fork()?;
-        let mut out = String::new();
-        let code = self.exec_into(child, path, &args_vec(args), &mut out);
-        Ok((child, RunResult { code, stdout: out }))
-    }
-
-    /// Creates a bare service session (a task for a daemon user), without
-    /// going through login.
-    pub fn service_session(&mut self, uid: Uid, gid: Gid, binary: &str) -> Pid {
-        self.kernel
-            .spawn_session(Credentials::user(uid, gid), binary)
-    }
-
     /// The exec half: transforms task `pid` into the program at `path` and
     /// runs its body, appending output to `out`.
     pub(crate) fn exec_into(
@@ -371,7 +349,7 @@ impl System {
     }
 }
 
-fn args_vec(args: &[&str]) -> Vec<String> {
+pub(crate) fn args_vec(args: &[&str]) -> Vec<String> {
     args.iter().map(|s| s.to_string()).collect()
 }
 

@@ -4,7 +4,7 @@
 //!
 //! Run with `cargo run --example mail_server`.
 
-use protego::userland::bins::mail;
+use protego::userland::workload::{self, Service};
 use protego::userland::{boot, SystemMode};
 
 fn main() {
@@ -15,22 +15,11 @@ fn main() {
         let mut sys = boot(mode);
         let init = sys.init_pid();
 
-        let session = match mode {
-            SystemMode::Legacy => sys.login("root", "rootpw").unwrap(),
-            SystemMode::Protego => sys.service_session(
-                protego::kernel::cred::Uid(mail::MAIL_UID),
-                protego::kernel::cred::Gid(8),
-                "/bin/sh",
-            ),
-        };
-        let who = sys.kernel.task(session).unwrap().cred.euid.0;
-        println!("MTA starts as uid {}", who);
-        let (mta, startup) = sys
-            .spawn_service(session, "/usr/sbin/exim4", &["--daemon"])
-            .unwrap();
-        print!("{}", startup.stdout);
-        let fd = mail::parse_listen_fd(&startup).unwrap();
+        let (mta, startup) = workload::launch(&mut sys, workload::EXIM4, &["--daemon"]).unwrap();
         let after = sys.kernel.task(mta).unwrap().cred.clone();
+        println!("MTA starts as uid {}", after.ruid.0);
+        print!("{}", startup.stdout);
+        let srv = Service::announced(mta, &startup, 25).unwrap();
         println!(
             "after bind: euid={} suid={}  ({})",
             after.euid.0,
@@ -44,7 +33,7 @@ fn main() {
 
         // bob mails alice; alice has a private ~/.forward.
         let bob = sys.login("bob", "bobpw").unwrap();
-        let reply = mail::smtp_send(&mut sys, bob, mta, fd, "alice", "lunch?").unwrap();
+        let reply = workload::smtp_send(&mut sys, bob, srv, "alice", "lunch?").unwrap();
         println!("SMTP reply: {}", reply.trim());
 
         let inbox = sys

@@ -5,7 +5,7 @@
 //! Run with `cargo run --example network_tools`.
 
 use protego::kernel::net::{Domain, Ipv4, Packet, SockType, L4};
-use protego::userland::bins::mail;
+use protego::userland::workload;
 use protego::userland::{boot, SystemMode};
 
 fn main() {
@@ -102,24 +102,10 @@ fn main() {
     for line in map.lines() {
         println!("  {}", line);
     }
-    let mail_session = protego.service_session(
-        protego::kernel::cred::Uid(mail::MAIL_UID),
-        protego::kernel::cred::Gid(8),
-        "/bin/sh",
-    );
-    let (_, startup) = protego
-        .spawn_service(mail_session, "/usr/sbin/exim4", &["--daemon"])
-        .unwrap();
+    let (_, startup) = workload::launch(&mut protego, workload::EXIM4, &["--daemon"]).unwrap();
     print!("{}", startup.stdout);
     println!("  (the mail user bound port 25 — no root moment at startup)");
-    let www = protego.service_session(
-        protego::kernel::cred::Uid(mail::WWW_UID),
-        protego::kernel::cred::Gid(33),
-        "/bin/sh",
-    );
-    let (_, r) = protego
-        .spawn_service(www, "/usr/sbin/rogue-mta", &[])
-        .unwrap();
+    let (_, r) = workload::launch(&mut protego, workload::ROGUE_MTA, &[]).unwrap();
     print!("{}", r.stdout);
     println!("  (the web binary cannot moonlight as a mail server — §4.1.3)");
 }

@@ -3,7 +3,7 @@
 //! when they are removed.
 
 use protego::kernel::vfs::Mode;
-use protego::userland::{boot, SystemMode};
+use protego::userland::{boot, workload, SystemMode};
 
 #[test]
 fn sudoers_d_rule_revokes_on_file_removal() {
@@ -69,7 +69,6 @@ fn fstab_entry_revokes_on_removal() {
 
 #[test]
 fn bind_allocation_revokes_and_reassigns() {
-    use protego::kernel::cred::{Gid, Uid};
     let mut sys = boot(SystemMode::Protego);
     let root = sys.login("root", "rootpw").unwrap();
 
@@ -85,14 +84,10 @@ fn bind_allocation_revokes_and_reassigns() {
     assert!(sys.sync_policies().unwrap());
 
     // The mail user's exim is now refused...
-    let mail = sys.service_session(Uid(8), Gid(8), "/bin/sh");
-    let (_, r) = sys
-        .spawn_service(mail, "/usr/sbin/exim4", &["--daemon"])
-        .unwrap();
+    let (_, r) = workload::launch(&mut sys, workload::EXIM4, &["--daemon"]).unwrap();
     assert!(!r.ok(), "{}", r.stdout);
     // ...and the newly blessed instance gets the port.
-    let www = sys.service_session(Uid(33), Gid(33), "/bin/sh");
-    let (_, r) = sys.spawn_service(www, "/usr/sbin/rogue-mta", &[]).unwrap();
+    let (_, r) = workload::launch(&mut sys, workload::ROGUE_MTA, &[]).unwrap();
     assert!(r.ok(), "{}", r.stdout);
 }
 
