@@ -55,17 +55,15 @@ cargo test -q --release --test alloc_gates
 
 echo "== smoke bench: BENCH_table5.json regenerates and validates =="
 # Low-iteration run of the Table 5 micro/macro/hot-path rows, every one
-# timed by the paired interleaved median-of-K estimator; fails if the document
-# is missing, malformed, the hot-path speedups regress below 2x, or the
-# caches report zero hits. The committed full document must carry the
-# bench_table5/v2 schema (paired micro samples embedded) and pass the
-# per-row <=10% micro overhead budget that bench-verify enforces on
-# full runs.
+# timed by the paired interleaved median-of-K estimator. bench-json
+# writes the document first, then judges it and lists every failing row
+# (a hot-path speedup below 2x, a cache with zero hits, a short sample
+# array, ...), exiting non-zero if there is one. bench-verify decodes the
+# committed full document (it fails on a missing file and on any schema
+# but bench_table5/v2) and judges it the same way, with the per-row
+# <=10% micro and <1% seccomp overhead budgets enforced on full runs.
 cargo run --release -p bench --bin tables -- bench-json --quick --out target/BENCH_table5.smoke.json
 cargo run --release -p bench --bin tables -- bench-verify target/BENCH_table5.smoke.json
-test -s BENCH_table5.json || { echo "error: committed BENCH_table5.json missing" >&2; exit 1; }
-grep -q '"schema": *"bench_table5/v2"' BENCH_table5.json \
-    || { echo "error: committed BENCH_table5.json is not schema bench_table5/v2" >&2; exit 1; }
 cargo run --release -p bench --bin tables -- bench-verify BENCH_table5.json
 
 echo "== smoke seccomp: committed profiles are fresh and enforce cleanly =="

@@ -2,15 +2,16 @@
 //!
 //! ```text
 //! tables [table1|table2|table3|table4|table5|table6|table7|table8|ablations|all] [--quick]
-//! tables bench-json [--quick] [--out PATH]   # write BENCH_table5.json
-//! tables bench-verify PATH                   # validate a results file (schema-dispatched)
+//! tables bench-json [--quick] [--out PATH]   # write BENCH_table5.json, then judge it
+//! tables bench-verify PATH                   # judge a results file (schema-dispatched)
 //! tables replay-smoke                        # record + replay determinism check
 //! tables seccomp-derive [--smoke] [--check] [--out PATH]  # derive per-binary allowlists -> SECCOMP_PROFILES.json
 //! tables seccomp-report [PATH]               # KASR-style attack-surface report from a profiles file
 //! tables fuzz [--seed N] [--mins M] [--smoke]  # adversarial differential fuzzing (legacy vs Protego)
 //! ```
 
-use bench::{json, seccomp_derive, table5};
+use bench::seccomp_derive;
+use bench::table5::{self, Sizes, Table5Doc};
 use setuid_study::render;
 use setuid_study::summary::{table1, MeasuredInputs};
 use userland::suite::{run_divergence_suite, run_functional_suite, run_service_suite};
@@ -51,8 +52,12 @@ fn main() {
     }
 
     let all = which == "all";
+    // Table 5 and Table 1 print from one measured document.
+    let sizes = Sizes::new(quick);
+    let doc = std::cell::OnceCell::new();
+    let measured = || doc.get_or_init(|| Table5Doc::measure(sizes));
     if all || which == "table5" {
-        print_table5(quick);
+        print_table5(measured(), sizes);
     }
     if all || which == "table6" {
         print_table6();
@@ -61,7 +66,7 @@ fn main() {
         print_table7();
     }
     if all || which == "table1" {
-        print_table1(quick);
+        print_table1(measured());
     }
     if all || which == "table2" {
         println!("{}", render::render_table2(setuid_study::loc::TABLE2));
@@ -90,40 +95,73 @@ fn main() {
     }
 }
 
-fn bench_sizes(quick: bool) -> (u32, u32, u64, u64, u64) {
-    if quick {
-        (10, 200, 50, 20, 100)
-    } else {
-        (100, 5_000, 500, 200, 1_000)
+/// Prints an error line per failure of the document at `path`, and exits
+/// non-zero if there is one.
+fn exit_on_failures(path: &str, failures: &[String]) {
+    for failure in failures {
+        eprintln!("error: {}: {}", path, failure);
+    }
+    if !failures.is_empty() {
+        std::process::exit(1);
     }
 }
 
-fn print_table5(quick: bool) {
-    let (warm, iters, postal, compile, ab) = bench_sizes(quick);
+/// The decoded document at `path`, once `check` finds nothing wrong with
+/// it; otherwise the decode error or every check failure is printed and
+/// the run exits non-zero.
+fn judged<T>(path: &str, decoded: Result<T, String>, check: impl FnOnce(&T) -> Vec<String>) -> T {
+    let failures = decoded.as_ref().map_or_else(|e| vec![e.clone()], check);
+    exit_on_failures(path, &failures);
+    decoded.expect("a document that does not decode exits above")
+}
+
+/// The value after `--out`, or `default`.
+fn out_path(args: &[String], default: &str) -> String {
+    let i = args.iter().position(|a| a == "--out");
+    i.and_then(|i| args.get(i + 1))
+        .map_or(default, |s| s)
+        .to_string()
+}
+
+/// The file named after the subcommand, or `default`.
+fn path_arg(args: &[String], default: &str) -> String {
+    let mut positional = args.iter().filter(|a| !a.starts_with("--"));
+    positional.nth(1).map_or(default, |s| s).to_string()
+}
+
+/// The text of the file at `path`; a read error exits non-zero, with
+/// `hint` after the error.
+fn read_or_exit(path: &str, hint: &str) -> String {
+    std::fs::read_to_string(path).unwrap_or_else(|e| {
+        eprintln!("error: cannot read {}: {}{}", path, e, hint);
+        std::process::exit(1);
+    })
+}
+
+fn print_table5(doc: &Table5Doc, sizes: Sizes) {
     println!("== Table 5: Protego overheads vs Linux(+AppArmor) ==");
     println!("(simulated-kernel operation costs; the comparable quantity is %OH)\n");
-    let mut rows = table5::measure_micro(warm, iters);
-    rows.extend(table5::measure_macro(postal, compile, ab));
-    println!("{}", table5::render(&rows));
+    let rows = || doc.micro.iter().chain(&doc.macro_rows);
+    println!("{}", table5::render(rows()));
     println!(
         "  max measured overhead: {:.2}%  (paper: <= 7.4%)\n",
-        table5::max_overhead(&rows)
+        table5::max_overhead(rows())
     );
     let mut f = bench::fixture(SystemMode::Protego);
-    let abi = bench::micro::dispatch_overhead(&mut f, warm, iters);
+    let abi = bench::micro::dispatch_overhead(&mut f, sizes.warmup, sizes.iters);
     println!(
         "  syscall ABI dispatch: direct {:.0} ns, dispatched {:.0} ns ({:+.2}%)",
         abi.base_ns(),
         abi.variant_ns(),
         abi.overhead_pct(),
     );
-    let seccomp = table5::measure_dispatch_seccomp(warm, iters);
+    let seccomp = &doc.dispatch_seccomp;
     println!(
         "  seccomp hot path: dispatch off {:.0} ns, enforcing profile {:.0} ns ({:+.2}%, budget <{:.0}%)\n",
-        seccomp.base_ns(),
-        seccomp.variant_ns(),
-        seccomp.overhead_pct(),
-        json::DISPATCH_SECCOMP_BUDGET_PCT,
+        seccomp.base_ns,
+        seccomp.seccomp_ns,
+        seccomp.overhead_pct,
+        table5::DISPATCH_SECCOMP_BUDGET_PCT,
     );
 }
 
@@ -250,83 +288,47 @@ fn print_table7() {
     println!();
 }
 
-fn print_table1(quick: bool) {
+fn print_table1(doc: &Table5Doc) {
     println!("== Table 1: summary ==");
     let s = exploits::replay_corpus();
-    let (warm, iters, ..) = bench_sizes(quick);
-    let rows = table5::measure_micro(warm, iters);
     let t = table1(MeasuredInputs {
         exploits_escalated_legacy: s.escalated_legacy,
         exploits_escalated_protego: s.escalated_protego,
         exploits_total: s.per_cve.len() as u32,
-        max_overhead_pct: table5::max_overhead(&rows),
+        max_overhead_pct: table5::max_overhead(&doc.micro),
     });
     println!("{}", render::render_table1(&t));
 }
 
+/// Measures Table 5, writes the document, prints its summary, then
+/// judges it: every failing row is printed and the run exits non-zero,
+/// with the document left on disk for inspection.
 fn run_bench_json(quick: bool, args: &[String]) {
-    let out = args
-        .iter()
-        .position(|a| a == "--out")
-        .and_then(|i| args.get(i + 1))
-        .cloned()
-        .unwrap_or_else(|| "BENCH_table5.json".to_string());
-    let (warm, iters, postal, compile, ab) = bench_sizes(quick);
+    let out = out_path(args, "BENCH_table5.json");
     eprintln!(
         "generating {} ({} mode)...",
         out,
         if quick { "quick" } else { "full" }
     );
-    let mut text = table5::table5_json(quick, warm, iters, postal, compile, ab);
-    text.push('\n');
-    if let Err(e) = json::validate_table5(&text) {
-        eprintln!("error: generated document fails validation: {}", e);
-        std::process::exit(1);
-    }
-    if let Err(e) = std::fs::write(&out, &text) {
+    let doc = Table5Doc::measure(Sizes::new(quick));
+    if let Err(e) = std::fs::write(&out, doc.to_json() + "\n") {
         eprintln!("error: cannot write {}: {}", out, e);
         std::process::exit(1);
     }
-    // Human summary of the machine-readable file.
-    let doc = json::parse(&text).expect("self-emitted JSON parses");
-    if let Some(rows) = doc.get("hotpath").and_then(json::Value::as_arr) {
-        for r in rows {
-            println!(
-                "  hotpath {:<16} {:>10.0} ns -> {:>8.0} ns  ({:.1}x)",
-                r.get("name").and_then(json::Value::as_str).unwrap_or("?"),
-                r.get("before_ns")
-                    .and_then(json::Value::as_f64)
-                    .unwrap_or(0.0),
-                r.get("after_ns")
-                    .and_then(json::Value::as_f64)
-                    .unwrap_or(0.0),
-                r.get("speedup")
-                    .and_then(json::Value::as_f64)
-                    .unwrap_or(0.0),
-            );
-        }
+    for r in &doc.hotpath {
+        println!(
+            "  hotpath {:<16} {:>10.0} ns -> {:>8.0} ns  ({:.1}x)",
+            r.name, r.before_ns, r.after_ns, r.speedup,
+        );
     }
-    if let Some(caches) = doc.get("cache_metrics").and_then(json::Value::as_obj) {
-        for (name, stats) in caches {
-            println!(
-                "  cache {:<24} hits={} misses={} invalidations={}",
-                name,
-                stats
-                    .get("hits")
-                    .and_then(json::Value::as_f64)
-                    .unwrap_or(0.0),
-                stats
-                    .get("misses")
-                    .and_then(json::Value::as_f64)
-                    .unwrap_or(0.0),
-                stats
-                    .get("invalidations")
-                    .and_then(json::Value::as_f64)
-                    .unwrap_or(0.0),
-            );
-        }
+    for (name, c) in &doc.caches {
+        println!(
+            "  cache {:<24} hits={} misses={} invalidations={}",
+            name, c.hits, c.misses, c.invalidations,
+        );
     }
     println!("wrote {}", out);
+    exit_on_failures(&out, &doc.check());
 }
 
 /// Derives the per-binary syscall allowlists from a full battery +
@@ -336,22 +338,13 @@ fn run_bench_json(quick: bool, args: &[String]) {
 fn run_seccomp_derive(args: &[String]) {
     let smoke = args.iter().any(|a| a == "--smoke");
     let check = args.iter().any(|a| a == "--check");
-    let out = args
-        .iter()
-        .position(|a| a == "--out")
-        .and_then(|i| args.get(i + 1))
-        .cloned()
-        .unwrap_or_else(|| "SECCOMP_PROFILES.json".to_string());
+    let out = out_path(args, "SECCOMP_PROFILES.json");
     eprintln!(
         "deriving syscall allowlists (batteries + web/mail/compile workloads, both images)..."
     );
     let specs = seccomp_derive::derive_profiles();
-    let mut text = seccomp_derive::profiles_json(&specs);
-    text.push('\n');
-    if let Err(e) = json::validate_seccomp_profiles(&text) {
-        eprintln!("error: derived document fails validation: {}", e);
-        std::process::exit(1);
-    }
+    let text = seccomp_derive::to_json(&specs) + "\n";
+    exit_on_failures("derived profiles", &seccomp_derive::check(&specs));
     eprintln!(
         "verifying enforcement ({} mode): batteries must reproduce baseline outcomes with zero violations...",
         if smoke { "smoke" } else { "full" }
@@ -367,16 +360,7 @@ fn run_seccomp_derive(args: &[String]) {
         }
     }
     if check {
-        let committed = match std::fs::read_to_string(&out) {
-            Ok(t) => t,
-            Err(e) => {
-                eprintln!(
-                    "error: cannot read {}: {} (run `tables seccomp-derive` to create it)",
-                    out, e
-                );
-                std::process::exit(1);
-            }
-        };
+        let committed = read_or_exit(&out, " (run `tables seccomp-derive` to create it)");
         if committed != text {
             eprintln!(
                 "error: {} is stale: a fresh derivation disagrees; re-run `tables seccomp-derive`",
@@ -398,67 +382,28 @@ fn run_seccomp_derive(args: &[String]) {
 /// Prints the KASR-style attack-surface report from a committed (or
 /// freshly written) `seccomp_profiles/v1` document.
 fn run_seccomp_report(args: &[String]) {
-    let path = args
-        .iter()
-        .filter(|a| !a.starts_with("--"))
-        .nth(1)
-        .cloned()
-        .unwrap_or_else(|| "SECCOMP_PROFILES.json".to_string());
-    let text = match std::fs::read_to_string(&path) {
-        Ok(t) => t,
-        Err(e) => {
-            eprintln!(
-                "error: cannot read {}: {} (run `tables seccomp-derive` first)",
-                path, e
-            );
-            std::process::exit(1);
-        }
-    };
-    let specs = match seccomp_derive::parse_profiles(&text) {
-        Ok(s) => s,
-        Err(e) => {
-            eprintln!("error: {} is invalid: {}", path, e);
-            std::process::exit(1);
-        }
-    };
+    let path = path_arg(args, "SECCOMP_PROFILES.json");
+    let text = read_or_exit(&path, " (run `tables seccomp-derive` first)");
+    let specs = judged(&path, seccomp_derive::from_json(&text), |s| {
+        seccomp_derive::check(s)
+    });
     print!("{}", seccomp_derive::render_report(&specs));
 }
 
 fn run_bench_verify(args: &[String]) {
-    let path = args
-        .iter()
-        .filter(|a| !a.starts_with("--"))
-        .nth(1)
-        .cloned()
-        .unwrap_or_else(|| "BENCH_table5.json".to_string());
-    let text = match std::fs::read_to_string(&path) {
-        Ok(t) => t,
-        Err(e) => {
-            eprintln!("error: cannot read {}: {}", path, e);
-            std::process::exit(1);
-        }
-    };
-    // Dispatch on the document's own schema tag.
-    let schema = json::parse(&text)
-        .ok()
-        .and_then(|d| {
-            d.get("schema")
-                .and_then(json::Value::as_str)
-                .map(String::from)
-        })
-        .unwrap_or_default();
-    let checked = if schema == json::SECCOMP_SCHEMA {
-        json::validate_seccomp_profiles(&text)
+    let path = path_arg(args, "BENCH_table5.json");
+    let text = read_or_exit(&path, "");
+    // Dispatch on the schema tag: a document that names the seccomp
+    // schema is judged as profiles, any other as Table 5, whose decoder
+    // rejects every tag but its own.
+    if text.contains(seccomp_derive::SECCOMP_SCHEMA) {
+        judged(&path, seccomp_derive::from_json(&text), |s| {
+            seccomp_derive::check(s)
+        });
     } else {
-        json::validate_table5(&text)
-    };
-    match checked {
-        Ok(()) => println!("{}: OK", path),
-        Err(e) => {
-            eprintln!("error: {} is invalid: {}", path, e);
-            std::process::exit(1);
-        }
+        judged(&path, Table5Doc::from_json(&text), Table5Doc::check);
     }
+    println!("{}: OK", path);
 }
 
 fn print_ablations(quick: bool) {

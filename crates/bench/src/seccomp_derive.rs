@@ -10,10 +10,11 @@
 //! simulated typed ABI ([`Syscall::COUNT`] variants).
 //!
 //! The derived profiles are exchanged as the committed
-//! `SECCOMP_PROFILES.json` (schema [`json::SECCOMP_SCHEMA`]) and verified
-//! by [`enforcement_check`]: the same batteries re-run with the profiles
-//! loaded and the kernel in enforce mode must reproduce the baseline
-//! outcomes with zero recorded violations.
+//! `SECCOMP_PROFILES.json` (schema [`SECCOMP_SCHEMA`]): written by
+//! [`to_json`], read straight back into specs by [`from_json`], judged by
+//! [`check`], and verified by [`enforcement_check`]: the same batteries
+//! re-run with the profiles loaded and the kernel in enforce mode must
+//! reproduce the baseline outcomes with zero recorded violations.
 //!
 //! Every workload here uses *fixed* operation counts — derivation is a
 //! coverage question, not a timing one — so a re-derivation reproduces the
@@ -23,13 +24,19 @@
 use crate::json::{self, Value};
 use crate::{fixture, Fixture};
 use sim_kernel::error::KResult;
-use sim_kernel::seccomp::{
-    render_profile_line, ProfileRecorder, ProfileSpec, Seccomp, SeccompMode,
-};
+use sim_kernel::seccomp::{Action, ProfileRecorder, ProfileSpec, SeccompMode};
 use sim_kernel::syscall::Syscall;
+use std::collections::BTreeSet;
 use userland::suite::{run_functional_suite, run_service_suite, StepOutcome};
 use userland::workload;
 use userland::SystemMode;
+
+/// The schema tag of committed `SECCOMP_PROFILES.json` documents.
+pub const SECCOMP_SCHEMA: &str = "seccomp_profiles/v1";
+
+/// The acceptance ceiling on the average per-binary ABI reachability of
+/// a profile set, in percent.
+pub const SECCOMP_AVG_REACHABLE_PCT: f64 = 50.0;
 
 /// SMTP deliveries in the profiled mail workload.
 pub const MAIL_DELIVERIES: u64 = 16;
@@ -94,63 +101,139 @@ pub fn average_pct(specs: &[ProfileSpec]) -> f64 {
     specs.iter().map(reachable_pct).sum::<f64>() / specs.len() as f64
 }
 
-/// Renders the derived profiles as a `seccomp_profiles/v1` document
-/// (hand-rolled JSON, one `binaries` entry per profile in ABI-name order,
-/// plus the aggregate attack-surface number the acceptance gate checks).
-pub fn profiles_json(specs: &[ProfileSpec]) -> String {
-    let binaries = specs
-        .iter()
-        .map(|s| {
-            Value::Obj(vec![
-                ("binary".into(), Value::Str(s.binary.clone())),
-                ("default".into(), Value::Str(s.deny_action.render())),
-                (
-                    "syscalls".into(),
-                    Value::Arr(s.allow.iter().map(|n| Value::Str(n.clone())).collect()),
-                ),
-                ("count".into(), Value::Num(s.allow.len() as f64)),
-                ("pct".into(), Value::Num(reachable_pct(s))),
-            ])
-        })
-        .collect();
+/// Renders profiles as a `seccomp_profiles/v1` document (compact, no
+/// trailing newline): one `binaries` entry per profile, each with its
+/// `count` and `pct` of the ABI, plus the `average_pct` that [`check`]
+/// bounds.
+pub fn to_json(specs: &[ProfileSpec]) -> String {
+    let binary = |s: &ProfileSpec| {
+        Value::Obj(vec![
+            ("binary".into(), Value::Str(s.binary.clone())),
+            ("default".into(), Value::Str(s.deny_action.render())),
+            (
+                "syscalls".into(),
+                Value::Arr(s.allow.iter().cloned().map(Value::Str).collect()),
+            ),
+            ("count".into(), Value::Num(s.allow.len() as f64)),
+            ("pct".into(), Value::Num(reachable_pct(s))),
+        ])
+    };
     Value::Obj(vec![
-        ("schema".into(), Value::Str(json::SECCOMP_SCHEMA.into())),
+        ("schema".into(), Value::Str(SECCOMP_SCHEMA.into())),
         ("abi_count".into(), Value::Num(Syscall::COUNT as f64)),
-        ("binaries".into(), Value::Arr(binaries)),
+        (
+            "binaries".into(),
+            Value::Arr(specs.iter().map(binary).collect()),
+        ),
         ("average_pct".into(), Value::Num(average_pct(specs))),
     ])
     .render()
 }
 
-/// Parses a `seccomp_profiles/v1` document back into loadable specs, via
-/// the kernel's own profile-line grammar so both exchange forms agree on
-/// what a valid profile is.
-pub fn parse_profiles(text: &str) -> Result<Vec<ProfileSpec>, String> {
-    json::validate_seccomp_profiles(text)?;
-    let doc = json::parse(text)?;
-    let mut lines = String::new();
-    for b in doc
-        .get("binaries")
-        .and_then(Value::as_arr)
-        .unwrap_or_default()
-    {
-        let binary = b.get("binary").and_then(Value::as_str).unwrap_or_default();
-        let default = b.get("default").and_then(Value::as_str).unwrap_or_default();
-        let allow: Vec<&str> = b
-            .get("syscalls")
-            .and_then(Value::as_arr)
-            .unwrap_or_default()
-            .iter()
-            .filter_map(Value::as_str)
-            .collect();
-        lines.push_str(&format!(
-            "profile {} default={} allow={}\n",
-            binary,
-            default,
-            allow.join(",")
+/// Decodes a `seccomp_profiles/v1` document straight into specs: the
+/// schema tag, `abi_count` matching the typed ABI, then per entry the
+/// `binary`, the `default` action ([`Action::parse`]) and
+/// the `syscalls` list, with `count` and `pct` consistent with that list
+/// and `average_pct` with the per-binary percentages (to 0.05 points).
+/// Names, duplicates and the ceiling are [`check`]'s.
+pub fn from_json(text: &str) -> Result<Vec<ProfileSpec>, String> {
+    let doc = json::parse(text).map_err(|e| format!("not valid JSON: {}", e))?;
+    let schema = doc.field("schema", Value::as_str)?;
+    if schema != SECCOMP_SCHEMA {
+        return Err(format!(
+            "schema {:?}, expected {:?}",
+            schema, SECCOMP_SCHEMA
         ));
     }
-    Seccomp::parse_profiles_text(&lines)
+    let abi = doc.field("abi_count", Value::as_u64)?;
+    if abi != Syscall::COUNT as u64 {
+        return Err(format!(
+            "abi_count {} does not match the {}-variant typed ABI",
+            abi,
+            Syscall::COUNT
+        ));
+    }
+    let names = |v: &Value| -> Option<Vec<String>> {
+        let names = v.as_arr()?.iter().map(|n| n.as_str().map(String::from));
+        names.collect()
+    };
+    // One `binaries` entry, with the `pct` it reports.
+    let entry = |b: &Value| -> Result<(ProfileSpec, f64), String> {
+        let spec = ProfileSpec {
+            binary: b.field("binary", Value::as_str)?.to_string(),
+            allow: b.field("syscalls", names)?,
+            deny_action: b.field("default", Value::as_str).and_then(Action::parse)?,
+        };
+        let (count, listed) = (b.field("count", Value::as_u64)?, spec.allow.len());
+        let fail = |e: String| Err(format!("profile {:?}: {}", spec.binary, e));
+        if count != listed as u64 {
+            return fail(format!(
+                "count {} disagrees with {} listed syscalls",
+                count, listed
+            ));
+        }
+        let (pct, expected) = (b.field("pct", Value::as_f64)?, reachable_pct(&spec));
+        if (pct - expected).abs() > 0.05 {
+            return fail(format!(
+                "pct {:.3} inconsistent with count {} of {} ({:.3})",
+                pct, count, abi, expected
+            ));
+        }
+        Ok((spec, pct))
+    };
+    let entries = doc.items("binaries", entry)?;
+    let average = doc.field("average_pct", Value::as_f64)?;
+    let expected = entries.iter().map(|(_, pct)| pct).sum::<f64>() / entries.len() as f64;
+    if (average - expected).abs() > 0.05 {
+        return Err(format!(
+            "average_pct {:.3} inconsistent with the per-binary percentages ({:.3})",
+            average, expected
+        ));
+    }
+    Ok(entries.into_iter().map(|(spec, _)| spec).collect())
+}
+
+/// Judges a profile set and returns every failure, each naming its
+/// profile: at least one profile, non-empty and unique binary paths, a
+/// default action other than `allow`, duplicate-free allowlists of real
+/// ABI syscall names, and an average reachability under
+/// [`SECCOMP_AVG_REACHABLE_PCT`] — the measured attack-surface-reduction
+/// acceptance gate.
+pub fn check(specs: &[ProfileSpec]) -> Vec<String> {
+    let mut failures = Vec::new();
+    if specs.is_empty() {
+        failures.push("\"binaries\" array is empty (nothing was profiled)".to_string());
+    }
+    let mut binaries = BTreeSet::new();
+    for spec in specs {
+        let ctx = format!("profile {:?}", spec.binary);
+        if spec.binary.is_empty() {
+            failures.push(format!("{}: empty binary path", ctx));
+        }
+        if !binaries.insert(&spec.binary) {
+            failures.push(format!("{}: duplicate binary entry", ctx));
+        }
+        if spec.deny_action == Action::Allow {
+            failures.push(format!("{}: default action allow confines nothing", ctx));
+        }
+        let mut calls = BTreeSet::new();
+        for name in &spec.allow {
+            if Syscall::name_index(name).is_none() {
+                failures.push(format!("{}: unknown syscall name {:?}", ctx, name));
+            }
+            if !calls.insert(name) {
+                failures.push(format!("{}: duplicate syscall {:?}", ctx, name));
+            }
+        }
+    }
+    let average = average_pct(specs);
+    if average >= SECCOMP_AVG_REACHABLE_PCT {
+        failures.push(format!(
+            "average_pct {:.1} is not under the {:.0}% attack-surface ceiling",
+            average, SECCOMP_AVG_REACHABLE_PCT
+        ));
+    }
+    failures
 }
 
 /// Renders the KASR-style attack-surface report: per binary, how much of
@@ -295,57 +378,78 @@ pub fn enforcement_check(specs: &[ProfileSpec], smoke: bool) -> Result<EnforceSu
     })
 }
 
-/// The derived profiles in the kernel's own line grammar — what an admin
-/// would write to `/proc/seccomp/profiles` to load them by hand.
-pub fn profiles_proc_text(specs: &[ProfileSpec]) -> String {
-    let mut s = String::new();
-    for spec in specs {
-        s.push_str(&render_profile_line(spec));
-        s.push('\n');
-    }
-    s
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use sim_kernel::seccomp::Seccomp;
 
-    fn sample() -> Vec<ProfileSpec> {
-        vec![
-            ProfileSpec::allowing("/bin/ping", &["socket", "sendto", "close", "getuid"]),
-            ProfileSpec::allowing("/bin/sh", &["open", "read", "write", "close", "fork"]),
-        ]
-    }
-
+    /// The committed document decodes, re-renders byte for byte (so the
+    /// specs drop no field), passes every check, and its report carries
+    /// the aggregate number.
     #[test]
-    fn json_roundtrips_through_the_kernel_grammar() {
-        let specs = sample();
-        let text = profiles_json(&specs);
-        let parsed = parse_profiles(&text).expect("self-emitted document parses");
-        assert_eq!(parsed.len(), specs.len());
-        for (a, b) in parsed.iter().zip(specs.iter()) {
-            assert_eq!(a.binary, b.binary);
-            assert_eq!(a.allow, b.allow);
-            assert_eq!(a.deny_action, b.deny_action);
-        }
-    }
-
-    #[test]
-    fn report_carries_the_aggregate_number() {
-        let specs = sample();
+    fn committed_document_round_trips_and_passes_check() {
+        let text = include_str!("../../../SECCOMP_PROFILES.json");
+        let specs = from_json(text).expect("committed document decodes");
+        assert_eq!(to_json(&specs) + "\n", text);
+        assert_eq!(check(&specs), Vec::<String>::new());
         let report = render_report(&specs);
-        assert!(report.contains("/bin/ping"));
-        assert!(report.contains("average reachable"));
-        let avg = average_pct(&specs);
-        assert!(avg > 0.0 && avg < 50.0, "avg {}", avg);
+        let average = format!("average reachable: {:.1}%", average_pct(&specs));
+        assert!(report.contains("/bin/ping") && report.contains(&average));
+    }
+
+    fn valid_doc() -> String {
+        r#"{
+          "schema": "seccomp_profiles/v1",
+          "abi_count": 45,
+          "binaries": [
+            {"binary":"/bin/ping","default":"deny(EPERM)",
+             "syscalls":["socket","sendto","close","getuid"],"count":4,"pct":8.88888888888889},
+            {"binary":"/bin/sh","default":"deny(EPERM)",
+             "syscalls":["open","read","write","close","fork"],"count":5,"pct":11.11111111111111}
+          ],
+          "average_pct": 10.0
+        }"#
+        .to_string()
+    }
+
+    /// The one failure `check` reports on a document that decodes.
+    fn only_failure(text: &str) -> String {
+        let failures = check(&from_json(text).expect("decodes"));
+        assert_eq!(failures.len(), 1, "{:?}", failures);
+        failures[0].clone()
     }
 
     #[test]
-    fn proc_text_loads_into_a_fresh_kernel() {
-        let specs = sample();
-        let text = profiles_proc_text(&specs);
-        let parsed = Seccomp::parse_profiles_text(&text).expect("grammar roundtrip");
-        assert_eq!(parsed.len(), specs.len());
+    fn check_rejects_bad_names_duplicates_and_the_ceiling() {
+        let good = check(&from_json(&valid_doc()).unwrap());
+        assert_eq!(good, Vec::<String>::new());
+        let bad_name = only_failure(&valid_doc().replace("\"sendto\"", "\"frobnicate\""));
+        assert!(bad_name.contains("/bin/ping") && bad_name.contains("frobnicate"));
+        let dup_call = only_failure(&valid_doc().replace("\"sendto\"", "\"socket\""));
+        assert!(dup_call.contains("duplicate syscall \"socket\""));
+        let allow_default = valid_doc().replacen("\"deny(EPERM)\"", "\"allow\"", 1);
+        assert!(only_failure(&allow_default).contains("default action allow"));
+        let dup_bin = only_failure(&valid_doc().replace("/bin/sh", "/bin/ping"));
+        assert!(dup_bin.contains("duplicate binary"), "{}", dup_bin);
+        // A consistent document whose single profile reaches 30 of the 45
+        // calls of the ABI averages 67% — over the 50% attack-surface
+        // ceiling.
+        let wide_open = to_json(&[ProfileSpec::allowing("/bin/wide", &Syscall::NAMES[..30])]);
+        assert!(only_failure(&wide_open).contains("ceiling"));
+    }
+
+    #[test]
+    fn from_json_rejects_inconsistent_counts() {
+        let err = |text: &str| from_json(text).unwrap_err();
+        let wrong_count = err(&valid_doc().replace("\"count\":4", "\"count\":6"));
+        assert!(wrong_count.contains("/bin/ping") && wrong_count.contains("disagrees"));
+        let wrong_abi = err(&valid_doc().replace("\"abi_count\": 45", "\"abi_count\": 64"));
+        assert!(wrong_abi.contains("typed ABI"), "{}", wrong_abi);
+        let wrong_avg = err(&valid_doc().replace("\"average_pct\": 10.0", "\"average_pct\": 20.0"));
+        assert!(wrong_avg.contains("average_pct") && wrong_avg.contains("inconsistent"));
+        assert!(err(&valid_doc().replace("\"deny(EPERM)\"", "\"deny\"")).contains("bad action"));
+        assert!(err("not json").contains("not valid JSON"));
+        assert!(err(&valid_doc().replace("seccomp_profiles/v1", "v0")).contains("schema"));
     }
 
     // The committed allowlists must cover the web and mail drivers the
@@ -353,7 +457,7 @@ mod tests {
     // filter derived from any other workload fails them with EPERM.
     #[test]
     fn committed_profiles_enforce_cleanly_over_web_and_mail() {
-        let specs = parse_profiles(include_str!("../../../SECCOMP_PROFILES.json"))
+        let specs = from_json(include_str!("../../../SECCOMP_PROFILES.json"))
             .expect("committed profiles parse");
         for mode in [SystemMode::Legacy, SystemMode::Protego] {
             let mut sys = userland::boot(mode);
@@ -519,7 +623,7 @@ mod tests {
         use sim_kernel::syscall::Verdict;
         use sim_kernel::task::TaskIdentity;
         use sim_kernel::vfs::Name;
-        let committed = parse_profiles(include_str!("../../../SECCOMP_PROFILES.json"))
+        let committed = from_json(include_str!("../../../SECCOMP_PROFILES.json"))
             .expect("committed profiles parse");
         let complemented: Vec<ProfileSpec> = committed
             .iter()

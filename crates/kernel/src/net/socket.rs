@@ -179,10 +179,9 @@ impl NetStack {
             .ok_or(Errno::EBADF)
     }
 
-    /// The live sockets of the leading run of occupied slots, in slot
-    /// order: the scan stops at the first free slot.
-    pub(crate) fn leading(&self) -> impl Iterator<Item = &Socket> {
-        self.sockets.iter().map_while(Option::as_ref)
+    /// Every live socket, in slot order.
+    pub(crate) fn live_mut(&mut self) -> impl Iterator<Item = &mut Socket> {
+        self.sockets.iter_mut().flatten()
     }
 
     /// Binds a socket to a local address, claiming the port in the

@@ -73,6 +73,17 @@ impl Action {
         }
     }
 
+    /// The inverse of [`Action::render`]: `allow`, `kill`, or
+    /// `deny(ERRNO)` with one of the errnos a profile may inject.
+    pub fn parse(s: &str) -> Result<Action, String> {
+        let denies = [Errno::EPERM, Errno::EACCES, Errno::ENOSYS, Errno::EINVAL].map(Action::Deny);
+        [Action::Allow, Action::Kill]
+            .into_iter()
+            .chain(denies)
+            .find(|a| a.render() == s)
+            .ok_or_else(|| format!("bad action '{}'", s))
+    }
+
     /// The errno an enforcing kernel injects for this action (`None` for
     /// [`Action::Allow`]).
     pub fn errno(self) -> Option<Errno> {
@@ -158,8 +169,12 @@ pub struct CompiledProfile {
 
 impl CompiledProfile {
     /// Compiles a spec. Fails with the offending name if any allowlist
-    /// entry is not an ABI syscall name.
+    /// entry is not an ABI syscall name, and on an `allow` default, which
+    /// would confine nothing.
     pub fn compile(spec: &ProfileSpec) -> Result<CompiledProfile, String> {
+        if spec.deny_action == Action::Allow {
+            return Err(format!("'{}': default action allow", spec.binary));
+        }
         let mut allow = 0u64;
         for name in &spec.allow {
             let idx = Syscall::name_index(name)
@@ -505,21 +520,6 @@ pub fn render_profile_line(spec: &ProfileSpec) -> String {
     )
 }
 
-fn parse_deny_action(s: &str) -> Result<Action, String> {
-    if s == "kill" {
-        return Ok(Action::Kill);
-    }
-    if let Some(rest) = s.strip_prefix("deny(").and_then(|r| r.strip_suffix(')')) {
-        for e in [Errno::EPERM, Errno::EACCES, Errno::ENOSYS, Errno::EINVAL] {
-            if rest == e.name() {
-                return Ok(Action::Deny(e));
-            }
-        }
-        return Err(format!("unsupported deny errno '{}'", rest));
-    }
-    Err(format!("bad default action '{}'", s))
-}
-
 fn parse_profile_line(line: &str) -> Result<ProfileSpec, String> {
     let rest = line
         .strip_prefix("profile ")
@@ -532,7 +532,7 @@ fn parse_profile_line(line: &str) -> Result<ProfileSpec, String> {
     let mut allow = Vec::new();
     for field in parts {
         if let Some(v) = field.strip_prefix("default=") {
-            deny_action = parse_deny_action(v)?;
+            deny_action = Action::parse(v)?;
         } else if let Some(v) = field.strip_prefix("allow=") {
             for name in v.split(',').filter(|n| !n.is_empty()) {
                 if Syscall::name_index(name).is_none() {
@@ -778,6 +778,20 @@ mod tests {
         let text = s.render_profiles();
         let parsed = Seccomp::parse_profiles_text(&text).unwrap();
         assert_eq!(parsed, s.profiles());
+    }
+
+    #[test]
+    fn action_parse_inverts_render() {
+        let denies = [Errno::EPERM, Errno::EACCES, Errno::ENOSYS, Errno::EINVAL].map(Action::Deny);
+        for action in [Action::Allow, Action::Kill].into_iter().chain(denies) {
+            assert_eq!(Action::parse(&action.render()), Ok(action));
+        }
+        assert!(Action::parse("deny(EBADF)").is_err() && Action::parse("deny(EPERM").is_err());
+        // `allow` parses, but no profile may default to it.
+        let mut spec = ProfileSpec::allowing("/bin/x", &["open"]);
+        spec.deny_action = Action::Allow;
+        assert!(CompiledProfile::compile(&spec).is_err());
+        assert!(Seccomp::new().load_profiles(&[spec]).is_err());
     }
 
     #[test]

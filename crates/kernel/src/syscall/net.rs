@@ -529,16 +529,12 @@ impl Kernel {
                     from_raw_socket: false,
                     sender_uid: crate::cred::Uid::ROOT,
                 };
-                // Deliver the reply to raw ICMP sockets of the original
-                // sender's uid. One write guard covers scan and delivery.
+                // Deliver the reply to every live raw socket of the
+                // original sender's uid. One write guard covers scan and
+                // delivery.
                 let mut net = self.net.write();
-                let targets: Vec<SockId> = net
-                    .leading()
-                    .filter(|s| matches!(s.stype, SockType::Raw) && s.owner_uid == pkt.sender_uid)
-                    .map(|s| s.id)
-                    .collect();
-                for t in targets {
-                    if let Ok(s) = net.get_mut(t) {
+                for s in net.live_mut() {
+                    if matches!(s.stype, SockType::Raw) && s.owner_uid == pkt.sender_uid {
                         s.rx_packets.push_back(reply.clone());
                     }
                 }
@@ -925,6 +921,23 @@ mod tests {
             .sys_socket(user, Domain::Inet, SockType::Dgram, 0)
             .unwrap();
         assert_eq!(k.sys_recv_packet(user, fd).unwrap_err(), Errno::EAGAIN);
+    }
+
+    /// A local ping's reply reaches the sender's raw socket wherever its
+    /// slot lies, also past a closed earlier slot.
+    #[test]
+    fn local_echo_reply_skips_a_closed_earlier_slot() {
+        let (k, root, _) = boot();
+        let socket = |stype, protocol| k.sys_socket(root, Domain::Inet, stype, protocol).unwrap();
+        let first = socket(SockType::Dgram, 0);
+        socket(SockType::Dgram, 0);
+        let raw = socket(SockType::Raw, 1);
+        assert_eq!(k.fd_socket(root, raw).unwrap().slot, 2);
+        k.sys_close(root, first).unwrap();
+        let pkt = Packet::echo_request(Ipv4::LOOPBACK, Ipv4::LOOPBACK, 9, 1, Uid::ROOT);
+        k.sys_send_packet(root, raw, pkt).unwrap();
+        let reply = k.sys_recv_packet(root, raw).unwrap();
+        assert_eq!(reply.l4, L4::Icmp(IcmpKind::EchoReply { id: 9, seq: 1 }));
     }
 
     /// An id resolved from a descriptor before another thread closes it
