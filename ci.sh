@@ -34,7 +34,9 @@ echo "== zero-alloc gate: steady-state fast path allocates nothing =="
 # cycle under the full Protego LSM performs zero heap allocations
 # (interner + dcache + path arenas end to end), also after an unrelated
 # mount and rename (the dcache hit checks its directory generations and
-# stays a hit), that a warm resolve of a directory right after a create
+# stays a hit), that a warm open through a relative path or a symlink
+# allocates nothing (the dcache entry carries the canonical path the
+# open hands the LSM), that a warm resolve of a directory right after a create
 # and a rename inside it stays a hit and allocates nothing (those change
 # the directory's entries generation, not its coverage), that a warm
 # Protego hook matching a policy rule allocates nothing either, and that
@@ -52,6 +54,9 @@ echo "== zero-alloc gate: steady-state fast path allocates nothing =="
 # Both live in one root integration test, so tier-1 runs them too; this
 # step names them so a failure here points at the gate.
 cargo test -q --release --test alloc_gates
+
+echo "== tables: an unknown table or subcommand name is an error =="
+if cargo run --release -q -p bench --bin tables -- nosuchtable 2>/dev/null; then echo "error: tables nosuchtable exited 0" >&2; exit 1; fi
 
 echo "== smoke bench: BENCH_table5.json regenerates and validates =="
 # Low-iteration run of the Table 5 micro/macro/hot-path rows, every one

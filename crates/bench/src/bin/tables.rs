@@ -9,6 +9,8 @@
 //! tables seccomp-report [PATH]               # KASR-style attack-surface report from a profiles file
 //! tables fuzz [--seed N] [--mins M] [--smoke]  # adversarial differential fuzzing (legacy vs Protego)
 //! ```
+//!
+//! Any other name prints the valid ones to stderr and exits 2.
 
 use bench::seccomp_derive;
 use bench::table5::{self, Sizes, Table5Doc};
@@ -23,76 +25,114 @@ fn main() {
     let which = args
         .iter()
         .find(|a| !a.starts_with("--"))
-        .cloned()
-        .unwrap_or_else(|| "all".to_string());
+        .map_or("all", |s| s.as_str());
+    let Some(cmd) = command(which) else {
+        eprintln!("error: unknown table or subcommand {:?}", which);
+        eprintln!("{}", usage());
+        std::process::exit(2);
+    };
+    let run = Run {
+        args: &args,
+        quick,
+        doc: std::cell::OnceCell::new(),
+    };
+    (cmd.run)(&run);
+}
 
-    if which == "bench-json" {
-        run_bench_json(quick, &args);
-        return;
-    }
-    if which == "bench-verify" {
-        run_bench_verify(&args);
-        return;
-    }
-    if which == "replay-smoke" {
-        run_replay_smoke();
-        return;
-    }
-    if which == "seccomp-derive" {
-        run_seccomp_derive(&args);
-        return;
-    }
-    if which == "seccomp-report" {
-        run_seccomp_report(&args);
-        return;
-    }
-    if which == "fuzz" {
-        run_fuzz(&args);
-        return;
-    }
+/// One name `tables` accepts and what it runs. `all` runs every table
+/// in the order listed.
+struct Command {
+    name: &'static str,
+    table: bool,
+    run: fn(&Run),
+}
 
-    let all = which == "all";
-    // Table 5 and Table 1 print from one measured document.
-    let sizes = Sizes::new(quick);
-    let doc = std::cell::OnceCell::new();
-    let measured = || doc.get_or_init(|| Table5Doc::measure(sizes));
-    if all || which == "table5" {
-        print_table5(measured(), sizes);
+/// A table: printed by its own name and by `all`.
+const fn table(name: &'static str, run: fn(&Run)) -> Command {
+    Command {
+        name,
+        table: true,
+        run,
     }
-    if all || which == "table6" {
-        print_table6();
+}
+
+/// A subcommand: run only by its own name.
+const fn sub(name: &'static str, run: fn(&Run)) -> Command {
+    Command {
+        name,
+        table: false,
+        run,
     }
-    if all || which == "table7" {
-        print_table7();
-    }
-    if all || which == "table1" {
-        print_table1(measured());
-    }
-    if all || which == "table2" {
-        println!("{}", render::render_table2(setuid_study::loc::TABLE2));
-    }
-    if all || which == "table3" {
-        println!(
-            "{}",
-            render::render_table3(setuid_study::popularity::TABLE3)
-        );
-        println!(
-            "  Systems able to adopt Protego with no loss of functionality: {:.1}% (paper: 89.5%)\n",
-            setuid_study::popularity::adoption_coverage_pct()
-        );
-    }
-    if all || which == "table4" {
-        println!("{}", render::render_table4());
-    }
-    if all || which == "table8" {
+}
+
+/// Everything `tables` can run: the one list both dispatch and the usage
+/// text read.
+static COMMANDS: &[Command] = &[
+    sub("all", |r| {
+        COMMANDS.iter().filter(|c| c.table).for_each(|c| (c.run)(r))
+    }),
+    table("table5", |r| print_table5(r.measured(), r.sizes())),
+    table("table6", |_| print_table6()),
+    table("table7", |_| print_table7()),
+    table("table1", |r| print_table1(r.measured())),
+    table("table2", |_| {
+        println!("{}", render::render_table2(setuid_study::loc::TABLE2))
+    }),
+    table("table3", |_| print_table3()),
+    table("table4", |_| println!("{}", render::render_table4())),
+    table("table8", |_| {
         println!(
             "{}",
             render::render_table8(setuid_study::interfaces::TABLE8)
-        );
+        )
+    }),
+    table("ablations", |r| print_ablations(r.quick)),
+    sub("bench-json", |r| run_bench_json(r.quick, r.args)),
+    sub("bench-verify", |r| run_bench_verify(r.args)),
+    sub("replay-smoke", |_| run_replay_smoke()),
+    sub("seccomp-derive", |r| run_seccomp_derive(r.args)),
+    sub("seccomp-report", |r| run_seccomp_report(r.args)),
+    sub("fuzz", |r| run_fuzz(r.args)),
+];
+
+/// The command named `name`, if `tables` has one.
+fn command(name: &str) -> Option<&'static Command> {
+    COMMANDS.iter().find(|c| c.name == name)
+}
+
+/// The usage line, naming every command.
+fn usage() -> String {
+    let names: Vec<&str> = COMMANDS.iter().map(|c| c.name).collect();
+    format!("usage: tables <{}> [--quick] [ARGS]", names.join("|"))
+}
+
+/// The command line, and the Table 5 document that Table 5 and Table 1
+/// print from, measured at most once.
+struct Run<'a> {
+    args: &'a [String],
+    quick: bool,
+    doc: std::cell::OnceCell<Table5Doc>,
+}
+
+impl Run<'_> {
+    fn sizes(&self) -> Sizes {
+        Sizes::new(self.quick)
     }
-    if all || which == "ablations" {
-        print_ablations(quick);
+
+    fn measured(&self) -> &Table5Doc {
+        self.doc.get_or_init(|| Table5Doc::measure(self.sizes()))
     }
+}
+
+fn print_table3() {
+    println!(
+        "{}",
+        render::render_table3(setuid_study::popularity::TABLE3)
+    );
+    println!(
+        "  Systems able to adopt Protego with no loss of functionality: {:.1}% (paper: 89.5%)\n",
+        setuid_study::popularity::adoption_coverage_pct()
+    );
 }
 
 /// Prints an error line per failure of the document at `path`, and exits
@@ -517,4 +557,24 @@ fn run_fuzz(args: &[String]) {
         std::process::exit(1);
     }
     println!("fuzz: no oracle violations");
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn every_listed_name_dispatches_and_unknown_names_do_not() {
+        let text = usage();
+        for c in COMMANDS {
+            let found = command(c.name).expect("a listed name dispatches");
+            assert!(std::ptr::eq(found, c), "{} is listed twice", c.name);
+            assert!(text.contains(c.name), "usage omits {}", c.name);
+        }
+        assert!(command("table5").is_some_and(|c| c.table));
+        assert!(command("fuzz").is_some_and(|c| !c.table));
+        for unknown in ["nosuchtable", "table9", "Table5", ""] {
+            assert!(command(unknown).is_none(), "{:?} dispatched", unknown);
+        }
+    }
 }

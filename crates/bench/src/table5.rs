@@ -438,8 +438,7 @@ fn collect_cache_metrics() -> BTreeMap<&'static str, CacheStats> {
         merged.merge(&k.metrics_snapshot());
     }
 
-    // Protego: every file_open consults the keyfile-rule cache, so plain
-    // repeated reads exercise it together with the dcache.
+    // Protego: plain repeated reads exercise the dcache.
     {
         let f = fixture(SystemMode::Protego);
         let k = &f.sys.kernel;
@@ -647,7 +646,7 @@ impl Table5Doc {
     /// `dispatch_seccomp`, exactly `runs_per_mode` finite positive samples
     /// per side with the reported median inside them; the
     /// `path_resolution` and `file_open` hot-path rows at >= 2x; nonzero
-    /// dcache and profile-cache hits. A full (non-quick) document must
+    /// dcache and AppArmor binary-lookup hits. A full (non-quick) document must
     /// also keep every micro row within [`MICRO_BUDGET_PCT`] and the
     /// seccomp row within [`DISPATCH_SECCOMP_BUDGET_PCT`].
     pub fn check(&self) -> Vec<String> {
@@ -717,8 +716,8 @@ impl Table5Doc {
         if hits("dcache") == 0 {
             failures.push("cache_metrics: dcache reported zero hits".into());
         }
-        if hits("apparmor_binary_lookup") + hits("protego_keyfile_lookup") == 0 {
-            failures.push("cache_metrics: profile caches reported zero hits".into());
+        if hits("apparmor_binary_lookup") == 0 {
+            failures.push("cache_metrics: apparmor_binary_lookup reported zero hits".into());
         }
         failures
     }
@@ -798,7 +797,6 @@ mod tests {
         for layer in ["dcache", "apparmor_binary_lookup", "apparmor_decision_lru"] {
             assert!(hits(layer) > 0, "{}: {:?}", layer, doc.caches);
         }
-        assert!(hits("protego_keyfile_lookup") > 0, "{:?}", doc.caches);
         assert_eq!(Table5Doc::from_json(&doc.to_json()), Ok(doc));
     }
 

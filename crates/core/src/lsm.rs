@@ -30,18 +30,10 @@ use sim_kernel::lsm::{
     UmountRequest,
 };
 use sim_kernel::net::{Domain, ProtoMatch, Route, RouteTable, Rule, SockType, Verdict};
-use sim_kernel::sync::lock;
-use sim_kernel::trace::CacheStats;
-use sim_kernel::vfs::Name;
-use std::collections::HashMap;
-use std::sync::Mutex;
 
 /// The authentication recency window (sudo's 5 minutes), in logical
 /// seconds.
 pub const AUTH_WINDOW: u64 = 300;
-
-/// Bound on the keyfile-rule lookup cache; flushed wholesale on overflow.
-const KEYFILE_CACHE_CAP: usize = 1024;
 
 /// The Protego LSM.
 #[derive(Debug)]
@@ -49,14 +41,6 @@ pub struct ProtegoLsm {
     policy: PolicySet,
     /// Audit label of every policy rule, rebuilt with the policy.
     labels: Labels,
-    /// Interned path → index of the governing keyfile rule (None = no
-    /// rule). Keyed on [`Name`] so the steady-state probe hashes a u32
-    /// and touches no heap. The cache stores the rule's *index*, not a
-    /// decision: the decision depends on the caller's binary and access,
-    /// and the index also yields the rule's label. Dropped on any policy
-    /// write.
-    keyfile_cache: Mutex<HashMap<Name, Option<usize>>>,
-    keyfile_cache_stats: Mutex<CacheStats>,
 }
 
 /// The audit labels of a [`PolicySet`], interned once when the policy is
@@ -148,8 +132,6 @@ impl ProtegoLsm {
         ProtegoLsm {
             labels: Labels::of(&policy),
             policy,
-            keyfile_cache: Mutex::default(),
-            keyfile_cache_stats: Mutex::default(),
         }
     }
 
@@ -206,45 +188,12 @@ impl ProtegoLsm {
         Some((&self.policy.groups[i], self.labels.groups[i]))
     }
 
+    /// The keyfile rule naming `path`, a canonical path: the kernel hands
+    /// `file_open` the path its walk resolved, however the caller spelled
+    /// it, so comparing text is the whole match.
     fn keyfile_rule(&self, path: &str) -> Option<(&KeyFileRule, RuleId)> {
-        let _span = sim_kernel::trace::span(sim_kernel::trace::Pathway::PolicyCache);
-        // Any path the kernel hands a hook has already been interned by
-        // the VFS walk, so a `lookup` miss means the path was never seen
-        // and cannot be cached (probe without polluting the interner).
-        if let Some(key) = Name::lookup(path) {
-            let cache = lock(&self.keyfile_cache);
-            if let Some(&idx) = cache.get(&key) {
-                lock(&self.keyfile_cache_stats).hits += 1;
-                return idx.map(|i| self.keyfile(i));
-            }
-        }
-        lock(&self.keyfile_cache_stats).misses += 1;
-        let idx = self.policy.keyfiles.iter().position(|k| k.path == path);
-        let mut cache = lock(&self.keyfile_cache);
-        if cache.len() >= KEYFILE_CACHE_CAP {
-            cache.clear();
-            lock(&self.keyfile_cache_stats).invalidations += 1;
-        }
-        cache.insert(Name::intern(path), idx);
-        idx.map(|i| self.keyfile(i))
-    }
-
-    fn keyfile(&self, i: usize) -> (&KeyFileRule, RuleId) {
-        (&self.policy.keyfiles[i], self.labels.keyfiles[i])
-    }
-
-    /// Drops the keyfile lookup cache (policy reload).
-    fn flush_keyfile_cache(&self) {
-        let mut cache = lock(&self.keyfile_cache);
-        if !cache.is_empty() {
-            lock(&self.keyfile_cache_stats).invalidations += 1;
-        }
-        cache.clear();
-    }
-
-    /// Counters of the keyfile-rule lookup cache.
-    pub fn keyfile_cache_stats(&self) -> CacheStats {
-        *lock(&self.keyfile_cache_stats)
+        let i = self.policy.keyfiles.iter().position(|k| k.path == path)?;
+        Some((&self.policy.keyfiles[i], self.labels.keyfiles[i]))
     }
 
     /// The label of the shadow-fragment prefix `path` falls under.
@@ -607,9 +556,6 @@ impl SecurityModule for ProtegoLsm {
             }
             _ => return Err(Errno::ENOENT),
         }
-        // Any policy write may change what a cached lookup would answer;
-        // be conservative and drop the whole cache.
-        self.flush_keyfile_cache();
         Ok(())
     }
 
@@ -628,10 +574,6 @@ impl SecurityModule for ProtegoLsm {
 
     fn boot_netfilter_rules(&self) -> Vec<Rule> {
         Self::default_raw_rules()
-    }
-
-    fn cache_stats(&self) -> Vec<(&'static str, CacheStats)> {
-        vec![("protego_keyfile_lookup", self.keyfile_cache_stats())]
     }
 }
 
@@ -1180,41 +1122,46 @@ mod tests {
         assert_eq!(lsm.file_open(&c), (FileDecision::UseDefault, None));
     }
 
+    /// A write to `/proc/protego/keyfiles` decides the very next open: a
+    /// grant the write adds applies at once, and so does a grant it
+    /// removes.
     #[test]
-    fn keyfile_cache_hits_and_policy_write_invalidates() {
-        let mut p = PolicySet::default();
-        p.keyfiles.push(KeyFileRule {
-            path: "/etc/ssh/ssh_host_key".into(),
-            binary: "/usr/lib/ssh-keysign".into(),
-        });
-        let mut lsm = lsm_with(p);
-        let user = user_cred();
-        let mk = || FileOpenCtx {
-            cred: &user,
-            path: "/etc/ssh/ssh_host_key",
-            binary: "/usr/lib/ssh-keysign",
-            access: Access::READ,
-            dac_allows: false,
-            file_owner: Uid::ROOT,
-            last_auth: None,
-            last_auth_scope: None,
-            now: 0,
+    fn keyfiles_write_decides_the_next_open() {
+        use sim_kernel::kernel::Kernel;
+        use sim_kernel::net::SimNet;
+        use sim_kernel::syscall::OpenFlags;
+        use sim_kernel::vfs::Mode;
+
+        let k = Kernel::new(SimNet::new());
+        k.register_lsm(Box::new(ProtegoLsm::new())).unwrap();
+        let root = k.spawn_init();
+        k.vfs
+            .install_file(
+                "/etc/ssh/ssh_host_key",
+                b"key",
+                Mode(0o600),
+                Uid::ROOT,
+                Gid::ROOT,
+            )
+            .unwrap();
+        let keysign = k.spawn_session(user_cred(), "/usr/lib/ssh-keysign");
+        let configure = |rules: &str| {
+            let fd = k
+                .sys_open(root, "/proc/protego/keyfiles", OpenFlags::write_only())
+                .unwrap();
+            k.sys_write(root, fd, rules.as_bytes()).unwrap();
+            k.sys_close(root, fd).unwrap();
         };
-        assert_eq!(lsm.file_open(&mk()).0, FileDecision::AllowCloexec);
-        // The cached (second) hit still returns its rule.
-        let (d, rule) = lsm.file_open(&mk());
-        assert_eq!(d, FileDecision::AllowCloexec);
-        assert_eq!(
-            rule.map(RuleId::as_str),
-            Some("keyfiles:/etc/ssh/ssh_host_key -> /usr/lib/ssh-keysign")
-        );
-        let s = lsm.keyfile_cache_stats();
-        assert_eq!(s.hits, 1);
-        assert!(s.misses >= 1);
-        // A policy write drops the cache and the new rules take effect.
-        lsm.config_write("keyfiles", "").unwrap();
-        assert_eq!(lsm.keyfile_cache_stats().invalidations, 1);
-        assert_eq!(lsm.file_open(&mk()).0, FileDecision::UseDefault);
+        let open_key = || {
+            let fd = k.sys_open(keysign, "/etc/ssh/ssh_host_key", OpenFlags::read_only())?;
+            k.sys_close(keysign, fd)
+        };
+        assert_eq!(open_key(), Err(Errno::EACCES));
+        configure("/etc/ssh/ssh_host_key /usr/lib/ssh-keysign\n");
+        assert_eq!(open_key(), Ok(()));
+        assert_eq!(open_key(), Ok(()));
+        configure("");
+        assert_eq!(open_key(), Err(Errno::EACCES));
     }
 
     #[test]

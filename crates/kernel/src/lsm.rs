@@ -244,7 +244,8 @@ impl ExecCtx<'_> {
 pub struct FileOpenCtx<'a> {
     /// Caller credentials.
     pub cred: &'a Credentials,
-    /// Absolute path being opened.
+    /// Canonical absolute path of the inode being opened (`Vfs::path_of`),
+    /// however the caller spelled it.
     pub path: &'a str,
     /// Binary performing the open (for binary-identity policies such as
     /// ssh-keysign's host-key access).

@@ -9,9 +9,7 @@ use crate::lsm::{FileDecision, FileOpenCtx};
 use crate::syscall::abi::Whence;
 use crate::task::{Fd, FdObject, Pid};
 use crate::trace::{AuditObject, DecisionKind, Hook, Pathway};
-use crate::vfs::{
-    Access, DirChain, Ino, InodeData, Mode, Name, PathArena, ProcHook, Resolved, PATH_MAX,
-};
+use crate::vfs::{AbsPath, Access, DirChain, Ino, InodeData, Mode, ProcHook, Resolved, PATH_MAX};
 
 /// Flags for [`Kernel::sys_open`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -225,6 +223,16 @@ impl Kernel {
         Ok(r)
     }
 
+    /// [`Kernel::walk`], also returning the canonical path of the inode
+    /// found (see [`Vfs::resolve_canonical`]): the path the LSM hooks of
+    /// `open` and `execve` decide on.
+    pub(crate) fn walk_canonical(&self, pid: Pid, path: &str) -> KResult<(Resolved, AbsPath)> {
+        let cwd = self.task(pid)?.cwd;
+        let (r, abs) = self.vfs.resolve_canonical(cwd, path)?;
+        self.check_search(pid, &r.dirs)?;
+        Ok((r, abs))
+    }
+
     /// Resolves the parent directory of `path` for task `pid` and runs
     /// [`Kernel::check_parent`] on it: the walk of every call that adds or
     /// removes a name. Returns the parent and the last name.
@@ -252,8 +260,8 @@ impl Kernel {
         } else {
             None
         };
-        let ino = match in_parent {
-            Some(ino) => ino,
+        let (ino, abs) = match in_parent {
+            Some(ino) => (ino, self.vfs.abs_path(ino)),
             None => self.open_walk(pid, path, flags)?,
         };
 
@@ -265,100 +273,94 @@ impl Kernel {
         let dac = self.check_access(pid, ino, want);
         let dac_ok = dac.is_ok();
 
-        // LSM file-open hook, with one authentication retry. The
-        // absolute path is reconstructed into the per-thread arena and
-        // the hook context borrows it together with the task's
-        // credentials, so the steady-state approve path (UseDefault with
-        // DAC ok) allocates nothing.
+        // LSM file-open hook, with one authentication retry. The hook
+        // context borrows the walk's canonical path together with the
+        // task's credentials, so the steady-state approve path
+        // (UseDefault with DAC ok) allocates nothing.
         let file_owner = self.vfs.inode(ino).uid;
         let mut force_cloexec = false;
-        let abs_name = PathArena::scope(|arena| -> KResult<Name> {
-            let abs = self.vfs.path_of_in(arena, ino);
-            let mut attempts = 0;
-            loop {
-                // Scoped: the task guard must drop before the arms below
-                // emit events or re-run authentication (both re-enter
-                // the task table). The hook itself runs with the guard
-                // held — modules only read the borrowed context (same
-                // discipline as the setuid/setgid hooks).
-                let (decision, rule) = {
-                    let t = self.task(pid)?;
-                    let ctx = FileOpenCtx {
-                        cred: &t.cred,
-                        path: &abs,
-                        binary: &t.binary,
-                        access: want,
-                        dac_allows: dac_ok,
-                        file_owner,
-                        last_auth: t.last_auth,
-                        last_auth_scope: t.last_auth_scope,
-                        now: self.clock(),
-                    };
-                    self.lsm_hook(Pathway::LsmFileOpen, |m| m.file_open(&ctx))
+        let canonical = abs.as_str();
+        let mut attempts = 0;
+        loop {
+            // Scoped: the task guard must drop before the arms below
+            // emit events or re-run authentication (both re-enter
+            // the task table). The hook itself runs with the guard
+            // held — modules only read the borrowed context (same
+            // discipline as the setuid/setgid hooks).
+            let (decision, rule) = {
+                let t = self.task(pid)?;
+                let ctx = FileOpenCtx {
+                    cred: &t.cred,
+                    path: canonical,
+                    binary: &t.binary,
+                    access: want,
+                    dac_allows: dac_ok,
+                    file_owner,
+                    last_auth: t.last_auth,
+                    last_auth_scope: t.last_auth_scope,
+                    now: self.clock(),
                 };
-                match decision {
-                    FileDecision::UseDefault => {
-                        dac?;
-                        break;
-                    }
-                    FileDecision::Allow => {
-                        self.emit_lsm_event(
-                            pid,
-                            "open",
-                            Hook::FileOpen,
-                            DecisionKind::Allow,
-                            None,
-                            rule,
-                            AuditObject::Path(abs.to_string()),
-                        );
-                        break;
-                    }
-                    FileDecision::AllowCloexec => {
-                        force_cloexec = true;
-                        self.emit_lsm_event(
-                            pid,
-                            "open",
-                            Hook::FileOpen,
-                            DecisionKind::Allow,
-                            None,
-                            rule,
-                            AuditObject::Path(abs.to_string()),
-                        );
-                        break;
-                    }
-                    FileDecision::Deny(e) => {
+                self.lsm_hook(Pathway::LsmFileOpen, |m| m.file_open(&ctx))
+            };
+            match decision {
+                FileDecision::UseDefault => {
+                    dac?;
+                    break;
+                }
+                FileDecision::Allow => {
+                    self.emit_lsm_event(
+                        pid,
+                        "open",
+                        Hook::FileOpen,
+                        DecisionKind::Allow,
+                        None,
+                        rule,
+                        AuditObject::Path(canonical.to_string()),
+                    );
+                    break;
+                }
+                FileDecision::AllowCloexec => {
+                    force_cloexec = true;
+                    self.emit_lsm_event(
+                        pid,
+                        "open",
+                        Hook::FileOpen,
+                        DecisionKind::Allow,
+                        None,
+                        rule,
+                        AuditObject::Path(canonical.to_string()),
+                    );
+                    break;
+                }
+                FileDecision::Deny(e) => {
+                    self.emit_lsm_event(
+                        pid,
+                        "open",
+                        Hook::FileOpen,
+                        DecisionKind::Deny,
+                        Some(e),
+                        rule,
+                        AuditObject::Path(canonical.to_string()),
+                    );
+                    return Err(e);
+                }
+                FileDecision::NeedAuth(scope) => {
+                    attempts += 1;
+                    if attempts > 1 || !self.run_auth(pid, scope) {
                         self.emit_lsm_event(
                             pid,
                             "open",
                             Hook::FileOpen,
                             DecisionKind::Deny,
-                            Some(e),
+                            Some(Errno::EACCES),
                             rule,
-                            AuditObject::Path(abs.to_string()),
+                            AuditObject::Path(canonical.to_string()),
                         );
-                        return Err(e);
-                    }
-                    FileDecision::NeedAuth(scope) => {
-                        attempts += 1;
-                        if attempts > 1 || !self.run_auth(pid, scope) {
-                            self.emit_lsm_event(
-                                pid,
-                                "open",
-                                Hook::FileOpen,
-                                DecisionKind::Deny,
-                                Some(Errno::EACCES),
-                                rule,
-                                AuditObject::Path(abs.to_string()),
-                            );
-                            return Err(Errno::EACCES);
-                        }
+                        return Err(Errno::EACCES);
                     }
                 }
             }
-            // The fd table records the path as an interned symbol so the
-            // descriptor stays `Copy`-cheap to clone on every read/write.
-            Ok(Name::intern(&abs))
-        })?;
+        }
 
         if flags.truncate && matches!(self.vfs.inode(ino).data, InodeData::Regular(_)) {
             self.vfs.write_all(ino, b"")?;
@@ -371,7 +373,7 @@ impl Kernel {
                 readable: flags.read,
                 writable: flags.write || flags.append || flags.truncate,
                 append: flags.append,
-                path: abs_name,
+                path: abs.name(),
             },
             cloexec: flags.cloexec || force_cloexec,
         };
@@ -418,14 +420,16 @@ impl Kernel {
     }
 
     /// The full walk of `open(2)`: resolves the whole path, and with
-    /// `O_CREAT` creates a missing last name in its parent.
-    fn open_walk(&self, pid: Pid, path: &str, flags: OpenFlags) -> KResult<Ino> {
-        match self.walk(pid, path) {
+    /// `O_CREAT` creates a missing last name in its parent. Returns the
+    /// inode with its canonical path.
+    fn open_walk(&self, pid: Pid, path: &str, flags: OpenFlags) -> KResult<(Ino, AbsPath)> {
+        match self.walk_canonical(pid, path) {
             Ok(_) if flags.create && flags.excl => Err(Errno::EEXIST),
-            Ok(r) => Ok(r.ino),
+            Ok((r, abs)) => Ok((r.ino, abs)),
             Err(Errno::ENOENT) if flags.create => {
                 let (parent, name) = self.walk_parent(pid, path)?;
-                self.create_in(pid, parent.ino, name, flags.mode)
+                let ino = self.create_in(pid, parent.ino, name, flags.mode)?;
+                Ok((ino, self.vfs.abs_path(ino)))
             }
             Err(e) => Err(e),
         }

@@ -43,7 +43,7 @@ impl Kernel {
 
     /// `execve(2)`. Returns the resolved absolute path of the new image.
     pub fn sys_execve(&self, pid: Pid, path: &str) -> KResult<String> {
-        let r = self.walk(pid, path)?;
+        let (r, abs) = self.walk_canonical(pid, path)?;
         {
             let inode = self.vfs.inode(r.ino);
             if inode.data.is_dir() {
@@ -54,10 +54,10 @@ impl Kernel {
             }
         }
         self.check_access(pid, r.ino, Access::EXEC)?;
-        let abs = self.vfs.path_of(r.ino);
+        let abs = abs.as_str();
 
         // Mount flags covering the binary.
-        let (nosuid, noexec) = self.vfs.with_mount_holding(&abs, |m| {
+        let (nosuid, noexec) = self.vfs.with_mount_holding(abs, |m| {
             m.map_or((false, false), |m| (m.options.nosuid, m.options.noexec))
         });
         if noexec {
@@ -84,7 +84,7 @@ impl Kernel {
                 let t = self.task(pid)?;
                 let ctx = ExecCtx {
                     cred: &t.cred,
-                    binary: &abs,
+                    binary: abs,
                     file_owner,
                     file_group,
                     setuid_bit,
@@ -107,7 +107,7 @@ impl Kernel {
                             DecisionKind::Deny,
                             Some(Errno::EACCES),
                             rule,
-                            AuditObject::Binary(abs.clone()),
+                            AuditObject::Binary(abs.to_string()),
                         );
                         return Err(Errno::EACCES);
                     }
@@ -148,7 +148,7 @@ impl Kernel {
                     DecisionKind::Allow,
                     None,
                     rule,
-                    AuditObject::Binary(abs.clone()),
+                    AuditObject::Binary(abs.to_string()),
                 );
             }
             ExecDecision::Deny(e) => {
@@ -159,7 +159,7 @@ impl Kernel {
                     DecisionKind::Deny,
                     Some(e),
                     rule,
-                    AuditObject::Binary(abs.clone()),
+                    AuditObject::Binary(abs.to_string()),
                 );
                 return Err(e);
             }
@@ -182,16 +182,16 @@ impl Kernel {
             self.release_fd_object(fd.object);
         }
 
-        self.task_mut(pid)?.binary = abs.clone();
+        self.task_mut(pid)?.binary = abs.to_string();
         self.emit_kernel_event(
             pid,
             "execve",
             Hook::BprmCheck,
             DecisionKind::Info,
             None,
-            AuditObject::Binary(abs.clone()),
+            AuditObject::Binary(abs.to_string()),
         );
-        Ok(abs)
+        Ok(abs.to_string())
     }
 
     /// `unshare(2)` — namespace creation (§4.6).

@@ -113,7 +113,7 @@ pathways! {
     LsmConfig => "lsm_config";
     /// `SecurityModule::boot_netfilter_rules`.
     LsmNetfilter => "lsm_netfilter";
-    /// Policy decision caches (keyfile / binary-profile lookup caches).
+    /// Policy decision caches (AppArmor's per-profile decision LRU).
     PolicyCache => "policy_cache";
     /// Name-interner insert path (`Name::intern` on a miss or first use).
     Intern => "intern";

@@ -41,6 +41,15 @@
 //! overlapped a mount or umount could pair a fresh generation with a
 //! stale snapshot; such a walk is not stored (`mount_seq` moved).
 //!
+//! A walk asked for the canonical path (`open`, `execve`, through
+//! [`Vfs::resolve_canonical`]) also names the inode it found, once, on
+//! the miss, and its entry carries that path. Naming walks up the parent
+//! chain and records what it reads the same way: each parent's `entries`
+//! (which names the child) and each inode's `coverage` (whether a mount
+//! is rooted at it). So the entry goes stale exactly when
+//! [`Vfs::path_of`] would change: an ancestor rename, the removal of a
+//! hard link's primary name, or a mount or umount rooted on the chain.
+//!
 //! Lock discipline (see DESIGN.md §13):
 //! * at most one inode-shard guard is held at a time, except through
 //!   [`Vfs::with_pair`] which orders by shard index;
@@ -52,7 +61,7 @@
 //!   rename can move a directory, so the ancestor cycle-walk is sound
 //!   under that lock alone.
 
-use super::arena::PathArena;
+use super::arena::{ArenaString, PathArena};
 use super::inode::{Access, Ino, Inode, InodeData, Mode, ProcHook};
 use super::intern::Name;
 use crate::cred::{Gid, Uid};
@@ -153,13 +162,43 @@ struct DcacheShard {
     invalidations: AtomicU64,
 }
 
-/// A cached resolution, the full key it was stored under, and the
-/// generations it is valid for.
+/// A cached resolution, the full key it was stored under, the canonical
+/// path of the inode it found (when the walk that stored it was asked to
+/// name it), and the generations it is valid for.
 #[derive(Debug)]
 struct Cached {
     key: DcacheKey<'static>,
     resolved: Resolved,
+    path: Option<AbsPath>,
     deps: Box<[Dep]>,
+}
+
+/// The canonical absolute path of an inode, the text [`Vfs::path_of`]
+/// returns: interned, with its text kept beside the symbol so that a
+/// reader on a hot path takes no interner lock.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct AbsPath {
+    name: Name,
+    text: &'static str,
+}
+
+impl AbsPath {
+    fn of(name: Name) -> AbsPath {
+        AbsPath {
+            name,
+            text: name.as_str(),
+        }
+    }
+
+    /// The interned symbol.
+    pub fn name(self) -> Name {
+        self.name
+    }
+
+    /// The path's text.
+    pub fn as_str(self) -> &'static str {
+        self.text
+    }
 }
 
 /// One directory's two generations, padded to a cache line so that a
@@ -354,13 +393,11 @@ impl<T: Copy + Default> DirChain<T> {
         }
     }
 
-    /// The most recently pushed element, mutably.
-    fn last_mut(&mut self) -> Option<&mut T> {
-        match self.len {
-            0 => None,
-            n if n <= DIR_INLINE => Some(&mut self.inline[n - 1]),
-            _ => self.spill.last_mut(),
-        }
+    /// Iterates the elements in push order, mutably.
+    fn iter_mut(&mut self) -> impl Iterator<Item = &mut T> + '_ {
+        self.inline[..self.len.min(DIR_INLINE)]
+            .iter_mut()
+            .chain(self.spill.iter_mut())
     }
 
     /// Number of directories recorded.
@@ -734,18 +771,22 @@ impl Vfs {
 
     /// Records that a walk is about to read `part` of directory `ino`. The
     /// generation is loaded before the read, so a change racing the read
-    /// leaves the entry already stale. Consecutive reads of one slot share
-    /// a [`Dep`].
+    /// leaves the entry already stale. Every read of one slot shares a
+    /// [`Dep`]; a part read twice keeps the generation loaded first, which
+    /// preceded both reads.
     fn note_dep(&self, deps: &mut DirChain<Dep>, ino: Ino, part: Part) {
         let slot = ino.0 % DIR_GENS;
-        if deps.last().map(|d| d.slot) != Some(slot) {
+        if !deps.iter().any(|d| d.slot == slot) {
             deps.push(Dep {
                 slot,
                 entries: UNREAD,
                 coverage: UNREAD,
             });
         }
-        let dep = deps.last_mut().expect("pushed above");
+        let dep = deps
+            .iter_mut()
+            .find(|d| d.slot == slot)
+            .expect("pushed above");
         let seen = match part {
             Part::Entries => &mut dep.entries,
             Part::Coverage => &mut dep.coverage,
@@ -787,12 +828,25 @@ impl Vfs {
     /// its dcache shard and serves the entry if every directory generation
     /// it recorded is unchanged; otherwise walks with
     /// [`Vfs::resolve_inner`] and stores the result with the generations
-    /// that walk loaded.
-    fn resolve_cached(&self, cwd: Ino, path: &str, follow_last: bool) -> KResult<Resolved> {
+    /// that walk loaded. With `want_path` the result also carries the
+    /// resolved inode's canonical path: a miss computes it with
+    /// [`Vfs::name_walk`], whose reads join the entry's generations, and a
+    /// hit serves it. An entry stored without the path does not serve a
+    /// resolve that asks for it; that resolve walks again and replaces it.
+    fn resolve_cached(
+        &self,
+        cwd: Ino,
+        path: &str,
+        follow_last: bool,
+        want_path: bool,
+    ) -> KResult<(Resolved, Option<AbsPath>)> {
         let _resolve_span = crate::trace::span(crate::trace::Pathway::VfsResolve);
         if !self.dcache_enabled.load(Ordering::Relaxed) {
             let mounts = self.mounts_snapshot();
-            return self.resolve_inner(cwd, path, follow_last, 0, &mounts, &mut DirChain::new());
+            let resolved =
+                self.resolve_inner(cwd, path, follow_last, 0, &mounts, &mut DirChain::new())?;
+            let abs = want_path.then(|| self.abs_path(resolved.ino));
+            return Ok((resolved, abs));
         }
         let start = if path.starts_with('/') {
             self.root
@@ -809,12 +863,14 @@ impl Vfs {
             // A hit clones a `Resolved` whose `DirChain` is inline for
             // realistic depths, so the hit path stays allocation-free.
             let stale = match dc.map.get(&hash).filter(|e| e.key == key) {
-                Some(entry) if fresh(entry) => {
-                    let hit = entry.resolved.clone();
+                Some(entry) if !fresh(entry) => true,
+                Some(entry) if want_path && entry.path.is_none() => false,
+                Some(entry) => {
+                    let hit = (entry.resolved.clone(), entry.path);
                     dc.hits.fetch_add(1, Ordering::Relaxed);
                     return Ok(hit);
                 }
-                found => found.is_some(),
+                None => false,
             };
             dc.misses.fetch_add(1, Ordering::Relaxed);
             drop(dc);
@@ -832,6 +888,14 @@ impl Vfs {
         let mounts = self.mounts_snapshot();
         let mut deps = DirChain::new();
         let resolved = self.resolve_inner(cwd, path, follow_last, 0, &mounts, &mut deps)?;
+        let abs = want_path.then(|| {
+            PathArena::scope(|arena| {
+                let text = self.name_walk(arena, &mounts, resolved.ino, |ino, part| {
+                    self.note_dep(&mut deps, ino, part)
+                });
+                AbsPath::of(Name::intern(&text))
+            })
+        });
         // The stored key borrows the path's interned text, which lives
         // for the whole process.
         let key = (start, follow_last, Name::intern(path).as_str());
@@ -842,11 +906,12 @@ impl Vfs {
             let entry = Cached {
                 key,
                 resolved: resolved.clone(),
+                path: abs,
                 deps: deps.iter().collect(),
             };
             dc.store(hash, entry);
         }
-        Ok(resolved)
+        Ok((resolved, abs))
     }
 
     /// Returns the topmost mount covering directory `ino`, if any.
@@ -867,12 +932,24 @@ impl Vfs {
     /// Resolves `path` (absolute, or relative to `cwd`) to an inode,
     /// following symlinks in every component including the last.
     pub fn resolve(&self, cwd: Ino, path: &str) -> KResult<Resolved> {
-        self.resolve_cached(cwd, path, true)
+        Ok(self.resolve_cached(cwd, path, true, false)?.0)
     }
 
     /// Resolves `path` without following a symlink in the final component.
     pub fn resolve_nofollow(&self, cwd: Ino, path: &str) -> KResult<Resolved> {
-        self.resolve_cached(cwd, path, false)
+        Ok(self.resolve_cached(cwd, path, false, false)?.0)
+    }
+
+    /// [`Vfs::resolve`], also naming the inode it finds by its canonical
+    /// path (what [`Vfs::path_of`] returns), however `path` spelled it. A
+    /// dcache hit serves the path its miss computed, so a warm call
+    /// neither walks parents nor interns.
+    pub fn resolve_canonical(&self, cwd: Ino, path: &str) -> KResult<(Resolved, AbsPath)> {
+        let (resolved, abs) = self.resolve_cached(cwd, path, true, true)?;
+        Ok((
+            resolved,
+            abs.expect("a resolve asked for the path names it"),
+        ))
     }
 
     fn resolve_inner(
@@ -1016,16 +1093,38 @@ impl Vfs {
         PathArena::scope(|arena| self.path_of_in(arena, ino).to_string())
     }
 
+    /// [`Vfs::path_of`], interned: the name `open` records for an inode
+    /// no cached walk named (an `O_CREAT` open, a dcache-off resolve).
+    pub fn abs_path(&self, ino: Ino) -> AbsPath {
+        PathArena::scope(|arena| AbsPath::of(Name::intern(&self.path_of_in(arena, ino))))
+    }
+
     /// Computes the absolute path of an inode into an arena buffer,
-    /// allocating no heap memory for realistic depths in steady state:
-    /// entry names come back as interned `&'static str`s, the collected
-    /// parent chain lives in an inline array, and the joined path reuses
-    /// recycled arena capacity. This is the form the open fast path uses
-    /// to hand the LSM an absolute path.
-    pub fn path_of_in<'a>(&self, arena: &'a PathArena, ino: Ino) -> super::arena::ArenaString<'a> {
+    /// allocating no heap memory for realistic depths in steady state.
+    /// It is the walk that names the inode a [`Vfs::resolve_canonical`]
+    /// miss stores, with nothing recorded.
+    pub fn path_of_in<'a>(&self, arena: &'a PathArena, ino: Ino) -> ArenaString<'a> {
+        self.name_walk(arena, &self.mounts_snapshot(), ino, |_, _| {})
+    }
+
+    /// Walks from `ino` up to the root and joins the names found into an
+    /// arena buffer, allocating no heap memory for realistic depths in
+    /// steady state: entry names come back as interned `&'static str`s,
+    /// the collected parent chain lives in an inline array, and the joined
+    /// path reuses recycled arena capacity. Each inode's name is the first
+    /// entry naming it in its parent, and a mount root stands for the
+    /// directory it covers. Before each read it passes `note` what it is
+    /// about to read, as a dcache walk does: each mount-root check reads
+    /// the inode's coverage, each name lookup its parent's entries.
+    fn name_walk<'a>(
+        &self,
+        arena: &'a PathArena,
+        mounts: &[Mount],
+        ino: Ino,
+        mut note: impl FnMut(Ino, Part),
+    ) -> ArenaString<'a> {
         /// Parent-chain parts kept inline; deeper trees spill (cold).
         const PARTS_INLINE: usize = 64;
-        let mounts = self.mounts_snapshot();
         let mut cur = ino;
         let mut inline: [&str; PARTS_INLINE] = [""; PARTS_INLINE];
         let mut n = 0usize;
@@ -1036,7 +1135,8 @@ impl Vfs {
             if guard > 4096 {
                 return arena.alloc_str("<cycle>");
             }
-            if let Some(m) = mount_rooted_at_in(&mounts, cur) {
+            note(cur, Part::Coverage);
+            if let Some(m) = mount_rooted_at_in(mounts, cur) {
                 cur = m.covered;
                 continue;
             }
@@ -1044,6 +1144,7 @@ impl Vfs {
                 break;
             }
             let parent = self.inode(cur).parent;
+            note(parent, Part::Entries);
             let name: &str = {
                 let p = self.inode(parent);
                 match p
@@ -1056,6 +1157,13 @@ impl Vfs {
                     None => Name::intern(&format!("<ino{}>", cur.0)).as_str(),
                 }
             };
+            // A rename sets the moved inode's parent before it bumps the
+            // old parent's generation: a parent that changed under the
+            // read is read again, so `note` saw the generation of the
+            // directory that named `cur`.
+            if self.inode(cur).parent != parent {
+                continue;
+            }
             if n < PARTS_INLINE {
                 inline[n] = name;
             } else {
@@ -2345,6 +2453,7 @@ mod tests {
             let entry = Cached {
                 key,
                 resolved: resolved.clone(),
+                path: None,
                 deps: Box::new([]),
             };
             shard.store(dcache_hash(key), entry);
@@ -2367,6 +2476,41 @@ mod tests {
         assert_eq!(now, other);
         assert_ne!(now, old);
         assert!(v.dcache_stats().invalidations >= 1);
+    }
+
+    /// A plain resolve stores no path and reads nothing past its walk; a
+    /// canonical resolve of the same key replaces the entry with one that
+    /// carries the path and adds only the leaf's coverage, each slot once.
+    #[test]
+    fn canonical_entry_adds_the_path_and_records_each_slot_once() {
+        let v = fixture();
+        let key = (v.root(), true, "/etc/fstab");
+        let entry = |v: &Vfs| {
+            let hash = dcache_hash(key);
+            let dc = sync::read(&v.dcache[(hash >> 32) as usize % DSHARDS]);
+            let e = &dc.map[&hash];
+            let parts = e
+                .deps
+                .iter()
+                .map(|d| (d.entries != UNREAD, d.coverage != UNREAD));
+            (e.path.map(AbsPath::as_str), parts.collect::<Vec<_>>())
+        };
+        let fstab = v.resolve(v.root(), "/etc/fstab").unwrap().ino;
+        // `/` and `/etc`: coverage, then the entries naming the next.
+        assert_eq!(entry(&v), (None, vec![(true, true), (true, true)]));
+        let (r, abs) = v.resolve_canonical(v.root(), "/etc/fstab").unwrap();
+        assert_eq!((r.ino, abs.as_str()), (fstab, "/etc/fstab"));
+        let stored = (
+            Some("/etc/fstab"),
+            vec![(true, true), (true, true), (false, true)],
+        );
+        assert_eq!(entry(&v), stored);
+        // Both resolves now hit the one entry.
+        let hits = v.dcache_stats().hits;
+        v.resolve(v.root(), "/etc/fstab").unwrap();
+        v.resolve_canonical(v.root(), "/etc/fstab").unwrap();
+        assert_eq!(v.dcache_stats().hits, hits + 2);
+        assert_eq!(entry(&v), stored);
     }
 
     #[test]

@@ -4,11 +4,13 @@
 //! table are warm, a resolve/open/read/close/getuid cycle under the full
 //! Protego LSM performs **zero** heap allocations — also once an
 //! unrelated mount and rename have happened, when each dcache hit checks
-//! its directory generations — and so do a warm resolve of a directory
-//! right after a create and a rename inside it, a warm Protego hook that
-//! matches a policy rule, a warm denial that lands in the audit ring, and
-//! a whole warm `workload::web_request` on either image (the ABI borrows
-//! its arguments and `read`/`recv` fill reusable buffers).
+//! its directory generations — and so do a warm open through a relative
+//! path or a symlink (the dcache entry carries the canonical path the
+//! open records), a warm resolve of a directory right after a create and
+//! a rename inside it, a warm Protego hook that matches a policy rule, a
+//! warm denial that lands in the audit ring, and a whole warm
+//! `workload::web_request` on either image (the ABI borrows its arguments
+//! and `read`/`recv` fill reusable buffers).
 //!
 //! Budgets: a warm mail delivery allocates at most [`MAIL_BUDGET`]
 //! times; one cycle of the eight privops operations (mount, umount,
@@ -106,13 +108,15 @@ fn count_allocs<R>(f: impl FnOnce() -> R) -> (R, u64) {
 // ---------------------------------------------------------------------
 
 fn fastpath_cycle(k: &Kernel, pid: Pid, buf: &mut Vec<u8>) {
-    let fd = k
-        .sys_open(pid, "/etc/hosts", OpenFlags::read_only())
-        .expect("open");
+    open_read_close(k, pid, "/etc/hosts", buf);
+    k.sys_getuid(pid).expect("getuid");
+}
+
+fn open_read_close(k: &Kernel, pid: Pid, path: &str, buf: &mut Vec<u8>) {
+    let fd = k.sys_open(pid, path, OpenFlags::read_only()).expect(path);
     buf.clear();
     k.sys_read(pid, fd, buf, 64).expect("read");
     k.sys_close(pid, fd).expect("close");
-    k.sys_getuid(pid).expect("getuid");
 }
 
 /// A Protego kernel with `/etc/hosts` installed: returns it with init's
@@ -188,6 +192,36 @@ fn warm_hit_after_unrelated_mount_and_rename_is_allocation_free() {
     assert!(after.hits >= before.hits + 256);
 }
 
+/// The dcache entry of a relative path or a symlink carries the
+/// canonical path the open hands the LSM and records in the descriptor,
+/// so a warm open through either spelling allocates nothing.
+#[test]
+fn warm_relative_and_symlink_opens_are_allocation_free() {
+    let (k, root, user) = fastpath_kernel();
+    k.vfs.mkdir_p("/tmp").expect("tmp");
+    k.sys_symlink(root, "/etc/hosts", "/tmp/hosts")
+        .expect("symlink");
+    k.sys_chdir(user, "/etc").expect("chdir");
+    const SPELLINGS: [&str; 3] = ["hosts", "../etc/hosts", "/tmp/hosts"];
+    let mut buf = Vec::with_capacity(4096);
+    for _ in 0..64 {
+        for path in SPELLINGS {
+            open_read_close(&k, user, path, &mut buf);
+        }
+    }
+    let before = k.vfs.dcache_stats();
+    let (_, n) = count_allocs(|| {
+        for _ in 0..256 {
+            for path in SPELLINGS {
+                open_read_close(&k, user, path, &mut buf);
+            }
+        }
+    });
+    let after = k.vfs.dcache_stats();
+    assert_eq!(n, 0, "warm relative/symlink opens allocated {} times", n);
+    assert_eq!(after.misses, before.misses, "every resolve was a hit");
+}
+
 /// A create and a rename inside a directory change its entries, not its
 /// mount coverage, so a warm resolve of the directory itself right after
 /// them stays a hit and allocates nothing.
@@ -252,7 +286,7 @@ fn warm_hooks_matching_a_rule_are_allocation_free() {
         binary: "/bin/cat",
         ..open
     };
-    // Warmup: interns the key path and fills the keyfile-rule cache.
+    // Warmup: the first call of each hook.
     lsm.file_open(&open);
 
     let (_, n) = count_allocs(|| {

@@ -1,10 +1,28 @@
-//! Differential oracle for the dcache: each image boots twice, once with
-//! the dcache on and once with it off, and runs the same script of
-//! privileged-utility runs (mount, umount, ping, sudo, su, newgrp, lpr)
-//! interleaved with mail deliveries, web requests and spool drains. Every
-//! observable output must match: exit codes, stdout, the rendered audit
-//! stream, and the final `/var/mail`, `/etc/mtab` and `/mnt` contents.
+//! Differential oracles for the dcache.
+//!
+//! Whole runs: each image boots twice, once with the dcache on and once
+//! with it off, and runs the same script of privileged-utility runs
+//! (mount, umount, ping, sudo, su, newgrp, lpr) interleaved with mail
+//! deliveries, web requests and spool drains. Every observable output must
+//! match: exit codes, stdout, the rendered audit stream, and the final
+//! `/var/mail`, `/etc/mtab` and `/mnt` contents.
+//!
+//! The canonical path a dcache entry carries: after each namespace change
+//! that moves an inode's path (an ancestor rename, a symlink left
+//! dangling, a hard link's primary name removed, a mount over an
+//! ancestor, a medium mounted elsewhere), the path recorded in an opened
+//! descriptor is `Vfs::path_of` of its inode, with the dcache on and
+//! off; and Protego's keyfile rule decides on that path, however the
+//! caller spelled it.
 
+use protego::core::ProtegoLsm;
+use protego::kernel::cred::{Credentials, Gid, Uid};
+use protego::kernel::error::{Errno, KResult};
+use protego::kernel::kernel::Kernel;
+use protego::kernel::net::SimNet;
+use protego::kernel::syscall::OpenFlags;
+use protego::kernel::task::FdObject;
+use protego::kernel::vfs::Mode;
 use protego::kernel::Pid;
 use protego::userland::workload;
 use protego::userland::{boot, System, SystemMode};
@@ -110,6 +128,175 @@ fn dcache_on_and_off_give_identical_runs_on_both_images() {
         assert!(
             cached.iter().any(|l| l.contains("hook=sb_mount")),
             "{mode:?}"
+        );
+    }
+}
+
+/// A Protego kernel with the standard devices, the dcache `on` or off,
+/// and init's pid.
+fn kernel(dcache: bool) -> (Kernel, Pid) {
+    let k = Kernel::new(SimNet::new());
+    k.install_standard_devices().expect("devices");
+    k.register_lsm(Box::new(ProtegoLsm::new())).expect("lsm");
+    k.vfs.set_dcache_enabled(dcache);
+    let init = k.spawn_init();
+    (k, init)
+}
+
+/// Opens `path` read-only as `pid` twice (a miss, then a hit when the
+/// dcache is on) and returns the path each descriptor recorded, after
+/// checking that both name the inode as `Vfs::path_of` does.
+fn opened(k: &Kernel, pid: Pid, path: &str) -> KResult<String> {
+    let mut names = Vec::new();
+    for _ in 0..2 {
+        let fd = k.sys_open(pid, path, OpenFlags::read_only())?;
+        let (ino, name) = match &k.task(pid)?.fd(fd)?.object {
+            FdObject::File { ino, path, .. } => (*ino, path.as_str()),
+            other => panic!("{path}: not a file: {other:?}"),
+        };
+        k.sys_close(pid, fd)?;
+        assert_eq!(name, k.vfs.path_of(ino), "{path}: descriptor vs path_of");
+        names.push(name.to_string());
+    }
+    assert_eq!(names[0], names[1], "{path}: miss vs hit");
+    Ok(names.swap_remove(0))
+}
+
+#[test]
+fn opened_paths_are_path_of_after_every_namespace_change() {
+    for dcache in [true, false] {
+        let (k, init) = kernel(dcache);
+        let ok = |path: &str, want: &str| {
+            assert_eq!(opened(&k, init, path).as_deref(), Ok(want), "{path}");
+        };
+        let gone = |path: &str| {
+            assert_eq!(opened(&k, init, path), Err(Errno::ENOENT), "{path}");
+        };
+        let install = |path: &str| {
+            k.vfs
+                .install_file(path, b"x", Mode(0o644), Uid::ROOT, Gid::ROOT)
+                .expect(path);
+        };
+        install("/srv/a/b/f");
+        install("/srv/a/b/h");
+        ok("/srv/a/b/f", "/srv/a/b/f");
+        k.sys_chdir(init, "/srv/a/b").expect("chdir");
+        ok("f", "/srv/a/b/f");
+        ok("../b/f", "/srv/a/b/f");
+
+        // An ancestor rename renames every path below it, also the ones
+        // reached from a cwd inside it.
+        k.sys_rename(init, "/srv/a", "/srv/z").expect("rename");
+        ok("f", "/srv/z/b/f");
+        ok("../b/f", "/srv/z/b/f");
+        ok("./f", "/srv/z/b/f");
+        ok("/srv/z/b/f", "/srv/z/b/f");
+        gone("/srv/a/b/f");
+
+        // A symlink hop names the target; renaming past the link leaves
+        // it dangling.
+        k.sys_symlink(init, "/srv/z/b", "/srv/l").expect("symlink");
+        k.sys_symlink(init, "z/b/f", "/srv/lf").expect("symlink");
+        ok("/srv/l/f", "/srv/z/b/f");
+        ok("/srv/lf", "/srv/z/b/f");
+        k.sys_rename(init, "/srv/z", "/srv/y").expect("rename");
+        gone("/srv/l/f");
+        gone("/srv/lf");
+        ok("f", "/srv/y/b/f");
+
+        // A hard link is named by its primary name until that goes.
+        let f = k.vfs.resolve(k.vfs.root(), "/srv/y/b/f").expect("f").ino;
+        let tmp = k.vfs.mkdir_p("/tmp").expect("tmp");
+        k.vfs.link(tmp, "g", f).expect("link");
+        ok("/tmp/g", "/srv/y/b/f");
+        k.sys_unlink(init, "/srv/y/b/f").expect("unlink");
+        let orphan = opened(&k, init, "/tmp/g").expect("/tmp/g");
+        assert_ne!(orphan, "/srv/y/b/f");
+        gone("f");
+
+        // A mount over an ancestor hides the absolute path, not the
+        // inode reached from a cwd below it; the umount shows it again.
+        k.sys_mount(init, "tmpfs", "/srv/y", "tmpfs", "rw")
+            .expect("mount");
+        gone("/srv/y/b/h");
+        ok("h", "/srv/y/b/h");
+        k.sys_umount(init, "/srv/y").expect("umount");
+        ok("/srv/y/b/h", "/srv/y/b/h");
+
+        // One medium mounted in turn on two mountpoints: its root, the
+        // cwd here, is named by wherever it is mounted now.
+        k.vfs.mkdir_p("/mnt/cdrom").expect("mountpoint");
+        k.vfs.mkdir_p("/media/cd").expect("mountpoint");
+        k.sys_mount(init, "/dev/cdrom", "/mnt/cdrom", "iso9660", "ro")
+            .expect("mount");
+        k.sys_chdir(init, "/mnt/cdrom").expect("chdir");
+        ok("README", "/mnt/cdrom/README");
+        k.sys_umount(init, "/mnt/cdrom").expect("umount");
+        let unmounted = opened(&k, init, "README").expect("README");
+        assert_ne!(unmounted, "/mnt/cdrom/README");
+        k.sys_mount(init, "/dev/cdrom", "/media/cd", "iso9660", "ro")
+            .expect("mount");
+        ok("README", "/media/cd/README");
+        ok("/media/cd/README", "/media/cd/README");
+        gone("/mnt/cdrom/README");
+        k.sys_umount(init, "/media/cd").expect("umount");
+        k.sys_mount(init, "/dev/cdrom", "/mnt/cdrom", "iso9660", "ro")
+            .expect("mount");
+        ok("README", "/mnt/cdrom/README");
+        ok("../cdrom/README", "/mnt/cdrom/README");
+    }
+}
+
+/// Protego's binary-identity rule for the ssh host key keys on the path
+/// the kernel resolved: ssh-keysign reads the key through a symlink, a
+/// relative path and `..`, and any other binary is refused through each
+/// of them, root included (DAC alone would let root read it).
+#[test]
+fn keyfile_rule_keys_on_the_canonical_path_however_it_is_spelled() {
+    const KEY: &str = "/etc/ssh/ssh_host_key";
+    const SPELLINGS: [&str; 5] = [
+        KEY,
+        "/tmp/key",
+        "ssh_host_key",
+        "../ssh/ssh_host_key",
+        "/etc/./ssh/../ssh/ssh_host_key",
+    ];
+    for dcache in [true, false] {
+        let (k, init) = kernel(dcache);
+        k.vfs
+            .install_file(KEY, b"key", Mode(0o600), Uid::ROOT, Gid::ROOT)
+            .expect("host key");
+        k.vfs.mkdir_p("/tmp").expect("tmp");
+        k.sys_symlink(init, KEY, "/tmp/key").expect("symlink");
+        let fd = k
+            .sys_open(init, "/proc/protego/keyfiles", OpenFlags::write_only())
+            .expect("keyfiles");
+        k.sys_write(init, fd, format!("{KEY} /usr/lib/ssh-keysign\n").as_bytes())
+            .expect("rule");
+        k.sys_close(init, fd).expect("close");
+
+        let user = Credentials::user(Uid(1000), Gid(1000));
+        let keysign = k.spawn_session(user.clone(), "/usr/lib/ssh-keysign");
+        let cat = k.spawn_session(user, "/bin/cat");
+        let root_cat = k.spawn_session(Credentials::root(), "/bin/cat");
+        for pid in [keysign, cat, root_cat] {
+            k.sys_chdir(pid, "/etc/ssh").expect("chdir");
+        }
+        for path in SPELLINGS {
+            assert_eq!(opened(&k, keysign, path).as_deref(), Ok(KEY), "{path}");
+            assert_eq!(opened(&k, cat, path), Err(Errno::EACCES), "{path}");
+            assert_eq!(opened(&k, root_cat, path), Err(Errno::EACCES), "{path}");
+        }
+        let denials = k
+            .audit
+            .events()
+            .iter()
+            .filter(|e| e.is_denial() && e.render().contains(KEY))
+            .count();
+        assert_eq!(
+            denials,
+            2 * SPELLINGS.len(),
+            "every denial names the canonical path"
         );
     }
 }
