@@ -246,7 +246,7 @@ mod tests {
     use sim_kernel::cred::{Gid, Uid};
     use sim_kernel::kernel::Kernel;
     use sim_kernel::net::SimNet;
-    use sim_kernel::vfs::Mode;
+    use sim_kernel::vfs::{AbsPath, Mode};
 
     fn boot_with_apparmor() -> (Kernel, sim_kernel::Pid) {
         let k = Kernel::new(SimNet::new());
@@ -276,7 +276,7 @@ mod tests {
     fn confined_mount_cannot_read_shadow_even_as_root() {
         let (k, root) = boot_with_apparmor();
         // Simulate the exploited /bin/mount: task runs that binary as root.
-        k.task_mut(root).unwrap().binary = "/bin/mount".into();
+        k.task_mut(root).unwrap().binary = AbsPath::intern("/bin/mount");
         assert_eq!(k.read_file(root, "/etc/shadow").unwrap_err(), Errno::EACCES);
         // But fstab is within the profile.
         assert!(k.read_file(root, "/etc/fstab").is_ok());
@@ -285,7 +285,7 @@ mod tests {
     #[test]
     fn confined_mount_retains_sys_admin() {
         let (k, root) = boot_with_apparmor();
-        k.task_mut(root).unwrap().binary = "/bin/mount".into();
+        k.task_mut(root).unwrap().binary = AbsPath::intern("/bin/mount");
         k.vfs.mkdir_p("/mnt/cdrom").unwrap();
         // The paper's critique: the confined binary can still re-arrange
         // the filesystem tree.
@@ -296,7 +296,7 @@ mod tests {
     #[test]
     fn confined_ping_loses_sys_admin() {
         let (k, root) = boot_with_apparmor();
-        k.task_mut(root).unwrap().binary = "/bin/ping".into();
+        k.task_mut(root).unwrap().binary = AbsPath::intern("/bin/ping");
         k.vfs.mkdir_p("/mnt/cdrom").unwrap();
         assert_eq!(
             k.sys_mount(root, "/dev/cdrom", "/mnt/cdrom", "iso9660", "ro")

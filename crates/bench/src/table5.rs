@@ -12,7 +12,7 @@ use apparmor_lsm::{glob_match, AppArmorLsm, CompiledGlob};
 use sim_kernel::cred::{Credentials, Gid, Uid};
 use sim_kernel::lsm::{FileOpenCtx, SecurityModule};
 use sim_kernel::trace::{CacheStats, Metrics};
-use sim_kernel::vfs::{Access, Ino, Mode};
+use sim_kernel::vfs::{AbsPath, Access, Ino, Mode};
 use std::collections::BTreeMap;
 use std::hint::black_box;
 use std::time::Instant;
@@ -431,7 +431,7 @@ fn collect_cache_metrics() -> BTreeMap<&'static str, CacheStats> {
         let k = &f.sys.kernel;
         k.write_file(f.root, "/etc/hosts", b"127.0.0.1 localhost\n", Mode(0o644))
             .expect("hosts file");
-        k.task_mut(f.root).expect("root task").binary = "/usr/sbin/tcpdump".to_string();
+        k.task_mut(f.root).expect("root task").binary = AbsPath::intern("/usr/sbin/tcpdump");
         for _ in 0..8 {
             let _ = k.read_to_string(f.root, "/etc/hosts");
         }

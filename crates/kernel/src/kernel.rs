@@ -644,7 +644,7 @@ impl Kernel {
             };
             (
                 self.lsm_hook(crate::trace::Pathway::LsmCapable, |m| {
-                    m.capable(&t.cred, &t.binary, cap)
+                    m.capable(&t.cred, t.binary.as_str(), cap)
                 }),
                 t.cred.has_cap(cap),
             )
@@ -870,8 +870,8 @@ impl Kernel {
         } else {
             InodeData::CharDev(dev)
         };
-        let ino = self.vfs.alloc(dir, mode, Uid::ROOT, Gid::ROOT, data);
-        self.vfs.dir_add(dir, name, ino)?;
+        self.vfs
+            .create_node(dir, name, mode, Uid::ROOT, Gid::ROOT, data)?;
         Ok(())
     }
 

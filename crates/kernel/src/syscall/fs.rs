@@ -292,7 +292,7 @@ impl Kernel {
                 let ctx = FileOpenCtx {
                     cred: &t.cred,
                     path: canonical,
-                    binary: &t.binary,
+                    binary: t.binary.as_str(),
                     access: want,
                     dac_allows: dac_ok,
                     file_owner,

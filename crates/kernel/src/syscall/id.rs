@@ -26,7 +26,7 @@ impl Kernel {
                 let t = self.task(pid)?;
                 let ctx = SetidCtx {
                     cred: &t.cred,
-                    binary: &t.binary,
+                    binary: t.binary.as_str(),
                     last_auth: t.last_auth,
                     last_auth_scope: t.last_auth_scope,
                     now: self.clock(),
@@ -174,7 +174,7 @@ impl Kernel {
                 let t = self.task(pid)?;
                 let ctx = SetidCtx {
                     cred: &t.cred,
-                    binary: &t.binary,
+                    binary: t.binary.as_str(),
                     last_auth: t.last_auth,
                     last_auth_scope: t.last_auth_scope,
                     now: self.clock(),

@@ -144,7 +144,7 @@ impl Kernel {
             let cred = self.task(pid)?.cred.clone();
             let req = BindRequest {
                 port,
-                binary: self.task(pid)?.binary.clone(),
+                binary: self.task(pid)?.binary.as_str().to_string(),
                 tcp: matches!(stype, SockType::Stream),
             };
             let object = AuditObject::Port { port, tcp: req.tcp };

@@ -43,7 +43,7 @@ impl Kernel {
 
     /// `execve(2)`. Returns the resolved absolute path of the new image.
     pub fn sys_execve(&self, pid: Pid, path: &str) -> KResult<String> {
-        let (r, abs) = self.walk_canonical(pid, path)?;
+        let (r, image) = self.walk_canonical(pid, path)?;
         {
             let inode = self.vfs.inode(r.ino);
             if inode.data.is_dir() {
@@ -54,7 +54,7 @@ impl Kernel {
             }
         }
         self.check_access(pid, r.ino, Access::EXEC)?;
-        let abs = abs.as_str();
+        let abs = image.as_str();
 
         // Mount flags covering the binary.
         let (nosuid, noexec) = self.vfs.with_mount_holding(abs, |m| {
@@ -182,7 +182,7 @@ impl Kernel {
             self.release_fd_object(fd.object);
         }
 
-        self.task_mut(pid)?.binary = abs.to_string();
+        self.task_mut(pid)?.binary = image;
         self.emit_kernel_event(
             pid,
             "execve",

@@ -4,7 +4,7 @@ use crate::cred::Credentials;
 use crate::error::{Errno, KResult};
 use crate::lsm::{AuthScope, PendingSetuid};
 use crate::net::SockId;
-use crate::vfs::{Ino, Name};
+use crate::vfs::{AbsPath, Ino, Name};
 use std::collections::VecDeque;
 
 /// A process identity.
@@ -59,7 +59,7 @@ impl TaskIdentity {
             pid: task.pid,
             uid: task.cred.ruid,
             euid: task.cred.euid,
-            binary: Name::intern(&task.binary),
+            binary: task.binary.name(),
             alive: true,
         }
     }
@@ -136,8 +136,9 @@ pub struct Task {
     pub cwd: Ino,
     /// Open file descriptors.
     pub fds: Vec<Option<Fd>>,
-    /// Path of the binary image the task is executing.
-    pub binary: String,
+    /// Interned path of the binary image the task is executing: the
+    /// canonical path `execve` resolved, or the one it was spawned with.
+    pub binary: AbsPath,
     /// Environment variables.
     pub env: Vec<(String, String)>,
     /// Logical time of the task's last successful authentication — the
@@ -166,7 +167,7 @@ impl Task {
             cred,
             cwd,
             fds: Vec::new(),
-            binary: binary.to_string(),
+            binary: AbsPath::intern(binary),
             env: Vec::new(),
             last_auth: None,
             last_auth_scope: None,

@@ -79,15 +79,14 @@ impl PathArena {
     }
 
     /// Builds `/part0/part1/…` in a recycled buffer ("/" for no parts).
-    pub fn join_path(&self, parts: &[&str]) -> ArenaString<'_> {
+    pub fn join_path<'s>(&self, parts: impl IntoIterator<Item = &'s str>) -> ArenaString<'_> {
         let mut out = self.string();
-        if parts.is_empty() {
-            out.buf.push('/');
-            return out;
-        }
         for part in parts {
             out.buf.push('/');
             out.buf.push_str(part);
+        }
+        if out.buf.is_empty() {
+            out.buf.push('/');
         }
         out
     }
@@ -228,10 +227,10 @@ mod tests {
     #[test]
     fn join_path_formats_components() {
         PathArena::scope(|a| {
-            assert_eq!(a.join_path(&[]).as_str(), "/");
-            assert_eq!(a.join_path(&["etc"]).as_str(), "/etc");
+            assert_eq!(a.join_path([]).as_str(), "/");
+            assert_eq!(a.join_path(["etc"]).as_str(), "/etc");
             assert_eq!(
-                a.join_path(&["etc", "ssl", "certs"]).as_str(),
+                a.join_path(["etc", "ssl", "certs"]).as_str(),
                 "/etc/ssl/certs"
             );
         });

@@ -29,7 +29,7 @@
 //! on it, or asking whether a `..` starts at a mount root) records
 //! `coverage`. A probe hits only while every recorded generation is
 //! unchanged. Writers bump just the counter they change, after changing
-//! it: `dir_add`, `dir_remove` and `link` the directory's `entries`;
+//! it: `create_node` and `dir_remove` the directory's `entries`;
 //! `rename` the `entries` of both directories plus a moved directory's
 //! (its `..` changes); mount and umount the `coverage` of the covered
 //! directory and of the mount root. `chmod`/`chown` bump nothing, because
@@ -41,14 +41,15 @@
 //! overlapped a mount or umount could pair a fresh generation with a
 //! stale snapshot; such a walk is not stored (`mount_seq` moved).
 //!
-//! A walk asked for the canonical path (`open`, `execve`, through
-//! [`Vfs::resolve_canonical`]) also names the inode it found, once, on
-//! the miss, and its entry carries that path. Naming walks up the parent
-//! chain and records what it reads the same way: each parent's `entries`
-//! (which names the child) and each inode's `coverage` (whether a mount
-//! is rooted at it). So the entry goes stale exactly when
-//! [`Vfs::path_of`] would change: an ancestor rename, the removal of a
-//! hard link's primary name, or a mount or umount rooted on the chain.
+//! Every miss also names the inode it found, and its entry carries that
+//! canonical path, which [`Vfs::resolve_canonical`] (`open`, `execve`)
+//! serves on a hit. Each inode keeps its one name beside its parent, as a
+//! dentry keeps `d_name`, so naming walks up the parent chain reading
+//! each inode's `(parent, name)`, and records what it reads the same way:
+//! each parent's `entries` (which a change of the child's name bumps) and
+//! each inode's `coverage` (whether a mount is rooted at it). So the
+//! entry goes stale exactly when [`Vfs::path_of`] would change: an
+//! ancestor rename or removal, or a mount or umount rooted on the chain.
 //!
 //! Lock discipline (see DESIGN.md §13):
 //! * at most one inode-shard guard is held at a time, except through
@@ -163,13 +164,12 @@ struct DcacheShard {
 }
 
 /// A cached resolution, the full key it was stored under, the canonical
-/// path of the inode it found (when the walk that stored it was asked to
-/// name it), and the generations it is valid for.
+/// path of the inode it found, and the generations it is valid for.
 #[derive(Debug)]
 struct Cached {
     key: DcacheKey<'static>,
     resolved: Resolved,
-    path: Option<AbsPath>,
+    path: AbsPath,
     deps: Box<[Dep]>,
 }
 
@@ -183,7 +183,9 @@ pub struct AbsPath {
 }
 
 impl AbsPath {
-    fn of(name: Name) -> AbsPath {
+    /// Interns `path`, which the caller vouches is absolute and canonical.
+    pub fn intern(path: &str) -> AbsPath {
+        let name = Name::intern(path);
         AbsPath {
             name,
             text: name.as_str(),
@@ -351,7 +353,8 @@ pub struct Mount {
 }
 
 /// Directories traversed during one resolution (or, in the dcache, the
-/// directory generations it depends on), inline up to `DIR_INLINE` deep
+/// directory generations it depends on, and in a naming walk, the names
+/// it collects), inline up to `DIR_INLINE` deep
 /// so the common walk — and cloning a dcache hit — never touches the
 /// heap. Deeper walks spill to a `Vec`.
 #[derive(Clone, Debug)]
@@ -411,7 +414,7 @@ impl<T: Copy + Default> DirChain<T> {
     }
 
     /// Iterates the elements in push order.
-    pub fn iter(&self) -> impl Iterator<Item = T> + '_ {
+    pub fn iter(&self) -> impl DoubleEndedIterator<Item = T> + '_ {
         self.inline[..self.len.min(DIR_INLINE)]
             .iter()
             .copied()
@@ -507,6 +510,7 @@ fn placeholder_inode(ino: Ino) -> Inode {
     Inode {
         ino,
         parent: Ino(0),
+        name: None,
         mode: Mode(0),
         uid: Uid::ROOT,
         gid: Gid::ROOT,
@@ -546,6 +550,7 @@ impl Vfs {
         let root_inode = Inode {
             ino: Ino(0),
             parent: Ino(0),
+            name: None,
             mode: Mode(0o755),
             uid: Uid::ROOT,
             gid: Gid::ROOT,
@@ -649,6 +654,7 @@ impl Vfs {
         let inode = Inode {
             ino,
             parent,
+            name: None,
             mode,
             uid,
             gid,
@@ -663,18 +669,6 @@ impl Vfs {
             g[slot] = inode;
         }
         ino
-    }
-
-    /// Returns a freshly allocated but never-linked inode to the free
-    /// list (a racing `dir_add` lost; nothing references it).
-    fn dealloc_unlinked(&self, ino: Ino) {
-        let mut g = self.inode_mut(ino);
-        g.data = InodeData::Regular(Vec::new());
-        g.nlink = 0;
-        g.opens = 0;
-        // Push while still holding the shard guard so no one can observe
-        // a half-reset slot; shard → alloc is the sanctioned order.
-        sync::lock(&self.alloc).free.push(ino);
     }
 
     /// Number of inode slots ever allocated (live + reclaimed).
@@ -827,27 +821,15 @@ impl Vfs {
     /// Cache-fronted resolution. Looks up (start dir, follow-last, path) in
     /// its dcache shard and serves the entry if every directory generation
     /// it recorded is unchanged; otherwise walks with
-    /// [`Vfs::resolve_inner`] and stores the result with the generations
-    /// that walk loaded. With `want_path` the result also carries the
-    /// resolved inode's canonical path: a miss computes it with
-    /// [`Vfs::name_walk`], whose reads join the entry's generations, and a
-    /// hit serves it. An entry stored without the path does not serve a
-    /// resolve that asks for it; that resolve walks again and replaces it.
+    /// [`Vfs::resolve_inner`], names the inode found with
+    /// [`Vfs::name_walk`], and stores both with the generations the two
+    /// walks loaded. Only called with the dcache on.
     fn resolve_cached(
         &self,
         cwd: Ino,
         path: &str,
         follow_last: bool,
-        want_path: bool,
-    ) -> KResult<(Resolved, Option<AbsPath>)> {
-        let _resolve_span = crate::trace::span(crate::trace::Pathway::VfsResolve);
-        if !self.dcache_enabled.load(Ordering::Relaxed) {
-            let mounts = self.mounts_snapshot();
-            let resolved =
-                self.resolve_inner(cwd, path, follow_last, 0, &mounts, &mut DirChain::new())?;
-            let abs = want_path.then(|| self.abs_path(resolved.ino));
-            return Ok((resolved, abs));
-        }
+    ) -> KResult<(Resolved, AbsPath)> {
         let start = if path.starts_with('/') {
             self.root
         } else {
@@ -863,14 +845,12 @@ impl Vfs {
             // A hit clones a `Resolved` whose `DirChain` is inline for
             // realistic depths, so the hit path stays allocation-free.
             let stale = match dc.map.get(&hash).filter(|e| e.key == key) {
-                Some(entry) if !fresh(entry) => true,
-                Some(entry) if want_path && entry.path.is_none() => false,
-                Some(entry) => {
+                Some(entry) if fresh(entry) => {
                     let hit = (entry.resolved.clone(), entry.path);
                     dc.hits.fetch_add(1, Ordering::Relaxed);
                     return Ok(hit);
                 }
-                None => false,
+                entry => entry.is_some(),
             };
             dc.misses.fetch_add(1, Ordering::Relaxed);
             drop(dc);
@@ -888,13 +868,11 @@ impl Vfs {
         let mounts = self.mounts_snapshot();
         let mut deps = DirChain::new();
         let resolved = self.resolve_inner(cwd, path, follow_last, 0, &mounts, &mut deps)?;
-        let abs = want_path.then(|| {
-            PathArena::scope(|arena| {
-                let text = self.name_walk(arena, &mounts, resolved.ino, |ino, part| {
-                    self.note_dep(&mut deps, ino, part)
-                });
-                AbsPath::of(Name::intern(&text))
-            })
+        let abs = PathArena::scope(|arena| {
+            let text = self.name_walk(arena, &mounts, resolved.ino, |ino, part| {
+                self.note_dep(&mut deps, ino, part)
+            });
+            AbsPath::intern(&text)
         });
         // The stored key borrows the path's interned text, which lives
         // for the whole process.
@@ -912,6 +890,23 @@ impl Vfs {
             dc.store(hash, entry);
         }
         Ok((resolved, abs))
+    }
+
+    /// The dcache-off walk: resolves without naming, storing or recording.
+    fn resolve_uncached(&self, cwd: Ino, path: &str, follow_last: bool) -> KResult<Resolved> {
+        let mounts = self.mounts_snapshot();
+        self.resolve_inner(cwd, path, follow_last, 0, &mounts, &mut DirChain::new())
+    }
+
+    /// [`Vfs::resolve`] or [`Vfs::resolve_nofollow`]. With the dcache on,
+    /// a miss names the inode it stores; with it off, nothing is named.
+    fn resolve_plain(&self, cwd: Ino, path: &str, follow_last: bool) -> KResult<Resolved> {
+        let _resolve_span = crate::trace::span(crate::trace::Pathway::VfsResolve);
+        if self.dcache_enabled.load(Ordering::Relaxed) {
+            Ok(self.resolve_cached(cwd, path, follow_last)?.0)
+        } else {
+            self.resolve_uncached(cwd, path, follow_last)
+        }
     }
 
     /// Returns the topmost mount covering directory `ino`, if any.
@@ -932,12 +927,12 @@ impl Vfs {
     /// Resolves `path` (absolute, or relative to `cwd`) to an inode,
     /// following symlinks in every component including the last.
     pub fn resolve(&self, cwd: Ino, path: &str) -> KResult<Resolved> {
-        Ok(self.resolve_cached(cwd, path, true, false)?.0)
+        self.resolve_plain(cwd, path, true)
     }
 
     /// Resolves `path` without following a symlink in the final component.
     pub fn resolve_nofollow(&self, cwd: Ino, path: &str) -> KResult<Resolved> {
-        Ok(self.resolve_cached(cwd, path, false, false)?.0)
+        self.resolve_plain(cwd, path, false)
     }
 
     /// [`Vfs::resolve`], also naming the inode it finds by its canonical
@@ -945,11 +940,13 @@ impl Vfs {
     /// dcache hit serves the path its miss computed, so a warm call
     /// neither walks parents nor interns.
     pub fn resolve_canonical(&self, cwd: Ino, path: &str) -> KResult<(Resolved, AbsPath)> {
-        let (resolved, abs) = self.resolve_cached(cwd, path, true, true)?;
-        Ok((
-            resolved,
-            abs.expect("a resolve asked for the path names it"),
-        ))
+        let _resolve_span = crate::trace::span(crate::trace::Pathway::VfsResolve);
+        if self.dcache_enabled.load(Ordering::Relaxed) {
+            return self.resolve_cached(cwd, path, true);
+        }
+        let resolved = self.resolve_uncached(cwd, path, true)?;
+        let abs = self.abs_path(resolved.ino);
+        Ok((resolved, abs))
     }
 
     fn resolve_inner(
@@ -1096,13 +1093,13 @@ impl Vfs {
     /// [`Vfs::path_of`], interned: the name `open` records for an inode
     /// no cached walk named (an `O_CREAT` open, a dcache-off resolve).
     pub fn abs_path(&self, ino: Ino) -> AbsPath {
-        PathArena::scope(|arena| AbsPath::of(Name::intern(&self.path_of_in(arena, ino))))
+        PathArena::scope(|arena| AbsPath::intern(&self.path_of_in(arena, ino)))
     }
 
     /// Computes the absolute path of an inode into an arena buffer,
     /// allocating no heap memory for realistic depths in steady state.
-    /// It is the walk that names the inode a [`Vfs::resolve_canonical`]
-    /// miss stores, with nothing recorded.
+    /// It is the walk that names the inode a dcache miss stores, with
+    /// nothing recorded.
     pub fn path_of_in<'a>(&self, arena: &'a PathArena, ino: Ino) -> ArenaString<'a> {
         self.name_walk(arena, &self.mounts_snapshot(), ino, |_, _| {})
     }
@@ -1110,12 +1107,13 @@ impl Vfs {
     /// Walks from `ino` up to the root and joins the names found into an
     /// arena buffer, allocating no heap memory for realistic depths in
     /// steady state: entry names come back as interned `&'static str`s,
-    /// the collected parent chain lives in an inline array, and the joined
-    /// path reuses recycled arena capacity. Each inode's name is the first
-    /// entry naming it in its parent, and a mount root stands for the
-    /// directory it covers. Before each read it passes `note` what it is
-    /// about to read, as a dcache walk does: each mount-root check reads
-    /// the inode's coverage, each name lookup its parent's entries.
+    /// the collected parent chain lives in a [`DirChain`], and the joined
+    /// path reuses recycled arena capacity. Each inode's name is the one it
+    /// keeps beside its parent; an unlinked inode is marked `<inoN>`, and
+    /// a mount root stands for the directory it covers. Before each read
+    /// it passes `note` what it is about to read, as a dcache walk does:
+    /// each mount-root check reads the inode's coverage, each name read
+    /// its parent's entries.
     fn name_walk<'a>(
         &self,
         arena: &'a PathArena,
@@ -1123,12 +1121,8 @@ impl Vfs {
         ino: Ino,
         mut note: impl FnMut(Ino, Part),
     ) -> ArenaString<'a> {
-        /// Parent-chain parts kept inline; deeper trees spill (cold).
-        const PARTS_INLINE: usize = 64;
         let mut cur = ino;
-        let mut inline: [&str; PARTS_INLINE] = [""; PARTS_INLINE];
-        let mut n = 0usize;
-        let mut spill: Vec<&str> = Vec::new();
+        let mut parts: DirChain<&'static str> = DirChain::new();
         let mut guard = 0;
         loop {
             guard += 1;
@@ -1143,46 +1137,30 @@ impl Vfs {
             if cur == self.root {
                 break;
             }
+            // A rename sets the moved inode's parent and name before it
+            // bumps the old parent's generation: the pair is read after
+            // `note`, and a parent that changed under it is read again, so
+            // `note` saw the generation of the directory that names `cur`.
             let parent = self.inode(cur).parent;
             note(parent, Part::Entries);
-            let name: &str = {
-                let p = self.inode(parent);
-                match p
-                    .dir_entries()
-                    .and_then(|e| e.iter().find(|(_, &i)| i == cur).map(|(n, _)| *n))
-                {
-                    Some(found) => found.as_str(),
-                    // Orphan diagnostic (cold): intern so the text gets
-                    // the 'static lifetime the parts array needs.
-                    None => Name::intern(&format!("<ino{}>", cur.0)).as_str(),
-                }
+            let (now, name) = {
+                let c = self.inode(cur);
+                (c.parent, c.name)
             };
-            // A rename sets the moved inode's parent before it bumps the
-            // old parent's generation: a parent that changed under the
-            // read is read again, so `note` saw the generation of the
-            // directory that named `cur`.
-            if self.inode(cur).parent != parent {
+            if now != parent {
                 continue;
             }
-            if n < PARTS_INLINE {
-                inline[n] = name;
-            } else {
-                spill.push(name);
-            }
-            n += 1;
+            let name = match name {
+                Some(name) => name.as_str(),
+                // Orphan diagnostic (cold): intern so the text gets the
+                // 'static lifetime the parts array needs.
+                None => Name::intern(&format!("<ino{}>", cur.0)).as_str(),
+            };
+            parts.push(name);
             cur = parent;
         }
         // Parts were collected leaf-to-root; present them root-to-leaf.
-        if spill.is_empty() {
-            inline[..n].reverse();
-            arena.join_path(&inline[..n])
-        } else {
-            let mut parts: Vec<&str> = Vec::with_capacity(n);
-            parts.extend(inline[..PARTS_INLINE].iter().copied());
-            parts.extend(spill.iter().copied());
-            parts.reverse();
-            arena.join_path(&parts)
-        }
+        arena.join_path(parts.iter().rev())
     }
 
     // ------------------------------------------------------------------
@@ -1207,58 +1185,66 @@ impl Vfs {
         Ok(names)
     }
 
-    /// Checks that `dir_add(dir, name, _)` would succeed, without
-    /// mutating anything. Callers that allocate an inode before linking
-    /// it in (`create_file`, `mkdir`, `symlink`) run this first so the
-    /// common error paths never allocate; a concurrent loser of the
-    /// precheck→add race deallocates instead (see `dealloc_unlinked`).
-    fn dir_add_precheck(&self, dir: Ino, name: &str) -> KResult<()> {
+    /// Allocates an inode and links it into `dir` as `name`, its one name;
+    /// `EEXIST` if the name exists. The entry and the name appear in one
+    /// critical section, so no walk finds the inode unnamed. A check first
+    /// keeps the common error paths from allocating.
+    pub(crate) fn create_node(
+        &self,
+        dir: Ino,
+        name: &str,
+        mode: Mode,
+        uid: Uid,
+        gid: Gid,
+        data: InodeData,
+    ) -> KResult<Ino> {
         if name.is_empty() || name.contains('/') {
             return Err(Errno::EINVAL);
         }
-        let d = self.inode(dir);
-        let entries = d.dir_entries().ok_or(Errno::ENOTDIR)?;
-        if let Some(n) = Name::lookup(name) {
-            if entries.contains_key(&n) {
+        {
+            let d = self.inode(dir);
+            let entries = d.dir_entries().ok_or(Errno::ENOTDIR)?;
+            if Name::lookup(name).is_some_and(|n| entries.contains_key(&n)) {
                 return Err(Errno::EEXIST);
             }
         }
-        Ok(())
-    }
-
-    /// Adds a directory entry, failing if the name exists.
-    pub fn dir_add(&self, dir: Ino, name: &str, child: Ino) -> KResult<()> {
-        if name.is_empty() || name.contains('/') {
-            return Err(Errno::EINVAL);
-        }
-        // Kind is immutable for a live inode, so this pre-guard read
-        // cannot go stale before the write below. Intern outside the
-        // shard guard: interner locks are leaves, but there is no reason
-        // to nest them under an inode lock.
+        // Intern outside the shard guards: interner locks are leaves, but
+        // there is no reason to nest them under an inode lock.
         let key = Name::intern(name);
-        let child_is_dir = child != dir && self.inode(child).data.is_dir();
-        {
-            let mut d = self.inode_mut(dir);
-            let seq = self.next_seq();
-            let node = &mut *d;
-            let entries = match &mut node.data {
+        let ino = self.alloc(dir, mode, uid, gid, data);
+        let added = self.with_pair(dir, ino, |d, c| {
+            let entries = match &mut d.data {
                 InodeData::Directory(e) => e,
                 _ => return Err(Errno::ENOTDIR),
             };
             if entries.contains_key(&key) {
                 return Err(Errno::EEXIST);
             }
-            entries.insert(key, child);
-            if child_is_dir {
-                node.nlink += 1;
+            entries.insert(key, ino);
+            c.name = Some(key);
+            if c.data.is_dir() {
+                d.nlink += 1;
             }
-            node.version = seq;
+            d.version = self.next_seq();
+            Ok(())
+        });
+        if let Err(e) = added {
+            // A racing creator took the name. No directory links this
+            // inode and no walk found it, so its slot is freed, under the
+            // shard guard (shard → alloc is the sanctioned order) so no
+            // one observes it half reset.
+            let mut g = self.inode_mut(ino);
+            g.data = InodeData::Regular(Vec::new());
+            g.nlink = 0;
+            sync::lock(&self.alloc).free.push(ino);
+            return Err(e);
         }
         self.bump(dir, Part::Entries);
-        Ok(())
+        Ok(ino)
     }
 
-    /// Removes a directory entry, returning the unlinked inode number.
+    /// Removes a directory entry, returning the unlinked inode number,
+    /// which loses its name and keeps its parent.
     ///
     /// Removing a *directory* entry requires the directory to be empty —
     /// this is checked here (atomically with the removal, both inodes
@@ -1274,10 +1260,6 @@ impl Vfs {
             let key = Name::lookup(name).ok_or(Errno::ENOENT)?;
             (key, *entries.get(&key).ok_or(Errno::ENOENT)?)
         };
-        if child == dir {
-            // A self-entry means the directory is non-empty by definition.
-            return Err(Errno::ENOTEMPTY);
-        }
         self.with_pair(dir, child, |d, c| {
             let entries = match &mut d.data {
                 InodeData::Directory(e) => e,
@@ -1294,13 +1276,13 @@ impl Vfs {
                 }
             }
             entries.remove(&key);
+            c.name = None;
             if c.data.is_dir() {
                 d.nlink -= 1;
-                // The emptiness check above guarantees nothing is orphaned.
-                c.nlink = 0;
-            } else {
-                c.nlink = c.nlink.saturating_sub(1);
             }
+            // For a directory, the emptiness check above guarantees
+            // nothing is orphaned.
+            c.nlink = 0;
             d.version = self.next_seq();
             Ok(())
         })?;
@@ -1319,60 +1301,23 @@ impl Vfs {
         gid: Gid,
         exclusive: bool,
     ) -> KResult<Ino> {
-        match self.dir_add_precheck(dir, name) {
-            Ok(()) => {}
-            Err(Errno::EEXIST) if !exclusive => {
-                return self.dir_lookup(dir, name)?.ok_or(Errno::ENOENT);
-            }
-            Err(e) => return Err(e),
-        }
-        let ino = self.alloc(dir, mode, uid, gid, InodeData::Regular(Vec::new()));
-        match self.dir_add(dir, name, ino) {
-            Ok(()) => Ok(ino),
-            Err(e) => {
-                self.dealloc_unlinked(ino);
-                if e == Errno::EEXIST && !exclusive {
-                    // Lost a create race; surface the winner.
-                    self.dir_lookup(dir, name)?.ok_or(Errno::ENOENT)
-                } else {
-                    Err(e)
-                }
-            }
+        match self.create_node(dir, name, mode, uid, gid, InodeData::Regular(Vec::new())) {
+            // The name exists, or a racing creator just added it.
+            Err(Errno::EEXIST) if !exclusive => self.dir_lookup(dir, name)?.ok_or(Errno::ENOENT),
+            created => created,
         }
     }
 
     /// Creates a directory.
     pub fn mkdir(&self, dir: Ino, name: &str, mode: Mode, uid: Uid, gid: Gid) -> KResult<Ino> {
-        self.dir_add_precheck(dir, name)?;
-        let ino = self.alloc(dir, mode, uid, gid, InodeData::Directory(BTreeMap::new()));
-        match self.dir_add(dir, name, ino) {
-            Ok(()) => Ok(ino),
-            Err(e) => {
-                // Directories are never reclaimed, but this one was never
-                // linked, so returning the slot is safe.
-                self.dealloc_unlinked(ino);
-                Err(e)
-            }
-        }
+        let data = InodeData::Directory(BTreeMap::new());
+        self.create_node(dir, name, mode, uid, gid, data)
     }
 
     /// Creates a symlink.
     pub fn symlink(&self, dir: Ino, name: &str, target: &str, uid: Uid, gid: Gid) -> KResult<Ino> {
-        self.dir_add_precheck(dir, name)?;
-        let ino = self.alloc(
-            dir,
-            Mode(0o777),
-            uid,
-            gid,
-            InodeData::Symlink(target.to_string()),
-        );
-        match self.dir_add(dir, name, ino) {
-            Ok(()) => Ok(ino),
-            Err(e) => {
-                self.dealloc_unlinked(ino);
-                Err(e)
-            }
-        }
+        let data = InodeData::Symlink(target.to_string());
+        self.create_node(dir, name, Mode(0o777), uid, gid, data)
     }
 
     /// Removes a non-directory entry.
@@ -1503,11 +1448,18 @@ impl Vfs {
                 break existing;
             }
         };
+        // The moved inode's parent and name change together, before the
+        // bumps. A concurrent `dir_remove` of the new entry may already
+        // have unlinked it; an unlinked inode stays unnamed.
         {
             let mut s = self.inode_mut(src);
             let seq = self.next_seq();
             s.parent = to_dir;
+            s.name = s.name.map(|_| to_key);
             s.version = seq;
+        }
+        if let Some(old) = replaced {
+            self.inode_mut(old).name = None;
         }
         self.bump(from_dir, Part::Entries);
         self.bump(to_dir, Part::Entries);
@@ -1524,38 +1476,6 @@ impl Vfs {
             }
             self.maybe_reclaim(old);
         }
-        Ok(())
-    }
-
-    /// Creates a hard link to an existing inode.
-    pub fn link(&self, dir: Ino, name: &str, target: Ino) -> KResult<()> {
-        if self.inode(target).data.is_dir() {
-            return Err(Errno::EPERM);
-        }
-        if name.is_empty() || name.contains('/') {
-            return Err(Errno::EINVAL);
-        }
-        if dir == target {
-            // `target` is a non-directory, so it cannot be the directory.
-            return Err(Errno::ENOTDIR);
-        }
-        // Entry insertion and nlink bump must be atomic, or a concurrent
-        // unlink of the old name could reclaim a still-referenced inode.
-        let key = Name::intern(name);
-        self.with_pair(dir, target, |d, t| {
-            let entries = match &mut d.data {
-                InodeData::Directory(e) => e,
-                _ => return Err(Errno::ENOTDIR),
-            };
-            if entries.contains_key(&key) {
-                return Err(Errno::EEXIST);
-            }
-            entries.insert(key, target);
-            t.nlink += 1;
-            d.version = self.next_seq();
-            Ok(())
-        })?;
-        self.bump(dir, Part::Entries);
         Ok(())
     }
 
@@ -1830,14 +1750,7 @@ impl Vfs {
             None => return Err(Errno::EINVAL),
         };
         let dir = self.mkdir_p(dir_path)?;
-        let ino = self.alloc(dir, mode, uid, gid, InodeData::Hook(hook));
-        match self.dir_add(dir, name, ino) {
-            Ok(()) => Ok(ino),
-            Err(e) => {
-                self.dealloc_unlinked(ino);
-                Err(e)
-            }
-        }
+        self.create_node(dir, name, mode, uid, gid, InodeData::Hook(hook))
     }
 
     /// DAC permission check: does `cred`-like identity (uid, groups) get
@@ -2175,19 +2088,6 @@ mod tests {
     }
 
     #[test]
-    fn hard_link_shares_inode() {
-        let v = fixture();
-        let etc = v.resolve(v.root(), "/etc").unwrap().ino;
-        let f = v.resolve(v.root(), "/etc/fstab").unwrap().ino;
-        v.link(etc, "fstab2", f).unwrap();
-        assert_eq!(v.inode(f).nlink, 2);
-        let r = v.resolve(v.root(), "/etc/fstab2").unwrap();
-        assert_eq!(r.ino, f);
-        v.unlink(etc, "fstab").unwrap();
-        assert_eq!(v.inode(f).nlink, 1);
-    }
-
-    #[test]
     fn rename_moves_and_overwrites() {
         let v = fixture();
         let etc = v.resolve(v.root(), "/etc").unwrap().ino;
@@ -2243,13 +2143,6 @@ mod tests {
         // Rename onto itself (same entry).
         v.rename(etc, "fstab", etc, "fstab").unwrap();
         assert_eq!(v.resolve(v.root(), "/etc/fstab").unwrap().ino, f);
-        // Rename onto a hard link of the same inode: POSIX no-op, both
-        // names survive.
-        v.link(etc, "fstab2", f).unwrap();
-        v.rename(etc, "fstab", etc, "fstab2").unwrap();
-        assert_eq!(v.resolve(v.root(), "/etc/fstab").unwrap().ino, f);
-        assert_eq!(v.resolve(v.root(), "/etc/fstab2").unwrap().ino, f);
-        assert_eq!(v.inode(f).nlink, 2);
     }
 
     #[test]
@@ -2453,7 +2346,7 @@ mod tests {
             let entry = Cached {
                 key,
                 resolved: resolved.clone(),
-                path: None,
+                path: AbsPath::intern("/etc/fstab"),
                 deps: Box::new([]),
             };
             shard.store(dcache_hash(key), entry);
@@ -2478,11 +2371,11 @@ mod tests {
         assert!(v.dcache_stats().invalidations >= 1);
     }
 
-    /// A plain resolve stores no path and reads nothing past its walk; a
-    /// canonical resolve of the same key replaces the entry with one that
-    /// carries the path and adds only the leaf's coverage, each slot once.
+    /// A plain resolve stores the canonical path, adding to its walk's
+    /// generations only the leaf's coverage, each slot once; a canonical
+    /// resolve of the same key hits that entry.
     #[test]
-    fn canonical_entry_adds_the_path_and_records_each_slot_once() {
+    fn every_entry_carries_the_path_and_records_each_slot_once() {
         let v = fixture();
         let key = (v.root(), true, "/etc/fstab");
         let entry = |v: &Vfs| {
@@ -2493,22 +2386,20 @@ mod tests {
                 .deps
                 .iter()
                 .map(|d| (d.entries != UNREAD, d.coverage != UNREAD));
-            (e.path.map(AbsPath::as_str), parts.collect::<Vec<_>>())
+            (e.path.as_str(), parts.collect::<Vec<_>>())
         };
         let fstab = v.resolve(v.root(), "/etc/fstab").unwrap().ino;
-        // `/` and `/etc`: coverage, then the entries naming the next.
-        assert_eq!(entry(&v), (None, vec![(true, true), (true, true)]));
-        let (r, abs) = v.resolve_canonical(v.root(), "/etc/fstab").unwrap();
-        assert_eq!((r.ino, abs.as_str()), (fstab, "/etc/fstab"));
+        // `/` and `/etc`: coverage, then the entries naming the next; the
+        // leaf: whether a mount is rooted at it.
         let stored = (
-            Some("/etc/fstab"),
+            "/etc/fstab",
             vec![(true, true), (true, true), (false, true)],
         );
         assert_eq!(entry(&v), stored);
-        // Both resolves now hit the one entry.
         let hits = v.dcache_stats().hits;
+        let (r, abs) = v.resolve_canonical(v.root(), "/etc/fstab").unwrap();
+        assert_eq!((r.ino, abs.as_str()), (fstab, "/etc/fstab"));
         v.resolve(v.root(), "/etc/fstab").unwrap();
-        v.resolve_canonical(v.root(), "/etc/fstab").unwrap();
         assert_eq!(v.dcache_stats().hits, hits + 2);
         assert_eq!(entry(&v), stored);
     }
@@ -2619,33 +2510,5 @@ mod tests {
         // nothing outside the entry + reclaimed slots was leaked.
         let live = v.resolve(v.root(), "/race/winner").unwrap().ino;
         assert_eq!(live, inos[0]);
-    }
-
-    #[test]
-    fn concurrent_link_unlink_keeps_nlink_consistent() {
-        use std::sync::Arc;
-        let v = Arc::new(Vfs::new());
-        let dir = v.mkdir_p("/links").unwrap();
-        let f = v
-            .create_file(dir, "base", Mode(0o644), Uid::ROOT, Gid::ROOT, true)
-            .unwrap();
-        let handles: Vec<_> = (0..4)
-            .map(|w| {
-                let v = Arc::clone(&v);
-                std::thread::spawn(move || {
-                    for i in 0..50 {
-                        let name = format!("l{}_{}", w, i);
-                        v.link(dir, &name, f).unwrap();
-                        v.unlink(dir, &name).unwrap();
-                    }
-                })
-            })
-            .collect();
-        for h in handles {
-            h.join().unwrap();
-        }
-        // All temporary links came and went; only "base" remains.
-        assert_eq!(v.inode(f).nlink, 1);
-        assert_eq!(v.resolve(v.root(), "/links/base").unwrap().ino, f);
     }
 }

@@ -174,8 +174,13 @@ impl InodeData {
 pub struct Inode {
     /// This inode's number.
     pub ino: Ino,
-    /// Parent directory inode (self for the root).
+    /// Parent directory inode (self for the root). An unlinked inode
+    /// keeps the directory it was last linked in.
     pub parent: Ino,
+    /// This inode's entry name in `parent`, as a dentry keeps `d_name`:
+    /// `None` for the root and for an inode no directory links (never,
+    /// like a medium's root, or no longer). An inode has at most one name.
+    pub name: Option<Name>,
     /// Permission and special bits.
     pub mode: Mode,
     /// Owning user.
@@ -187,7 +192,8 @@ pub struct Inode {
     /// Bumped on every content or metadata change; the basis of the
     /// inotify-like change notification used by the monitoring daemon.
     pub version: u64,
-    /// Number of live links (1 for regular files, >=2 for directories).
+    /// Number of live links (1 for a linked non-directory, >=2 for a
+    /// directory, 0 once unlinked).
     pub nlink: u32,
     /// Open file descriptions referencing this inode. An unlinked inode
     /// stays allocated until the last open closes — classic in-core inode

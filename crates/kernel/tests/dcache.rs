@@ -321,6 +321,16 @@ fn dotdot_out_of_a_mount_root_is_invalidated_by_the_umount() {
     assert_ne!(k.sys_stat(root, "..").unwrap().ino, mnt);
 }
 
+/// Releases a renamer's wait for acks for good once the reader stops,
+/// even by a panic.
+struct Finish<'a>(&'a AtomicU64);
+
+impl Drop for Finish<'_> {
+    fn drop(&mut self) {
+        self.0.store(u64::MAX, Ordering::SeqCst);
+    }
+}
+
 /// One thread keeps replacing `/spin/cur` by rename while another resolves
 /// it and a path elsewhere. Nothing else links a replaced version, so
 /// every rename frees the inode it overwrites. The name never goes
@@ -332,14 +342,6 @@ fn dotdot_out_of_a_mount_root_is_invalidated_by_the_umount() {
 /// not reused while the reader still watches it.
 #[test]
 fn concurrent_renames_never_serve_a_stale_inode() {
-    /// Releases the renamer's wait for good once the reader stops, even
-    /// by a panic.
-    struct Finish<'a>(&'a AtomicU64);
-    impl Drop for Finish<'_> {
-        fn drop(&mut self) {
-            self.0.store(u64::MAX, Ordering::SeqCst);
-        }
-    }
     const ROUNDS: u64 = 400;
     let v = Vfs::new();
     let spin = v.mkdir_p("/spin").unwrap();
@@ -405,6 +407,74 @@ fn concurrent_renames_never_serve_a_stale_inode() {
     });
     // Renames in /spin never evicted /other/stable.
     assert!(v.dcache_stats().hits >= ROUNDS);
+}
+
+/// One thread moves a directory back and forth between `/a/x` and
+/// `/b/x` while another names the directory and the file beneath it,
+/// both reached from the moving directory as cwd, so the lookup keys
+/// never change while the canonical paths do. Every name returned is one
+/// the inode had, and once a rename returns the name is the new one:
+/// naming reads each inode's parent and name after recording its
+/// parent's generation, so an entry named across a rename is stale. (The
+/// directory's own entry records only that parent's generation: the
+/// file's also records the directory's, which every move bumps.) The
+/// renamer waits for the reader to see each rename, as above. A rename
+/// landing inside one naming walk is rare, hence the many rounds.
+#[test]
+fn concurrent_renames_never_serve_a_stale_canonical_path() {
+    const ROUNDS: u64 = 4000;
+    let v = Vfs::new();
+    let a = v.mkdir_p("/a").unwrap();
+    let b = v.mkdir_p("/b").unwrap();
+    let f = v
+        .install_file("/a/x/f", b"f", Mode(0o644), Uid::ROOT, Gid::ROOT)
+        .unwrap();
+    let x = v.resolve(v.root(), "/a/x").unwrap().ino;
+    // Rename `i` leaves the directory under /b when `i` is odd.
+    let name_after = |i: u64| if i % 2 == 1 { "/b/x" } else { "/a/x" };
+    let (done, acked) = (AtomicU64::new(0), AtomicU64::new(0));
+    std::thread::scope(|s| {
+        s.spawn(|| {
+            for i in 1..=ROUNDS {
+                while acked.load(Ordering::SeqCst) < i - 1 {
+                    std::thread::yield_now();
+                }
+                let (from, to) = if i % 2 == 1 { (a, b) } else { (b, a) };
+                v.rename(from, "x", to, "x").unwrap();
+                done.store(i, Ordering::SeqCst);
+            }
+        });
+        s.spawn(|| {
+            let _finish = Finish(&acked);
+            let mut seen = 0;
+            loop {
+                let floor = done.load(Ordering::SeqCst);
+                let (dir, dir_abs) = v.resolve_canonical(x, ".").unwrap();
+                let (file, file_abs) = v.resolve_canonical(x, "f").unwrap();
+                assert_eq!((dir.ino, file.ino), (x, f));
+                let file_dir = file_abs.as_str().strip_suffix("/f");
+                let names = [dir_abs.as_str(), file_dir.expect("the file's name")];
+                if floor > seen {
+                    // The renamer waits for this ack: nothing is in flight.
+                    for name in names {
+                        assert_eq!(name, name_after(floor), "after rename {floor}");
+                    }
+                    seen = floor;
+                    acked.store(floor, Ordering::SeqCst);
+                    if floor == ROUNDS {
+                        break;
+                    }
+                    continue;
+                }
+                // Rename `floor + 1` may be in flight.
+                for name in names {
+                    let had = [name_after(floor), name_after(floor + 1)];
+                    assert!(had.contains(&name), "{name} was never a name");
+                }
+            }
+        });
+    });
+    assert!(v.dcache_stats().hits > 0);
 }
 
 #[test]

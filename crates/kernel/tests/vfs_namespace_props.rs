@@ -1,4 +1,4 @@
-//! Property tests over the VFS namespace: arbitrary rename/link/unlink
+//! Property tests over the VFS namespace: arbitrary rename/unlink
 //! sequences never create cycles, never orphan a live inode, and never
 //! make `resolve` diverge.
 
@@ -15,7 +15,6 @@ use std::collections::BTreeSet;
 enum NsOp {
     Mkdir(u8, u8),
     Create(u8, u8),
-    Link(u8, u8, u8, u8),
     Unlink(u8, u8),
     Rmdir(u8, u8),
     Rename(u8, u8, u8, u8),
@@ -25,7 +24,6 @@ fn ns_op() -> impl Strategy<Value = NsOp> {
     prop_oneof![
         (0u8..6, 0u8..4).prop_map(|(d, n)| NsOp::Mkdir(d, n)),
         (0u8..6, 0u8..4).prop_map(|(d, n)| NsOp::Create(d, n)),
-        (0u8..6, 0u8..4, 0u8..6, 0u8..4).prop_map(|(a, b, c, d)| NsOp::Link(a, b, c, d)),
         (0u8..6, 0u8..4).prop_map(|(d, n)| NsOp::Unlink(d, n)),
         (0u8..6, 0u8..4).prop_map(|(d, n)| NsOp::Rmdir(d, n)),
         (0u8..6, 0u8..4, 0u8..6, 0u8..4).prop_map(|(a, b, c, d)| NsOp::Rename(a, b, c, d)),
@@ -71,8 +69,8 @@ fn assert_live_inodes_root_reachable(v: &Vfs) {
         };
         for child in entries {
             if !reachable.insert(child) {
-                // Hard links give files multiple parents; a directory
-                // reached twice means a cycle or double-parent — corrupt.
+                // A directory reached twice means a cycle or
+                // double-parent — corrupt.
                 assert!(
                     v.inode(child).dir_entries().is_none(),
                     "directory {:?} reachable via two paths: namespace cycle",
@@ -105,7 +103,7 @@ fn assert_live_inodes_root_reachable(v: &Vfs) {
 }
 
 proptest! {
-    /// Arbitrary rename/link/unlink/mkdir/rmdir sequences keep the
+    /// Arbitrary rename/unlink/mkdir/rmdir sequences keep the
     /// namespace a rooted tree: `resolve` terminates on every probe, no
     /// live inode is orphaned, and directory-cycle renames are rejected
     /// (so a cycle can never be observed afterwards).
@@ -127,11 +125,6 @@ proptest! {
                     let _ = v.create_file(
                         dir_at(d), &name(n), Mode(0o644), Uid::ROOT, Gid::ROOT, false,
                     );
-                }
-                NsOp::Link(sd, sn, td, tn) => {
-                    if let Ok(r) = v.resolve(dir_at(sd), &name(sn)) {
-                        let _ = v.link(dir_at(td), &name(tn), r.ino);
-                    }
                 }
                 NsOp::Unlink(d, n) => {
                     let _ = v.unlink(dir_at(d), &name(n));

@@ -374,12 +374,11 @@ impl<'a> Proc<'a> {
     }
 
     /// The binary path this task is executing.
-    pub fn binary(&self) -> String {
+    pub fn binary(&self) -> &'static str {
         self.sys
             .kernel
             .task(self.pid)
-            .map(|t| t.binary.clone())
-            .unwrap_or_default()
+            .map_or("", |t| t.binary.as_str())
     }
 
     /// Real uid.
@@ -404,7 +403,7 @@ impl<'a> Proc<'a> {
     pub fn cov(&mut self, point: &'static str) {
         let sys = &mut *self.sys;
         match sys.kernel.task(self.pid) {
-            Ok(t) => sys.coverage.hit(&t.binary, point),
+            Ok(t) => sys.coverage.hit(t.binary.as_str(), point),
             Err(_) => sys.coverage.hit("", point),
         }
     }

@@ -134,7 +134,7 @@ fn shared_services_keep_each_image_privilege_shape() {
             (mta, "/usr/sbin/exim4", mail::MAIL_UID),
         ] {
             let task = sys.kernel.task(srv.pid).unwrap();
-            assert_eq!(task.binary, binary, "{mode:?}");
+            assert_eq!(task.binary.as_str(), binary, "{mode:?}");
             let ids = (task.cred.ruid, task.cred.euid, task.cred.suid);
             let want = match mode {
                 SystemMode::Legacy => (Uid::ROOT, Uid(uid), Uid::ROOT),

@@ -9,8 +9,8 @@
 //!
 //! The canonical path a dcache entry carries: after each namespace change
 //! that moves an inode's path (an ancestor rename, a symlink left
-//! dangling, a hard link's primary name removed, a mount over an
-//! ancestor, a medium mounted elsewhere), the path recorded in an opened
+//! dangling, a removed cwd whose name a new directory takes, a mount over
+//! an ancestor, a medium mounted elsewhere), the path recorded in an opened
 //! descriptor is `Vfs::path_of` of its inode, with the dcache on and
 //! off; and Protego's keyfile rule decides on that path, however the
 //! caller spelled it.
@@ -204,15 +204,18 @@ fn opened_paths_are_path_of_after_every_namespace_change() {
         gone("/srv/lf");
         ok("f", "/srv/y/b/f");
 
-        // A hard link is named by its primary name until that goes.
-        let f = k.vfs.resolve(k.vfs.root(), "/srv/y/b/f").expect("f").ino;
-        let tmp = k.vfs.mkdir_p("/tmp").expect("tmp");
-        k.vfs.link(tmp, "g", f).expect("link");
-        ok("/tmp/g", "/srv/y/b/f");
-        k.sys_unlink(init, "/srv/y/b/f").expect("unlink");
-        let orphan = opened(&k, init, "/tmp/g").expect("/tmp/g");
-        assert_ne!(orphan, "/srv/y/b/f");
-        gone("f");
+        // A removed cwd keeps no name, also once a new directory takes
+        // its old one.
+        k.vfs.mkdir_p("/tmp").expect("tmp");
+        k.sys_mkdir(init, "/tmp/d", Mode(0o755)).expect("mkdir");
+        k.sys_chdir(init, "/tmp/d").expect("chdir");
+        k.sys_rmdir(init, "/tmp/d").expect("rmdir");
+        k.sys_mkdir(init, "/tmp/d", Mode(0o755)).expect("mkdir");
+        let orphan = opened(&k, init, ".").expect(".");
+        assert_ne!(orphan, "/tmp/d");
+        assert!(orphan.starts_with("/tmp/<ino"), "{orphan}");
+        ok("/tmp/d", "/tmp/d");
+        k.sys_chdir(init, "/srv/y/b").expect("chdir");
 
         // A mount over an ancestor hides the absolute path, not the
         // inode reached from a cwd below it; the umount shows it again.
