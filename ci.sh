@@ -58,6 +58,18 @@ cargo test -q --release --test alloc_gates
 echo "== tables: an unknown table or subcommand name is an error =="
 if cargo run --release -q -p bench --bin tables -- nosuchtable 2>/dev/null; then echo "error: tables nosuchtable exited 0" >&2; exit 1; fi
 
+echo "== golden: Table 6 and Table 7 match their committed outputs =="
+# Both tables are deterministic (fixed corpora, logical clock, no
+# timing). Table 6's per-hook allow/deny/use_default/defer/info counts
+# fingerprint the LSM decision path; Table 7 fingerprints the service
+# drivers. Regenerate a file only for an intended change of behaviour,
+# and say why in CHANGES.md.
+for table in table6 table7; do
+    cargo run --release -q -p bench --bin tables -- "$table" > "target/$table.txt"
+    cmp "target/$table.txt" "tests/expected/$table.txt" \
+        || { echo "error: tables $table differs from tests/expected/$table.txt" >&2; exit 1; }
+done
+
 echo "== smoke bench: BENCH_table5.json regenerates and validates =="
 # Low-iteration run of the Table 5 micro/macro/hot-path rows, every one
 # timed by the paired interleaved median-of-K estimator. bench-json

@@ -387,8 +387,7 @@ mod tests {
             access: Access::READ,
             dac_allows: true,
             file_owner: sim_kernel::cred::Uid::ROOT,
-            last_auth: None,
-            last_auth_scope: None,
+            auth: None,
             now: 0,
         };
         for path in ["/etc/fstab", "/etc/shadow", "/dev/null"] {

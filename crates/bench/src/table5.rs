@@ -317,8 +317,7 @@ fn measure_hotpath(warmup: u32, iters: u32) -> Vec<HotpathRow> {
             access: Access::READ,
             dac_allows: true,
             file_owner: Uid::ROOT,
-            last_auth: None,
-            last_auth_scope: None,
+            auth: None,
             now: 0,
         };
         let p = paired_median(|caching| {

@@ -25,9 +25,9 @@ use sim_kernel::cred::{Credentials, Gid, Uid};
 use sim_kernel::dev::{ModemOpt, ModemState};
 use sim_kernel::error::{Errno, KResult};
 use sim_kernel::lsm::{
-    AuthScope, BindRequest, Decision, EnvPolicy, ExecCtx, ExecDecision, FileDecision, FileOpenCtx,
-    KmsOp, MountRequest, PendingSetuid, RuleId, SecurityModule, SetidCtx, SetuidDecision,
-    UmountRequest,
+    authed_for, AuthScope, BindRequest, Decision, EnvPolicy, ExecCtx, ExecDecision, FileDecision,
+    FileOpenCtx, KmsOp, MountRequest, PendingSetuid, RuleId, SecurityModule, SetidCtx,
+    SetuidDecision, UmountRequest,
 };
 use sim_kernel::net::{Domain, ProtoMatch, Route, RouteTable, Rule, SockType, Verdict};
 
@@ -288,7 +288,7 @@ impl SecurityModule for ProtegoLsm {
         if cred.euid.is_root() {
             return (Decision::UseDefault, None);
         }
-        let Some(i) = self.find_umount_rule(&req.target) else {
+        let Some(i) = self.find_umount_rule(req.target) else {
             return (Decision::UseDefault, None);
         };
         let decision = match self.policy.mounts[i].scope {
@@ -349,7 +349,7 @@ impl SecurityModule for ProtegoLsm {
             AuthReq::Target => Some(AuthScope::User(target)),
         };
         let decision = match (auth, &rule.cmd) {
-            (Some(scope), _) if !ctx.authed_for(scope, AUTH_WINDOW) => {
+            (Some(scope), _) if !authed_for(ctx.auth, ctx.now, scope, AUTH_WINDOW) => {
                 SetuidDecision::NeedAuth(scope)
             }
             (_, CmdSpec::Any) => SetuidDecision::Allow,
@@ -384,7 +384,7 @@ impl SecurityModule for ProtegoLsm {
         match self.group_rule(target) {
             Some((g, id)) if g.password_protected => {
                 let scope = AuthScope::Group(target);
-                let decision = if ctx.authed_for(scope, AUTH_WINDOW) {
+                let decision = if authed_for(ctx.auth, ctx.now, scope, AUTH_WINDOW) {
                     SetuidDecision::Allow
                 } else {
                     SetuidDecision::NeedAuth(scope)
@@ -410,7 +410,7 @@ impl SecurityModule for ProtegoLsm {
         }
         if p.require_target_auth {
             let scope = AuthScope::User(p.target);
-            if !ctx.authed_for(scope, AUTH_WINDOW) {
+            if !authed_for(ctx.auth, ctx.now, scope, AUTH_WINDOW) {
                 return (ExecDecision::NeedAuth(scope), p.rule);
             }
         }
@@ -505,7 +505,7 @@ impl SecurityModule for ProtegoLsm {
             return (FileDecision::UseDefault, None);
         };
         let scope = AuthScope::User(ctx.cred.ruid);
-        let decision = if ctx.authed_for(scope, AUTH_WINDOW) {
+        let decision = if authed_for(ctx.auth, ctx.now, scope, AUTH_WINDOW) {
             FileDecision::AllowCloexec
         } else {
             FileDecision::NeedAuth(scope)
@@ -580,6 +580,7 @@ impl SecurityModule for ProtegoLsm {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use sim_kernel::lsm::AuthProof;
     use sim_kernel::vfs::Access;
 
     fn lsm_with(policy: PolicySet) -> ProtegoLsm {
@@ -607,10 +608,10 @@ mod tests {
         opts: &str,
     ) -> (Decision, Option<RuleId>) {
         let req = MountRequest {
-            source: src.into(),
-            target: target.into(),
-            fstype: "iso9660".into(),
-            options: sim_kernel::vfs::MountOptions::parse(opts),
+            source: src,
+            target,
+            fstype: "iso9660",
+            options: &sim_kernel::vfs::MountOptions::parse(opts),
         };
         lsm_with(cdrom_policy()).sb_mount(cred, &req)
     }
@@ -627,8 +628,7 @@ mod tests {
         SetidCtx {
             cred,
             binary: "/usr/bin/sudo",
-            last_auth: authed.map(|_| 1000),
-            last_auth_scope: authed,
+            auth: authed.map(|scope| AuthProof { at: 1000, scope }),
             now: 1100,
         }
     }
@@ -668,9 +668,9 @@ mod tests {
     fn umount_user_scope_restricted_to_mounter() {
         let lsm = lsm_with(cdrom_policy());
         let req = UmountRequest {
-            target: "/mnt/cdrom".into(),
-            source: "/dev/cdrom".into(),
-            fstype: "iso9660".into(),
+            target: "/mnt/cdrom",
+            source: "/dev/cdrom",
+            fstype: "iso9660",
             mounted_by: Uid(1000),
         };
         assert_eq!(lsm.sb_umount(&user_cred(), &req).0, Decision::Allow);
@@ -690,7 +690,7 @@ mod tests {
         let lsm = lsm_with(p);
         let good = BindRequest {
             port: 25,
-            binary: "/usr/sbin/exim4".into(),
+            binary: "/usr/sbin/exim4",
             tcp: true,
         };
         assert_eq!(
@@ -699,7 +699,7 @@ mod tests {
         );
         let rogue = BindRequest {
             port: 25,
-            binary: "/usr/sbin/httpd".into(),
+            binary: "/usr/sbin/httpd",
             tcp: true,
         };
         assert_eq!(
@@ -743,7 +743,7 @@ mod tests {
         let lsm = lsm_with(p);
         let alice = user_cred();
         let mut c = ctx(&alice, Some(AuthScope::User(Uid(1000))));
-        c.now = c.last_auth.unwrap() + AUTH_WINDOW + 1;
+        c.now = c.auth.unwrap().at + AUTH_WINDOW + 1;
         assert!(matches!(
             lsm.task_setuid(&c, Uid::ROOT).0,
             SetuidDecision::NeedAuth(_)
@@ -887,8 +887,7 @@ mod tests {
             setuid_bit: false,
             setgid_bit: false,
             pending: Some(&pend),
-            last_auth: None,
-            last_auth_scope: None,
+            auth: None,
             now: 0,
         };
         match lsm.bprm_check(&mk("/usr/bin/lpr")) {
@@ -926,8 +925,7 @@ mod tests {
             setuid_bit: false,
             setgid_bit: false,
             pending: Some(&pend),
-            last_auth: None,
-            last_auth_scope: None,
+            auth: None,
             now: 0,
         };
         match lsm.bprm_check(&c).0 {
@@ -1029,8 +1027,7 @@ mod tests {
                 access,
                 dac_allows: false,
                 file_owner: Uid::ROOT,
-                last_auth: None,
-                last_auth_scope: None,
+                auth: None,
                 now: 0,
             }
         }
@@ -1067,8 +1064,7 @@ mod tests {
             access: Access::READ,
             dac_allows: true,
             file_owner: Uid(1000),
-            last_auth: authed.map(|_| 1000),
-            last_auth_scope: authed,
+            auth: authed.map(|scope| AuthProof { at: 1000, scope }),
             now,
         };
         // The rule names the prefix, not the fragment being opened.
@@ -1114,8 +1110,10 @@ mod tests {
             access: Access::READ,
             dac_allows: false,
             file_owner: Uid(1001),
-            last_auth: Some(1000),
-            last_auth_scope: Some(AuthScope::User(Uid(1000))),
+            auth: Some(AuthProof {
+                at: 1000,
+                scope: AuthScope::User(Uid(1000)),
+            }),
             now: 1001,
         };
         // DAC refuses it; the module answers UseDefault and names no rule.

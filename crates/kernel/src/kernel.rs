@@ -16,13 +16,14 @@ use crate::dev::{
     BlockState, DevId, DeviceKind, DeviceRegistry, DmCryptState, KmsState, ModemState,
 };
 use crate::error::{Errno, KResult};
-use crate::lsm::{AuthProvider, AuthScope, Decision, RuleId, SecurityModule};
+use crate::lsm::{Answer, AuthProof, AuthProvider, AuthScope, RuleId, Ruling, SecurityModule};
 use crate::net::{NetStack, Netfilter, RouteTable, SimNet};
 use crate::sync::{lock, read, write, CachePadded, Locked};
 use crate::task::{Pid, PipeId, Task, TaskIdentity};
-use crate::trace::DecisionKind;
-use crate::trace::{AuditEvent, AuditObject, AuditRing, Hook, Metrics, Provenance, ShardedMetrics};
+use crate::trace::{AuditEvent, AuditObject, AuditRing, DecisionKind, Hook, Metrics, Pathway};
+use crate::trace::{Provenance, ShardedMetrics};
 use crate::vfs::{Ino, InodeData, Mode, ProcHook, Vfs};
+use std::cell::Cell;
 use std::collections::{BTreeMap, VecDeque};
 use std::ops::{Deref, DerefMut};
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, AtomicUsize, Ordering};
@@ -154,6 +155,58 @@ const TSHARDS: usize = 64;
 
 fn tshard(pid: u32) -> usize {
     (pid as usize) % TSHARDS
+}
+
+/// One security-module hook call site: the span its hook runs in, the
+/// names its audit records carry, and how [`Kernel::decide`] and
+/// [`Kernel::stock`] treat it.
+#[derive(Clone, Copy)]
+pub(crate) struct Site {
+    pub(crate) pathway: Pathway,
+    pub(crate) hook: Hook,
+    pub(crate) syscall: &'static str,
+    /// The refusal `decide` makes when authentication fails or the hook
+    /// asks twice, and `stock` makes when the stock check fails.
+    pub(crate) errno: Errno,
+    /// Whether a module's grant is audited (`capable()` records only
+    /// refusals; `socket` sets it for raw and packet sockets only).
+    pub(crate) audit_grant: bool,
+    /// Whether a stock check that passes is audited as `use_default`.
+    pub(crate) audit_stock: bool,
+}
+
+/// Declares the hook sites, one a line: span, hook, syscall name,
+/// errno, whether a grant is audited, whether a stock pass is audited.
+macro_rules! sites {
+    ($($name:ident: $pathway:ident, $hook:ident, $syscall:literal, $errno:ident, $grant:literal, $stock:literal;)*) => {
+        impl Site {
+            $(pub(crate) const $name: Site = Site {
+                pathway: Pathway::$pathway,
+                hook: Hook::$hook,
+                syscall: $syscall,
+                errno: Errno::$errno,
+                audit_grant: $grant,
+                audit_stock: $stock,
+            };)*
+        }
+    };
+}
+
+sites! {
+    CAPABLE: LsmCapable, Capable, "capable", EPERM, false, false;
+    SETUID: LsmTaskSetuid, TaskSetuid, "setuid", EPERM, true, false;
+    SETGID: LsmTaskSetgid, TaskSetgid, "setgid", EPERM, true, false;
+    EXECVE: LsmBprmCheck, BprmCheck, "execve", EACCES, true, false;
+    OPEN: LsmFileOpen, FileOpen, "open", EACCES, true, false;
+    MOUNT: LsmSbMount, SbMount, "mount", EPERM, true, true;
+    UMOUNT: LsmSbUmount, SbUmount, "umount", EPERM, true, true;
+    SOCKET: LsmSocketCreate, SocketCreate, "socket", EPERM, true, false;
+    BIND: LsmSocketBind, SocketBind, "bind", EACCES, true, false;
+    ROUTE: LsmIoctl, IoctlRoute, "ioctl", EPERM, true, false;
+    MODEM: LsmIoctl, IoctlModem, "ioctl", EPERM, true, false;
+    DMCRYPT: LsmIoctl, IoctlDmcrypt, "ioctl", EPERM, true, false;
+    KMS: LsmIoctl, IoctlKms, "ioctl", EPERM, true, false;
+    CONFIG: LsmConfig, LsmConfig, "write", EPERM, true, false;
 }
 
 type TaskMap = BTreeMap<u32, Task>;
@@ -437,10 +490,10 @@ impl Kernel {
 
     /// Calls into the security module under the LSM read guard, inside
     /// `pathway`'s span so the call feeds that pathway's latency
-    /// histogram. Every hook call site and config read goes through here.
+    /// histogram. [`Kernel::decide`] and config reads go through here.
     pub(crate) fn lsm_hook<R>(
         &self,
-        pathway: crate::trace::Pathway,
+        pathway: Pathway,
         hook: impl FnOnce(&dyn SecurityModule) -> R,
     ) -> R {
         let lsm = read(&self.lsm);
@@ -452,7 +505,7 @@ impl Kernel {
     /// interface, under the LSM write lock.
     pub(crate) fn lsm_config_write(&self, node: &str, content: &str) -> KResult<()> {
         let mut lsm = write(&self.lsm);
-        let _span = crate::trace::span(crate::trace::Pathway::LsmConfig);
+        let _span = crate::trace::span(Pathway::LsmConfig);
         lsm.config_write(node, content)
     }
 
@@ -493,7 +546,7 @@ impl Kernel {
         object: AuditObject,
         provenance: Provenance,
     ) {
-        let _span = crate::trace::span(crate::trace::Pathway::AuditEmit);
+        let _span = crate::trace::span(Pathway::AuditEmit);
         let (ruid, euid) = self
             .task(Pid(pid))
             .map(|t| (t.cred.ruid.0, t.cred.euid.0))
@@ -512,46 +565,6 @@ impl Kernel {
         if ev.is_denial() || self.trace() {
             self.audit.push(ev);
         }
-    }
-
-    /// Emits an event attributed to the active LSM, with the rule its
-    /// hook returned for the decision being reported.
-    #[allow(clippy::too_many_arguments)]
-    pub fn emit_lsm_event(
-        &self,
-        pid: Pid,
-        syscall: &'static str,
-        hook: Hook,
-        decision: DecisionKind,
-        errno: Option<Errno>,
-        rule: Option<RuleId>,
-        object: AuditObject,
-    ) {
-        let module = self.lsm_name();
-        self.emit_event(
-            pid.0,
-            syscall,
-            object,
-            Provenance::lsm(module, hook, rule, decision, errno),
-        );
-    }
-
-    /// Emits an event attributed to stock kernel policy (no module rule).
-    pub fn emit_kernel_event(
-        &self,
-        pid: Pid,
-        syscall: &'static str,
-        hook: Hook,
-        decision: DecisionKind,
-        errno: Option<Errno>,
-        object: AuditObject,
-    ) {
-        self.emit_event(
-            pid.0,
-            syscall,
-            object,
-            Provenance::kernel(hook, decision, errno),
-        );
     }
 
     // ------------------------------------------------------------------
@@ -633,38 +646,89 @@ impl Kernel {
     /// capabilities here; they grant access through the object-specific
     /// hooks instead, which is the paper's design point.)
     pub fn capable(&self, pid: Pid, cap: Cap) -> bool {
-        // Borrow the task in place: the hook takes references, so the
-        // common grant/fall-through path performs no clones. Both guards
-        // (task shard read, LSM read) drop at the end of the block,
-        // before any event is emitted.
-        let ((decision, rule), has) = {
-            let t = match self.task(pid) {
-                Ok(t) => t,
-                Err(_) => return false,
-            };
-            (
-                self.lsm_hook(crate::trace::Pathway::LsmCapable, |m| {
-                    m.capable(&t.cred, t.binary.as_str(), cap)
-                }),
-                t.cred.has_cap(cap),
-            )
+        // The stock answer is read under the hook's task guard.
+        let has = Cell::new(false);
+        let hook = |t: &Task, m: &dyn SecurityModule| {
+            has.set(t.cred.has_cap(cap));
+            m.capable(&t.cred, t.binary.as_str(), cap)
         };
-        match decision {
-            Decision::UseDefault => has,
-            Decision::Allow => true,
-            Decision::Deny(e) => {
-                self.emit_lsm_event(
-                    pid,
-                    "capable",
-                    Hook::Capable,
-                    DecisionKind::Deny,
-                    Some(e),
-                    rule,
-                    AuditObject::Capability(cap.name()),
-                );
-                false
+        let object = || AuditObject::Capability(cap.name());
+        self.decide(pid, Site::CAPABLE, object, hook, Ok)
+            .is_ok_and(|granted| granted.is_some() || has.get())
+    }
+
+    /// Asks the security module at `site` and acts on its answer: the one
+    /// path from a hook to its effect and its audit record.
+    ///
+    /// `hook` builds the hook's context from the calling task, under the
+    /// task guard, and calls the module; the guard drops before anything
+    /// is authenticated or emitted. `NeedAuth` runs the trusted agent and
+    /// asks again, once: a failed agent or a second request refuses with
+    /// the site's errno. A grant runs `grant` on what the module handed
+    /// over and then is audited, so a transition `grant` installs is
+    /// recorded with the credentials it installed; an error from `grant`
+    /// returns unaudited. `UseDefault` builds and records nothing and
+    /// returns `None`: the caller applies the stock policy. Every other
+    /// answer is recorded with the hook's rule (a grant where
+    /// `site.audit_grant` is set); `object` is built only for an event
+    /// that is emitted.
+    pub(crate) fn decide<A: Answer, R>(
+        &self,
+        pid: Pid,
+        site: Site,
+        object: impl FnOnce() -> AuditObject,
+        hook: impl Fn(&Task, &dyn SecurityModule) -> (A, Option<RuleId>),
+        grant: impl FnOnce(A::Grant) -> KResult<R>,
+    ) -> KResult<Option<R>> {
+        let mut authed = false;
+        let (ruling, rule) = loop {
+            let (answer, rule) = {
+                let t = self.task(pid)?;
+                self.lsm_hook(site.pathway, |m| hook(&t, m))
+            };
+            match answer.ruling() {
+                Ruling::NeedAuth(scope) if !authed && self.run_auth(pid, scope) => authed = true,
+                ruling => break (ruling, rule),
             }
-        }
+        };
+        let emit = |kind, errno| {
+            let provenance = Provenance::lsm(self.lsm_name(), site.hook, rule, kind, errno);
+            self.emit_event(pid.0, site.syscall, object(), provenance);
+        };
+        let errno = match ruling {
+            Ruling::UseDefault => return Ok(None),
+            Ruling::Grant(kind, granted) => {
+                let out = grant(granted)?;
+                if site.audit_grant {
+                    emit(kind, None);
+                }
+                return Ok(Some(out));
+            }
+            Ruling::NeedAuth(_) => site.errno,
+            Ruling::Deny(e) => e,
+        };
+        emit(DecisionKind::Deny, Some(errno));
+        Err(errno)
+    }
+
+    /// The stock check behind a `UseDefault` answer at `site`: refuses
+    /// with the site's errno unless `ok`, audited as stock policy (as is
+    /// a pass, where the site records one).
+    pub(crate) fn stock(
+        &self,
+        pid: Pid,
+        site: Site,
+        ok: bool,
+        object: impl FnOnce() -> AuditObject,
+    ) -> KResult<()> {
+        let (kind, errno, out) = match ok {
+            true if !site.audit_stock => return Ok(()),
+            true => (DecisionKind::UseDefault, None, Ok(())),
+            false => (DecisionKind::Deny, Some(site.errno), Err(site.errno)),
+        };
+        let provenance = Provenance::kernel(site.hook, kind, errno);
+        self.emit_event(pid.0, site.syscall, object(), provenance);
+        out
     }
 
     /// Runs the trusted authentication agent for `scope` on behalf of
@@ -683,13 +747,13 @@ impl Kernel {
             Err(_) => return false,
         };
         let ok = agent.authenticate(scope, &mut input, &self.vfs);
-        let now = self.clock();
+        let at = self.clock();
+        let proof = AuthProof { at, scope };
         let mut parent = None;
         if let Ok(mut t) = self.task_mut(pid) {
             t.terminal_input = input;
             if ok {
-                t.last_auth = Some(now);
-                t.last_auth_scope = Some(scope);
+                t.auth = Some(proof);
                 parent = Some(t.ppid);
             }
         }
@@ -699,8 +763,7 @@ impl Kernel {
         // from the same shell inherit it within the window.
         if let Some(ppid) = parent {
             if let Ok(mut pt) = self.task_mut(ppid) {
-                pt.last_auth = Some(now);
-                pt.last_auth_scope = Some(scope);
+                pt.auth = Some(proof);
             }
         }
         drop(slot);
@@ -713,7 +776,8 @@ impl Kernel {
             AuthScope::User(uid) => AuditObject::UidTarget(uid.0),
             AuthScope::Group(gid) => AuditObject::GidTarget(gid.0),
         };
-        self.emit_kernel_event(pid, "auth", Hook::Auth, kind, errno, object);
+        let provenance = Provenance::kernel(Hook::Auth, kind, errno);
+        self.emit_event(pid.0, "auth", object, provenance);
         ok
     }
 
@@ -721,11 +785,10 @@ impl Kernel {
     /// login path at session creation, which has just verified the user's
     /// password itself.
     pub fn mark_authenticated(&self, pid: Pid) -> KResult<()> {
-        let now = self.clock();
+        let at = self.clock();
         let mut t = self.task_mut(pid)?;
-        let who = t.cred.ruid;
-        t.last_auth = Some(now);
-        t.last_auth_scope = Some(AuthScope::User(who));
+        let scope = AuthScope::User(t.cred.ruid);
+        t.auth = Some(AuthProof { at, scope });
         Ok(())
     }
 
@@ -951,15 +1014,6 @@ mod tests {
     }
 
     #[test]
-    fn capable_without_lsm_is_credential_based() {
-        let k = Kernel::new(SimNet::new());
-        let root = k.spawn_init();
-        let user = k.spawn_session(Credentials::user(Uid(1000), Gid(1000)), "/bin/sh");
-        assert!(k.capable(root, Cap::SysAdmin));
-        assert!(!k.capable(user, Cap::SysAdmin));
-    }
-
-    #[test]
     fn standard_devices_install() {
         let k = Kernel::new(SimNet::new());
         k.install_standard_devices().unwrap();
@@ -1000,11 +1054,15 @@ mod tests {
     fn mark_authenticated_sets_recency() {
         let k = Kernel::new(SimNet::new());
         let pid = k.spawn_session(Credentials::user(Uid(1000), Gid(1000)), "/bin/sh");
-        assert!(!k.task(pid).unwrap().recently_authenticated(k.clock(), 300));
+        let authed = || {
+            let auth = k.task(pid).unwrap().auth;
+            crate::lsm::authed_for(auth, k.clock(), AuthScope::User(Uid(1000)), 300)
+        };
+        assert!(!authed());
         k.mark_authenticated(pid).unwrap();
-        assert!(k.task(pid).unwrap().recently_authenticated(k.clock(), 300));
+        assert!(authed());
         k.advance_clock(301);
-        assert!(!k.task(pid).unwrap().recently_authenticated(k.clock(), 300));
+        assert!(!authed());
     }
 
     #[test]

@@ -21,6 +21,8 @@ use crate::cred::{Credentials, Gid, Uid};
 use crate::dev::{ModemOpt, ModemState};
 use crate::error::{Errno, KResult};
 use crate::net::{Domain, Route, RouteTable, Rule, SockType};
+use crate::task::Task;
+use crate::trace::DecisionKind;
 use crate::vfs::{Access, MountOptions};
 
 /// Identifier of a module policy rule, as recorded in audit provenance:
@@ -47,6 +49,24 @@ pub enum AuthScope {
     User(Uid),
     /// Prove knowledge of this group's password (newgrp §4.3).
     Group(Gid),
+}
+
+/// A task's last successful authentication — the kernel-tracked recency
+/// Protego stores in `task_struct` (§4.3).
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub struct AuthProof {
+    /// Logical time of the authentication.
+    pub at: u64,
+    /// The principal it proved (self, another user, a group), so su-style
+    /// target authentication is not mistaken for sudo-style invoker
+    /// authentication.
+    pub scope: AuthScope,
+}
+
+/// Whether `auth` proved `scope` within `window` seconds of `now`: the
+/// recency check of every authentication-gated hook.
+pub fn authed_for(auth: Option<AuthProof>, now: u64, scope: AuthScope, window: u64) -> bool {
+    auth.is_some_and(|a| a.scope == scope && now.saturating_sub(a.at) <= window)
 }
 
 /// A restricted uid transition recorded by the `setuid` hook and resolved
@@ -130,40 +150,114 @@ pub enum FileDecision {
     AllowCloexec,
 }
 
-/// Context for the mount hook.
-#[derive(Clone, Debug)]
-pub struct MountRequest {
-    /// Source device or pseudo-fs.
-    pub source: String,
-    /// Normalized mountpoint path.
-    pub target: String,
-    /// Filesystem type.
-    pub fstype: String,
-    /// Parsed options.
-    pub options: MountOptions,
+/// What [`crate::kernel::Kernel::decide`] does with a hook's answer.
+pub(crate) enum Ruling<G> {
+    /// Fall back to the stock policy.
+    UseDefault,
+    /// Refuse with this errno.
+    Deny(Errno),
+    /// Authenticate, then ask the hook again.
+    NeedAuth(AuthScope),
+    /// Grant, audited as this kind, handing the caller what it installs.
+    Grant(DecisionKind, G),
 }
 
-/// Context for the umount hook.
-#[derive(Clone, Debug)]
-pub struct UmountRequest {
+/// The one mapping from each hook's decision type to a [`Ruling`].
+pub(crate) trait Answer {
+    /// What a grant hands the caller.
+    type Grant;
+    /// Splits the answer.
+    fn ruling(self) -> Ruling<Self::Grant>;
+}
+
+impl Answer for Decision {
+    type Grant = ();
+    fn ruling(self) -> Ruling<()> {
+        match self {
+            Decision::UseDefault => Ruling::UseDefault,
+            Decision::Allow => Ruling::Grant(DecisionKind::Allow, ()),
+            Decision::Deny(e) => Ruling::Deny(e),
+        }
+    }
+}
+
+impl Answer for SetuidDecision {
+    /// The transition to defer to `exec`, or `None` to switch now.
+    type Grant = Option<PendingSetuid>;
+    fn ruling(self) -> Ruling<Option<PendingSetuid>> {
+        match self {
+            SetuidDecision::UseDefault => Ruling::UseDefault,
+            SetuidDecision::Allow => Ruling::Grant(DecisionKind::Allow, None),
+            SetuidDecision::Deny(e) => Ruling::Deny(e),
+            SetuidDecision::Pending(p) => Ruling::Grant(DecisionKind::Defer, Some(p)),
+            SetuidDecision::NeedAuth(scope) => Ruling::NeedAuth(scope),
+        }
+    }
+}
+
+impl Answer for ExecDecision {
+    /// The new image's credentials and environment policy.
+    type Grant = (Credentials, EnvPolicy);
+    fn ruling(self) -> Ruling<(Credentials, EnvPolicy)> {
+        match self {
+            ExecDecision::UseDefault => Ruling::UseDefault,
+            ExecDecision::Deny(e) => Ruling::Deny(e),
+            ExecDecision::Transition { cred, env } => {
+                Ruling::Grant(DecisionKind::Allow, (cred, env))
+            }
+            ExecDecision::NeedAuth(scope) => Ruling::NeedAuth(scope),
+        }
+    }
+}
+
+impl Answer for FileDecision {
+    /// Whether the descriptor is forced close-on-exec.
+    type Grant = bool;
+    fn ruling(self) -> Ruling<bool> {
+        match self {
+            FileDecision::UseDefault => Ruling::UseDefault,
+            FileDecision::Allow => Ruling::Grant(DecisionKind::Allow, false),
+            FileDecision::Deny(e) => Ruling::Deny(e),
+            FileDecision::NeedAuth(scope) => Ruling::NeedAuth(scope),
+            FileDecision::AllowCloexec => Ruling::Grant(DecisionKind::Allow, true),
+        }
+    }
+}
+
+/// Context for the mount hook, borrowed from the call.
+#[derive(Clone, Copy, Debug)]
+pub struct MountRequest<'a> {
+    /// Source device or pseudo-fs.
+    pub source: &'a str,
+    /// Normalized mountpoint path.
+    pub target: &'a str,
+    /// Filesystem type.
+    pub fstype: &'a str,
+    /// Parsed options.
+    pub options: &'a MountOptions,
+}
+
+/// Context for the umount hook, borrowed from the mount table's entry.
+#[derive(Clone, Copy, Debug)]
+pub struct UmountRequest<'a> {
     /// Mountpoint being detached.
-    pub target: String,
+    pub target: &'a str,
     /// The mount's source device.
-    pub source: String,
+    pub source: &'a str,
     /// Filesystem type of the mount.
-    pub fstype: String,
+    pub fstype: &'a str,
     /// Who mounted it.
     pub mounted_by: Uid,
 }
 
 /// Context for the bind hook.
-#[derive(Clone, Debug)]
-pub struct BindRequest {
+#[derive(Clone, Copy, Debug)]
+pub struct BindRequest<'a> {
     /// Requested port.
     pub port: u16,
     /// Path of the binary performing the bind — Protego's application
     /// instance identity (binary, uid).
-    pub binary: String,
+    pub binary: &'a str,
     /// Whether this is TCP (else UDP).
     pub tcp: bool,
 }
@@ -178,22 +272,21 @@ pub struct SetidCtx<'a> {
     pub cred: &'a Credentials,
     /// Path of the binary the task is running.
     pub binary: &'a str,
-    /// Logical time of the task's last successful authentication.
-    pub last_auth: Option<u64>,
-    /// Principal that authentication proved.
-    pub last_auth_scope: Option<AuthScope>,
+    /// The task's last successful authentication.
+    pub auth: Option<AuthProof>,
     /// Current logical time.
     pub now: u64,
 }
 
-impl SetidCtx<'_> {
-    /// Whether the task proved `scope` within `window` seconds.
-    pub fn authed_for(&self, scope: AuthScope, window: u64) -> bool {
-        self.last_auth_scope == Some(scope)
-            && self
-                .last_auth
-                .map(|t| self.now.saturating_sub(t) <= window)
-                .unwrap_or(false)
+impl<'a> SetidCtx<'a> {
+    /// The context of `task`'s call at logical time `now`.
+    pub(crate) fn of(task: &'a Task, now: u64) -> SetidCtx<'a> {
+        SetidCtx {
+            cred: &task.cred,
+            binary: task.binary.as_str(),
+            auth: task.auth,
+            now,
+        }
     }
 }
 
@@ -216,23 +309,10 @@ pub struct ExecCtx<'a> {
     pub setgid_bit: bool,
     /// Pending restricted transition recorded at `setuid` time.
     pub pending: Option<&'a PendingSetuid>,
-    /// Logical time of last authentication.
-    pub last_auth: Option<u64>,
-    /// Principal that authentication proved.
-    pub last_auth_scope: Option<AuthScope>,
+    /// The task's last successful authentication.
+    pub auth: Option<AuthProof>,
     /// Current logical time.
     pub now: u64,
-}
-
-impl ExecCtx<'_> {
-    /// Whether the task proved `scope` within `window` seconds.
-    pub fn authed_for(&self, scope: AuthScope, window: u64) -> bool {
-        self.last_auth_scope == Some(scope)
-            && self
-                .last_auth
-                .map(|t| self.now.saturating_sub(t) <= window)
-                .unwrap_or(false)
-    }
 }
 
 /// Context for the file-open hook. Borrows the caller's credentials and
@@ -256,23 +336,10 @@ pub struct FileOpenCtx<'a> {
     pub dac_allows: bool,
     /// Owner of the inode being opened.
     pub file_owner: Uid,
-    /// Last authentication time of the task.
-    pub last_auth: Option<u64>,
-    /// Principal that authentication proved.
-    pub last_auth_scope: Option<AuthScope>,
+    /// The task's last successful authentication.
+    pub auth: Option<AuthProof>,
     /// Current logical time.
     pub now: u64,
-}
-
-impl FileOpenCtx<'_> {
-    /// Whether the task proved `scope` within `window` seconds.
-    pub fn authed_for(&self, scope: AuthScope, window: u64) -> bool {
-        self.last_auth_scope == Some(scope)
-            && self
-                .last_auth
-                .map(|t| self.now.saturating_sub(t) <= window)
-                .unwrap_or(false)
-    }
 }
 
 /// KMS / video ioctl operations (§4.5).
@@ -516,6 +583,18 @@ mod tests {
         assert_eq!(lsm.ioctl_dmcrypt(&cred), (Decision::UseDefault, None));
         assert!(lsm.config_nodes().is_empty());
         assert_eq!(lsm.config_read("x").unwrap_err(), Errno::ENOSYS);
+    }
+
+    #[test]
+    fn auth_recency_window_is_scoped() {
+        let me = AuthScope::User(Uid(1000));
+        let auth = Some(AuthProof { at: 900, scope: me });
+        assert!(!authed_for(None, 1000, me, 300));
+        assert!(authed_for(auth, 1000, me, 300));
+        assert!(authed_for(auth, 1200, me, 300));
+        assert!(!authed_for(auth, 1201, me, 300));
+        assert!(!authed_for(auth, 1000, AuthScope::User(Uid(0)), 300));
+        assert!(!authed_for(auth, 1000, AuthScope::Group(Gid(1000)), 300));
     }
 
     #[test]

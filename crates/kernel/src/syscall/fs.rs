@@ -4,11 +4,11 @@
 use crate::caps::Cap;
 use crate::cred::{Credentials, Gid, Uid};
 use crate::error::{Errno, KResult};
-use crate::kernel::Kernel;
-use crate::lsm::{FileDecision, FileOpenCtx};
+use crate::kernel::{Kernel, Site};
+use crate::lsm::{FileOpenCtx, SecurityModule};
 use crate::syscall::abi::Whence;
-use crate::task::{Fd, FdObject, Pid};
-use crate::trace::{AuditObject, DecisionKind, Hook, Pathway};
+use crate::task::{Fd, FdObject, Pid, Task};
+use crate::trace::{AuditObject, DecisionKind, Hook, Pathway, Provenance};
 use crate::vfs::{AbsPath, Access, DirChain, Ino, InodeData, Mode, ProcHook, Resolved, PATH_MAX};
 
 /// Flags for [`Kernel::sys_open`].
@@ -273,94 +273,31 @@ impl Kernel {
         let dac = self.check_access(pid, ino, want);
         let dac_ok = dac.is_ok();
 
-        // LSM file-open hook, with one authentication retry. The hook
-        // context borrows the walk's canonical path together with the
-        // task's credentials, so the steady-state approve path
-        // (UseDefault with DAC ok) allocates nothing.
+        // LSM file-open hook. Its context borrows the walk's canonical
+        // path together with the task's credentials, so the steady-state
+        // approve path (UseDefault with DAC ok) allocates nothing.
         let file_owner = self.vfs.inode(ino).uid;
-        let mut force_cloexec = false;
         let canonical = abs.as_str();
-        let mut attempts = 0;
-        loop {
-            // Scoped: the task guard must drop before the arms below
-            // emit events or re-run authentication (both re-enter
-            // the task table). The hook itself runs with the guard
-            // held — modules only read the borrowed context (same
-            // discipline as the setuid/setgid hooks).
-            let (decision, rule) = {
-                let t = self.task(pid)?;
-                let ctx = FileOpenCtx {
-                    cred: &t.cred,
-                    path: canonical,
-                    binary: t.binary.as_str(),
-                    access: want,
-                    dac_allows: dac_ok,
-                    file_owner,
-                    last_auth: t.last_auth,
-                    last_auth_scope: t.last_auth_scope,
-                    now: self.clock(),
-                };
-                self.lsm_hook(Pathway::LsmFileOpen, |m| m.file_open(&ctx))
-            };
-            match decision {
-                FileDecision::UseDefault => {
-                    dac?;
-                    break;
-                }
-                FileDecision::Allow => {
-                    self.emit_lsm_event(
-                        pid,
-                        "open",
-                        Hook::FileOpen,
-                        DecisionKind::Allow,
-                        None,
-                        rule,
-                        AuditObject::Path(canonical.to_string()),
-                    );
-                    break;
-                }
-                FileDecision::AllowCloexec => {
-                    force_cloexec = true;
-                    self.emit_lsm_event(
-                        pid,
-                        "open",
-                        Hook::FileOpen,
-                        DecisionKind::Allow,
-                        None,
-                        rule,
-                        AuditObject::Path(canonical.to_string()),
-                    );
-                    break;
-                }
-                FileDecision::Deny(e) => {
-                    self.emit_lsm_event(
-                        pid,
-                        "open",
-                        Hook::FileOpen,
-                        DecisionKind::Deny,
-                        Some(e),
-                        rule,
-                        AuditObject::Path(canonical.to_string()),
-                    );
-                    return Err(e);
-                }
-                FileDecision::NeedAuth(scope) => {
-                    attempts += 1;
-                    if attempts > 1 || !self.run_auth(pid, scope) {
-                        self.emit_lsm_event(
-                            pid,
-                            "open",
-                            Hook::FileOpen,
-                            DecisionKind::Deny,
-                            Some(Errno::EACCES),
-                            rule,
-                            AuditObject::Path(canonical.to_string()),
-                        );
-                        return Err(Errno::EACCES);
-                    }
-                }
+        let hook = |t: &Task, m: &dyn SecurityModule| {
+            m.file_open(&FileOpenCtx {
+                cred: &t.cred,
+                path: canonical,
+                binary: t.binary.as_str(),
+                access: want,
+                dac_allows: dac_ok,
+                file_owner,
+                auth: t.auth,
+                now: self.clock(),
+            })
+        };
+        let object = || AuditObject::Path(canonical.to_string());
+        let force_cloexec = match self.decide(pid, Site::OPEN, object, hook, Ok)? {
+            Some(cloexec) => cloexec,
+            None => {
+                dac?;
+                false
             }
-        }
+        };
 
         if flags.truncate && matches!(self.vfs.inode(ino).data, InodeData::Regular(_)) {
             self.vfs.write_all(ino, b"")?;
@@ -692,28 +629,13 @@ impl Kernel {
     fn write_hook_node(&self, pid: Pid, hook: ProcHook, data: &[u8]) -> KResult<usize> {
         match hook {
             ProcHook::LsmConfig(name) => {
-                let cred = self.task(pid)?.cred.clone();
-                if !cred.euid.is_root() {
-                    self.emit_kernel_event(
-                        pid,
-                        "write",
-                        Hook::LsmConfig,
-                        DecisionKind::Deny,
-                        Some(Errno::EPERM),
-                        AuditObject::Config(name.to_string()),
-                    );
-                    return Err(Errno::EPERM);
-                }
+                let object = || AuditObject::Config(name.to_string());
+                let root = self.task(pid)?.cred.euid.is_root();
+                self.stock(pid, Site::CONFIG, root, object)?;
                 let content = String::from_utf8(data.to_vec()).map_err(|_| Errno::EINVAL)?;
                 self.lsm_config_write(name, &content)?;
-                self.emit_kernel_event(
-                    pid,
-                    "write",
-                    Hook::LsmConfig,
-                    DecisionKind::Info,
-                    None,
-                    AuditObject::Config(name.to_string()),
-                );
+                let info = Provenance::kernel(Hook::LsmConfig, DecisionKind::Info, None);
+                self.emit_event(pid.0, "write", object(), info);
                 Ok(data.len())
             }
             ProcHook::SeccompProfiles | ProcHook::SeccompStatus | ProcHook::SeccompViolations => {
@@ -733,17 +655,10 @@ impl Kernel {
             ProcHook::SeccompStatus => "seccomp/status",
             _ => "seccomp/violations",
         };
-        if !self.task(pid)?.cred.euid.is_root() {
-            self.emit_kernel_event(
-                pid,
-                "write",
-                Hook::LsmConfig,
-                DecisionKind::Deny,
-                Some(Errno::EPERM),
-                AuditObject::Config(node.to_string()),
-            );
-            return Err(Errno::EPERM);
-        }
+        let root = self.task(pid)?.cred.euid.is_root();
+        self.stock(pid, Site::CONFIG, root, || {
+            AuditObject::Config(node.to_string())
+        })?;
         let content = String::from_utf8(data.to_vec()).map_err(|_| Errno::EINVAL)?;
         match hook {
             ProcHook::SeccompProfiles => {
@@ -764,14 +679,8 @@ impl Kernel {
                 self.seccomp.clear_violations();
             }
         }
-        self.emit_kernel_event(
-            pid,
-            "write",
-            Hook::LsmConfig,
-            DecisionKind::Info,
-            None,
-            AuditObject::Config(node.to_string()),
-        );
+        let info = Provenance::kernel(Hook::LsmConfig, DecisionKind::Info, None);
+        self.emit_event(pid.0, "write", AuditObject::Config(node.to_string()), info);
         Ok(data.len())
     }
 

@@ -10,97 +10,40 @@
 use crate::caps::{Cap, CapSet};
 use crate::cred::{Gid, Uid};
 use crate::error::{Errno, KResult};
-use crate::kernel::Kernel;
-use crate::lsm::{SetidCtx, SetuidDecision};
-use crate::task::Pid;
-use crate::trace::{AuditObject, DecisionKind, Hook, Pathway};
+use crate::kernel::{Kernel, Site};
+use crate::lsm::{SecurityModule, SetidCtx};
+use crate::task::{Pid, Task};
+use crate::trace::AuditObject;
 
 impl Kernel {
     /// `setuid(2)`.
     pub fn sys_setuid(&self, pid: Pid, target: Uid) -> KResult<()> {
-        let mut attempts = 0;
-        loop {
-            // The hook context borrows the task's credentials and binary
-            // in place — no clones on the id fast path.
-            let (decision, rule) = {
-                let t = self.task(pid)?;
-                let ctx = SetidCtx {
-                    cred: &t.cred,
-                    binary: t.binary.as_str(),
-                    last_auth: t.last_auth,
-                    last_auth_scope: t.last_auth_scope,
-                    now: self.clock(),
+        let hook = |t: &Task, m: &dyn SecurityModule| {
+            m.task_setuid(&SetidCtx::of(t, self.clock()), target)
+        };
+        let object = || AuditObject::UidTarget(target.0);
+        match self.decide(pid, Site::SETUID, object, hook, Ok)? {
+            None => self.setuid_stock(pid, target),
+            Some(Some(pending)) => {
+                // The call *reports* success; the credential change is
+                // deferred to exec (§4.3's change in error behaviour).
+                self.task_mut(pid)?.pending_setuid = Some(pending);
+                Ok(())
+            }
+            Some(None) => {
+                let mut t = self.task_mut(pid)?;
+                t.cred.ruid = target;
+                t.cred.euid = target;
+                t.cred.suid = target;
+                t.cred.fsuid = target;
+                // Privilege is granted only *after* all checks pass (the
+                // paper's point about sudo-to-root).
+                t.cred.caps = if target.is_root() {
+                    CapSet::full()
+                } else {
+                    CapSet::EMPTY
                 };
-                self.lsm_hook(Pathway::LsmTaskSetuid, |m| m.task_setuid(&ctx, target))
-            };
-            match decision {
-                SetuidDecision::UseDefault => return self.setuid_stock(pid, target),
-                SetuidDecision::Allow => {
-                    self.emit_lsm_event(
-                        pid,
-                        "setuid",
-                        Hook::TaskSetuid,
-                        DecisionKind::Allow,
-                        None,
-                        rule,
-                        AuditObject::UidTarget(target.0),
-                    );
-                    let mut t = self.task_mut(pid)?;
-                    t.cred.ruid = target;
-                    t.cred.euid = target;
-                    t.cred.suid = target;
-                    t.cred.fsuid = target;
-                    // Privilege is granted only *after* all checks pass
-                    // (the paper's point about sudo-to-root).
-                    t.cred.caps = if target.is_root() {
-                        CapSet::full()
-                    } else {
-                        CapSet::EMPTY
-                    };
-                    return Ok(());
-                }
-                SetuidDecision::Deny(e) => {
-                    self.emit_lsm_event(
-                        pid,
-                        "setuid",
-                        Hook::TaskSetuid,
-                        DecisionKind::Deny,
-                        Some(e),
-                        rule,
-                        AuditObject::UidTarget(target.0),
-                    );
-                    return Err(e);
-                }
-                SetuidDecision::Pending(p) => {
-                    self.emit_lsm_event(
-                        pid,
-                        "setuid",
-                        Hook::TaskSetuid,
-                        DecisionKind::Defer,
-                        None,
-                        rule,
-                        AuditObject::UidTarget(target.0),
-                    );
-                    self.task_mut(pid)?.pending_setuid = Some(p);
-                    // The call *reports* success; the credential change is
-                    // deferred to exec (§4.3's change in error behaviour).
-                    return Ok(());
-                }
-                SetuidDecision::NeedAuth(scope) => {
-                    attempts += 1;
-                    if attempts > 1 || !self.run_auth(pid, scope) {
-                        self.emit_lsm_event(
-                            pid,
-                            "setuid",
-                            Hook::TaskSetuid,
-                            DecisionKind::Deny,
-                            Some(Errno::EPERM),
-                            rule,
-                            AuditObject::UidTarget(target.0),
-                        );
-                        return Err(Errno::EPERM);
-                    }
-                }
+                Ok(())
             }
         }
     }
@@ -130,19 +73,8 @@ impl Kernel {
             }
             allowed
         };
-        if allowed {
-            Ok(())
-        } else {
-            self.emit_kernel_event(
-                pid,
-                "setuid",
-                Hook::TaskSetuid,
-                DecisionKind::Deny,
-                Some(Errno::EPERM),
-                AuditObject::UidTarget(target.0),
-            );
-            Err(Errno::EPERM)
-        }
+        let object = || AuditObject::UidTarget(target.0);
+        self.stock(pid, Site::SETUID, allowed, object)
     }
 
     /// `seteuid(2)` — stock semantics only (no LSM hook needed: it cannot
@@ -167,71 +99,23 @@ impl Kernel {
 
     /// `setgid(2)`.
     pub fn sys_setgid(&self, pid: Pid, target: Gid) -> KResult<()> {
-        let mut attempts = 0;
-        loop {
-            // Clone-free hook context, as in sys_setuid.
-            let (decision, rule) = {
-                let t = self.task(pid)?;
-                let ctx = SetidCtx {
-                    cred: &t.cred,
-                    binary: t.binary.as_str(),
-                    last_auth: t.last_auth,
-                    last_auth_scope: t.last_auth_scope,
-                    now: self.clock(),
-                };
-                self.lsm_hook(Pathway::LsmTaskSetgid, |m| m.task_setgid(&ctx, target))
-            };
-            match decision {
-                SetuidDecision::UseDefault => return self.setgid_stock(pid, target),
-                SetuidDecision::Allow => {
-                    self.emit_lsm_event(
-                        pid,
-                        "setgid",
-                        Hook::TaskSetgid,
-                        DecisionKind::Allow,
-                        None,
-                        rule,
-                        AuditObject::GidTarget(target.0),
-                    );
-                    let mut t = self.task_mut(pid)?;
-                    t.cred.rgid = target;
-                    t.cred.egid = target;
-                    t.cred.sgid = target;
-                    if !t.cred.groups.contains(&target) {
-                        t.cred.groups.push(target);
-                    }
-                    return Ok(());
-                }
-                SetuidDecision::Deny(e) => {
-                    self.emit_lsm_event(
-                        pid,
-                        "setgid",
-                        Hook::TaskSetgid,
-                        DecisionKind::Deny,
-                        Some(e),
-                        rule,
-                        AuditObject::GidTarget(target.0),
-                    );
-                    return Err(e);
-                }
-                SetuidDecision::Pending(_) => return Err(Errno::EINVAL),
-                SetuidDecision::NeedAuth(scope) => {
-                    attempts += 1;
-                    if attempts > 1 || !self.run_auth(pid, scope) {
-                        self.emit_lsm_event(
-                            pid,
-                            "setgid",
-                            Hook::TaskSetgid,
-                            DecisionKind::Deny,
-                            Some(Errno::EPERM),
-                            rule,
-                            AuditObject::GidTarget(target.0),
-                        );
-                        return Err(Errno::EPERM);
-                    }
-                }
-            }
+        let hook = |t: &Task, m: &dyn SecurityModule| {
+            m.task_setgid(&SetidCtx::of(t, self.clock()), target)
+        };
+        let object = || AuditObject::GidTarget(target.0);
+        // A transition deferred to exec means nothing for a gid.
+        let now = |pending: Option<_>| pending.map_or(Ok(()), |_| Err(Errno::EINVAL));
+        if self.decide(pid, Site::SETGID, object, hook, now)?.is_none() {
+            return self.setgid_stock(pid, target);
         }
+        let mut t = self.task_mut(pid)?;
+        t.cred.rgid = target;
+        t.cred.egid = target;
+        t.cred.sgid = target;
+        if !t.cred.groups.contains(&target) {
+            t.cred.groups.push(target);
+        }
+        Ok(())
     }
 
     /// Stock `setgid(2)` semantics.
@@ -252,19 +136,8 @@ impl Kernel {
             }
             allowed
         };
-        if allowed {
-            Ok(())
-        } else {
-            self.emit_kernel_event(
-                pid,
-                "setgid",
-                Hook::TaskSetgid,
-                DecisionKind::Deny,
-                Some(Errno::EPERM),
-                AuditObject::GidTarget(target.0),
-            );
-            Err(Errno::EPERM)
-        }
+        let object = || AuditObject::GidTarget(target.0);
+        self.stock(pid, Site::SETGID, allowed, object)
     }
 
     /// `setgroups(2)` — requires CAP_SETGID.

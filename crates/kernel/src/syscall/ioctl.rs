@@ -9,10 +9,10 @@
 use crate::caps::Cap;
 use crate::dev::{claim_modem, DeviceKind, DmFullStatus, ModemOpt};
 use crate::error::{Errno, KResult};
-use crate::kernel::Kernel;
-use crate::lsm::{Decision, KmsOp};
-use crate::task::{FdObject, Pid};
-use crate::trace::{AuditObject, DecisionKind, Hook, Pathway};
+use crate::kernel::{Kernel, Site};
+use crate::lsm::{KmsOp, SecurityModule};
+use crate::task::{FdObject, Pid, Task};
+use crate::trace::AuditObject;
 use crate::vfs::InodeData;
 
 /// Ioctl commands dispatched by [`Kernel::sys_ioctl`].
@@ -59,12 +59,13 @@ impl Kernel {
     /// `ioctl(2)` on a device fd.
     pub fn sys_ioctl(&self, pid: Pid, fd: i32, cmd: IoctlCmd) -> KResult<IoctlOut> {
         let dev = self.fd_device(pid, fd)?;
-        // Snapshot path + kind so the registry guard is not held across the
-        // LSM hooks and audit emissions below.
-        let (dev_path, kind) = {
-            let devices = self.devices.read();
-            let rec = devices.get(dev)?;
-            (rec.path.clone(), rec.kind.clone())
+        // Snapshot the kind so the registry guard is not held across the
+        // LSM hooks and audit emissions below; the path is read only for
+        // an audit record.
+        let kind = self.devices.read().get(dev)?.kind.clone();
+        let object = || {
+            let path = self.devices.read().get(dev).map(|d| d.path.clone());
+            AuditObject::Device(path.unwrap_or_default())
         };
         match (cmd, kind) {
             (IoctlCmd::ModemClaim, DeviceKind::Modem(_)) => {
@@ -84,46 +85,10 @@ impl Kernel {
                 Ok(IoctlOut::None)
             }
             (IoctlCmd::Modem(opt), DeviceKind::Modem(state)) => {
-                let cred = self.task(pid)?.cred.clone();
-                let (decision, rule) =
-                    self.lsm_hook(Pathway::LsmIoctl, |m| m.ioctl_modem(&cred, opt, &state));
-                match decision {
-                    Decision::UseDefault => {
-                        if !self.capable(pid, Cap::NetAdmin) {
-                            self.emit_kernel_event(
-                                pid,
-                                "ioctl",
-                                Hook::IoctlModem,
-                                DecisionKind::Deny,
-                                Some(Errno::EPERM),
-                                AuditObject::Device(dev_path),
-                            );
-                            return Err(Errno::EPERM);
-                        }
-                    }
-                    Decision::Allow => {
-                        self.emit_lsm_event(
-                            pid,
-                            "ioctl",
-                            Hook::IoctlModem,
-                            DecisionKind::Allow,
-                            None,
-                            rule,
-                            AuditObject::Device(dev_path),
-                        );
-                    }
-                    Decision::Deny(e) => {
-                        self.emit_lsm_event(
-                            pid,
-                            "ioctl",
-                            Hook::IoctlModem,
-                            DecisionKind::Deny,
-                            Some(e),
-                            rule,
-                            AuditObject::Device(dev_path),
-                        );
-                        return Err(e);
-                    }
+                let hook = |t: &Task, m: &dyn SecurityModule| m.ioctl_modem(&t.cred, opt, &state);
+                if self.decide(pid, Site::MODEM, object, hook, Ok)?.is_none() {
+                    let ok = self.capable(pid, Cap::NetAdmin);
+                    self.stock(pid, Site::MODEM, ok, object)?;
                 }
                 let mut devices = self.devices.write();
                 if let DeviceKind::Modem(m) = &mut devices.get_mut(dev)?.kind {
@@ -139,35 +104,10 @@ impl Kernel {
                 Ok(IoctlOut::None)
             }
             (IoctlCmd::DmStatus, DeviceKind::DmCrypt(state)) => {
-                let cred = self.task(pid)?.cred.clone();
-                let (decision, rule) = self.lsm_hook(Pathway::LsmIoctl, |m| m.ioctl_dmcrypt(&cred));
-                match decision {
-                    Decision::UseDefault => {
-                        if !self.capable(pid, Cap::SysAdmin) {
-                            self.emit_kernel_event(
-                                pid,
-                                "ioctl",
-                                Hook::IoctlDmcrypt,
-                                DecisionKind::Deny,
-                                Some(Errno::EPERM),
-                                AuditObject::Device(dev_path),
-                            );
-                            return Err(Errno::EPERM);
-                        }
-                    }
-                    Decision::Allow => {}
-                    Decision::Deny(e) => {
-                        self.emit_lsm_event(
-                            pid,
-                            "ioctl",
-                            Hook::IoctlDmcrypt,
-                            DecisionKind::Deny,
-                            Some(e),
-                            rule,
-                            AuditObject::Device(dev_path),
-                        );
-                        return Err(e);
-                    }
+                let hook = |t: &Task, m: &dyn SecurityModule| m.ioctl_dmcrypt(&t.cred);
+                if self.decide(pid, Site::DMCRYPT, object, hook, Ok)?.is_none() {
+                    let ok = self.capable(pid, Cap::SysAdmin);
+                    self.stock(pid, Site::DMCRYPT, ok, object)?;
                 }
                 // All-or-nothing disclosure: this is the interface flaw the
                 // paper highlights (Table 4) — the same ioctl returns keys.
@@ -179,45 +119,18 @@ impl Kernel {
                 }))
             }
             (IoctlCmd::Kms(op), DeviceKind::Video(state)) => {
-                let cred = self.task(pid)?.cred.clone();
-                let (decision, rule) = self.lsm_hook(Pathway::LsmIoctl, |m| m.ioctl_kms(&cred, op));
-                match decision {
-                    Decision::UseDefault => {
-                        // Stock policy: with KMS the kernel manages mode
-                        // setting and VT switching for any console owner;
-                        // raw register access (the pre-KMS path) requires
-                        // CAP_SYS_RAWIO + CAP_SYS_ADMIN. On a non-KMS card
-                        // every operation needs the capabilities — this is
-                        // why pre-KMS X must be setuid root (§4.5).
-                        let privileged_ok =
-                            self.capable(pid, Cap::SysRawio) && self.capable(pid, Cap::SysAdmin);
-                        let need_priv =
-                            matches!(op, KmsOp::RawRegisterAccess) || !state.kms_capable;
-                        if need_priv && !privileged_ok {
-                            self.emit_kernel_event(
-                                pid,
-                                "ioctl",
-                                Hook::IoctlKms,
-                                DecisionKind::Deny,
-                                Some(Errno::EPERM),
-                                AuditObject::Device(dev_path),
-                            );
-                            return Err(Errno::EPERM);
-                        }
-                    }
-                    Decision::Allow => {}
-                    Decision::Deny(e) => {
-                        self.emit_lsm_event(
-                            pid,
-                            "ioctl",
-                            Hook::IoctlKms,
-                            DecisionKind::Deny,
-                            Some(e),
-                            rule,
-                            AuditObject::Device(dev_path),
-                        );
-                        return Err(e);
-                    }
+                let hook = |t: &Task, m: &dyn SecurityModule| m.ioctl_kms(&t.cred, op);
+                if self.decide(pid, Site::KMS, object, hook, Ok)?.is_none() {
+                    // Stock policy: with KMS the kernel manages mode
+                    // setting and VT switching for any console owner; raw
+                    // register access (the pre-KMS path) requires
+                    // CAP_SYS_RAWIO + CAP_SYS_ADMIN. On a non-KMS card
+                    // every operation needs the capabilities — this is
+                    // why pre-KMS X must be setuid root (§4.5).
+                    let privileged_ok =
+                        self.capable(pid, Cap::SysRawio) && self.capable(pid, Cap::SysAdmin);
+                    let need_priv = matches!(op, KmsOp::RawRegisterAccess) || !state.kms_capable;
+                    self.stock(pid, Site::KMS, privileged_ok || !need_priv, object)?;
                 }
                 let mut devices = self.devices.write();
                 if let DeviceKind::Video(v) = &mut devices.get_mut(dev)?.kind {
@@ -391,20 +304,6 @@ mod tests {
             .unwrap();
         // The kernel restored VT 1's mode.
         assert_eq!(out, IoctlOut::Mode(1920, 1080, 60));
-    }
-
-    #[test]
-    fn raw_register_access_requires_privilege() {
-        let (k, root, user) = boot();
-        let fd_u = open_dev(&k, user, "/dev/dri/card0");
-        assert_eq!(
-            k.sys_ioctl(user, fd_u, IoctlCmd::Kms(KmsOp::RawRegisterAccess))
-                .unwrap_err(),
-            Errno::EPERM
-        );
-        let fd_r = open_dev(&k, root, "/dev/dri/card0");
-        k.sys_ioctl(root, fd_r, IoctlCmd::Kms(KmsOp::RawRegisterAccess))
-            .unwrap();
     }
 
     #[test]

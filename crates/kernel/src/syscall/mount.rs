@@ -8,10 +8,10 @@
 use crate::caps::Cap;
 use crate::dev::DeviceKind;
 use crate::error::{Errno, KResult};
-use crate::kernel::Kernel;
-use crate::lsm::{Decision, MountRequest, UmountRequest};
-use crate::task::Pid;
-use crate::trace::{AuditObject, DecisionKind, Hook, Pathway};
+use crate::kernel::{Kernel, Site};
+use crate::lsm::{MountRequest, SecurityModule, UmountRequest};
+use crate::task::{Pid, Task};
+use crate::trace::AuditObject;
 use crate::vfs::{InodeData, MountOptions};
 
 impl Kernel {
@@ -41,66 +41,25 @@ impl Kernel {
         }
         let mut opts = MountOptions::parse(options);
 
-        let cred = self.task(pid)?.cred.clone();
-        let req = MountRequest {
-            source: source.to_string(),
-            target: mountpoint.clone(),
-            fstype: fstype.to_string(),
-            options: opts.clone(),
+        let hook = |t: &Task, m: &dyn SecurityModule| {
+            let req = MountRequest {
+                source,
+                target: &mountpoint,
+                fstype,
+                options: &opts,
+            };
+            m.sb_mount(&t.cred, &req)
         };
-        let object = AuditObject::Path(format!("{} -> {}", source, mountpoint));
-        let (decision, rule) = self.lsm_hook(Pathway::LsmSbMount, |m| m.sb_mount(&cred, &req));
-        match decision {
-            Decision::UseDefault => {
-                if !self.capable(pid, Cap::SysAdmin) {
-                    self.emit_kernel_event(
-                        pid,
-                        "mount",
-                        Hook::SbMount,
-                        DecisionKind::Deny,
-                        Some(Errno::EPERM),
-                        object,
-                    );
-                    return Err(Errno::EPERM);
-                }
-                self.emit_kernel_event(
-                    pid,
-                    "mount",
-                    Hook::SbMount,
-                    DecisionKind::UseDefault,
-                    None,
-                    object,
-                );
+        let object = || AuditObject::Path(format!("{} -> {}", source, mountpoint));
+        match self.decide(pid, Site::MOUNT, object, hook, Ok)? {
+            None => self.stock(pid, Site::MOUNT, self.capable(pid, Cap::SysAdmin), object)?,
+            // User mounts are forced nosuid/nodev, as the mount utilities
+            // (and the fstab "user" option) do.
+            Some(()) if !self.task(pid)?.cred.euid.is_root() => {
+                opts.nosuid = true;
+                opts.nodev = true;
             }
-            Decision::Allow => {
-                // User mounts are forced nosuid/nodev, as the mount
-                // utilities (and the fstab "user" option) do.
-                if !cred.euid.is_root() {
-                    opts.nosuid = true;
-                    opts.nodev = true;
-                }
-                self.emit_lsm_event(
-                    pid,
-                    "mount",
-                    Hook::SbMount,
-                    DecisionKind::Allow,
-                    None,
-                    rule,
-                    object,
-                );
-            }
-            Decision::Deny(e) => {
-                self.emit_lsm_event(
-                    pid,
-                    "mount",
-                    Hook::SbMount,
-                    DecisionKind::Deny,
-                    Some(e),
-                    rule,
-                    object,
-                );
-                return Err(e);
-            }
+            Some(()) => {}
         }
 
         // Locate the backing tree.
@@ -150,66 +109,20 @@ impl Kernel {
         // look up the path string in the mount table.
         let r = self.walk(pid, target)?;
         let mountpoint = self.vfs.path_of(r.ino);
-        let m = self
-            .vfs
-            .find_mount(&mountpoint)
-            .ok_or(Errno::EINVAL)?
-            .clone();
+        let m = self.vfs.find_mount(&mountpoint).ok_or(Errno::EINVAL)?;
 
-        let cred = self.task(pid)?.cred.clone();
-        let req = UmountRequest {
-            target: mountpoint.clone(),
-            source: m.source.clone(),
-            fstype: m.fstype.clone(),
-            mounted_by: m.mounted_by,
+        let hook = |t: &Task, module: &dyn SecurityModule| {
+            let req = UmountRequest {
+                target: &mountpoint,
+                source: &m.source,
+                fstype: &m.fstype,
+                mounted_by: m.mounted_by,
+            };
+            module.sb_umount(&t.cred, &req)
         };
-        let object = AuditObject::Path(mountpoint.clone());
-        let (decision, rule) = self.lsm_hook(Pathway::LsmSbUmount, |m| m.sb_umount(&cred, &req));
-        match decision {
-            Decision::UseDefault => {
-                if !self.capable(pid, Cap::SysAdmin) {
-                    self.emit_kernel_event(
-                        pid,
-                        "umount",
-                        Hook::SbUmount,
-                        DecisionKind::Deny,
-                        Some(Errno::EPERM),
-                        object,
-                    );
-                    return Err(Errno::EPERM);
-                }
-                self.emit_kernel_event(
-                    pid,
-                    "umount",
-                    Hook::SbUmount,
-                    DecisionKind::UseDefault,
-                    None,
-                    object,
-                );
-            }
-            Decision::Allow => {
-                self.emit_lsm_event(
-                    pid,
-                    "umount",
-                    Hook::SbUmount,
-                    DecisionKind::Allow,
-                    None,
-                    rule,
-                    object,
-                );
-            }
-            Decision::Deny(e) => {
-                self.emit_lsm_event(
-                    pid,
-                    "umount",
-                    Hook::SbUmount,
-                    DecisionKind::Deny,
-                    Some(e),
-                    rule,
-                    object,
-                );
-                return Err(e);
-            }
+        let object = || AuditObject::Path(mountpoint.clone());
+        if self.decide(pid, Site::UMOUNT, object, hook, Ok)?.is_none() {
+            self.stock(pid, Site::UMOUNT, self.capable(pid, Cap::SysAdmin), object)?;
         }
 
         self.vfs.remove_mount(&mountpoint)?;
@@ -244,24 +157,6 @@ mod tests {
             k.read_file(root, "/mnt/cdrom/README").unwrap_err(),
             Errno::ENOENT
         );
-    }
-
-    #[test]
-    fn user_mount_denied_on_stock_kernel() {
-        let (k, _, user) = boot();
-        assert_eq!(
-            k.sys_mount(user, "/dev/cdrom", "/mnt/cdrom", "iso9660", "ro")
-                .unwrap_err(),
-            Errno::EPERM
-        );
-    }
-
-    #[test]
-    fn user_umount_denied_on_stock_kernel() {
-        let (k, root, user) = boot();
-        k.sys_mount(root, "/dev/cdrom", "/mnt/cdrom", "iso9660", "ro")
-            .unwrap();
-        assert_eq!(k.sys_umount(user, "/mnt/cdrom").unwrap_err(), Errno::EPERM);
     }
 
     #[test]

@@ -16,16 +16,18 @@
 //! or a `simnet` delivery — see DESIGN.md §13 for the lock hierarchy.
 
 use crate::caps::Cap;
+use crate::cred::Uid;
 use crate::error::{Errno, KResult};
-use crate::kernel::Kernel;
-use crate::lsm::{BindRequest, Decision};
+use crate::kernel::{Kernel, Site};
+use crate::lsm::{BindRequest, SecurityModule};
 use crate::net::{
     Domain, IcmpKind, Ipv4, Packet, PacketMeta, PortProto, Route, SockId, SockType, StreamState,
     Verdict, L4,
 };
 use crate::syscall::abi::NetfilterRule;
-use crate::task::{Fd, FdObject, Pid};
-use crate::trace::{AuditObject, DecisionKind, Hook, Pathway, Provenance};
+use crate::task::{Fd, FdObject, Pid, Task};
+use crate::trace::{AuditObject, DecisionKind, Hook, Provenance};
+use std::cell::Cell;
 
 /// Netfilter administration operations (the iptables backend).
 #[derive(Clone, Debug)]
@@ -71,56 +73,26 @@ impl Kernel {
         protocol: u8,
     ) -> KResult<i32> {
         let needs_raw_cap = matches!(stype, SockType::Raw) || matches!(domain, Domain::Packet);
-        // The hook borrows the task's credentials under the task guard,
-        // as `sys_open`'s does; the guard drops before the arms below
-        // re-enter the task table.
-        let (decision, rule, euid) = {
-            let t = self.task(pid)?;
-            let (decision, rule) = self.lsm_hook(Pathway::LsmSocketCreate, |m| {
-                m.socket_create(&t.cred, domain, stype, protocol)
-            });
-            (decision, rule, t.cred.euid)
+        // Only raw and packet sockets record a grant, so a web request's
+        // socket stays silent and allocation-free.
+        let site = Site {
+            audit_grant: needs_raw_cap,
+            ..Site::SOCKET
         };
-        match decision {
-            Decision::UseDefault => {
-                if needs_raw_cap && !self.capable(pid, Cap::NetRaw) {
-                    self.emit_kernel_event(
-                        pid,
-                        "socket",
-                        Hook::SocketCreate,
-                        DecisionKind::Deny,
-                        Some(Errno::EPERM),
-                        AuditObject::None,
-                    );
-                    return Err(Errno::EPERM);
-                }
-            }
-            Decision::Allow => {
-                if needs_raw_cap {
-                    self.emit_lsm_event(
-                        pid,
-                        "socket",
-                        Hook::SocketCreate,
-                        DecisionKind::Allow,
-                        None,
-                        rule,
-                        AuditObject::None,
-                    );
-                }
-            }
-            Decision::Deny(e) => {
-                self.emit_lsm_event(
-                    pid,
-                    "socket",
-                    Hook::SocketCreate,
-                    DecisionKind::Deny,
-                    Some(e),
-                    rule,
-                    AuditObject::None,
-                );
-                return Err(e);
-            }
+        // The owner is read under the hook's task guard.
+        let euid = Cell::new(Uid::ROOT);
+        let hook = |t: &Task, m: &dyn SecurityModule| {
+            euid.set(t.cred.euid);
+            m.socket_create(&t.cred, domain, stype, protocol)
+        };
+        if self
+            .decide(pid, site, || AuditObject::None, hook, Ok)?
+            .is_none()
+        {
+            let ok = !needs_raw_cap || self.capable(pid, Cap::NetRaw);
+            self.stock(pid, site, ok, || AuditObject::None)?;
         }
+        let euid = euid.get();
         let sid = self.net.write().alloc(domain, stype, protocol, euid);
         self.install_fd(
             pid,
@@ -141,52 +113,15 @@ impl Kernel {
     fn bind_socket(&self, pid: Pid, sid: SockId, addr: Ipv4, port: u16) -> KResult<()> {
         let stype = self.net.read().get(sid)?.stype;
         if port != 0 && port < 1024 && !matches!(stype, SockType::Raw) {
-            let cred = self.task(pid)?.cred.clone();
-            let req = BindRequest {
-                port,
-                binary: self.task(pid)?.binary.as_str().to_string(),
-                tcp: matches!(stype, SockType::Stream),
+            let tcp = matches!(stype, SockType::Stream);
+            let hook = |t: &Task, m: &dyn SecurityModule| {
+                let binary = t.binary.as_str();
+                m.socket_bind(&t.cred, &BindRequest { port, binary, tcp })
             };
-            let object = AuditObject::Port { port, tcp: req.tcp };
-            let (decision, rule) =
-                self.lsm_hook(Pathway::LsmSocketBind, |m| m.socket_bind(&cred, &req));
-            match decision {
-                Decision::UseDefault => {
-                    if !self.capable(pid, Cap::NetBindService) {
-                        self.emit_kernel_event(
-                            pid,
-                            "bind",
-                            Hook::SocketBind,
-                            DecisionKind::Deny,
-                            Some(Errno::EACCES),
-                            object,
-                        );
-                        return Err(Errno::EACCES);
-                    }
-                }
-                Decision::Allow => {
-                    self.emit_lsm_event(
-                        pid,
-                        "bind",
-                        Hook::SocketBind,
-                        DecisionKind::Allow,
-                        None,
-                        rule,
-                        object,
-                    );
-                }
-                Decision::Deny(e) => {
-                    self.emit_lsm_event(
-                        pid,
-                        "bind",
-                        Hook::SocketBind,
-                        DecisionKind::Deny,
-                        Some(e),
-                        rule,
-                        object,
-                    );
-                    return Err(e);
-                }
+            let object = || AuditObject::Port { port, tcp };
+            if self.decide(pid, Site::BIND, object, hook, Ok)?.is_none() {
+                let ok = self.capable(pid, Cap::NetBindService);
+                self.stock(pid, Site::BIND, ok, object)?;
             }
         }
         self.net.write().bind(sid, addr, port)
@@ -593,62 +528,23 @@ impl Kernel {
     pub fn sys_ioctl_route(&self, pid: Pid, op: RouteOp) -> KResult<()> {
         match op {
             RouteOp::Add(mut route) => {
-                let cred = self.task(pid)?.cred.clone();
-                let object = AuditObject::Route(format!(
-                    "{}/{} via {}",
-                    route.dest, route.prefix, route.dev
-                ));
-                // The hook inspects the current table for conflicts
-                // (§4.1.2); both guards drop before any emission below.
-                let (decision, rule) = {
-                    let routes = self.routes.read();
-                    self.lsm_hook(Pathway::LsmIoctl, |m| {
-                        m.ioctl_route_add(&cred, &route, &routes)
-                    })
+                let object = || {
+                    AuditObject::Route(format!("{}/{} via {}", route.dest, route.prefix, route.dev))
                 };
-                match decision {
-                    Decision::UseDefault => {
-                        if !self.capable(pid, Cap::NetAdmin) {
-                            self.emit_kernel_event(
-                                pid,
-                                "ioctl",
-                                Hook::IoctlRoute,
-                                DecisionKind::Deny,
-                                Some(Errno::EPERM),
-                                object,
-                            );
-                            return Err(Errno::EPERM);
-                        }
-                    }
-                    Decision::Allow => {
-                        self.emit_lsm_event(
-                            pid,
-                            "ioctl",
-                            Hook::IoctlRoute,
-                            DecisionKind::Allow,
-                            None,
-                            rule,
-                            object,
-                        );
-                    }
-                    Decision::Deny(e) => {
-                        self.emit_lsm_event(
-                            pid,
-                            "ioctl",
-                            Hook::IoctlRoute,
-                            DecisionKind::Deny,
-                            Some(e),
-                            rule,
-                            object,
-                        );
-                        return Err(e);
-                    }
+                // The hook inspects the current table for conflicts
+                // (§4.1.2) under the routes read guard.
+                let hook = |t: &Task, m: &dyn SecurityModule| {
+                    m.ioctl_route_add(&t.cred, &route, &self.routes.read())
+                };
+                if self.decide(pid, Site::ROUTE, object, hook, Ok)?.is_none() {
+                    let ok = self.capable(pid, Cap::NetAdmin);
+                    self.stock(pid, Site::ROUTE, ok, object)?;
                 }
                 route.created_by = self.task(pid)?.cred.ruid;
                 self.routes.write().add(route)
             }
             RouteOp::Del { dest, prefix } => {
-                let cred = self.task(pid)?.cred.clone();
+                let ruid = self.task(pid)?.cred.ruid;
                 let owner = {
                     let routes = self.routes.read();
                     routes
@@ -660,17 +556,9 @@ impl Kernel {
                         .map(|r| r.created_by)
                         .ok_or(Errno::ENOENT)?
                 };
-                if owner != cred.ruid && !self.capable(pid, Cap::NetAdmin) {
-                    self.emit_kernel_event(
-                        pid,
-                        "ioctl",
-                        Hook::IoctlRoute,
-                        DecisionKind::Deny,
-                        Some(Errno::EPERM),
-                        AuditObject::Route(format!("{}/{}", dest, prefix)),
-                    );
-                    return Err(Errno::EPERM);
-                }
+                let ok = owner == ruid || self.capable(pid, Cap::NetAdmin);
+                let object = || AuditObject::Route(format!("{}/{}", dest, prefix));
+                self.stock(pid, Site::ROUTE, ok, object)?;
                 self.routes.write().remove(dest, prefix)?;
                 Ok(())
             }
@@ -723,12 +611,6 @@ mod tests {
                 .unwrap_err(),
             Errno::EPERM
         );
-    }
-
-    #[test]
-    fn root_raw_socket_ok() {
-        let (k, root, _) = boot();
-        assert!(k.sys_socket(root, Domain::Inet, SockType::Raw, 1).is_ok());
     }
 
     #[test]

@@ -5,11 +5,12 @@
 //! (§4.3). The kernel performs the credential mathematics; running the new
 //! program image is the caller's (userland runtime's) job.
 
+use crate::cred::Credentials;
 use crate::error::{Errno, KResult};
-use crate::kernel::Kernel;
-use crate::lsm::{EnvPolicy, ExecCtx, ExecDecision};
-use crate::task::{FdObject, Pid};
-use crate::trace::{AuditObject, DecisionKind, Hook, Pathway};
+use crate::kernel::{Kernel, Site};
+use crate::lsm::{EnvPolicy, ExecCtx, SecurityModule};
+use crate::task::{FdObject, Pid, Task};
+use crate::trace::{AuditObject, DecisionKind, Hook, Provenance};
 use crate::vfs::{Access, InodeData};
 
 impl Kernel {
@@ -76,94 +77,40 @@ impl Kernel {
 
         let pending = self.task_mut(pid)?.pending_setuid.take();
 
-        let mut attempts = 0;
-        let (decision, rule) = loop {
-            // Scoped: the task guard must drop before the arms below
-            // emit events or re-run authentication.
-            let (hook_decision, rule) = {
-                let t = self.task(pid)?;
-                let ctx = ExecCtx {
-                    cred: &t.cred,
-                    binary: abs,
-                    file_owner,
-                    file_group,
-                    setuid_bit,
-                    setgid_bit,
-                    pending: pending.as_ref(),
-                    last_auth: t.last_auth,
-                    last_auth_scope: t.last_auth_scope,
-                    now: self.clock(),
-                };
-                self.lsm_hook(Pathway::LsmBprmCheck, |m| m.bprm_check(&ctx))
-            };
-            match hook_decision {
-                ExecDecision::NeedAuth(scope) => {
-                    attempts += 1;
-                    if attempts > 1 || !self.run_auth(pid, scope) {
-                        self.emit_lsm_event(
-                            pid,
-                            "exec",
-                            Hook::BprmCheck,
-                            DecisionKind::Deny,
-                            Some(Errno::EACCES),
-                            rule,
-                            AuditObject::Binary(abs.to_string()),
-                        );
-                        return Err(Errno::EACCES);
-                    }
-                }
-                other => break (other, rule),
-            }
+        let hook = |t: &Task, m: &dyn SecurityModule| {
+            m.bprm_check(&ExecCtx {
+                cred: &t.cred,
+                binary: abs,
+                file_owner,
+                file_group,
+                setuid_bit,
+                setgid_bit,
+                pending: pending.as_ref(),
+                auth: t.auth,
+                now: self.clock(),
+            })
         };
-
-        match decision {
-            ExecDecision::UseDefault => {
-                let mut t = self.task_mut(pid)?;
-                if setuid_bit {
-                    t.cred.apply_setuid_bit(file_owner);
-                }
-                if setgid_bit {
-                    t.cred.apply_setgid_bit(file_group);
-                }
+        let install = |(cred, env): (Credentials, EnvPolicy)| {
+            let mut t = self.task_mut(pid)?;
+            t.cred = cred;
+            if let EnvPolicy::ClearExcept(keep) = env {
+                t.env
+                    .retain(|(k, _)| k == "PATH" || k == "TERM" || keep.iter().any(|x| x == k));
             }
-            ExecDecision::Transition { cred, env } => {
-                {
-                    // Scoped: drop the task write guard before emitting
-                    // (the emit path re-reads the task table).
-                    let mut t = self.task_mut(pid)?;
-                    t.cred = cred;
-                    match env {
-                        EnvPolicy::KeepAll => {}
-                        EnvPolicy::ClearExcept(keep) => {
-                            t.env.retain(|(k, _)| {
-                                k == "PATH" || k == "TERM" || keep.iter().any(|x| x == k)
-                            });
-                        }
-                    }
-                }
-                self.emit_lsm_event(
-                    pid,
-                    "execve",
-                    Hook::BprmCheck,
-                    DecisionKind::Allow,
-                    None,
-                    rule,
-                    AuditObject::Binary(abs.to_string()),
-                );
+            Ok(())
+        };
+        let object = || AuditObject::Binary(abs.to_string());
+        if self
+            .decide(pid, Site::EXECVE, object, hook, install)?
+            .is_none()
+        {
+            let mut t = self.task_mut(pid)?;
+            if setuid_bit {
+                t.cred.apply_setuid_bit(file_owner);
             }
-            ExecDecision::Deny(e) => {
-                self.emit_lsm_event(
-                    pid,
-                    "execve",
-                    Hook::BprmCheck,
-                    DecisionKind::Deny,
-                    Some(e),
-                    rule,
-                    AuditObject::Binary(abs.to_string()),
-                );
-                return Err(e);
+            if setgid_bit {
+                t.cred.apply_setgid_bit(file_group);
             }
-            ExecDecision::NeedAuth(_) => unreachable!("resolved above"),
         }
 
         // Close-on-exec descriptors.
@@ -183,14 +130,8 @@ impl Kernel {
         }
 
         self.task_mut(pid)?.binary = image;
-        self.emit_kernel_event(
-            pid,
-            "execve",
-            Hook::BprmCheck,
-            DecisionKind::Info,
-            None,
-            AuditObject::Binary(abs.to_string()),
-        );
+        let info = Provenance::kernel(Hook::BprmCheck, DecisionKind::Info, None);
+        self.emit_event(pid.0, "execve", object(), info);
         Ok(abs.to_string())
     }
 

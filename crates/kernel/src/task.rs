@@ -2,7 +2,7 @@
 
 use crate::cred::Credentials;
 use crate::error::{Errno, KResult};
-use crate::lsm::{AuthScope, PendingSetuid};
+use crate::lsm::{AuthProof, PendingSetuid};
 use crate::net::SockId;
 use crate::vfs::{AbsPath, Ino, Name};
 use std::collections::VecDeque;
@@ -141,13 +141,8 @@ pub struct Task {
     pub binary: AbsPath,
     /// Environment variables.
     pub env: Vec<(String, String)>,
-    /// Logical time of the task's last successful authentication — the
-    /// kernel-tracked recency Protego stores in `task_struct` (§4.3).
-    pub last_auth: Option<u64>,
-    /// Which principal that authentication proved (self, another user, a
-    /// group) — so su-style target authentication is not confused with
-    /// sudo-style invoker authentication.
-    pub last_auth_scope: Option<AuthScope>,
+    /// The task's last successful authentication (§4.3).
+    pub auth: Option<AuthProof>,
     /// A restricted uid transition awaiting `exec` (§4.3).
     pub pending_setuid: Option<PendingSetuid>,
     /// Simulated terminal input (password attempts queued by the user).
@@ -169,8 +164,7 @@ impl Task {
             fds: Vec::new(),
             binary: AbsPath::intern(binary),
             env: Vec::new(),
-            last_auth: None,
-            last_auth_scope: None,
+            auth: None,
             pending_setuid: None,
             terminal_input: VecDeque::new(),
             namespaces: Vec::new(),
@@ -252,15 +246,6 @@ impl Task {
     pub fn type_input(&mut self, line: &str) {
         self.terminal_input.push_back(line.to_string());
     }
-
-    /// Whether the task authenticated within `window` of logical time
-    /// `now` — sudo's 5-minute recency check, kernelized.
-    pub fn recently_authenticated(&self, now: u64, window: u64) -> bool {
-        match self.last_auth {
-            Some(t) => now.saturating_sub(t) <= window,
-            None => false,
-        }
-    }
 }
 
 #[cfg(test)]
@@ -309,15 +294,5 @@ mod tests {
         assert_eq!(t.getenv("PATH"), Some("/usr/bin:/bin"));
         assert_eq!(t.getenv("LD_PRELOAD"), Some("/tmp/evil.so"));
         assert_eq!(t.getenv("HOME"), None);
-    }
-
-    #[test]
-    fn auth_recency_window() {
-        let mut t = task();
-        assert!(!t.recently_authenticated(1000, 300));
-        t.last_auth = Some(900);
-        assert!(t.recently_authenticated(1000, 300));
-        assert!(t.recently_authenticated(1200, 300));
-        assert!(!t.recently_authenticated(1201, 300));
     }
 }

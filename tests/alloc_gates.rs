@@ -272,15 +272,14 @@ fn warm_hooks_matching_a_rule_are_allocation_free() {
         access: Access::READ,
         dac_allows: false,
         file_owner: Uid::ROOT,
-        last_auth: None,
-        last_auth_scope: None,
+        auth: None,
         now: 0,
     };
     let mount = MountRequest {
-        source: "/dev/cdrom".into(),
-        target: "/mnt/cdrom".into(),
-        fstype: "iso9660".into(),
-        options: MountOptions::parse("ro"),
+        source: "/dev/cdrom",
+        target: "/mnt/cdrom",
+        fstype: "iso9660",
+        options: &MountOptions::parse("ro"),
     };
     let foreign = FileOpenCtx {
         binary: "/bin/cat",
