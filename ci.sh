@@ -44,8 +44,11 @@ echo "== zero-alloc gate: steady-state fast path allocates nothing =="
 # allocates nothing, and that a whole warm web request
 # (workload::web_request: 13 kernel entries through the borrowed
 # syscall ABI, read/recv filling reusable buffers) allocates nothing on
-# either image. The same counting allocator holds a warm mail delivery
-# to at most 4 allocations and a warm
+# either image. The same counting allocator holds a steady-state mail
+# delivery, whose spool the previous delivery's rename replaced, to at
+# most 1 allocation (the staging file's contents: the spool's path stays
+# a dcache hit), the first 4 deliveries after a spool drain to at most 4
+# each, and a warm
 # privileged run to a budget: one 8-operation privops cycle (mount,
 # umount, ping, three sudo runs, su, newgrp) makes at most 64
 # allocations per operation on Protego and 120 on legacy, and one warm
@@ -54,6 +57,22 @@ echo "== zero-alloc gate: steady-state fast path allocates nothing =="
 # Both live in one root integration test, so tier-1 runs them too; this
 # step names them so a failure here points at the gate.
 cargo test -q --release --test alloc_gates
+
+echo "== dcache: cached and uncached resolution agree =="
+# The dcache oracle runs whole mail/web/privops scripts on both images
+# with the dcache on and off and compares every output, and checks that
+# an opened descriptor's path is Vfs::path_of of its inode after every
+# namespace change and every replacement of a name (rename over it,
+# unlink and recreate, a directory, a symlink), however it is spelled.
+# The kernel's dcache tests check that each mutation invalidates exactly
+# what it changed: a replaced file name is served by redoing its last
+# lookup with the same canonical path, never across a change to an
+# ancestor, an earlier read of its directory or a shared generation
+# slot, and concurrent renamers never make a walk, a name or an open
+# serve a stale or freed inode. Tier-1 runs the oracle too; this step
+# names both so a cache fault shows up here.
+cargo test -q --release --test dcache_oracle
+cargo test -q --release -p sim-kernel --test dcache
 
 echo "== tables: an unknown table or subcommand name is an error =="
 if cargo run --release -q -p bench --bin tables -- nosuchtable 2>/dev/null; then echo "error: tables nosuchtable exited 0" >&2; exit 1; fi

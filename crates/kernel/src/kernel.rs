@@ -168,8 +168,8 @@ pub(crate) struct Site {
     /// The refusal `decide` makes when authentication fails or the hook
     /// asks twice, and `stock` makes when the stock check fails.
     pub(crate) errno: Errno,
-    /// Whether a module's grant is audited (`capable()` records only
-    /// refusals; `socket` sets it for raw and packet sockets only).
+    /// Whether a module's grant is audited (every site but `socket`,
+    /// which sets it for raw and packet sockets only).
     pub(crate) audit_grant: bool,
     /// Whether a stock check that passes is audited as `use_default`.
     pub(crate) audit_stock: bool,
@@ -193,7 +193,7 @@ macro_rules! sites {
 }
 
 sites! {
-    CAPABLE: LsmCapable, Capable, "capable", EPERM, false, false;
+    CAPABLE: LsmCapable, Capable, "capable", EPERM, true, false;
     SETUID: LsmTaskSetuid, TaskSetuid, "setuid", EPERM, true, false;
     SETGID: LsmTaskSetgid, TaskSetgid, "setgid", EPERM, true, false;
     EXECVE: LsmBprmCheck, BprmCheck, "execve", EACCES, true, false;

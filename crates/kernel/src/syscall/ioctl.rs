@@ -126,11 +126,12 @@ impl Kernel {
                     // register access (the pre-KMS path) requires
                     // CAP_SYS_RAWIO + CAP_SYS_ADMIN. On a non-KMS card
                     // every operation needs the capabilities — this is
-                    // why pre-KMS X must be setuid root (§4.5).
-                    let privileged_ok =
-                        self.capable(pid, Cap::SysRawio) && self.capable(pid, Cap::SysAdmin);
+                    // why pre-KMS X must be setuid root (§4.5). An
+                    // operation that needs no privilege asks no `capable`.
                     let need_priv = matches!(op, KmsOp::RawRegisterAccess) || !state.kms_capable;
-                    self.stock(pid, Site::KMS, privileged_ok || !need_priv, object)?;
+                    let ok = !need_priv
+                        || self.capable(pid, Cap::SysRawio) && self.capable(pid, Cap::SysAdmin);
+                    self.stock(pid, Site::KMS, ok, object)?;
                 }
                 let mut devices = self.devices.write();
                 if let DeviceKind::Video(v) = &mut devices.get_mut(dev)?.kind {

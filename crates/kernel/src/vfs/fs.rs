@@ -51,9 +51,25 @@
 //! entry goes stale exactly when [`Vfs::path_of`] would change: an
 //! ancestor rename or removal, or a mount or umount rooted on the chain.
 //!
+//! A stale entry is not always a walk. When a miss ended by looking a
+//! plain last name up in a directory whose entries it read nowhere else,
+//! found a regular file, and named it by that same `(dir, name)` pair,
+//! the entry keeps the pair; a later probe whose only moved generation is
+//! that directory's `entries` redoes the one lookup
+//! ([`Vfs::revalidate`]) instead of the walk. A regular file bound at
+//! `(dir, name)` has exactly one name, so the entry's directories and
+//! canonical path still hold for whatever file the name binds now. So an
+//! atomic-replace `rename` over a spool, or a create beside it, leaves
+//! the spool's path a hit. Any other answer (no entry, a directory, a
+//! symlink) and any other moved generation fall through to the walk.
+//!
 //! Lock discipline (see DESIGN.md §13):
 //! * at most one inode-shard guard is held at a time, except through
 //!   [`Vfs::with_pair`] which orders by shard index;
+//! * dcache before inode, never nested: a probe takes no inode guard
+//!   while it holds a dcache shard guard (it copies what its revalidating
+//!   lookup needs and drops the shard guard first), and writers bump
+//!   generations without any dcache lock;
 //! * the allocator mutex is never held while taking a shard lock
 //!   (`alloc` reserves the ino, drops the mutex, then writes the shard;
 //!   reclaim pushes to the free list *while* holding the shard guard,
@@ -71,7 +87,7 @@ use crate::sync::{self, CachePadded};
 use crate::trace::CacheStats;
 use std::collections::{BTreeMap, HashMap};
 use std::hash::{BuildHasherDefault, Hasher};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{fence, AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, RwLock, RwLockReadGuard, RwLockWriteGuard};
 
 /// Maximum symlink expansions during one path walk (Linux uses 40).
@@ -93,7 +109,7 @@ const DCACHE_CAPACITY: usize = 4096;
 /// Size of the directory-generation table. Directory `ino` owns slot
 /// `ino % DIR_GENS`; two directories sharing a slot only cost each other
 /// extra dcache misses.
-const DIR_GENS: usize = 1024;
+pub const DIR_GENS: usize = 1024;
 
 /// Longest path a walk accepts; longer ones fail `ENAMETOOLONG`.
 pub(crate) const PATH_MAX: usize = 4096;
@@ -171,6 +187,34 @@ struct Cached {
     resolved: Resolved,
     path: AbsPath,
     deps: Box<[Dep]>,
+    /// The final lookup a probe may redo when only this directory's
+    /// `entries` moved (see [`Trail::last`]).
+    last: Option<(Ino, Name)>,
+}
+
+/// What a cached walk records as it reads.
+#[derive(Default)]
+struct Trail {
+    /// The generations it read.
+    deps: DirChain<Dep>,
+    /// For each slot whose `entries` it read: the directory that read
+    /// them, or [`SHARED`] once a second directory's were.
+    readers: DirChain<(usize, Ino)>,
+    /// `(dir, name)` when the walk ended by looking the path's plain last
+    /// name up in `dir`, whose entries it had not read before, and found
+    /// a regular file.
+    last: Option<(Ino, Name)>,
+}
+
+/// A stale entry's answer, copied out of the dcache for
+/// [`Vfs::revalidate`]: the walk's directories and canonical path, the
+/// generations it recorded, and the lookup to redo.
+struct Redo {
+    dirs: DirChain,
+    path: AbsPath,
+    deps: DirChain<Dep>,
+    dir: Ino,
+    name: Name,
 }
 
 /// The canonical absolute path of an inode, the text [`Vfs::path_of`]
@@ -237,6 +281,10 @@ impl DirGen {
 
 /// A [`Dep`] generation for a part the walk did not read.
 const UNREAD: u64 = u64::MAX;
+
+/// A [`Trail::readers`] entry when the entries of two directories sharing
+/// the slot were read.
+const SHARED: Ino = Ino(usize::MAX);
 
 /// One dependency of a cached resolution: a directory-generation slot and
 /// the value each of its counters held before the walk read that part of
@@ -767,9 +815,19 @@ impl Vfs {
     /// generation is loaded before the read, so a change racing the read
     /// leaves the entry already stale. Every read of one slot shares a
     /// [`Dep`]; a part read twice keeps the generation loaded first, which
-    /// preceded both reads.
-    fn note_dep(&self, deps: &mut DirChain<Dep>, ino: Ino, part: Part) {
+    /// preceded both reads. A read of entries also notes which directory
+    /// read the slot's.
+    fn note_dep(&self, trail: &mut Trail, ino: Ino, part: Part) {
         let slot = ino.0 % DIR_GENS;
+        if let Part::Entries = part {
+            let read = trail.readers.iter_mut().find(|(s, _)| *s == slot);
+            match read {
+                Some((_, reader)) if *reader != ino => *reader = SHARED,
+                Some(_) => {}
+                None => trail.readers.push((slot, ino)),
+            }
+        }
+        let deps = &mut trail.deps;
         if !deps.iter().any(|d| d.slot == slot) {
             deps.push(Dep {
                 slot,
@@ -797,6 +855,68 @@ impl Vfs {
             && (dep.coverage == UNREAD || gens.coverage.load(Ordering::Acquire) == dep.coverage)
     }
 
+    /// Whether every generation `dep` recorded still holds, except the
+    /// `entries` of slot `skip`.
+    fn dep_fresh_but(&self, dep: Dep, skip: usize) -> bool {
+        let entries = if dep.slot == skip {
+            UNREAD
+        } else {
+            dep.entries
+        };
+        self.dep_fresh(&Dep { entries, ..dep })
+    }
+
+    /// The lookup a probe of the stale `entry` may redo instead of the
+    /// walk: its final lookup, when every generation it recorded holds
+    /// but the `entries` of the directory that lookup read. Copies what
+    /// [`Vfs::revalidate`] needs, so the probe can drop its shard guard.
+    fn redo_of(&self, entry: &Cached) -> Option<Redo> {
+        let (dir, name) = entry.last?;
+        let skip = dir.0 % DIR_GENS;
+        let mut deps = DirChain::new();
+        for &dep in entry.deps.iter() {
+            if !self.dep_fresh_but(dep, skip) {
+                return None;
+            }
+            deps.push(dep);
+        }
+        Some(Redo {
+            dirs: entry.resolved.dirs.clone(),
+            path: entry.path,
+            deps,
+            dir,
+            name,
+        })
+    }
+
+    /// Redoes a stale entry's final lookup in place of its walk,
+    /// seqlock-style: the directory's `entries` generation is loaded
+    /// before the lookup, and it and every other generation the entry
+    /// recorded (which held when [`Vfs::redo_of`] copied them) are checked
+    /// again after it. So the lookup and the kind check read the directory
+    /// while the rest of the walk still held, and the inode found was not
+    /// freed by then (a writer frees a replaced inode only after its
+    /// bumps). Returns it if the name binds a regular file.
+    fn revalidate(&self, redo: &Redo) -> Option<Ino> {
+        let skip = redo.dir.0 % DIR_GENS;
+        let entries = &self.dir_gens[skip].entries;
+        let seen = entries.load(Ordering::Acquire);
+        let ino = self
+            .inode(redo.dir)
+            .dir_entries()?
+            .get(&redo.name)
+            .copied()?;
+        if !matches!(self.inode(ino).data, InodeData::Regular(_)) {
+            return None;
+        }
+        // The reads above complete before the generations are loaded
+        // again.
+        fence(Ordering::Acquire);
+        let held = entries.load(Ordering::Acquire) == seen
+            && redo.deps.iter().all(|d| self.dep_fresh_but(d, skip));
+        held.then_some(ino)
+    }
+
     /// Enables or disables the dcache (used by benches to measure the cold
     /// path, and by oracles comparing against it). Disabling does not
     /// flush; re-enabled entries are still generation-checked.
@@ -820,10 +940,11 @@ impl Vfs {
 
     /// Cache-fronted resolution. Looks up (start dir, follow-last, path) in
     /// its dcache shard and serves the entry if every directory generation
-    /// it recorded is unchanged; otherwise walks with
-    /// [`Vfs::resolve_inner`], names the inode found with
-    /// [`Vfs::name_walk`], and stores both with the generations the two
-    /// walks loaded. Only called with the dcache on.
+    /// it recorded is unchanged, or if only its final lookup's directory
+    /// changed and [`Vfs::revalidate`] finds a regular file under the
+    /// name; otherwise walks with [`Vfs::resolve_inner`], names the inode
+    /// found with [`Vfs::name_walk`], and stores both with the generations
+    /// the two walks loaded. Only called with the dcache on.
     fn resolve_cached(
         &self,
         cwd: Ino,
@@ -844,16 +965,29 @@ impl Vfs {
             let dc = sync::read(shard);
             // A hit clones a `Resolved` whose `DirChain` is inline for
             // realistic depths, so the hit path stays allocation-free.
-            let stale = match dc.map.get(&hash).filter(|e| e.key == key) {
+            let (stale, redo) = match dc.map.get(&hash).filter(|e| e.key == key) {
                 Some(entry) if fresh(entry) => {
                     let hit = (entry.resolved.clone(), entry.path);
                     dc.hits.fetch_add(1, Ordering::Relaxed);
                     return Ok(hit);
                 }
-                entry => entry.is_some(),
+                Some(entry) => (true, self.redo_of(entry)),
+                None => (false, None),
             };
-            dc.misses.fetch_add(1, Ordering::Relaxed);
+            if redo.is_none() {
+                dc.misses.fetch_add(1, Ordering::Relaxed);
+            }
             drop(dc);
+            if let Some(redo) = redo {
+                let found = self.revalidate(&redo);
+                let dc = sync::read(shard);
+                if let Some(ino) = found {
+                    dc.hits.fetch_add(1, Ordering::Relaxed);
+                    let dirs = redo.dirs;
+                    return Ok((Resolved { ino, dirs }, redo.path));
+                }
+                dc.misses.fetch_add(1, Ordering::Relaxed);
+            }
             if stale {
                 // Unless another probe dropped it, or a walk replaced it
                 // with a fresh entry, in the meantime.
@@ -866,13 +1000,24 @@ impl Vfs {
         }
         let mount_seq = self.mount_seq.load(Ordering::Acquire);
         let mounts = self.mounts_snapshot();
-        let mut deps = DirChain::new();
-        let resolved = self.resolve_inner(cwd, path, follow_last, 0, &mounts, &mut deps)?;
-        let abs = PathArena::scope(|arena| {
-            let text = self.name_walk(arena, &mounts, resolved.ino, |ino, part| {
-                self.note_dep(&mut deps, ino, part)
+        let mut trail = Trail::default();
+        let resolved = self.resolve_inner(cwd, path, follow_last, 0, &mounts, &mut trail)?;
+        let (abs, named) = PathArena::scope(|arena| {
+            let (text, named) = self.name_walk(arena, &mounts, resolved.ino, |ino, part| {
+                self.note_dep(&mut trail, ino, part)
             });
-            AbsPath::intern(&text)
+            (AbsPath::intern(&text), named)
+        });
+        // The final lookup is worth redoing only if naming read the file's
+        // name from that same entry, and no other directory's entries
+        // share its generation slot.
+        let Trail {
+            deps,
+            readers,
+            last,
+        } = trail;
+        let last = last.filter(|&(dir, name)| {
+            named == Some((dir, name)) && readers.iter().any(|r| r == (dir.0 % DIR_GENS, dir))
         });
         // The stored key borrows the path's interned text, which lives
         // for the whole process.
@@ -886,6 +1031,7 @@ impl Vfs {
                 resolved: resolved.clone(),
                 path: abs,
                 deps: deps.iter().collect(),
+                last,
             };
             dc.store(hash, entry);
         }
@@ -895,7 +1041,7 @@ impl Vfs {
     /// The dcache-off walk: resolves without naming, storing or recording.
     fn resolve_uncached(&self, cwd: Ino, path: &str, follow_last: bool) -> KResult<Resolved> {
         let mounts = self.mounts_snapshot();
-        self.resolve_inner(cwd, path, follow_last, 0, &mounts, &mut DirChain::new())
+        self.resolve_inner(cwd, path, follow_last, 0, &mounts, &mut Trail::default())
     }
 
     /// [`Vfs::resolve`] or [`Vfs::resolve_nofollow`]. With the dcache on,
@@ -956,7 +1102,7 @@ impl Vfs {
         follow_last: bool,
         depth: usize,
         mounts: &[Mount],
-        deps: &mut DirChain<Dep>,
+        trail: &mut Trail,
     ) -> KResult<Resolved> {
         if depth > MAX_SYMLINK_DEPTH {
             return Err(Errno::ELOOP);
@@ -966,7 +1112,7 @@ impl Vfs {
         }
         let mut cur = if path.starts_with('/') {
             follow_mounts_in(mounts, self.root, |d| {
-                self.note_dep(deps, d, Part::Coverage)
+                self.note_dep(trail, d, Part::Coverage)
             })
         } else {
             cwd
@@ -978,28 +1124,37 @@ impl Vfs {
         }
         while let Some(comp) = comps.next() {
             let is_last = comps.peek().is_none();
+            // A probe may later redo this lookup alone (see `Trail::last`):
+            // the top walk's last step, by the path's plain last name, in a
+            // directory whose entries the walk reads here first.
+            let redo = depth == 0
+                && is_last
+                && comp != ".."
+                && path.rsplit('/').next() == Some(comp)
+                && !trail.readers.iter().any(|(s, _)| s == cur.0 % DIR_GENS);
             // One shard guard at a time: copy the entry and parent out,
             // then drop the guard before touching any other inode.
             // Entries are keyed by interned symbol; a `Name::lookup`
             // miss means the name was never interned anywhere, hence
             // certainly absent from this directory.
-            self.note_dep(deps, cur, Part::Entries);
+            self.note_dep(trail, cur, Part::Entries);
+            let key = Name::lookup(comp);
             let (entry, parent) = {
                 let node = self.inode(cur);
                 let entries = match node.dir_entries() {
                     Some(e) => e,
                     None => return Err(Errno::ENOTDIR),
                 };
-                let entry = Name::lookup(comp).and_then(|n| entries.get(&n)).copied();
+                let entry = key.and_then(|n| entries.get(&n)).copied();
                 (entry, node.parent)
             };
             dirs.push(cur);
             let next = if comp == ".." {
                 // At a mount root, `..` escapes to the covered directory's
                 // parent.
-                self.note_dep(deps, cur, Part::Coverage);
+                self.note_dep(trail, cur, Part::Coverage);
                 if let Some(m) = mount_rooted_at_in(mounts, cur) {
-                    self.note_dep(deps, m.covered, Part::Entries);
+                    self.note_dep(trail, m.covered, Part::Entries);
                     self.inode(m.covered).parent
                 } else {
                     parent
@@ -1012,42 +1167,46 @@ impl Vfs {
             };
             // Symlink expansion. (An inode's kind never changes while it
             // is live, so reading it in a fresh scope is race-free.)
-            let sym_target = {
-                match &self.inode(next).data {
-                    InodeData::Symlink(t) => Some(t.clone()),
-                    _ => None,
+            let (sym_target, is_dir, is_file) = {
+                let node = self.inode(next);
+                match &node.data {
+                    InodeData::Symlink(t) => (Some(t.clone()), false, false),
+                    data => (None, data.is_dir(), matches!(data, InodeData::Regular(_))),
                 }
             };
             if let Some(target) = sym_target {
                 if is_last && !follow_last {
                     return Ok(Resolved { ino: next, dirs });
                 }
-                let sub = self.resolve_inner(cur, &target, true, depth + 1, mounts, deps)?;
+                let sub = self.resolve_inner(cur, &target, true, depth + 1, mounts, trail)?;
                 for d in sub.dirs.iter() {
                     dirs.push(d);
                 }
                 let mut landed = sub.ino;
                 if !is_last {
                     landed = follow_mounts_in(mounts, landed, |d| {
-                        self.note_dep(deps, d, Part::Coverage)
+                        self.note_dep(trail, d, Part::Coverage)
                     });
                     cur = landed;
                     continue;
                 }
                 let landed = if self.inode(landed).data.is_dir() {
-                    follow_mounts_in(mounts, landed, |d| self.note_dep(deps, d, Part::Coverage))
+                    follow_mounts_in(mounts, landed, |d| self.note_dep(trail, d, Part::Coverage))
                 } else {
                     landed
                 };
                 return Ok(Resolved { ino: landed, dirs });
             }
             // Mount traversal.
-            let next = if self.inode(next).data.is_dir() {
-                follow_mounts_in(mounts, next, |d| self.note_dep(deps, d, Part::Coverage))
+            let next = if is_dir {
+                follow_mounts_in(mounts, next, |d| self.note_dep(trail, d, Part::Coverage))
             } else {
                 next
             };
             if is_last {
+                if redo && is_file {
+                    trail.last = key.map(|name| (cur, name));
+                }
                 return Ok(Resolved { ino: next, dirs });
             }
             cur = next;
@@ -1102,6 +1261,7 @@ impl Vfs {
     /// nothing recorded.
     pub fn path_of_in<'a>(&self, arena: &'a PathArena, ino: Ino) -> ArenaString<'a> {
         self.name_walk(arena, &self.mounts_snapshot(), ino, |_, _| {})
+            .0
     }
 
     /// Walks from `ino` up to the root and joins the names found into an
@@ -1113,21 +1273,23 @@ impl Vfs {
     /// a mount root stands for the directory it covers. Before each read
     /// it passes `note` what it is about to read, as a dcache walk does:
     /// each mount-root check reads the inode's coverage, each name read
-    /// its parent's entries.
+    /// its parent's entries. Also returns the `(parent, name)` pair it
+    /// read for the first name it joined, if that name was not a marker.
     fn name_walk<'a>(
         &self,
         arena: &'a PathArena,
         mounts: &[Mount],
         ino: Ino,
         mut note: impl FnMut(Ino, Part),
-    ) -> ArenaString<'a> {
+    ) -> (ArenaString<'a>, Option<(Ino, Name)>) {
         let mut cur = ino;
         let mut parts: DirChain<&'static str> = DirChain::new();
+        let mut first = None;
         let mut guard = 0;
         loop {
             guard += 1;
             if guard > 4096 {
-                return arena.alloc_str("<cycle>");
+                return (arena.alloc_str("<cycle>"), None);
             }
             note(cur, Part::Coverage);
             if let Some(m) = mount_rooted_at_in(mounts, cur) {
@@ -1150,6 +1312,9 @@ impl Vfs {
             if now != parent {
                 continue;
             }
+            if parts.is_empty() {
+                first = name.map(|name| (parent, name));
+            }
             let name = match name {
                 Some(name) => name.as_str(),
                 // Orphan diagnostic (cold): intern so the text gets the
@@ -1160,7 +1325,7 @@ impl Vfs {
             cur = parent;
         }
         // Parts were collected leaf-to-root; present them root-to-leaf.
-        arena.join_path(parts.iter().rev())
+        (arena.join_path(parts.iter().rev()), first)
     }
 
     // ------------------------------------------------------------------
@@ -1286,6 +1451,9 @@ impl Vfs {
             d.version = self.next_seq();
             Ok(())
         })?;
+        // Freed only after the bump, so no probe returns a freed slot: a
+        // hit checks the bumped generation, and a revalidating probe that
+        // looked the name up before the removal checks it again after.
         self.bump(dir, Part::Entries);
         self.maybe_reclaim(child);
         Ok(child)
@@ -1468,7 +1636,11 @@ impl Vfs {
         }
         // Only now, with every cached path through the old entry stale, may
         // the replaced inode be freed (the order `dir_remove` keeps): a
-        // probe passing its generation check never returns a freed slot.
+        // probe passing its generation check never returns a freed slot,
+        // and a revalidating probe returns an inode it looked up live and
+        // checks the directory's generation again after the lookup: one
+        // that found the old inode either checks before these bumps, while
+        // the inode is still allocated, or after them, and walks.
         if let Some(old) = replaced {
             {
                 let mut g = self.inode_mut(old);
@@ -2348,6 +2520,7 @@ mod tests {
                 resolved: resolved.clone(),
                 path: AbsPath::intern("/etc/fstab"),
                 deps: Box::new([]),
+                last: None,
             };
             shard.store(dcache_hash(key), entry);
         }
@@ -2365,10 +2538,14 @@ mod tests {
             .unwrap();
         let other = v.resolve(v.root(), "/etc/other").unwrap().ino;
         v.rename(etc, "other", etc, "fstab").unwrap();
+        let before = v.dcache_stats();
         let now = v.resolve(v.root(), "/etc/fstab").unwrap().ino;
         assert_eq!(now, other);
         assert_ne!(now, old);
-        assert!(v.dcache_stats().invalidations >= 1);
+        // Only /etc's entries moved, so the probe redid the one lookup
+        // of `fstab` in /etc instead of walking.
+        let after = v.dcache_stats();
+        assert_eq!((after.hits, after.misses), (before.hits + 1, before.misses));
     }
 
     /// A plain resolve stores the canonical path, adding to its walk's

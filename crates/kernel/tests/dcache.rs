@@ -6,10 +6,11 @@
 
 use sim_kernel::cred::{Credentials, Gid, Uid};
 use sim_kernel::error::{Errno, KResult};
-use sim_kernel::kernel::Kernel;
+use sim_kernel::kernel::{Kernel, SharedKernel};
 use sim_kernel::lsm::NullLsm;
 use sim_kernel::net::SimNet;
-use sim_kernel::vfs::{Ino, Mode, Vfs};
+use sim_kernel::syscall::OpenFlags;
+use sim_kernel::vfs::{Ino, Mode, Vfs, DIR_GENS};
 use sim_kernel::Pid;
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -321,6 +322,172 @@ fn dotdot_out_of_a_mount_root_is_invalidated_by_the_umount() {
     assert_ne!(k.sys_stat(root, "..").unwrap().ino, mnt);
 }
 
+/// Resolves `path` from the root as `open` does, and reports whether the
+/// dcache served it without a walk (a hit, and no miss).
+fn probe(k: &Kernel, path: &str, follow: bool) -> (KResult<(Ino, String)>, bool) {
+    let before = k.vfs.dcache_stats();
+    let root = k.vfs.root();
+    let r = match follow {
+        true => k
+            .vfs
+            .resolve_canonical(root, path)
+            .map(|(r, abs)| (r.ino, abs)),
+        false => k
+            .vfs
+            .resolve_nofollow(root, path)
+            .map(|r| (r.ino, k.vfs.abs_path(r.ino))),
+    };
+    let after = k.vfs.dcache_stats();
+    let served = after.hits == before.hits + 1 && after.misses == before.misses;
+    (r.map(|(ino, abs)| (ino, abs.as_str().to_string())), served)
+}
+
+/// What `path` resolves to with the dcache off, with its canonical path.
+fn walked(k: &Kernel, path: &str, follow: bool) -> KResult<(Ino, String)> {
+    k.vfs.set_dcache_enabled(false);
+    let r = probe(k, path, follow).0;
+    k.vfs.set_dcache_enabled(true);
+    r
+}
+
+#[test]
+fn a_name_replaced_by_rename_stays_a_hit_with_its_canonical_path() {
+    let (k, root) = boot();
+    let (old, path) = probe(&k, "/data/a.txt", true).0.unwrap();
+    assert_eq!(path, "/data/a.txt");
+    let beta = k.sys_stat(root, "/data/b.txt").unwrap().ino;
+    k.sys_rename(root, "/data/b.txt", "/data/a.txt").unwrap();
+    let now = Ok((beta, "/data/a.txt".to_string()));
+    assert_eq!(probe(&k, "/data/a.txt", true), (now.clone(), true));
+    assert_ne!(beta, old);
+    // The entry itself stays as the miss stored it, so every later probe
+    // redoes the lookup, and a second replacement is served the same way.
+    assert_eq!(probe(&k, "/data/a.txt", true), (now, true));
+    k.vfs
+        .install_file("/data/c.txt", b"gamma", Mode(0o644), Uid::ROOT, Gid::ROOT)
+        .unwrap();
+    let gamma = k.sys_stat(root, "/data/c.txt").unwrap().ino;
+    k.sys_rename(root, "/data/c.txt", "/data/a.txt").unwrap();
+    let now = Ok((gamma, "/data/a.txt".to_string()));
+    assert_eq!(probe(&k, "/data/a.txt", true), (now, true));
+    assert_eq!(k.read_to_string(root, "/data/a.txt").unwrap(), "gamma");
+    assert_eq!(k.vfs.path_of(gamma), "/data/a.txt");
+}
+
+#[test]
+fn a_name_unlinked_or_rebound_to_a_directory_or_symlink_is_walked_again() {
+    type Rebind = fn(&Kernel, Pid);
+    let cases: [(&str, Rebind); 3] = [
+        ("unlinked", |k, root| {
+            k.sys_unlink(root, "/data/a.txt").unwrap()
+        }),
+        ("a directory", |k, root| {
+            k.sys_unlink(root, "/data/a.txt").unwrap();
+            k.sys_mkdir(root, "/data/a.txt", Mode(0o755)).unwrap();
+        }),
+        ("a symlink", |k, root| {
+            k.sys_symlink(root, "b.txt", "/data/a.new").unwrap();
+            k.sys_rename(root, "/data/a.new", "/data/a.txt").unwrap();
+        }),
+    ];
+    for (case, rebind) in cases {
+        for follow in [true, false] {
+            let (k, root) = boot();
+            assert!(probe(&k, "/data/a.txt", follow).0.is_ok());
+            rebind(&k, root);
+            let (now, served) = probe(&k, "/data/a.txt", follow);
+            assert!(!served, "{case}, follow {follow}: served without a walk");
+            assert_eq!(now, walked(&k, "/data/a.txt", follow), "{case}, {follow}");
+        }
+    }
+}
+
+#[test]
+fn a_change_to_an_ancestor_still_misses() {
+    let (k, root) = boot();
+    let install = |path: &str, body: &[u8]| {
+        k.vfs
+            .install_file(path, body, Mode(0o644), Uid::ROOT, Gid::ROOT)
+            .unwrap()
+    };
+    install("/x/d/f", b"old");
+    assert!(probe(&k, "/x/d/f", true).0.is_ok());
+    // The directory moves away, and a new one takes its name with a new
+    // `f`: the old directory still binds `f`, so redoing the last lookup
+    // there would find the old file.
+    k.sys_rename(root, "/x/d", "/x/e").unwrap();
+    let new = install("/x/d/f", b"new");
+    let (now, served) = probe(&k, "/x/d/f", true);
+    assert!(!served, "served across a rename of its directory");
+    assert_eq!(now, Ok((new, "/x/d/f".to_string())));
+    // A create in an ancestor and a mount over one miss too.
+    k.sys_mkdir(root, "/x/other", Mode(0o755)).unwrap();
+    assert_eq!(
+        probe(&k, "/x/d/f", true),
+        (Ok((new, "/x/d/f".to_string())), false)
+    );
+    k.sys_mount(root, "tmpfs", "/x/d", "tmpfs", "rw").unwrap();
+    assert_eq!(probe(&k, "/x/d/f", true), (Err(Errno::ENOENT), false));
+}
+
+/// A walk that read its last directory's entries before the last lookup
+/// (here for `sub`, whose `..` led back) depends on more than that
+/// lookup: once `sub` is a symlink elsewhere, the same path ends in
+/// another directory.
+#[test]
+fn a_last_directory_read_earlier_in_the_walk_is_walked_again() {
+    let (k, root) = boot();
+    k.vfs.mkdir_p("/data/sub").unwrap();
+    let other = k
+        .vfs
+        .install_file("/x/a.txt", b"x", Mode(0o644), Uid::ROOT, Gid::ROOT)
+        .unwrap();
+    k.vfs.mkdir_p("/x/y").unwrap();
+    let path = "/data/sub/../a.txt";
+    assert_eq!(probe(&k, path, true).0, walked(&k, path, true));
+    k.sys_rmdir(root, "/data/sub").unwrap();
+    k.sys_symlink(root, "/x/y", "/data/sub").unwrap();
+    let (now, served) = probe(&k, path, true);
+    assert!(!served, "served after `sub` became a symlink");
+    assert_eq!(now, Ok((other, "/x/a.txt".to_string())));
+}
+
+/// A file named from its directory as cwd records that directory's
+/// entries, and, while naming it, those of the parent above. When the two
+/// directories share a generation slot, a rename inside the parent moves
+/// only that one slot, as a replacement of the file would: the probe must
+/// walk, not redo the lookup and serve the old name.
+#[test]
+fn directories_sharing_a_generation_slot_are_never_revalidated_through_it() {
+    let (k, root) = boot();
+    let parent = k.vfs.mkdir_p("/s/b").unwrap();
+    let dir = (0..)
+        .map(|i| k.vfs.mkdir_p(&format!("/s/b/d{i}")).unwrap())
+        .find(|d| d.0 % DIR_GENS == parent.0 % DIR_GENS)
+        .unwrap();
+    let name = k.vfs.path_of(dir);
+    let f = k
+        .vfs
+        .install_file(
+            &format!("{name}/f"),
+            b"f",
+            Mode(0o644),
+            Uid::ROOT,
+            Gid::ROOT,
+        )
+        .unwrap();
+    let named = |k: &Kernel| {
+        let before = k.vfs.dcache_stats();
+        let (r, abs) = k.vfs.resolve_canonical(dir, "f").unwrap();
+        let after = k.vfs.dcache_stats();
+        let served = after.hits == before.hits + 1 && after.misses == before.misses;
+        ((r.ino, abs.as_str().to_string()), served)
+    };
+    assert_eq!(named(&k).0, (f, format!("{name}/f")));
+    k.sys_rename(root, &name, "/s/b/moved").unwrap();
+    assert_eq!(named(&k), ((f, "/s/b/moved/f".to_string()), false));
+}
+
 /// Releases a renamer's wait for acks for good once the reader stops,
 /// even by a panic.
 struct Finish<'a>(&'a AtomicU64);
@@ -477,14 +644,81 @@ fn concurrent_renames_never_serve_a_stale_canonical_path() {
     assert!(v.dcache_stats().hits > 0);
 }
 
+/// Through the syscall layer on one shared kernel: a renamer keeps
+/// replacing `/spin/cur` with a freshly written version while an opener
+/// opens and reads it, so most opens are probes that redo the lookup of
+/// `cur`. The opener never gets `ENOENT`, never reads a freed inode or
+/// another file's bytes (every read is a whole version number), never
+/// goes back to an older version, and once a rename returns it reads the
+/// new version. The renamer waits for the opener to see each version, as
+/// above. It also holds the version it replaces open until then: `open`
+/// does not pin the inode its walk found, so without that an open that
+/// walked just before a rename would open the inode the rename then
+/// frees (and read it emptied), with or without the dcache.
+#[test]
+fn a_renamer_racing_an_opener_on_a_shared_kernel_never_serves_a_wrong_file() {
+    const ROUNDS: u64 = 400;
+    let (k, root) = boot();
+    let k = SharedKernel::new(k);
+    k.vfs.mkdir_p("/spin").unwrap();
+    let opener = k.spawn_session(Credentials::user(Uid(1000), Gid(1000)), "/bin/cat");
+    let version = |i: u64| {
+        let body = format!("version {i}");
+        k.write_file(root, "/spin/next", body.as_bytes(), Mode(0o644))
+            .unwrap();
+        let replaced = k.sys_open(root, "/spin/cur", OpenFlags::read_only());
+        k.sys_rename(root, "/spin/next", "/spin/cur").unwrap();
+        replaced
+    };
+    assert_eq!(version(0), Err(Errno::ENOENT));
+    let (done, acked) = (AtomicU64::new(0), AtomicU64::new(0));
+    std::thread::scope(|s| {
+        s.spawn(|| {
+            let mut held = None;
+            for i in 1..=ROUNDS {
+                while acked.load(Ordering::SeqCst) < i - 1 {
+                    std::thread::yield_now();
+                }
+                if let Some(fd) = held.take() {
+                    k.sys_close(root, fd).unwrap();
+                }
+                held = Some(version(i).unwrap());
+                done.store(i, Ordering::SeqCst);
+            }
+        });
+        s.spawn(|| {
+            let _finish = Finish(&acked);
+            let mut last = 0;
+            loop {
+                let floor = done.load(Ordering::SeqCst);
+                let text = k.read_to_string(opener, "/spin/cur").unwrap();
+                let read: u64 = match text.strip_prefix("version ") {
+                    Some(n) => n.parse().unwrap(),
+                    None => panic!("read {text:?}, not a version"),
+                };
+                assert!(read >= last, "read version {read} after {last}");
+                assert!(read == floor || read == floor + 1, "{read} at {floor}");
+                last = read;
+                if read == floor && floor > acked.load(Ordering::SeqCst) {
+                    acked.store(floor, Ordering::SeqCst);
+                    if floor == ROUNDS {
+                        break;
+                    }
+                }
+            }
+        });
+    });
+    assert!(k.vfs.dcache_stats().hits >= ROUNDS);
+}
+
 #[test]
 fn invalidation_counter_advances_on_flush() {
     let (k, root) = boot();
     k.read_to_string(root, "/data/a.txt").unwrap();
-    k.sys_unlink(root, "/data/b.txt").unwrap();
+    k.sys_unlink(root, "/data/a.txt").unwrap();
     let before = k.vfs.dcache_stats().invalidations;
-    // The next probe of a.txt finds /data's generation moved and drops the
-    // entry.
+    // The next probe of a.txt finds /data's generation moved and the name
+    // gone, so it drops the entry and walks.
     let _ = k.read_to_string(root, "/data/a.txt");
     assert!(k.vfs.dcache_stats().invalidations > before);
 }

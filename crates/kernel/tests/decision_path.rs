@@ -26,7 +26,7 @@ use std::sync::{Arc, Mutex};
 const ROWS: &[&str] = &[
     "capable root def - => true |",
     "capable user def - => false |",
-    "capable user allow - => true |",
+    "capable user allow - => true | stub allow 1000",
     "capable root deny:EACCES - => false | stub deny EACCES 0",
     "setuid root def - => ok euid=0 |",
     "setuid user def - => EPERM | kernel deny EPERM 1000",
@@ -96,13 +96,16 @@ const ROWS: &[&str] = &[
     "kms user def - => EPERM | kernel deny EPERM 1000",
     "kms user allow - => ok | stub allow 1000",
     "kms user deny:EACCES - => EACCES | stub deny EACCES 1000",
+    "kmsmode user deny:EPERM - => ok (1 answers unused) |",
 ];
 
 /// The syscall and hook of each site's module records; `stream` is the
-/// socket site with a socket type no capability guards.
+/// socket site with a socket type no capability guards, and `kmsmode` a
+/// KMS mode set, which needs no privilege, with the stub scripting
+/// `capable`.
 fn site(name: &str) -> (&'static str, Hook) {
     match name {
-        "capable" => ("capable", Hook::Capable),
+        "capable" | "kmsmode" => ("capable", Hook::Capable),
         "setuid" => ("setuid", Hook::TaskSetuid),
         "setgid" => ("setgid", Hook::TaskSetgid),
         "execve" => ("execve", Hook::BprmCheck),
@@ -321,6 +324,11 @@ fn call(k: &Kernel, site: &str, pid: Pid, fd: i32) -> String {
             let cmd = match site {
                 "modem" => IoctlCmd::Modem(ModemOpt::Baud(9600)),
                 "dmcrypt" => IoctlCmd::DmStatus,
+                "kmsmode" => IoctlCmd::Kms(KmsOp::SetMode {
+                    width: 1024,
+                    height: 768,
+                    refresh: 60,
+                }),
                 _ => IoctlCmd::Kms(KmsOp::RawRegisterAccess),
             };
             k.sys_ioctl(pid, fd, cmd).map(|_| String::new())

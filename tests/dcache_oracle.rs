@@ -13,7 +13,8 @@
 //! an ancestor, a medium mounted elsewhere), the path recorded in an opened
 //! descriptor is `Vfs::path_of` of its inode, with the dcache on and
 //! off; and Protego's keyfile rule decides on that path, however the
-//! caller spelled it.
+//! caller spelled it. A name replaced by rename, unlink and recreate, a
+//! directory and a symlink opens what it binds now, under every spelling.
 
 use protego::core::ProtegoLsm;
 use protego::kernel::cred::{Credentials, Gid, Uid};
@@ -247,6 +248,59 @@ fn opened_paths_are_path_of_after_every_namespace_change() {
             .expect("mount");
         ok("README", "/mnt/cdrom/README");
         ok("../cdrom/README", "/mnt/cdrom/README");
+    }
+}
+
+/// A name replaced again and again, as a mail spool is: renamed over,
+/// unlinked and recreated, replaced by a directory and by a symlink. After
+/// each change every spelling of the name opens what it binds now, named
+/// as `Vfs::path_of` names it, and reads that file's bytes, with the dcache
+/// on (where the plain spellings redo only the last lookup) and off.
+#[test]
+fn a_replaced_name_opens_what_it_binds_now() {
+    const SPELLINGS: [&str; 5] = ["/spool/box", "box", "/spool/./box", "../spool/box", "/lnk"];
+    for dcache in [true, false] {
+        let (k, init) = kernel(dcache);
+        k.vfs.mkdir_p("/spool").expect("spool");
+        k.sys_symlink(init, "/spool/box", "/lnk").expect("symlink");
+        k.sys_chdir(init, "/spool").expect("chdir");
+        let write = |path: &str, body: &str| {
+            k.write_file(init, path, body.as_bytes(), Mode(0o644))
+                .expect(path);
+        };
+        let all = |want: KResult<&str>, body: Option<&str>| {
+            for path in SPELLINGS {
+                assert_eq!(opened(&k, init, path), want.map(String::from), "{path}");
+                if let Some(body) = body {
+                    let read = k.read_to_string(init, path);
+                    assert_eq!(read.as_deref(), Ok(body), "{path}");
+                }
+            }
+        };
+        write("/spool/box", "v0");
+        all(Ok("/spool/box"), Some("v0"));
+        for i in 1..4 {
+            let body = format!("v{i}");
+            write("/spool/.box.tmp", &body);
+            k.sys_rename(init, "/spool/.box.tmp", "/spool/box")
+                .expect("rename over");
+            all(Ok("/spool/box"), Some(&body));
+        }
+        k.sys_unlink(init, "/spool/box").expect("unlink");
+        all(Err(Errno::ENOENT), None);
+        write("/spool/box", "again");
+        all(Ok("/spool/box"), Some("again"));
+        k.sys_unlink(init, "/spool/box").expect("unlink");
+        k.sys_mkdir(init, "/spool/box", Mode(0o755)).expect("mkdir");
+        all(Ok("/spool/box"), None);
+        k.sys_rmdir(init, "/spool/box").expect("rmdir");
+        write("/spool/other", "other");
+        k.sys_symlink(init, "other", "/spool/box").expect("symlink");
+        all(Ok("/spool/other"), Some("other"));
+        write("/spool/.box.tmp", "last");
+        k.sys_rename(init, "/spool/.box.tmp", "/spool/box")
+            .expect("rename over the symlink");
+        all(Ok("/spool/box"), Some("last"));
     }
 }
 
