@@ -50,12 +50,16 @@ echo "== zero-alloc gate: steady-state fast path allocates nothing =="
 # a dcache hit), the first 4 deliveries after a spool drain to at most 4
 # each, and a warm
 # privileged run to a budget: one 8-operation privops cycle (mount,
-# umount, ping, three sudo runs, su, newgrp) makes at most 64
-# allocations per operation on Protego and 120 on legacy, and one warm
-# kernel authentication makes as many allocations after 100 accounts
-# are added to /etc/passwd as before (one-entry lookups, in-place reads).
-# Both live in one root integration test, so tier-1 runs them too; this
-# step names them so a failure here points at the gate.
+# umount, ping, three sudo runs, su, newgrp) makes at most 21
+# allocations per operation on Protego and 54 on legacy (165 and 428
+# measured). The auth gate holds a warm kernel authentication (user or
+# group, fragment or legacy shadow file) to zero allocations, also after
+# 100 accounts are added to /etc/passwd (the agent checks the attempt
+# inside the files it reads), and the fork gate holds a warm fork + exit
+# + wait of a session's child to one (its group list: the environment is
+# shared copy-on-write). All live in one root integration test, so
+# tier-1 runs them too; this step names them so a failure here points at
+# the gate.
 cargo test -q --release --test alloc_gates
 
 echo "== dcache: cached and uncached resolution agree =="

@@ -38,7 +38,7 @@ use crate::syscall::{Interceptor, IoctlCmd, IoctlOut, NetfilterOp, OpenFlags, Ro
 use crate::task::{NsKind, Pid};
 use crate::trace;
 use crate::trace::{AuditObject, DecisionKind, Hook, Provenance};
-use crate::vfs::{Mode, Name};
+use crate::vfs::{AbsPath, Mode, Name};
 use std::sync::Arc;
 
 /// The class a syscall belongs to — the granularity at which the fault
@@ -535,7 +535,7 @@ pub enum SysRet {
     /// A child pid (fork).
     Pid(Pid),
     /// A resolved path (execve).
-    Path(String),
+    Path(AbsPath),
     /// A child exit status (wait).
     Status(i32),
     /// The netfilter rule list.
@@ -625,7 +625,7 @@ payload_accessors! {
     /// Pid result.
     pid -> Pid = Pid;
     /// Path result.
-    path -> String = Path;
+    path -> AbsPath = Path;
     /// Exit-status result.
     status -> i32 = Status;
     /// Netfilter rule-list result.

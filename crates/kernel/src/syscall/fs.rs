@@ -9,7 +9,9 @@ use crate::lsm::{FileOpenCtx, SecurityModule};
 use crate::syscall::abi::Whence;
 use crate::task::{Fd, FdObject, Pid, Task};
 use crate::trace::{AuditObject, DecisionKind, Hook, Pathway, Provenance};
-use crate::vfs::{AbsPath, Access, DirChain, Ino, InodeData, Mode, ProcHook, Resolved, PATH_MAX};
+use crate::vfs::{
+    AbsPath, Access, DirChain, Ino, InodeData, Mode, Name, ProcHook, Resolved, PATH_MAX,
+};
 
 /// Flags for [`Kernel::sys_open`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -249,22 +251,41 @@ impl Kernel {
 
     /// `open(2)`.
     ///
+    /// The walk's inode is pinned (see [`crate::vfs::Vfs::pin`]) before
+    /// it is checked, so a rename or unlink racing the open cannot free it
+    /// under the checks; an inode unbound since the walk is walked again.
     /// After DAC evaluation the LSM `file_open` hook runs; it may deny an
     /// access DAC would grant (AppArmor confinement), grant one DAC would
     /// refuse (Protego's binary-identity rules for ssh-keysign), demand
     /// re-authentication (Protego's shadow files), or force close-on-exec.
     pub fn sys_open(&self, pid: Pid, path: &str, flags: OpenFlags) -> KResult<i32> {
-        let want = flags.access();
-        let in_parent = if flags.create {
-            self.open_create_in_parent(pid, path, flags)?
-        } else {
-            None
+        let (ino, abs) = loop {
+            let in_parent = if flags.create {
+                self.open_create_in_parent(pid, path, flags)?
+            } else {
+                None
+            };
+            let (r, abs) = match in_parent {
+                Some(found) => found,
+                None => self.open_walk(pid, path, flags)?,
+            };
+            if self.vfs.pin(&r) {
+                break (r.ino, abs);
+            }
         };
-        let (ino, abs) = match in_parent {
-            Some(ino) => (ino, self.vfs.abs_path(ino)),
-            None => self.open_walk(pid, path, flags)?,
-        };
+        match self.open_pinned(pid, ino, abs, flags) {
+            Ok(fd) => self.install_fd(pid, fd),
+            Err(e) => {
+                self.vfs.dec_open(ino);
+                Err(e)
+            }
+        }
+    }
 
+    /// The checks of `open(2)` on the pinned inode `ino`, and the
+    /// descriptor they allow.
+    fn open_pinned(&self, pid: Pid, ino: Ino, abs: AbsPath, flags: OpenFlags) -> KResult<Fd> {
+        let want = flags.access();
         if self.vfs.inode(ino).data.is_dir() && want.wants_write() {
             return Err(Errno::EISDIR);
         }
@@ -303,7 +324,7 @@ impl Kernel {
             self.vfs.write_all(ino, b"")?;
         }
 
-        let fd = Fd {
+        Ok(Fd {
             object: FdObject::File {
                 ino,
                 offset: 0,
@@ -313,9 +334,7 @@ impl Kernel {
                 path: abs.name(),
             },
             cloexec: flags.cloexec || force_cloexec,
-        };
-        self.vfs.inc_open(ino);
-        self.install_fd(pid, fd)
+        })
     }
 
     /// `O_CREAT` in one walk: resolves the parent (a dcache hit in steady
@@ -331,26 +350,27 @@ impl Kernel {
         pid: Pid,
         path: &str,
         flags: OpenFlags,
-    ) -> KResult<Option<Ino>> {
+    ) -> KResult<Option<(Resolved, AbsPath)>> {
         if path.len() > PATH_MAX {
             return Ok(None);
         }
         let cwd = self.task(pid)?.cwd;
-        let Ok((mut parent, name)) = self.vfs.resolve_parent(cwd, path) else {
+        let Ok((parent, name)) = self.vfs.resolve_parent(cwd, path) else {
             return Ok(None);
         };
         match self.vfs.dir_lookup(parent.ino, name) {
             Ok(None) => {
                 self.check_parent(pid, &parent)?;
-                self.create_in(pid, parent.ino, name, flags.mode).map(Some)
+                let ino = self.create_in(pid, parent.ino, name, flags.mode)?;
+                Ok(Some(self.found_in(parent, name, ino)))
             }
             Ok(Some(ino)) if matches!(self.vfs.inode(ino).data, InodeData::Regular(_)) => {
-                parent.dirs.push(parent.ino);
-                self.check_search(pid, &parent.dirs)?;
+                let found = self.found_in(parent, name, ino);
+                self.check_search(pid, &found.0.dirs)?;
                 if flags.excl {
                     return Err(Errno::EEXIST);
                 }
-                Ok(Some(ino))
+                Ok(Some(found))
             }
             _ => Ok(None),
         }
@@ -358,18 +378,31 @@ impl Kernel {
 
     /// The full walk of `open(2)`: resolves the whole path, and with
     /// `O_CREAT` creates a missing last name in its parent. Returns the
-    /// inode with its canonical path.
-    fn open_walk(&self, pid: Pid, path: &str, flags: OpenFlags) -> KResult<(Ino, AbsPath)> {
+    /// resolution with its canonical path.
+    fn open_walk(&self, pid: Pid, path: &str, flags: OpenFlags) -> KResult<(Resolved, AbsPath)> {
         match self.walk_canonical(pid, path) {
             Ok(_) if flags.create && flags.excl => Err(Errno::EEXIST),
-            Ok((r, abs)) => Ok((r.ino, abs)),
+            Ok(found) => Ok(found),
             Err(Errno::ENOENT) if flags.create => {
                 let (parent, name) = self.walk_parent(pid, path)?;
                 let ino = self.create_in(pid, parent.ino, name, flags.mode)?;
-                Ok((ino, self.vfs.abs_path(ino)))
+                Ok(self.found_in(parent, name, ino))
             }
             Err(e) => Err(e),
         }
+    }
+
+    /// The resolution of `ino`, found or created under `name` in the
+    /// walked directory `parent`, with its canonical path.
+    fn found_in(&self, mut parent: Resolved, name: &str, ino: Ino) -> (Resolved, AbsPath) {
+        parent.dirs.push(parent.ino);
+        let bound = Name::lookup(name).map(|n| (parent.ino, n));
+        let found = Resolved {
+            ino,
+            dirs: parent.dirs,
+            bound,
+        };
+        (found, self.vfs.abs_path(ino))
     }
 
     /// Creates `name` in the checked directory `parent` as a regular file

@@ -9,12 +9,13 @@ use crate::cred::Credentials;
 use crate::error::{Errno, KResult};
 use crate::kernel::{Kernel, Site};
 use crate::lsm::{EnvPolicy, ExecCtx, SecurityModule};
-use crate::task::{FdObject, Pid, Task};
+use crate::task::{Fd, FdObject, Pid, Task};
 use crate::trace::{AuditObject, DecisionKind, Hook, Provenance};
-use crate::vfs::{Access, InodeData};
+use crate::vfs::{AbsPath, Access, InodeData};
 
 impl Kernel {
-    /// `fork(2)`.
+    /// `fork(2)`. The child shares the parent's environment until either
+    /// changes it (see `Task::env`).
     pub fn sys_fork(&self, pid: Pid) -> KResult<Pid> {
         let parent = self.task(pid)?.clone();
         let child_pid = self.alloc_pid();
@@ -43,7 +44,7 @@ impl Kernel {
     }
 
     /// `execve(2)`. Returns the resolved absolute path of the new image.
-    pub fn sys_execve(&self, pid: Pid, path: &str) -> KResult<String> {
+    pub fn sys_execve(&self, pid: Pid, path: &str) -> KResult<AbsPath> {
         let (r, image) = self.walk_canonical(pid, path)?;
         {
             let inode = self.vfs.inode(r.ino);
@@ -94,12 +95,11 @@ impl Kernel {
             let mut t = self.task_mut(pid)?;
             t.cred = cred;
             if let EnvPolicy::ClearExcept(keep) = env {
-                t.env
-                    .retain(|(k, _)| k == "PATH" || k == "TERM" || keep.iter().any(|x| x == k));
+                t.clear_env_except(&keep);
             }
             Ok(())
         };
-        let object = || AuditObject::Binary(abs.to_string());
+        let object = || AuditObject::Binary(image);
         if self
             .decide(pid, Site::EXECVE, object, hook, install)?
             .is_none()
@@ -113,26 +113,22 @@ impl Kernel {
             }
         }
 
-        // Close-on-exec descriptors.
-        let mut to_close = Vec::new();
-        {
+        // The new image, and its close-on-exec descriptors closed.
+        let to_close: Vec<Fd> = {
             let mut t = self.task_mut(pid)?;
-            for (i, slot) in t.fds.iter_mut().enumerate() {
-                if slot.as_ref().map(|f| f.cloexec).unwrap_or(false) {
-                    if let Some(fd) = slot.take() {
-                        to_close.push((i, fd));
-                    }
-                }
-            }
-        }
-        for (_, fd) in to_close {
+            t.binary = image;
+            t.fds
+                .iter_mut()
+                .filter_map(|slot| slot.take_if(|f| f.cloexec))
+                .collect()
+        };
+        for fd in to_close {
             self.release_fd_object(fd.object);
         }
 
-        self.task_mut(pid)?.binary = image;
         let info = Provenance::kernel(Hook::BprmCheck, DecisionKind::Info, None);
         self.emit_event(pid.0, "execve", object(), info);
-        Ok(abs.to_string())
+        Ok(image)
     }
 
     /// `unshare(2)` — namespace creation (§4.6).
@@ -229,7 +225,7 @@ mod tests {
     fn exec_plain_binary_keeps_cred() {
         let (k, _, user) = boot();
         let abs = k.sys_execve(user, "/bin/sh").unwrap();
-        assert_eq!(abs, "/bin/sh");
+        assert_eq!(abs.as_str(), "/bin/sh");
         assert_eq!(k.task(user).unwrap().cred.euid, Uid(1000));
     }
 

@@ -6,6 +6,7 @@ use crate::lsm::{AuthProof, PendingSetuid};
 use crate::net::SockId;
 use crate::vfs::{AbsPath, Ino, Name};
 use std::collections::VecDeque;
+use std::sync::Arc;
 
 /// A process identity.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Debug)]
@@ -139,8 +140,10 @@ pub struct Task {
     /// Interned path of the binary image the task is executing: the
     /// canonical path `execve` resolved, or the one it was spawned with.
     pub binary: AbsPath,
-    /// Environment variables.
-    pub env: Vec<(String, String)>,
+    /// Environment variables, shared copy-on-write: `fork` copies the
+    /// handle, and only a change ([`Task::setenv`],
+    /// [`Task::clear_env_except`]) copies the variables.
+    env: Arc<Vec<(String, String)>>,
     /// The task's last successful authentication (§4.3).
     pub auth: Option<AuthProof>,
     /// A restricted uid transition awaiting `exec` (§4.3).
@@ -163,7 +166,7 @@ impl Task {
             cwd,
             fds: Vec::new(),
             binary: AbsPath::intern(binary),
-            env: Vec::new(),
+            env: Arc::default(),
             auth: None,
             pending_setuid: None,
             terminal_input: VecDeque::new(),
@@ -233,12 +236,33 @@ impl Task {
             .map(|(_, v)| v.as_str())
     }
 
-    /// Sets (or replaces) an environment variable.
+    /// The environment, in the order the variables were first set.
+    pub fn env(&self) -> &[(String, String)] {
+        &self.env
+    }
+
+    /// Sets (or replaces) an environment variable. Setting a variable to
+    /// the value it has copies nothing.
     pub fn setenv(&mut self, key: &str, value: &str) {
-        if let Some(kv) = self.env.iter_mut().find(|(k, _)| k == key) {
-            kv.1 = value.to_string();
-        } else {
-            self.env.push((key.to_string(), value.to_string()));
+        match self.env.iter().position(|(k, _)| k == key) {
+            Some(i) if self.env[i].1 == value => {}
+            Some(i) => Arc::make_mut(&mut self.env)[i].1 = value.to_string(),
+            None => Arc::make_mut(&mut self.env).push((key.to_string(), value.to_string())),
+        }
+    }
+
+    /// Removes every variable but `PATH`, `TERM` and the names in `keep`:
+    /// the sanitization of a privilege transition. An environment with
+    /// nothing to remove is not copied, and a shared one copies only the
+    /// variables it keeps.
+    pub fn clear_env_except(&mut self, keep: &[String]) {
+        let kept = |(k, _): &(String, String)| k == "PATH" || k == "TERM" || keep.contains(k);
+        if self.env.iter().all(kept) {
+            return;
+        }
+        match Arc::get_mut(&mut self.env) {
+            Some(env) => env.retain(kept),
+            None => self.env = Arc::new(self.env.iter().filter(|kv| kept(kv)).cloned().collect()),
         }
     }
 

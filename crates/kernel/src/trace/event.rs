@@ -2,6 +2,7 @@
 
 use crate::error::Errno;
 use crate::lsm::RuleId;
+use crate::vfs::AbsPath;
 use core::fmt;
 
 /// Declares [`Hook`] from one table: each variant with its doc and its
@@ -133,8 +134,8 @@ pub enum AuditObject {
     Route(String),
     /// A packet description (netfilter path).
     Packet(String),
-    /// An executed binary.
-    Binary(String),
+    /// An executed binary: the canonical path `execve` resolved.
+    Binary(AbsPath),
     /// An LSM configuration node.
     Config(String),
 }
@@ -153,7 +154,7 @@ impl fmt::Display for AuditObject {
             AuditObject::Capability(c) => write!(f, "cap:{}", c),
             AuditObject::Route(r) => write!(f, "route:{}", r),
             AuditObject::Packet(p) => write!(f, "pkt:{}", p),
-            AuditObject::Binary(b) => write!(f, "bin:{}", b),
+            AuditObject::Binary(b) => write!(f, "bin:{}", b.as_str()),
             AuditObject::Config(n) => write!(f, "config:{}", n),
         }
     }

@@ -219,8 +219,9 @@ struct Redo {
 
 /// The canonical absolute path of an inode, the text [`Vfs::path_of`]
 /// returns: interned, with its text kept beside the symbol so that a
-/// reader on a hot path takes no interner lock.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+/// reader on a hot path takes no interner lock. Its `Debug` is that of
+/// its text, a quoted string, as recorded traces show an exec's path.
+#[derive(Clone, Copy, PartialEq, Eq)]
 pub struct AbsPath {
     name: Name,
     text: &'static str,
@@ -244,6 +245,12 @@ impl AbsPath {
     /// The path's text.
     pub fn as_str(self) -> &'static str {
         self.text
+    }
+}
+
+impl std::fmt::Debug for AbsPath {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        self.text.fmt(f)
     }
 }
 
@@ -484,6 +491,10 @@ pub struct Resolved {
     /// Every directory inode traversed (for search-permission checks),
     /// excluding the final inode.
     pub dirs: DirChain,
+    /// The entry the final inode was looked up under, `(dir, name)`;
+    /// `None` when the walk ended without a lookup (at its start or
+    /// through `..`). See [`Vfs::pin`].
+    pub bound: Option<(Ino, Name)>,
 }
 
 /// Shared (read) access to a single inode; derefs to [`Inode`].
@@ -732,6 +743,23 @@ impl Vfs {
     /// Records that a file description opened `ino`.
     pub fn inc_open(&self, ino: Ino) {
         self.inode_mut(ino).opens += 1;
+    }
+
+    /// Records that a file description opened the inode `r` found, if a
+    /// concurrent unlink or rename has not unbound it since: it must still
+    /// be named by `r`'s final lookup (a directory, which is never
+    /// reclaimed, always qualifies). Checked and counted under the inode's
+    /// guard, so a pinned inode is not reclaimed until
+    /// [`Vfs::dec_open`], and a freed or reused slot is never pinned;
+    /// on `false` the caller walks again.
+    pub fn pin(&self, r: &Resolved) -> bool {
+        let mut node = self.inode_mut(r.ino);
+        let bound = node.data.is_dir()
+            || (node.nlink > 0 && node.name.is_some_and(|n| r.bound == Some((node.parent, n))));
+        if bound {
+            node.opens += 1;
+        }
+        bound
     }
 
     /// Records a close; reclaims the inode if it is also unlinked.
@@ -983,8 +1011,8 @@ impl Vfs {
                 let dc = sync::read(shard);
                 if let Some(ino) = found {
                     dc.hits.fetch_add(1, Ordering::Relaxed);
-                    let dirs = redo.dirs;
-                    return Ok((Resolved { ino, dirs }, redo.path));
+                    let (dirs, bound) = (redo.dirs, Some((redo.dir, redo.name)));
+                    return Ok((Resolved { ino, dirs, bound }, redo.path));
                 }
                 dc.misses.fetch_add(1, Ordering::Relaxed);
             }
@@ -1120,7 +1148,12 @@ impl Vfs {
         let mut dirs = DirChain::new();
         let mut comps = Vfs::component_iter(path).peekable();
         if comps.peek().is_none() {
-            return Ok(Resolved { ino: cur, dirs });
+            let bound = None;
+            return Ok(Resolved {
+                ino: cur,
+                dirs,
+                bound,
+            });
         }
         while let Some(comp) = comps.next() {
             let is_last = comps.peek().is_none();
@@ -1149,6 +1182,7 @@ impl Vfs {
                 (entry, node.parent)
             };
             dirs.push(cur);
+            let bound = key.filter(|_| comp != "..").map(|name| (cur, name));
             let next = if comp == ".." {
                 // At a mount root, `..` escapes to the covered directory's
                 // parent.
@@ -1176,7 +1210,11 @@ impl Vfs {
             };
             if let Some(target) = sym_target {
                 if is_last && !follow_last {
-                    return Ok(Resolved { ino: next, dirs });
+                    return Ok(Resolved {
+                        ino: next,
+                        dirs,
+                        bound,
+                    });
                 }
                 let sub = self.resolve_inner(cur, &target, true, depth + 1, mounts, trail)?;
                 for d in sub.dirs.iter() {
@@ -1195,7 +1233,12 @@ impl Vfs {
                 } else {
                     landed
                 };
-                return Ok(Resolved { ino: landed, dirs });
+                let bound = sub.bound;
+                return Ok(Resolved {
+                    ino: landed,
+                    dirs,
+                    bound,
+                });
             }
             // Mount traversal.
             let next = if is_dir {
@@ -1205,9 +1248,13 @@ impl Vfs {
             };
             if is_last {
                 if redo && is_file {
-                    trail.last = key.map(|name| (cur, name));
+                    trail.last = bound;
                 }
-                return Ok(Resolved { ino: next, dirs });
+                return Ok(Resolved {
+                    ino: next,
+                    dirs,
+                    bound,
+                });
             }
             cur = next;
         }

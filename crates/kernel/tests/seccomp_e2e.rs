@@ -15,7 +15,7 @@ use sim_kernel::seccomp::{ProfileSpec, Seccomp, SeccompInterceptor, SeccompMode}
 use sim_kernel::syscall::{OpenFlags, Syscall};
 use sim_kernel::task::Pid;
 use sim_kernel::trace::{AuditObject, Hook, TraceRecorder};
-use sim_kernel::vfs::Mode;
+use sim_kernel::vfs::{AbsPath, Mode};
 
 fn boot() -> (Kernel, Pid, Pid) {
     let k = Kernel::new(SimNet::new());
@@ -207,8 +207,10 @@ fn execve_reselects_the_profile_end_to_end() {
     assert!(k.dispatch(task, Syscall::Getuid).uid().is_ok());
     assert_eq!(k.dispatch(task, Syscall::Pipe).fd_pair(), Err(Errno::EPERM));
     assert_eq!(
-        k.dispatch(task, Syscall::Execve { path: "/bin/b" }).path(),
-        Ok("/bin/b".to_string())
+        k.dispatch(task, Syscall::Execve { path: "/bin/b" })
+            .path()
+            .map(AbsPath::as_str),
+        Ok("/bin/b")
     );
     // Same pid, new image: /bin/b's allowlist applies from the next call.
     assert!(k.dispatch(task, Syscall::Pipe).fd_pair().is_ok());

@@ -10,11 +10,9 @@
 //! it the task's queued terminal input and a read-only filesystem view.
 
 use crate::db::{
-    find_entry, first_entry, GroupEntry, GshadowEntry, PasswdEntry, ShadowEntry, ID_FIELD,
-    NAME_FIELD,
+    find_entry, first_entry, name_and_hash, GroupEntry, PasswdEntry, ID_FIELD, NAME_FIELD,
 };
-use sim_kernel::cred::{Gid, Uid};
-use sim_kernel::lsm::{AuthProvider, AuthScope};
+use sim_kernel::lsm::{sim_crypt_verify, AuthProvider, AuthScope};
 use sim_kernel::vfs::Vfs;
 use std::collections::VecDeque;
 
@@ -25,6 +23,9 @@ pub struct AuthDaemon {
     pub prompts: u64,
     /// Number of failures.
     pub failures: u64,
+    /// The principal's fragment path, `<dir><name>`, kept so that a warm
+    /// check reuses its capacity.
+    fragment: String,
 }
 
 impl AuthDaemon {
@@ -43,46 +44,62 @@ impl AuthDaemon {
             .flatten()
     }
 
-    fn user_name(vfs: &Vfs, uid: Uid) -> Option<String> {
-        Self::with_text(vfs, "/etc/passwd", |t| {
-            find_entry(t, ID_FIELD, uid.0, PasswdEntry::parse)
-        })
-        .map(|e| e.name)
-    }
-
-    fn group_name(vfs: &Vfs, gid: Gid) -> Option<String> {
-        Self::with_text(vfs, "/etc/group", |t| {
-            find_entry(t, ID_FIELD, gid.0, GroupEntry::parse)
-        })
-        .map(|e| e.name)
-    }
-
-    fn user_hash(vfs: &Vfs, name: &str) -> Option<String> {
-        // Protego's fragmented database first, then the legacy file the
-        // monitoring daemon keeps synchronized.
-        Self::with_text(vfs, &format!("/etc/shadows/{}", name), |t| {
-            first_entry(t, ShadowEntry::parse)
-        })
-        .or_else(|| {
-            Self::with_text(vfs, "/etc/shadow", |t| {
-                find_entry(t, NAME_FIELD, name, ShadowEntry::parse)
-            })
-        })
-        .map(|e| e.hash)
-    }
-
-    fn group_hash(vfs: &Vfs, name: &str) -> Option<String> {
-        Self::with_text(vfs, &format!("/etc/gshadows/{}", name), |t| {
-            first_entry(t, GshadowEntry::parse)
+    /// Checks `attempt` against the hash of account `id` of `db`, reading
+    /// each file in place: the id's name, then that name's fragment, then
+    /// its line in the legacy file. `None` when no usable hash exists (no
+    /// entry, a locked `!` or an empty hash), else whether the attempt
+    /// matches.
+    fn check(&mut self, vfs: &Vfs, db: &Accounts, id: u32, attempt: Option<&str>) -> Option<bool> {
+        let fragment = &mut self.fragment;
+        Self::with_text(vfs, db.names, |t| {
+            let name = find_entry(t, ID_FIELD, id, db.parse_name)?;
+            fragment.clear();
+            fragment.push_str(db.fragments);
+            fragment.push_str(name);
+            Some(())
+        })?;
+        let verdict = |(_, hash): (&str, &str)| {
+            (hash != "!" && !hash.is_empty())
+                .then(|| attempt.is_some_and(|a| sim_crypt_verify(hash, a)))
+        };
+        let name = &fragment[db.fragments.len()..];
+        Self::with_text(vfs, fragment, |t| {
+            first_entry(t, name_and_hash).map(verdict)
         })
         .or_else(|| {
-            Self::with_text(vfs, "/etc/gshadow", |t| {
-                find_entry(t, NAME_FIELD, name, GshadowEntry::parse)
+            Self::with_text(vfs, db.legacy, |t| {
+                find_entry(t, NAME_FIELD, name, name_and_hash).map(verdict)
             })
         })
-        .map(|e| e.hash)
+        .flatten()
     }
 }
+
+/// Where one kind of principal's name and password hash live.
+struct Accounts {
+    /// The file that maps an id to a name.
+    names: &'static str,
+    /// The name of a well-formed line of `names`.
+    parse_name: fn(&str) -> Option<&str>,
+    /// The directory of Protego's per-account fragments, checked first.
+    fragments: &'static str,
+    /// The legacy file the monitoring daemon keeps synchronized.
+    legacy: &'static str,
+}
+
+const USERS: Accounts = Accounts {
+    names: "/etc/passwd",
+    parse_name: PasswdEntry::parse_name,
+    fragments: "/etc/shadows/",
+    legacy: "/etc/shadow",
+};
+
+const GROUPS: Accounts = Accounts {
+    names: "/etc/group",
+    parse_name: GroupEntry::parse_name,
+    fragments: "/etc/gshadows/",
+    legacy: "/etc/gshadow",
+};
 
 impl AuthProvider for AuthDaemon {
     fn authenticate(
@@ -92,29 +109,16 @@ impl AuthProvider for AuthDaemon {
         vfs: &Vfs,
     ) -> bool {
         self.prompts += 1;
-        let hash = match scope {
-            AuthScope::User(uid) => {
-                Self::user_name(vfs, uid).and_then(|n| Self::user_hash(vfs, &n))
-            }
-            AuthScope::Group(gid) => {
-                Self::group_name(vfs, gid).and_then(|n| Self::group_hash(vfs, &n))
-            }
+        let attempt = terminal_input.front().map(String::as_str);
+        let verdict = match scope {
+            AuthScope::User(uid) => self.check(vfs, &USERS, uid.0, attempt),
+            AuthScope::Group(gid) => self.check(vfs, &GROUPS, gid.0, attempt),
         };
-        let hash = match hash {
-            Some(h) if h != "!" && !h.is_empty() => h,
-            _ => {
-                self.failures += 1;
-                return false;
-            }
+        let ok = match verdict {
+            // A usable hash consumes the attempt, whether or not it matches.
+            Some(ok) => terminal_input.pop_front().is_some() && ok,
+            None => false,
         };
-        let attempt = match terminal_input.pop_front() {
-            Some(a) => a,
-            None => {
-                self.failures += 1;
-                return false;
-            }
-        };
-        let ok = sim_kernel::lsm::sim_crypt_verify(&hash, &attempt);
         if !ok {
             self.failures += 1;
         }
@@ -125,6 +129,7 @@ impl AuthProvider for AuthDaemon {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::db::{GshadowEntry, ShadowEntry};
     use sim_kernel::cred::{Gid as KGid, Uid as KUid};
     use sim_kernel::vfs::Mode;
 
@@ -193,7 +198,14 @@ mod tests {
     fn unknown_principal_fails() {
         let v = vfs_with_dbs();
         let mut a = AuthDaemon::new();
-        assert!(!a.authenticate(AuthScope::User(KUid(4242)), &mut input(&["x"]), &v));
+        let mut typed = input(&["x"]);
+        assert!(!a.authenticate(AuthScope::User(KUid(4242)), &mut typed, &v));
+        assert!(!a.authenticate(AuthScope::Group(KGid(4242)), &mut typed, &v));
+        // No hash, no prompt: the attempt stays queued for the next one.
+        assert_eq!(typed.len(), 1);
+        assert!(!a.authenticate(AuthScope::User(KUid(1000)), &mut typed, &v));
+        assert!(typed.is_empty(), "a wrong attempt is consumed");
+        assert_eq!(a.failures, 3);
     }
 
     #[test]
@@ -234,6 +246,10 @@ mod tests {
         )
         .unwrap();
         let mut a = AuthDaemon::new();
-        assert!(!a.authenticate(AuthScope::User(KUid(1000)), &mut input(&["anything"]), &v));
+        let mut typed = input(&["anything"]);
+        assert!(!a.authenticate(AuthScope::User(KUid(1000)), &mut typed, &v));
+        // A locked fragment does not fall back to the legacy file.
+        assert!(!a.authenticate(AuthScope::User(KUid(1000)), &mut input(&["alicepw"]), &v));
+        assert_eq!(typed.len(), 1, "a locked account reads no attempt");
     }
 }

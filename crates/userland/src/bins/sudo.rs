@@ -9,7 +9,7 @@
 //! `exec` of a permitted binary.
 
 use super::{fail, CatalogItem};
-use crate::db::{find_entry, parse_db, PasswdEntry, ShadowEntry, ID_FIELD, NAME_FIELD};
+use crate::db::{find_entry, parse_db, PasswdEntry, ShadowEntry, NAME_FIELD};
 use crate::system::{BinEntry, Proc, SystemMode};
 use protego_core::policy::{AuthReq, CmdSpec, Principal, Target};
 use protego_core::sudoers::{parse_sudoers, MapResolver};
@@ -97,11 +97,6 @@ pub fn lookup_user(p: &mut Proc<'_>, name: &str) -> Option<PasswdEntry> {
     find_entry(&text, NAME_FIELD, name, PasswdEntry::parse)
 }
 
-fn lookup_uid(p: &mut Proc<'_>, uid: Uid) -> Option<PasswdEntry> {
-    let text = p.read_to_string("/etc/passwd").ok()?;
-    find_entry(&text, ID_FIELD, uid.0, PasswdEntry::parse)
-}
-
 fn resolver(p: &mut Proc<'_>) -> MapResolver {
     let mut r = MapResolver::default();
     if let Ok(text) = p.read_to_string("/etc/passwd") {
@@ -133,8 +128,7 @@ fn verify_password(p: &mut Proc<'_>, name: &str) -> bool {
 /// the explicitly kept names — legacy sudo's userspace sanitization.
 fn sanitize_env(p: &mut Proc<'_>, keep: &[String]) {
     if let Ok(mut t) = p.sys.kernel.task_mut(p.pid) {
-        t.env
-            .retain(|(k, _)| k == "PATH" || k == "TERM" || keep.iter().any(|x| x == k));
+        t.clear_env_except(keep);
     }
 }
 
@@ -145,23 +139,21 @@ pub fn sudo_main(p: &mut Proc<'_>) -> i32 {
     // (CVE-2002-0184, CVE-2009-0034 class).
     p.vuln("parse_env");
 
-    let mut args = p.args.clone();
+    // The arguments move into the command's exec.
+    let mut args = std::mem::take(&mut p.args);
     let mut target_name = "root".to_string();
     if args.first().map(String::as_str) == Some("-u") {
         if args.len() < 2 {
             p.println("usage: sudo [-u user] command [args...]");
             return 2;
         }
-        target_name = args[1].clone();
-        args.drain(..2);
+        target_name = args.drain(..2).nth(1).unwrap_or_default();
     }
-    let (cmd, cmd_args) = match args.split_first() {
-        Some((c, rest)) => (c.clone(), rest.to_vec()),
-        None => {
-            p.println("usage: sudo [-u user] command [args...]");
-            return 2;
-        }
-    };
+    if args.is_empty() {
+        p.println("usage: sudo [-u user] command [args...]");
+        return 2;
+    }
+    let cmd = args.remove(0);
     let target = match lookup_user(p, &target_name) {
         Some(u) => u,
         None => {
@@ -174,7 +166,6 @@ pub fn sudo_main(p: &mut Proc<'_>) -> i32 {
         }
     };
     let invoker = p.ruid();
-    let invoker_entry = lookup_uid(p, invoker);
 
     if p.sys.mode == SystemMode::Legacy {
         if !p.euid().is_root() {
@@ -182,6 +173,11 @@ pub fn sudo_main(p: &mut Proc<'_>) -> i32 {
         }
         // --- All policy lives here, inside the trusted binary. ---
         let res = resolver(p);
+        let invoker_name = res
+            .users
+            .iter()
+            .find(|(_, u)| *u == invoker.0)
+            .map(|(n, _)| n.clone());
         let sudoers = p.read_to_string("/etc/sudoers").unwrap_or_default();
         let (rules, _) = parse_sudoers(&sudoers, &res);
         let groups: Vec<u32> = p
@@ -208,9 +204,7 @@ pub fn sudo_main(p: &mut Proc<'_>) -> i32 {
                 p.cov("legacy_rule_miss");
                 p.println(&format!(
                     "sudo: {} is not in the sudoers file. This incident will be reported.",
-                    invoker_entry
-                        .map(|e| e.name)
-                        .unwrap_or_else(|| invoker.0.to_string())
+                    invoker_name.unwrap_or_else(|| invoker.0.to_string())
                 ));
                 return 1;
             }
@@ -229,12 +223,7 @@ pub fn sudo_main(p: &mut Proc<'_>) -> i32 {
         }
         if rule.auth == AuthReq::Invoker {
             // The 5-minute timestamp ticket, in userspace.
-            let name = res
-                .users
-                .iter()
-                .find(|(_, u)| *u == invoker.0)
-                .map(|(n, _)| n.clone())
-                .unwrap_or_default();
+            let name = invoker_name.unwrap_or_default();
             let ticket = format!("/var/lib/sudo/{}", name);
             let now = p.sys.kernel.clock();
             let fresh = p
@@ -275,8 +264,7 @@ pub fn sudo_main(p: &mut Proc<'_>) -> i32 {
     }
 
     p.cov("exec");
-    let argv: Vec<&str> = cmd_args.iter().map(String::as_str).collect();
-    p.exec(&cmd, &argv)
+    p.sys.exec_into(p.pid, &cmd, args, p.out)
 }
 
 /// `su [user] [-c command args...]` — become another user by proving

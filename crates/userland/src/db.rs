@@ -36,16 +36,28 @@ impl PasswdEntry {
 
     /// Parses a passwd line.
     pub fn parse(line: &str) -> Option<PasswdEntry> {
-        let [name, _, uid, gid, gecos, home, shell] = fields(line)?;
+        let ([name, _, _, _, gecos, home, shell], uid, gid) = passwd_fields(line)?;
         Some(PasswdEntry {
             name: name.to_string(),
-            uid: uid.parse().ok()?,
-            gid: gid.parse().ok()?,
+            uid,
+            gid,
             gecos: gecos.to_string(),
             home: home.to_string(),
             shell: shell.to_string(),
         })
     }
+
+    /// The login name of a line [`PasswdEntry::parse`] accepts, borrowed
+    /// from the line.
+    pub fn parse_name(line: &str) -> Option<&str> {
+        passwd_fields(line).map(|(f, ..)| f[0])
+    }
+}
+
+/// The fields of a well-formed passwd line, with its uid and gid.
+fn passwd_fields(line: &str) -> Option<([&str; 7], u32, u32)> {
+    let f = fields(line)?;
+    Some((f, f[2].parse().ok()?, f[3].parse().ok()?))
 }
 
 /// One `/etc/shadow` record.
@@ -107,10 +119,10 @@ impl GroupEntry {
 
     /// Parses a group line.
     pub fn parse(line: &str) -> Option<GroupEntry> {
-        let [name, _, gid, members] = fields(line)?;
+        let ([name, _, _, members], gid) = group_fields(line)?;
         Some(GroupEntry {
             name: name.to_string(),
-            gid: gid.parse().ok()?,
+            gid,
             members: members
                 .split(',')
                 .filter(|m| !m.is_empty())
@@ -118,6 +130,18 @@ impl GroupEntry {
                 .collect(),
         })
     }
+
+    /// The group name of a line [`GroupEntry::parse`] accepts, borrowed
+    /// from the line.
+    pub fn parse_name(line: &str) -> Option<&str> {
+        group_fields(line).map(|(f, _)| f[0])
+    }
+}
+
+/// The fields of a well-formed group line, with its gid.
+fn group_fields(line: &str) -> Option<([&str; 4], u32)> {
+    let f = fields(line)?;
+    Some((f, f[2].parse().ok()?))
 }
 
 /// One `/etc/gshadow` record (group password).
@@ -166,17 +190,41 @@ fn fields<const N: usize>(line: &str) -> Option<[&str; N]> {
     it.next().is_none().then_some(out)
 }
 
-/// The first two colon fields of a line that has at least two.
-fn name_and_hash(line: &str) -> Option<(&str, &str)> {
+/// The first two colon fields of a line that has at least two: the name
+/// and hash of a shadow or gshadow line, borrowed from the line.
+pub fn name_and_hash(line: &str) -> Option<(&str, &str)> {
     let mut it = line.split(':');
     Some((it.next()?, it.next()?))
+}
+
+/// Colon field `n` (0-based) of `line`, as `line.split(':').nth(n)`, by
+/// a byte scan.
+fn nth_field(line: &str, n: usize) -> Option<&str> {
+    let mut rest = line;
+    for _ in 0..n {
+        let at = rest.bytes().position(|b| b == b':')?;
+        rest = &rest[at + 1..];
+    }
+    Some(
+        rest.bytes()
+            .position(|b| b == b':')
+            .map_or(rest, |at| &rest[..at]),
+    )
+}
+
+/// Whether `line` is blank as `str::trim` sees it. Bytes decide every
+/// line whose first byte that is not ASCII whitespace is ASCII.
+fn blank(line: &str) -> bool {
+    match line.bytes().find(|b| !matches!(b, b'\t'..=b'\r' | b' ')) {
+        None => true,
+        Some(b) => b >= 0x80 && line.trim().is_empty(),
+    }
 }
 
 /// The lines of a database file that hold records: not blank, not a
 /// comment.
 fn records(text: &str) -> impl Iterator<Item = &str> {
-    text.lines()
-        .filter(|l| !l.trim().is_empty() && !l.starts_with('#'))
+    text.lines().filter(|l| !l.starts_with('#') && !blank(l))
 }
 
 /// Parses a whole database file into entries, skipping malformed lines.
@@ -185,8 +233,8 @@ pub fn parse_db<T>(text: &str, parse: impl Fn(&str) -> Option<T>) -> Vec<T> {
 }
 
 /// The first well-formed entry of a database file, whatever its key (a
-/// per-account fragment holds one record).
-pub fn first_entry<T>(text: &str, parse: impl Fn(&str) -> Option<T>) -> Option<T> {
+/// per-account fragment holds one record). `parse` may borrow from `text`.
+pub fn first_entry<'t, T>(text: &'t str, parse: impl Fn(&'t str) -> Option<T>) -> Option<T> {
     records(text).find_map(parse)
 }
 
@@ -213,17 +261,19 @@ impl FieldKey for u32 {
 
 /// The first well-formed entry whose colon field `field` (0-based) holds
 /// `key`. Only the lines whose key matches are parsed, so one lookup
-/// allocates no more than the entry it returns. The answer equals
+/// allocates no more than the entry it returns, and nothing when `parse`
+/// borrows from `text` (as [`PasswdEntry::parse_name`] and
+/// [`name_and_hash`] do). The answer equals
 /// `parse_db(text, parse).into_iter().find(..)` on that field, provided
 /// `parse` takes the field's value from the same column.
-pub fn find_entry<T>(
-    text: &str,
+pub fn find_entry<'t, T>(
+    text: &'t str,
     field: usize,
     key: impl FieldKey,
-    parse: impl Fn(&str) -> Option<T>,
+    parse: impl Fn(&'t str) -> Option<T>,
 ) -> Option<T> {
     records(text)
-        .filter(|l| l.split(':').nth(field).is_some_and(|f| key.matches(f)))
+        .filter(|l| nth_field(l, field).is_some_and(|f| key.matches(f)))
         .find_map(parse)
 }
 
@@ -278,6 +328,34 @@ mod tests {
         assert!(e.password_protected());
         assert!(e.verify("staffpw"));
         assert!(!e.verify("nope"));
+    }
+
+    #[test]
+    fn byte_scans_match_the_str_methods() {
+        let lines = [
+            "",
+            " ",
+            "\t\r",
+            "\x0b",
+            "\x0c",
+            "\u{a0}",
+            "\u{85}",
+            " \u{2003} ",
+            " x",
+            "\u{a0}x",
+            "x\u{a0}",
+            "a:b::c",
+            ":",
+            "::",
+            "é:ü:3",
+            "#:x",
+        ];
+        for line in lines {
+            assert_eq!(blank(line), line.trim().is_empty(), "{line:?}");
+            for n in 0..5 {
+                assert_eq!(nth_field(line, n), line.split(':').nth(n), "{line:?} {n}");
+            }
+        }
     }
 
     #[test]

@@ -20,7 +20,7 @@ use sim_kernel::syscall::{
     IoctlCmd, IoctlOut, NetfilterOp, NetfilterRule, OpenFlags, RouteOp, Stat, Syscall, Whence,
 };
 use sim_kernel::task::{NsKind, Pid};
-use sim_kernel::vfs::Mode;
+use sim_kernel::vfs::{AbsPath, Mode};
 
 /// A pid-bound handle issuing typed syscalls through the dispatch
 /// boundary.
@@ -367,7 +367,7 @@ impl<'k> Process<'k> {
     }
 
     /// `execve(2)` — returns the resolved binary path.
-    pub fn execve(&mut self, path: &str) -> KResult<String> {
+    pub fn execve(&mut self, path: &str) -> KResult<AbsPath> {
         self.kernel
             .dispatch(self.pid, Syscall::Execve { path })
             .path()

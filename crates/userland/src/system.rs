@@ -310,7 +310,7 @@ impl System {
             self.kernel.task_mut(child)?.type_input(line);
         }
         let mut out = String::new();
-        let code = self.exec_into(child, path, &args_vec(args), &mut out);
+        let code = self.exec_into(child, path, args_vec(args), &mut out);
         let _ = self.process(child).exit(code);
         let code = self.process(session).wait(child).unwrap_or(code);
         Ok(RunResult { code, stdout: out })
@@ -322,7 +322,7 @@ impl System {
         &mut self,
         pid: Pid,
         path: &str,
-        args: &[String],
+        args: Vec<String>,
         out: &mut String,
     ) -> i32 {
         let abs = match self.process(pid).execve(path) {
@@ -332,17 +332,20 @@ impl System {
                 return e.as_errno_i32();
             }
         };
-        let func = match self.registry.get(&abs) {
+        let func = match self.registry.get(abs.as_str()) {
             Some(e) => e.func,
             None => {
-                out.push_str(&format!("exec {}: not a registered program\n", abs));
+                out.push_str(&format!(
+                    "exec {}: not a registered program\n",
+                    abs.as_str()
+                ));
                 return 127;
             }
         };
         let mut proc = Proc {
             sys: self,
             pid,
-            args: args.to_vec(),
+            args,
             out,
         };
         func(&mut proc)
@@ -436,8 +439,7 @@ impl<'a> Proc<'a> {
     /// Replaces this process image with another program (classic exec):
     /// the callee's exit code becomes this program's.
     pub fn exec(&mut self, path: &str, args: &[&str]) -> i32 {
-        let args = args_vec(args);
-        self.sys.exec_into(self.pid, path, &args, self.out)
+        self.sys.exec_into(self.pid, path, args_vec(args), self.out)
     }
 
     // -- thin syscall wrappers -----------------------------------------

@@ -95,7 +95,7 @@ pub fn launch(sys: &mut System, daemon: Daemon, args: &[&str]) -> KResult<(Pid, 
     };
     let pid = sys.process(session).fork()?;
     let mut stdout = String::new();
-    let code = sys.exec_into(pid, daemon.binary, &args_vec(args), &mut stdout);
+    let code = sys.exec_into(pid, daemon.binary, args_vec(args), &mut stdout);
     Ok((pid, RunResult { code, stdout }))
 }
 

@@ -9,8 +9,8 @@ use protego_core::fstab::{fstab_entries_at, parse_fstab};
 use std::collections::BTreeMap;
 use userland::coverage::{Coverage, CoverageRow};
 use userland::db::{
-    find_entry, first_entry, parse_db, GroupEntry, GshadowEntry, PasswdEntry, ShadowEntry,
-    ID_FIELD, NAME_FIELD,
+    find_entry, first_entry, name_and_hash, parse_db, GroupEntry, GshadowEntry, PasswdEntry,
+    ShadowEntry, ID_FIELD, NAME_FIELD,
 };
 
 /// Field values for generated database lines: names (one empty),
@@ -35,8 +35,9 @@ const DB_FIELDS: [&str; 16] = [
     "99999999999",
 ];
 
-/// A generated database file: each line is a prefix kind (plain, plain,
-/// comment, blank) and 1-8 fields drawn from [`DB_FIELDS`].
+/// A generated database file: each line is a kind (plain, plain, comment,
+/// blank, blank beyond ASCII, CRLF-terminated) and 1-8 fields drawn from
+/// [`DB_FIELDS`].
 fn db_text(lines: &[(u8, Vec<usize>)]) -> String {
     let mut text = String::new();
     for (kind, fields) in lines {
@@ -46,11 +47,15 @@ fn db_text(lines: &[(u8, Vec<usize>)]) -> String {
                 text.push_str("  \n");
                 continue;
             }
+            4 => {
+                text.push_str("\u{a0}\x0b\n");
+                continue;
+            }
             _ => {}
         }
         let line: Vec<&str> = fields.iter().map(|&i| DB_FIELDS[i]).collect();
         text.push_str(&line.join(":"));
-        text.push('\n');
+        text.push_str(if *kind == 5 { "\r\n" } else { "\n" });
     }
     text
 }
@@ -286,13 +291,27 @@ proptest! {
     /// one id.
     #[test]
     fn find_entry_equals_parse_db_then_find(
-        lines in prop::collection::vec((0u8..4, prop::collection::vec(0usize..16, 1..9)), 0..12),
+        lines in prop::collection::vec((0u8..6, prop::collection::vec(0usize..16, 1..9)), 0..12),
     ) {
         let text = db_text(&lines);
         check_lookup(&text, PasswdEntry::parse, |e| &e.name, Some(|e: &PasswdEntry| e.uid));
         check_lookup(&text, GroupEntry::parse, |e| &e.name, Some(|e: &GroupEntry| e.gid));
         check_lookup(&text, ShadowEntry::parse, |e| &e.name, None);
         check_lookup(&text, GshadowEntry::parse, |e| &e.name, None);
+        // The borrowed parses find the records the owned ones find.
+        for id in [0u32, 1000, 1001] {
+            let owned = find_entry(&text, ID_FIELD, id, PasswdEntry::parse);
+            let name = find_entry(&text, ID_FIELD, id, PasswdEntry::parse_name);
+            prop_assert_eq!(name, owned.as_ref().map(|e| e.name.as_str()));
+            let owned = find_entry(&text, ID_FIELD, id, GroupEntry::parse);
+            let name = find_entry(&text, ID_FIELD, id, GroupEntry::parse_name);
+            prop_assert_eq!(name, owned.as_ref().map(|e| e.name.as_str()));
+        }
+        for name in ["alice", "bob", "root", ""] {
+            let owned = find_entry(&text, NAME_FIELD, name, ShadowEntry::parse);
+            let borrowed = find_entry(&text, NAME_FIELD, name, name_and_hash);
+            prop_assert_eq!(borrowed, owned.as_ref().map(|e| (e.name.as_str(), e.hash.as_str())));
+        }
     }
 
     /// The fstab one-entry lookup returns exactly the entries a

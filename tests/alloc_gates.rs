@@ -18,11 +18,13 @@
 //! [`MAIL_DRAINED_BUDGET`]); one cycle of the eight privops operations
 //! (mount, umount, ping, two sudo runs, su, newgrp and a sudo denial, each
 //! a fork/exec/wait with authentication where the policy asks for it) stays
-//! within a per-operation allocation budget on both images, and one warm
-//! kernel authentication costs the same number of allocations however
-//! many accounts `/etc/passwd` holds. The binaries look up the one
-//! account they need instead of parsing whole account databases, and the
-//! authentication agent reads the files in place; either regressing shows
+//! within a per-operation allocation budget on both images; one warm
+//! kernel authentication allocates nothing, however many accounts
+//! `/etc/passwd` holds; and a warm fork, exit and wait of a session's
+//! child allocates only the child's group list (the environment is shared
+//! copy-on-write). The binaries look up the one account they need instead
+//! of parsing whole account databases, and the authentication agent
+//! checks the attempt inside the files it reads; either regressing shows
 //! up here as a count, not a timing.
 //!
 //! A `#[global_allocator]` in an integration test affects only this test
@@ -471,33 +473,91 @@ fn assert_budget(mode: SystemMode, per_op: u64) {
     );
 }
 
+/// A warm cycle measures 165 allocations on Protego (per op `[31, 19,
+/// 11, 20, 33, 21, 13, 17]`): the run's arguments, terminal input and
+/// output, and what the binaries parse, with no environment copied at
+/// fork, one read of `/etc/passwd` per sudo and none in the agent.
 #[test]
 fn warm_protego_privops_cycle_stays_within_its_allocation_budget() {
-    assert_budget(SystemMode::Protego, 64);
+    assert_budget(SystemMode::Protego, 21);
 }
 
+/// A warm cycle measures 428 allocations on legacy (per op `[44, 35, 11,
+/// 104, 106, 24, 18, 86]`): the setuid binaries parse the databases.
 #[test]
 fn warm_legacy_privops_cycle_stays_within_its_allocation_budget() {
-    assert_budget(SystemMode::Legacy, 120);
+    assert_budget(SystemMode::Legacy, 54);
 }
 
-/// One warm `run_auth` for alice, with her password typed first.
-fn auth_allocs(sys: &System, pid: Pid) -> u64 {
-    sys.kernel
-        .task_mut(pid)
-        .expect("task")
-        .type_input("alicepw");
-    let (ok, n) = count_allocs(|| sys.kernel.run_auth(pid, AuthScope::User(Uid(1000))));
-    assert!(ok, "alice authenticates");
+/// One warm `run_auth` of `scope`, with `password` typed first.
+fn auth_allocs(sys: &System, pid: Pid, scope: AuthScope, password: &str) -> u64 {
+    sys.kernel.task_mut(pid).expect("task").type_input(password);
+    let (ok, n) = count_allocs(|| sys.kernel.run_auth(pid, scope));
+    assert!(ok, "{scope:?} authenticates");
     n
+}
+
+/// A warm authentication reads the account files in place and reuses
+/// the agent's fragment path: no allocation, for a user (name from
+/// `/etc/passwd`, hash from its `/etc/shadows/` fragment) or for a group
+/// (`/etc/group`, `/etc/gshadows/`), and none when the fragment is gone
+/// and the hash comes from the legacy `/etc/shadow`.
+#[test]
+fn warm_kernel_authentication_is_allocation_free() {
+    let mut sys = boot(SystemMode::Protego);
+    let alice = sys.login("alice", "alicepw").expect("login");
+    let cases = [
+        (AuthScope::User(Uid(1000)), "alicepw"),
+        (AuthScope::Group(Gid(2000)), "staffpw"),
+    ];
+    for (scope, password) in cases {
+        auth_allocs(&sys, alice, scope, password);
+        let n = auth_allocs(&sys, alice, scope, password);
+        assert_eq!(n, 0, "{scope:?}: a warm run_auth allocated {n} times");
+    }
+    let root = sys.init_pid();
+    sys.process(root)
+        .unlink("/etc/shadows/alice")
+        .expect("unlink fragment");
+    let (user, password) = cases[0];
+    auth_allocs(&sys, alice, user, password);
+    let n = auth_allocs(&sys, alice, user, password);
+    assert_eq!(
+        n, 0,
+        "legacy /etc/shadow: a warm run_auth allocated {n} times"
+    );
+}
+
+/// A warm fork, exit and wait of a session's child allocates once: the
+/// child's copy of the credentials' supplementary groups. The
+/// environment is shared copy-on-write, not copied.
+#[test]
+fn warm_session_fork_exit_wait_allocates_only_the_group_list() {
+    let mut sys = boot(SystemMode::Protego);
+    let alice = sys.login("alice", "alicepw").expect("login");
+    let cycle = |sys: &mut System| {
+        count_allocs(|| {
+            let child = sys.process(alice).fork().expect("fork");
+            sys.process(child).exit(0).expect("exit");
+            sys.process(alice).wait(child).expect("wait")
+        })
+        .1
+    };
+    // Warm: a child has landed in every task-table shard.
+    for _ in 0..128 {
+        cycle(&mut sys);
+    }
+    let n = cycle(&mut sys);
+    assert!(n <= 1, "a warm fork + exit + wait allocated {n} times");
 }
 
 #[test]
 fn warm_kernel_authentication_cost_does_not_grow_with_the_account_count() {
     let mut sys = boot(SystemMode::Protego);
     let alice = sys.login("alice", "alicepw").expect("login");
-    auth_allocs(&sys, alice);
-    let before = auth_allocs(&sys, alice);
+    let alice_auth = |sys: &System| auth_allocs(sys, alice, AuthScope::User(Uid(1000)), "alicepw");
+    alice_auth(&sys);
+    let before = alice_auth(&sys);
 
     // A hundred more accounts, ahead of alice's line.
     let init = sys.init_pid();
@@ -519,8 +579,8 @@ fn warm_kernel_authentication_cost_does_not_grow_with_the_account_count() {
         .write_file("/etc/passwd", grown.as_bytes(), Mode(0o644))
         .expect("write passwd");
 
-    auth_allocs(&sys, alice);
-    assert_eq!(auth_allocs(&sys, alice), before);
+    alice_auth(&sys);
+    assert_eq!(alice_auth(&sys), before);
 }
 
 // ---------------------------------------------------------------------
