@@ -56,8 +56,8 @@ echo "== zero-alloc gate: steady-state fast path allocates nothing =="
 # group, fragment or legacy shadow file) to zero allocations, also after
 # 100 accounts are added to /etc/passwd (the agent checks the attempt
 # inside the files it reads), and the fork gate holds a warm fork + exit
-# + wait of a session's child to one (its group list: the environment is
-# shared copy-on-write). All live in one root integration test, so
+# + wait of a session's child to zero (the environment and the group list
+# are shared copy-on-write). All live in one root integration test, so
 # tier-1 runs them too; this step names them so a failure here points at
 # the gate.
 cargo test -q --release --test alloc_gates
@@ -71,9 +71,8 @@ echo "== dcache: cached and uncached resolution agree =="
 # The kernel's dcache tests check that each mutation invalidates exactly
 # what it changed: a replaced file name is served by redoing its last
 # lookup with the same canonical path, never across a change to an
-# ancestor, an earlier read of its directory or a shared generation
-# slot, and concurrent renamers never make a walk, a name or an open
-# serve a stale or freed inode. Tier-1 runs the oracle too; this step
+# ancestor or an earlier read of its directory, and concurrent renamers
+# never make a walk, a name or an open serve a stale or freed inode. Tier-1 runs the oracle too; this step
 # names both so a cache fault shows up here.
 cargo test -q --release --test dcache_oracle
 cargo test -q --release -p sim-kernel --test dcache

@@ -582,6 +582,7 @@ mod tests {
     use super::*;
     use sim_kernel::lsm::AuthProof;
     use sim_kernel::vfs::Access;
+    use std::sync::Arc;
 
     fn lsm_with(policy: PolicySet) -> ProtegoLsm {
         ProtegoLsm::with_policy(policy)
@@ -805,7 +806,7 @@ mod tests {
         });
         let lsm = lsm_with(p);
         let mut admin = Credentials::user(Uid(1003), Gid(1003));
-        admin.groups.push(Gid(27));
+        Arc::make_mut(&mut admin.groups).push(Gid(27));
         assert_eq!(
             lsm.task_setuid(&ctx(&admin, None), Uid::ROOT).0,
             SetuidDecision::Allow
@@ -841,7 +842,7 @@ mod tests {
         });
         let lsm = lsm_with(p);
         let mut member = user_cred();
-        member.groups.push(Gid(101));
+        Arc::make_mut(&mut member.groups).push(Gid(101));
         assert_eq!(
             lsm.task_setgid(&ctx(&member, None), Gid(101)),
             (SetuidDecision::Allow, label("groups:membership"))

@@ -7,6 +7,7 @@
 
 use crate::caps::{Cap, CapSet};
 use core::fmt;
+use std::sync::Arc;
 
 /// A numeric user identity.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Debug)]
@@ -60,8 +61,10 @@ pub struct Credentials {
     pub egid: Gid,
     /// Saved group id.
     pub sgid: Gid,
-    /// Supplementary groups.
-    pub groups: Vec<Gid>,
+    /// Supplementary groups, shared copy-on-write: a fork shares its
+    /// parent's list, and a change (written through `Arc::make_mut`)
+    /// copies it.
+    pub groups: Arc<Vec<Gid>>,
     /// Effective capability set.
     pub caps: CapSet,
 }
@@ -78,7 +81,7 @@ impl Credentials {
             rgid: Gid::ROOT,
             egid: Gid::ROOT,
             sgid: Gid::ROOT,
-            groups: vec![Gid::ROOT],
+            groups: Arc::new(vec![Gid::ROOT]),
             caps: CapSet::full(),
         }
     }
@@ -93,7 +96,7 @@ impl Credentials {
             rgid: gid,
             egid: gid,
             sgid: gid,
-            groups: vec![gid],
+            groups: Arc::new(vec![gid]),
             caps: CapSet::EMPTY,
         }
     }
@@ -202,7 +205,7 @@ mod tests {
     #[test]
     fn group_membership() {
         let mut c = Credentials::user(Uid(1000), Gid(1000));
-        c.groups.push(Gid(24)); // cdrom
+        Arc::make_mut(&mut c.groups).push(Gid(24)); // cdrom
         assert!(c.in_group(Gid(1000)));
         assert!(c.in_group(Gid(24)));
         assert!(!c.in_group(Gid(25)));

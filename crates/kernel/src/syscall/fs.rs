@@ -10,7 +10,7 @@ use crate::syscall::abi::Whence;
 use crate::task::{Fd, FdObject, Pid, Task};
 use crate::trace::{AuditObject, DecisionKind, Hook, Pathway, Provenance};
 use crate::vfs::{
-    AbsPath, Access, DirChain, Ino, InodeData, Mode, Name, ProcHook, Resolved, PATH_MAX,
+    AbsPath, Access, Attrs, DirChain, Ino, InodeData, Mode, Name, ProcHook, Resolved, PATH_MAX,
 };
 
 /// Flags for [`Kernel::sys_open`].
@@ -120,40 +120,6 @@ pub struct Stat {
     pub is_dir: bool,
 }
 
-/// Supplementary groups a [`DacId`] keeps on the stack.
-const GROUPS_INLINE: usize = 8;
-
-/// The DAC identity of a task, copied out of its credentials so a walk
-/// checks every directory under one task-table lookup and the snapshot
-/// stays on the stack. Tasks with more than [`GROUPS_INLINE`]
-/// supplementary groups spill (cold).
-struct DacId {
-    fsuid: Uid,
-    egid: Gid,
-    groups: [Gid; GROUPS_INLINE],
-    ngroups: usize,
-    spill: Vec<Gid>,
-}
-
-impl DacId {
-    fn of(c: &Credentials) -> DacId {
-        let ngroups = c.groups.len().min(GROUPS_INLINE);
-        let mut groups = [Gid(0); GROUPS_INLINE];
-        groups[..ngroups].copy_from_slice(&c.groups[..ngroups]);
-        DacId {
-            fsuid: c.fsuid,
-            egid: c.egid,
-            groups,
-            ngroups,
-            spill: c.groups.get(GROUPS_INLINE..).unwrap_or_default().to_vec(),
-        }
-    }
-
-    fn in_group(&self, g: Gid) -> bool {
-        self.egid == g || self.groups[..self.ngroups].contains(&g) || self.spill.contains(&g)
-    }
-}
-
 impl Kernel {
     // ------------------------------------------------------------------
     // Permission helpers
@@ -164,33 +130,32 @@ impl Kernel {
     pub(crate) fn check_access(&self, pid: Pid, ino: Ino, want: Access) -> KResult<()> {
         // Bind the snapshot first: the task-shard read guard must drop
         // before a DAC denial re-enters the task table through `capable`.
-        let id = DacId::of(&self.task(pid)?.cred);
-        self.check_access_as(pid, &id, ino, want)
+        let cred = self.task(pid)?.cred.clone();
+        self.check_access_as(pid, &cred, self.vfs.attrs(ino), want)
     }
 
-    /// [`Kernel::check_access`] against a credential snapshot taken once
-    /// for a whole walk. Capabilities are consulted only when DAC denies,
-    /// exactly as a fresh check would.
-    fn check_access_as(&self, pid: Pid, id: &DacId, ino: Ino, want: Access) -> KResult<()> {
-        let allowed =
-            crate::vfs::Vfs::dac_allows(&self.vfs.inode(ino), id.fsuid, |g| id.in_group(g), want);
-        if allowed {
+    /// [`Kernel::check_access`] on an inode's attributes, read once,
+    /// against a credential snapshot taken once for a whole walk.
+    /// Capabilities are consulted only when DAC denies, exactly as a fresh
+    /// check would.
+    pub(crate) fn check_access_as(
+        &self,
+        pid: Pid,
+        cred: &Credentials,
+        attrs: Attrs,
+        want: Access,
+    ) -> KResult<()> {
+        if attrs.dac_allows(cred.fsuid, |g| cred.in_group(g), want) {
             return Ok(());
         }
         // CAP_DAC_READ_SEARCH covers read and directory search.
-        let read_or_search =
-            !want.wants_write() && (!want.wants_exec() || self.vfs.inode(ino).data.is_dir());
+        let read_or_search = !want.wants_write() && (!want.wants_exec() || attrs.is_dir);
         if read_or_search && self.capable(pid, Cap::DacReadSearch) {
             return Ok(());
         }
         // CAP_DAC_OVERRIDE covers everything except exec of a file with no
-        // exec bits at all. One scoped guard: taking the same inode's
-        // shard lock twice in one expression invites a deadlock once
-        // writers contend.
-        let exec_plain_file = {
-            let inode = self.vfs.inode(ino);
-            want.wants_exec() && !inode.data.is_dir() && inode.mode.bits() & 0o111 == 0
-        };
+        // exec bits at all.
+        let exec_plain_file = want.wants_exec() && !attrs.is_dir && attrs.mode.bits() & 0o111 == 0;
         if !exec_plain_file && self.capable(pid, Cap::DacOverride) {
             return Ok(());
         }
@@ -200,20 +165,21 @@ impl Kernel {
     /// Checks search permission on every directory a walk traversed, with
     /// one credential snapshot, and returns the snapshot for any further
     /// check.
-    fn check_search(&self, pid: Pid, dirs: &DirChain) -> KResult<DacId> {
-        let id = DacId::of(&self.task(pid)?.cred);
+    fn check_search(&self, pid: Pid, dirs: &DirChain) -> KResult<Credentials> {
+        let cred = self.task(pid)?.cred.clone();
         for dir in dirs.iter() {
-            self.check_access_as(pid, &id, dir, Access::EXEC)?;
+            self.check_access_as(pid, &cred, self.vfs.attrs(dir), Access::EXEC)?;
         }
-        Ok(id)
+        Ok(cred)
     }
 
     /// The checks before a name is added to or removed from `parent`:
     /// search on every directory its walk traversed, then write and
     /// search on the directory itself.
     fn check_parent(&self, pid: Pid, parent: &Resolved) -> KResult<()> {
-        let id = self.check_search(pid, &parent.dirs)?;
-        self.check_access_as(pid, &id, parent.ino, Access::WRITE.and(Access::EXEC))
+        let cred = self.check_search(pid, &parent.dirs)?;
+        let want = Access::WRITE.and(Access::EXEC);
+        self.check_access_as(pid, &cred, self.vfs.attrs(parent.ino), want)
     }
 
     /// Resolves a path for task `pid`, checking search permission on every
@@ -259,7 +225,7 @@ impl Kernel {
     /// refuse (Protego's binary-identity rules for ssh-keysign), demand
     /// re-authentication (Protego's shadow files), or force close-on-exec.
     pub fn sys_open(&self, pid: Pid, path: &str, flags: OpenFlags) -> KResult<i32> {
-        let (ino, abs) = loop {
+        let (ino, attrs, abs) = loop {
             let in_parent = if flags.create {
                 self.open_create_in_parent(pid, path, flags)?
             } else {
@@ -269,11 +235,11 @@ impl Kernel {
                 Some(found) => found,
                 None => self.open_walk(pid, path, flags)?,
             };
-            if self.vfs.pin(&r) {
-                break (r.ino, abs);
+            if let Some(attrs) = self.vfs.pin(&r) {
+                break (r.ino, attrs, abs);
             }
         };
-        match self.open_pinned(pid, ino, abs, flags) {
+        match self.open_pinned(pid, ino, attrs, abs, flags) {
             Ok(fd) => self.install_fd(pid, fd),
             Err(e) => {
                 self.vfs.dec_open(ino);
@@ -282,22 +248,30 @@ impl Kernel {
         }
     }
 
-    /// The checks of `open(2)` on the pinned inode `ino`, and the
-    /// descriptor they allow.
-    fn open_pinned(&self, pid: Pid, ino: Ino, abs: AbsPath, flags: OpenFlags) -> KResult<Fd> {
+    /// The checks of `open(2)` on the pinned inode `ino`, on the
+    /// attributes its pin read, and the descriptor they allow.
+    fn open_pinned(
+        &self,
+        pid: Pid,
+        ino: Ino,
+        attrs: Attrs,
+        abs: AbsPath,
+        flags: OpenFlags,
+    ) -> KResult<Fd> {
         let want = flags.access();
-        if self.vfs.inode(ino).data.is_dir() && want.wants_write() {
+        if attrs.is_dir && want.wants_write() {
             return Err(Errno::EISDIR);
         }
 
         // DAC on the final object.
-        let dac = self.check_access(pid, ino, want);
+        let cred = self.task(pid)?.cred.clone();
+        let dac = self.check_access_as(pid, &cred, attrs, want);
         let dac_ok = dac.is_ok();
 
         // LSM file-open hook. Its context borrows the walk's canonical
         // path together with the task's credentials, so the steady-state
         // approve path (UseDefault with DAC ok) allocates nothing.
-        let file_owner = self.vfs.inode(ino).uid;
+        let file_owner = attrs.uid;
         let canonical = abs.as_str();
         let hook = |t: &Task, m: &dyn SecurityModule| {
             m.file_open(&FileOpenCtx {
@@ -320,7 +294,7 @@ impl Kernel {
             }
         };
 
-        if flags.truncate && matches!(self.vfs.inode(ino).data, InodeData::Regular(_)) {
+        if flags.truncate && attrs.is_file {
             self.vfs.write_all(ino, b"")?;
         }
 
@@ -891,11 +865,7 @@ impl Kernel {
     pub fn sys_readdir(&self, pid: Pid, path: &str) -> KResult<Vec<String>> {
         let r = self.walk(pid, path)?;
         self.check_access(pid, r.ino, Access::READ)?;
-        let inode = self.vfs.inode(r.ino);
-        let entries = inode.dir_entries().ok_or(Errno::ENOTDIR)?;
-        let mut names: Vec<String> = entries.keys().map(|n| n.as_str().to_string()).collect();
-        names.sort();
-        Ok(names)
+        self.vfs.dir_names(r.ino)
     }
 
     /// `pipe(2)` — returns (read fd, write fd).

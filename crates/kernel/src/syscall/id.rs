@@ -14,6 +14,7 @@ use crate::kernel::{Kernel, Site};
 use crate::lsm::{SecurityModule, SetidCtx};
 use crate::task::{Pid, Task};
 use crate::trace::AuditObject;
+use std::sync::Arc;
 
 impl Kernel {
     /// `setuid(2)`.
@@ -113,7 +114,7 @@ impl Kernel {
         t.cred.egid = target;
         t.cred.sgid = target;
         if !t.cred.groups.contains(&target) {
-            t.cred.groups.push(target);
+            Arc::make_mut(&mut t.cred.groups).push(target);
         }
         Ok(())
     }
@@ -145,7 +146,7 @@ impl Kernel {
         if !self.capable(pid, Cap::Setgid) {
             return Err(Errno::EPERM);
         }
-        self.task_mut(pid)?.cred.groups = groups.to_vec();
+        self.task_mut(pid)?.cred.groups = Arc::new(groups.to_vec());
         Ok(())
     }
 

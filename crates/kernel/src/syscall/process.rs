@@ -11,7 +11,7 @@ use crate::kernel::{Kernel, Site};
 use crate::lsm::{EnvPolicy, ExecCtx, SecurityModule};
 use crate::task::{Fd, FdObject, Pid, Task};
 use crate::trace::{AuditObject, DecisionKind, Hook, Provenance};
-use crate::vfs::{AbsPath, Access, InodeData};
+use crate::vfs::{AbsPath, Access};
 
 impl Kernel {
     /// `fork(2)`. The child shares the parent's environment until either
@@ -46,16 +46,15 @@ impl Kernel {
     /// `execve(2)`. Returns the resolved absolute path of the new image.
     pub fn sys_execve(&self, pid: Pid, path: &str) -> KResult<AbsPath> {
         let (r, image) = self.walk_canonical(pid, path)?;
-        {
-            let inode = self.vfs.inode(r.ino);
-            if inode.data.is_dir() {
-                return Err(Errno::EISDIR);
-            }
-            if !matches!(inode.data, InodeData::Regular(_)) {
-                return Err(Errno::EACCES);
-            }
+        let attrs = self.vfs.attrs(r.ino);
+        if attrs.is_dir {
+            return Err(Errno::EISDIR);
         }
-        self.check_access(pid, r.ino, Access::EXEC)?;
+        if !attrs.is_file {
+            return Err(Errno::EACCES);
+        }
+        let cred = self.task(pid)?.cred.clone();
+        self.check_access_as(pid, &cred, attrs, Access::EXEC)?;
         let abs = image.as_str();
 
         // Mount flags covering the binary.
@@ -66,15 +65,9 @@ impl Kernel {
             return Err(Errno::EACCES);
         }
 
-        let (file_owner, file_group, setuid_bit, setgid_bit) = {
-            let inode = self.vfs.inode(r.ino);
-            (
-                inode.uid,
-                inode.gid,
-                inode.mode.is_setuid() && !nosuid,
-                inode.mode.is_setgid() && !nosuid,
-            )
-        };
+        let (file_owner, file_group) = (attrs.uid, attrs.gid);
+        let setuid_bit = attrs.mode.is_setuid() && !nosuid;
+        let setgid_bit = attrs.mode.is_setgid() && !nosuid;
 
         let pending = self.task_mut(pid)?.pending_setuid.take();
 

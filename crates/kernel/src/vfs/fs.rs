@@ -13,18 +13,18 @@
 //! [`NSHARDS`], so a directory and the files allocated under it land in
 //! different shards and independent subtrees don't contend), the dcache is
 //! hash-sharded `RwLock`s (a hit holds only the read lock) whose entries
-//! are validated against a fixed table of per-directory generations, the
-//! mount table is a small copy-on-write `RwLock<Arc<..>>` that a walk
-//! snapshots by reference count, and the counters (`change_seq`,
-//! `mount_seq`, the directory generations, the dcache statistics) are
-//! atomics.
+//! are validated against per-directory generations (a grow-only table
+//! indexed by the exact ino, [`DirGens`]), the mount table is a small
+//! copy-on-write `RwLock<Arc<..>>` that a walk snapshots by reference
+//! count, and the counters (`change_seq`, `mount_seq`, the directory
+//! generations, the dcache statistics) are atomics.
 //!
 //! # Dcache invalidation
 //!
-//! Each directory owns two generations in one cache-line slot: `entries`
-//! and `coverage`. A cached resolution records, for every directory its
-//! walk depended on, the generation of each part it actually read, loaded
-//! *before* that read: reading a directory's entries or its `..` records
+//! Each directory owns two generations on a cache line of their own:
+//! `entries` and `coverage`. A cached resolution records, for every
+//! directory its walk depended on, the generation of each part it actually
+//! read, loaded *before* that read: reading a directory's entries or its `..` records
 //! `entries`; consulting its mount coverage (following the mounts stacked
 //! on it, or asking whether a `..` starts at a mount root) records
 //! `coverage`. A probe hits only while every recorded generation is
@@ -52,8 +52,8 @@
 //! ancestor rename or removal, or a mount or umount rooted on the chain.
 //!
 //! A stale entry is not always a walk. When a miss ended by looking a
-//! plain last name up in a directory whose entries it read nowhere else,
-//! found a regular file, and named it by that same `(dir, name)` pair,
+//! plain last name up in a directory whose entries it had not read
+//! before, found a regular file, and named it by that same `(dir, name)` pair,
 //! the entry keeps the pair; a later probe whose only moved generation is
 //! that directory's `entries` redoes the one lookup
 //! ([`Vfs::revalidate`]) instead of the walk. A regular file bound at
@@ -79,7 +79,7 @@
 //!   under that lock alone.
 
 use super::arena::{ArenaString, PathArena};
-use super::inode::{Access, Ino, Inode, InodeData, Mode, ProcHook};
+use super::inode::{Attrs, Ino, Inode, InodeData, Mode, ProcHook};
 use super::intern::Name;
 use crate::cred::{Gid, Uid};
 use crate::error::{Errno, KResult};
@@ -88,7 +88,7 @@ use crate::trace::CacheStats;
 use std::collections::{BTreeMap, HashMap};
 use std::hash::{BuildHasherDefault, Hasher};
 use std::sync::atomic::{fence, AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, RwLock, RwLockReadGuard, RwLockWriteGuard};
+use std::sync::{Arc, Mutex, OnceLock, RwLock, RwLockReadGuard, RwLockWriteGuard};
 
 /// Maximum symlink expansions during one path walk (Linux uses 40).
 const MAX_SYMLINK_DEPTH: usize = 16;
@@ -105,11 +105,6 @@ const DSHARDS: usize = 16;
 /// Bound on cached resolutions; a dcache shard is flushed wholesale when
 /// it fills (a simulation stand-in for the kernel's LRU shrinker).
 const DCACHE_CAPACITY: usize = 4096;
-
-/// Size of the directory-generation table. Directory `ino` owns slot
-/// `ino % DIR_GENS`; two directories sharing a slot only cost each other
-/// extra dcache misses.
-pub const DIR_GENS: usize = 1024;
 
 /// Longest path a walk accepts; longer ones fail `ENAMETOOLONG`.
 pub(crate) const PATH_MAX: usize = 4096;
@@ -197,9 +192,6 @@ struct Cached {
 struct Trail {
     /// The generations it read.
     deps: DirChain<Dep>,
-    /// For each slot whose `entries` it read: the directory that read
-    /// them, or [`SHARED`] once a second directory's were.
-    readers: DirChain<(usize, Ino)>,
     /// `(dir, name)` when the walk ended by looking the path's plain last
     /// name up in `dir`, whose entries it had not read before, and found
     /// a regular file.
@@ -255,7 +247,7 @@ impl std::fmt::Debug for AbsPath {
 }
 
 /// One directory's two generations, padded to a cache line so that a
-/// probe checking both loads one line and two slots never share one.
+/// probe checking both loads one line and two directories never share one.
 #[derive(Debug, Default)]
 #[repr(align(64))]
 struct DirGen {
@@ -289,18 +281,45 @@ impl DirGen {
 /// A [`Dep`] generation for a part the walk did not read.
 const UNREAD: u64 = u64::MAX;
 
-/// A [`Trail::readers`] entry when the entries of two directories sharing
-/// the slot were read.
-const SHARED: Ino = Ino(usize::MAX);
-
-/// One dependency of a cached resolution: a directory-generation slot and
-/// the value each of its counters held before the walk read that part of
-/// the directory, or [`UNREAD`].
+/// One dependency of a cached resolution: a directory and the value each
+/// of its generations held before the walk read that part of it, or
+/// [`UNREAD`].
 #[derive(Clone, Copy, Debug, Default)]
 struct Dep {
-    slot: usize,
+    dir: Ino,
     entries: u64,
     coverage: u64,
+}
+
+/// The directory generations, indexed by the exact ino in a segmented,
+/// grow-only table: bucket `b` holds `2^b` [`DirGen`]s, for the inos
+/// `2^b - 1 ..= 2^(b+1) - 2`. Each bucket is published once and never
+/// moved or reset, so a reader takes no lock, and [`Vfs::alloc`] creates
+/// an ino's bucket before it hands the ino out. Directories are never
+/// reclaimed, so a generation a walk read belongs to the same directory
+/// for good.
+#[derive(Debug)]
+struct DirGens([OnceLock<Box<[DirGen]>>; usize::BITS as usize]);
+
+impl DirGens {
+    /// The bucket holding `ino`, and its index there.
+    fn locate(ino: Ino) -> (usize, usize) {
+        let i = ino.0 + 1;
+        let bucket = i.ilog2() as usize;
+        (bucket, i - (1 << bucket))
+    }
+
+    /// Creates the bucket holding `ino` unless it exists.
+    fn reserve(&self, ino: Ino) {
+        let bucket = DirGens::locate(ino).0;
+        self.0[bucket].get_or_init(|| (0..1usize << bucket).map(|_| DirGen::default()).collect());
+    }
+
+    /// The generations of directory `ino`.
+    fn get(&self, ino: Ino) -> &DirGen {
+        let (bucket, i) = DirGens::locate(ino);
+        &self.0[bucket].get().expect("alloc creates an ino's bucket")[i]
+    }
 }
 
 impl DcacheShard {
@@ -553,10 +572,10 @@ pub struct Vfs {
     /// Mount-table sequence, bumped under the `mounts` write lock. Only a
     /// guard: a walk that saw it move is not stored in the dcache.
     mount_seq: AtomicU64,
-    /// Per-directory generations, slot `ino % DIR_GENS`: `entries` bumped
-    /// after every change to a directory's entries or `..`, `coverage`
-    /// after every mount or umount over or rooted at it.
-    dir_gens: Vec<DirGen>,
+    /// Per-directory generations: `entries` bumped after every change to
+    /// a directory's entries or `..`, `coverage` after every mount or
+    /// umount over or rooted at it.
+    dir_gens: DirGens,
     dcache: Vec<CachePadded<RwLock<DcacheShard>>>,
     dcache_enabled: AtomicBool,
     /// Serializes renames. Only rename re-parents a directory, so holding
@@ -626,6 +645,8 @@ impl Vfs {
                 Vec::new()
             })));
         }
+        let dir_gens = DirGens(std::array::from_fn(|_| OnceLock::new()));
+        dir_gens.reserve(Ino(0));
         Vfs {
             shards,
             alloc: Mutex::new(AllocState {
@@ -637,7 +658,7 @@ impl Vfs {
             next_mount_id: AtomicU64::new(1),
             change_seq: CachePadded(AtomicU64::new(0)),
             mount_seq: AtomicU64::new(0),
-            dir_gens: (0..DIR_GENS).map(|_| DirGen::default()).collect(),
+            dir_gens,
             dcache: (0..DSHARDS)
                 .map(|_| CachePadded(RwLock::new(DcacheShard::default())))
                 .collect(),
@@ -649,6 +670,12 @@ impl Vfs {
     /// The root directory inode.
     pub fn root(&self) -> Ino {
         self.root
+    }
+
+    /// The attributes of `ino` an access check reads, under one guard
+    /// that is dropped on return.
+    pub fn attrs(&self, ino: Ino) -> Attrs {
+        self.inode(ino).attrs()
     }
 
     /// Shared inode access. The returned guard read-locks the inode's
@@ -702,6 +729,7 @@ impl Vfs {
                 }
             }
         };
+        self.dir_gens.reserve(ino);
         let (s, slot) = (shard_of(ino), slot_of(ino));
         let mut g = sync::write(&self.shards[s]);
         // Two threads can reserve fresh ids in the same shard and arrive
@@ -750,16 +778,17 @@ impl Vfs {
     /// be named by `r`'s final lookup (a directory, which is never
     /// reclaimed, always qualifies). Checked and counted under the inode's
     /// guard, so a pinned inode is not reclaimed until
-    /// [`Vfs::dec_open`], and a freed or reused slot is never pinned;
-    /// on `false` the caller walks again.
-    pub fn pin(&self, r: &Resolved) -> bool {
+    /// [`Vfs::dec_open`], and a freed or reused slot is never pinned.
+    /// Returns the attributes `open` checks, read under the same guard;
+    /// on `None` the caller walks again.
+    pub fn pin(&self, r: &Resolved) -> Option<Attrs> {
         let mut node = self.inode_mut(r.ino);
         let bound = node.data.is_dir()
             || (node.nlink > 0 && node.name.is_some_and(|n| r.bound == Some((node.parent, n))));
-        if bound {
+        bound.then(|| {
             node.opens += 1;
-        }
-        bound
+            node.attrs()
+        })
     }
 
     /// Records a close; reclaims the inode if it is also unlinked.
@@ -834,64 +863,47 @@ impl Vfs {
     /// Invalidates every cached resolution that read `part` of directory
     /// `ino`.
     fn bump(&self, ino: Ino, part: Part) {
-        self.dir_gens[ino.0 % DIR_GENS]
+        self.dir_gens
+            .get(ino)
             .get(part)
             .fetch_add(1, Ordering::Release);
     }
 
-    /// Records that a walk is about to read `part` of directory `ino`. The
+    /// Records that a walk is about to read `part` of directory `dir`. The
     /// generation is loaded before the read, so a change racing the read
-    /// leaves the entry already stale. Every read of one slot shares a
-    /// [`Dep`]; a part read twice keeps the generation loaded first, which
-    /// preceded both reads. A read of entries also notes which directory
-    /// read the slot's.
-    fn note_dep(&self, trail: &mut Trail, ino: Ino, part: Part) {
-        let slot = ino.0 % DIR_GENS;
-        if let Part::Entries = part {
-            let read = trail.readers.iter_mut().find(|(s, _)| *s == slot);
-            match read {
-                Some((_, reader)) if *reader != ino => *reader = SHARED,
-                Some(_) => {}
-                None => trail.readers.push((slot, ino)),
-            }
-        }
+    /// leaves the entry already stale. Every read of one directory shares
+    /// a [`Dep`]; a part read twice keeps the generation loaded first,
+    /// which preceded both reads.
+    fn note_dep(&self, trail: &mut Trail, dir: Ino, part: Part) {
         let deps = &mut trail.deps;
-        if !deps.iter().any(|d| d.slot == slot) {
+        if !deps.iter().any(|d| d.dir == dir) {
             deps.push(Dep {
-                slot,
+                dir,
                 entries: UNREAD,
                 coverage: UNREAD,
             });
         }
         let dep = deps
             .iter_mut()
-            .find(|d| d.slot == slot)
+            .find(|d| d.dir == dir)
             .expect("pushed above");
         let seen = match part {
             Part::Entries => &mut dep.entries,
             Part::Coverage => &mut dep.coverage,
         };
         if *seen == UNREAD {
-            *seen = self.dir_gens[slot].get(part).load(Ordering::Acquire);
+            *seen = self.dir_gens.get(dir).get(part).load(Ordering::Acquire);
         }
     }
 
-    /// Whether every generation `dep` recorded still holds.
-    fn dep_fresh(&self, dep: &Dep) -> bool {
-        let gens = &self.dir_gens[dep.slot];
-        (dep.entries == UNREAD || gens.entries.load(Ordering::Acquire) == dep.entries)
-            && (dep.coverage == UNREAD || gens.coverage.load(Ordering::Acquire) == dep.coverage)
-    }
-
     /// Whether every generation `dep` recorded still holds, except the
-    /// `entries` of slot `skip`.
-    fn dep_fresh_but(&self, dep: Dep, skip: usize) -> bool {
-        let entries = if dep.slot == skip {
-            UNREAD
-        } else {
-            dep.entries
-        };
-        self.dep_fresh(&Dep { entries, ..dep })
+    /// `entries` of directory `skip`, if any.
+    fn dep_fresh(&self, dep: Dep, skip: Option<Ino>) -> bool {
+        let gens = self.dir_gens.get(dep.dir);
+        (dep.entries == UNREAD
+            || skip == Some(dep.dir)
+            || gens.entries.load(Ordering::Acquire) == dep.entries)
+            && (dep.coverage == UNREAD || gens.coverage.load(Ordering::Acquire) == dep.coverage)
     }
 
     /// The lookup a probe of the stale `entry` may redo instead of the
@@ -900,10 +912,9 @@ impl Vfs {
     /// [`Vfs::revalidate`] needs, so the probe can drop its shard guard.
     fn redo_of(&self, entry: &Cached) -> Option<Redo> {
         let (dir, name) = entry.last?;
-        let skip = dir.0 % DIR_GENS;
         let mut deps = DirChain::new();
         for &dep in entry.deps.iter() {
-            if !self.dep_fresh_but(dep, skip) {
+            if !self.dep_fresh(dep, Some(dir)) {
                 return None;
             }
             deps.push(dep);
@@ -926,8 +937,7 @@ impl Vfs {
     /// freed by then (a writer frees a replaced inode only after its
     /// bumps). Returns it if the name binds a regular file.
     fn revalidate(&self, redo: &Redo) -> Option<Ino> {
-        let skip = redo.dir.0 % DIR_GENS;
-        let entries = &self.dir_gens[skip].entries;
+        let entries = &self.dir_gens.get(redo.dir).entries;
         let seen = entries.load(Ordering::Acquire);
         let ino = self
             .inode(redo.dir)
@@ -941,7 +951,7 @@ impl Vfs {
         // again.
         fence(Ordering::Acquire);
         let held = entries.load(Ordering::Acquire) == seen
-            && redo.deps.iter().all(|d| self.dep_fresh_but(d, skip));
+            && redo.deps.iter().all(|d| self.dep_fresh(d, Some(redo.dir)));
         held.then_some(ino)
     }
 
@@ -989,7 +999,7 @@ impl Vfs {
         let shard = &self.dcache[(hash >> 32) as usize % DSHARDS];
         {
             let _probe_span = crate::trace::span(crate::trace::Pathway::DcacheProbe);
-            let fresh = |e: &Cached| e.deps.iter().all(|d| self.dep_fresh(d));
+            let fresh = |e: &Cached| e.deps.iter().all(|&d| self.dep_fresh(d, None));
             let dc = sync::read(shard);
             // A hit clones a `Resolved` whose `DirChain` is inline for
             // realistic depths, so the hit path stays allocation-free.
@@ -1037,16 +1047,9 @@ impl Vfs {
             (AbsPath::intern(&text), named)
         });
         // The final lookup is worth redoing only if naming read the file's
-        // name from that same entry, and no other directory's entries
-        // share its generation slot.
-        let Trail {
-            deps,
-            readers,
-            last,
-        } = trail;
-        let last = last.filter(|&(dir, name)| {
-            named == Some((dir, name)) && readers.iter().any(|r| r == (dir.0 % DIR_GENS, dir))
-        });
+        // name from that same entry.
+        let Trail { deps, last } = trail;
+        let last = last.filter(|&l| named == Some(l));
         // The stored key borrows the path's interned text, which lives
         // for the whole process.
         let key = (start, follow_last, Name::intern(path).as_str());
@@ -1164,7 +1167,10 @@ impl Vfs {
                 && is_last
                 && comp != ".."
                 && path.rsplit('/').next() == Some(comp)
-                && !trail.readers.iter().any(|(s, _)| s == cur.0 % DIR_GENS);
+                && !trail
+                    .deps
+                    .iter()
+                    .any(|d| d.dir == cur && d.entries != UNREAD);
             // One shard guard at a time: copy the entry and parent out,
             // then drop the guard before touching any other inode.
             // Entries are keyed by interned symbol; a `Name::lookup`
@@ -1561,7 +1567,9 @@ impl Vfs {
     }
 
     /// Renames an entry, overwriting a non-directory target if present —
-    /// the atomic-replace primitive database rewriters rely on.
+    /// the atomic-replace primitive database rewriters rely on. As on
+    /// Linux, a directory never replaces a non-directory (`ENOTDIR`) nor a
+    /// non-directory a directory (`EISDIR`).
     ///
     /// All renames serialize on the dedicated rename mutex; since nothing else
     /// re-parents a directory, the cycle check below cannot race another
@@ -1611,6 +1619,9 @@ impl Vfs {
                 }
                 if self.inode(e).data.is_dir() {
                     return Err(Errno::EISDIR);
+                }
+                if src_is_dir {
+                    return Err(Errno::ENOTDIR);
                 }
             }
             // Swap the entries under the directory lock(s); `false`,
@@ -1934,11 +1945,7 @@ impl Vfs {
         uid: Uid,
         gid: Gid,
     ) -> KResult<Ino> {
-        let (dir_path, name) = match path.rfind('/') {
-            Some(0) => ("/", &path[1..]),
-            Some(i) => (&path[..i], &path[i + 1..]),
-            None => return Err(Errno::EINVAL),
-        };
+        let (dir_path, name) = path.rsplit_once('/').ok_or(Errno::EINVAL)?;
         if name.is_empty() {
             return Err(Errno::EINVAL);
         }
@@ -1963,32 +1970,9 @@ impl Vfs {
         uid: Uid,
         gid: Gid,
     ) -> KResult<Ino> {
-        let (dir_path, name) = match path.rfind('/') {
-            Some(0) => ("/", &path[1..]),
-            Some(i) => (&path[..i], &path[i + 1..]),
-            None => return Err(Errno::EINVAL),
-        };
+        let (dir_path, name) = path.rsplit_once('/').ok_or(Errno::EINVAL)?;
         let dir = self.mkdir_p(dir_path)?;
         self.create_node(dir, name, mode, uid, gid, InodeData::Hook(hook))
-    }
-
-    /// DAC permission check: does `cred`-like identity (uid, groups) get
-    /// `want` on `inode`? Pure owner/group/other logic; capability
-    /// overrides are applied by the caller.
-    pub fn dac_allows(
-        inode: &Inode,
-        uid: Uid,
-        in_group: impl Fn(Gid) -> bool,
-        want: Access,
-    ) -> bool {
-        let bits = if inode.uid == uid {
-            inode.mode.owner_bits()
-        } else if in_group(inode.gid) {
-            inode.mode.group_bits()
-        } else {
-            inode.mode.other_bits()
-        };
-        bits & want.0 == want.0
     }
 }
 
@@ -2410,10 +2394,21 @@ mod tests {
         );
         // A file as the destination directory is ENOTDIR.
         assert_eq!(v.rename(etc, "fstab", f, "x").unwrap_err(), Errno::ENOTDIR);
+        // So is a directory over a regular file or a symlink.
+        v.symlink(etc, "link", "/home", Uid::ROOT, Gid::ROOT)
+            .unwrap();
+        let link = v.resolve_nofollow(v.root(), "/etc/link").unwrap().ino;
+        for target in ["fstab", "link"] {
+            assert_eq!(
+                v.rename(v.root(), "home", etc, target).unwrap_err(),
+                Errno::ENOTDIR
+            );
+        }
         // Missing source is ENOENT.
         assert_eq!(v.rename(etc, "nope", etc, "x").unwrap_err(), Errno::ENOENT);
         // Nothing above disturbed the namespace.
         assert_eq!(v.resolve(v.root(), "/etc/fstab").unwrap().ino, f);
+        assert_eq!(v.resolve_nofollow(v.root(), "/etc/link").unwrap().ino, link);
         assert_eq!(v.resolve(v.root(), "/home").unwrap().ino, home);
     }
 
@@ -2463,28 +2458,6 @@ mod tests {
         v.append(f, b"more\n").unwrap();
         assert!(v.inode(f).version > v0);
         assert!(v.change_seq() > s0);
-    }
-
-    #[test]
-    fn dac_semantics() {
-        let v = fixture();
-        let f = v.resolve(v.root(), "/etc/fstab").unwrap().ino;
-        let inode = v.inode(f); // 0644 root:root
-        assert!(Vfs::dac_allows(&inode, Uid::ROOT, |_| false, Access::WRITE));
-        assert!(Vfs::dac_allows(&inode, Uid(1000), |_| false, Access::READ));
-        assert!(!Vfs::dac_allows(
-            &inode,
-            Uid(1000),
-            |_| false,
-            Access::WRITE
-        ));
-        // Group bits picked when the caller is in the owning group.
-        assert!(!Vfs::dac_allows(
-            &inode,
-            Uid(1000),
-            |g| g == Gid::ROOT,
-            Access::WRITE
-        ));
     }
 
     #[test]
@@ -2596,10 +2569,10 @@ mod tests {
     }
 
     /// A plain resolve stores the canonical path, adding to its walk's
-    /// generations only the leaf's coverage, each slot once; a canonical
-    /// resolve of the same key hits that entry.
+    /// generations only the leaf's coverage, each directory once; a
+    /// canonical resolve of the same key hits that entry.
     #[test]
-    fn every_entry_carries_the_path_and_records_each_slot_once() {
+    fn every_entry_carries_the_path_and_records_each_directory_once() {
         let v = fixture();
         let key = (v.root(), true, "/etc/fstab");
         let entry = |v: &Vfs| {

@@ -201,7 +201,50 @@ pub struct Inode {
     pub opens: u32,
 }
 
+/// What an access check reads of an inode: its kind, owner, group and
+/// mode, copied out under one guard.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct Attrs {
+    /// Whether it is a directory.
+    pub is_dir: bool,
+    /// Whether it is a regular file.
+    pub is_file: bool,
+    /// Owning user.
+    pub uid: Uid,
+    /// Owning group.
+    pub gid: Gid,
+    /// Permission and special bits.
+    pub mode: Mode,
+}
+
+impl Attrs {
+    /// DAC permission check: does `cred`-like identity (uid, groups) get
+    /// `want` on this inode? Pure owner/group/other logic; capability
+    /// overrides are applied by the caller.
+    pub fn dac_allows(self, uid: Uid, in_group: impl Fn(Gid) -> bool, want: Access) -> bool {
+        let bits = if self.uid == uid {
+            self.mode.owner_bits()
+        } else if in_group(self.gid) {
+            self.mode.group_bits()
+        } else {
+            self.mode.other_bits()
+        };
+        bits & want.0 == want.0
+    }
+}
+
 impl Inode {
+    /// The attributes an access check reads.
+    pub fn attrs(&self) -> Attrs {
+        Attrs {
+            is_dir: self.data.is_dir(),
+            is_file: matches!(self.data, InodeData::Regular(_)),
+            uid: self.uid,
+            gid: self.gid,
+            mode: self.mode,
+        }
+    }
+
     /// File size in bytes (0 for non-regular files).
     pub fn size(&self) -> usize {
         match &self.data {
@@ -240,6 +283,22 @@ mod tests {
         assert_eq!(Mode(0o600).render(), "rw-------");
         assert_eq!(Mode(0o4644).render(), "rwSr--r--");
         assert_eq!(Mode(0o1777).render(), "rwxrwxrwt");
+    }
+
+    #[test]
+    fn dac_semantics() {
+        let attrs = Attrs {
+            is_dir: false,
+            is_file: true,
+            uid: Uid::ROOT,
+            gid: Gid::ROOT,
+            mode: Mode(0o644),
+        };
+        assert!(attrs.dac_allows(Uid::ROOT, |_| false, Access::WRITE));
+        assert!(attrs.dac_allows(Uid(1000), |_| false, Access::READ));
+        assert!(!attrs.dac_allows(Uid(1000), |_| false, Access::WRITE));
+        // Group bits picked when the caller is in the owning group.
+        assert!(!attrs.dac_allows(Uid(1000), |g| g == Gid::ROOT, Access::WRITE));
     }
 
     #[test]

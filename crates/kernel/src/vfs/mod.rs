@@ -7,6 +7,6 @@ pub mod intern;
 
 pub use arena::{ArenaBytes, ArenaString, PathArena};
 pub(crate) use fs::PATH_MAX;
-pub use fs::{AbsPath, DirChain, InodeMut, InodeRef, Mount, MountOptions, Resolved, Vfs, DIR_GENS};
-pub use inode::{Access, Ino, Inode, InodeData, Mode, ProcHook};
+pub use fs::{AbsPath, DirChain, InodeMut, InodeRef, Mount, MountOptions, Resolved, Vfs};
+pub use inode::{Access, Attrs, Ino, Inode, InodeData, Mode, ProcHook};
 pub use intern::Name;

@@ -9,7 +9,7 @@ use sim_kernel::error::{Errno, KResult};
 use sim_kernel::kernel::{Kernel, SharedKernel};
 use sim_kernel::lsm::NullLsm;
 use sim_kernel::net::SimNet;
-use sim_kernel::vfs::{Ino, Mode, Vfs, DIR_GENS};
+use sim_kernel::vfs::{Ino, Mode, Vfs};
 use sim_kernel::Pid;
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -449,42 +449,6 @@ fn a_last_directory_read_earlier_in_the_walk_is_walked_again() {
     let (now, served) = probe(&k, path, true);
     assert!(!served, "served after `sub` became a symlink");
     assert_eq!(now, Ok((other, "/x/a.txt".to_string())));
-}
-
-/// A file named from its directory as cwd records that directory's
-/// entries, and, while naming it, those of the parent above. When the two
-/// directories share a generation slot, a rename inside the parent moves
-/// only that one slot, as a replacement of the file would: the probe must
-/// walk, not redo the lookup and serve the old name.
-#[test]
-fn directories_sharing_a_generation_slot_are_never_revalidated_through_it() {
-    let (k, root) = boot();
-    let parent = k.vfs.mkdir_p("/s/b").unwrap();
-    let dir = (0..)
-        .map(|i| k.vfs.mkdir_p(&format!("/s/b/d{i}")).unwrap())
-        .find(|d| d.0 % DIR_GENS == parent.0 % DIR_GENS)
-        .unwrap();
-    let name = k.vfs.path_of(dir);
-    let f = k
-        .vfs
-        .install_file(
-            &format!("{name}/f"),
-            b"f",
-            Mode(0o644),
-            Uid::ROOT,
-            Gid::ROOT,
-        )
-        .unwrap();
-    let named = |k: &Kernel| {
-        let before = k.vfs.dcache_stats();
-        let (r, abs) = k.vfs.resolve_canonical(dir, "f").unwrap();
-        let after = k.vfs.dcache_stats();
-        let served = after.hits == before.hits + 1 && after.misses == before.misses;
-        ((r.ino, abs.as_str().to_string()), served)
-    };
-    assert_eq!(named(&k).0, (f, format!("{name}/f")));
-    k.sys_rename(root, &name, "/s/b/moved").unwrap();
-    assert_eq!(named(&k), ((f, "/s/b/moved/f".to_string()), false));
 }
 
 /// Releases a renamer's wait for acks for good once the reader stops,

@@ -1,6 +1,7 @@
 //! Property tests over the VFS namespace: arbitrary rename/unlink
-//! sequences never create cycles, never orphan a live inode, and never
-//! make `resolve` diverge.
+//! sequences never create cycles, never orphan a live inode, never make
+//! `resolve` diverge, and never reclaim a directory (the dcache's
+//! per-directory generations are indexed by ino on that promise).
 
 use proptest::prelude::*;
 use sim_kernel::cred::{Gid, Uid};
@@ -106,20 +107,25 @@ proptest! {
     /// Arbitrary rename/unlink/mkdir/rmdir sequences keep the
     /// namespace a rooted tree: `resolve` terminates on every probe, no
     /// live inode is orphaned, and directory-cycle renames are rejected
-    /// (so a cycle can never be observed afterwards).
+    /// (so a cycle can never be observed afterwards). Every directory the
+    /// sequence saw, removed or not, is still a directory and its ino was
+    /// never reclaimed.
     #[test]
     fn namespace_stays_rooted_under_random_mutations(
         ops in prop::collection::vec(ns_op(), 0..60),
     ) {
         let v = seed_tree();
+        let mut dirs_seen = BTreeSet::new();
         for op in ops {
             let pool = dir_pool(&v);
+            dirs_seen.extend(pool.iter().copied());
             let dir_at = |i: u8| pool[i as usize % pool.len()];
             let name = |n: u8| format!("n{}", n);
             let dname = |n: u8| format!("d{}", n);
             match op {
                 NsOp::Mkdir(d, n) => {
-                    let _ = v.mkdir(dir_at(d), &dname(n), Mode(0o755), Uid::ROOT, Gid::ROOT);
+                    let made = v.mkdir(dir_at(d), &dname(n), Mode(0o755), Uid::ROOT, Gid::ROOT);
+                    dirs_seen.extend(made);
                 }
                 NsOp::Create(d, n) => {
                     let _ = v.create_file(
@@ -147,6 +153,11 @@ proptest! {
             }
         }
         assert_live_inodes_root_reachable(&v);
+        let reclaimed = v.reclaimed_slots();
+        for dir in dirs_seen {
+            prop_assert!(!reclaimed.contains(&dir), "directory {:?} was reclaimed", dir);
+            prop_assert!(v.inode(dir).data.is_dir(), "directory {:?} is no longer one", dir);
+        }
     }
 
     /// Directed adversarial sequence: repeatedly try to move an ancestor

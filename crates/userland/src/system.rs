@@ -19,6 +19,7 @@ use sim_kernel::kernel::{Kernel, SharedKernel};
 use sim_kernel::syscall::OpenFlags;
 use sim_kernel::task::Pid;
 use sim_kernel::vfs::Mode;
+use std::sync::Arc;
 
 /// Which of the paper's two systems this image is.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -283,7 +284,7 @@ impl System {
         };
         for g in crate::db::parse_db(&groups_text, crate::db::GroupEntry::parse) {
             if g.members.iter().any(|m| m == name) && !cred.groups.contains(&Gid(g.gid)) {
-                cred.groups.push(Gid(g.gid));
+                Arc::make_mut(&mut cred.groups).push(Gid(g.gid));
             }
         }
         let pid = self.kernel.spawn_session(cred, &entry.shell);

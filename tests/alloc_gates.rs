@@ -21,7 +21,7 @@
 //! within a per-operation allocation budget on both images; one warm
 //! kernel authentication allocates nothing, however many accounts
 //! `/etc/passwd` holds; and a warm fork, exit and wait of a session's
-//! child allocates only the child's group list (the environment is shared
+//! child allocates nothing (the environment and the group list are shared
 //! copy-on-write). The binaries look up the one account they need instead
 //! of parsing whole account databases, and the authentication agent
 //! checks the attempt inside the files it reads; either regressing shows
@@ -528,11 +528,11 @@ fn warm_kernel_authentication_is_allocation_free() {
     );
 }
 
-/// A warm fork, exit and wait of a session's child allocates once: the
-/// child's copy of the credentials' supplementary groups. The
-/// environment is shared copy-on-write, not copied.
+/// A warm fork, exit and wait of a session's child allocates nothing:
+/// the environment and the credentials' supplementary groups are shared
+/// copy-on-write, not copied.
 #[test]
-fn warm_session_fork_exit_wait_allocates_only_the_group_list() {
+fn warm_session_fork_exit_wait_allocates_nothing() {
     let mut sys = boot(SystemMode::Protego);
     let alice = sys.login("alice", "alicepw").expect("login");
     let cycle = |sys: &mut System| {
@@ -548,7 +548,7 @@ fn warm_session_fork_exit_wait_allocates_only_the_group_list() {
         cycle(&mut sys);
     }
     let n = cycle(&mut sys);
-    assert!(n <= 1, "a warm fork + exit + wait allocated {n} times");
+    assert_eq!(n, 0, "a warm fork + exit + wait allocated {n} times");
 }
 
 #[test]

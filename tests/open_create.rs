@@ -128,3 +128,44 @@ fn o_creat_returns_the_full_walks_errno_and_inode_on_both_images() {
         assert_eq!(sys.kernel.sys_stat(root, "/srv/oc/rel").unwrap().size, 0);
     }
 }
+
+/// An open refused after its pin drops the pin: a directory opened for
+/// writing (`EISDIR`), a DAC denial and, on Protego, the shadow-fragment
+/// rule (reading one's own fragment without a fresh authentication) each
+/// leave the inode's open count as it was, and a file unlinked after such
+/// a refusal is reclaimed.
+#[test]
+fn an_open_refused_after_its_pin_leaves_the_open_count_as_it_was() {
+    for mode in [SystemMode::Legacy, SystemMode::Protego] {
+        let (sys, root, alice) = fixture(mode);
+        let k = &sys.kernel;
+        k.write_file(root, "/srv/oc/secret", b"s", Mode(0o600))
+            .unwrap();
+        k.sys_chmod(root, "/srv/oc/secret", Mode(0o600)).unwrap();
+        let mut refused = vec![
+            ("/srv/oc/dir", OpenFlags::write_only(), Errno::EISDIR),
+            ("/srv/oc/secret", OpenFlags::read_only(), Errno::EACCES),
+        ];
+        if mode == SystemMode::Protego {
+            refused.push(("/etc/shadows/alice", OpenFlags::read_only(), Errno::EACCES));
+        }
+        for &(path, flags, errno) in &refused {
+            let ino = ino_of(&sys, root, path);
+            let opens = k.vfs.inode(ino).opens;
+            assert_eq!(
+                k.sys_open(alice, path, flags),
+                Err(errno),
+                "{mode:?}: opening {path:?}"
+            );
+            assert_eq!(k.vfs.inode(ino).opens, opens, "{mode:?}: {path:?}");
+        }
+        for &(path, ..) in &refused[1..] {
+            let ino = ino_of(&sys, root, path);
+            k.sys_unlink(root, path).unwrap();
+            assert!(
+                k.vfs.reclaimed_slots().contains(&ino),
+                "{mode:?}: {path:?} was not reclaimed"
+            );
+        }
+    }
+}
